@@ -84,6 +84,11 @@ impl RecordBatch {
         &self.columns
     }
 
+    /// Consume the batch, handing its columns to the caller.
+    pub fn into_columns(self) -> Vec<ArrayRef> {
+        self.columns
+    }
+
     /// Column `i`.
     pub fn column(&self, i: usize) -> &ArrayRef {
         &self.columns[i]

@@ -5,7 +5,7 @@
 //! Two layers live here:
 //!
 //! * the **batch encoding** (`encode_batch`/`decode_batch`) — one
-//!   self-describing `b"CIP1"` message per batch;
+//!   self-describing `b"CIP2"` message per batch;
 //! * the **frame stream** (`encode_schema_frame`/`encode_batch_frame`/
 //!   `encode_trailer_frame` + [`FrameDecoder`]) — the streaming boundary's
 //!   unit of transfer: a schema frame, then one frame per batch as the
@@ -15,25 +15,30 @@
 //!   incrementally as bytes arrive and fail structurally (never panic) on
 //!   truncation or corruption.
 //!
+//! Both layers end in the same integrity check: a little-endian `u32`
+//! XXH32 (seed 0) of every byte before it — the checksum LZ4's frame format
+//! uses for this job (the `xxh32` function in this module documents what
+//! it guarantees). There is one wire version and one decoder.
+//!
 //! Batch layout (all integers little-endian):
 //!
 //! ```text
-//! magic   : 4 bytes  b"CIP1"
+//! magic   : 4 bytes  b"CIP2"
 //! ncols   : u32
 //! nrows   : u64
 //! fields  : per column — name_len u32, name bytes, type tag u8, nullable u8
 //! columns : per column — has_validity u8, [validity bytes], value buffers
-//! crc     : u32 (FNV-1a over everything before it)
+//! crc     : u32 (XXH32 over everything before it)
 //! ```
 //!
 //! Frame layout:
 //!
 //! ```text
-//! magic   : 4 bytes  b"CFR1"
+//! magic   : 4 bytes  b"CFR2"
 //! kind    : u8 (1 = schema, 2 = batch, 3 = trailer)
 //! len     : u32 payload length (bound-checked against MAX_FRAME_BYTES)
-//! payload : len bytes (schema fields / one CIP1 batch / opaque stats)
-//! crc     : u32 (FNV-1a over magic..payload)
+//! payload : len bytes (schema fields / one CIP2 batch / opaque stats)
+//! crc     : u32 (XXH32 over magic..payload)
 //! ```
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -46,15 +51,79 @@ use crate::datatype::DataType;
 use crate::error::{ColumnarError, Result};
 use crate::schema::{Field, Schema, SchemaRef};
 
-const MAGIC: &[u8; 4] = b"CIP1";
+const MAGIC: &[u8; 4] = b"CIP2";
 
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
+const PRIME32_1: u32 = 0x9E37_79B1;
+const PRIME32_2: u32 = 0x85EB_CA77;
+const PRIME32_3: u32 = 0xC2B2_AE3D;
+const PRIME32_4: u32 = 0x27D4_EB2F;
+const PRIME32_5: u32 = 0x1656_67B1;
+
+fn xxh32_round(acc: u32, word: u32) -> u32 {
+    acc.wrapping_add(word.wrapping_mul(PRIME32_2))
+        .rotate_left(13)
+        .wrapping_mul(PRIME32_1)
+}
+
+/// XXH32 with seed 0: the integrity checksum of every CIP batch (hence
+/// every plain `parq` page) and every `CFR` frame.
+///
+/// Input is consumed in 16-byte stripes, one little-endian word into each
+/// of four independent accumulators, so the four multiplies of a stripe
+/// overlap instead of queueing behind one another as in a byte-serial
+/// hash. Words and bytes left after the last stripe are folded in one at a
+/// time.
+///
+/// Guarantee the corruption tests rely on: every step (stripe round, tail
+/// word, tail byte) is a bijection of its accumulator in the input it
+/// absorbs, and everything after it — later rounds, the lane merge, the
+/// final avalanche — is a bijection of that accumulator. Two inputs of
+/// equal length that differ only inside one 4-byte stripe word (or one
+/// tail byte) therefore never collide; in particular every single-bit flip
+/// is detected. Damage spread over several words is caught with
+/// probability 1 - 2^-32.
+fn xxh32(bytes: &[u8]) -> u32 {
+    let mut stripes = bytes.chunks_exact(16);
+    let mut h = if bytes.len() >= 16 {
+        let mut v = [
+            PRIME32_1.wrapping_add(PRIME32_2),
+            PRIME32_2,
+            0,
+            0u32.wrapping_sub(PRIME32_1),
+        ];
+        for stripe in &mut stripes {
+            v[0] = xxh32_round(v[0], le_u32(&stripe[0..4]));
+            v[1] = xxh32_round(v[1], le_u32(&stripe[4..8]));
+            v[2] = xxh32_round(v[2], le_u32(&stripe[8..12]));
+            v[3] = xxh32_round(v[3], le_u32(&stripe[12..16]));
+        }
+        v[0].rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18))
+    } else {
+        PRIME32_5
+    };
+    // The reference folds the length in modulo 2^32.
+    h = h.wrapping_add(bytes.len() as u32);
+    let mut words = stripes.remainder().chunks_exact(4);
+    for word in &mut words {
+        h = h
+            .wrapping_add(le_u32(word).wrapping_mul(PRIME32_3))
+            .rotate_left(17)
+            .wrapping_mul(PRIME32_4);
     }
-    h
+    for &byte in words.remainder() {
+        h = h
+            .wrapping_add(u32::from(byte).wrapping_mul(PRIME32_5))
+            .rotate_left(11)
+            .wrapping_mul(PRIME32_1);
+    }
+    h ^= h >> 15;
+    h = h.wrapping_mul(PRIME32_2);
+    h ^= h >> 13;
+    h = h.wrapping_mul(PRIME32_3);
+    h ^ (h >> 16)
 }
 
 /// Little-endian u32 from the first four bytes of a length-checked slice.
@@ -124,7 +193,7 @@ pub fn encode_batch(batch: &RecordBatch) -> Bytes {
     for col in batch.columns() {
         put_array(&mut buf, col);
     }
-    let crc = fnv1a(&buf);
+    let crc = xxh32(&buf);
     buf.put_u32_le(crc);
     buf.freeze()
 }
@@ -193,16 +262,26 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// `count` fixed-width values of `width` bytes each. `count` comes from
+    /// the wire, so the product is checked before it is compared with what
+    /// is left of the buffer.
+    fn values(&mut self, count: usize, width: usize) -> Result<&'a [u8]> {
+        let n = count.checked_mul(width).ok_or_else(|| {
+            ColumnarError::Corrupt(format!("implausible value count {count} in IPC message"))
+        })?;
+        self.bytes(n)
+    }
+
     fn array(&mut self, dt: DataType, nrows: usize) -> Result<Array> {
         let validity = self.validity(nrows)?;
         Ok(match dt {
             DataType::Int64 => {
-                let raw = self.bytes(nrows * 8)?;
+                let raw = self.values(nrows, 8)?;
                 let values = raw.chunks_exact(8).map(|c| le_u64(c) as i64).collect();
                 Array::Int64(Int64Array { values, validity })
             }
             DataType::Float64 => {
-                let raw = self.bytes(nrows * 8)?;
+                let raw = self.values(nrows, 8)?;
                 let values = raw
                     .chunks_exact(8)
                     .map(|c| f64::from_bits(le_u64(c)))
@@ -210,7 +289,7 @@ impl<'a> Reader<'a> {
                 Array::Float64(Float64Array { values, validity })
             }
             DataType::Date32 => {
-                let raw = self.bytes(nrows * 4)?;
+                let raw = self.values(nrows, 4)?;
                 let values = raw.chunks_exact(4).map(|c| le_u32(c) as i32).collect();
                 Array::Date32(Date32Array { values, validity })
             }
@@ -220,7 +299,7 @@ impl<'a> Reader<'a> {
                 Array::Boolean(BooleanArray { values, validity })
             }
             DataType::Utf8 => {
-                let raw = self.bytes((nrows + 1) * 4)?;
+                let raw = self.values(nrows.saturating_add(1), 4)?;
                 let offsets: Vec<u32> = raw.chunks_exact(4).map(le_u32).collect();
                 let data_len = self.u32()? as usize;
                 if let Some(&last) = offsets.last() {
@@ -260,7 +339,7 @@ pub fn decode_batch(bytes: &Bytes) -> Result<RecordBatch> {
     }
     let body = bytes.slice(..bytes.len() - 4);
     let expect = le_u32(&bytes[bytes.len() - 4..]);
-    if fnv1a(&body) != expect {
+    if xxh32(&body) != expect {
         return Err(ColumnarError::Corrupt("IPC checksum mismatch".into()));
     }
     let mut r = Reader { src: &body, pos: 0 };
@@ -268,7 +347,8 @@ pub fn decode_batch(bytes: &Bytes) -> Result<RecordBatch> {
         return Err(ColumnarError::Corrupt("bad IPC magic".into()));
     }
     let ncols = r.u32()? as usize;
-    let nrows = r.u64()? as usize;
+    let nrows = usize::try_from(r.u64()?)
+        .map_err(|_| ColumnarError::Corrupt("row count exceeds the address space".into()))?;
     if ncols > 65_536 {
         return Err(ColumnarError::Corrupt(format!(
             "implausible column count {ncols}"
@@ -296,7 +376,10 @@ pub fn decode_batch(bytes: &Bytes) -> Result<RecordBatch> {
             r.remaining()
         )));
     }
+    // Columns that contradict the schema they arrived with (nulls under a
+    // non-nullable field) are damage on the wire like any other.
     RecordBatch::try_new(schema, columns)
+        .map_err(|e| ColumnarError::Corrupt(format!("inconsistent IPC batch: {e}")))
 }
 
 /// Serialize a stream of batches (u32 count, then length-prefixed batches).
@@ -337,7 +420,7 @@ pub fn decode_batches(bytes: &Bytes) -> Result<Vec<RecordBatch>> {
 // Frame stream: the streaming boundary's unit of transfer.
 // ---------------------------------------------------------------------------
 
-const FRAME_MAGIC: &[u8; 4] = b"CFR1";
+const FRAME_MAGIC: &[u8; 4] = b"CFR2";
 /// Fixed frame header size: magic + kind + payload length.
 const FRAME_HEADER: usize = 4 + 1 + 4;
 /// Upper bound on a single frame's payload — rejects absurd length
@@ -366,7 +449,7 @@ fn encode_frame(kind: u8, payload: &[u8]) -> Bytes {
     buf.put_u8(kind);
     buf.put_u32_le(payload.len() as u32);
     buf.put_slice(payload);
-    let crc = fnv1a(&buf);
+    let crc = xxh32(&buf);
     buf.put_u32_le(crc);
     buf.freeze()
 }
@@ -384,7 +467,7 @@ pub fn encode_schema_frame(schema: &Schema) -> Bytes {
     encode_frame(KIND_SCHEMA, &payload)
 }
 
-/// Encode one batch frame (payload is a full CIP1 message, so each batch
+/// Encode one batch frame (payload is a full CIP2 message, so each batch
 /// frame is independently verifiable).
 pub fn encode_batch_frame(batch: &RecordBatch) -> Bytes {
     encode_frame(KIND_BATCH, &encode_batch(batch))
@@ -477,7 +560,7 @@ impl FrameDecoder {
         let frame = self.buf.split_to(total).freeze();
         let body = frame.slice(..total - 4);
         let expect = le_u32(&frame[total - 4..]);
-        if fnv1a(&body) != expect {
+        if xxh32(&body) != expect {
             return Err(ColumnarError::Corrupt("frame checksum mismatch".into()));
         }
         let payload = frame.slice(FRAME_HEADER..total - 4);
@@ -523,6 +606,7 @@ mod tests {
     use super::*;
     use crate::builder::ArrayBuilder;
     use crate::datatype::Scalar;
+    use proptest::prelude::*;
 
     fn mixed_batch() -> RecordBatch {
         let schema = Arc::new(Schema::new(vec![
@@ -551,6 +635,33 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    /// Published XXH32 (seed 0) vectors: the xxHash sanity checks — empty
+    /// input, then 1, 14 and 222 bytes of the generator below — and the
+    /// python-xxhash README string (39 bytes: two stripes, one tail word,
+    /// three tail bytes). The exactly-one-stripe value was cross-checked
+    /// against the content checksum `lz4` 1.9.4 writes for the same bytes.
+    #[test]
+    fn xxh32_matches_reference_vectors() {
+        let mut gen: u64 = 2_654_435_761;
+        let sanity: Vec<u8> = (0..222)
+            .map(|_| {
+                let byte = (gen >> 56) as u8;
+                gen = gen.wrapping_mul(11_400_714_785_074_694_797);
+                byte
+            })
+            .collect();
+        assert_eq!(xxh32(b""), 0x02CC_5D05);
+        assert_eq!(xxh32(&sanity[..1]), 0xCF65_B03E);
+        assert_eq!(xxh32(b"abc"), 0x32D1_53FF);
+        assert_eq!(xxh32(&sanity[..14]), 0x1208_E7E2);
+        assert_eq!(xxh32(b"0123456789abcdef"), 0xC2C4_5B69);
+        assert_eq!(
+            xxh32(b"Nobody inspects the spammish repetition"),
+            0xE229_3B2F
+        );
+        assert_eq!(xxh32(&sanity), 0x5BD1_1DBD);
     }
 
     #[test]
@@ -750,8 +861,190 @@ mod tests {
         let (wire, _) = stream_bytes(2);
         let frames = decode_frames(&Bytes::from(wire)).unwrap();
         assert_eq!(frames.len(), 4);
-        assert!(decode_frames(&Bytes::from_static(b"CFR1")).is_err());
+        assert!(decode_frames(&Bytes::from_static(b"CFR2")).is_err());
         assert!(decode_frames(&Bytes::new()).unwrap().is_empty());
+    }
+
+    /// Recompute the trailing checksum after tampering with the body, so
+    /// the decoder's structural checks are what the input has to get past.
+    fn reseal(msg: &mut [u8]) {
+        let body = msg.len() - 4;
+        let crc = xxh32(&msg[..body]);
+        msg[body..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// `(offset, width)` of every count, length, tag and flag field in
+    /// `encode_batch(b)` (`encoded_len` bytes long): everything the decoder
+    /// sizes or dispatches on.
+    fn header_fields(b: &RecordBatch, encoded_len: usize) -> Vec<(usize, usize)> {
+        let mut out = vec![(4, 4), (8, 8)]; // ncols, nrows
+        let mut pos = 16;
+        for f in b.schema().fields() {
+            out.push((pos, 4)); // name_len
+            pos += 4 + f.name.len();
+            out.push((pos, 1)); // type tag
+            out.push((pos + 1, 1)); // nullable
+            pos += 2;
+        }
+        for col in b.columns() {
+            out.push((pos, 1)); // has_validity
+            pos += 1 + col.validity().map_or(0, |v| v.to_le_bytes().len());
+            pos += match col.as_ref() {
+                Array::Int64(a) => a.values.len() * 8,
+                Array::Float64(a) => a.values.len() * 8,
+                Array::Date32(a) => a.values.len() * 4,
+                Array::Boolean(a) => a.values.to_le_bytes().len(),
+                Array::Utf8(a) => {
+                    pos += a.offsets.len() * 4;
+                    out.push((pos, 4)); // data_len
+                    4 + a.data.len()
+                }
+            };
+        }
+        assert_eq!(pos + 4, encoded_len, "layout walk drifted");
+        out
+    }
+
+    /// Overwrite the `width`-byte little-endian field at `at`.
+    fn set_field(msg: &mut [u8], (at, width): (usize, usize), value: u64) {
+        msg[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+    }
+
+    fn field_value(msg: &[u8], (at, width): (usize, usize)) -> u64 {
+        let mut raw = [0u8; 8];
+        raw[..width].copy_from_slice(&msg[at..at + width]);
+        u64::from_le_bytes(raw)
+    }
+
+    /// Values that make length arithmetic wrap or run off the buffer, then
+    /// neighbours of the true value, then anything.
+    fn hostile_value(original: u64, choice: usize, raw: u64) -> u64 {
+        const EDGES: [u64; 8] = [
+            0,
+            1 << 61,       // * 8 wraps to 0
+            1 << 62,       // * 4 wraps to 0
+            (1 << 62) - 1, // (n + 1) * 4 wraps to 0
+            u64::MAX,      // n + 1 wraps to 0
+            u32::MAX as u64,
+            1 << 31,
+            0xff,
+        ];
+        match choice {
+            0..=7 => EDGES[choice],
+            8 => original.wrapping_add(1),
+            9 => original.wrapping_sub(1),
+            _ => raw,
+        }
+    }
+
+    fn assert_ok_or_corrupt<T>(what: &str, got: Result<T>) {
+        match got {
+            Ok(_) | Err(ColumnarError::Corrupt(_)) => {}
+            Err(e) => panic!("{what}: unexpected error class: {e}"),
+        }
+    }
+
+    /// A zero-row batch with one non-nullable column: with no validity
+    /// words and no values, the row count is the only thing sizing a read.
+    fn empty_column(dt: DataType) -> RecordBatch {
+        RecordBatch::empty(Arc::new(Schema::new(vec![Field::new("c", dt, false)])))
+    }
+
+    #[test]
+    fn resealed_row_count_overflow_is_corrupt_not_empty() {
+        // Each count makes the column's byte length wrap to zero, which a
+        // zero-row message satisfies: without checked arithmetic it decodes
+        // as an empty batch in release builds and panics in debug builds.
+        for (dt, nrows) in [
+            (DataType::Int64, 1u64 << 61),
+            (DataType::Float64, 1 << 61),
+            (DataType::Date32, 1 << 62),
+            (DataType::Utf8, (1 << 62) - 1),
+            (DataType::Utf8, u64::MAX),
+        ] {
+            let mut msg = encode_batch(&empty_column(dt)).to_vec();
+            set_field(&mut msg, (8, 8), nrows);
+            reseal(&mut msg);
+            assert!(
+                matches!(
+                    decode_batch(&Bytes::from(msg)),
+                    Err(ColumnarError::Corrupt(_))
+                ),
+                "{dt} column, nrows = {nrows:#x}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The bit-flip tests stop at the checksum. Here a header field of a
+        /// valid message is overwritten and the message re-sealed, so every
+        /// length and tag check behind the checksum is what answers.
+        #[test]
+        fn resealed_header_mutations_never_panic(
+            which in 0usize..5,
+            pick in 0usize..1000,
+            choice in 0usize..14,
+            raw in any::<u64>(),
+        ) {
+            let b = match which {
+                0 => mixed_batch(),
+                1 => empty_column(DataType::Int64),
+                2 => empty_column(DataType::Date32),
+                3 => empty_column(DataType::Utf8),
+                _ => empty_column(DataType::Boolean),
+            };
+            let mut msg = encode_batch(&b).to_vec();
+            let fields = header_fields(&b, msg.len());
+            let field = fields[pick % fields.len()];
+            let value = hostile_value(field_value(&msg, field), choice, raw);
+            set_field(&mut msg, field, value);
+            reseal(&mut msg);
+            let what = format!("field {field:?} = {value:#x}");
+            // The same damage inside a frame whose own checksum is good.
+            assert_ok_or_corrupt(&what, decode_frames(&encode_frame(KIND_BATCH, &msg)));
+            assert_ok_or_corrupt(&what, decode_batch(&Bytes::from(msg)));
+        }
+
+        #[test]
+        fn resealed_frame_mutations_never_panic(
+            pick in 0usize..1000,
+            choice in 0usize..14,
+            raw in any::<u64>(),
+        ) {
+            // Schema frame: header (kind, len) and payload fields.
+            let b = mixed_batch();
+            let mut fields = vec![(4, 1), (5, 4), (FRAME_HEADER, 4)]; // kind, len, ncols
+            let mut pos = FRAME_HEADER + 4;
+            for f in b.schema().fields() {
+                fields.extend([(pos, 4), (pos + 4 + f.name.len(), 1)]); // name_len, tag
+                pos += 4 + f.name.len() + 2;
+            }
+            let schema_field = fields[pick % fields.len()];
+            // Batch frame: header only, over an intact CIP message.
+            let batch_field = [(4, 1), (5, 4)][pick % 2];
+            for (frame, field) in [
+                (encode_schema_frame(b.schema()), schema_field),
+                (encode_batch_frame(&b), batch_field),
+            ] {
+                let mut frame = frame.to_vec();
+                let value = hostile_value(field_value(&frame, field), choice, raw);
+                set_field(&mut frame, field, value);
+                // A changed payload length moves the checksum: cut or zero-pad
+                // the payload to the declared size (bounded, so nothing huge
+                // is allocated here) and seal that.
+                let declared = field_value(&frame, (5, 4)) as usize;
+                if declared <= 4096 {
+                    frame.resize(FRAME_HEADER + declared + 4, 0);
+                }
+                reseal(&mut frame);
+                assert_ok_or_corrupt(
+                    &format!("frame kind {} field {field:?} = {value:#x}", frame[4]),
+                    decode_frames(&Bytes::from(frame)),
+                );
+            }
+        }
     }
 
     #[test]

@@ -123,13 +123,17 @@ pub fn encode_chunk(array: &Array, encoding: Encoding) -> Result<Bytes> {
 }
 
 fn decode_single(bytes: &Bytes) -> Result<Array> {
-    let batch = ipc::decode_batch(bytes).map_err(ParqError::Columnar)?;
-    if batch.num_columns() != 1 {
+    let columns = ipc::decode_batch(bytes)
+        .map_err(ParqError::Columnar)?
+        .into_columns();
+    let Ok([column]) = <[ArrayRef; 1]>::try_from(columns) else {
         return Err(ParqError::Corrupt(
             "chunk batch must have one column".into(),
         ));
-    }
-    Ok(batch.column(0).as_ref().clone())
+    };
+    // The batch was decoded a moment ago, so the column is unshared and
+    // moves out; the clone is only the fallback `try_unwrap` requires.
+    Ok(Arc::try_unwrap(column).unwrap_or_else(|shared| (*shared).clone()))
 }
 
 /// Decode a chunk back into an array.
@@ -276,14 +280,61 @@ mod tests {
         assert!(decode_chunk(&Bytes::new(), Encoding::Plain).is_err());
         assert!(decode_chunk(&Bytes::from_static(&[1, 2, 3]), Encoding::Dictionary).is_err());
         assert!(Encoding::from_tag(9).is_err());
-        // Out-of-range dictionary index.
-        let arr = Array::from_strs(["a", "a", "b"]);
-        let bytes = encode_chunk(&arr, Encoding::Dictionary).unwrap();
-        // Corrupting the index page should yield Err, not panic.
-        let mut bad = bytes.to_vec();
-        if bad.len() > 40 {
-            bad[30] ^= 0xff;
+    }
+
+    fn with_byte_flipped(page: &Bytes, pos: usize) -> Bytes {
+        let mut bad = page.to_vec();
+        bad[pos] ^= 0xff;
+        Bytes::from(bad)
+    }
+
+    #[test]
+    fn every_byte_of_a_plain_page_is_checksummed() {
+        for arr in [
+            Array::from_i64((0..50).collect()),
+            Array::from_strs(["alpha", "", "gamma"]),
+        ] {
+            let page = encode_chunk(&arr, Encoding::Plain).unwrap();
+            for pos in 0..page.len() {
+                assert!(
+                    decode_chunk(&with_byte_flipped(&page, pos), Encoding::Plain).is_err(),
+                    "flip at byte {pos} of {} went undetected",
+                    page.len()
+                );
+            }
         }
-        let _ = decode_chunk(&Bytes::from(bad), Encoding::Dictionary);
+    }
+
+    #[test]
+    fn dictionary_page_corruption_never_panics_and_the_dictionary_is_checksummed() {
+        let mut b = ArrayBuilder::new(DataType::Utf8);
+        for i in 0..40 {
+            if i % 9 == 0 {
+                b.push_null();
+            } else {
+                b.push_str(["a", "bb", "ccc"][i % 3]);
+            }
+        }
+        let arr = b.finish();
+        let page = encode_chunk(&arr, Encoding::Dictionary).unwrap();
+        // Layout: nrows u32, has_validity u8, validity words, index width u8,
+        // one index byte per row, dictionary length u32, dictionary batch.
+        let dict_len_at = 4 + 1 + 8 + 1 + arr.len();
+        let dict_start = dict_len_at + 4;
+        let dict_len = u32::from_le_bytes(page[dict_len_at..dict_start].try_into().unwrap());
+        assert_eq!(dict_start + dict_len as usize, page.len());
+        for pos in 0..page.len() {
+            let got = decode_chunk(&with_byte_flipped(&page, pos), Encoding::Dictionary);
+            if pos >= dict_start {
+                assert!(
+                    got.is_err(),
+                    "flip at dictionary byte {pos} went undetected"
+                );
+            }
+            // Before `dict_start` only "no panic" can be required: the row
+            // count, validity words, index width, indices and dictionary
+            // length carry no checksum, so a flip there may decode to wrong
+            // values. Covering them changes page sizes (ROADMAP item 4).
+        }
     }
 }

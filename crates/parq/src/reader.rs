@@ -142,7 +142,12 @@ impl ParqReader {
                 let uncompressed_len = buf.get_u64_le();
                 let encoding = Encoding::from_tag(buf.get_u8())?;
                 let stats = ColumnStats::read(&mut buf)?;
-                if offset + compressed_len > footer_start as u64 {
+                // The footer carries no checksum: a sum that wraps must not
+                // slip under the bound.
+                let in_data = offset
+                    .checked_add(compressed_len)
+                    .is_some_and(|end| end <= footer_start as u64);
+                if !in_data {
                     return Err(ParqError::Corrupt("chunk extends past data section".into()));
                 }
                 chunks.push(ChunkInfo {
@@ -516,6 +521,27 @@ mod tests {
         let n = bad.len();
         bad[n - 8..n - 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(ParqReader::open(bad.into()).is_err());
+    }
+
+    #[test]
+    fn wrapping_chunk_extent_in_footer_is_rejected() {
+        let bytes = make_file(CodecKind::None, 100, 100);
+        let n = bytes.len();
+        let footer_len = u32::from_le_bytes(bytes[n - 8..n - 4].try_into().unwrap()) as usize;
+        // Footer: ncols, three fields (name_len, name, tag, nullable), codec,
+        // ngroups, then row group 0: rows, and chunk 0's offset.
+        let offset_at = (n - 8 - footer_len) + 4 + (4 + 2 + 2) + (4 + 1 + 2) + (4 + 3 + 2) + 5 + 8;
+        let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        assert_eq!(field(offset_at), 4, "chunk 0 starts right after the magic");
+        let compressed_len = field(offset_at + 8);
+        // offset + compressed_len wraps to 4, well inside the data section.
+        let mut bad = bytes.clone();
+        bad[offset_at..offset_at + 8]
+            .copy_from_slice(&(4u64.wrapping_sub(compressed_len)).to_le_bytes());
+        assert!(matches!(
+            ParqReader::open(bad.into()),
+            Err(ParqError::Corrupt(_))
+        ));
     }
 
     #[test]
