@@ -128,9 +128,9 @@ fn bench_late_mat(c: &mut Criterion) {
         late.uncompressed_bytes,
         eager.uncompressed_bytes,
         eager.uncompressed_bytes as f64 / late.uncompressed_bytes as f64,
-        late.row_groups_skipped,
+        late.wire.row_groups_skipped,
         ROWS / GROUP_ROWS,
-        late.decoded_bytes_avoided,
+        late.wire.decoded_bytes_avoided,
     );
     ocs_bench::record_gate(
         "late_mat_decoded_bytes_reduction",

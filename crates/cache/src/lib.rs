@@ -44,16 +44,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Continue an FNV-1a hash with more bytes (for multi-field keys without
-/// intermediate allocation).
-pub fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Monotonic counters describing a cache's lifetime behaviour. Snapshot
 /// via [`ByteLru::stats`]; deltas between snapshots are per-request stats.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -336,8 +326,6 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-        // Extend is associative with concatenation.
-        assert_eq!(fnv1a64_extend(fnv1a64(b"foo"), b"bar"), fnv1a64(b"foobar"));
     }
 
     #[test]

@@ -58,17 +58,6 @@ impl DataType {
     pub fn is_numeric(&self) -> bool {
         matches!(self, DataType::Int64 | DataType::Float64 | DataType::Date32)
     }
-
-    /// Width in bytes of one fixed-size value, or `None` for variable-width
-    /// types.
-    pub fn fixed_width(&self) -> Option<usize> {
-        match self {
-            DataType::Int64 | DataType::Float64 => Some(8),
-            DataType::Date32 => Some(4),
-            DataType::Boolean => None, // bit-packed
-            DataType::Utf8 => None,
-        }
-    }
 }
 
 impl fmt::Display for DataType {

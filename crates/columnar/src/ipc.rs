@@ -532,11 +532,6 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes currently buffered but not yet consumed as frames.
-    pub fn buffered_bytes(&self) -> usize {
-        self.buf.len()
-    }
-
     /// Try to decode the next complete frame. `Ok(None)` means "need more
     /// bytes"; errors are fatal for the stream.
     pub fn next_frame(&mut self) -> Result<Option<Frame>> {

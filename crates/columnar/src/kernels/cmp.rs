@@ -216,11 +216,6 @@ pub fn gt_scalar(a: &Array, s: &Scalar) -> Result<BooleanArray> {
     compare_scalar(a, s, CmpOp::Gt)
 }
 
-/// `a < s` mask.
-pub fn lt_scalar(a: &Array, s: &Scalar) -> Result<BooleanArray> {
-    compare_scalar(a, s, CmpOp::Lt)
-}
-
 /// `a BETWEEN lo AND hi` (inclusive both ends), the predicate form in the
 /// paper's Laghos query.
 pub fn between_scalar(a: &Array, lo: &Scalar, hi: &Scalar) -> Result<BooleanArray> {

@@ -48,14 +48,6 @@ impl Selection {
         }
     }
 
-    /// Length of the row domain this selection applies to.
-    pub fn domain_len(&self) -> usize {
-        match self {
-            Selection::All(n) | Selection::None(n) => *n,
-            Selection::Indices(keep) => keep.len(), // lower bound; domain is >= last index + 1
-        }
-    }
-
     /// Number of surviving rows.
     pub fn count(&self) -> usize {
         match self {
@@ -63,11 +55,6 @@ impl Selection {
             Selection::None(_) => 0,
             Selection::Indices(keep) => keep.len(),
         }
-    }
-
-    /// True when every row survives.
-    pub fn is_all(&self) -> bool {
-        matches!(self, Selection::All(_))
     }
 
     /// True when no row survives.

@@ -22,6 +22,9 @@
 //! * [`groupby`] — the vectorized group-id kernel and
 //!   [`groupby::GroupedAggregator`], the single grouped-aggregation engine
 //!   shared by the query engine and the OCS storage executor.
+//! * [`expr`] — the one expression walker (evaluation, cost weight,
+//!   referenced columns) shared by the engine's and the storage executor's
+//!   expression IRs.
 //! * [`sort`] — multi-key lexicographic sorting and top-N selection.
 //! * [`ipc`] — a compact IPC-style wire format for shipping batches
 //!   (the "Arrow flight" of this reproduction).
@@ -60,6 +63,7 @@ pub mod bitmap;
 pub mod builder;
 pub mod datatype;
 pub mod error;
+pub mod expr;
 pub mod groupby;
 pub mod ipc;
 pub mod kernels;

@@ -2,7 +2,6 @@
 
 use crate::array::Array;
 use crate::batch::RecordBatch;
-use crate::datatype::Scalar;
 use crate::error::{ColumnarError, Result};
 use crate::kernels::selection::take_batch;
 use std::cmp::Ordering;
@@ -144,17 +143,10 @@ pub fn merge_sorted(
     }
 }
 
-/// Extract the key values of row `r` — exposed for tests asserting sortedness.
-pub fn key_values(batch: &RecordBatch, keys: &[SortKey], r: usize) -> Vec<Scalar> {
-    keys.iter()
-        .map(|k| batch.column(k.column).scalar_at(r))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datatype::DataType;
+    use crate::datatype::{DataType, Scalar};
     use crate::schema::{Field, Schema};
     use std::sync::Arc;
 

@@ -4,7 +4,6 @@
 //! operator").
 
 use std::any::Any;
-use std::sync::Arc;
 
 use columnar::agg::AggFunc;
 use columnar::SchemaRef;
@@ -125,11 +124,6 @@ impl TableHandle for OcsTableHandle {
     fn pushes_operators(&self) -> bool {
         !self.pushed.is_empty()
     }
-}
-
-/// Helper: wrap a handle for a scan node.
-pub fn handle_ref(h: OcsTableHandle) -> Arc<dyn TableHandle> {
-    Arc::new(h)
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 use std::collections::VecDeque;
 
 use dsq::session::{EventListener, QueryEvent};
+use netsim::ExecStats;
 use sync::DebugMutex;
 
 /// One remembered execution. Streaming metrics (time to first batch, peak
@@ -25,16 +26,9 @@ pub struct HistoryEntry {
     pub result_rows: u64,
     /// Whether anything beyond column projection was pushed.
     pub pushed: bool,
-    /// Row groups the storage scan skipped via late materialization.
-    pub row_groups_skipped: u64,
-    /// Encoded bytes the storage scan never decoded.
-    pub decoded_bytes_avoided: u64,
-    /// Column chunks served from the storage-side decoded row-group cache.
-    pub rg_cache_hits: u64,
-    /// Pushed subplans answered from the storage-side result cache.
-    pub result_cache_hits: u64,
-    /// Disk + decode bytes the storage caches kept off the cost ledger.
-    pub cache_bytes_avoided: u64,
+    /// Storage-side statistics of the query (late-materialization and
+    /// cache counters among them), as the event carried them.
+    pub stats: ExecStats,
     /// Pipeline completion time of the earliest batch frame (from the
     /// `split_phase` span's `time_to_first_batch_s` attribute).
     pub time_to_first_batch_s: f64,
@@ -137,13 +131,19 @@ impl PushdownHistory {
 
     /// Total row groups skipped by late materialization over the window.
     pub fn total_row_groups_skipped(&self) -> u64 {
-        self.entries.iter().map(|e| e.row_groups_skipped).sum()
+        self.entries
+            .iter()
+            .map(|e| e.stats.row_groups_skipped)
+            .sum()
     }
 
     /// Total encoded bytes late materialization avoided decoding over the
     /// window (the scan-efficiency counterpart of `mean_moved_bytes`).
     pub fn total_decoded_bytes_avoided(&self) -> u64 {
-        self.entries.iter().map(|e| e.decoded_bytes_avoided).sum()
+        self.entries
+            .iter()
+            .map(|e| e.stats.decoded_bytes_avoided)
+            .sum()
     }
 
     /// Fraction of recent queries served at least partly from a
@@ -154,14 +154,17 @@ impl PushdownHistory {
         }
         self.entries
             .iter()
-            .filter(|e| e.rg_cache_hits > 0 || e.result_cache_hits > 0)
+            .filter(|e| e.stats.rg_cache_hits > 0 || e.stats.result_cache_hits > 0)
             .count() as f64
             / self.entries.len() as f64
     }
 
     /// Total disk + decode bytes the storage caches saved over the window.
     pub fn total_cache_bytes_avoided(&self) -> u64 {
-        self.entries.iter().map(|e| e.cache_bytes_avoided).sum()
+        self.entries
+            .iter()
+            .map(|e| e.stats.cache_bytes_avoided)
+            .sum()
     }
 
     /// Mean pipeline time-to-first-batch over the window — how quickly the
@@ -266,11 +269,7 @@ impl EventListener for PushdownMonitor {
             moved_bytes: event.moved_bytes,
             result_rows: event.result_rows,
             pushed: event.pushed,
-            row_groups_skipped: event.row_groups_skipped,
-            decoded_bytes_avoided: event.decoded_bytes_avoided,
-            rg_cache_hits: event.rg_cache_hits,
-            result_cache_hits: event.result_cache_hits,
-            cache_bytes_avoided: event.cache_bytes_avoided,
+            stats: event.stats.clone(),
             time_to_first_batch_s: split
                 .and_then(|s| s.attr_f64("time_to_first_batch_s"))
                 .unwrap_or(0.0),
@@ -310,11 +309,17 @@ mod tests {
                 "ocs columns=[0]".into()
             },
             pushed,
-            row_groups_skipped: if pushed { 3 } else { 0 },
-            decoded_bytes_avoided: if pushed { 4096 } else { 0 },
-            rg_cache_hits: if pushed { 2 } else { 0 },
-            result_cache_hits: 0,
-            cache_bytes_avoided: if pushed { 512 } else { 0 },
+            stats: if pushed {
+                ExecStats {
+                    row_groups_skipped: 3,
+                    decoded_bytes_avoided: 4096,
+                    rg_cache_hits: 2,
+                    cache_bytes_avoided: 512,
+                    ..Default::default()
+                }
+            } else {
+                ExecStats::default()
+            },
             trace: Arc::new(t.finish()),
             profile: Arc::new(obs::Profile::default()),
         }

@@ -93,16 +93,6 @@ impl PushdownPolicy {
         }
     }
 
-    /// Filter + aggregation (no projection pushdown) — the configuration a
-    /// cost-aware analyzer would actually pick for Deep Water / TPC-H.
-    pub fn filter_aggregate() -> Self {
-        PushdownPolicy {
-            filter: true,
-            aggregate: true,
-            ..Self::none()
-        }
-    }
-
     /// A *cost-aware* variant of [`PushdownPolicy::all`]: expression
     /// projections heavier than `weight` are declined (the adaptive
     /// behaviour the paper's future-work section calls for).

@@ -8,11 +8,13 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use columnar::prelude::*;
-use netsim::{makespan, pipeline_grouped, ClusterSpec, FrameTiming, Ledger, Phase, Work};
+use netsim::{
+    makespan, pipeline_grouped, ClusterSpec, CostParams, ExecStats, FrameTiming, Ledger, Phase,
+    Work,
+};
 use rayon::prelude::*;
 
 use crate::catalog::Metastore;
-use crate::cost::CostParams;
 use crate::error::{EResult, EngineError};
 use crate::plan::LogicalPlan;
 use crate::spi::{Connector, PageMetrics};
@@ -55,16 +57,10 @@ pub struct ExecutionOutcome {
     pub moved_requests: u64,
     /// Number of splits executed.
     pub splits: usize,
-    /// Row groups skipped by storage-side late materialization.
-    pub row_groups_skipped: u64,
-    /// Encoded bytes storage never decoded thanks to late materialization.
-    pub decoded_bytes_avoided: u64,
-    /// Column chunks served from the storage-side decoded row-group cache.
-    pub rg_cache_hits: u64,
-    /// Pushed subplans answered from the storage-side result cache.
-    pub result_cache_hits: u64,
-    /// Disk + decode bytes the storage caches kept off the cost ledger.
-    pub cache_bytes_avoided: u64,
+    /// Storage-side statistics summed over every split's trailer (late
+    /// materialization and cache counters, core-seconds, rows). `spans` is
+    /// empty: the split spans were grafted into the query's trace.
+    pub stats: ExecStats,
     /// Split-phase scheduling report (overlap vs. additive, streaming
     /// observability).
     pub pipeline: PipelineSummary,
@@ -297,23 +293,6 @@ pub fn execute_plan(
     // ---- Pipeline-overlap billing for the split phase ------------------
     let moved_bytes: u64 = outputs.iter().map(|o| o.metrics.network_bytes).sum();
     let moved_requests: u64 = outputs.iter().map(|o| o.metrics.network_requests).sum();
-    let row_groups_skipped: u64 = outputs
-        .iter()
-        .map(|o| o.metrics.stats.row_groups_skipped)
-        .sum();
-    let decoded_bytes_avoided: u64 = outputs
-        .iter()
-        .map(|o| o.metrics.stats.decoded_bytes_avoided)
-        .sum();
-    let rg_cache_hits: u64 = outputs.iter().map(|o| o.metrics.stats.rg_cache_hits).sum();
-    let result_cache_hits: u64 = outputs
-        .iter()
-        .map(|o| o.metrics.stats.result_cache_hits)
-        .sum();
-    let cache_bytes_avoided: u64 = outputs
-        .iter()
-        .map(|o| o.metrics.stats.cache_bytes_avoided)
-        .sum();
 
     // One pipeline item per frame, split-major, with per-stage durations:
     // disk read, decompress, storage scan, frontend relay, network, engine
@@ -543,6 +522,15 @@ pub fn execute_plan(
     }
     cursor += report.makespan;
 
+    // Query totals of the storage-side counters. The spans were grafted
+    // above (or tracing is off); dropping them first keeps `merge` from
+    // cloning any.
+    let mut stats = ExecStats::default();
+    for o in &mut outputs {
+        o.metrics.stats.spans.clear();
+        stats.merge(&o.metrics.stats);
+    }
+
     let pipeline_summary = PipelineSummary {
         overlapped_s: report.makespan,
         additive_s,
@@ -764,11 +752,7 @@ pub fn execute_plan(
         moved_bytes,
         moved_requests,
         splits: splits.len(),
-        row_groups_skipped,
-        decoded_bytes_avoided,
-        rg_cache_hits,
-        result_cache_hits,
-        cache_bytes_avoided,
+        stats,
         pipeline: pipeline_summary,
         profile,
     })

@@ -1,9 +1,11 @@
-//! Vectorized physical operators with work accounting.
+//! The engine's vectorized physical operators with work accounting.
 //!
-//! These are shared between the engine's worker pipelines and (via the
-//! `ocs` crate) the OCS embedded executor, so a pushed-down operator does
-//! exactly the same computation in storage as it would at the compute
-//! layer — only the node executing it differs.
+//! The OCS embedded executor has its own operators (`ocs::exec`; `ocs`
+//! does not depend on this crate). What the two sides share sits below
+//! both: the expression walker ([`columnar::expr`]), the grouped
+//! aggregation and sort kernels, and the `netsim::CostParams` work
+//! vocabulary — so a pushed-down operator computes, and bills, in storage
+//! what it would at the compute layer.
 
 use std::sync::Arc;
 
@@ -11,8 +13,8 @@ use columnar::groupby::GroupedAggregator;
 use columnar::kernels::selection;
 use columnar::prelude::*;
 use columnar::sort::{self, SortKey as ColSortKey};
+use netsim::CostParams;
 
-use crate::cost::CostParams;
 use crate::error::{EResult, EngineError};
 use crate::expr::{AggregateCall, ScalarExpr};
 use crate::plan::SortKey;
@@ -45,7 +47,7 @@ pub fn run_project(
     let schema = Arc::new(Schema::new(fields));
     let columns = exprs
         .iter()
-        .map(|(e, _)| e.eval(batch).map(Arc::new))
+        .map(|(e, _)| e.eval(batch))
         .collect::<EResult<Vec<_>>>()?;
     let out = RecordBatch::try_new(schema, columns).map_err(EngineError::Columnar)?;
     Ok((out, work))
@@ -103,8 +105,8 @@ impl HashAggregator {
             .iter()
             .map(|a| a.arg.as_ref().map(|e| e.eval(batch)).transpose())
             .collect::<EResult<Vec<_>>>()?;
-        let key_refs: Vec<&Array> = key_arrays.iter().collect();
-        let arg_refs: Vec<Option<&Array>> = arg_arrays.iter().map(|a| a.as_ref()).collect();
+        let key_refs: Vec<&Array> = key_arrays.iter().map(|a| a.as_ref()).collect();
+        let arg_refs: Vec<Option<&Array>> = arg_arrays.iter().map(|a| a.as_deref()).collect();
         self.inner
             .update(&key_refs, &arg_refs, rows)
             .map_err(EngineError::Columnar)

@@ -1,19 +1,18 @@
-//! The engine's internal scalar expression representation and its
-//! vectorized evaluator.
+//! The engine's internal scalar expression representation.
 //!
 //! This is deliberately a *separate* type from `substrait_ir::Expr`: Presto
 //! evaluates its own `RowExpression`s, and the Presto-OCS connector's job
 //! (implemented in the `ocs-connector` crate) is to *translate* these into
 //! Substrait IR — the translation whose overhead the paper's Table 3
-//! quantifies.
+//! quantifies. Evaluation, cost weight and column references are not
+//! separate: both IRs go through the one walker in [`columnar::expr`].
 
 use std::fmt;
 use std::sync::Arc;
 
-use columnar::kernels::arith::{arith, negate, ArithOp};
-use columnar::kernels::boolean;
-use columnar::kernels::cast::cast;
-use columnar::kernels::cmp::{self, CmpOp};
+use columnar::expr::{self, ExprTree, Node};
+use columnar::kernels::arith::ArithOp;
+use columnar::kernels::cmp::CmpOp;
 use columnar::prelude::*;
 
 use crate::error::{EResult, EngineError};
@@ -117,129 +116,13 @@ impl ScalarExpr {
     }
 
     /// Evaluate over a batch, producing one array of `batch.num_rows()`.
-    pub fn eval(&self, batch: &RecordBatch) -> EResult<Array> {
-        match self {
-            ScalarExpr::Column { index, name, .. } => {
-                if *index >= batch.num_columns() {
-                    return Err(EngineError::Execution(format!(
-                        "column {name} (#{index}) out of range"
-                    )));
-                }
-                Ok(batch.column(*index).as_ref().clone())
-            }
-            ScalarExpr::Literal(s) => {
-                let dt = s.data_type().unwrap_or(DataType::Boolean);
-                Array::from_scalar(s, dt, batch.num_rows()).map_err(EngineError::Columnar)
-            }
-            ScalarExpr::Cmp { op, left, right } => {
-                // Scalar fast path: column vs literal.
-                if let ScalarExpr::Literal(s) = right.as_ref() {
-                    let l = left.eval(batch)?;
-                    return Ok(Array::Boolean(
-                        cmp::compare_scalar(&l, s, *op).map_err(EngineError::Columnar)?,
-                    ));
-                }
-                if let ScalarExpr::Literal(s) = left.as_ref() {
-                    let r = right.eval(batch)?;
-                    return Ok(Array::Boolean(
-                        cmp::compare_scalar(&r, s, op.flip()).map_err(EngineError::Columnar)?,
-                    ));
-                }
-                let (l, r) = (left.eval(batch)?, right.eval(batch)?);
-                Ok(Array::Boolean(
-                    cmp::compare(&l, &r, *op).map_err(EngineError::Columnar)?,
-                ))
-            }
-            ScalarExpr::Arith { op, left, right } => {
-                if let ScalarExpr::Literal(s) = right.as_ref() {
-                    let l = left.eval(batch)?;
-                    return columnar::kernels::arith::arith_scalar(&l, s, *op)
-                        .map_err(EngineError::Columnar);
-                }
-                let (l, r) = (left.eval(batch)?, right.eval(batch)?);
-                arith(&l, &r, *op).map_err(EngineError::Columnar)
-            }
-            ScalarExpr::And(a, b) => {
-                let (x, y) = (a.eval(batch)?, b.eval(batch)?);
-                Ok(Array::Boolean(
-                    boolean::and(x.as_bool()?, y.as_bool()?).map_err(EngineError::Columnar)?,
-                ))
-            }
-            ScalarExpr::Or(a, b) => {
-                let (x, y) = (a.eval(batch)?, b.eval(batch)?);
-                Ok(Array::Boolean(
-                    boolean::or(x.as_bool()?, y.as_bool()?).map_err(EngineError::Columnar)?,
-                ))
-            }
-            ScalarExpr::Not(e) => {
-                let x = e.eval(batch)?;
-                Ok(Array::Boolean(boolean::not(x.as_bool()?)))
-            }
-            ScalarExpr::Between { expr, lo, hi } => {
-                // Common fast path: literal bounds.
-                if let (ScalarExpr::Literal(l), ScalarExpr::Literal(h)) = (lo.as_ref(), hi.as_ref())
-                {
-                    let x = expr.eval(batch)?;
-                    return Ok(Array::Boolean(
-                        cmp::between_scalar(&x, l, h).map_err(EngineError::Columnar)?,
-                    ));
-                }
-                let x = expr.eval(batch)?;
-                let l = lo.eval(batch)?;
-                let h = hi.eval(batch)?;
-                let ge = cmp::compare(&x, &l, CmpOp::GtEq).map_err(EngineError::Columnar)?;
-                let le = cmp::compare(&x, &h, CmpOp::LtEq).map_err(EngineError::Columnar)?;
-                Ok(Array::Boolean(
-                    boolean::and(&ge, &le).map_err(EngineError::Columnar)?,
-                ))
-            }
-            ScalarExpr::Cast { expr, to } => {
-                let x = expr.eval(batch)?;
-                cast(&x, *to).map_err(EngineError::Columnar)
-            }
-            ScalarExpr::Negate(e) => {
-                let x = e.eval(batch)?;
-                negate(&x).map_err(EngineError::Columnar)
-            }
-            ScalarExpr::IsNull(e) => {
-                let x = e.eval(batch)?;
-                Ok(Array::Boolean(cmp::is_null(&x)))
-            }
-            ScalarExpr::IsNotNull(e) => {
-                let x = e.eval(batch)?;
-                Ok(Array::Boolean(cmp::is_not_null(&x)))
-            }
-        }
+    pub fn eval(&self, batch: &RecordBatch) -> EResult<ArrayRef> {
+        expr::eval(self, batch).map_err(EngineError::Columnar)
     }
 
     /// Column indices this expression reads.
     pub fn referenced_columns(&self, out: &mut Vec<usize>) {
-        match self {
-            ScalarExpr::Column { index, .. } => {
-                if !out.contains(index) {
-                    out.push(*index);
-                }
-            }
-            ScalarExpr::Literal(_) => {}
-            ScalarExpr::Cmp { left, right, .. } | ScalarExpr::Arith { left, right, .. } => {
-                left.referenced_columns(out);
-                right.referenced_columns(out);
-            }
-            ScalarExpr::And(a, b) | ScalarExpr::Or(a, b) => {
-                a.referenced_columns(out);
-                b.referenced_columns(out);
-            }
-            ScalarExpr::Not(e)
-            | ScalarExpr::Cast { expr: e, .. }
-            | ScalarExpr::Negate(e)
-            | ScalarExpr::IsNull(e)
-            | ScalarExpr::IsNotNull(e) => e.referenced_columns(out),
-            ScalarExpr::Between { expr, lo, hi } => {
-                expr.referenced_columns(out);
-                lo.referenced_columns(out);
-                hi.referenced_columns(out);
-            }
-        }
+        expr::referenced_columns(self, out)
     }
 
     /// Rewrite column indices through `map` (old → new).
@@ -285,24 +168,10 @@ impl ScalarExpr {
         }
     }
 
-    /// Complexity weight per row (mirrors `substrait_ir::Expr::op_weight`).
+    /// Complexity weight per row — by construction the number
+    /// `substrait_ir::Expr::op_weight` returns for the translated tree.
     pub fn weight(&self) -> u32 {
-        match self {
-            ScalarExpr::Column { .. } | ScalarExpr::Literal(_) => 0,
-            ScalarExpr::Cmp { left, right, .. } => 1 + left.weight() + right.weight(),
-            ScalarExpr::Arith { op, left, right } => {
-                let base = match op {
-                    ArithOp::Div | ArithOp::Mod => 4,
-                    _ => 1,
-                };
-                base + left.weight() + right.weight()
-            }
-            ScalarExpr::And(a, b) | ScalarExpr::Or(a, b) => 1 + a.weight() + b.weight(),
-            ScalarExpr::Not(e) | ScalarExpr::Negate(e) => 1 + e.weight(),
-            ScalarExpr::Between { expr, lo, hi } => 2 + expr.weight() + lo.weight() + hi.weight(),
-            ScalarExpr::Cast { expr, .. } => 1 + expr.weight(),
-            ScalarExpr::IsNull(e) | ScalarExpr::IsNotNull(e) => 1 + e.weight(),
-        }
+        expr::weight(self)
     }
 
     /// True if the expression contains no column references (foldable).
@@ -310,6 +179,25 @@ impl ScalarExpr {
         let mut refs = Vec::new();
         self.referenced_columns(&mut refs);
         refs.is_empty()
+    }
+}
+
+impl ExprTree for ScalarExpr {
+    fn node(&self) -> Node<'_, Self> {
+        match self {
+            ScalarExpr::Column { index, .. } => Node::Column(*index),
+            ScalarExpr::Literal(s) => Node::Literal(s),
+            ScalarExpr::Cmp { op, left, right } => Node::Cmp(*op, left, right),
+            ScalarExpr::Arith { op, left, right } => Node::Arith(*op, left, right),
+            ScalarExpr::And(a, b) => Node::And(a, b),
+            ScalarExpr::Or(a, b) => Node::Or(a, b),
+            ScalarExpr::Not(e) => Node::Not(e),
+            ScalarExpr::Between { expr, lo, hi } => Node::Between(expr, lo, hi),
+            ScalarExpr::Cast { expr, to } => Node::Cast(expr, *to),
+            ScalarExpr::Negate(e) => Node::Negate(e),
+            ScalarExpr::IsNull(e) => Node::IsNull(e),
+            ScalarExpr::IsNotNull(e) => Node::IsNotNull(e),
+        }
     }
 }
 
@@ -393,73 +281,63 @@ mod tests {
     }
 
     #[test]
-    fn eval_comparison_and_boolean() {
+    fn data_type_agrees_with_evaluated_type() {
+        // Evaluation itself is `columnar::expr` (tested there); what this
+        // type adds is the statically resolved output type.
         let b = batch();
-        let e = ScalarExpr::And(
-            Arc::new(ScalarExpr::Cmp {
-                op: CmpOp::Gt,
-                left: Arc::new(ScalarExpr::col(0, "a", DataType::Int64)),
-                right: Arc::new(ScalarExpr::lit(Scalar::Int64(1))),
-            }),
-            Arc::new(ScalarExpr::Cmp {
-                op: CmpOp::Lt,
-                left: Arc::new(ScalarExpr::col(1, "x", DataType::Float64)),
-                right: Arc::new(ScalarExpr::lit(Scalar::Float64(3.0))),
-            }),
-        );
-        let out = e.eval(&b).unwrap();
-        let mask = out.as_bool().unwrap();
-        assert_eq!(mask.values.set_indices(), vec![1, 2]);
-        assert_eq!(e.data_type(), DataType::Boolean);
-    }
-
-    #[test]
-    fn eval_arithmetic_expression() {
-        let b = batch();
-        // (a % 3) / 2 over ints.
-        let e = ScalarExpr::Arith {
-            op: ArithOp::Div,
-            left: Arc::new(ScalarExpr::Arith {
-                op: ArithOp::Mod,
-                left: Arc::new(ScalarExpr::col(0, "a", DataType::Int64)),
-                right: Arc::new(ScalarExpr::lit(Scalar::Int64(3))),
-            }),
-            right: Arc::new(ScalarExpr::lit(Scalar::Int64(2))),
-        };
-        let out = e.eval(&b).unwrap();
-        assert_eq!(out.as_i64().unwrap().values, vec![0, 1, 0, 0]);
-        assert_eq!(e.data_type(), DataType::Int64);
-        assert!(e.weight() >= 8, "division-heavy expr weight {}", e.weight());
-    }
-
-    #[test]
-    fn eval_literal_flipped_comparison() {
-        let b = batch();
-        // 2 < a  ==  a > 2.
-        let e = ScalarExpr::Cmp {
-            op: CmpOp::Lt,
-            left: Arc::new(ScalarExpr::lit(Scalar::Int64(2))),
-            right: Arc::new(ScalarExpr::col(0, "a", DataType::Int64)),
-        };
-        let out = e.eval(&b).unwrap();
-        assert_eq!(out.as_bool().unwrap().values.set_indices(), vec![2, 3]);
-    }
-
-    #[test]
-    fn eval_between_and_cast() {
-        let b = batch();
-        let e = ScalarExpr::Between {
-            expr: Arc::new(ScalarExpr::col(1, "x", DataType::Float64)),
-            lo: Arc::new(ScalarExpr::lit(Scalar::Float64(1.0))),
-            hi: Arc::new(ScalarExpr::lit(Scalar::Float64(3.0))),
-        };
-        let out = e.eval(&b).unwrap();
-        assert_eq!(out.as_bool().unwrap().values.set_indices(), vec![1, 2]);
-        let c = ScalarExpr::Cast {
-            expr: Arc::new(ScalarExpr::col(0, "a", DataType::Int64)),
-            to: DataType::Float64,
-        };
-        assert_eq!(c.eval(&b).unwrap().data_type(), DataType::Float64);
+        let a = || Arc::new(ScalarExpr::col(0, "a", DataType::Int64));
+        let x = || Arc::new(ScalarExpr::col(1, "x", DataType::Float64));
+        let lit = |s| Arc::new(ScalarExpr::lit(s));
+        let cases = [
+            (
+                ScalarExpr::And(
+                    Arc::new(ScalarExpr::Cmp {
+                        op: CmpOp::Gt,
+                        left: a(),
+                        right: lit(Scalar::Int64(1)),
+                    }),
+                    Arc::new(ScalarExpr::Between {
+                        expr: x(),
+                        lo: lit(Scalar::Float64(1.0)),
+                        hi: lit(Scalar::Float64(3.0)),
+                    }),
+                ),
+                DataType::Boolean,
+            ),
+            (
+                // (a % 3) / 2 over ints.
+                ScalarExpr::Arith {
+                    op: ArithOp::Div,
+                    left: Arc::new(ScalarExpr::Arith {
+                        op: ArithOp::Mod,
+                        left: a(),
+                        right: lit(Scalar::Int64(3)),
+                    }),
+                    right: lit(Scalar::Int64(2)),
+                },
+                DataType::Int64,
+            ),
+            (
+                ScalarExpr::Arith {
+                    op: ArithOp::Add,
+                    left: a(),
+                    right: x(),
+                },
+                DataType::Float64,
+            ),
+            (
+                ScalarExpr::Cast {
+                    expr: a(),
+                    to: DataType::Float64,
+                },
+                DataType::Float64,
+            ),
+            (ScalarExpr::Negate(x()), DataType::Float64),
+        ];
+        for (e, dt) in cases {
+            assert_eq!(e.data_type(), dt, "{e}");
+            assert_eq!(e.eval(&b).unwrap().data_type(), dt, "{e}");
+        }
     }
 
     #[test]

@@ -33,7 +33,6 @@
 
 pub mod analyzer;
 pub mod catalog;
-pub mod cost;
 pub mod error;
 pub mod exec;
 pub mod expr;

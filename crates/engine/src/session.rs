@@ -5,13 +5,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use columnar::prelude::*;
-use netsim::{ClusterSpec, Ledger};
+use netsim::{ClusterSpec, CostParams, ExecStats, Ledger};
 use sqlparse::{Query, StatementKind};
 use sync::{DebugMutex, DebugRwLock};
 
 use crate::analyzer::{analyze, AnalyzedQuery};
 use crate::catalog::Metastore;
-use crate::cost::CostParams;
 use crate::error::{EResult, EngineError};
 use crate::exec::execute_plan;
 use crate::optimizer;
@@ -37,16 +36,11 @@ pub struct QueryEvent {
     /// Whether the scan handle pushed any operators into storage
     /// ([`crate::spi::TableHandle::pushes_operators`]).
     pub pushed: bool,
-    /// Row groups storage skipped via late materialization.
-    pub row_groups_skipped: u64,
-    /// Encoded bytes storage never decoded via late materialization.
-    pub decoded_bytes_avoided: u64,
-    /// Column chunks served from the storage-side decoded row-group cache.
-    pub rg_cache_hits: u64,
-    /// Pushed subplans answered from the storage-side result cache.
-    pub result_cache_hits: u64,
-    /// Disk + decode bytes the storage caches kept off the cost ledger.
-    pub cache_bytes_avoided: u64,
+    /// Storage-side statistics, summed over the query's splits: row groups
+    /// skipped and bytes never decoded by late materialization, cache hits
+    /// and bytes the caches kept off the ledger, rows, core-seconds.
+    /// `spans` is empty — the span tree is `trace`.
+    pub stats: ExecStats,
     /// The query's span tree on the simulated clock. Phase breakdowns,
     /// time-to-first-batch and peak buffered bytes are all derivable from
     /// it (see `split_phase` attrs). Empty when tracing is disabled.
@@ -460,11 +454,7 @@ impl Engine {
             result_rows: batch.num_rows() as u64,
             scan_handle: plan.scan().handle.describe(),
             pushed: plan.scan().handle.pushes_operators(),
-            row_groups_skipped: outcome.row_groups_skipped,
-            decoded_bytes_avoided: outcome.decoded_bytes_avoided,
-            rg_cache_hits: outcome.rg_cache_hits,
-            result_cache_hits: outcome.result_cache_hits,
-            cache_bytes_avoided: outcome.cache_bytes_avoided,
+            stats: outcome.stats,
             trace: trace.clone(),
             profile: profile.clone(),
         };

@@ -8,10 +8,9 @@ use std::fmt::Debug;
 use std::sync::Arc;
 
 use columnar::{RecordBatch, SchemaRef};
-use netsim::{ExecStats, FrameTiming};
+use netsim::{CostParams, ExecStats, FrameTiming};
 
 use crate::catalog::{Metastore, TableMeta};
-use crate::cost::CostParams;
 use crate::error::EResult;
 use crate::plan::{LogicalPlan, TableScanNode};
 

@@ -90,12 +90,6 @@ impl<'a> BitReader<'a> {
         }
         Ok(out as u32)
     }
-
-    /// Read a single bit.
-    #[inline]
-    pub fn read_bit(&mut self) -> Result<bool> {
-        Ok(self.read_bits(1)? == 1)
-    }
 }
 
 #[cfg(test)]

@@ -92,7 +92,8 @@ impl CostParams {
 
     /// Work for a bounded top-N pass over `rows` rows keeping `limit`.
     pub fn topn_work(&self, rows: u64, nkeys: usize, limit: u64) -> f64 {
-        let lg = ((limit + 1) as f64).log2().max(1.0);
+        // Float add: `limit` may be an untrusted `u64::MAX`.
+        let lg = (limit as f64 + 1.0).log2().max(1.0);
         rows as f64 * lg * self.topn_cmp * nkeys.max(1) as f64
     }
 }

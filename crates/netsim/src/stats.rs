@@ -48,14 +48,12 @@ pub struct ExecStats {
     pub spans: Vec<obs::SpanRec>,
 }
 
-/// Version tag leading every encoded [`ExecStats`] payload. v1 was the
-/// fixed 68-byte counter block; v2 appended the span records; v3 extends
-/// the counter block with the four cache counters.
+/// Version tag leading every encoded [`ExecStats`] payload. There is one
+/// producer and it writes this version; nothing else decodes.
 const STATS_VERSION: u32 = 3;
-/// Encoded size of the v1/v2 fixed counter block: version + 3 × f64 + 5 × u64.
-const STATS_LEN: usize = 4 + 3 * 8 + 5 * 8;
-/// Encoded size of the v3 counter block: v2's block + 4 × u64 cache counters.
-const STATS_LEN_V3: usize = STATS_LEN + 4 * 8;
+/// Encoded size of the counter block: version + 3 × f64 + 9 × u64. The
+/// span records follow it.
+const STATS_LEN: usize = 4 + 3 * 8 + 9 * 8;
 
 impl ExecStats {
     /// Component-wise accumulate (for summing per-request stats into
@@ -78,7 +76,7 @@ impl ExecStats {
 
     /// Fixed-layout little-endian encoding (the trailer-frame payload).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(STATS_LEN_V3);
+        let mut out = Vec::with_capacity(STATS_LEN);
         out.extend_from_slice(&STATS_VERSION.to_le_bytes());
         for f in [
             self.storage_cpu_s,
@@ -104,10 +102,9 @@ impl ExecStats {
         out
     }
 
-    /// Decode an [`ExecStats::encode`] payload. Accepts v1 (fixed counter
-    /// block, no spans), v2 (counter block + span records) and v3 (v2 plus
-    /// cache counters). Returns a structured message (never panics) on
-    /// truncation or an unknown version.
+    /// Decode an [`ExecStats::encode`] payload. Returns a structured
+    /// message (never panics) on truncation, trailing bytes or any version
+    /// but the current one.
     pub fn decode(bytes: &[u8]) -> Result<ExecStats, String> {
         if bytes.len() < STATS_LEN {
             return Err(format!(
@@ -118,20 +115,9 @@ impl ExecStats {
         let mut v4 = [0u8; 4];
         v4.copy_from_slice(&bytes[..4]);
         let version = u32::from_le_bytes(v4);
-        if !(1..=STATS_VERSION).contains(&version) {
+        if version != STATS_VERSION {
             return Err(format!(
-                "exec-stats version {version} (expected 1..={STATS_VERSION})"
-            ));
-        }
-        let counter_len = if version >= 3 {
-            STATS_LEN_V3
-        } else {
-            STATS_LEN
-        };
-        if bytes.len() < counter_len {
-            return Err(format!(
-                "exec-stats v{version} payload is {} bytes, expected at least {counter_len}",
-                bytes.len()
+                "exec-stats version {version} (expected {STATS_VERSION})"
             ));
         }
         let mut pos = 4usize;
@@ -141,59 +127,29 @@ impl ExecStats {
             pos += 8;
             a
         };
-        let storage_cpu_s = f64::from_le_bytes(take8());
-        let storage_decompress_s = f64::from_le_bytes(take8());
-        let frontend_cpu_s = f64::from_le_bytes(take8());
-        let disk_bytes = u64::from_le_bytes(take8());
-        let rows_scanned = u64::from_le_bytes(take8());
-        let rows_returned = u64::from_le_bytes(take8());
-        let row_groups_skipped = u64::from_le_bytes(take8());
-        let decoded_bytes_avoided = u64::from_le_bytes(take8());
-        let (rg_cache_hits, rg_cache_misses, cache_bytes_avoided, result_cache_hits) =
-            if version >= 3 {
-                (
-                    u64::from_le_bytes(take8()),
-                    u64::from_le_bytes(take8()),
-                    u64::from_le_bytes(take8()),
-                    u64::from_le_bytes(take8()),
-                )
-            } else {
-                (0, 0, 0, 0)
-            };
-        let spans = if version >= 2 {
-            let mut span_pos = counter_len;
-            let spans = obs::decode_spans(bytes, &mut span_pos)?;
-            if span_pos != bytes.len() {
-                return Err(format!(
-                    "exec-stats payload has {} trailing bytes",
-                    bytes.len() - span_pos
-                ));
-            }
-            spans
-        } else {
-            if bytes.len() != STATS_LEN {
-                return Err(format!(
-                    "exec-stats v1 payload is {} bytes, expected {STATS_LEN}",
-                    bytes.len()
-                ));
-            }
-            Vec::new()
+        let mut span_pos = STATS_LEN;
+        let stats = ExecStats {
+            storage_cpu_s: f64::from_le_bytes(take8()),
+            storage_decompress_s: f64::from_le_bytes(take8()),
+            frontend_cpu_s: f64::from_le_bytes(take8()),
+            disk_bytes: u64::from_le_bytes(take8()),
+            rows_scanned: u64::from_le_bytes(take8()),
+            rows_returned: u64::from_le_bytes(take8()),
+            row_groups_skipped: u64::from_le_bytes(take8()),
+            decoded_bytes_avoided: u64::from_le_bytes(take8()),
+            rg_cache_hits: u64::from_le_bytes(take8()),
+            rg_cache_misses: u64::from_le_bytes(take8()),
+            cache_bytes_avoided: u64::from_le_bytes(take8()),
+            result_cache_hits: u64::from_le_bytes(take8()),
+            spans: obs::decode_spans(bytes, &mut span_pos)?,
         };
-        Ok(ExecStats {
-            storage_cpu_s,
-            storage_decompress_s,
-            frontend_cpu_s,
-            disk_bytes,
-            rows_scanned,
-            rows_returned,
-            row_groups_skipped,
-            decoded_bytes_avoided,
-            rg_cache_hits,
-            rg_cache_misses,
-            cache_bytes_avoided,
-            result_cache_hits,
-            spans,
-        })
+        if span_pos != bytes.len() {
+            return Err(format!(
+                "exec-stats payload has {} trailing bytes",
+                bytes.len() - span_pos
+            ));
+        }
+        Ok(stats)
     }
 }
 
@@ -282,60 +238,20 @@ mod tests {
         let enc = ExecStats::default().encode();
         assert!(ExecStats::decode(&enc[..enc.len() - 1]).is_err());
         assert!(ExecStats::decode(&[]).is_err());
-        let mut bad = enc.clone();
-        bad[0] = 99;
-        assert!(ExecStats::decode(&bad).is_err());
-    }
-
-    #[test]
-    fn decode_accepts_v1_payload() {
-        // A v1 producer ships only the fixed counter block.
-        let mut v1 = ExecStats {
-            storage_cpu_s: 2.0,
-            rows_returned: 11,
-            ..Default::default()
+        // A counter block cut short, with a valid version tag.
+        assert!(ExecStats::decode(&enc[..STATS_LEN - 8]).is_err());
+        let mut trailing = enc.clone();
+        trailing.push(0);
+        let err = ExecStats::decode(&trailing).unwrap_err();
+        assert!(err.contains("trailing"), "{err}");
+        // One wire version: the retired v1/v2 layouts and anything newer
+        // are refused by their tag, not guessed at.
+        for version in [0u32, 1, 2, 4, 99] {
+            let mut bad = enc.clone();
+            bad[..4].copy_from_slice(&version.to_le_bytes());
+            let err = ExecStats::decode(&bad).unwrap_err();
+            assert!(err.contains(&format!("version {version}")), "{err}");
         }
-        .encode();
-        v1.truncate(STATS_LEN);
-        v1[..4].copy_from_slice(&1u32.to_le_bytes());
-        let dec = ExecStats::decode(&v1).unwrap();
-        assert_eq!(dec.storage_cpu_s, 2.0);
-        assert_eq!(dec.rows_returned, 11);
-        assert!(dec.spans.is_empty());
-        // ...but a v1 payload with trailing bytes is corrupt.
-        v1.push(0);
-        assert!(ExecStats::decode(&v1).is_err());
-    }
-
-    #[test]
-    fn decode_accepts_v2_payload() {
-        // A v2 producer ships the 68-byte counter block + spans but no
-        // cache counters: splice them out of a v3 encoding.
-        let s = ExecStats {
-            storage_cpu_s: 1.5,
-            rows_scanned: 123,
-            rg_cache_hits: 9, // dropped by the splice
-            spans: vec![obs::SpanRec {
-                id: 1,
-                parent: 0,
-                name: "storage.execute".into(),
-                start_s: 0.0,
-                end_s: 0.5,
-                wall_s: 0.0,
-                attrs: Vec::new(),
-            }],
-            ..Default::default()
-        };
-        let v3 = s.encode();
-        let mut v2 = Vec::new();
-        v2.extend_from_slice(&v3[..STATS_LEN]);
-        v2.extend_from_slice(&v3[STATS_LEN_V3..]);
-        v2[..4].copy_from_slice(&2u32.to_le_bytes());
-        let dec = ExecStats::decode(&v2).unwrap();
-        assert_eq!(dec.storage_cpu_s, 1.5);
-        assert_eq!(dec.rows_scanned, 123);
-        assert_eq!(dec.rg_cache_hits, 0, "v2 has no cache counters");
-        assert_eq!(dec.spans.len(), 1);
     }
 
     #[test]

@@ -10,10 +10,10 @@ use std::sync::Arc;
 
 use columnar::groupby::GroupedAggregator;
 use columnar::kernels::selection::Selection;
-use columnar::kernels::{arith, boolean, cast, cmp, selection};
+use columnar::kernels::{cmp, selection};
 use columnar::prelude::*;
 use columnar::sort::{self, SortKey};
-use netsim::{CostParams, Work};
+use netsim::{CostParams, ExecStats, Work};
 use parq::{ParqReader, RangePredicate};
 use rayon::prelude::*;
 use substrait_ir::planck::{self, Diagnostic};
@@ -32,30 +32,15 @@ pub struct ExecutorStats {
     /// independent of the others, so a node bills this stage as the LPT
     /// makespan over its cores rather than the serial sum.
     pub scan_work: Vec<Work>,
-    /// Compressed bytes read from disk.
-    pub disk_bytes: u64,
     /// Uncompressed bytes decoded.
     pub uncompressed_bytes: u64,
-    /// Rows scanned (after row-group pruning).
-    pub rows_scanned: u64,
-    /// Rows emitted.
-    pub rows_emitted: u64,
-    /// Row groups that survived statistics pruning but were skipped after
-    /// the filter mask came back all-false on the filter columns alone.
-    pub row_groups_skipped: u64,
-    /// Encoded payload bytes the late-materialized scan never decoded
-    /// (footer `uncompressed_len` of the chunks it skipped).
-    pub decoded_bytes_avoided: u64,
-    /// Column chunks served from the decoded row-group cache.
-    pub rg_cache_hits: u64,
-    /// Column chunks that had to be read + decoded (cache miss or cache
-    /// disabled).
-    pub rg_cache_misses: u64,
-    /// Disk + decode bytes the caches kept off the cost ledger.
-    pub cache_bytes_avoided: u64,
-    /// Whole pushed subplans answered from the result cache (set by the
-    /// storage node, not the executor — 0 or 1 per request).
-    pub result_cache_hits: u64,
+    /// Every counter that crosses the wire, accumulated in place: disk
+    /// bytes, rows scanned (after row-group pruning) and returned, row
+    /// groups skipped and bytes never decoded by late materialization,
+    /// row-group cache hits / misses and the bytes they kept off the cost
+    /// ledger. The seconds and spans of the block are the storage node's
+    /// to fill, once it has priced `work` and `scan_work`.
+    pub wire: ExecStats,
 }
 
 impl ExecutorStats {
@@ -67,92 +52,8 @@ impl ExecutorStats {
 }
 
 /// Evaluate a Substrait expression against a batch.
-pub fn eval_expr(e: &Expr, batch: &RecordBatch) -> OcsResult<Array> {
-    let err = |m: String| OcsError::Exec(m);
-    Ok(match e {
-        Expr::FieldRef(i) => {
-            if *i >= batch.num_columns() {
-                return Err(err(format!("field #{i} out of range")));
-            }
-            batch.column(*i).as_ref().clone()
-        }
-        Expr::Literal(s) => {
-            let dt = s.data_type().unwrap_or(DataType::Boolean);
-            Array::from_scalar(s, dt, batch.num_rows()).map_err(|e| err(e.to_string()))?
-        }
-        Expr::Cmp { op, left, right } => {
-            if let Expr::Literal(s) = right.as_ref() {
-                let l = eval_expr(left, batch)?;
-                return Ok(Array::Boolean(
-                    cmp::compare_scalar(&l, s, *op).map_err(|e| err(e.to_string()))?,
-                ));
-            }
-            let (l, r) = (eval_expr(left, batch)?, eval_expr(right, batch)?);
-            Array::Boolean(cmp::compare(&l, &r, *op).map_err(|e| err(e.to_string()))?)
-        }
-        Expr::Arith { op, left, right } => {
-            if let Expr::Literal(s) = right.as_ref() {
-                let l = eval_expr(left, batch)?;
-                return arith::arith_scalar(&l, s, *op).map_err(|e| err(e.to_string()));
-            }
-            let (l, r) = (eval_expr(left, batch)?, eval_expr(right, batch)?);
-            arith::arith(&l, &r, *op).map_err(|e| err(e.to_string()))?
-        }
-        Expr::And(a, b) => {
-            let (x, y) = (eval_expr(a, batch)?, eval_expr(b, batch)?);
-            Array::Boolean(
-                boolean::and(
-                    x.as_bool().map_err(|e| err(e.to_string()))?,
-                    y.as_bool().map_err(|e| err(e.to_string()))?,
-                )
-                .map_err(|e| err(e.to_string()))?,
-            )
-        }
-        Expr::Or(a, b) => {
-            let (x, y) = (eval_expr(a, batch)?, eval_expr(b, batch)?);
-            Array::Boolean(
-                boolean::or(
-                    x.as_bool().map_err(|e| err(e.to_string()))?,
-                    y.as_bool().map_err(|e| err(e.to_string()))?,
-                )
-                .map_err(|e| err(e.to_string()))?,
-            )
-        }
-        Expr::Not(x) => {
-            let v = eval_expr(x, batch)?;
-            Array::Boolean(boolean::not(v.as_bool().map_err(|e| err(e.to_string()))?))
-        }
-        Expr::Between { expr, lo, hi } => {
-            if let (Expr::Literal(l), Expr::Literal(h)) = (lo.as_ref(), hi.as_ref()) {
-                let x = eval_expr(expr, batch)?;
-                return Ok(Array::Boolean(
-                    cmp::between_scalar(&x, l, h).map_err(|e| err(e.to_string()))?,
-                ));
-            }
-            let x = eval_expr(expr, batch)?;
-            let l = eval_expr(lo, batch)?;
-            let h = eval_expr(hi, batch)?;
-            let ge = cmp::compare(&x, &l, cmp::CmpOp::GtEq).map_err(|e| err(e.to_string()))?;
-            let le = cmp::compare(&x, &h, cmp::CmpOp::LtEq).map_err(|e| err(e.to_string()))?;
-            Array::Boolean(boolean::and(&ge, &le).map_err(|e| err(e.to_string()))?)
-        }
-        Expr::Cast { expr, to } => {
-            let x = eval_expr(expr, batch)?;
-            cast::cast(&x, *to).map_err(|e| err(e.to_string()))?
-        }
-        Expr::Negate(x) => {
-            let v = eval_expr(x, batch)?;
-            arith::negate(&v).map_err(|e| err(e.to_string()))?
-        }
-        Expr::IsNull(x) => {
-            let v = eval_expr(x, batch)?;
-            Array::Boolean(cmp::is_null(&v))
-        }
-        Expr::IsNotNull(x) => {
-            let v = eval_expr(x, batch)?;
-            Array::Boolean(cmp::is_not_null(&v))
-        }
-    })
+pub fn eval_expr(e: &Expr, batch: &RecordBatch) -> OcsResult<ArrayRef> {
+    e.eval(batch).map_err(|e| OcsError::Exec(e.to_string()))
 }
 
 /// Extract row-group-prunable range predicates from a filter expression
@@ -370,7 +271,7 @@ impl<'a> Executor<'a> {
     pub fn run(mut self, plan: &Plan) -> OcsResult<(Vec<RecordBatch>, ExecutorStats)> {
         planck::verify(plan).map_err(|ds| OcsError::Plan(planck::primary(ds)))?;
         let batches = self.run_rel(&plan.root)?;
-        self.stats.rows_emitted = batches.iter().map(|b| b.num_rows() as u64).sum();
+        self.stats.wire.rows_returned = batches.iter().map(|b| b.num_rows() as u64).sum();
         Ok((batches, self.stats))
     }
 
@@ -443,7 +344,7 @@ impl<'a> Executor<'a> {
                     ));
                     let columns = exprs
                         .iter()
-                        .map(|(e, _)| eval_expr(e, b).map(Arc::new))
+                        .map(|(e, _)| eval_expr(e, b))
                         .collect::<OcsResult<Vec<_>>>()?;
                     out.push(
                         RecordBatch::try_new(out_schema.clone(), columns)
@@ -488,14 +389,15 @@ impl<'a> Executor<'a> {
                         return Ok(batches);
                     }
                     let (all, cols) = self.sortable(&batches, keys)?;
-                    let n = (*offset + *limit) as usize;
+                    // Untrusted u64s: `offset + limit` must not wrap.
+                    let n = offset.saturating_add(*limit);
                     self.stats.work.add(Work::vector(self.cost.topn_work(
                         all.num_rows() as u64,
                         keys.len(),
-                        *offset + *limit,
+                        n,
                     )));
-                    let top =
-                        sort::top_n(&all, &cols, n).map_err(|e| OcsError::Exec(e.to_string()))?;
+                    let top = sort::top_n(&all, &cols, n as usize)
+                        .map_err(|e| OcsError::Exec(e.to_string()))?;
                     return self.apply_offset_limit(vec![top], *offset, *limit);
                 }
                 let batches = self.run_rel(input)?;
@@ -530,7 +432,7 @@ impl<'a> Executor<'a> {
             let mut tally = ChunkTally::default();
             for &c in &indices {
                 let f = fetch_chunk(self.reader, self.caches, rg, c)?;
-                self.stats.disk_bytes += f.disk_bytes;
+                self.stats.wire.disk_bytes += f.disk_bytes;
                 decoded += f.decoded_bytes;
                 tally.absorb(&f);
                 columns.push(f.array);
@@ -538,10 +440,10 @@ impl<'a> Executor<'a> {
             let batch = RecordBatch::try_new(schema.clone(), columns)
                 .map_err(|e| OcsError::Exec(e.to_string()))?;
             self.stats.uncompressed_bytes += decoded;
-            self.stats.rows_scanned += batch.num_rows() as u64;
-            self.stats.rg_cache_hits += tally.hits;
-            self.stats.rg_cache_misses += tally.misses;
-            self.stats.cache_bytes_avoided += tally.avoided_bytes;
+            self.stats.wire.rows_scanned += batch.num_rows() as u64;
+            self.stats.wire.rg_cache_hits += tally.hits;
+            self.stats.wire.rg_cache_misses += tally.misses;
+            self.stats.wire.cache_bytes_avoided += tally.avoided_bytes;
             self.stats
                 .work
                 .add(Work::decode(decoded as f64 * self.cost.byte_decode));
@@ -691,14 +593,14 @@ impl<'a> Executor<'a> {
         let mut out = Vec::with_capacity(scanned.len());
         for g in scanned {
             let g = g?;
-            self.stats.disk_bytes += g.disk_bytes;
+            self.stats.wire.disk_bytes += g.disk_bytes;
             self.stats.uncompressed_bytes += g.uncompressed_bytes;
-            self.stats.rows_scanned += g.rows;
-            self.stats.decoded_bytes_avoided += g.avoided_bytes;
-            self.stats.row_groups_skipped += g.skipped as u64;
-            self.stats.rg_cache_hits += g.cache.hits;
-            self.stats.rg_cache_misses += g.cache.misses;
-            self.stats.cache_bytes_avoided += g.cache.avoided_bytes;
+            self.stats.wire.rows_scanned += g.rows;
+            self.stats.wire.decoded_bytes_avoided += g.avoided_bytes;
+            self.stats.wire.row_groups_skipped += g.skipped as u64;
+            self.stats.wire.rg_cache_hits += g.cache.hits;
+            self.stats.wire.rg_cache_misses += g.cache.misses;
+            self.stats.wire.cache_bytes_avoided += g.cache.avoided_bytes;
             self.stats.scan_work.push(g.work);
             if let Some(b) = g.batch {
                 if b.num_rows() > 0 {
@@ -765,7 +667,7 @@ impl<'a> Executor<'a> {
         }
         let all = RecordBatch::concat(&batches).map_err(|e| OcsError::Exec(e.to_string()))?;
         let start = (offset as usize).min(all.num_rows());
-        let end = (start + limit as usize).min(all.num_rows());
+        let end = start.saturating_add(limit as usize).min(all.num_rows());
         let idx: Vec<usize> = (start..end).collect();
         let out = selection::take_batch(&all, &idx).map_err(|e| OcsError::Exec(e.to_string()))?;
         Ok(vec![out])
@@ -826,8 +728,8 @@ impl<'a> Executor<'a> {
                 .iter()
                 .map(|m| m.arg.as_ref().map(|e| eval_expr(e, b)).transpose())
                 .collect::<OcsResult<Vec<_>>>()?;
-            let key_refs: Vec<&Array> = keys.iter().collect();
-            let arg_refs: Vec<Option<&Array>> = args.iter().map(|a| a.as_ref()).collect();
+            let key_refs: Vec<&Array> = keys.iter().map(|a| a.as_ref()).collect();
+            let arg_refs: Vec<Option<&Array>> = args.iter().map(|a| a.as_deref()).collect();
             agg.update(&key_refs, &arg_refs, b.num_rows())
                 .map_err(err)?;
         }
@@ -934,8 +836,8 @@ mod tests {
         let total: usize = batches.iter().map(|b| b.num_rows()).sum();
         assert_eq!(total, 1000);
         assert_eq!(batches[0].schema().names(), vec!["g", "id"]);
-        assert_eq!(stats.rows_scanned, 1000);
-        assert!(stats.disk_bytes > 0);
+        assert_eq!(stats.wire.rows_scanned, 1000);
+        assert!(stats.wire.disk_bytes > 0);
         assert!(stats.work.total_units() > 0.0);
     }
 
@@ -949,7 +851,7 @@ mod tests {
         let total: usize = batches.iter().map(|b| b.num_rows()).sum();
         assert_eq!(total, 50);
         // Only the last of 10 row groups was scanned.
-        assert_eq!(stats.rows_scanned, 100);
+        assert_eq!(stats.wire.rows_scanned, 100);
     }
 
     #[test]
@@ -963,7 +865,7 @@ mod tests {
         let (batches, stats) = run(plan);
         let total: usize = batches.iter().map(|b| b.num_rows()).sum();
         assert_eq!(total, 100);
-        assert_eq!(stats.rows_scanned, 100, "9 of 10 groups pruned");
+        assert_eq!(stats.wire.rows_scanned, 100, "9 of 10 groups pruned");
     }
 
     #[test]
@@ -1034,7 +936,7 @@ mod tests {
             batches[0].column(0).as_i64().unwrap().values,
             vec![999, 998, 997, 996, 995]
         );
-        assert_eq!(stats.rows_emitted, 5);
+        assert_eq!(stats.wire.rows_returned, 5);
     }
 
     #[test]
@@ -1053,6 +955,34 @@ mod tests {
         });
         let (batches, _) = run(plan);
         assert_eq!(batches[0].column(0).as_i64().unwrap().values, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn fetch_offset_plus_limit_saturates() {
+        // `offset` and `limit` are raw varints off the wire: their sum
+        // used to panic in debug and wrap to `top_n(.., 0)` in release.
+        let fetch = |input: Rel| {
+            Plan::new(Rel::Fetch {
+                offset: 1,
+                limit: u64::MAX,
+                input: Box::new(input),
+            })
+        };
+        let sorted = Rel::Sort {
+            input: Box::new(Rel::read("t", base_schema(), None)),
+            keys: vec![SortField {
+                expr: Expr::field(0),
+                ascending: true,
+                nulls_first: true,
+            }],
+        };
+        let (batches, stats) = run(fetch(sorted));
+        assert_eq!(stats.wire.rows_returned, 999);
+        let ids = &batches[0].column(0).as_i64().unwrap().values;
+        assert_eq!((ids[0], ids[998]), (1, 999));
+        // The plain (no Sort) offset/limit path adds the same two numbers.
+        let (_, stats) = run(fetch(Rel::read("t", base_schema(), None)));
+        assert_eq!(stats.wire.rows_returned, 999);
     }
 
     #[test]
@@ -1107,7 +1037,7 @@ mod tests {
         });
         let (batches, stats) = run(plan);
         assert_eq!(batches[0].num_rows(), 3);
-        assert!(stats.rows_emitted == 3);
+        assert!(stats.wire.rows_returned == 3);
         assert!(stats.work.total_units() > 0.0);
     }
 
@@ -1118,10 +1048,13 @@ mod tests {
         let (batches, stats) = run(clustered_filter_plan(50, None));
         let total: usize = batches.iter().map(|b| b.num_rows()).sum();
         assert_eq!(total, 50);
-        assert_eq!(stats.rows_scanned, 1000, "no group is stats-prunable");
-        assert_eq!(stats.row_groups_skipped, 9, "mask kills 9 of 10 groups");
+        assert_eq!(stats.wire.rows_scanned, 1000, "no group is stats-prunable");
+        assert_eq!(
+            stats.wire.row_groups_skipped, 9,
+            "mask kills 9 of 10 groups"
+        );
         assert!(
-            stats.decoded_bytes_avoided > 0,
+            stats.wire.decoded_bytes_avoided > 0,
             "skipped groups never decode v and g"
         );
         assert_eq!(stats.scan_work.len(), 10, "one work lane per row group");
@@ -1146,8 +1079,11 @@ mod tests {
                     .collect()
             };
             assert_eq!(flat(&late), flat(&eager));
-            assert_eq!(late_stats.rows_emitted, eager_stats.rows_emitted);
-            assert_eq!(late_stats.rows_scanned, eager_stats.rows_scanned);
+            assert_eq!(
+                late_stats.wire.rows_returned,
+                eager_stats.wire.rows_returned
+            );
+            assert_eq!(late_stats.wire.rows_scanned, eager_stats.wire.rows_scanned);
             assert!(late_stats.uncompressed_bytes <= eager_stats.uncompressed_bytes);
         }
     }
@@ -1164,9 +1100,9 @@ mod tests {
             late_stats.uncompressed_bytes,
             eager_stats.uncompressed_bytes
         );
-        assert_eq!(late_stats.disk_bytes, eager_stats.disk_bytes);
-        assert_eq!(late_stats.row_groups_skipped, 0);
-        assert_eq!(late_stats.decoded_bytes_avoided, 0);
+        assert_eq!(late_stats.wire.disk_bytes, eager_stats.wire.disk_bytes);
+        assert_eq!(late_stats.wire.row_groups_skipped, 0);
+        assert_eq!(late_stats.wire.decoded_bytes_avoided, 0);
     }
 
     #[test]
@@ -1182,7 +1118,7 @@ mod tests {
             late.uncompressed_bytes,
             eager.uncompressed_bytes
         );
-        assert!(late.disk_bytes < eager.disk_bytes);
+        assert!(late.wire.disk_bytes < eager.wire.disk_bytes);
     }
 
     #[test]

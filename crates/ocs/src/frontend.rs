@@ -161,24 +161,9 @@ impl OcsFrontend {
             + arrow_bytes.len() as f64 * (self.cost.frontend_per_byte + self.cost.byte_ser);
         let frontend_cpu_s = self.spec.core_seconds(frontend_work);
 
-        Ok(WireResponse {
-            arrow_bytes,
-            stats: ExecStats {
-                storage_cpu_s: resp.cpu_s,
-                storage_decompress_s: resp.decompress_s,
-                frontend_cpu_s,
-                disk_bytes: resp.disk_bytes,
-                rows_scanned: resp.exec.rows_scanned,
-                rows_returned: resp.exec.rows_emitted,
-                row_groups_skipped: resp.exec.row_groups_skipped,
-                decoded_bytes_avoided: resp.exec.decoded_bytes_avoided,
-                rg_cache_hits: resp.exec.rg_cache_hits,
-                rg_cache_misses: resp.exec.rg_cache_misses,
-                cache_bytes_avoided: resp.exec.cache_bytes_avoided,
-                result_cache_hits: resp.exec.result_cache_hits,
-                spans: resp.spans,
-            },
-        })
+        let mut stats = resp.stats;
+        stats.frontend_cpu_s = frontend_cpu_s;
+        Ok(WireResponse { arrow_bytes, stats })
     }
 
     /// Handle one request streaming: the response is a lazy
@@ -404,6 +389,39 @@ mod tests {
         // The rendered error names the offending node for engine logs.
         assert!(err.to_string().contains("P200"), "{err}");
         assert!(err.to_string().contains("root.predicate.left"), "{err}");
+    }
+
+    #[test]
+    fn untrusted_fetch_bounds_do_not_overflow() {
+        // `offset + limit` arrives as two raw varints; planck does not cap
+        // them, so the executor must not wrap (0 rows) or panic.
+        let (fe, schema) = frontend(1);
+        let plan = Plan::new(Rel::Fetch {
+            offset: 1,
+            limit: u64::MAX,
+            input: Box::new(Rel::Sort {
+                input: Box::new(Rel::read("t", schema, None)),
+                keys: vec![substrait_ir::SortField {
+                    expr: Expr::field(0),
+                    ascending: true,
+                    nulls_first: true,
+                }],
+            }),
+        });
+        let bytes = substrait_ir::encode(&plan);
+        assert_eq!(substrait_ir::decode(&bytes).unwrap(), plan);
+        let mut stream = fe.handle_stream(&bytes, "lake", "t/1").unwrap();
+        let mut dec = columnar::ipc::FrameDecoder::new();
+        let mut rows = Vec::new();
+        while let Some(frame) = stream.next_frame() {
+            dec.feed(&frame.bytes);
+            while let Some(f) = dec.next_frame().unwrap() {
+                if let columnar::ipc::Frame::Batch(b) = f {
+                    rows.extend_from_slice(&b.column(0).as_i64().unwrap().values);
+                }
+            }
+        }
+        assert_eq!(rows, (101..200).collect::<Vec<i64>>(), "all but row 100");
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use columnar::RecordBatch;
 use lzcodec::CodecKind;
-use netsim::{makespan, CostParams, DiskSpec, NodeSpec};
+use netsim::{makespan, CostParams, DiskSpec, ExecStats, NodeSpec};
 use objstore::ObjectStore;
 use parq::ParqReader;
 use substrait_ir::Plan;
@@ -13,24 +13,20 @@ use crate::cache::{CachedResult, NodeCaches, ObjectId, ResultKey};
 use crate::exec::{Executor, ExecutorStats};
 use crate::OcsResult;
 
-/// Result of one in-storage plan execution, with resource consumption
-/// expressed in the node's own core-seconds.
+/// Result of one in-storage plan execution.
 #[derive(Debug, Clone)]
 pub struct NodeResponse {
     /// Result batches (pre-serialization).
     pub batches: Vec<RecordBatch>,
-    /// Core-seconds of operator work on this node.
-    pub cpu_s: f64,
-    /// Core-seconds of decompression on this node.
-    pub decompress_s: f64,
-    /// Compressed bytes read from this node's disk.
-    pub disk_bytes: u64,
-    /// Raw executor stats (for monitoring).
-    pub exec: ExecutorStats,
-    /// Storage-executor spans on the node's *local* simulated clock
-    /// (t = 0 at request arrival). Shipped across the RPC boundary in
-    /// the stream trailer and grafted under the engine's split span.
-    pub spans: Vec<obs::SpanRec>,
+    /// The request's wire statistics, built once here where the node's
+    /// core-seconds become known. `frontend_cpu_s` is 0: the frontend adds
+    /// its relay cost before the block crosses the boundary. `spans` are
+    /// on the node's *local* simulated clock (t = 0 at request arrival);
+    /// the engine grafts them under its split span.
+    pub stats: ExecStats,
+    /// Row groups the scan stage worked on — the independent input slices
+    /// behind `batches`, however few batches the operator tree left.
+    pub groups_scanned: usize,
 }
 
 /// One OCS storage node.
@@ -141,12 +137,12 @@ impl StorageNode {
                 result_key,
                 Arc::new(CachedResult {
                     batches: batches.clone(),
-                    rows_emitted: exec.rows_emitted,
+                    rows_emitted: exec.wire.rows_returned,
                     // What a future hit avoids: this run's disk + decode
                     // traffic, plus whatever the chunk cache already saved.
-                    bytes_avoided: exec.disk_bytes
+                    bytes_avoided: exec.wire.disk_bytes
                         + exec.uncompressed_bytes
-                        + exec.cache_bytes_avoided,
+                        + exec.wire.cache_bytes_avoided,
                 }),
                 charge.max(1),
             );
@@ -163,11 +159,11 @@ impl StorageNode {
         // Flight-record what the caches did during this request: hits
         // served, and evictions the inserts forced (the per-tier counters
         // are monotonic, so a delta means this request evicted).
-        if exec.rg_cache_hits > 0 {
+        if exec.wire.rg_cache_hits > 0 {
             obs::flight().record(
                 obs::FlightKind::CacheHit,
-                exec.rg_cache_hits,
-                exec.cache_bytes_avoided,
+                exec.wire.rg_cache_hits,
+                exec.wire.cache_bytes_avoided,
                 self.id as u64,
             );
         }
@@ -209,19 +205,19 @@ impl StorageNode {
         // Record the request's local span timeline: t = 0 at request
         // arrival, phases laid end-to-end. The engine grafts these under
         // its split span after the trailer frame delivers them.
-        let disk_s = self.disk.read_seconds(exec.disk_bytes);
+        let disk_s = self.disk.read_seconds(exec.wire.disk_bytes);
         let spans = self.record_spans(disk_s, decompress_s, scan_s, ops_s, &exec, wall_start);
 
-        let m = obs::metrics();
+        let (m, wire) = (obs::metrics(), &exec.wire);
         m.counter("ocs.storage.requests").inc();
-        m.counter("ocs.storage.rows_scanned").add(exec.rows_scanned);
+        m.counter("ocs.storage.rows_scanned").add(wire.rows_scanned);
         m.counter("ocs.storage.rows_returned")
-            .add(exec.rows_emitted);
-        m.counter("ocs.storage.disk_bytes").add(exec.disk_bytes);
-        m.counter("ocs.cache.rg_hits").add(exec.rg_cache_hits);
-        m.counter("ocs.cache.rg_misses").add(exec.rg_cache_misses);
+            .add(wire.rows_returned);
+        m.counter("ocs.storage.disk_bytes").add(wire.disk_bytes);
+        m.counter("ocs.cache.rg_hits").add(wire.rg_cache_hits);
+        m.counter("ocs.cache.rg_misses").add(wire.rg_cache_misses);
         m.counter("ocs.cache.bytes_avoided")
-            .add(exec.cache_bytes_avoided);
+            .add(wire.cache_bytes_avoided);
         let (rg_stats, result_stats) = self.caches.stats();
         m.gauge("ocs.cache.rg_evictions")
             .record_max(rg_stats.evictions as i64);
@@ -230,23 +226,19 @@ impl StorageNode {
 
         Ok(NodeResponse {
             batches,
-            cpu_s,
-            decompress_s,
-            disk_bytes: exec.disk_bytes,
-            exec,
-            spans,
+            groups_scanned: exec.scan_work.len(),
+            stats: ExecStats {
+                storage_cpu_s: cpu_s,
+                storage_decompress_s: decompress_s,
+                spans,
+                ..exec.wire
+            },
         })
     }
 
     /// Answer a request from the result cache: the cold run's batches,
     /// zero simulated cost, and a span marking the hit.
     fn replay_cached(&self, cached: &CachedResult, wall_start: std::time::Instant) -> NodeResponse {
-        let exec = ExecutorStats {
-            rows_emitted: cached.rows_emitted,
-            result_cache_hits: 1,
-            cache_bytes_avoided: cached.bytes_avoided,
-            ..ExecutorStats::default()
-        };
         let m = obs::metrics();
         m.counter("ocs.storage.requests").inc();
         m.counter("ocs.cache.result_hits").inc();
@@ -279,11 +271,14 @@ impl StorageNode {
 
         NodeResponse {
             batches: cached.batches.clone(),
-            cpu_s: 0.0,
-            decompress_s: 0.0,
-            disk_bytes: 0,
-            exec,
-            spans,
+            groups_scanned: 0,
+            stats: ExecStats {
+                rows_returned: cached.rows_emitted,
+                result_cache_hits: 1,
+                cache_bytes_avoided: cached.bytes_avoided,
+                spans,
+                ..ExecStats::default()
+            },
         }
     }
 
@@ -309,15 +304,15 @@ impl StorageNode {
             total,
         );
         tracer.set_wall(root, wall_start.elapsed().as_secs_f64());
-        tracer.attr(root, "rows", exec.rows_scanned);
-        tracer.attr(root, "bytes", exec.disk_bytes);
-        let tier = if exec.rg_cache_hits > 0 {
+        tracer.attr(root, "rows", exec.wire.rows_scanned);
+        tracer.attr(root, "bytes", exec.wire.disk_bytes);
+        let tier = if exec.wire.rg_cache_hits > 0 {
             "row_group"
         } else {
             "none"
         };
         tracer.attr(root, "cache_hit", tier);
-        tracer.attr(root, "cache_bytes_avoided", exec.cache_bytes_avoided);
+        tracer.attr(root, "cache_bytes_avoided", exec.wire.cache_bytes_avoided);
         let mut cursor = 0.0;
         for (name, seconds) in [
             ("storage.disk_read", disk_s),
@@ -332,18 +327,18 @@ impl StorageNode {
             cursor += seconds;
             match name {
                 "storage.scan" => {
-                    tracer.attr(id, "rows", exec.rows_scanned);
+                    tracer.attr(id, "rows", exec.wire.rows_scanned);
                     tracer.attr(id, "row_groups", exec.scan_work.len() as u64);
-                    tracer.attr(id, "row_groups_skipped", exec.row_groups_skipped);
+                    tracer.attr(id, "row_groups_skipped", exec.wire.row_groups_skipped);
                     tracer.attr(id, "cache_hit", tier);
-                    tracer.attr(id, "rg_cache_hits", exec.rg_cache_hits);
-                    tracer.attr(id, "cache_bytes_avoided", exec.cache_bytes_avoided);
+                    tracer.attr(id, "rg_cache_hits", exec.wire.rg_cache_hits);
+                    tracer.attr(id, "cache_bytes_avoided", exec.wire.cache_bytes_avoided);
                 }
                 "storage.ops" => {
-                    tracer.attr(id, "rows", exec.rows_emitted);
+                    tracer.attr(id, "rows", exec.wire.rows_returned);
                 }
                 "storage.disk_read" => {
-                    tracer.attr(id, "bytes", exec.disk_bytes);
+                    tracer.attr(id, "bytes", exec.wire.disk_bytes);
                 }
                 _ => {}
             }
@@ -403,9 +398,13 @@ mod tests {
             resp.batches.iter().map(|b| b.num_rows()).sum::<usize>(),
             10_000
         );
-        assert!(resp.cpu_s > 0.0);
-        assert_eq!(resp.decompress_s, 0.0, "no codec, no decompress cost");
-        assert!(resp.disk_bytes > 0);
+        assert!(resp.stats.storage_cpu_s > 0.0);
+        assert_eq!(
+            resp.stats.storage_decompress_s, 0.0,
+            "no codec, no decompress cost"
+        );
+        assert!(resp.stats.disk_bytes > 0);
+        assert_eq!(resp.stats.frontend_cpu_s, 0.0, "the frontend's to add");
     }
 
     #[test]
@@ -427,10 +426,10 @@ mod tests {
         let a = raw.execute(&plan, "lake", "t/0").unwrap();
         let b = zst.execute(&plan, "lake", "t/0").unwrap();
         assert!(
-            b.disk_bytes < a.disk_bytes,
+            b.stats.disk_bytes < a.stats.disk_bytes,
             "compression shrinks disk reads"
         );
-        assert!(b.decompress_s > 0.0);
+        assert!(b.stats.storage_decompress_s > 0.0);
         assert_eq!(
             a.batches.iter().map(|x| x.num_rows()).sum::<usize>(),
             b.batches.iter().map(|x| x.num_rows()).sum::<usize>(),
@@ -478,7 +477,8 @@ mod tests {
         });
         let a = weak.execute(&plan, "lake", "t/0").unwrap();
         let b = strong.execute(&plan, "lake", "t/0").unwrap();
-        assert!(a.cpu_s > b.cpu_s * 3.0, "{} vs {}", a.cpu_s, b.cpu_s);
-        assert_eq!(a.exec.rows_emitted, b.exec.rows_emitted);
+        let (weak_s, strong_s) = (a.stats.storage_cpu_s, b.stats.storage_cpu_s);
+        assert!(weak_s > strong_s * 3.0, "{weak_s} vs {strong_s}");
+        assert_eq!(a.stats.rows_returned, b.stats.rows_returned);
     }
 }

@@ -74,14 +74,13 @@ impl WireStream {
             .sum::<f64>()
             .max(1.0);
         let n = resp.batches.len();
-        let mut disk_left = resp.exec.disk_bytes;
+        let mut disk_left = resp.stats.disk_bytes;
         // Scanned row groups, spread evenly over the batch frames. In the
         // streaming scan case batches and row groups are ~1:1 and every
         // frame stays indivisible; when the operator tree collapses the
         // scan into few output batches (aggregation pushdown), the frame
         // advertises how many independent input slices are behind it.
-        let groups_scanned = resp.exec.scan_work.len();
-        let spans = resp.spans;
+        let groups_scanned = resp.groups_scanned;
         let mut batches = VecDeque::with_capacity(n);
         for (i, batch) in resp.batches.into_iter().enumerate() {
             // Weight by in-memory size; uniform when every batch is empty.
@@ -95,7 +94,7 @@ impl WireStream {
             let disk = if i + 1 == n {
                 disk_left
             } else {
-                ((resp.exec.disk_bytes as f64 * w) as u64).min(disk_left)
+                ((resp.stats.disk_bytes as f64 * w) as u64).min(disk_left)
             };
             disk_left -= disk;
             let input_chunks =
@@ -103,26 +102,11 @@ impl WireStream {
             batches.push_back(PendingBatch {
                 batch,
                 disk_bytes: disk,
-                decompress_s: resp.decompress_s * w,
-                storage_s: resp.cpu_s * w,
+                decompress_s: resp.stats.storage_decompress_s * w,
+                storage_s: resp.stats.storage_cpu_s * w,
                 input_chunks,
             });
         }
-        let stats = ExecStats {
-            storage_cpu_s: resp.cpu_s,
-            storage_decompress_s: resp.decompress_s,
-            frontend_cpu_s: 0.0, // accumulated as frames are produced
-            disk_bytes: resp.exec.disk_bytes,
-            rows_scanned: resp.exec.rows_scanned,
-            rows_returned: resp.exec.rows_emitted,
-            row_groups_skipped: resp.exec.row_groups_skipped,
-            decoded_bytes_avoided: resp.exec.decoded_bytes_avoided,
-            rg_cache_hits: resp.exec.rg_cache_hits,
-            rg_cache_misses: resp.exec.rg_cache_misses,
-            cache_bytes_avoided: resp.exec.cache_bytes_avoided,
-            result_cache_hits: resp.exec.result_cache_hits,
-            spans,
-        };
         WireStream {
             pending_schema: Some(schema),
             batches,
@@ -130,13 +114,10 @@ impl WireStream {
             plan_bytes_len,
             frontend_spec,
             cost,
-            stats,
+            // `frontend_cpu_s` arrives 0 and accumulates as frames are
+            // produced.
+            stats: resp.stats,
         }
-    }
-
-    /// Frames not yet produced (schema + batches + trailer).
-    pub fn frames_remaining(&self) -> usize {
-        self.pending_schema.is_some() as usize + self.batches.len() + self.trailer_pending as usize
     }
 
     fn frontend_seconds(&self, frame_len: usize, with_request_fixed: bool) -> f64 {

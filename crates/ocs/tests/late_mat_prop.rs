@@ -149,8 +149,8 @@ proptest! {
         let expected = naive_scan(&reader, projection.as_deref(), &predicate);
         prop_assert_eq!(&flat_rows(&late), &expected);
         prop_assert_eq!(&flat_rows(&eager), &expected);
-        prop_assert_eq!(late_stats.rows_emitted, eager_stats.rows_emitted);
-        prop_assert_eq!(late_stats.rows_scanned, eager_stats.rows_scanned);
+        prop_assert_eq!(late_stats.wire.rows_returned, eager_stats.wire.rows_returned);
+        prop_assert_eq!(late_stats.wire.rows_scanned, eager_stats.wire.rows_scanned);
         prop_assert!(
             late_stats.uncompressed_bytes <= eager_stats.uncompressed_bytes,
             "late path decoded more: {} vs {}",
@@ -158,10 +158,10 @@ proptest! {
             eager_stats.uncompressed_bytes
         );
         prop_assert!(
-            late_stats.disk_bytes <= eager_stats.disk_bytes,
+            late_stats.wire.disk_bytes <= eager_stats.wire.disk_bytes,
             "late path read more: {} vs {}",
-            late_stats.disk_bytes,
-            eager_stats.disk_bytes
+            late_stats.wire.disk_bytes,
+            eager_stats.wire.disk_bytes
         );
     }
 }

@@ -1,9 +1,10 @@
 //! Typed expression trees.
 
 use columnar::agg::AggFunc;
+use columnar::expr::{self, ExprTree, Node};
 use columnar::kernels::arith::ArithOp;
 use columnar::kernels::cmp::CmpOp;
-use columnar::{DataType, Scalar, Schema};
+use columnar::{ArrayRef, DataType, RecordBatch, Scalar, Schema};
 use std::fmt;
 
 use crate::{IrError, Result};
@@ -180,34 +181,15 @@ impl Expr {
         }
     }
 
+    /// Evaluate over a batch with the walker the engine's own expressions
+    /// use ([`columnar::expr::eval`]).
+    pub fn eval(&self, batch: &RecordBatch) -> columnar::Result<ArrayRef> {
+        expr::eval(self, batch)
+    }
+
     /// All field indices referenced by this expression.
     pub fn referenced_fields(&self, out: &mut Vec<usize>) {
-        match self {
-            Expr::FieldRef(i) => {
-                if !out.contains(i) {
-                    out.push(*i);
-                }
-            }
-            Expr::Literal(_) => {}
-            Expr::Cmp { left, right, .. } | Expr::Arith { left, right, .. } => {
-                left.referenced_fields(out);
-                right.referenced_fields(out);
-            }
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                a.referenced_fields(out);
-                b.referenced_fields(out);
-            }
-            Expr::Not(e)
-            | Expr::Cast { expr: e, .. }
-            | Expr::Negate(e)
-            | Expr::IsNull(e)
-            | Expr::IsNotNull(e) => e.referenced_fields(out),
-            Expr::Between { expr, lo, hi } => {
-                expr.referenced_fields(out);
-                lo.referenced_fields(out);
-                hi.referenced_fields(out);
-            }
-        }
+        expr::referenced_columns(self, out)
     }
 
     /// Rewrite every field reference through `map` (old index → new index).
@@ -251,24 +233,25 @@ impl Expr {
     /// A rough cost weight: how many primitive operations one row costs.
     /// Feeds the connector's computational-complexity threshold.
     pub fn op_weight(&self) -> u32 {
+        expr::weight(self)
+    }
+}
+
+impl ExprTree for Expr {
+    fn node(&self) -> Node<'_, Self> {
         match self {
-            Expr::FieldRef(_) | Expr::Literal(_) => 0,
-            Expr::Cmp { left, right, .. } => 1 + left.op_weight() + right.op_weight(),
-            Expr::Arith { op, left, right } => {
-                // Division/modulo are several times pricier than add/mul.
-                let base = match op {
-                    ArithOp::Div | ArithOp::Mod => 4,
-                    _ => 1,
-                };
-                base + left.op_weight() + right.op_weight()
-            }
-            Expr::And(a, b) | Expr::Or(a, b) => 1 + a.op_weight() + b.op_weight(),
-            Expr::Not(e) | Expr::Negate(e) => 1 + e.op_weight(),
-            Expr::Between { expr, lo, hi } => {
-                2 + expr.op_weight() + lo.op_weight() + hi.op_weight()
-            }
-            Expr::Cast { expr, .. } => 1 + expr.op_weight(),
-            Expr::IsNull(e) | Expr::IsNotNull(e) => 1 + e.op_weight(),
+            Expr::FieldRef(i) => Node::Column(*i),
+            Expr::Literal(s) => Node::Literal(s),
+            Expr::Cmp { op, left, right } => Node::Cmp(*op, left, right),
+            Expr::Arith { op, left, right } => Node::Arith(*op, left, right),
+            Expr::And(a, b) => Node::And(a, b),
+            Expr::Or(a, b) => Node::Or(a, b),
+            Expr::Not(e) => Node::Not(e),
+            Expr::Between { expr, lo, hi } => Node::Between(expr, lo, hi),
+            Expr::Cast { expr, to } => Node::Cast(expr, *to),
+            Expr::Negate(e) => Node::Negate(e),
+            Expr::IsNull(e) => Node::IsNull(e),
+            Expr::IsNotNull(e) => Node::IsNotNull(e),
         }
     }
 }
@@ -372,17 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn referenced_fields_dedup() {
-        let e = Expr::and_all([
-            Expr::cmp(CmpOp::Gt, Expr::field(1), Expr::lit(Scalar::Float64(0.0))),
-            Expr::cmp(CmpOp::Lt, Expr::field(1), Expr::field(0)),
-        ]);
-        let mut refs = Vec::new();
-        e.referenced_fields(&mut refs);
-        assert_eq!(refs, vec![1, 0]);
-    }
-
-    #[test]
     fn remap_rewrites_refs() {
         let e = Expr::arith(ArithOp::Mul, Expr::field(2), Expr::field(5));
         let r = e.remap_fields(&|i| i - 2);
@@ -392,19 +364,24 @@ mod tests {
     }
 
     #[test]
-    fn op_weight_orders_complexity() {
-        let cheap = Expr::cmp(CmpOp::Gt, Expr::field(0), Expr::lit(Scalar::Int64(1)));
-        // The Deep Water projection: (rowid % 250000) / 500 — two divisions.
-        let pricey = Expr::arith(
-            ArithOp::Div,
-            Expr::arith(
-                ArithOp::Mod,
-                Expr::field(0),
-                Expr::lit(Scalar::Int64(250_000)),
-            ),
-            Expr::lit(Scalar::Int64(500)),
-        );
-        assert!(pricey.op_weight() > cheap.op_weight());
+    fn literal_on_the_left_takes_the_flipped_scalar_kernel() {
+        // 2 < a  ==  a > 2, bit for bit — evaluation, weight and field
+        // references are `columnar::expr` (tested there); this pins the
+        // delegation and the one case the storage side used to evaluate
+        // through a different kernel than the engine.
+        let batch = columnar::RecordBatch::try_new(
+            std::sync::Arc::new(Schema::new(vec![Field::new("a", DataType::Int64, true)])),
+            vec![std::sync::Arc::new(columnar::Array::from_i64(vec![
+                1, 2, 3, 4,
+            ]))],
+        )
+        .unwrap();
+        let flipped = Expr::cmp(CmpOp::Lt, Expr::lit(Scalar::Int64(2)), Expr::field(0));
+        let direct = Expr::cmp(CmpOp::Gt, Expr::field(0), Expr::lit(Scalar::Int64(2)));
+        let out = flipped.eval(&batch).unwrap();
+        assert_eq!(out.as_bool().unwrap().values.set_indices(), vec![2, 3]);
+        assert_eq!(out, direct.eval(&batch).unwrap());
+        assert_eq!(flipped.op_weight(), direct.op_weight());
     }
 
     #[test]

@@ -171,17 +171,6 @@ fn with_graph<R>(f: impl FnOnce(&mut Graph) -> R) -> R {
     f(slot.get_or_insert_with(Graph::default))
 }
 
-/// Forget every recorded edge (diagnostic escape hatch for long-lived
-/// test harnesses that deliberately poison the graph; production code
-/// never calls this).
-#[doc(hidden)]
-pub fn reset_order_graph_for_tests() {
-    with_graph(|g| {
-        g.successors.clear();
-        g.examples.clear();
-    });
-}
-
 /// Record edge `held.class -> acquired.class`, panicking if the reverse
 /// direction is already reachable.
 fn add_edge(held: &Held, acquired: &MetaInner, mode: AcquireMode) {
