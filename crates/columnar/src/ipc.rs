@@ -382,40 +382,6 @@ pub fn decode_batch(bytes: &Bytes) -> Result<RecordBatch> {
         .map_err(|e| ColumnarError::Corrupt(format!("inconsistent IPC batch: {e}")))
 }
 
-/// Serialize a stream of batches (u32 count, then length-prefixed batches).
-pub fn encode_batches(batches: &[RecordBatch]) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(batches.len() as u32);
-    for b in batches {
-        let enc = encode_batch(b);
-        buf.put_u32_le(enc.len() as u32);
-        buf.put_slice(&enc);
-    }
-    buf.freeze()
-}
-
-/// Deserialize a stream written by [`encode_batches`].
-pub fn decode_batches(bytes: &Bytes) -> Result<Vec<RecordBatch>> {
-    let mut r = Reader { src: bytes, pos: 0 };
-    let n = r.u32()? as usize;
-    if n > 1_000_000 {
-        return Err(ColumnarError::Corrupt(format!(
-            "implausible batch count {n}"
-        )));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = r.u32()? as usize;
-        out.push(decode_batch(&r.bytes_shared(len)?)?);
-    }
-    if r.remaining() != 0 {
-        return Err(ColumnarError::Corrupt(
-            "trailing bytes after batch stream".into(),
-        ));
-    }
-    Ok(out)
-}
-
 // ---------------------------------------------------------------------------
 // Frame stream: the streaming boundary's unit of transfer.
 // ---------------------------------------------------------------------------
@@ -584,7 +550,7 @@ impl FrameDecoder {
 }
 
 /// Decode a fully-buffered frame sequence (convenience over
-/// [`FrameDecoder`] for tests and the buffered compatibility path).
+/// [`FrameDecoder`] for tests).
 pub fn decode_frames(bytes: &Bytes) -> Result<Vec<Frame>> {
     let mut dec = FrameDecoder::new();
     dec.feed(bytes);
@@ -719,18 +685,6 @@ mod tests {
             data_ptr >= enc_start && data_ptr + utf8.data.len() <= enc_start + enc.len(),
             "utf8 data was copied out of the wire buffer"
         );
-    }
-
-    #[test]
-    fn batch_stream_roundtrip() {
-        let b = mixed_batch();
-        let enc = encode_batches(&[b.clone(), b.clone(), b.clone()]);
-        let back = decode_batches(&enc).unwrap();
-        assert_eq!(back.len(), 3);
-        assert_eq!(back[2].num_rows(), 3);
-        // Empty stream.
-        let enc = encode_batches(&[]);
-        assert!(decode_batches(&enc).unwrap().is_empty());
     }
 
     #[test]

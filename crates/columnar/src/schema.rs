@@ -98,11 +98,6 @@ impl Schema {
             })
     }
 
-    /// The field named `name`.
-    pub fn field_by_name(&self, name: &str) -> Result<&Field> {
-        self.index_of(name).map(|i| &self.fields[i])
-    }
-
     /// A new schema keeping only columns at `indices`, in that order.
     pub fn project(&self, indices: &[usize]) -> Result<Schema> {
         let mut fields = Vec::with_capacity(indices.len());
@@ -159,7 +154,6 @@ mod tests {
     fn lookup_by_name() {
         let s = sample();
         assert_eq!(s.index_of("b").unwrap(), 1);
-        assert_eq!(s.field_by_name("c").unwrap().data_type, DataType::Utf8);
         let err = s.index_of("zzz").unwrap_err();
         assert!(err.to_string().contains("zzz"));
     }

@@ -129,20 +129,6 @@ pub fn top_n(batch: &RecordBatch, keys: &[SortKey], n: usize) -> Result<RecordBa
     take_batch(batch, &indices)
 }
 
-/// Merge already-sorted batches into one sorted batch, keeping at most
-/// `limit` rows when given — the final-stage combine for distributed top-N.
-pub fn merge_sorted(
-    batches: &[RecordBatch],
-    keys: &[SortKey],
-    limit: Option<usize>,
-) -> Result<RecordBatch> {
-    let all = RecordBatch::concat(batches)?;
-    match limit {
-        Some(n) => top_n(&all, keys, n),
-        None => sort_batch(&all, keys),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,15 +222,16 @@ mod tests {
         assert!(top_n(&b, &[SortKey::asc(9)], 1).is_err());
     }
 
+    /// The distributed combine as the engines perform it: concatenate the
+    /// per-split sorted runs, then top-N (or full sort) the lot.
     #[test]
     fn merge_sorted_respects_limit() {
         let b1 = sort_batch(&batch(vec![5, 1, 3], vec![0.0; 3]), &[SortKey::asc(0)]).unwrap();
         let b2 = sort_batch(&batch(vec![4, 2, 6], vec![0.0; 3]), &[SortKey::asc(0)]).unwrap();
-        let m = merge_sorted(&[b1, b2], &[SortKey::asc(0)], Some(4)).unwrap();
+        let all = RecordBatch::concat(&[b1, b2]).unwrap();
+        let m = top_n(&all, &[SortKey::asc(0)], 4).unwrap();
         assert_eq!(m.column(0).as_i64().unwrap().values, vec![1, 2, 3, 4]);
-        let b1 = sort_batch(&batch(vec![5, 1, 3], vec![0.0; 3]), &[SortKey::asc(0)]).unwrap();
-        let b2 = sort_batch(&batch(vec![4, 2, 6], vec![0.0; 3]), &[SortKey::asc(0)]).unwrap();
-        let m = merge_sorted(&[b1, b2], &[SortKey::asc(0)], None).unwrap();
+        let m = sort_batch(&all, &[SortKey::asc(0)]).unwrap();
         assert_eq!(m.column(0).as_i64().unwrap().values, vec![1, 2, 3, 4, 5, 6]);
     }
 }

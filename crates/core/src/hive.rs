@@ -18,7 +18,6 @@ use dsq::spi::{
     BufferedPageStream, Connector, ConnectorPlanOptimizer, DefaultSplitManager, DefaultTableHandle,
     OptimizerContext, PageSourceProvider, PageSourceResult, Split, SplitManager, TableHandle,
 };
-use lzcodec::CodecKind;
 use netsim::{ClusterSpec, CostParams, ExecStats, Work};
 use objstore::{ObjectStore, SelectPredicate, SelectRequest};
 
@@ -198,15 +197,6 @@ impl PageSourceProvider for HivePageSourceProvider {
         let resp = objstore::select(&self.store, &split.bucket, &split.key, &request)
             .map_err(|e| EngineError::Connector(e.to_string()))?;
 
-        // Codec of the object (for decompression billing).
-        let codec = self
-            .store
-            .get_object(&split.bucket, &split.key)
-            .ok()
-            .and_then(|b| parq::ParqReader::open(b).ok())
-            .map(|r| r.codec())
-            .unwrap_or(CodecKind::None);
-
         // Storage side: decode + filter evaluation (that is the "Select"
         // compute the storage layer performs).
         let filter_weight: f64 = handle
@@ -224,10 +214,7 @@ impl PageSourceProvider for HivePageSourceProvider {
             expr: 0.0,
         };
         let storage_cpu_s = self.cluster.storage.core_seconds_for(storage_work);
-        let storage_decompress_s = match codec {
-            CodecKind::None => 0.0,
-            other => resp.stats.uncompressed_bytes as f64 / (other.spec().decompress_gbps * 1e9),
-        };
+        let storage_decompress_s = resp.codec.decompress_seconds(resp.stats.uncompressed_bytes);
         let compute_deser_s = self.cluster.compute.core_seconds_for(Work::decode(
             resp.stats.returned_bytes as f64 * self.cost.byte_deser,
         ));
@@ -373,5 +360,79 @@ mod tests {
             &out[0],
             SelectPredicate::Compare { op: CmpOp::Lt, .. }
         ));
+    }
+
+    /// Decompression is billed from the codec the select call saw — one
+    /// open of the object, and never silently zero for a compressed file.
+    #[test]
+    fn compressed_split_bills_storage_decompression() {
+        use lzcodec::CodecKind;
+
+        let store = Arc::new(ObjectStore::new());
+        store.create_bucket("lake").unwrap();
+        let schema = schema();
+        let batch = columnar::RecordBatch::try_new(
+            schema.clone(),
+            vec![
+                Arc::new(columnar::Array::from_f64(
+                    (0..4000).map(|i| i as f64 / 7.0).collect(),
+                )),
+                Arc::new(columnar::Array::from_strs((0..4000).map(|i| {
+                    if i % 2 == 0 {
+                        "a"
+                    } else {
+                        "b"
+                    }
+                }))),
+            ],
+        )
+        .unwrap();
+        let bytes = parq::writer::write_file(
+            schema.clone(),
+            &[batch],
+            parq::WriteOptions {
+                codec: CodecKind::Zst,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        store.put_object("lake", "t/0", bytes.into()).unwrap();
+
+        let provider = HivePageSourceProvider {
+            store: store.clone(),
+            cluster: ClusterSpec::paper_testbed(),
+            cost: CostParams::default(),
+        };
+        let request = SelectRequest {
+            projection: Some(vec!["x".into()]),
+            predicates: vec![],
+        };
+        let page = provider
+            .create(&Split {
+                connector: "hive".into(),
+                table: "t".into(),
+                bucket: "lake".into(),
+                key: "t/0".into(),
+                schema: schema.clone(),
+                handle: Arc::new(HiveTableHandle {
+                    projection_names: vec!["x".into()],
+                    projection: vec![0],
+                    predicates: vec![],
+                    output_schema: schema,
+                }),
+                seq: 0,
+            })
+            .unwrap();
+        let mut stream = page.stream;
+        while stream.next_batch().unwrap().is_some() {}
+        let report = stream.finish().unwrap();
+
+        let scanned = objstore::select(&store, "lake", "t/0", &request).unwrap();
+        assert_eq!(scanned.codec, CodecKind::Zst);
+        assert!(report.stats.storage_decompress_s > 0.0);
+        assert_eq!(
+            report.stats.storage_decompress_s,
+            CodecKind::Zst.decompress_seconds(scanned.stats.uncompressed_bytes)
+        );
     }
 }

@@ -9,9 +9,8 @@ use dsq::session::{EventListener, QueryEvent};
 use netsim::ExecStats;
 use sync::DebugMutex;
 
-/// One remembered execution. Streaming metrics (time to first batch, peak
-/// buffer, frames) and the phase breakdown are derived from the query's
-/// span tree rather than carried as dedicated event fields.
+/// One remembered execution, copied out of the finished
+/// [`dsq::QueryResult`] the event borrows.
 #[derive(Debug, Clone)]
 pub struct HistoryEntry {
     /// The operator chain that ran.
@@ -29,14 +28,11 @@ pub struct HistoryEntry {
     /// Storage-side statistics of the query (late-materialization and
     /// cache counters among them), as the event carried them.
     pub stats: ExecStats,
-    /// Pipeline completion time of the earliest batch frame (from the
-    /// `split_phase` span's `time_to_first_batch_s` attribute).
+    /// Pipeline completion time of the earliest batch frame.
     pub time_to_first_batch_s: f64,
-    /// Peak encoded bytes buffered engine-side across split streams (from
-    /// the `split_phase` span).
+    /// Peak encoded bytes buffered engine-side across split streams.
     pub peak_buffered_bytes: u64,
-    /// Frames that crossed the storage boundary (from the `split_phase`
-    /// span).
+    /// Frames that crossed the storage boundary.
     pub frames: u64,
     /// Per-phase `(label, simulated seconds)` — the root span's direct
     /// phase children, in execution order. Empty when tracing was off.
@@ -240,20 +236,19 @@ impl PushdownMonitor {
 }
 
 impl EventListener for PushdownMonitor {
-    fn query_completed(&self, event: &QueryEvent) {
+    fn query_completed(&self, event: &QueryEvent<'_>) {
         let m = obs::metrics();
         m.counter("connector.queries").inc();
         if event.pushed {
             m.counter("connector.pushdown_hits").inc();
         }
-        // Streaming metrics ride on the split_phase span; the per-phase
-        // breakdown is the root span's direct phase children.
-        let split = event.trace.find("split_phase");
-        let breakdown = event
+        let result = event.result;
+        // The per-phase breakdown is the root span's direct phase children.
+        let breakdown = result
             .trace
             .root()
             .map(|root| {
-                event
+                result
                     .trace
                     .children(root.id)
                     .into_iter()
@@ -263,20 +258,16 @@ impl EventListener for PushdownMonitor {
             })
             .unwrap_or_default();
         self.history.lock().push(HistoryEntry {
-            chain: event.chain.clone(),
-            scan_handle: event.scan_handle.clone(),
-            seconds: event.simulated_seconds,
-            moved_bytes: event.moved_bytes,
-            result_rows: event.result_rows,
+            chain: result.chain.clone(),
+            scan_handle: event.scan_handle.to_string(),
+            seconds: result.simulated_seconds,
+            moved_bytes: result.moved_bytes,
+            result_rows: result.batch.num_rows() as u64,
             pushed: event.pushed,
-            stats: event.stats.clone(),
-            time_to_first_batch_s: split
-                .and_then(|s| s.attr_f64("time_to_first_batch_s"))
-                .unwrap_or(0.0),
-            peak_buffered_bytes: split
-                .and_then(|s| s.attr_u64("peak_buffered_bytes"))
-                .unwrap_or(0),
-            frames: split.and_then(|s| s.attr_u64("frames")).unwrap_or(0),
+            stats: result.stats.clone(),
+            time_to_first_batch_s: result.pipeline.time_to_first_batch_s,
+            peak_buffered_bytes: result.pipeline.peak_buffered_bytes,
+            frames: result.pipeline.frames,
             breakdown,
         });
     }
@@ -285,30 +276,27 @@ impl EventListener for PushdownMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use columnar::prelude::*;
+    use dsq::QueryResult;
     use std::sync::Arc;
 
-    fn event(pushed: bool, bytes: u64, secs: f64) -> QueryEvent {
-        // A minimal span tree shaped like the engine's: root "query" with
-        // phase children, split_phase carrying the streaming attrs.
+    /// A finished query shaped like the engine's: a span tree with root
+    /// "query" and phase children, streaming numbers on `pipeline`.
+    fn result(pushed: bool, bytes: u64, secs: f64) -> QueryResult {
         let t = obs::Tracer::new();
         let root = t.record("query", "phase", None, 0.0, secs);
         t.record("Others", "phase", Some(root), 0.0, secs * 0.25);
-        let sp = t.record("split_phase", "phase", Some(root), secs * 0.25, secs);
-        t.attr(sp, "time_to_first_batch_s", 0.25);
-        t.attr(sp, "peak_buffered_bytes", bytes / 4);
-        t.attr(sp, "frames", 12u64);
-        QueryEvent {
-            sql: "SELECT 1".into(),
-            chain: "TableScan".into(),
+        t.record("split_phase", "phase", Some(root), secs * 0.25, secs);
+        QueryResult {
+            batch: RecordBatch::try_new(
+                Arc::new(Schema::new(vec![Field::new("x", DataType::Int64, false)])),
+                vec![Arc::new(Array::from_i64(vec![1]))],
+            )
+            .unwrap(),
+            ledger: netsim::Ledger::new(),
             simulated_seconds: secs,
             moved_bytes: bytes,
-            result_rows: 1,
-            scan_handle: if pushed {
-                "ocs columns=[0] pushed=[Filter]".into()
-            } else {
-                "ocs columns=[0]".into()
-            },
-            pushed,
+            splits: 1,
             stats: if pushed {
                 ExecStats {
                     row_groups_skipped: 3,
@@ -320,16 +308,38 @@ mod tests {
             } else {
                 ExecStats::default()
             },
+            logical_plan: String::new(),
+            optimized_plan: String::new(),
+            chain: "TableScan".into(),
+            pipeline: netsim::SplitPhase {
+                time_to_first_batch_s: 0.25,
+                peak_buffered_bytes: bytes / 4,
+                frames: 12,
+                ..Default::default()
+            },
             trace: Arc::new(t.finish()),
             profile: Arc::new(obs::Profile::default()),
         }
+    }
+
+    fn complete(m: &PushdownMonitor, pushed: bool, bytes: u64, secs: f64) {
+        m.query_completed(&QueryEvent {
+            sql: "SELECT 1",
+            scan_handle: if pushed {
+                "ocs columns=[0] pushed=[Filter]"
+            } else {
+                "ocs columns=[0]"
+            },
+            pushed,
+            result: &result(pushed, bytes, secs),
+        });
     }
 
     #[test]
     fn sliding_window_evicts_oldest() {
         let m = PushdownMonitor::new(3);
         for i in 0..5 {
-            m.query_completed(&event(i % 2 == 0, i, i as f64));
+            complete(&m, i % 2 == 0, i, i as f64);
         }
         m.with_history(|h| {
             assert_eq!(h.len(), 3);
@@ -341,8 +351,8 @@ mod tests {
     #[test]
     fn rates_and_means() {
         let m = PushdownMonitor::new(10);
-        m.query_completed(&event(true, 100, 2.0));
-        m.query_completed(&event(false, 300, 4.0));
+        complete(&m, true, 100, 2.0);
+        complete(&m, false, 300, 4.0);
         m.with_history(|h| {
             assert!(!h.is_empty());
             assert_eq!(h.pushdown_rate(), 0.5);
@@ -355,7 +365,7 @@ mod tests {
             assert_eq!(h.mean_time_to_first_batch_s(), 0.25);
             assert_eq!(h.max_peak_buffered_bytes(), 75);
             assert_eq!(h.mean_frames_per_query(), 12.0);
-            // Derived from the span tree, not dedicated event fields.
+            // Derived from the span tree.
             let e = h.entries().next().expect("entry");
             assert_eq!(e.breakdown.len(), 2);
             assert_eq!(e.breakdown[0].0, "Others");
@@ -382,7 +392,7 @@ mod tests {
         for i in [
             7, 1, 20, 3, 14, 2, 19, 5, 10, 4, 13, 6, 18, 8, 11, 9, 16, 12, 17, 15,
         ] {
-            m.query_completed(&event(true, 0, i as f64));
+            complete(&m, true, 0, i as f64);
         }
         m.with_history(|h| {
             assert_eq!(h.p50_seconds(), 10.0);
@@ -392,7 +402,7 @@ mod tests {
             assert!(s.contains("p95 19.000s"), "{s}");
         });
         let one = PushdownMonitor::new(5);
-        one.query_completed(&event(true, 0, 2.5));
+        complete(&one, true, 0, 2.5);
         one.with_history(|h| {
             assert_eq!(h.p50_seconds(), 2.5);
             assert_eq!(h.p95_seconds(), 2.5);
@@ -410,7 +420,7 @@ mod tests {
                 let m = m.clone();
                 std::thread::spawn(move || {
                     for i in 0..100 {
-                        m.query_completed(&event(t % 2 == 0, i, i as f64 + 1.0));
+                        complete(&m, t % 2 == 0, i, i as f64 + 1.0);
                     }
                 })
             })

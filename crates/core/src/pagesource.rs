@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 use columnar::{RecordBatch, Schema};
 use dsq::error::{EResult, EngineError};
-use dsq::spi::{PageMetrics, PageSourceProvider, PageSourceResult, PageStream, Split};
-use netsim::{ClusterSpec, CostParams, Work};
+use dsq::spi::{PageSourceProvider, PageSourceResult, PageStream, Split};
+use netsim::{ClusterSpec, CostParams, SplitReport, Work};
 use ocs::{BatchStream, OcsClient, OcsError};
 
 use crate::handle::OcsTableHandle;
@@ -47,7 +47,7 @@ fn map_ocs_err(e: OcsError) -> EngineError {
 
 /// A [`PageStream`] over the OCS streaming boundary: each `next_batch`
 /// pulls one framed batch through the client's bounded in-flight window;
-/// `finish` converts the stream trailer into engine-side accounting.
+/// `finish` adds the engine-side deserialization bill to the stream's report.
 struct OcsPageStream {
     stream: BatchStream,
     cluster: ClusterSpec,
@@ -59,21 +59,13 @@ impl PageStream for OcsPageStream {
         self.stream.next_batch().map_err(map_ocs_err)
     }
 
-    fn finish(self: Box<Self>) -> EResult<PageMetrics> {
-        let this = *self;
-        let summary = this.stream.finish().map_err(map_ocs_err)?;
+    fn finish(self: Box<Self>) -> EResult<SplitReport> {
+        let mut report = self.stream.finish().map_err(map_ocs_err)?;
         // Engine-side deserialization of the framed Arrow payload.
-        let compute_deser_s = this.cluster.compute.core_seconds_for(Work::decode(
-            summary.response_bytes as f64 * this.cost.byte_deser,
+        report.compute_deser_s = self.cluster.compute.core_seconds_for(Work::decode(
+            report.response_bytes() as f64 * self.cost.byte_deser,
         ));
-        Ok(PageMetrics {
-            stats: summary.stats,
-            network_bytes: summary.request_bytes + summary.response_bytes,
-            network_requests: 1,
-            compute_deser_s,
-            frames: summary.timings,
-            peak_buffered_bytes: summary.peak_buffered_bytes,
-        })
+        Ok(report)
     }
 }
 
@@ -223,9 +215,10 @@ mod tests {
         }
         assert_eq!(rows, 100);
         assert_eq!(cols, 2);
-        let metrics = stream.finish().unwrap();
-        assert_eq!(metrics.stats.rows_returned, 100);
-        assert!(metrics.frames.len() >= 3, "schema + batches + trailer");
+        let report = stream.finish().unwrap();
+        assert_eq!(report.stats.rows_returned, 100);
+        assert!(report.frames.len() >= 3, "schema + batches + trailer");
+        assert!(report.compute_deser_s > 0.0);
     }
 
     #[test]

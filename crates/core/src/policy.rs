@@ -92,16 +92,6 @@ impl PushdownPolicy {
             ..Self::none()
         }
     }
-
-    /// A *cost-aware* variant of [`PushdownPolicy::all`]: expression
-    /// projections heavier than `weight` are declined (the adaptive
-    /// behaviour the paper's future-work section calls for).
-    pub fn cost_aware(weight: u32) -> Self {
-        PushdownPolicy {
-            max_project_weight: weight,
-            ..Self::all()
-        }
-    }
 }
 
 impl Default for PushdownPolicy {
@@ -125,7 +115,6 @@ mod tests {
         let fpa = PushdownPolicy::filter_project_aggregate();
         assert!(fpa.aggregate && !fpa.topn);
         assert!(!PushdownPolicy::none().filter);
-        assert_eq!(PushdownPolicy::cost_aware(6).max_project_weight, 6);
         assert_eq!(PushdownPolicy::default(), PushdownPolicy::all());
     }
 }

@@ -10,7 +10,6 @@ use dsq::spi::{
     BufferedPageStream, Connector, DefaultSplitManager, DefaultTableHandle, PageSourceProvider,
     PageSourceResult, Split, SplitManager,
 };
-use lzcodec::CodecKind;
 use netsim::{ClusterSpec, CostParams, ExecStats, Work};
 use objstore::ObjectStore;
 use parq::ParqReader;
@@ -92,15 +91,11 @@ impl PageSourceProvider for RawPageSourceProvider {
         // Compute side: decompression (if any) + columnar decode of the
         // columns the query needs, all at the compute layer.
         let uncompressed: u64 = batches.iter().map(|b| b.byte_size() as u64).sum();
-        let decompress_s = match reader.codec() {
-            CodecKind::None => 0.0,
-            other => uncompressed as f64 / (other.spec().decompress_gbps * 1e9),
-        };
         let compute_deser_s = self
             .cluster
             .compute
             .core_seconds_for(Work::decode(uncompressed as f64 * self.cost.byte_decode))
-            + decompress_s;
+            + reader.codec().decompress_seconds(uncompressed);
 
         let rows: u64 = batches.iter().map(|b| b.num_rows() as u64).sum();
         // A raw GET is one monolithic fetch: the stream reports a single
@@ -174,11 +169,11 @@ mod tests {
         }
         assert_eq!(cols, 1, "only col 0 decoded");
         assert_eq!(rows, 5000);
-        let metrics = stream.finish().unwrap();
-        assert_eq!(metrics.network_bytes, object_size, "entire file moved");
-        assert!(metrics.compute_deser_s > 0.0);
-        assert_eq!(metrics.stats.storage_decompress_s, 0.0);
-        assert_eq!(metrics.frames.len(), 1, "monolithic fetch = one frame");
-        assert_eq!(metrics.peak_buffered_bytes, object_size);
+        let report = stream.finish().unwrap();
+        assert_eq!(report.network_bytes, object_size, "entire file moved");
+        assert!(report.compute_deser_s > 0.0);
+        assert_eq!(report.stats.storage_decompress_s, 0.0);
+        assert_eq!(report.frames.len(), 1, "monolithic fetch = one frame");
+        assert_eq!(report.peak_buffered_bytes, object_size);
     }
 }

@@ -113,11 +113,6 @@ impl Metastore {
             .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
     }
 
-    /// All table names.
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.read().keys().cloned().collect()
-    }
-
     /// Re-register the same table under a different connector (used by the
     /// benchmarks to compare Raw / Hive / OCS access paths to one dataset).
     pub fn rebind_connector(&self, table: &str, connector: &str) -> EResult<()> {
@@ -172,7 +167,6 @@ mod tests {
         assert!(m.table("points").is_ok());
         assert!(m.table("POINTS").is_ok());
         assert!(matches!(m.table("nope"), Err(EngineError::UnknownTable(_))));
-        assert_eq!(m.table_names(), vec!["points"]);
         assert_eq!(m.table("points").unwrap().total_bytes(), 350);
     }
 

@@ -42,5 +42,4 @@ pub mod session;
 pub mod spi;
 
 pub use error::{EResult, EngineError};
-pub use exec::PipelineSummary;
 pub use session::{Engine, EngineBuilder, QueryEvent, QueryResult, StatementOutput};

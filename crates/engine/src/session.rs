@@ -18,42 +18,25 @@ use crate::plan::LogicalPlan;
 use crate::spi::{Connector, OptimizerContext};
 
 /// Event emitted after every query (Presto's `EventListener` mechanism,
-/// which the paper's connector uses for pushdown monitoring).
-#[derive(Debug, Clone)]
-pub struct QueryEvent {
+/// which the paper's connector uses for pushdown monitoring): the finished
+/// result, borrowed, plus what only the plan knows.
+#[derive(Debug, Clone, Copy)]
+pub struct QueryEvent<'a> {
     /// The SQL text.
-    pub sql: String,
-    /// Operator chain of the *optimized* plan.
-    pub chain: String,
-    /// Total simulated seconds.
-    pub simulated_seconds: f64,
-    /// Bytes moved storage → compute.
-    pub moved_bytes: u64,
-    /// Rows returned to the client.
-    pub result_rows: u64,
+    pub sql: &'a str,
     /// Description of the scan handle (reveals what was pushed down).
-    pub scan_handle: String,
+    pub scan_handle: &'a str,
     /// Whether the scan handle pushed any operators into storage
     /// ([`crate::spi::TableHandle::pushes_operators`]).
     pub pushed: bool,
-    /// Storage-side statistics, summed over the query's splits: row groups
-    /// skipped and bytes never decoded by late materialization, cache hits
-    /// and bytes the caches kept off the ledger, rows, core-seconds.
-    /// `spans` is empty — the span tree is `trace`.
-    pub stats: ExecStats,
-    /// The query's span tree on the simulated clock. Phase breakdowns,
-    /// time-to-first-batch and peak buffered bytes are all derivable from
-    /// it (see `split_phase` attrs). Empty when tracing is disabled.
-    pub trace: Arc<obs::Trace>,
-    /// Per-resource utilization timelines over the split phase (the input
-    /// to bottleneck attribution; empty when no split work ran).
-    pub profile: Arc<obs::Profile>,
+    /// Everything the query reported back.
+    pub result: &'a QueryResult,
 }
 
 /// Observer of query completion.
 pub trait EventListener: Send + Sync {
     /// Called once per successfully executed query.
-    fn query_completed(&self, event: &QueryEvent);
+    fn query_completed(&self, event: &QueryEvent<'_>);
 }
 
 /// A finished query.
@@ -67,19 +50,22 @@ pub struct QueryResult {
     pub simulated_seconds: f64,
     /// Bytes moved storage → compute.
     pub moved_bytes: u64,
-    /// Link round trips.
-    pub moved_requests: u64,
     /// Splits executed.
     pub splits: usize,
+    /// Storage-side statistics, summed over the query's splits: row groups
+    /// skipped and bytes never decoded by late materialization, cache hits
+    /// and bytes the caches kept off the ledger, rows, core-seconds.
+    /// `spans` is empty — the span tree is `trace`.
+    pub stats: ExecStats,
     /// Pretty-printed logical plan (pre-optimization).
     pub logical_plan: String,
     /// Pretty-printed optimized plan (post connector pushdown).
     pub optimized_plan: String,
     /// Operator chain string (Table 2 style).
     pub chain: String,
-    /// Split-phase scheduling report (overlapped vs. additive makespan,
+    /// The priced split phase (overlapped vs. additive makespan,
     /// streaming observability).
-    pub pipeline: crate::exec::PipelineSummary,
+    pub pipeline: netsim::SplitPhase,
     /// The query's span tree on the simulated clock (empty when tracing
     /// is disabled).
     pub trace: Arc<obs::Trace>,
@@ -221,25 +207,30 @@ impl Engine {
     /// query and the optimized plan.
     pub fn plan(&self, sql: &str) -> EResult<(AnalyzedQuery, LogicalPlan)> {
         let query = sqlparse::parse(sql)?;
-        self.plan_parsed(&query)
+        let (analyzed, plan, _) = self.plan_parsed(&query)?;
+        Ok((analyzed, plan))
     }
 
-    fn plan_parsed(&self, query: &Query) -> EResult<(AnalyzedQuery, LogicalPlan)> {
+    /// Analyze, run the global optimizer, then the scan connector's local
+    /// hook. Also returns the node count of the plan the hook was handed —
+    /// the traversal that plan-analysis billing charges for, whether or
+    /// not a hook is present.
+    fn plan_parsed(&self, query: &Query) -> EResult<(AnalyzedQuery, LogicalPlan, usize)> {
         let analyzed = analyze(query, &self.metastore)?;
         let plan = optimizer::optimize(analyzed.plan.clone())?;
+        let traversed_nodes = plan.node_count();
         // Connector-specific local optimization (the paper's hook). A
         // connector rewrite is a rule like any other: it must preserve the
         // plan's output schema, so it runs under the same differential
         // invariant check as the global rules.
-        let baseline = plan.schema()?;
-        let scan_connector = plan.scan().connector.clone();
-        let plan = match self
+        let hook = self
             .connectors
             .read()
-            .get(&scan_connector)
-            .and_then(|c| c.plan_optimizer())
-        {
+            .get(&plan.scan().connector)
+            .and_then(|c| c.plan_optimizer());
+        let plan = match hook {
             Some(opt) => {
+                let baseline = plan.schema()?;
                 let ctx = OptimizerContext {
                     metastore: &self.metastore,
                     cost: &self.cost,
@@ -248,7 +239,7 @@ impl Engine {
             }
             None => plan,
         };
-        Ok((analyzed, plan))
+        Ok((analyzed, plan, traversed_nodes))
     }
 
     /// Execute a SQL query end to end.
@@ -274,7 +265,7 @@ impl Engine {
                 )?)))
             }
             StatementKind::Explain => {
-                let (_, plan) = self.plan_parsed(&stmt.query)?;
+                let (_, plan, _) = self.plan_parsed(&stmt.query)?;
                 Ok(StatementOutput::Text(format!(
                     "EXPLAIN\nquery: {}\n\n{plan}",
                     sql.trim()
@@ -371,34 +362,14 @@ impl Engine {
         tracer: &obs::Tracer,
     ) -> EResult<QueryResult> {
         let flight_start = obs::flight().cursor();
-        let analyzed = analyze(query, &self.metastore)?;
+        let (analyzed, plan, traversed_nodes) = self.plan_parsed(query)?;
         let logical_plan = analyzed.plan.to_string();
-
-        let pre = optimizer::optimize(analyzed.plan.clone())?;
-        // Bill the connector plan traversal (Table 3 "Logical Plan
-        // Analysis") even when no connector hook is present, since the
-        // traversal itself always happens.
-        let analysis_work = self.cost.plan_node_analyze * pre.node_count() as f64;
-
-        let baseline = pre.schema()?;
-        let scan_connector = pre.scan().connector.clone();
-        let connectors = self.connectors.read().clone();
-        let plan = match connectors
-            .get(&scan_connector)
-            .and_then(|c| c.plan_optimizer())
-        {
-            Some(opt) => {
-                let ctx = OptimizerContext {
-                    metastore: &self.metastore,
-                    cost: &self.cost,
-                };
-                optimizer::checked("connector pushdown", &baseline, opt.optimize(pre, &ctx)?)?
-            }
-            None => pre,
-        };
+        // Table 3's "Logical Plan Analysis".
+        let analysis_work = self.cost.plan_node_analyze * traversed_nodes as f64;
         let optimized_plan = plan.to_string();
         let chain = plan.chain_description();
 
+        let connectors = self.connectors.read().clone();
         let outcome = execute_plan(
             &plan,
             &self.metastore,
@@ -441,33 +412,18 @@ impl Engine {
 
         let m = obs::metrics();
         m.counter("engine.queries").inc();
-        m.counter("engine.moved_bytes").add(outcome.moved_bytes);
+        m.counter("engine.moved_bytes")
+            .add(outcome.pipeline.moved_bytes);
         m.counter("engine.result_rows").add(batch.num_rows() as u64);
         m.histogram("engine.simulated_seconds", obs::metrics::SECONDS_BUCKETS)
             .observe(simulated_seconds);
 
-        let event = QueryEvent {
-            sql: sql.to_string(),
-            chain: chain.clone(),
-            simulated_seconds,
-            moved_bytes: outcome.moved_bytes,
-            result_rows: batch.num_rows() as u64,
-            scan_handle: plan.scan().handle.describe(),
-            pushed: plan.scan().handle.pushes_operators(),
-            stats: outcome.stats,
-            trace: trace.clone(),
-            profile: profile.clone(),
-        };
-        for l in self.listeners.read().iter() {
-            l.query_completed(&event);
-        }
-
-        Ok(QueryResult {
+        let result = QueryResult {
             batch,
             simulated_seconds,
-            moved_bytes: outcome.moved_bytes,
-            moved_requests: outcome.moved_requests,
+            moved_bytes: outcome.pipeline.moved_bytes,
             splits: outcome.splits,
+            stats: outcome.stats,
             ledger: outcome.ledger,
             logical_plan,
             optimized_plan,
@@ -475,6 +431,18 @@ impl Engine {
             pipeline: outcome.pipeline,
             trace,
             profile,
-        })
+        };
+        let handle = &plan.scan().handle;
+        let scan_handle = handle.describe();
+        let event = QueryEvent {
+            sql,
+            scan_handle: &scan_handle,
+            pushed: handle.pushes_operators(),
+            result: &result,
+        };
+        for l in self.listeners.read().iter() {
+            l.query_completed(&event);
+        }
+        Ok(result)
     }
 }

@@ -8,7 +8,7 @@ use std::fmt::Debug;
 use std::sync::Arc;
 
 use columnar::{RecordBatch, SchemaRef};
-use netsim::{CostParams, ExecStats, FrameTiming};
+use netsim::{CostParams, ExecStats, SplitReport};
 
 use crate::catalog::{Metastore, TableMeta};
 use crate::error::EResult;
@@ -86,37 +86,15 @@ pub struct Split {
     pub seq: usize,
 }
 
-/// Per-split accounting available once a [`PageStream`] has been fully
-/// consumed. Resource counters are consolidated in the shared
-/// [`ExecStats`] (carried in the stream trailer by streaming connectors);
-/// `frames` holds the per-frame timeline the engine's pipeline scheduler
-/// composes into an overlapped makespan.
-#[derive(Debug, Clone, Default)]
-pub struct PageMetrics {
-    /// Consolidated storage/frontend execution statistics.
-    pub stats: ExecStats,
-    /// Bytes that crossed the storage→compute link for this split
-    /// (request + response directions).
-    pub network_bytes: u64,
-    /// Request/response exchanges on the link.
-    pub network_requests: u64,
-    /// Core-seconds of result deserialization on the compute node.
-    pub compute_deser_s: f64,
-    /// Per-frame simulated timings, in wire order.
-    pub frames: Vec<FrameTiming>,
-    /// Peak encoded bytes buffered engine-side while draining the stream.
-    pub peak_buffered_bytes: u64,
-}
-
 /// A lazy batch stream for one split: the engine's split workers pull
 /// batches one at a time through the streaming operator path, overlapping
 /// consumption with production instead of materializing the whole result.
 pub trait PageStream: Send {
     /// Next decoded batch, or `None` at end of stream.
     fn next_batch(&mut self) -> EResult<Option<RecordBatch>>;
-    /// Consume the stream and return its accounting. Call after
+    /// Consume the stream and return the split's report. Call after
     /// `next_batch` returns `None`.
-    fn finish(self: Box<Self>) -> EResult<PageMetrics>;
+    fn finish(self: Box<Self>) -> EResult<SplitReport>;
 }
 
 /// What a page source returns for one split: a lazy batch stream plus the
@@ -130,15 +108,14 @@ pub struct PageSourceResult {
     pub substrait_gen_s: f64,
 }
 
-/// Compatibility stream for whole-result connectors (raw GET, S3-Select
-/// style): every batch is materialized up front, so the stream reports a
-/// single indivisible frame — peak buffering equals the full payload and
-/// the pipeline scheduler sees no intra-split overlap, which is exactly
+/// Stream for whole-result connectors (raw GET, S3-Select style): every
+/// batch is materialized up front and the split reports as
+/// [`SplitReport::monolithic`] — one indivisible frame, which is exactly
 /// how a monolithic fetch behaves.
 #[derive(Debug)]
 pub struct BufferedPageStream {
     batches: VecDeque<RecordBatch>,
-    metrics: PageMetrics,
+    report: SplitReport,
 }
 
 impl BufferedPageStream {
@@ -151,26 +128,14 @@ impl BufferedPageStream {
         network_requests: u64,
         compute_deser_s: f64,
     ) -> Box<Self> {
-        let frame = FrameTiming {
-            bytes: network_bytes,
-            disk_bytes: stats.disk_bytes,
-            decompress_s: stats.storage_decompress_s,
-            storage_s: stats.storage_cpu_s,
-            frontend_s: stats.frontend_cpu_s,
-            compute_s: 0.0,
-            is_batch: true,
-            input_chunks: 1,
-        };
         Box::new(BufferedPageStream {
             batches: batches.into(),
-            metrics: PageMetrics {
+            report: SplitReport::monolithic(
                 stats,
                 network_bytes,
                 network_requests,
                 compute_deser_s,
-                frames: vec![frame],
-                peak_buffered_bytes: network_bytes,
-            },
+            ),
         })
     }
 }
@@ -180,8 +145,8 @@ impl PageStream for BufferedPageStream {
         Ok(self.batches.pop_front())
     }
 
-    fn finish(self: Box<Self>) -> EResult<PageMetrics> {
-        Ok(self.metrics)
+    fn finish(self: Box<Self>) -> EResult<SplitReport> {
+        Ok(self.report)
     }
 }
 

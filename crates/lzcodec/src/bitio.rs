@@ -42,11 +42,6 @@ impl BitWriter {
     pub fn finish(self) -> Vec<u8> {
         self.bytes
     }
-
-    /// Number of whole bytes that would be produced now.
-    pub fn byte_len(&self) -> usize {
-        self.bytes.len()
-    }
 }
 
 /// Reads bits LSB-first from a byte slice.

@@ -341,7 +341,8 @@ mod tests {
         for &s in &symbols {
             table.encode(&mut w, s as usize).unwrap();
         }
-        assert!(w.byte_len() < 10_000 / 3, "got {}", w.byte_len());
+        let packed = w.finish().len();
+        assert!(packed < 10_000 / 3, "got {packed}");
         roundtrip_symbols(&symbols, 256);
     }
 

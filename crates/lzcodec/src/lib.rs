@@ -150,6 +150,15 @@ impl CodecKind {
             },
         }
     }
+
+    /// Single-core seconds the cost model bills for decompressing to
+    /// `uncompressed_bytes` of output (zero for [`CodecKind::None`]).
+    pub fn decompress_seconds(&self, uncompressed_bytes: u64) -> f64 {
+        match self {
+            CodecKind::None => 0.0,
+            other => uncompressed_bytes as f64 / (other.spec().decompress_gbps * 1e9),
+        }
+    }
 }
 
 impl fmt::Display for CodecKind {

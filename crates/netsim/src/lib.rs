@@ -10,10 +10,11 @@
 //!   an engine-efficiency factor);
 //! * every **disk read** bills (compressed) bytes to a [`DiskSpec`];
 //! * every **network transfer** bills bytes + a per-request latency to a
-//!   [`LinkSpec`], and increments the data-movement [`ByteMeter`] the
-//!   figures report;
-//! * per-split times are combined into stage times with an LPT
-//!   [`makespan`] over the node's parallel lanes.
+//!   [`LinkSpec`] and counts toward the data movement the figures report;
+//! * every finished split is one [`SplitReport`], and [`split_phase`]
+//!   composes all of a query's reports into one overlapped six-stage
+//!   timeline (disk → decompress → storage CPU → frontend → network →
+//!   compute) whose makespan the [`Ledger`] is billed.
 //!
 //! Execution elsewhere in the workspace is *real* (actual vectorized
 //! kernels over actual data); only *time* comes from this model. That is
@@ -29,11 +30,12 @@ pub mod ledger;
 pub mod meter;
 pub mod sched;
 pub mod spec;
+pub mod split;
 pub mod stats;
 
 pub use cost::CostParams;
 pub use ledger::{Ledger, Phase};
-pub use meter::ByteMeter;
 pub use sched::{makespan, pipeline, pipeline_grouped, PipelineReport};
 pub use spec::{ClusterSpec, DiskSpec, LinkSpec, NodeSpec, Work};
+pub use split::{split_phase, SplitPhase, SplitReport, StageBusy};
 pub use stats::{ExecStats, FrameTiming};

@@ -1,53 +1,5 @@
-//! Data-movement meters: how many bytes crossed the storage→compute link.
-//! This is the red line in the paper's Figure 5.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Lock-free byte/request counter.
-#[derive(Debug, Default)]
-pub struct ByteMeter {
-    bytes: AtomicU64,
-    requests: AtomicU64,
-}
-
-impl ByteMeter {
-    /// New zeroed meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one transfer of `bytes`.
-    pub fn record(&self, bytes: u64) {
-        // RELAXED: independent statistics cells — a momentarily torn
-        // bytes/requests view is fine, nothing else is published.
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        // RELAXED: statistics read; reports don't order against writers.
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    /// Total transfers recorded.
-    pub fn requests(&self) -> u64 {
-        // RELAXED: statistics read; reports don't order against writers.
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// Zero the meter.
-    pub fn reset(&self) {
-        // RELAXED: see `record` — independent statistics cells.
-        self.bytes.store(0, Ordering::Relaxed);
-        self.requests.store(0, Ordering::Relaxed);
-    }
-
-    /// Bytes as fractional gigabytes (for Figure-5-style reporting).
-    pub fn gigabytes(&self) -> f64 {
-        self.bytes() as f64 / 1e9
-    }
-}
+//! Data-movement reporting: bytes that crossed the storage→compute link,
+//! formatted the way the paper's Figure 5 prints them.
 
 /// Format a byte count the way the paper does (GB / MB / KB).
 pub fn human_bytes(bytes: u64) -> String {
@@ -66,35 +18,6 @@ pub fn human_bytes(bytes: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn records_and_resets() {
-        let m = ByteMeter::new();
-        m.record(100);
-        m.record(900);
-        assert_eq!(m.bytes(), 1000);
-        assert_eq!(m.requests(), 2);
-        m.reset();
-        assert_eq!(m.bytes(), 0);
-        assert_eq!(m.requests(), 0);
-    }
-
-    #[test]
-    fn concurrent_recording() {
-        let m = std::sync::Arc::new(ByteMeter::new());
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let m = m.clone();
-                s.spawn(move || {
-                    for _ in 0..10_000 {
-                        m.record(3);
-                    }
-                });
-            }
-        });
-        assert_eq!(m.bytes(), 120_000);
-        assert_eq!(m.requests(), 40_000);
-    }
 
     #[test]
     fn human_formatting() {

@@ -1,14 +1,12 @@
 //! Shared execution-statistics vocabulary of the OCS wire protocol.
 //!
-//! Before the streaming boundary existed, every layer re-declared the same
-//! counters (`WireResponse`, `OcsResponse`, `PageSourceResult` each carried
-//! their own `storage_cpu_s`, `rows_scanned`, …). They are consolidated
-//! here — one [`ExecStats`] struct, produced by the storage side, carried
-//! across the boundary in the stream's *trailer frame*, and consumed by the
-//! engine's ledger — so a new counter is added in exactly one place.
+//! One [`ExecStats`] struct — produced by the storage side, carried across
+//! the boundary in the stream's *trailer frame*, and handed to the engine
+//! inside the split's [`SplitReport`](crate::SplitReport) — so a new
+//! counter is added in exactly one place.
 //!
 //! [`FrameTiming`] is the per-frame companion: the simulated per-stage
-//! seconds of one wire frame, which the engine's `pipeline` scheduler
+//! seconds of one wire frame, which [`split_phase`](crate::split_phase)
 //! composes into an overlapped makespan.
 
 /// Wire-level execution statistics for one request (or, summed, for one

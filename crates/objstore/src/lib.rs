@@ -240,11 +240,6 @@ impl ObjectStore {
             .map(|_| ())
             .ok_or_else(|| StoreError::NoSuchBucket(name.to_string()))
     }
-
-    /// Total bytes stored in a bucket (for dataset-size reporting).
-    pub fn bucket_bytes(&self, bucket: &str) -> Result<u64> {
-        Ok(self.list(bucket, "")?.iter().map(|m| m.size).sum())
-    }
 }
 
 #[cfg(test)]
@@ -350,7 +345,6 @@ mod tests {
             .collect();
         assert_eq!(got, vec!["t/a", "t/b"]);
         assert_eq!(s.list("b", "").unwrap().len(), 4);
-        assert_eq!(s.bucket_bytes("b").unwrap(), 4);
     }
 
     #[test]

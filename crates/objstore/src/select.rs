@@ -66,8 +66,6 @@ pub struct SelectStats {
     pub rows_returned: u64,
     /// Bytes of the result batches (what would cross the network).
     pub returned_bytes: u64,
-    /// Predicate evaluations performed (for CPU billing).
-    pub predicate_evals: u64,
 }
 
 /// A select result: filtered/projected batches plus accounting.
@@ -77,6 +75,8 @@ pub struct SelectResponse {
     pub batches: Vec<RecordBatch>,
     /// Resource accounting.
     pub stats: SelectStats,
+    /// Compression codec of the scanned object (for decompression billing).
+    pub codec: parq::CodecKind,
 }
 
 fn sel_err(e: impl std::fmt::Display) -> StoreError {
@@ -174,7 +174,6 @@ pub fn select(
                     cmp::between_scalar(col, lo, hi).map_err(sel_err)?
                 }
             };
-            stats.predicate_evals += batch.num_rows() as u64;
             mask = Some(match mask {
                 Some(acc) => boolean::and(&acc, &m).map_err(sel_err)?,
                 None => m,
@@ -197,7 +196,11 @@ pub fn select(
             batches.push(result);
         }
     }
-    Ok(SelectResponse { batches, stats })
+    Ok(SelectResponse {
+        batches,
+        stats,
+        codec: reader.codec(),
+    })
 }
 
 #[cfg(test)]
@@ -252,7 +255,6 @@ mod tests {
         assert_eq!(total, 1000);
         assert_eq!(resp.stats.rows_scanned, 1000);
         assert_eq!(resp.stats.rows_returned, 1000);
-        assert_eq!(resp.stats.predicate_evals, 0);
     }
 
     #[test]
@@ -327,6 +329,7 @@ mod tests {
         };
         let resp = select(&s, "lake", "t/part-0", &req).unwrap();
         assert_eq!(resp.stats.rows_returned, 200);
+        assert_eq!(resp.codec, CodecKind::Zst);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! deterministic (spans render in start order, ties by id) so tests can
 //! assert against it.
 
-use crate::span::{AttrValue, Span, SpanId, Trace};
+use crate::span::{AttrValue, Span, Trace};
 
 /// Attribute keys rendered inline after the timing columns, in this
 /// order, when present on a span.
@@ -111,12 +111,6 @@ pub fn render_analyze(sql: &str, trace: &Trace) -> String {
     out
 }
 
-/// Sum the simulated seconds of the direct children of `parent`
-/// (the per-phase total `EXPLAIN ANALYZE` acceptance checks against).
-pub fn child_sum_s(trace: &Trace, parent: SpanId) -> f64 {
-    trace.children(parent).iter().map(|s| s.seconds()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,7 +133,6 @@ mod tests {
         assert!(text.contains("rows=6001215"));
         assert!(text.contains("bytes=3.0 MiB"));
         assert!(text.contains("  agg  sim=1.000000s (25.0%)"));
-        assert!((child_sum_s(&trace, root) - 4.0).abs() < 1e-12);
     }
 
     #[test]

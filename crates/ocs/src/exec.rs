@@ -43,14 +43,6 @@ pub struct ExecutorStats {
     pub wire: ExecStats,
 }
 
-impl ExecutorStats {
-    /// Total work across the serial tail and every scan lane (raw units,
-    /// for monitoring — timing must compose `scan_work` via `makespan`).
-    pub fn total_work(&self) -> Work {
-        self.scan_work.iter().fold(self.work, |acc, w| acc + *w)
-    }
-}
-
 /// Evaluate a Substrait expression against a batch.
 pub fn eval_expr(e: &Expr, batch: &RecordBatch) -> OcsResult<ArrayRef> {
     e.eval(batch).map_err(|e| OcsError::Exec(e.to_string()))
@@ -1058,7 +1050,6 @@ mod tests {
             "skipped groups never decode v and g"
         );
         assert_eq!(stats.scan_work.len(), 10, "one work lane per row group");
-        assert!(stats.total_work().total_units() > 0.0);
     }
 
     #[test]

@@ -3,27 +3,19 @@
 //! Arrow-serialized results (paper §5.1: "The frontend exposes a unified
 //! endpoint to applications, parses incoming queries, and dispatches them
 //! to the appropriate storage node").
+//!
+//! [`OcsFrontend::handle_stream`] is the only entry point: plan bytes in,
+//! a lazily encoded frame stream out.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bytes::Bytes;
-use netsim::{CostParams, ExecStats, NodeSpec};
+use netsim::{CostParams, NodeSpec};
 use sync::DebugMutex;
 
 use crate::node::StorageNode;
 use crate::stream::WireStream;
 use crate::{planck, OcsError, OcsResult};
-
-/// A buffered (whole-result) frontend response: Arrow-IPC bytes plus the
-/// request's consolidated execution statistics.
-#[derive(Debug, Clone)]
-pub struct WireResponse {
-    /// Arrow-IPC-encoded result batches.
-    pub arrow_bytes: Bytes,
-    /// Resource accounting for the whole request.
-    pub stats: ExecStats,
-}
 
 /// Cache-affinity routing state: each key's sticky owner plus per-node
 /// assignment counts for the overflow fallback.
@@ -70,7 +62,7 @@ impl OcsFrontend {
     /// count is at least twice the balanced share), the key falls back to
     /// the least-loaded node instead — and sticks *there*, so the entries
     /// it warms still have a single home.
-    fn route(&self, key: &str) -> &Arc<StorageNode> {
+    pub(crate) fn route(&self, key: &str) -> &Arc<StorageNode> {
         &self.nodes[self.route_index(key)]
     }
 
@@ -118,11 +110,6 @@ impl OcsFrontend {
         idx
     }
 
-    /// Number of storage nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Decode and hard-verify an untrusted plan, then run it on the node
     /// owning `key`.
     ///
@@ -147,29 +134,10 @@ impl OcsFrontend {
             .execute_encoded(&plan, bucket, key, cache::fnv1a64(plan_bytes))
     }
 
-    /// Handle one request buffered: Substrait plan bytes in, one whole
-    /// Arrow payload out. This is the pre-streaming boundary, kept as the
-    /// A/B baseline the pipeline bench compares against.
-    pub fn handle(&self, plan_bytes: &[u8], bucket: &str, key: &str) -> OcsResult<WireResponse> {
-        let resp = self.verify_and_execute(plan_bytes, bucket, key)?;
-
-        // Serialize results to the Arrow-IPC wire format (billed to the
-        // frontend, which relays results in the paper's architecture).
-        let arrow_bytes = columnar::ipc::encode_batches(&resp.batches);
-        let frontend_work = self.cost.frontend_per_request
-            + plan_bytes.len() as f64 * self.cost.frontend_per_byte
-            + arrow_bytes.len() as f64 * (self.cost.frontend_per_byte + self.cost.byte_ser);
-        let frontend_cpu_s = self.spec.core_seconds(frontend_work);
-
-        let mut stats = resp.stats;
-        stats.frontend_cpu_s = frontend_cpu_s;
-        Ok(WireResponse { arrow_bytes, stats })
-    }
-
-    /// Handle one request streaming: the response is a lazy
-    /// [`WireStream`] that encodes one frame per result batch as the
-    /// consumer pulls, closing with a trailer frame carrying the
-    /// request's [`ExecStats`].
+    /// Handle one request: Substrait plan bytes in, a lazy [`WireStream`]
+    /// out that encodes one frame per result batch as the consumer pulls,
+    /// closing with a trailer frame carrying the request's
+    /// [`netsim::ExecStats`].
     pub fn handle_stream(
         &self,
         plan_bytes: &[u8],
@@ -253,6 +221,34 @@ mod tests {
         )
     }
 
+    /// Pull every frame through a decoder: the batches, the trailer's
+    /// statistics, and the per-frame frontend seconds summed.
+    fn drain(mut stream: WireStream) -> (Vec<RecordBatch>, netsim::ExecStats, f64) {
+        let mut dec = columnar::ipc::FrameDecoder::new();
+        let mut batches = Vec::new();
+        let mut trailer = None;
+        let mut frontend_sum = 0.0;
+        while let Some(frame) = stream.next_frame() {
+            frontend_sum += frame.timing.frontend_s;
+            dec.feed(&frame.bytes);
+            while let Some(f) = dec.next_frame().unwrap() {
+                match f {
+                    columnar::ipc::Frame::Schema(_) => {}
+                    columnar::ipc::Frame::Batch(b) => batches.push(b),
+                    columnar::ipc::Frame::Trailer(t) => {
+                        trailer = Some(netsim::ExecStats::decode(&t).unwrap());
+                    }
+                }
+            }
+        }
+        dec.finish().unwrap();
+        (
+            batches,
+            trailer.expect("trailer frame carries stats"),
+            frontend_sum,
+        )
+    }
+
     #[test]
     fn handles_wire_roundtrip() {
         let (fe, schema) = frontend(1);
@@ -265,50 +261,28 @@ mod tests {
             ),
         });
         let bytes = substrait_ir::encode(&plan);
-        let resp = fe.handle(&bytes, "lake", "t/1").unwrap();
-        let batches = columnar::ipc::decode_batches(&resp.arrow_bytes).unwrap();
+        let (batches, stats, _) = drain(fe.handle_stream(&bytes, "lake", "t/1").unwrap());
         let rows: usize = batches.iter().map(|b| b.num_rows()).sum();
         assert_eq!(rows, 50, "rows 150..199 of object t/1");
-        assert_eq!(resp.stats.rows_returned, 50);
-        assert!(resp.stats.frontend_cpu_s > 0.0);
-        assert!(resp.stats.storage_cpu_s > 0.0);
+        assert_eq!(stats.rows_returned, 50);
+        assert!(stats.frontend_cpu_s > 0.0);
+        assert!(stats.storage_cpu_s > 0.0);
     }
 
     #[test]
     fn stream_frames_match_buffered_payload() {
+        // The oracle is the owning storage node called directly — no
+        // encode, no decode.
         let (fe, schema) = frontend(1);
         let plan = Plan::new(Rel::read("t", schema, None));
         let bytes = substrait_ir::encode(&plan);
-        let buffered = fe.handle(&bytes, "lake", "t/2").unwrap();
-        let expected = columnar::ipc::decode_batches(&buffered.arrow_bytes).unwrap();
+        let direct = fe.route("t/2").execute(&plan, "lake", "t/2").unwrap();
 
-        let mut stream = fe.handle_stream(&bytes, "lake", "t/2").unwrap();
-        let mut dec = columnar::ipc::FrameDecoder::new();
-        let mut got = Vec::new();
-        let mut trailer_stats = None;
-        let mut frontend_sum = 0.0;
-        while let Some(frame) = stream.next_frame() {
-            frontend_sum += frame.timing.frontend_s;
-            dec.feed(&frame.bytes);
-            while let Some(f) = dec.next_frame().unwrap() {
-                match f {
-                    columnar::ipc::Frame::Schema(_) => {}
-                    columnar::ipc::Frame::Batch(b) => got.push(b),
-                    columnar::ipc::Frame::Trailer(t) => {
-                        trailer_stats = Some(netsim::ExecStats::decode(&t).unwrap());
-                    }
-                }
-            }
-        }
-        dec.finish().unwrap();
-        assert_eq!(got.len(), expected.len());
-        for (a, b) in got.iter().zip(&expected) {
-            assert_eq!(a.num_rows(), b.num_rows());
-        }
-        let stats = trailer_stats.expect("trailer frame carries stats");
-        assert_eq!(stats.rows_returned, buffered.stats.rows_returned);
-        assert_eq!(stats.disk_bytes, buffered.stats.disk_bytes);
-        assert_eq!(stats.storage_cpu_s, buffered.stats.storage_cpu_s);
+        let (got, stats, frontend_sum) = drain(fe.handle_stream(&bytes, "lake", "t/2").unwrap());
+        assert_eq!(got, direct.batches);
+        assert_eq!(stats.rows_returned, direct.stats.rows_returned);
+        assert_eq!(stats.disk_bytes, direct.stats.disk_bytes);
+        assert_eq!(stats.storage_cpu_s, direct.stats.storage_cpu_s);
         // The trailer's frontend total is exactly the per-frame sum.
         assert!((stats.frontend_cpu_s - frontend_sum).abs() < 1e-12);
     }
@@ -341,14 +315,11 @@ mod tests {
         let mut multi_total = netsim::ExecStats::default();
         for i in 0..4 {
             let key = format!("t/{i}");
-            let a = single.handle(&bytes, "lake", &key).unwrap();
-            let b = multi.handle(&bytes, "lake", &key).unwrap();
-            assert_eq!(
-                a.arrow_bytes, b.arrow_bytes,
-                "object {key}: sharded result differs"
-            );
-            single_total.merge(&a.stats);
-            multi_total.merge(&b.stats);
+            let (a, a_stats, _) = drain(single.handle_stream(&bytes, "lake", &key).unwrap());
+            let (b, b_stats, _) = drain(multi.handle_stream(&bytes, "lake", &key).unwrap());
+            assert_eq!(a, b, "object {key}: sharded result differs");
+            single_total.merge(&a_stats);
+            multi_total.merge(&b_stats);
         }
         // Span names embed the executing node's id, which legitimately
         // differs under sharding; every counter must still match.
@@ -363,7 +334,7 @@ mod tests {
     #[test]
     fn rejects_garbage_plans() {
         let (fe, _) = frontend(1);
-        let err = fe.handle(b"not a plan", "lake", "t/0").unwrap_err();
+        let err = fe.handle_stream(b"not a plan", "lake", "t/0").unwrap_err();
         let diag = err.diagnostic().expect("garbage is a plan error");
         assert_eq!(diag.code, substrait_ir::DiagCode::Corrupt);
     }
@@ -382,7 +353,7 @@ mod tests {
             ),
         });
         let bytes = substrait_ir::encode(&plan);
-        let err = fe.handle(&bytes, "lake", "t/0").unwrap_err();
+        let err = fe.handle_stream(&bytes, "lake", "t/0").unwrap_err();
         let diag = err.diagnostic().expect("invalid plan is a plan error");
         assert_eq!(diag.code, substrait_ir::DiagCode::FieldOutOfRange);
         assert_eq!(diag.path, "root.predicate.left");
@@ -410,24 +381,17 @@ mod tests {
         });
         let bytes = substrait_ir::encode(&plan);
         assert_eq!(substrait_ir::decode(&bytes).unwrap(), plan);
-        let mut stream = fe.handle_stream(&bytes, "lake", "t/1").unwrap();
-        let mut dec = columnar::ipc::FrameDecoder::new();
-        let mut rows = Vec::new();
-        while let Some(frame) = stream.next_frame() {
-            dec.feed(&frame.bytes);
-            while let Some(f) = dec.next_frame().unwrap() {
-                if let columnar::ipc::Frame::Batch(b) = f {
-                    rows.extend_from_slice(&b.column(0).as_i64().unwrap().values);
-                }
-            }
-        }
+        let (batches, _, _) = drain(fe.handle_stream(&bytes, "lake", "t/1").unwrap());
+        let rows: Vec<i64> = batches
+            .iter()
+            .flat_map(|b| b.column(0).as_i64().unwrap().values.iter().copied())
+            .collect();
         assert_eq!(rows, (101..200).collect::<Vec<i64>>(), "all but row 100");
     }
 
     #[test]
     fn routing_is_stable_and_covers_nodes() {
         let (fe, _) = frontend(3);
-        assert_eq!(fe.num_nodes(), 3);
         let a = fe.route("t/0").id();
         let b = fe.route("t/0").id();
         assert_eq!(a, b, "same key routes to the same node");
@@ -483,7 +447,7 @@ mod tests {
         let plan = Plan::new(Rel::read("t", schema, None));
         let bytes = substrait_ir::encode(&plan);
         assert!(matches!(
-            fe.handle(&bytes, "lake", "ghost"),
+            fe.handle_stream(&bytes, "lake", "ghost"),
             Err(OcsError::Storage(_))
         ));
     }

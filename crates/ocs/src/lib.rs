@@ -16,13 +16,14 @@
 //!   dispatches to the storage node owning the object, and relays Arrow
 //!   results;
 //! * [`OcsClient`] — the "gRPC" boundary: serializes plans to bytes on the
-//!   way in and Arrow-IPC batches on the way out, counting every byte so
-//!   the cost model can bill the link.
+//!   way in and a stream of Arrow-IPC batch frames on the way out,
+//!   counting every byte so the cost model can bill the link.
 //!
-//! Everything is executed for real; the returned [`OcsResponse`] carries
-//! the simulated resource consumption (storage core-seconds, decompress
-//! core-seconds, disk bytes, frontend core-seconds) for the caller's
-//! ledger.
+//! Everything is executed for real; the drained stream's
+//! [`netsim::SplitReport`] (also the `report` of an [`OcsResponse`])
+//! carries the simulated resource consumption — storage core-seconds,
+//! decompress core-seconds, disk bytes, frontend core-seconds, link bytes
+//! and the per-frame timeline — for the caller's ledger.
 //!
 //! # Example
 //!
@@ -54,7 +55,7 @@
 //! let resp = ocs.client().execute(&plan, "lake", "t/0").unwrap();
 //! let rows: usize = resp.batches.iter().map(|b| b.num_rows()).sum();
 //! assert_eq!(rows, 10);
-//! assert!(resp.response_bytes < 1000, "only filtered rows cross the wire");
+//! assert!(resp.report.network_bytes < 1000, "only filtered rows cross the wire");
 //! ```
 
 #![warn(missing_docs)]
@@ -68,7 +69,7 @@ pub mod stream;
 
 pub use frontend::OcsFrontend;
 pub use node::StorageNode;
-pub use rpc::{BatchStream, OcsClient, OcsResponse, StreamSummary, DEFAULT_FRAME_WINDOW};
+pub use rpc::{BatchStream, OcsClient, OcsResponse, DEFAULT_FRAME_WINDOW};
 pub use stream::{WireFrame, WireStream};
 // Storage-side plan verification is the planck module of `substrait-ir`;
 // re-exported so callers name one crate for the whole trust boundary.

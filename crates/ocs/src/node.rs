@@ -3,7 +3,6 @@
 use std::sync::Arc;
 
 use columnar::RecordBatch;
-use lzcodec::CodecKind;
 use netsim::{makespan, CostParams, DiskSpec, ExecStats, NodeSpec};
 use objstore::ObjectStore;
 use parq::ParqReader;
@@ -69,16 +68,6 @@ impl StorageNode {
     /// Node id (used by the frontend's shard routing).
     pub fn id(&self) -> usize {
         self.id
-    }
-
-    /// The node's hardware spec.
-    pub fn spec(&self) -> &NodeSpec {
-        &self.spec
-    }
-
-    /// This node's cache tiers (for monitoring and tests).
-    pub fn caches(&self) -> &NodeCaches {
-        &self.caches
     }
 
     /// Execute `plan` against the object at `bucket`/`key`.
@@ -187,10 +176,7 @@ impl StorageNode {
 
         // Decompression cost: uncompressed bytes through the codec at its
         // single-core throughput.
-        let decompress_s = match codec {
-            CodecKind::None => 0.0,
-            other => exec.uncompressed_bytes as f64 / (other.spec().decompress_gbps * 1e9),
-        };
+        let decompress_s = codec.decompress_seconds(exec.uncompressed_bytes);
         // Scan lanes (per-row-group decode+filter) run in parallel across
         // the node's cores; everything downstream is billed serially.
         let lanes: Vec<f64> = exec
@@ -351,6 +337,7 @@ impl StorageNode {
 mod tests {
     use super::*;
     use columnar::prelude::*;
+    use lzcodec::CodecKind;
     use substrait_ir::{Expr, Rel};
 
     fn setup(codec: CodecKind) -> (Arc<ObjectStore>, Schema) {

@@ -7,21 +7,20 @@
 //! is really encoded and every frame really serialized/deserialized — so
 //! byte counters measure exactly what a network would carry.
 //!
-//! [`OcsClient::execute_stream`] is the streaming boundary: it returns a
+//! [`OcsClient::execute_stream`] is the boundary: it returns a
 //! [`BatchStream`] that pulls framed batches through a bounded in-flight
 //! window (backpressure — at most `window` encoded frames are buffered
 //! client-side at any moment), yielding decoded batches one at a time and
-//! finishing with the trailer's [`ExecStats`]. [`OcsClient::execute`]
-//! drains that stream for callers that want the whole result;
-//! [`OcsClient::execute_buffered`] keeps the pre-streaming whole-payload
-//! path alive as the A/B baseline.
+//! finishing with the split's [`SplitReport`] (trailer statistics, link
+//! bytes, per-frame timings, peak buffering). [`OcsClient::execute`]
+//! drains that stream for callers that want the whole result.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use columnar::ipc::{Frame, FrameDecoder};
-use columnar::{RecordBatch, SchemaRef};
-use netsim::{ExecStats, FrameTiming};
+use columnar::RecordBatch;
+use netsim::{ExecStats, FrameTiming, SplitReport};
 use substrait_ir::Plan;
 
 use crate::frontend::OcsFrontend;
@@ -36,35 +35,8 @@ pub const DEFAULT_FRAME_WINDOW: usize = 4;
 pub struct OcsResponse {
     /// Result batches.
     pub batches: Vec<RecordBatch>,
-    /// Bytes of the serialized plan (request direction).
-    pub request_bytes: u64,
-    /// Bytes of all response frames (response direction).
-    pub response_bytes: u64,
-    /// Consolidated execution statistics (from the stream trailer).
-    pub stats: ExecStats,
-    /// Number of wire frames in the response (schema + batches + trailer).
-    pub frames: u64,
-    /// Peak encoded bytes buffered client-side while draining.
-    pub peak_buffered_bytes: u64,
-    /// Per-frame simulated timings, in wire order.
-    pub timings: Vec<FrameTiming>,
-}
-
-/// Summary of a fully-consumed [`BatchStream`].
-#[derive(Debug, Clone)]
-pub struct StreamSummary {
-    /// Consolidated execution statistics from the trailer frame.
-    pub stats: ExecStats,
-    /// Bytes of the serialized plan (request direction).
-    pub request_bytes: u64,
-    /// Bytes of all response frames (response direction).
-    pub response_bytes: u64,
-    /// Number of wire frames (schema + batches + trailer).
-    pub frames: u64,
-    /// Peak encoded bytes buffered client-side.
-    pub peak_buffered_bytes: u64,
-    /// Per-frame simulated timings, in wire order.
-    pub timings: Vec<FrameTiming>,
+    /// What the drained stream reported.
+    pub report: SplitReport,
 }
 
 /// A lazily-decoded streaming response: framed batches pulled through a
@@ -77,11 +49,8 @@ pub struct BatchStream {
     inflight_bytes: u64,
     peak_buffered_bytes: u64,
     decoder: FrameDecoder,
-    schema: Option<SchemaRef>,
     stats: Option<ExecStats>,
     request_bytes: u64,
-    response_bytes: u64,
-    frames: u64,
     timings: Vec<FrameTiming>,
     done: bool,
 }
@@ -95,11 +64,8 @@ impl BatchStream {
             inflight_bytes: 0,
             peak_buffered_bytes: 0,
             decoder: FrameDecoder::new(),
-            schema: None,
             stats: None,
             request_bytes,
-            response_bytes: 0,
-            frames: 0,
             timings: Vec::new(),
             done: false,
         }
@@ -116,7 +82,6 @@ impl BatchStream {
                     m.histogram("ocs.rpc.frame_bytes", obs::metrics::BYTES_BUCKETS)
                         .observe(f.bytes.len() as f64);
                     self.inflight_bytes += f.bytes.len() as u64;
-                    self.response_bytes += f.bytes.len() as u64;
                     self.inflight.push_back(f);
                     self.peak_buffered_bytes = self.peak_buffered_bytes.max(self.inflight_bytes);
                     m.gauge("ocs.rpc.peak_buffered_bytes")
@@ -133,14 +98,9 @@ impl BatchStream {
                 obs::FlightKind::BackpressureStall,
                 self.window as u64,
                 self.inflight.len() as u64,
-                self.frames,
+                self.timings.len() as u64,
             );
         }
-    }
-
-    /// Schema of the stream (available after the first pull).
-    pub fn schema(&self) -> Option<&SchemaRef> {
-        self.schema.as_ref()
     }
 
     /// Pull the next decoded batch; `Ok(None)` after the trailer arrives.
@@ -161,7 +121,6 @@ impl BatchStream {
                 ));
             };
             self.inflight_bytes -= frame.bytes.len() as u64;
-            self.frames += 1;
             self.decoder.feed(&frame.bytes);
             let decoded = self
                 .decoder
@@ -169,10 +128,7 @@ impl BatchStream {
                 .map_err(|e| OcsError::Exec(format!("frame decode: {e}")))?;
             self.timings.push(frame.timing);
             match decoded {
-                Some(Frame::Schema(s)) => {
-                    self.schema = Some(s);
-                    continue;
-                }
+                Some(Frame::Schema(_)) => continue,
                 Some(Frame::Batch(b)) => return Ok(Some(b)),
                 Some(Frame::Trailer(t)) => {
                     self.decoder
@@ -194,21 +150,25 @@ impl BatchStream {
         }
     }
 
-    /// Finish the stream and return its summary. Errors if the stream was
-    /// not fully consumed to the trailer.
-    pub fn finish(self) -> OcsResult<StreamSummary> {
+    /// Finish the stream and return the split's report: the trailer's
+    /// statistics, one link round trip carrying the plan bytes out and
+    /// every frame back, and the frame timeline. Deserialization cost is
+    /// the consumer's to fill in. Errors if the stream was not fully
+    /// consumed to the trailer.
+    pub fn finish(self) -> OcsResult<SplitReport> {
         let Some(stats) = self.stats else {
             return Err(OcsError::Exec(
                 "stream finished before the trailer frame was consumed".into(),
             ));
         };
-        Ok(StreamSummary {
+        let response_bytes: u64 = self.timings.iter().map(|t| t.bytes).sum();
+        Ok(SplitReport {
             stats,
-            request_bytes: self.request_bytes,
-            response_bytes: self.response_bytes,
-            frames: self.frames,
+            network_bytes: self.request_bytes + response_bytes,
+            network_requests: 1,
+            compute_deser_s: 0.0,
+            frames: self.timings,
             peak_buffered_bytes: self.peak_buffered_bytes,
-            timings: self.timings,
         })
     }
 }
@@ -221,22 +181,13 @@ pub struct OcsClient {
 }
 
 impl OcsClient {
-    /// Bind to a frontend with the default in-flight frame window.
-    pub fn new(frontend: Arc<OcsFrontend>) -> Self {
-        Self::with_window(frontend, DEFAULT_FRAME_WINDOW)
-    }
-
-    /// Bind to a frontend with an explicit in-flight frame window.
+    /// Bind to a frontend with an in-flight frame window (a deployment's
+    /// configured one comes from [`crate::Ocs::client`]).
     pub fn with_window(frontend: Arc<OcsFrontend>, window: usize) -> Self {
         OcsClient {
             frontend,
             window: window.max(1),
         }
-    }
-
-    /// The configured in-flight frame window.
-    pub fn window(&self) -> usize {
-        self.window
     }
 
     /// Execute `plan` against one object, returning the streaming
@@ -255,46 +206,9 @@ impl OcsClient {
         while let Some(b) = stream.next_batch()? {
             batches.push(b);
         }
-        let summary = stream.finish()?;
         Ok(OcsResponse {
             batches,
-            request_bytes: summary.request_bytes,
-            response_bytes: summary.response_bytes,
-            stats: summary.stats,
-            frames: summary.frames,
-            peak_buffered_bytes: summary.peak_buffered_bytes,
-            timings: summary.timings,
-        })
-    }
-
-    /// Execute `plan` over the pre-streaming whole-payload boundary (the
-    /// A/B baseline: one monolithic Arrow payload, no overlap, peak
-    /// buffering equal to the full response).
-    pub fn execute_buffered(&self, plan: &Plan, bucket: &str, key: &str) -> OcsResult<OcsResponse> {
-        let request = substrait_ir::encode(plan);
-        let wire = self.frontend.handle(&request, bucket, key)?;
-        let batches = columnar::ipc::decode_batches(&wire.arrow_bytes)
-            .map_err(|e| OcsError::Exec(format!("arrow decode: {e}")))?;
-        let response_bytes = wire.arrow_bytes.len() as u64;
-        // The whole result is one "frame" that buffers everything.
-        let timing = FrameTiming {
-            bytes: response_bytes,
-            disk_bytes: wire.stats.disk_bytes,
-            decompress_s: wire.stats.storage_decompress_s,
-            storage_s: wire.stats.storage_cpu_s,
-            frontend_s: wire.stats.frontend_cpu_s,
-            compute_s: 0.0,
-            is_batch: true,
-            input_chunks: 1,
-        };
-        Ok(OcsResponse {
-            batches,
-            request_bytes: request.len() as u64,
-            response_bytes,
-            stats: wire.stats,
-            frames: 1,
-            peak_buffered_bytes: response_bytes,
-            timings: vec![timing],
+            report: stream.finish()?,
         })
     }
 }
@@ -392,17 +306,21 @@ mod tests {
         let cold = client.execute(&plan, "lake", "t/0").unwrap();
         let warm = client.execute(&plan, "lake", "t/0").unwrap();
 
-        assert_eq!(cold.stats.result_cache_hits, 0);
-        assert_eq!(warm.stats.result_cache_hits, 1);
-        assert!(cold.stats.storage_cpu_s > 0.0);
-        assert_eq!(warm.stats.storage_cpu_s, 0.0, "hit replays for free");
-        assert_eq!(warm.stats.disk_bytes, 0);
+        assert_eq!(cold.report.stats.result_cache_hits, 0);
+        assert_eq!(warm.report.stats.result_cache_hits, 1);
+        assert!(cold.report.stats.storage_cpu_s > 0.0);
+        assert_eq!(warm.report.stats.storage_cpu_s, 0.0, "hit replays for free");
+        assert_eq!(warm.report.stats.disk_bytes, 0);
         assert!(
-            warm.stats.cache_bytes_avoided >= cold.stats.disk_bytes + cold.stats.rows_scanned,
+            warm.report.stats.cache_bytes_avoided
+                >= cold.report.stats.disk_bytes + cold.report.stats.rows_scanned,
             "hit reports what the cold run paid"
         );
         // Identical rows either way.
-        assert_eq!(warm.stats.rows_returned, cold.stats.rows_returned);
+        assert_eq!(
+            warm.report.stats.rows_returned,
+            cold.report.stats.rows_returned
+        );
         let rows = |batches: &[RecordBatch]| -> Vec<Vec<Scalar>> {
             batches
                 .iter()
@@ -429,20 +347,32 @@ mod tests {
             }],
         });
         let cold = client.execute(&scan, "lake", "t/0").unwrap();
-        assert!(cold.stats.rg_cache_misses > 0);
-        assert_eq!(cold.stats.rg_cache_hits, 0);
+        assert!(cold.report.stats.rg_cache_misses > 0);
+        assert_eq!(cold.report.stats.rg_cache_hits, 0);
 
         let warm = client.execute(&agg, "lake", "t/0").unwrap();
-        assert_eq!(warm.stats.result_cache_hits, 0, "different fingerprint");
-        assert!(warm.stats.rg_cache_hits > 0, "chunks reused across plans");
-        assert_eq!(warm.stats.rg_cache_misses, 0, "every chunk was resident");
-        assert_eq!(warm.stats.disk_bytes, 0, "no disk traffic on a warm scan");
-        assert!(warm.stats.cache_bytes_avoided > 0);
+        assert_eq!(
+            warm.report.stats.result_cache_hits, 0,
+            "different fingerprint"
+        );
         assert!(
-            warm.stats.storage_cpu_s < cold.stats.storage_cpu_s,
+            warm.report.stats.rg_cache_hits > 0,
+            "chunks reused across plans"
+        );
+        assert_eq!(
+            warm.report.stats.rg_cache_misses, 0,
+            "every chunk was resident"
+        );
+        assert_eq!(
+            warm.report.stats.disk_bytes, 0,
+            "no disk traffic on a warm scan"
+        );
+        assert!(warm.report.stats.cache_bytes_avoided > 0);
+        assert!(
+            warm.report.stats.storage_cpu_s < cold.report.stats.storage_cpu_s,
             "warm aggregation skips decode: {} vs {}",
-            warm.stats.storage_cpu_s,
-            cold.stats.storage_cpu_s
+            warm.report.stats.storage_cpu_s,
+            cold.report.stats.storage_cpu_s
         );
     }
 
@@ -452,7 +382,7 @@ mod tests {
         let client = ocs.client();
         let plan = Plan::new(Rel::read("t", schema.clone(), None));
         let before = client.execute(&plan, "lake", "t/0").unwrap();
-        assert_eq!(before.stats.rows_returned, 10_000);
+        assert_eq!(before.report.stats.rows_returned, 10_000);
         // Warm it, then overwrite the object with 5 rows.
         client.execute(&plan, "lake", "t/0").unwrap();
         let schema = Arc::new(schema);
@@ -468,10 +398,16 @@ mod tests {
         store.put_object("lake", "t/0", bytes.into()).unwrap();
 
         let after = client.execute(&plan, "lake", "t/0").unwrap();
-        assert_eq!(after.stats.rows_returned, 5, "no stale cached result");
-        assert_eq!(after.stats.result_cache_hits, 0);
-        assert_eq!(after.stats.rg_cache_hits, 0, "chunk keys carry the version");
-        assert!(after.stats.disk_bytes > 0);
+        assert_eq!(
+            after.report.stats.rows_returned, 5,
+            "no stale cached result"
+        );
+        assert_eq!(after.report.stats.result_cache_hits, 0);
+        assert_eq!(
+            after.report.stats.rg_cache_hits, 0,
+            "chunk keys carry the version"
+        );
+        assert!(after.report.stats.disk_bytes > 0);
     }
 
     #[test]
@@ -482,7 +418,7 @@ mod tests {
         // Full scan: ~10k rows cross the wire.
         let scan = Plan::new(Rel::read("t", schema.clone(), None));
         let full = client.execute(&scan, "lake", "t/0").unwrap();
-        assert_eq!(full.stats.rows_returned, 10_000);
+        assert_eq!(full.report.stats.rows_returned, 10_000);
 
         // Aggregation in storage: 7 rows cross the wire.
         let agg = Plan::new(Rel::Aggregate {
@@ -495,17 +431,17 @@ mod tests {
             }],
         });
         let small = client.execute(&agg, "lake", "t/0").unwrap();
-        assert_eq!(small.stats.rows_returned, 7);
+        assert_eq!(small.report.stats.rows_returned, 7);
         assert!(
-            small.response_bytes * 100 < full.response_bytes,
+            small.report.response_bytes() * 100 < full.report.response_bytes(),
             "{} vs {}",
-            small.response_bytes,
-            full.response_bytes
+            small.report.response_bytes(),
+            full.report.response_bytes()
         );
         // But the storage node did *more* compute for the aggregation.
-        assert!(small.stats.storage_cpu_s > full.stats.storage_cpu_s);
+        assert!(small.report.stats.storage_cpu_s > full.report.stats.storage_cpu_s);
         // Request (plan) bytes are tiny in both cases.
-        assert!(full.request_bytes < 500);
+        assert!(full.report.network_bytes - full.report.response_bytes() < 500);
     }
 
     #[test]
@@ -546,22 +482,36 @@ mod tests {
 
     #[test]
     fn streaming_matches_buffered_batch_for_batch() {
+        // The oracle is the storage node called directly: same batches,
+        // no frontend, no serialization.
         let (ocs, schema) = deployment();
-        let client = ocs.client();
         let plan = Plan::new(Rel::read("t", schema, None));
-        let buffered = client.execute_buffered(&plan, "lake", "t/0").unwrap();
-        let streamed = client.execute(&plan, "lake", "t/0").unwrap();
-        assert_eq!(streamed.batches.len(), buffered.batches.len());
-        for (a, b) in streamed.batches.iter().zip(&buffered.batches) {
-            assert_eq!(a.num_rows(), b.num_rows());
-            assert_eq!(a.schema(), b.schema());
-        }
-        assert_eq!(streamed.stats.rows_returned, buffered.stats.rows_returned);
-        assert_eq!(streamed.stats.disk_bytes, buffered.stats.disk_bytes);
+        let direct = ocs
+            .frontend()
+            .route("t/0")
+            .execute(&plan, "lake", "t/0")
+            .unwrap();
+        let streamed = ocs.client().execute(&plan, "lake", "t/0").unwrap();
+        assert_eq!(streamed.batches, direct.batches);
+        assert!(streamed.batches.len() > 4, "one batch per row group");
+        // The trailer carries the node's counters plus the relay bill.
+        assert!(streamed.report.stats.frontend_cpu_s > 0.0);
+        assert_eq!(
+            ExecStats {
+                frontend_cpu_s: 0.0,
+                spans: Vec::new(),
+                ..streamed.report.stats
+            },
+            ExecStats {
+                spans: Vec::new(),
+                ..direct.stats
+            }
+        );
         // Framing adds per-frame headers but stays the same order of
-        // magnitude as the monolithic payload.
-        assert!(streamed.response_bytes >= buffered.response_bytes);
-        assert!(streamed.response_bytes < buffered.response_bytes * 2);
+        // magnitude as the in-memory payload.
+        let payload: u64 = direct.batches.iter().map(|b| b.byte_size() as u64).sum();
+        assert!(streamed.report.response_bytes() >= payload);
+        assert!(streamed.report.response_bytes() < payload * 2);
     }
 
     #[test]
@@ -572,8 +522,9 @@ mod tests {
         let narrow = OcsClient::with_window(ocs.frontend().clone(), 2);
         let a = wide.execute(&plan, "lake", "t/0").unwrap();
         let b = narrow.execute(&plan, "lake", "t/0").unwrap();
-        assert!(a.frames > 4, "scan should produce many frames");
-        assert_eq!(a.frames, b.frames);
+        let (a, b) = (a.report, b.report);
+        assert!(a.frames.len() > 4, "scan should produce many frames");
+        assert_eq!(a.frames.len(), b.frames.len());
         assert!(
             b.peak_buffered_bytes < a.peak_buffered_bytes,
             "narrow window {} must buffer less than wide {}",
@@ -581,25 +532,29 @@ mod tests {
             a.peak_buffered_bytes
         );
         // And far less than the whole response.
-        assert!(b.peak_buffered_bytes * 2 < b.response_bytes);
+        assert!(b.peak_buffered_bytes * 2 < b.response_bytes());
     }
 
     #[test]
     fn stream_timings_cover_all_stats() {
         let (ocs, schema) = deployment();
         let plan = Plan::new(Rel::read("t", schema, None));
-        let resp = ocs.client().execute(&plan, "lake", "t/0").unwrap();
-        assert_eq!(resp.timings.len() as u64, resp.frames);
-        let storage: f64 = resp.timings.iter().map(|t| t.storage_s).sum();
-        let frontend: f64 = resp.timings.iter().map(|t| t.frontend_s).sum();
-        let disk: u64 = resp.timings.iter().map(|t| t.disk_bytes).sum();
-        let bytes: u64 = resp.timings.iter().map(|t| t.bytes).sum();
-        assert!((storage - resp.stats.storage_cpu_s).abs() < 1e-9);
-        assert!((frontend - resp.stats.frontend_cpu_s).abs() < 1e-9);
-        assert_eq!(disk, resp.stats.disk_bytes);
-        assert_eq!(bytes, resp.response_bytes);
+        let report = ocs.client().execute(&plan, "lake", "t/0").unwrap().report;
+        let storage: f64 = report.frames.iter().map(|t| t.storage_s).sum();
+        let frontend: f64 = report.frames.iter().map(|t| t.frontend_s).sum();
+        let disk: u64 = report.frames.iter().map(|t| t.disk_bytes).sum();
+        assert!((storage - report.stats.storage_cpu_s).abs() < 1e-9);
+        assert!((frontend - report.stats.frontend_cpu_s).abs() < 1e-9);
+        assert_eq!(disk, report.stats.disk_bytes);
+        // One round trip; the bytes the frames do not account for are the
+        // encoded plan.
+        assert_eq!(report.network_requests, 1);
+        assert_eq!(
+            report.network_bytes - report.response_bytes(),
+            substrait_ir::encode(&plan).len() as u64
+        );
         // First and last frames are schema/trailer, not batches.
-        assert!(!resp.timings[0].is_batch);
-        assert!(!resp.timings[resp.timings.len() - 1].is_batch);
+        assert!(!report.frames[0].is_batch);
+        assert!(!report.frames[report.frames.len() - 1].is_batch);
     }
 }

@@ -6,8 +6,8 @@
 //! carrying the request's [`ExecStats`] — so the consumer can overlap
 //! decode/compute with transfer instead of waiting for one monolithic
 //! Arrow payload. Each produced [`WireFrame`] carries the simulated
-//! per-stage seconds ([`FrameTiming`]) the engine's pipeline scheduler
-//! composes into an overlapped makespan.
+//! per-stage seconds ([`FrameTiming`]) that `netsim::split_phase` composes
+//! into an overlapped makespan.
 //!
 //! Cost attribution: storage-side seconds (scan CPU, decompression) and
 //! disk bytes are apportioned to batch frames proportional to each batch's

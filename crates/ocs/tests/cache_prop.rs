@@ -201,11 +201,11 @@ proptest! {
                     let w = warm_client.execute(plan, "lake", &key).unwrap();
                     let c = cold_client.execute(plan, "lake", &key).unwrap();
                     prop_assert_eq!(rows_of(&w.batches), rows_of(&c.batches));
-                    prop_assert_eq!(w.stats.rows_returned, c.stats.rows_returned);
+                    prop_assert_eq!(w.report.stats.rows_returned, c.report.stats.rows_returned);
                     // The cold deployment must never report cache traffic.
-                    prop_assert_eq!(c.stats.rg_cache_hits, 0);
-                    prop_assert_eq!(c.stats.result_cache_hits, 0);
-                    prop_assert_eq!(c.stats.cache_bytes_avoided, 0);
+                    prop_assert_eq!(c.report.stats.rg_cache_hits, 0);
+                    prop_assert_eq!(c.report.stats.result_cache_hits, 0);
+                    prop_assert_eq!(c.report.stats.cache_bytes_avoided, 0);
                 }
             }
         }
@@ -233,11 +233,11 @@ proptest! {
         let first = client.execute(&plan, "lake", "t/0").unwrap();
         let second = client.execute(&plan, "lake", "t/0").unwrap();
         prop_assert_eq!(rows_of(&first.batches), rows_of(&second.batches));
-        prop_assert_eq!(second.stats.result_cache_hits, 1);
-        prop_assert_eq!(second.stats.disk_bytes, 0);
-        prop_assert_eq!(second.stats.storage_cpu_s, 0.0);
+        prop_assert_eq!(second.report.stats.result_cache_hits, 1);
+        prop_assert_eq!(second.report.stats.disk_bytes, 0);
+        prop_assert_eq!(second.report.stats.storage_cpu_s, 0.0);
         // The replay saves at least what the cold run paid in disk reads
         // (zero only when zone maps pruned the entire scan).
-        prop_assert!(second.stats.cache_bytes_avoided >= first.stats.disk_bytes);
+        prop_assert!(second.report.stats.cache_bytes_avoided >= first.report.stats.disk_bytes);
     }
 }

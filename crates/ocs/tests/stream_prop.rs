@@ -1,8 +1,9 @@
 //! Property tests for the streaming OCS boundary.
 //!
-//! 1. The framed batch stream is observationally identical to the
-//!    buffered whole-result path, batch for batch, on randomized data,
-//!    projections, predicates and plan shapes, for any frame window.
+//! 1. The framed batch stream is observationally identical to calling the
+//!    storage node directly (no serialization at all), batch for batch,
+//!    on randomized data, projections, predicates and plan shapes, for
+//!    any frame window.
 //! 2. Corrupted wire streams — truncations and bit flips anywhere in the
 //!    frame bytes — surface as structured decode errors, never panics.
 
@@ -13,7 +14,7 @@ use columnar::ipc::{decode_frames, FrameDecoder};
 use columnar::kernels::cmp::CmpOp;
 use columnar::prelude::*;
 use objstore::ObjectStore;
-use ocs::{Ocs, OcsClient, OcsConfig};
+use ocs::{Ocs, OcsClient, OcsConfig, StorageNode};
 use proptest::prelude::*;
 use substrait_ir::{Expr, Measure, Plan, Rel};
 
@@ -26,8 +27,9 @@ fn base_schema() -> Schema {
 }
 
 /// Deterministic pseudo-random object, split into 32-row groups so scans
-/// produce several batch frames.
-fn deployment(seed: u64, rows: usize, window: usize) -> Ocs {
+/// produce several batch frames. Returns the deployment and a bare storage
+/// node over the same store with the same hardware — the oracle.
+fn deployment(seed: u64, rows: usize, window: usize) -> (Ocs, StorageNode) {
     let mut x = seed | 1;
     let mut next = move || {
         x ^= x << 13;
@@ -71,7 +73,14 @@ fn deployment(seed: u64, rows: usize, window: usize) -> Ocs {
     // legitimately change (cache_prop.rs covers cached-vs-cold equality).
     let mut config = OcsConfig::paper_testbed_uncached();
     config.frame_window = window;
-    Ocs::new(store, config)
+    let node = StorageNode::new(
+        0,
+        store.clone(),
+        config.storage_node.clone(),
+        config.storage_disk,
+        config.cost.clone(),
+    );
+    (Ocs::new(store, config), node)
 }
 
 /// A randomized plan: projected read, then optionally filter /
@@ -123,13 +132,6 @@ fn make_plan(shape: usize, proj_pick: usize, op: usize, lo: i64, span: i64) -> P
     })
 }
 
-fn rows_of(batches: &[RecordBatch]) -> Vec<Vec<Scalar>> {
-    batches
-        .iter()
-        .flat_map(|b| (0..b.num_rows()).map(|r| b.row(r)).collect::<Vec<_>>())
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -144,36 +146,29 @@ proptest! {
         span in 0i64..150,
         window in 1usize..6,
     ) {
-        let ocs = deployment(seed, rows, window);
+        let (ocs, node) = deployment(seed, rows, window);
         let client: OcsClient = ocs.client();
         let plan = make_plan(shape, proj_pick, op, lo, span);
 
         let streamed = client.execute(&plan, "lake", "t/0").unwrap();
-        let buffered = client.execute_buffered(&plan, "lake", "t/0").unwrap();
+        let direct = node.execute(&plan, "lake", "t/0").unwrap();
 
-        // Batch-for-batch: same count, same schema, same rows per batch.
-        prop_assert_eq!(streamed.batches.len(), buffered.batches.len());
-        for (s, b) in streamed.batches.iter().zip(&buffered.batches) {
-            prop_assert_eq!(s.schema(), b.schema());
-            prop_assert_eq!(
-                rows_of(std::slice::from_ref(s)),
-                rows_of(std::slice::from_ref(b))
-            );
-        }
-        // Identical consolidated storage-side accounting. The frontend
-        // relay bill differs only by the framing overhead it relays.
-        prop_assert_eq!(streamed.stats.storage_cpu_s, buffered.stats.storage_cpu_s);
-        prop_assert_eq!(streamed.stats.storage_decompress_s, buffered.stats.storage_decompress_s);
-        prop_assert_eq!(streamed.stats.disk_bytes, buffered.stats.disk_bytes);
-        prop_assert_eq!(streamed.stats.rows_scanned, buffered.stats.rows_scanned);
-        prop_assert_eq!(streamed.stats.rows_returned, buffered.stats.rows_returned);
-        prop_assert_eq!(streamed.stats.row_groups_skipped, buffered.stats.row_groups_skipped);
-        prop_assert_eq!(streamed.stats.decoded_bytes_avoided, buffered.stats.decoded_bytes_avoided);
+        // Batch-for-batch: same count, same schema, same values.
+        prop_assert_eq!(&streamed.batches, &direct.batches);
+        // Identical storage-side accounting: the trailer is the node's
+        // counter block plus the frontend's relay bill (and the span
+        // records, whose wall-clock stamps differ run to run).
+        let report = streamed.report;
+        prop_assert!(report.stats.frontend_cpu_s > 0.0);
+        prop_assert_eq!(
+            netsim::ExecStats { frontend_cpu_s: 0.0, spans: Vec::new(), ..report.stats.clone() },
+            netsim::ExecStats { spans: Vec::new(), ..direct.stats }
+        );
         // Backpressure: the client never buffers more than the full framed
         // response, and never more frames than the window allows.
-        prop_assert!(streamed.frames >= 2, "schema + trailer at minimum");
-        prop_assert!(streamed.peak_buffered_bytes > 0);
-        prop_assert!(streamed.peak_buffered_bytes <= streamed.response_bytes);
+        prop_assert!(report.frames.len() >= 2, "schema + trailer at minimum");
+        prop_assert!(report.peak_buffered_bytes > 0);
+        prop_assert!(report.peak_buffered_bytes <= report.response_bytes());
     }
 
     #[test]
@@ -184,7 +179,7 @@ proptest! {
         flip_pos in 0usize..10_000,
         flip_bit in 0u8..8,
     ) {
-        let ocs = deployment(seed, rows, 4);
+        let (ocs, _) = deployment(seed, rows, 4);
         let plan = make_plan(1, 0, 1, 50, 50);
         let mut stream = ocs
             .frontend()

@@ -51,6 +51,10 @@ pub mod reader;
 pub mod stats;
 pub mod writer;
 
+/// The codec vocabulary of [`WriteOptions::codec`] and
+/// [`ParqReader::codec`], re-exported so layers above need not name
+/// `lzcodec` to carry a file's codec around.
+pub use lzcodec::CodecKind;
 pub use reader::{ParqReader, RangePredicate};
 pub use stats::ColumnStats;
 pub use writer::{ParqWriter, WriteOptions};

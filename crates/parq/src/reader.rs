@@ -254,16 +254,6 @@ impl ParqReader {
         Ok(total)
     }
 
-    /// Encoded-but-uncompressed size of the chunks a projection touches in
-    /// one row group (the decode work those chunks represent).
-    pub fn projected_uncompressed_bytes(&self, rg: usize, projection: &[usize]) -> Result<u64> {
-        let mut total = 0;
-        for &c in projection {
-            total += self.chunk_uncompressed_bytes(rg, c)?;
-        }
-        Ok(total)
-    }
-
     /// Read one column chunk.
     pub fn read_chunk(&self, rg: usize, col: usize) -> Result<Array> {
         let g = self
@@ -408,10 +398,6 @@ mod tests {
             let per_chunk_raw: u64 = (0..3)
                 .map(|c| r.chunk_uncompressed_bytes(rg, c).unwrap())
                 .sum();
-            assert_eq!(
-                per_chunk_raw,
-                r.projected_uncompressed_bytes(rg, &[0, 1, 2]).unwrap()
-            );
             // Uncompressed is never smaller than... not guaranteed per
             // codec, but must be nonzero for non-empty groups.
             assert!(per_chunk_raw > 0);

@@ -93,15 +93,6 @@ impl Expr {
         }
     }
 
-    /// Shorthand: conjunction of many terms (`true` literal for empty).
-    pub fn and_all(terms: impl IntoIterator<Item = Expr>) -> Expr {
-        let mut iter = terms.into_iter();
-        match iter.next() {
-            None => Expr::Literal(Scalar::Boolean(true)),
-            Some(first) => iter.fold(first, |acc, t| Expr::And(Box::new(acc), Box::new(t))),
-        }
-    }
-
     /// The expression's output type against `input`, or an error if ill-typed.
     pub fn output_type(&self, input: &Schema) -> Result<DataType> {
         match self {
@@ -382,16 +373,6 @@ mod tests {
         assert_eq!(out.as_bool().unwrap().values.set_indices(), vec![2, 3]);
         assert_eq!(out, direct.eval(&batch).unwrap());
         assert_eq!(flipped.op_weight(), direct.op_weight());
-    }
-
-    #[test]
-    fn and_all_edge_cases() {
-        assert_eq!(
-            Expr::and_all(std::iter::empty()),
-            Expr::Literal(Scalar::Boolean(true))
-        );
-        let single = Expr::lit(Scalar::Boolean(false));
-        assert_eq!(Expr::and_all([single.clone()]), single);
     }
 
     #[test]

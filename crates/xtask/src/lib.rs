@@ -49,6 +49,7 @@ const BANNED_PANIC_CRATES: &[&str] = &[
     "crates/obs/",
     "crates/columnar/src/ipc.rs",
     "crates/netsim/src/sched.rs",
+    "crates/netsim/src/split.rs",
     "crates/netsim/src/stats.rs",
 ];
 

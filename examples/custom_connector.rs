@@ -103,8 +103,10 @@ impl PageSourceProvider for MemPages {
         }
         let bytes = batch.byte_size() as u64;
         // A connector that materializes its whole result wraps it in a
-        // buffered stream; streaming connectors implement `PageStream`
-        // themselves and yield frame-at-a-time.
+        // buffered stream, whose `finish()` reports the split as
+        // `netsim::SplitReport::monolithic` (one indivisible frame);
+        // streaming connectors implement `PageStream` themselves, yield
+        // frame-at-a-time and return a report with one timing per frame.
         Ok(PageSourceResult {
             stream: BufferedPageStream::whole_result(
                 vec![batch],

@@ -177,6 +177,49 @@ fn disabled_tracing_yields_empty_trace_and_working_queries() {
     assert!(r.batch.num_rows() > 0);
 }
 
+/// Regression: the monitor used to read its streaming numbers off the
+/// `split_phase` span's attributes, so an engine built with
+/// `tracing(false)` remembered every query as zero frames and an empty
+/// stream buffer. It now reads the finished result the event borrows.
+#[test]
+fn monitor_reports_streaming_numbers_with_tracing_off() {
+    let engine = dsq::EngineBuilder::new().tracing(false).build();
+    let store = Arc::new(objstore::ObjectStore::new());
+    workloads::tpch::load(
+        &workloads::TableLoader::new(&store, engine.metastore()),
+        &workloads::TpchConfig {
+            files: 2,
+            rows_per_file: 4 * 1024,
+            ..Default::default()
+        },
+    );
+    ocs_connector::register_ocs_stack(&engine, store, PushdownPolicy::all());
+    engine
+        .metastore()
+        .rebind_connector("lineitem", "ocs")
+        .expect("rebind");
+    let monitor = Arc::new(ocs_connector::PushdownMonitor::new(4));
+    engine.add_listener(monitor.clone());
+
+    let r = engine.execute(queries::TPCH_Q1).expect("q1");
+    assert!(r.trace.spans.is_empty(), "tracing is off");
+    assert!(r.pipeline.frames > 0 && r.pipeline.peak_buffered_bytes > 0);
+    monitor.with_history(|h| {
+        let e = h.entries().next().expect("one remembered query");
+        assert_eq!(e.frames, r.pipeline.frames);
+        assert_eq!(e.peak_buffered_bytes, r.pipeline.peak_buffered_bytes);
+        assert_eq!(e.time_to_first_batch_s, r.pipeline.time_to_first_batch_s);
+        assert_eq!(e.stats, r.stats);
+        assert_eq!(e.result_rows, r.batch.num_rows() as u64);
+        assert!(e.breakdown.is_empty(), "no span tree to break down");
+        assert!(
+            !h.summary().contains(" 0.0 frames/query"),
+            "{}",
+            h.summary()
+        );
+    });
+}
+
 #[test]
 fn concurrent_listener_dispatch_counts_every_query() {
     struct Counting {
@@ -184,14 +227,14 @@ fn concurrent_listener_dispatch_counts_every_query() {
         pushed: AtomicU64,
     }
     impl EventListener for Counting {
-        fn query_completed(&self, event: &QueryEvent) {
+        fn query_completed(&self, event: &QueryEvent<'_>) {
             self.events.fetch_add(1, Ordering::Relaxed);
             if event.pushed {
                 self.pushed.fetch_add(1, Ordering::Relaxed);
             }
             // The trace is shared immutably; listeners may inspect it
             // concurrently with other listeners and threads.
-            assert!(event.trace.root().is_some());
+            assert!(event.result.trace.root().is_some());
         }
     }
 
