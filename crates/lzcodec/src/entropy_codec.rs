@@ -72,6 +72,12 @@ fn get_varint(data: &[u8], pos: &mut usize) -> Result<u64> {
 
 /// Compress `data` with `params` for the LZ stage.
 pub(crate) fn compress(data: &[u8], params: LzParams) -> Vec<u8> {
+    encode_frame(data, params).expect("the code table covers every symbol the frame uses")
+}
+
+/// [`compress`] with its impossible failures still typed: the table is
+/// built from the frequencies of exactly the symbols pass 2 encodes.
+fn encode_frame(data: &[u8], params: LzParams) -> Result<Vec<u8>> {
     let tokens = lz77::tokenize(data, params);
 
     // Pass 1: frequencies.
@@ -89,7 +95,7 @@ pub(crate) fn compress(data: &[u8], params: LzParams) -> Vec<u8> {
     }
     freqs[EOB] += 1;
 
-    let table = CodeTable::from_freqs(&freqs).expect("freqs produce valid table");
+    let table = CodeTable::from_freqs(&freqs)?;
     let mut out = Vec::with_capacity(data.len() / 3 + 64);
     put_varint(&mut out, data.len() as u64);
     table.write_table(&mut out);
@@ -98,32 +104,20 @@ pub(crate) fn compress(data: &[u8], params: LzParams) -> Vec<u8> {
     let mut w = BitWriter::new();
     for t in &tokens {
         match *t {
-            Token::Literal(b) => {
-                table
-                    .encode(&mut w, LIT_BASE + b as usize)
-                    .expect("literal coded");
-            }
+            Token::Literal(b) => table.encode(&mut w, LIT_BASE + b as usize)?,
             Token::Match { len, dist } => {
                 let (lb, lx, lv) = bucketize(len - MIN_MATCH as u32 + 1);
-                table
-                    .encode(&mut w, LEN_BASE + lb as usize)
-                    .expect("length coded");
-                if lx > 0 {
-                    w.write_bits(lv, lx);
-                }
+                table.encode(&mut w, LEN_BASE + lb as usize)?;
+                w.write_bits(lv, lx);
                 let (db, dx, dv) = bucketize(dist);
-                table
-                    .encode(&mut w, DIST_BASE + db as usize)
-                    .expect("distance coded");
-                if dx > 0 {
-                    w.write_bits(dv, dx);
-                }
+                table.encode(&mut w, DIST_BASE + db as usize)?;
+                w.write_bits(dv, dx);
             }
         }
     }
-    table.encode(&mut w, EOB).expect("EOB coded");
+    table.encode(&mut w, EOB)?;
     out.extend_from_slice(&w.finish());
-    out
+    Ok(out)
 }
 
 /// Decompress a frame produced by [`compress`] (either parameter set —
@@ -131,53 +125,47 @@ pub(crate) fn compress(data: &[u8], params: LzParams) -> Vec<u8> {
 pub(crate) fn decompress(data: &[u8]) -> Result<Vec<u8>> {
     let mut pos = 0usize;
     let expected = get_varint(data, &mut pos)? as usize;
-    if expected > (1 << 34) {
-        return Err(CodecError(format!("implausible frame length {expected}")));
-    }
+    let mut out = crate::reserve_output(expected)?;
     let (table, consumed) = CodeTable::read_table(&data[pos..])?;
     pos += consumed;
     let dec = Decoder::new(&table);
     let mut r = BitReader::new(&data[pos..]);
-    let mut out: Vec<u8> = Vec::with_capacity(expected);
     loop {
         let sym = dec.decode(&mut r)? as usize;
-        if sym < 256 {
+        if sym < EOB {
+            if out.len() == expected {
+                return Err(CodecError("output overruns declared length".into()));
+            }
             out.push(sym as u8);
-        } else if sym == EOB {
+            continue;
+        }
+        if sym == EOB {
             break;
-        } else if (LEN_BASE..DIST_BASE).contains(&sym) {
-            let lb = (sym - LEN_BASE) as u32;
-            let lx = lb as u8;
-            let lv = if lx > 0 { r.read_bits(lx)? } else { 0 };
-            let len = (unbucketize(lb, lv) - 1) as usize + MIN_MATCH;
-            let dsym = dec.decode(&mut r)? as usize;
-            if !(DIST_BASE..ALPHABET).contains(&dsym) {
-                return Err(CodecError(format!("expected distance symbol, got {dsym}")));
-            }
-            let db = (dsym - DIST_BASE) as u32;
-            let dx = db as u8;
-            let dv = if dx > 0 { r.read_bits(dx)? } else { 0 };
-            let dist = unbucketize(db, dv) as usize;
-            if dist == 0 || dist > out.len() {
-                return Err(CodecError(format!(
-                    "distance {dist} out of range at {}",
-                    out.len()
-                )));
-            }
-            if out.len() + len > expected {
-                return Err(CodecError("match overruns declared length".into()));
-            }
-            let start = out.len() - dist;
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
-            }
-        } else {
+        }
+        if !(LEN_BASE..DIST_BASE).contains(&sym) {
             return Err(CodecError(format!("unexpected symbol {sym}")));
         }
-        if out.len() > expected {
-            return Err(CodecError("output overruns declared length".into()));
+        // A bucket number is also its count of extra bits.
+        let lb = (sym - LEN_BASE) as u32;
+        let lv = r.read_bits(lb as u8)?;
+        let len = (unbucketize(lb, lv) - 1) as usize + MIN_MATCH;
+        let dsym = dec.decode(&mut r)? as usize;
+        if !(DIST_BASE..ALPHABET).contains(&dsym) {
+            return Err(CodecError(format!("expected distance symbol, got {dsym}")));
         }
+        let db = (dsym - DIST_BASE) as u32;
+        let dv = r.read_bits(db as u8)?;
+        let dist = unbucketize(db, dv) as usize;
+        if dist == 0 || dist > out.len() {
+            return Err(CodecError(format!(
+                "distance {dist} out of range at {}",
+                out.len()
+            )));
+        }
+        if len > expected - out.len() {
+            return Err(CodecError("match overruns declared length".into()));
+        }
+        lz77::copy_match(&mut out, dist, len);
     }
     if out.len() != expected {
         return Err(CodecError(format!(
@@ -237,15 +225,155 @@ mod tests {
 
     #[test]
     fn truncation_and_corruption_rejected() {
+        // The last byte of a frame holds at least one bit of the
+        // end-of-block code, and no shorter code is a prefix of it, so
+        // every strict prefix of a valid frame fails to decode.
         let data = b"a man a plan a canal panama, a man a plan".to_vec();
-        let c = compress(&data, GZ_PARAMS);
-        assert!(decompress(&c[..c.len() - 1]).is_err() || decompress(&c[..c.len() - 1]).is_ok());
-        // Deterministic checks:
-        assert!(decompress(&[]).is_err());
-        assert!(decompress(&c[..3]).is_err());
-        let mut bad = c.clone();
-        let last = bad.len() - 1;
-        bad.truncate(last / 2);
-        assert!(decompress(&bad).is_err());
+        for params in [GZ_PARAMS, ZST_PARAMS] {
+            let c = compress(&data, params);
+            assert_eq!(decompress(&c).unwrap(), data);
+            for cut in 0..c.len() {
+                assert!(decompress(&c[..cut]).is_err(), "prefix of {cut} bytes");
+            }
+        }
+    }
+
+    /// A hand-built frame declaring `declared` bytes over an alphabet of
+    /// `alphabet` symbols; the stream is `ops`, each a symbol followed by
+    /// `(value, count)` raw extra bits.
+    fn frame(declared: u64, alphabet: usize, ops: &[(usize, u32, u8)]) -> Vec<u8> {
+        let mut freqs = vec![0u64; alphabet];
+        for &(sym, _, _) in ops {
+            freqs[sym] += 1;
+        }
+        let table = CodeTable::from_freqs(&freqs).unwrap();
+        let mut out = Vec::new();
+        put_varint(&mut out, declared);
+        table.write_table(&mut out);
+        let mut w = BitWriter::new();
+        for &(sym, extra, count) in ops {
+            table.encode(&mut w, sym).unwrap();
+            w.write_bits(extra, count);
+        }
+        out.extend_from_slice(&w.finish());
+        out
+    }
+
+    fn lit(b: u8) -> (usize, u32, u8) {
+        (LIT_BASE + b as usize, 0, 0)
+    }
+
+    const END: (usize, u32, u8) = (EOB, 0, 0);
+
+    /// Length symbol then distance symbol for a match of `len` from `dist` back.
+    fn copy(len: u32, dist: u32) -> [(usize, u32, u8); 2] {
+        let (lb, lx, lv) = bucketize(len - MIN_MATCH as u32 + 1);
+        let (db, dx, dv) = bucketize(dist);
+        [
+            (LEN_BASE + lb as usize, lv, lx),
+            (DIST_BASE + db as usize, dv, dx),
+        ]
+    }
+
+    fn error_of(frame: &[u8]) -> String {
+        decompress(frame).expect_err("frame must be rejected").0
+    }
+
+    #[test]
+    fn hand_built_frames_decode() {
+        let [l, d] = copy(9, 2);
+        let f = frame(11, ALPHABET, &[lit(b'a'), lit(b'b'), l, d, END]);
+        assert_eq!(decompress(&f).unwrap(), b"abababababa");
+    }
+
+    #[test]
+    fn every_decoder_check_fires() {
+        let [l4, d1] = copy(4, 1);
+        let [_, d2] = copy(4, 2);
+        // Two one-bit codes fill one stream byte; cut it.
+        let mut no_stream = frame(1, ALPHABET, &[lit(b'a'), END]);
+        no_stream.pop();
+        let cases: Vec<(Vec<u8>, &str)> = vec![
+            (
+                frame(5, ALPHABET, &[lit(b'a'), l4, d2, END]),
+                "distance 2 out of range at 1",
+            ),
+            (
+                frame(5, ALPHABET, &[l4, d1, END]),
+                "distance 1 out of range at 0",
+            ),
+            (
+                // The widest distance bucket: 31 extra bits after the code.
+                frame(5, ALPHABET, &[lit(b'a'), l4, (DIST_BASE + 31, 77, 31), END]),
+                "distance 2147483725 out of range at 1",
+            ),
+            (
+                frame(4, ALPHABET, &[lit(b'a'), l4, d1, END]),
+                "match overruns declared length",
+            ),
+            (
+                // The widest length bucket, then a distance that is fine.
+                frame(5, ALPHABET, &[lit(b'a'), (LEN_BASE + 31, 77, 31), d1, END]),
+                "match overruns declared length",
+            ),
+            (
+                frame(1, ALPHABET, &[lit(b'a'), lit(b'b'), END]),
+                "output overruns declared length",
+            ),
+            (
+                frame(5, ALPHABET, &[lit(b'a'), l4, lit(b'b'), END]),
+                "expected distance symbol, got 98",
+            ),
+            (
+                frame(5, ALPHABET, &[lit(b'a'), l4, END]),
+                "expected distance symbol, got 256",
+            ),
+            (
+                frame(5, ALPHABET + 9, &[lit(b'a'), l4, (ALPHABET + 4, 0, 0), END]),
+                "expected distance symbol, got 325",
+            ),
+            (
+                frame(5, ALPHABET, &[lit(b'a'), d1, END]),
+                "unexpected symbol 289",
+            ),
+            (
+                frame(1, ALPHABET + 9, &[lit(b'a'), (ALPHABET + 4, 0, 0), END]),
+                "unexpected symbol 325",
+            ),
+            (
+                frame(2, ALPHABET, &[lit(b'a'), END]),
+                "decoded 1 bytes, expected 2",
+            ),
+            (no_stream, "bit stream exhausted"),
+            (
+                frame((1 << 34) + 1, ALPHABET, &[END]),
+                "implausible frame length 17179869185",
+            ),
+        ];
+        for (f, want) in cases {
+            assert_eq!(error_of(&f), want);
+        }
+    }
+
+    #[test]
+    fn single_symbol_table_rejects_the_unassigned_code() {
+        // Only end-of-block has a code (`0`, one bit); `1` is unassigned.
+        let mut f = frame(0, ALPHABET, &[END]);
+        assert_eq!(decompress(&f).unwrap(), b"");
+        *f.last_mut().unwrap() = 1;
+        assert_eq!(error_of(&f), "invalid Huffman code in stream");
+    }
+
+    #[test]
+    fn huge_declared_length_is_an_error_not_an_abort() {
+        // The largest length the plausibility check lets through, a valid
+        // table and an immediate end-of-block: a few bytes of object must
+        // not take the node down on a 16 GiB allocation.
+        let f = frame(1 << 34, ALPHABET, &[END]);
+        let e = error_of(&f);
+        assert!(
+            e == "decoded 0 bytes, expected 17179869184" || e.starts_with("cannot reserve"),
+            "{e}"
+        );
     }
 }

@@ -5,6 +5,13 @@
 //! symbol frequencies, transmits only the length table (RLE-compressed),
 //! and both sides derive the same canonical codes — the classic DEFLATE
 //! construction.
+//!
+//! Canonical codes are MSB-first numbers while the bit stream is LSB-first,
+//! so every code goes onto the wire bit-reversed. [`CodeTable`] stores the
+//! codes already reversed, which serves both directions: the encoder writes
+//! them as they are, and the [`Decoder`] uses them as indices into a lookup
+//! table keyed by the next [`PRIMARY_BITS`] stream bits, resolving a symbol
+//! with one load instead of one test per code bit.
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::{CodecError, Result};
@@ -12,12 +19,18 @@ use crate::{CodecError, Result};
 /// Maximum code length; 15 matches DEFLATE and keeps the decode table small.
 pub const MAX_BITS: u8 = 15;
 
+/// Stream bits that index the [`Decoder`]'s primary table: 1024 four-byte
+/// entries stay in L1 next to the output, and a code longer than this
+/// belongs to a symbol seen about once in a thousand or less.
+pub const PRIMARY_BITS: u32 = 10;
+
 /// A canonical Huffman code table.
 #[derive(Debug, Clone)]
 pub struct CodeTable {
     /// Code length per symbol (0 = symbol absent).
     pub lengths: Vec<u8>,
-    /// Canonical code bits per symbol (LSB-first, reversed for writing).
+    /// Canonical code per symbol, bit-reversed within its length: the
+    /// order the LSB-first stream carries it in.
     codes: Vec<u32>,
 }
 
@@ -65,9 +78,10 @@ pub fn build_lengths(freqs: &[u64]) -> Vec<u8> {
         });
     }
     let mut next_id = n;
-    while heap.len() > 1 {
-        let a = heap.pop().expect("len > 1");
-        let b = heap.pop().expect("len > 1");
+    while let Some(a) = heap.pop() {
+        let Some(b) = heap.pop() else {
+            break; // `a` was the root
+        };
         parent.push(usize::MAX);
         if a.id >= parent.len() || b.id >= parent.len() {
             unreachable!("forest ids are dense");
@@ -146,7 +160,8 @@ impl CodeTable {
         let mut codes = vec![0u32; lengths.len()];
         for (sym, &len) in lengths.iter().enumerate() {
             if len > 0 {
-                codes[sym] = next_code[len as usize];
+                let code = next_code[len as usize];
+                codes[sym] = code.reverse_bits() >> (32 - u32::from(len));
                 next_code[len as usize] += 1;
                 if next_code[len as usize] > (1u32 << len) {
                     return Err(CodecError("over-subscribed Huffman code".into()));
@@ -168,14 +183,7 @@ impl CodeTable {
         if len == 0 {
             return Err(CodecError(format!("symbol {sym} has no code")));
         }
-        // Canonical codes are MSB-first; our bit IO is LSB-first, so write
-        // the reversed code.
-        let code = self.codes[sym];
-        let mut rev = 0u32;
-        for b in 0..len {
-            rev |= ((code >> b) & 1) << (len - 1 - b);
-        }
-        w.write_bits(rev, len);
+        w.write_bits(self.codes[sym], len);
         Ok(())
     }
 
@@ -221,14 +229,28 @@ impl CodeTable {
     }
 }
 
-/// A decoder for one canonical code table (linear per-length scan; fine for
-/// the symbol rates we need).
+/// A decoder for one canonical code table.
+///
+/// A symbol whose code has at most [`PRIMARY_BITS`] bits is resolved by one
+/// lookup: the next `PRIMARY_BITS` stream bits index `primary`, and because
+/// the stream carries codes bit-reversed, a code of length `l` owns every
+/// index whose low `l` bits equal its reversed code — the entry is
+/// replicated over the `PRIMARY_BITS - l` don't-care high bits. Longer
+/// codes (rare by construction) continue the canonical
+/// `first_code`/`count` walk over the peeked bits from length
+/// `PRIMARY_BITS + 1`. Everything is built once per table, in one pass over
+/// the lengths.
 #[derive(Debug)]
 pub struct Decoder {
-    /// first_code[len], first_symbol_index[len] over symbols sorted canonically.
-    first_code: Vec<u32>,
-    first_index: Vec<u32>,
-    count: Vec<u32>,
+    /// `symbol << 4 | length`, or 0 where no code of ≤ `PRIMARY_BITS` bits
+    /// matches (a length is never 0, so 0 is free to mean "none").
+    primary: Vec<u32>,
+    /// Per code length: the first canonical code, how many codes there
+    /// are, and where their symbols start in `symbols`.
+    first_code: [u32; MAX_BITS as usize + 1],
+    count: [u32; MAX_BITS as usize + 1],
+    first_index: [u32; MAX_BITS as usize + 1],
+    /// Symbols in canonical order: by (length, symbol).
     symbols: Vec<u16>,
 }
 
@@ -236,19 +258,13 @@ impl Decoder {
     /// Build a decoder from a code table.
     pub fn new(table: &CodeTable) -> Decoder {
         let max = MAX_BITS as usize;
-        let mut count = vec![0u32; max + 1];
+        let mut count = [0u32; MAX_BITS as usize + 1];
         for &l in &table.lengths {
-            if l > 0 {
-                count[l as usize] += 1;
-            }
+            count[l as usize] += 1;
         }
-        // Symbols in canonical order: by (length, symbol).
-        let mut symbols: Vec<u16> = (0..table.lengths.len() as u16)
-            .filter(|&s| table.lengths[s as usize] > 0)
-            .collect();
-        symbols.sort_by_key(|&s| (table.lengths[s as usize], s));
-        let mut first_code = vec![0u32; max + 2];
-        let mut first_index = vec![0u32; max + 2];
+        count[0] = 0;
+        let mut first_code = [0u32; MAX_BITS as usize + 1];
+        let mut first_index = [0u32; MAX_BITS as usize + 1];
         let mut code = 0u32;
         let mut index = 0u32;
         for len in 1..=max {
@@ -258,27 +274,63 @@ impl Decoder {
             code += count[len];
             index += count[len];
         }
+        let mut primary = vec![0u32; 1 << PRIMARY_BITS];
+        let mut symbols = vec![0u16; index as usize];
+        let mut next_index = first_index;
+        for (sym, (&len, &reversed)) in table.lengths.iter().zip(&table.codes).enumerate() {
+            if len == 0 {
+                continue;
+            }
+            symbols[next_index[len as usize] as usize] = sym as u16;
+            next_index[len as usize] += 1;
+            if u32::from(len) <= PRIMARY_BITS {
+                let entry = (sym as u32) << 4 | u32::from(len);
+                for slot in primary[reversed as usize..].iter_mut().step_by(1 << len) {
+                    *slot = entry;
+                }
+            }
+        }
         Decoder {
+            primary,
             first_code,
-            first_index,
             count,
+            first_index,
             symbols,
         }
     }
 
-    /// Decode one symbol from `r`.
+    /// Decode one symbol from `r`, refilling it when fewer than
+    /// [`MAX_BITS`] bits are buffered.
     #[inline]
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u16> {
-        let mut code = 0u32;
-        for len in 1..=MAX_BITS as usize {
-            code = (code << 1) | r.read_bits(1)?;
-            let c = self.count[len];
-            if c > 0 {
-                let first = self.first_code[len];
-                if code < first + c && code >= first {
-                    let idx = self.first_index[len] + (code - first);
-                    return Ok(self.symbols[idx as usize]);
-                }
+        if r.buffered() < u32::from(MAX_BITS) {
+            r.refill();
+        }
+        let entry = self.primary[r.peek(PRIMARY_BITS) as usize];
+        let entry = if entry == 0 {
+            self.decode_long(r.peek(u32::from(MAX_BITS)))?
+        } else {
+            entry
+        };
+        r.consume(entry & 15)?;
+        Ok((entry >> 4) as u16)
+    }
+
+    /// The canonical walk over the next [`MAX_BITS`] stream bits, for a
+    /// pattern no primary entry claims: a code longer than
+    /// [`PRIMARY_BITS`] (answered in the primary table's entry format), or
+    /// no code at all.
+    #[cold]
+    fn decode_long(&self, bits: u32) -> Result<u32> {
+        // The first PRIMARY_BITS stream bits, as the MSB-first number the
+        // canonical walk has accumulated by then.
+        let mut code = (bits << (32 - PRIMARY_BITS)).reverse_bits();
+        for len in PRIMARY_BITS as usize + 1..=MAX_BITS as usize {
+            code = code << 1 | (bits >> (len - 1) & 1);
+            let offset = code.wrapping_sub(self.first_code[len]);
+            if offset < self.count[len] {
+                let sym = self.symbols[(self.first_index[len] + offset) as usize];
+                return Ok(u32::from(sym) << 4 | len as u32);
             }
         }
         Err(CodecError("invalid Huffman code in stream".into()))

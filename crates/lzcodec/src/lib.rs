@@ -10,9 +10,22 @@
 //! | [`CodecKind::Gz`]   | GZip     | lazy LZSS, 32 KiB window, canonical Huffman     |
 //! | [`CodecKind::Zst`]  | Zstd     | lazy LZ, 1 MiB window, deep chains + Huffman    |
 //!
-//! All three share the [`lz77`] match finder (with different parameters) and
-//! the [`huffman`] entropy stage. Every codec is verified lossless by
-//! round-trip property tests.
+//! All three share the [`lz77`] match finder (with different parameters)
+//! and one back-reference copy ([`lz77::copy_match`]); `Gz` and `Zst` share
+//! the [`huffman`] entropy stage and one self-describing frame,
+//! `[varint raw_len][RLE code-length table][LSB-first bit stream]`. Every
+//! codec is verified lossless by round-trip property tests.
+//!
+//! The storage node decompresses every column chunk before any pushed-down
+//! operator can run, so the decode side is built for speed: [`bitio`]
+//! reads the stream through a 64-bit accumulator refilled eight bytes at a
+//! time, and [`huffman::Decoder`] resolves a symbol with one lookup in a
+//! table indexed by the next ten stream bits. Neither changes a byte of the
+//! frame; `tests/golden.rs` pins the encoder's output and
+//! `tests/proptests.rs` holds the decoder to a bit-at-a-time reference on
+//! valid, mutated and truncated frames. Frames come off the object store,
+//! so no declared length is trusted: output space is reserved fallibly and
+//! every match and literal is checked against it before it is written.
 //!
 //! Each codec also advertises *throughput hints*
 //! ([`CodecSpec::compress_gbps`] / [`CodecSpec::decompress_gbps`]) used by
@@ -176,6 +189,20 @@ pub struct CodecSpec {
     pub compress_gbps: f64,
     /// Single-core decompression throughput hint (GB/s of *output*).
     pub decompress_gbps: f64,
+}
+
+/// An output buffer with room for the `expected` bytes a frame declares.
+/// The length comes from untrusted object bytes: beyond 16 GiB it is
+/// implausible, and an allocation the system refuses is a decode error,
+/// not an abort of the storage node.
+fn reserve_output(expected: usize) -> Result<Vec<u8>> {
+    if expected > (1 << 34) {
+        return Err(CodecError(format!("implausible frame length {expected}")));
+    }
+    let mut out = Vec::new();
+    out.try_reserve_exact(expected)
+        .map_err(|e| CodecError(format!("cannot reserve {expected} bytes of output: {e}")))?;
+    Ok(out)
 }
 
 /// Compress `data` with `kind`. The output embeds the uncompressed length.

@@ -111,10 +111,7 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
     let mut pos = 0usize;
     let expected = get_varint(data, &mut pos)? as usize;
-    if expected > (1 << 34) {
-        return Err(CodecError(format!("implausible frame length {expected}")));
-    }
-    let mut out: Vec<u8> = Vec::with_capacity(expected);
+    let mut out = crate::reserve_output(expected)?;
     while pos < data.len() {
         let cmd = data[pos];
         pos += 1;
@@ -136,6 +133,9 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
                 if pos + len > data.len() {
                     return Err(CodecError("truncated literal run".into()));
                 }
+                if len > expected - out.len() {
+                    return Err(CodecError("output overruns declared length".into()));
+                }
                 out.extend_from_slice(&data[pos..pos + len]);
                 pos += len;
             }
@@ -149,13 +149,11 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
                     pos += 2;
                     d
                 } else {
-                    if pos + 4 > data.len() {
+                    let Some(&d) = data[pos..].first_chunk::<4>() else {
                         return Err(CodecError("truncated copy distance".into()));
-                    }
-                    let d = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes"))
-                        as usize;
+                    };
                     pos += 4;
-                    d
+                    u32::from_le_bytes(d) as usize
                 };
                 if dist == 0 || dist > out.len() {
                     return Err(CodecError(format!(
@@ -163,19 +161,12 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
                         out.len()
                     )));
                 }
-                if out.len() + len > expected {
+                if len > expected - out.len() {
                     return Err(CodecError("copy overruns frame length".into()));
                 }
-                let start = out.len() - dist;
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
-                }
+                lz77::copy_match(&mut out, dist, len);
             }
             _ => return Err(CodecError(format!("bad command byte {cmd:#x}"))),
-        }
-        if out.len() > expected {
-            return Err(CodecError("output overruns declared length".into()));
         }
     }
     if out.len() != expected {
@@ -259,5 +250,59 @@ mod tests {
         let data: Vec<u8> = b"abcd".iter().cycle().take(1 << 20).copied().collect();
         let c = compress(&data);
         assert!(c.len() < data.len() / 10, "ratio too weak: {}", c.len());
+    }
+
+    /// A frame declaring `declared` bytes followed by raw command bytes.
+    fn frame(declared: u64, commands: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_varint(&mut out, declared);
+        out.extend_from_slice(commands);
+        out
+    }
+
+    #[test]
+    fn every_decoder_check_fires() {
+        // `0 << 2` is a one-byte literal run; `1` is a copy of MIN_MATCH
+        // bytes with a two-byte distance, `2` the same with four bytes.
+        let cases: [(Vec<u8>, &str); 9] = [
+            (
+                frame(5, &[0, b'a', 1, 0, 0]),
+                "copy distance 0 out of range at output 1",
+            ),
+            (
+                frame(5, &[0, b'a', 1, 2, 0]),
+                "copy distance 2 out of range at output 1",
+            ),
+            (
+                frame(5, &[0, b'a', 2, 2, 0, 0, 0]),
+                "copy distance 2 out of range at output 1",
+            ),
+            (frame(4, &[0, b'a', 1, 1, 0]), "copy overruns frame length"),
+            (
+                frame(1, &[1 << 2, b'a', b'b']),
+                "output overruns declared length",
+            ),
+            (frame(5, &[0, b'a', 1, 1]), "truncated copy distance"),
+            (frame(5, &[0, b'a', 2, 1, 0, 0]), "truncated copy distance"),
+            (frame(5, &[0, b'a', 3]), "bad command byte 0x3"),
+            (frame(2, &[0, b'a']), "decoded 1 bytes, expected 2"),
+        ];
+        for (f, want) in cases {
+            assert_eq!(decompress(&f).expect_err("must be rejected").0, want);
+        }
+        assert_eq!(
+            decompress(&frame(5, &[0, b'a', 2, 1, 0, 0, 0])).unwrap(),
+            b"aaaaa"
+        );
+    }
+
+    #[test]
+    fn huge_declared_length_is_an_error_not_an_abort() {
+        let e = decompress(&frame(1 << 34, &[])).expect_err("no output").0;
+        assert!(
+            e == "decoded 0 bytes, expected 17179869184" || e.starts_with("cannot reserve"),
+            "{e}"
+        );
+        assert!(decompress(&frame((1 << 34) + 1, &[])).is_err());
     }
 }

@@ -2,9 +2,322 @@
 //! arbitrary byte strings, including highly structured and adversarial
 //! inputs.
 
-use lzcodec::lz77::{detokenize, tokenize, Token};
+use lzcodec::bitio::{BitReader, BitWriter};
+use lzcodec::huffman::{build_lengths, CodeTable, Decoder, MAX_BITS, PRIMARY_BITS};
+use lzcodec::lz77::{detokenize, tokenize, Token, MIN_MATCH};
 use lzcodec::{compress, decompress, CodecKind};
 use proptest::prelude::*;
+
+/// The bit reader the crate had before the accumulator: byte position, bit
+/// position, and an exhaustion check for every chunk of every read.
+struct ReferenceBits<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    bitpos: u8,
+}
+
+impl ReferenceBits<'_> {
+    fn read_bits(&mut self, count: u8) -> Result<u32, String> {
+        let mut out: u64 = 0;
+        let mut got: u8 = 0;
+        while got < count {
+            if self.pos >= self.bytes.len() {
+                return Err("bit stream exhausted".into());
+            }
+            let avail = 8 - self.bitpos;
+            let take = (count - got).min(avail);
+            let chunk = (self.bytes[self.pos] >> self.bitpos) & (((1u16 << take) - 1) as u8);
+            out |= (chunk as u64) << got;
+            got += take;
+            self.bitpos += take;
+            if self.bitpos == 8 {
+                self.bitpos = 0;
+                self.pos += 1;
+            }
+        }
+        Ok(out as u32)
+    }
+}
+
+/// The Huffman decoder the crate had before the lookup table: one
+/// `read_bits(1)` per code bit against the canonical first-code / count
+/// arrays, rebuilt here from nothing but the code lengths.
+struct ReferenceDecoder {
+    first_code: Vec<u32>,
+    first_index: Vec<u32>,
+    count: Vec<u32>,
+    symbols: Vec<u16>,
+}
+
+impl ReferenceDecoder {
+    fn new(lengths: &[u8]) -> ReferenceDecoder {
+        let max = MAX_BITS as usize;
+        let mut count = vec![0u32; max + 1];
+        for &l in lengths {
+            if l > 0 {
+                count[l as usize] += 1;
+            }
+        }
+        let mut symbols: Vec<u16> = (0..lengths.len() as u16)
+            .filter(|&s| lengths[s as usize] > 0)
+            .collect();
+        symbols.sort_by_key(|&s| (lengths[s as usize], s));
+        let mut first_code = vec![0u32; max + 2];
+        let mut first_index = vec![0u32; max + 2];
+        let mut code = 0u32;
+        let mut index = 0u32;
+        for len in 1..=max {
+            code <<= 1;
+            first_code[len] = code;
+            first_index[len] = index;
+            code += count[len];
+            index += count[len];
+        }
+        ReferenceDecoder {
+            first_code,
+            first_index,
+            count,
+            symbols,
+        }
+    }
+
+    fn decode(&self, r: &mut ReferenceBits<'_>) -> Result<u16, String> {
+        let mut code = 0u32;
+        for len in 1..=MAX_BITS as usize {
+            code = (code << 1) | r.read_bits(1)?;
+            let c = self.count[len];
+            if c > 0 {
+                let first = self.first_code[len];
+                if code < first + c && code >= first {
+                    let idx = self.first_index[len] + (code - first);
+                    return Ok(self.symbols[idx as usize]);
+                }
+            }
+        }
+        Err("invalid Huffman code in stream".into())
+    }
+}
+
+fn reference_varint(data: &[u8], pos: &mut usize) -> Result<u64, String> {
+    let mut v = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let &b = data.get(*pos).ok_or("truncated varint")?;
+        *pos += 1;
+        if shift >= 64 {
+            return Err("varint overflow".into());
+        }
+        v |= ((b & 0x7f) as u64) << shift;
+        if b & 0x80 == 0 {
+            return Ok(v);
+        }
+        shift += 7;
+    }
+}
+
+/// The frame decoder the crate had before this one (Gz and Zst share it),
+/// check for check and in the same order, with the bytewise match copy. It
+/// differs in one thing only: it does not allocate the declared length up
+/// front, so a mutated length cannot exhaust the test's memory.
+fn reference_decompress(data: &[u8]) -> Result<Vec<u8>, String> {
+    const EOB: usize = 256;
+    const LEN_BASE: usize = 257;
+    const DIST_BASE: usize = 289;
+    const ALPHABET: usize = 321;
+    let mut pos = 0usize;
+    let expected = reference_varint(data, &mut pos)? as usize;
+    if expected > (1 << 34) {
+        return Err(format!("implausible frame length {expected}"));
+    }
+    let (table, consumed) = CodeTable::read_table(&data[pos..]).map_err(|e| e.0)?;
+    pos += consumed;
+    let dec = ReferenceDecoder::new(&table.lengths);
+    let mut r = ReferenceBits {
+        bytes: &data[pos..],
+        pos: 0,
+        bitpos: 0,
+    };
+    let mut out: Vec<u8> = Vec::new();
+    loop {
+        let sym = dec.decode(&mut r)? as usize;
+        if sym < 256 {
+            out.push(sym as u8);
+        } else if sym == EOB {
+            break;
+        } else if (LEN_BASE..DIST_BASE).contains(&sym) {
+            let lb = (sym - LEN_BASE) as u32;
+            let lv = if lb > 0 { r.read_bits(lb as u8)? } else { 0 };
+            let len = ((1u32 << lb) + lv - 1) as usize + MIN_MATCH;
+            let dsym = dec.decode(&mut r)? as usize;
+            if !(DIST_BASE..ALPHABET).contains(&dsym) {
+                return Err(format!("expected distance symbol, got {dsym}"));
+            }
+            let db = (dsym - DIST_BASE) as u32;
+            let dv = if db > 0 { r.read_bits(db as u8)? } else { 0 };
+            let dist = ((1u32 << db) + dv) as usize;
+            if dist == 0 || dist > out.len() {
+                return Err(format!("distance {dist} out of range at {}", out.len()));
+            }
+            if out.len() + len > expected {
+                return Err("match overruns declared length".into());
+            }
+            let start = out.len() - dist;
+            for k in 0..len {
+                let b = out[start + k];
+                out.push(b);
+            }
+        } else {
+            return Err(format!("unexpected symbol {sym}"));
+        }
+        if out.len() > expected {
+            return Err("output overruns declared length".into());
+        }
+    }
+    if out.len() != expected {
+        return Err(format!("decoded {} bytes, expected {expected}", out.len()));
+    }
+    Ok(out)
+}
+
+/// The table-driven decoder must accept exactly the frames the reference
+/// accepts, and produce the same bytes from them.
+fn assert_decodes_like_reference(frame: &[u8]) {
+    let reference = reference_decompress(frame);
+    // Gz and Zst frames are one self-describing format behind one decoder.
+    let new = decompress(CodecKind::Zst, frame);
+    match (new, reference) {
+        (Ok(new), Ok(reference)) => assert_eq!(new, reference),
+        (Err(_), Err(_)) => {}
+        (new, reference) => panic!(
+            "table-driven decoder: {:?}, reference: {:?}",
+            new.map(|b| b.len()),
+            reference.map(|b| b.len())
+        ),
+    }
+}
+
+/// Mutations of a valid frame that keep it near-valid: a byte flipped, a
+/// strict prefix, a garbage tail.
+fn assert_mutations_decode_like_reference(frame: &[u8], flips: &[(usize, u8)], tail: &[u8]) {
+    for cut in 0..frame.len() {
+        assert_decodes_like_reference(&frame[..cut]);
+    }
+    for &(at, xor) in flips {
+        let mut bad = frame.to_vec();
+        let at = at % bad.len();
+        bad[at] ^= xor | 1;
+        assert_decodes_like_reference(&bad);
+        // The same flip with the stream cut short behind it.
+        assert_decodes_like_reference(&bad[..at + 1]);
+    }
+    let mut longer = frame.to_vec();
+    longer.extend_from_slice(tail);
+    assert_decodes_like_reference(&longer);
+}
+
+/// Frequencies whose optimal tree is a vine: symbol `i` gets Fibonacci
+/// number `i`, so the code lengths run all the way to the cap.
+fn fibonacci_freqs(n: usize) -> Vec<u64> {
+    let (mut a, mut b) = (1u64, 1u64);
+    (0..n)
+        .map(|_| {
+            let f = a;
+            (a, b) = (b, a + b);
+            f
+        })
+        .collect()
+}
+
+#[test]
+fn fifteen_bit_codes_roundtrip() {
+    let lengths = build_lengths(&fibonacci_freqs(64));
+    assert_eq!(lengths.iter().max(), Some(&MAX_BITS));
+    assert!(
+        lengths
+            .iter()
+            .filter(|&&l| u32::from(l) > PRIMARY_BITS)
+            .count()
+            > 8
+    );
+    let table = CodeTable::from_lengths(lengths.clone()).unwrap();
+    // Every symbol next to every other, so short and long codes meet at
+    // every accumulator fill level.
+    let symbols: Vec<u16> = (0..64u16)
+        .flat_map(|a| (0..64u16).flat_map(move |b| [a, b]))
+        .collect();
+    let mut w = BitWriter::new();
+    for &s in &symbols {
+        table.encode(&mut w, s as usize).unwrap();
+    }
+    let bytes = w.finish();
+    let dec = Decoder::new(&table);
+    let reference = ReferenceDecoder::new(&lengths);
+    let mut r = BitReader::new(&bytes);
+    let mut rr = ReferenceBits {
+        bytes: &bytes,
+        pos: 0,
+        bitpos: 0,
+    };
+    for &s in &symbols {
+        assert_eq!(dec.decode(&mut r).unwrap(), s);
+        assert_eq!(reference.decode(&mut rr).unwrap(), s);
+    }
+}
+
+#[test]
+fn frame_with_long_codes_decodes_like_reference() {
+    // Fibonacci byte frequencies, shuffled so the match finder leaves most
+    // of them as literals: the frame's own table then has codes longer
+    // than the primary table's index.
+    let mut data: Vec<u8> = fibonacci_freqs(22)
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &f)| std::iter::repeat_n(i as u8 * 11, f as usize))
+        .collect();
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for i in (1..data.len()).rev() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        data.swap(i, (x % (i as u64 + 1)) as usize);
+    }
+    for kind in [CodecKind::Gz, CodecKind::Zst] {
+        let frame = compress(kind, &data);
+        let mut table_at = 0;
+        reference_varint(&frame, &mut table_at).unwrap();
+        let (table, _) = CodeTable::read_table(&frame[table_at..]).unwrap();
+        let longest = table.lengths.iter().copied().max().unwrap();
+        assert!(u32::from(longest) > PRIMARY_BITS, "longest code {longest}");
+        assert_eq!(decompress(kind, &frame).unwrap(), data);
+        assert_decodes_like_reference(&frame);
+        // Cuts through the tail, where the long codes of the rare symbols
+        // and of end-of-block meet the end of the stream.
+        for cut in frame.len() - 64..frame.len() {
+            assert_decodes_like_reference(&frame[..cut]);
+        }
+    }
+}
+
+#[test]
+fn single_symbol_alphabet_rejects_the_unassigned_code() {
+    let mut lengths = vec![0u8; 256];
+    lengths[42] = 1;
+    let table = CodeTable::from_lengths(lengths.clone()).unwrap();
+    let dec = Decoder::new(&table);
+    let reference = ReferenceDecoder::new(&lengths);
+    // Bit 0 is the one code there is, bit 1 the pattern nothing owns.
+    let bytes = [0b10u8];
+    let mut r = BitReader::new(&bytes);
+    let mut rr = ReferenceBits {
+        bytes: &bytes,
+        pos: 0,
+        bitpos: 0,
+    };
+    assert_eq!(dec.decode(&mut r).unwrap(), 42);
+    assert_eq!(reference.decode(&mut rr).unwrap(), 42);
+    assert!(dec.decode(&mut r).is_err());
+    assert!(reference.decode(&mut rr).is_err());
+}
 
 /// Reference decoder: the straightforward bytewise back-reference copy
 /// the chunked `detokenize` implementation must be equivalent to.
@@ -104,6 +417,48 @@ proptest! {
         let kind = CodecKind::from_tag(kind_tag).unwrap();
         // Must return Ok or Err, never panic or hang.
         let _ = decompress(kind, &data);
+    }
+
+    #[test]
+    fn entropy_decoder_equals_reference_on_arbitrary_data(
+        data in proptest::collection::vec(any::<u8>(), 0..1_000),
+        flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..24),
+        tail in proptest::collection::vec(any::<u8>(), 0..40),
+    ) {
+        for kind in [CodecKind::Gz, CodecKind::Zst] {
+            let frame = compress(kind, &data);
+            assert_decodes_like_reference(&frame);
+            assert_mutations_decode_like_reference(&frame, &flips, &tail);
+        }
+    }
+
+    #[test]
+    fn entropy_decoder_equals_reference_on_structured_data(
+        seed in any::<u8>(),
+        period in 1usize..300,
+        reps in 1usize..60,
+        noise in proptest::collection::vec(any::<u8>(), 0..200),
+        flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..24),
+        tail in proptest::collection::vec(any::<u8>(), 0..40),
+    ) {
+        // Periodic data (long and overlapping matches at every distance)
+        // around a patch of noise (literals).
+        let mut data: Vec<u8> = (0..period * reps)
+            .map(|i| seed.wrapping_add((i % period) as u8))
+            .collect();
+        data.splice(data.len() / 2..data.len() / 2, noise);
+        for kind in [CodecKind::Gz, CodecKind::Zst] {
+            let frame = compress(kind, &data);
+            assert_decodes_like_reference(&frame);
+            assert_mutations_decode_like_reference(&frame, &flips, &tail);
+        }
+    }
+
+    #[test]
+    fn entropy_decoder_equals_reference_on_garbage(
+        data in proptest::collection::vec(any::<u8>(), 0..2_000),
+    ) {
+        assert_decodes_like_reference(&data);
     }
 
     #[test]

@@ -267,6 +267,15 @@ impl ParqReader {
         let start = ch.offset as usize;
         let end = start + ch.compressed_len as usize;
         let raw: Bytes = lzcodec::decompress(self.codec, &self.bytes[start..end])?.into();
+        // Decode work and late-materialization savings are billed from the
+        // footer's length, so it has to be the length that was decoded.
+        if raw.len() as u64 != ch.uncompressed_len {
+            return Err(ParqError::Corrupt(format!(
+                "chunk decompressed to {} bytes, footer declares {}",
+                raw.len(),
+                ch.uncompressed_len
+            )));
+        }
         let array = decode_chunk(&raw, ch.encoding)?;
         if array.len() as u64 != g.rows {
             return Err(ParqError::Corrupt(format!(
@@ -528,6 +537,33 @@ mod tests {
             ParqReader::open(bad.into()),
             Err(ParqError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn wrong_uncompressed_len_in_footer_is_rejected() {
+        for codec in [CodecKind::None, CodecKind::Zst] {
+            let bytes = make_file(codec, 100, 100);
+            let n = bytes.len();
+            let footer_len = u32::from_le_bytes(bytes[n - 8..n - 4].try_into().unwrap()) as usize;
+            // Same walk as above, two fields further: chunk 0's offset,
+            // compressed_len, then uncompressed_len.
+            let len_at =
+                (n - 8 - footer_len) + 4 + (4 + 2 + 2) + (4 + 1 + 2) + (4 + 3 + 2) + 5 + 8 + 16;
+            let declared = u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap());
+            let r = ParqReader::open(bytes.clone().into()).unwrap();
+            assert_eq!(r.chunk_uncompressed_bytes(0, 0).unwrap(), declared);
+            assert!(r.read_chunk(0, 0).is_ok());
+            for off_by_one in [declared - 1, declared + 1] {
+                let mut bad = bytes.clone();
+                bad[len_at..len_at + 8].copy_from_slice(&off_by_one.to_le_bytes());
+                let r = ParqReader::open(bad.into()).unwrap();
+                assert!(
+                    matches!(r.read_chunk(0, 0), Err(ParqError::Corrupt(_))),
+                    "{codec}: footer says {off_by_one}, chunk holds {declared}"
+                );
+                assert!(r.read_chunk(0, 1).is_ok(), "other chunks are untouched");
+            }
+        }
     }
 
     #[test]

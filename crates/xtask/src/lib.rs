@@ -9,9 +9,10 @@
 //!    have a `SAFETY:` comment on its own line or within the three lines
 //!    above.
 //! 2. **No `unwrap`/`expect` on the trust boundary** (`L2`) — non-test
-//!    code in `crates/ocs`, `crates/substrait-ir`, `crates/core`, and
-//!    `crates/obs` (which decodes span payloads off the wire) must not
-//!    call `.unwrap()` or `.expect(`; a storage node must return an
+//!    code in `crates/ocs`, `crates/substrait-ir`, `crates/core`,
+//!    `crates/obs` (which decodes span payloads off the wire) and
+//!    `crates/lzcodec` (which decodes column chunks off the store) must
+//!    not call `.unwrap()` or `.expect(`; a storage node must return an
 //!    error frame, never abort. Survivors are listed in
 //!    `crates/xtask/lint-allow.txt` with a justification.
 //! 3. **No dead error variants** (`L3`) — every variant of a `pub enum
@@ -48,6 +49,7 @@ const BANNED_PANIC_CRATES: &[&str] = &[
     "crates/core/",
     "crates/obs/",
     "crates/columnar/src/ipc.rs",
+    "crates/lzcodec/",
     "crates/netsim/src/sched.rs",
     "crates/netsim/src/split.rs",
     "crates/netsim/src/stats.rs",
