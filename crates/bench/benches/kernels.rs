@@ -3,6 +3,7 @@
 
 use columnar::agg::AggFunc;
 use columnar::kernels::{arith, cmp, selection};
+use columnar::ops::Aggregation;
 use columnar::prelude::*;
 use columnar::sort::{top_n, SortKey};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -53,21 +54,20 @@ fn bench_kernels(c: &mut Criterion) {
     });
 
     g.bench_function(BenchmarkId::new("hash_agg", n), |bench| {
+        let key = dsq::expr::ScalarExpr::col(0, "id", DataType::Int64);
+        let arg = dsq::expr::ScalarExpr::col(1, "v", DataType::Float64);
+        let out_schema = Arc::new(Schema::new(vec![
+            Field::new("id", DataType::Int64, true),
+            Field::new("s", DataType::Float64, true),
+        ]));
         bench.iter(|| {
-            let mut agg = dsq::exec::operators::HashAggregator::new(
-                vec![(
-                    dsq::expr::ScalarExpr::col(0, "id", DataType::Int64),
-                    "id".into(),
-                )],
-                vec![dsq::expr::AggregateCall {
-                    func: AggFunc::Sum,
-                    arg: Some(dsq::expr::ScalarExpr::col(1, "v", DataType::Float64)),
-                    output_name: "s".into(),
-                }],
+            let mut agg = Aggregation::new(
+                [(&key, DataType::Int64)],
+                [(AggFunc::Sum, Some((&arg, DataType::Float64)))],
             )
             .unwrap();
-            agg.update(&b, &netsim::CostParams::default()).unwrap();
-            agg.finish().unwrap()
+            agg.update(&b).unwrap();
+            agg.finish(out_schema.clone()).unwrap()
         })
     });
 

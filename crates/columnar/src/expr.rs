@@ -158,12 +158,14 @@ pub fn referenced_columns<E: ExprTree>(e: &E, out: &mut Vec<usize>) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::schema::{Field, Schema};
 
     /// A minimal IR: the walker needs nothing from a tree but `node()`.
-    enum T {
+    /// [`crate::ops`]'s tests build their expressions from it too.
+    #[derive(Debug)]
+    pub(crate) enum T {
         Col(usize),
         Lit(Scalar),
         Cmp(CmpOp, Box<T>, Box<T>),
@@ -197,15 +199,15 @@ mod tests {
         }
     }
 
-    fn col(i: usize) -> Box<T> {
+    pub(crate) fn col(i: usize) -> Box<T> {
         Box::new(T::Col(i))
     }
 
-    fn int(v: i64) -> Box<T> {
+    pub(crate) fn int(v: i64) -> Box<T> {
         Box::new(T::Lit(Scalar::Int64(v)))
     }
 
-    fn float(v: f64) -> Box<T> {
+    pub(crate) fn float(v: f64) -> Box<T> {
         Box::new(T::Lit(Scalar::Float64(v)))
     }
 

@@ -310,12 +310,18 @@ impl<'a> Reader<'a> {
                     }
                 }
                 let data = self.bytes_shared(data_len)?;
-                std::str::from_utf8(&data)
+                let text = std::str::from_utf8(&data)
                     .map_err(|e| ColumnarError::Corrupt(format!("invalid utf8: {e}")))?;
-                // Offsets must be monotone and in range.
+                // Offsets must be monotone, in range, and cut the data only
+                // between characters (`Utf8Array::value` slices by them).
                 for w in offsets.windows(2) {
                     if w[0] > w[1] {
                         return Err(ColumnarError::Corrupt("non-monotone utf8 offsets".into()));
+                    }
+                    if !text.is_char_boundary(w[0] as usize) {
+                        return Err(ColumnarError::Corrupt(
+                            "utf8 offset splits a code point".into(),
+                        ));
                     }
                 }
                 Array::Utf8(Utf8Array {
@@ -921,6 +927,32 @@ mod tests {
                 ),
                 "{dt} column, nrows = {nrows:#x}"
             );
+        }
+    }
+
+    #[test]
+    fn resealed_utf8_offset_inside_a_code_point_is_corrupt() {
+        // Two rows over the data "é": whole-buffer UTF-8 validity, monotone
+        // offsets and the right end offset all hold for [0, 1, 2] as well,
+        // and `Utf8Array::value` would then panic in whichever operator
+        // reads the column first.
+        let schema = Arc::new(Schema::new(vec![Field::new("s", DataType::Utf8, false)]));
+        let column = Arc::new(Array::from_strs(["é", ""]));
+        let b = RecordBatch::try_new(schema, vec![column]).unwrap();
+        let mut msg = encode_batch(&b).to_vec();
+        let back = decode_batch(&Bytes::from(msg.clone())).unwrap();
+        assert_eq!(back.rows(), b.rows(), "a valid multi-byte column decodes");
+
+        // Tail of the message: offsets 3 x u32 | data_len u32 | "é" | crc.
+        let offsets_at = msg.len() - 4 - "é".len() - 4 - 12;
+        assert_eq!(field_value(&msg, (offsets_at + 4, 4)), 2);
+        set_field(&mut msg, (offsets_at + 4, 4), 1);
+        reseal(&mut msg);
+        for got in [
+            decode_batch(&Bytes::from(msg.clone())).map(|_| ()),
+            decode_frames(&encode_frame(KIND_BATCH, &msg)).map(|_| ()),
+        ] {
+            assert!(matches!(got, Err(ColumnarError::Corrupt(_))), "{got:?}");
         }
     }
 

@@ -180,13 +180,18 @@ pub fn take_batch(batch: &RecordBatch, indices: &[usize]) -> Result<RecordBatch>
     RecordBatch::try_new(batch.schema().clone(), columns)
 }
 
-/// The first `n` rows of `batch` (SQL `LIMIT`).
-pub fn limit_batch(batch: &RecordBatch, n: usize) -> Result<RecordBatch> {
-    if n >= batch.num_rows() {
+/// Rows `rows` of `batch`. The full range shares the batch's columns (no
+/// copy); a range past the end is an error.
+pub fn slice_batch(batch: &RecordBatch, rows: std::ops::Range<usize>) -> Result<RecordBatch> {
+    if rows == (0..batch.num_rows()) {
         return Ok(batch.clone());
     }
-    let indices: Vec<usize> = (0..n).collect();
-    take_batch(batch, &indices)
+    take_batch(batch, &rows.collect::<Vec<_>>())
+}
+
+/// The first `n` rows of `batch` (SQL `LIMIT`).
+pub fn limit_batch(batch: &RecordBatch, n: usize) -> Result<RecordBatch> {
+    slice_batch(batch, 0..n.min(batch.num_rows()))
 }
 
 #[cfg(test)]

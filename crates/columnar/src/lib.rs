@@ -25,6 +25,9 @@
 //! * [`expr`] — the one expression walker (evaluation, cost weight,
 //!   referenced columns) shared by the engine's and the storage executor's
 //!   expression IRs.
+//! * [`ops`] — the one operator layer over that walker: the batch-level
+//!   bodies of filter, project, grouped aggregation, sort, top-N and fetch
+//!   that both sides of the pushdown boundary call.
 //! * [`sort`] — multi-key lexicographic sorting and top-N selection.
 //! * [`ipc`] — a compact IPC-style wire format for shipping batches
 //!   (the "Arrow flight" of this reproduction).
@@ -67,6 +70,7 @@ pub mod expr;
 pub mod groupby;
 pub mod ipc;
 pub mod kernels;
+pub mod ops;
 pub mod schema;
 pub mod sort;
 

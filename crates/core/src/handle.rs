@@ -6,9 +6,9 @@
 use std::any::Any;
 
 use columnar::agg::AggFunc;
+use columnar::sort::SortKey;
 use columnar::SchemaRef;
 use dsq::expr::ScalarExpr;
-use dsq::plan::SortKey;
 use dsq::spi::TableHandle;
 
 /// One pushed-down partial aggregate.

@@ -1,25 +1,27 @@
 //! The Hive-connector baseline: filter + column-projection pushdown only,
 //! at the S3-Select/MinIO-Select capability level (paper §2.4).
 //!
-//! Its plan optimizer converts *simple conjunctive* predicates
-//! (`col op literal`, `col BETWEEN a AND b`) into the object store's
-//! restricted `select()` API. Anything richer — expression projection,
-//! aggregation, top-N — stays at the compute layer, which is exactly the
-//! limitation the paper's OCS connector removes.
+//! Its plan optimizer hands a filter to the object store's restricted
+//! `select()` API when — and only when — the whole conjunction lowers to
+//! [`RangePredicate`]s (`col op literal`; `col BETWEEN a AND b` is two),
+//! the same lowering that picks OCS's row-group pruning predicates.
+//! Anything richer — expression projection, aggregation, top-N — stays at
+//! the compute layer, which is exactly the limitation the paper's OCS
+//! connector removes.
 
 use std::any::Any;
 use std::sync::Arc;
 
-use columnar::{Scalar, SchemaRef};
+use columnar::SchemaRef;
 use dsq::error::{EResult, EngineError};
-use dsq::expr::ScalarExpr;
 use dsq::plan::{LogicalPlan, TableScanNode};
 use dsq::spi::{
     BufferedPageStream, Connector, ConnectorPlanOptimizer, DefaultSplitManager, DefaultTableHandle,
     OptimizerContext, PageSourceProvider, PageSourceResult, Split, SplitManager, TableHandle,
 };
 use netsim::{ClusterSpec, CostParams, ExecStats, Work};
-use objstore::{ObjectStore, SelectPredicate, SelectRequest};
+use objstore::{ObjectStore, SelectRequest};
+use parq::RangePredicate;
 
 /// Scan handle carrying the select-API request.
 #[derive(Debug, Clone)]
@@ -28,8 +30,8 @@ pub struct HiveTableHandle {
     pub projection_names: Vec<String>,
     /// File-column ordinals of the projection (for stats lookups).
     pub projection: Vec<usize>,
-    /// Converted predicates (complete conjunction).
-    pub predicates: Vec<SelectPredicate>,
+    /// The pushed filter: a complete conjunction over file ordinals.
+    pub predicates: Vec<RangePredicate>,
     /// Schema the scan emits.
     pub output_schema: SchemaRef,
 }
@@ -45,59 +47,6 @@ impl TableHandle for HiveTableHandle {
             self.projection,
             self.predicates.len()
         )
-    }
-}
-
-/// Convert a predicate into select-API conjuncts. Returns `None` when any
-/// part of the conjunction is inexpressible (the S3-Select ceiling).
-pub fn to_select_predicates(
-    e: &ScalarExpr,
-    schema: &SchemaRef,
-    out: &mut Vec<SelectPredicate>,
-) -> Option<()> {
-    match e {
-        ScalarExpr::And(a, b) => {
-            to_select_predicates(a, schema, out)?;
-            to_select_predicates(b, schema, out)
-        }
-        ScalarExpr::Between { expr, lo, hi } => {
-            if let (
-                ScalarExpr::Column { index, .. },
-                ScalarExpr::Literal(l),
-                ScalarExpr::Literal(h),
-            ) = (expr.as_ref(), lo.as_ref(), hi.as_ref())
-            {
-                out.push(SelectPredicate::Between {
-                    column: schema.field(*index).name.clone(),
-                    lo: l.clone(),
-                    hi: h.clone(),
-                });
-                Some(())
-            } else {
-                None
-            }
-        }
-        ScalarExpr::Cmp { op, left, right } => match (left.as_ref(), right.as_ref()) {
-            (ScalarExpr::Column { index, .. }, ScalarExpr::Literal(v)) => {
-                out.push(SelectPredicate::Compare {
-                    column: schema.field(*index).name.clone(),
-                    op: *op,
-                    value: v.clone(),
-                });
-                Some(())
-            }
-            (ScalarExpr::Literal(v), ScalarExpr::Column { index, .. }) => {
-                out.push(SelectPredicate::Compare {
-                    column: schema.field(*index).name.clone(),
-                    op: op.flip(),
-                    value: v.clone(),
-                });
-                Some(())
-            }
-            _ => None,
-        },
-        ScalarExpr::Literal(Scalar::Boolean(true)) => Some(()),
-        _ => None,
     }
 }
 
@@ -139,12 +88,13 @@ impl ConnectorPlanOptimizer for HivePlanOptimizer {
             }
             chain.reverse();
         }
+        // Expressible at the S3-Select ceiling = every conjunct lowered.
         let mut predicates = Vec::new();
         let mut drop_first_filter = false;
         if let Some(LogicalPlan::Filter { predicate, .. }) = chain.first() {
-            let mut converted = Vec::new();
-            if to_select_predicates(predicate, &scan.output_schema, &mut converted).is_some() {
-                predicates = converted;
+            let (lowered, complete) = RangePredicate::lower(predicate, Some(&projection));
+            if complete {
+                predicates = lowered;
                 drop_first_filter = true;
             }
         }
@@ -198,15 +148,8 @@ impl PageSourceProvider for HivePageSourceProvider {
             .map_err(|e| EngineError::Connector(e.to_string()))?;
 
         // Storage side: decode + filter evaluation (that is the "Select"
-        // compute the storage layer performs).
-        let filter_weight: f64 = handle
-            .predicates
-            .iter()
-            .map(|p| match p {
-                SelectPredicate::Between { .. } => 2.0,
-                SelectPredicate::Compare { .. } => 1.0,
-            })
-            .sum();
+        // compute the storage layer performs), one unit per comparison.
+        let filter_weight = handle.predicates.len() as f64;
         let storage_work = Work {
             decode: resp.stats.uncompressed_bytes as f64 * self.cost.byte_decode
                 + resp.stats.returned_bytes as f64 * self.cost.byte_ser,
@@ -296,7 +239,8 @@ impl Connector for HiveConnector {
 mod tests {
     use super::*;
     use columnar::kernels::cmp::CmpOp;
-    use columnar::{DataType, Field, Schema};
+    use columnar::{DataType, Field, Scalar, Schema};
+    use dsq::expr::ScalarExpr;
 
     fn schema() -> SchemaRef {
         Arc::new(Schema::new(vec![
@@ -305,9 +249,12 @@ mod tests {
         ]))
     }
 
+    fn range(column: usize, op: CmpOp, value: Scalar) -> RangePredicate {
+        RangePredicate { column, op, value }
+    }
+
     #[test]
     fn converts_simple_conjunctions() {
-        let s = schema();
         let pred = ScalarExpr::And(
             Arc::new(ScalarExpr::Between {
                 expr: Arc::new(ScalarExpr::col(0, "x", DataType::Float64)),
@@ -320,46 +267,43 @@ mod tests {
                 right: Arc::new(ScalarExpr::lit(Scalar::Utf8("a".into()))),
             }),
         );
-        let mut out = Vec::new();
-        assert!(to_select_predicates(&pred, &s, &mut out).is_some());
-        assert_eq!(out.len(), 2);
-        assert!(matches!(&out[0], SelectPredicate::Between { column, .. } if column == "x"));
-        assert!(matches!(
-            &out[1],
-            SelectPredicate::Compare { op: CmpOp::Eq, .. }
-        ));
+        // The scan emits (x, tag) as file columns (3, 1).
+        let (out, complete) = RangePredicate::lower(&pred, Some(&[3, 1]));
+        assert!(complete);
+        assert_eq!(
+            out,
+            vec![
+                range(3, CmpOp::GtEq, Scalar::Float64(0.8)),
+                range(3, CmpOp::LtEq, Scalar::Float64(3.2)),
+                range(1, CmpOp::Eq, Scalar::Utf8("a".into())),
+            ]
+        );
     }
 
     #[test]
     fn rejects_inexpressible_predicates() {
-        let s = schema();
         // OR is beyond the restricted API.
         let pred = ScalarExpr::Or(
             Arc::new(ScalarExpr::lit(Scalar::Boolean(true))),
             Arc::new(ScalarExpr::lit(Scalar::Boolean(false))),
         );
-        let mut out = Vec::new();
-        assert!(to_select_predicates(&pred, &s, &mut out).is_none());
+        assert!(!RangePredicate::lower(&pred, None).1);
         // Column-to-column comparison too.
         let pred = ScalarExpr::Cmp {
             op: CmpOp::Lt,
             left: Arc::new(ScalarExpr::col(0, "x", DataType::Float64)),
             right: Arc::new(ScalarExpr::col(0, "x", DataType::Float64)),
         };
-        let mut out = Vec::new();
-        assert!(to_select_predicates(&pred, &s, &mut out).is_none());
+        assert!(!RangePredicate::lower(&pred, None).1);
         // Flipped literal-first comparison is fine.
         let pred = ScalarExpr::Cmp {
             op: CmpOp::Gt,
             left: Arc::new(ScalarExpr::lit(Scalar::Float64(0.1))),
             right: Arc::new(ScalarExpr::col(0, "x", DataType::Float64)),
         };
-        let mut out = Vec::new();
-        assert!(to_select_predicates(&pred, &s, &mut out).is_some());
-        assert!(matches!(
-            &out[0],
-            SelectPredicate::Compare { op: CmpOp::Lt, .. }
-        ));
+        let (out, complete) = RangePredicate::lower(&pred, None);
+        assert!(complete);
+        assert_eq!(out, vec![range(0, CmpOp::Lt, Scalar::Float64(0.1))]);
     }
 
     /// Decompression is billed from the codec the select call saw — one
@@ -407,25 +351,31 @@ mod tests {
             projection: Some(vec!["x".into()]),
             predicates: vec![],
         };
-        let page = provider
-            .create(&Split {
-                connector: "hive".into(),
-                table: "t".into(),
-                bucket: "lake".into(),
-                key: "t/0".into(),
-                schema: schema.clone(),
-                handle: Arc::new(HiveTableHandle {
-                    projection_names: vec!["x".into()],
-                    projection: vec![0],
-                    predicates: vec![],
-                    output_schema: schema,
-                }),
-                seq: 0,
-            })
-            .unwrap();
-        let mut stream = page.stream;
-        while stream.next_batch().unwrap().is_some() {}
-        let report = stream.finish().unwrap();
+        let run = |handle: HiveTableHandle| {
+            let page = provider
+                .create(&Split {
+                    connector: "hive".into(),
+                    table: "t".into(),
+                    bucket: "lake".into(),
+                    key: "t/0".into(),
+                    schema: schema.clone(),
+                    handle: Arc::new(handle),
+                    seq: 0,
+                })
+                .unwrap();
+            let mut stream = page.stream;
+            let mut rows = 0;
+            while let Some(b) = stream.next_batch().unwrap() {
+                rows += b.num_rows();
+            }
+            (rows, stream.finish().unwrap())
+        };
+        let (_, report) = run(HiveTableHandle {
+            projection_names: vec!["x".into()],
+            projection: vec![0],
+            predicates: vec![],
+            output_schema: schema.clone(),
+        });
 
         let scanned = objstore::select(&store, "lake", "t/0", &request).unwrap();
         assert_eq!(scanned.codec, CodecKind::Zst);
@@ -434,5 +384,21 @@ mod tests {
             report.stats.storage_decompress_s,
             CodecKind::Zst.decompress_seconds(scanned.stats.uncompressed_bytes)
         );
+
+        // `x BETWEEN 100 AND 400 AND tag = 'a'`: the storage CPU bill is the
+        // bit pattern captured when this was a 2.0-weight `Between` plus a
+        // 1.0-weight `Compare` — three range predicates weigh the same.
+        let (rows, report) = run(HiveTableHandle {
+            projection_names: vec!["x".into(), "tag".into()],
+            projection: vec![0, 1],
+            predicates: vec![
+                range(0, CmpOp::GtEq, Scalar::Float64(100.0)),
+                range(0, CmpOp::LtEq, Scalar::Float64(400.0)),
+                range(1, CmpOp::Eq, Scalar::Utf8("a".into())),
+            ],
+            output_schema: schema.clone(),
+        });
+        assert_eq!((rows, report.stats.rows_scanned), (1051, 4000));
+        assert_eq!(report.stats.storage_cpu_s.to_bits(), 0x3f42_a0f2_b7a6_5852);
     }
 }

@@ -4,8 +4,8 @@
 //! Presto's function signatures map to Substrait's standardized
 //! namespace".
 
+use columnar::sort::SortKey;
 use dsq::expr::ScalarExpr;
-use dsq::plan::SortKey;
 use substrait_ir::planck;
 use substrait_ir::{Expr, Measure, Plan, Rel, SortField};
 
@@ -259,7 +259,7 @@ mod tests {
                 )),
                 sort: None,
                 topn: Some((
-                    vec![dsq::plan::SortKey {
+                    vec![SortKey {
                         column: 2,
                         ascending: true,
                         nulls_first: true,

@@ -13,13 +13,14 @@ use std::sync::Arc;
 use columnar::agg::AggFunc;
 use columnar::kernels::arith::ArithOp;
 use columnar::kernels::cmp::CmpOp;
+use columnar::sort::SortKey;
 use columnar::{DataType, Scalar, Schema, SchemaRef};
 use sqlparse::ast::{AstExpr, BinaryOp, Query, UnaryOp};
 
 use crate::catalog::Metastore;
 use crate::error::{EResult, EngineError};
 use crate::expr::{AggregateCall, ScalarExpr};
-use crate::plan::{LogicalPlan, SortKey, TableScanNode};
+use crate::plan::{LogicalPlan, TableScanNode};
 use crate::spi::DefaultTableHandle;
 
 /// A fully analyzed query: the plan plus the output mapping (Presto's

@@ -1,12 +1,17 @@
 //! Physical execution: split-parallel leaf pipelines feeding a final
 //! single-stream stage (Presto's partial/final operator model), with every
 //! unit of work billed to the `netsim` cost model.
-
-pub mod operators;
+//!
+//! The operator bodies are [`columnar::ops`] — the same code the OCS
+//! storage executor runs, so a pushed-down operator computes in storage
+//! what it would here. This module owns what is the engine's: reading the
+//! `LogicalPlan`, the split / partial / final staging, and the one
+//! `CostParams` call per operator that prices it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use columnar::ops::{self, Aggregation};
 use columnar::prelude::*;
 use netsim::{
     split_phase, ClusterSpec, CostParams, ExecStats, Ledger, Phase, SplitPhase, SplitReport, Work,
@@ -15,9 +20,9 @@ use rayon::prelude::*;
 
 use crate::catalog::Metastore;
 use crate::error::{EResult, EngineError};
+use crate::expr::{AggregateCall, ScalarExpr};
 use crate::plan::LogicalPlan;
 use crate::spi::Connector;
-use operators::{run_filter, run_limit, run_project, run_sort, run_topn, HashAggregator};
 
 /// Everything a finished query reports back.
 #[derive(Debug)]
@@ -43,21 +48,33 @@ pub struct ExecutionOutcome {
 }
 
 /// Per-split partial result.
-enum Partial {
+enum Partial<'a> {
     Batches(Vec<RecordBatch>),
-    Agg(Box<HashAggregator>),
+    Agg(Box<Aggregation<'a, ScalarExpr>>),
 }
 
-struct SplitOutput {
-    partial: Partial,
+struct SplitOutput<'a> {
+    partial: Partial<'a>,
     report: SplitReport,
     substrait_gen_s: f64,
 }
 
+/// The aggregation state of an `Aggregate` node, typed from its plan.
+fn aggregation<'a>(
+    group_by: &'a [(ScalarExpr, String)],
+    aggs: &'a [AggregateCall],
+) -> EResult<Aggregation<'a, ScalarExpr>> {
+    let keys = group_by.iter().map(|(e, _)| (e, e.data_type()));
+    let calls = aggs
+        .iter()
+        .map(|a| (a.func, a.arg.as_ref().map(|e| (e, e.data_type()))));
+    Ok(Aggregation::new(keys, calls)?)
+}
+
 /// Run one operator over gathered batches, returning its output and the
-/// work it bills. Shared by a split's tail (top-N / limit over its own
-/// survivors), the merge of the split partials, and every operator above
-/// the blocking one.
+/// work it bills. Shared by the streaming prefix (one batch at a time), a
+/// split's tail (top-N / limit over its own survivors), the merge of the
+/// split partials, and every operator above the blocking one.
 fn run_op(
     op: &LogicalPlan,
     input: &[RecordBatch],
@@ -66,44 +83,51 @@ fn run_op(
     let mut work = Work::zero();
     let out = match op {
         LogicalPlan::Filter { predicate, .. } => {
+            let weight = predicate.weight();
             let mut next = Vec::with_capacity(input.len());
             for b in input {
-                let (out, w) = run_filter(b, predicate, cost)?;
-                work.add(Work::vector(w));
-                next.push(out);
+                work.add(Work::vector(cost.eval_work(b.num_rows() as u64, weight)));
+                next.push(ops::filter(b, predicate)?);
             }
             next
         }
         LogicalPlan::Project { exprs, .. } => {
+            let schema = op.schema()?;
+            let weight: u32 = exprs.iter().map(|(e, _)| e.weight()).sum();
             let mut next = Vec::with_capacity(input.len());
             for b in input {
-                let (out, w) = run_project(b, exprs, cost)?;
-                work.add(Work::expr(w));
-                next.push(out);
+                work.add(Work::expr(
+                    cost.eval_work(b.num_rows() as u64, weight.max(1)),
+                ));
+                next.push(ops::project(b, exprs, &schema)?);
             }
             next
         }
         LogicalPlan::Aggregate { group_by, aggs, .. } => {
-            let mut agg = HashAggregator::new(group_by.clone(), aggs.clone())?;
+            let mut agg = aggregation(group_by, aggs)?;
+            let mut units = 0.0;
             for b in input {
-                agg.update(b, cost)?;
+                units += cost.agg_work(b.num_rows() as u64, group_by.len(), aggs.len());
+                agg.update(b)?;
             }
-            work.add(Work::vector(agg.work));
-            vec![agg.finish()?]
+            work.add(Work::vector(units));
+            vec![agg.finish(op.schema()?)?]
         }
-        // Sorting nothing yields nothing (and `concat` needs a batch).
-        LogicalPlan::Sort { .. } | LogicalPlan::TopN { .. } if input.is_empty() => vec![],
         LogicalPlan::Sort { keys, .. } => {
-            let (out, w) = run_sort(input, keys, cost)?;
-            work.add(Work::vector(w));
-            vec![out]
+            work.add(Work::vector(
+                cost.sort_work(ops::total_rows(input), keys.len()),
+            ));
+            ops::sort(input, keys)?
         }
         LogicalPlan::TopN { keys, limit, .. } => {
-            let (out, w) = run_topn(input, keys, *limit, cost)?;
-            work.add(Work::vector(w));
-            vec![out]
+            work.add(Work::vector(cost.topn_work(
+                ops::total_rows(input),
+                keys.len(),
+                *limit,
+            )));
+            ops::top_n(input, keys, *limit)?
         }
-        LogicalPlan::Limit { limit, .. } => run_limit(input, *limit)?,
+        LogicalPlan::Limit { limit, .. } => ops::fetch(input, 0, *limit)?,
         LogicalPlan::TableScan(_) => return Err(EngineError::Execution("scan above leaf".into())),
     };
     Ok((out, work))
@@ -186,46 +210,38 @@ pub fn execute_plan(
     // Filter/Project and partial-aggregation updates run per yielded
     // batch, so consumption overlaps production and per-batch compute
     // seconds can be pinned to the frame that carried the batch.
-    let split_outputs: Vec<EResult<SplitOutput>> = splits
+    let split_outputs: Vec<EResult<SplitOutput<'_>>> = splits
         .par_iter()
-        .map(|split| -> EResult<SplitOutput> {
+        .map(|split| -> EResult<SplitOutput<'_>> {
             let page = provider.create(split)?;
             let mut stream = page.stream;
             let mut batch_compute_s: Vec<f64> = Vec::new();
             let mut agg = match blocking {
                 Some(LogicalPlan::Aggregate { group_by, aggs, .. }) => {
-                    Some(HashAggregator::new(group_by.clone(), aggs.clone())?)
+                    Some((aggregation(group_by, aggs)?, group_by.len(), aggs.len()))
                 }
                 _ => None,
             };
+            let mut agg_units = 0.0;
             let mut survivors: Vec<RecordBatch> = Vec::new();
             while let Some(batch) = stream.next_batch()? {
                 let mut work = Work::zero();
                 let mut cur = Some(batch);
                 for op in &streaming {
+                    // An emptied batch ends the chain for this batch.
                     let Some(b) = cur.take() else { break };
-                    let (out, w) = match op {
-                        LogicalPlan::Filter { predicate, .. } => {
-                            let (out, w) = run_filter(&b, predicate, cost)?;
-                            (out, Work::vector(w))
-                        }
-                        LogicalPlan::Project { exprs, .. } => {
-                            let (out, w) = run_project(&b, exprs, cost)?;
-                            (out, Work::expr(w))
-                        }
-                        _ => unreachable!("streaming ops are Filter/Project"),
-                    };
+                    let (mut out, w) = run_op(op, std::slice::from_ref(&b), cost)?;
                     work.add(w);
-                    if out.num_rows() > 0 {
-                        cur = Some(out);
-                    }
+                    cur = out.pop().filter(|b| b.num_rows() > 0);
                 }
                 if let Some(b) = cur {
                     match agg.as_mut() {
-                        Some(agg) => {
-                            let before = agg.work;
-                            agg.update(&b, cost)?;
-                            work.add(Work::vector(agg.work - before));
+                        Some((agg, nkeys, naggs)) => {
+                            // Billed as the difference of running totals.
+                            let before = agg_units;
+                            agg_units += cost.agg_work(b.num_rows() as u64, *nkeys, *naggs);
+                            agg.update(&b)?;
+                            work.add(Work::vector(agg_units - before));
                         }
                         None => survivors.push(b),
                     }
@@ -234,8 +250,7 @@ pub fn execute_plan(
             }
             // Tail ops that can only run once the stream has drained.
             let mut tail_work = Work::zero();
-            let partial = if let Some(mut agg) = agg {
-                agg.work = 0.0;
+            let partial = if let Some((agg, ..)) = agg {
                 Partial::Agg(Box::new(agg))
             } else {
                 match blocking {
@@ -350,8 +365,11 @@ pub fn execute_plan(
     let mut final_op_spans: Vec<(String, u64, f64)> = Vec::new();
     let mut final_work = Work::zero();
     let mut bill = |name: String, out: &[RecordBatch], w: Work| {
-        let rows: u64 = out.iter().map(|b| b.num_rows() as u64).sum();
-        final_op_spans.push((name, rows, cluster.compute.core_seconds_for(w)));
+        final_op_spans.push((
+            name,
+            ops::total_rows(out),
+            cluster.compute.core_seconds_for(w),
+        ));
         final_work.add(w);
     };
 
@@ -366,17 +384,17 @@ pub fn execute_plan(
     }
     let mut current = match blocking {
         None => gathered,
-        Some(LogicalPlan::Aggregate { group_by, aggs, .. }) => {
-            let mut merged = HashAggregator::new(group_by.clone(), aggs.clone())?;
+        Some(op @ LogicalPlan::Aggregate { group_by, aggs, .. }) => {
+            let mut merged = aggregation(group_by, aggs)?;
             let mut w = Work::zero();
             for agg in partial_aggs {
                 let groups = agg.num_groups() as f64;
-                merged.merge(*agg)?;
+                merged.merge(&agg)?;
                 w.add(Work::vector(
                     groups * cost.agg_update * aggs.len().max(1) as f64,
                 ));
             }
-            let out = vec![merged.finish()?];
+            let out = vec![merged.finish(op.schema()?)?];
             bill("merge_aggregate".into(), &out, w);
             out
         }

@@ -64,8 +64,9 @@ pub fn optimize(plan: LogicalPlan) -> EResult<LogicalPlan> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{SortKey, TableScanNode};
+    use crate::plan::TableScanNode;
     use crate::spi::DefaultTableHandle;
+    use columnar::sort::SortKey;
     use columnar::{DataType, Field, Schema};
     use std::sync::Arc;
 

@@ -7,6 +7,8 @@
 
 use std::sync::Arc;
 
+use columnar::sort::SortKey;
+
 use crate::error::EResult;
 use crate::expr::AggregateCall;
 use crate::plan::{LogicalPlan, TableScanNode};
@@ -153,7 +155,7 @@ pub fn prune_projection(plan: LogicalPlan) -> EResult<LogicalPlan> {
                     input: Box::new(rebuilt),
                     keys: keys
                         .iter()
-                        .map(|k| crate::plan::SortKey {
+                        .map(|k| SortKey {
                             column: map(k.column),
                             ..*k
                         })
@@ -163,7 +165,7 @@ pub fn prune_projection(plan: LogicalPlan) -> EResult<LogicalPlan> {
                     input: Box::new(rebuilt),
                     keys: keys
                         .iter()
-                        .map(|k| crate::plan::SortKey {
+                        .map(|k| SortKey {
                             column: map(k.column),
                             ..*k
                         })

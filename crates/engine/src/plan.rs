@@ -3,22 +3,12 @@
 use std::fmt;
 use std::sync::Arc;
 
+use columnar::sort::SortKey;
 use columnar::{Field, Schema, SchemaRef};
 
 use crate::error::{EResult, EngineError};
 use crate::expr::{AggregateCall, ScalarExpr};
 use crate::spi::TableHandle;
-
-/// One `ORDER BY` key resolved to a column ordinal of the node's input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SortKey {
-    /// Input column ordinal.
-    pub column: usize,
-    /// Ascending.
-    pub ascending: bool,
-    /// NULLs first.
-    pub nulls_first: bool,
-}
 
 /// The table-scan leaf. `handle` is connector-private state; after
 /// connector optimization it may encode an entire pushed-down operator
@@ -68,7 +58,7 @@ pub enum LogicalPlan {
     Sort {
         /// Input.
         input: Box<LogicalPlan>,
-        /// Keys, major first.
+        /// Keys, major first, as column ordinals of the input.
         keys: Vec<SortKey>,
     },
     /// Bounded sort (`ORDER BY … LIMIT n`).

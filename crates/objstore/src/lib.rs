@@ -30,7 +30,7 @@
 
 pub mod select;
 
-pub use select::{select, SelectPredicate, SelectRequest, SelectResponse, SelectStats};
+pub use select::{select, SelectRequest, SelectResponse, SelectStats};
 
 use bytes::Bytes;
 use std::collections::BTreeMap;

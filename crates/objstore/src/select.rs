@@ -4,6 +4,13 @@
 //! paper's introduction describes — the reason aggregation and top-N must
 //! normally run at the compute layer. The `ocs` crate's embedded engine is
 //! the contrast: it accepts full Substrait plans.
+//!
+//! A conjunct is a [`parq::RangePredicate`] (`column op literal`), the one
+//! simple-predicate form: the value a caller lowers its filter into
+//! ([`RangePredicate::lower`]) is the value that prunes row groups from
+//! footer statistics and the value evaluated here against the rows read.
+//! The read itself is eager — every needed column of every surviving row
+//! group is decoded, then filtered.
 
 use columnar::kernels::{boolean, cmp, selection};
 use columnar::prelude::*;
@@ -11,46 +18,13 @@ use parq::{ParqReader, RangePredicate};
 
 use crate::{ObjectStore, Result, StoreError};
 
-/// One conjunct of the `WHERE` clause.
-#[derive(Debug, Clone)]
-pub enum SelectPredicate {
-    /// `column <op> literal`.
-    Compare {
-        /// Column name.
-        column: String,
-        /// Comparison operator.
-        op: cmp::CmpOp,
-        /// Literal operand.
-        value: Scalar,
-    },
-    /// `column BETWEEN lo AND hi` (inclusive).
-    Between {
-        /// Column name.
-        column: String,
-        /// Lower bound.
-        lo: Scalar,
-        /// Upper bound.
-        hi: Scalar,
-    },
-}
-
-impl SelectPredicate {
-    /// Column this predicate constrains.
-    pub fn column(&self) -> &str {
-        match self {
-            SelectPredicate::Compare { column, .. } => column,
-            SelectPredicate::Between { column, .. } => column,
-        }
-    }
-}
-
 /// A select request: which columns to return, which rows to keep.
 #[derive(Debug, Clone, Default)]
 pub struct SelectRequest {
     /// Columns to return, in order; `None` = all columns.
     pub projection: Option<Vec<String>>,
-    /// Conjunctive predicates (all must hold).
-    pub predicates: Vec<SelectPredicate>,
+    /// Conjunctive predicates (all must hold) over file column ordinals.
+    pub predicates: Vec<RangePredicate>,
 }
 
 /// Accounting for one select call, consumed by the caller's cost model.
@@ -95,55 +69,32 @@ pub fn select(
     let reader = ParqReader::open(bytes).map_err(sel_err)?;
     let schema = reader.schema().clone();
 
-    // Resolve projection to indices.
-    let out_indices: Vec<usize> = match &request.projection {
+    // Read set: the requested columns, then the predicate columns they
+    // lack. Each predicate remembers where its column sits in the batches
+    // read; projecting onto the leading positions drops the filter-only
+    // columns again.
+    let mut read_set: Vec<usize> = match &request.projection {
         Some(names) => names
             .iter()
             .map(|n| schema.index_of(n).map_err(sel_err))
             .collect::<Result<_>>()?,
         None => (0..schema.len()).collect(),
     };
-    // Columns the predicates need.
-    let pred_indices: Vec<usize> = request
-        .predicates
-        .iter()
-        .map(|p| schema.index_of(p.column()).map_err(sel_err))
-        .collect::<Result<_>>()?;
+    let out_pos: Vec<usize> = (0..read_set.len()).collect();
+    let mut pred_pos = Vec::with_capacity(request.predicates.len());
+    for p in &request.predicates {
+        if p.column >= schema.len() {
+            return Err(sel_err(format!("no column #{} to filter on", p.column)));
+        }
+        let known = read_set.iter().position(|&c| c == p.column);
+        pred_pos.push(known.unwrap_or_else(|| {
+            read_set.push(p.column);
+            read_set.len() - 1
+        }));
+    }
 
     // Row-group pruning from footer statistics.
-    let range_preds: Vec<RangePredicate> = request
-        .predicates
-        .iter()
-        .zip(&pred_indices)
-        .flat_map(|(p, &col)| match p {
-            SelectPredicate::Compare { op, value, .. } => vec![RangePredicate {
-                column: col,
-                op: *op,
-                value: value.clone(),
-            }],
-            SelectPredicate::Between { lo, hi, .. } => vec![
-                RangePredicate {
-                    column: col,
-                    op: cmp::CmpOp::GtEq,
-                    value: lo.clone(),
-                },
-                RangePredicate {
-                    column: col,
-                    op: cmp::CmpOp::LtEq,
-                    value: hi.clone(),
-                },
-            ],
-        })
-        .collect();
-    let groups = reader.prune_row_groups(&range_preds);
-
-    // Read set: projection ∪ predicate columns (deduped, stable order).
-    let mut read_set: Vec<usize> = out_indices.clone();
-    for &c in &pred_indices {
-        if !read_set.contains(&c) {
-            read_set.push(c);
-        }
-    }
+    let groups = reader.prune_row_groups(&request.predicates);
 
     let mut stats = SelectStats::default();
     let mut batches = Vec::with_capacity(groups.len());
@@ -159,21 +110,8 @@ pub fn select(
 
         // Evaluate the conjunction.
         let mut mask: Option<columnar::BooleanArray> = None;
-        for (p, &pred_col) in request.predicates.iter().zip(&pred_indices) {
-            // Position of the predicate column inside the read batch.
-            let pos = read_set
-                .iter()
-                .position(|&c| c == pred_col)
-                .expect("read_set contains predicate columns");
-            let col = batch.column(pos);
-            let m = match p {
-                SelectPredicate::Compare { op, value, .. } => {
-                    cmp::compare_scalar(col, value, *op).map_err(sel_err)?
-                }
-                SelectPredicate::Between { lo, hi, .. } => {
-                    cmp::between_scalar(col, lo, hi).map_err(sel_err)?
-                }
-            };
+        for (p, &pos) in request.predicates.iter().zip(&pred_pos) {
+            let m = cmp::compare_scalar(batch.column(pos), &p.value, p.op).map_err(sel_err)?;
             mask = Some(match mask {
                 Some(acc) => boolean::and(&acc, &m).map_err(sel_err)?,
                 None => m,
@@ -183,12 +121,6 @@ pub fn select(
             Some(m) => selection::filter_batch(&batch, &m).map_err(sel_err)?,
             None => batch,
         };
-        // Project down to the requested output columns (drop filter-only
-        // columns and set the requested order).
-        let out_pos: Vec<usize> = out_indices
-            .iter()
-            .map(|c| read_set.iter().position(|x| x == c).expect("subset"))
-            .collect();
         let result = filtered.project(&out_pos).map_err(sel_err)?;
         stats.rows_returned += result.num_rows() as u64;
         stats.returned_bytes += result.byte_size() as u64;
@@ -262,8 +194,8 @@ mod tests {
         let s = store_with_table(CodecKind::Snap);
         let req = SelectRequest {
             projection: Some(vec!["v".into(), "id".into()]),
-            predicates: vec![SelectPredicate::Compare {
-                column: "id".into(),
+            predicates: vec![RangePredicate {
+                column: 0,
                 op: CmpOp::GtEq,
                 value: Scalar::Int64(950),
             }],
@@ -283,11 +215,18 @@ mod tests {
         let s = store_with_table(CodecKind::None);
         let req = SelectRequest {
             projection: Some(vec!["id".into()]),
-            predicates: vec![SelectPredicate::Between {
-                column: "v".into(),
-                lo: Scalar::Float64(1.0),
-                hi: Scalar::Float64(1.05),
-            }],
+            predicates: vec![
+                RangePredicate {
+                    column: 1,
+                    op: CmpOp::GtEq,
+                    value: Scalar::Float64(1.0),
+                },
+                RangePredicate {
+                    column: 1,
+                    op: CmpOp::LtEq,
+                    value: Scalar::Float64(1.05),
+                },
+            ],
         };
         let resp = select(&s, "lake", "t/part-0", &req).unwrap();
         // v in [1.0, 1.05] -> ids 100..=105.
@@ -305,8 +244,8 @@ mod tests {
         let s = store_with_table(CodecKind::None);
         let req = SelectRequest {
             projection: Some(vec!["tag".into()]),
-            predicates: vec![SelectPredicate::Compare {
-                column: "id".into(),
+            predicates: vec![RangePredicate {
+                column: 0,
                 op: CmpOp::Lt,
                 value: Scalar::Int64(3),
             }],
@@ -321,8 +260,8 @@ mod tests {
         let s = store_with_table(CodecKind::Zst);
         let req = SelectRequest {
             projection: Some(vec!["id".into()]),
-            predicates: vec![SelectPredicate::Compare {
-                column: "tag".into(),
+            predicates: vec![RangePredicate {
+                column: 2,
                 op: CmpOp::Eq,
                 value: Scalar::Utf8("g3".into()),
             }],
@@ -360,6 +299,19 @@ mod tests {
             select(&s, "lake", "t/part-0", &req),
             Err(StoreError::Select(_))
         ));
+        // Predicate on a column the file does not have.
+        let req = SelectRequest {
+            projection: None,
+            predicates: vec![RangePredicate {
+                column: 3,
+                op: CmpOp::Eq,
+                value: Scalar::Int64(0),
+            }],
+        };
+        assert!(matches!(
+            select(&s, "lake", "t/part-0", &req),
+            Err(StoreError::Select(_))
+        ));
         // Not a parq object.
         s.put_object("lake", "junk", Bytes::from_static(b"not parquet"))
             .unwrap();
@@ -369,5 +321,83 @@ mod tests {
             select(&s, "lake", "missing", &SelectRequest::default()),
             Err(StoreError::NoSuchKey(_))
         ));
+    }
+
+    /// Row-group pruning and the conjunction evaluated per group must
+    /// agree with the conjunction evaluated row by row on the whole,
+    /// unpruned object — for every codec, since pruning reads only the
+    /// footer and must not depend on what the pages look like.
+    #[test]
+    fn pruned_select_matches_unpruned_evaluation() {
+        const OPS: [CmpOp; 6] = [
+            CmpOp::Eq,
+            CmpOp::NotEq,
+            CmpOp::Lt,
+            CmpOp::LtEq,
+            CmpOp::Gt,
+            CmpOp::GtEq,
+        ];
+        // SplitMix64: seeded, dependency-free.
+        let mut state = 0x0c5_5eed_u64;
+        let mut next = move |n: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        let mut pruned = 0;
+        for codec in [CodecKind::None, CodecKind::Snap, CodecKind::Zst] {
+            let s = store_with_table(codec);
+            let whole = ParqReader::open(s.get_object("lake", "t/part-0").unwrap()).unwrap();
+            let whole = RecordBatch::concat(&whole.read_all(None).unwrap()).unwrap();
+            for case in 0..60 {
+                let predicates: Vec<RangePredicate> = (0..1 + next(3))
+                    .map(|_| {
+                        // Literals a little past both ends of each column.
+                        let at = next(1100) as i64 - 50;
+                        let (column, value) = match next(3) {
+                            0 => (0, Scalar::Int64(at)),
+                            1 => (1, Scalar::Float64(at as f64 / 100.0)),
+                            _ => (2, Scalar::Utf8(format!("g{}", at.rem_euclid(7)))),
+                        };
+                        RangePredicate {
+                            column,
+                            op: OPS[next(6) as usize],
+                            value,
+                        }
+                    })
+                    .collect();
+                let holds = |row: usize, p: &RangePredicate| {
+                    let ord = whole.column(p.column).scalar_at(row).total_cmp(&p.value);
+                    match p.op {
+                        CmpOp::Eq => ord.is_eq(),
+                        CmpOp::NotEq => ord.is_ne(),
+                        CmpOp::Lt => ord.is_lt(),
+                        CmpOp::LtEq => ord.is_le(),
+                        CmpOp::Gt => ord.is_gt(),
+                        CmpOp::GtEq => ord.is_ge(),
+                    }
+                };
+                let expect: Vec<i64> = (0..whole.num_rows())
+                    .filter(|&row| predicates.iter().all(|p| holds(row, p)))
+                    .map(|row| row as i64)
+                    .collect();
+                let req = SelectRequest {
+                    projection: Some(vec!["id".into()]),
+                    predicates,
+                };
+                let resp = select(&s, "lake", "t/part-0", &req).unwrap();
+                let got: Vec<i64> = resp
+                    .batches
+                    .iter()
+                    .flat_map(|b| b.column(0).as_i64().unwrap().values.clone())
+                    .collect();
+                assert_eq!(got, expect, "{codec:?} case {case}: {:?}", req.predicates);
+                assert!(resp.stats.rows_scanned >= expect.len() as u64);
+                pruned += (resp.stats.rows_scanned < 1000) as usize;
+            }
+        }
+        assert!(pruned > 30, "only {pruned} of 180 cases pruned a row group");
     }
 }

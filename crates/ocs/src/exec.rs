@@ -3,16 +3,19 @@
 //!
 //! This is OCS's own engine, independent of the `dsq` query engine (as in
 //! the paper, where OCS embeds its own SQL engine and Presto merely ships
-//! plans to it). It shares the low-level kernels of the `columnar` crate
-//! and the work-unit cost vocabulary of `netsim::CostParams`.
+//! plans to it). What is its own is the plan interpretation, the scan
+//! (row-group pruning, late materialization, the chunk cache), output
+//! types inferred from the plan, error mapping, and which `Work` channel
+//! each operator bills. The operator *bodies* are [`columnar::ops`], the
+//! code the compute-layer engine runs too, and a filter's prunable
+//! conjuncts are [`RangePredicate::lower`]'s, as on the Hive path.
 
 use std::sync::Arc;
 
-use columnar::groupby::GroupedAggregator;
 use columnar::kernels::selection::Selection;
-use columnar::kernels::{cmp, selection};
+use columnar::ops::{self, Aggregation};
 use columnar::prelude::*;
-use columnar::sort::{self, SortKey};
+use columnar::sort::SortKey;
 use netsim::{CostParams, ExecStats, Work};
 use parq::{ParqReader, RangePredicate};
 use rayon::prelude::*;
@@ -45,51 +48,7 @@ pub struct ExecutorStats {
 
 /// Evaluate a Substrait expression against a batch.
 pub fn eval_expr(e: &Expr, batch: &RecordBatch) -> OcsResult<ArrayRef> {
-    e.eval(batch).map_err(|e| OcsError::Exec(e.to_string()))
-}
-
-/// Extract row-group-prunable range predicates from a filter expression
-/// (top-level conjunction of `field op literal` / `field BETWEEN a AND b`).
-fn prunable(e: &Expr, out: &mut Vec<RangePredicate>) {
-    match e {
-        Expr::And(a, b) => {
-            prunable(a, out);
-            prunable(b, out);
-        }
-        Expr::Cmp { op, left, right } => {
-            if let (Expr::FieldRef(col), Expr::Literal(v)) = (left.as_ref(), right.as_ref()) {
-                out.push(RangePredicate {
-                    column: *col,
-                    op: *op,
-                    value: v.clone(),
-                });
-            } else if let (Expr::Literal(v), Expr::FieldRef(col)) = (left.as_ref(), right.as_ref())
-            {
-                out.push(RangePredicate {
-                    column: *col,
-                    op: op.flip(),
-                    value: v.clone(),
-                });
-            }
-        }
-        Expr::Between { expr, lo, hi } => {
-            if let (Expr::FieldRef(col), Expr::Literal(l), Expr::Literal(h)) =
-                (expr.as_ref(), lo.as_ref(), hi.as_ref())
-            {
-                out.push(RangePredicate {
-                    column: *col,
-                    op: cmp::CmpOp::GtEq,
-                    value: l.clone(),
-                });
-                out.push(RangePredicate {
-                    column: *col,
-                    op: cmp::CmpOp::LtEq,
-                    value: h.clone(),
-                });
-            }
-        }
-        _ => {}
-    }
+    e.eval(batch).map_err(exec_err)
 }
 
 /// Outcome of scanning one row group in the late-materialized pipeline.
@@ -163,7 +122,6 @@ fn fetch_chunk(
     rg: usize,
     col: usize,
 ) -> OcsResult<ChunkFetch> {
-    let exec_err = |e: parq::ParqError| OcsError::Exec(e.to_string());
     let Some((caches, object)) = cache else {
         let disk_bytes = reader.chunk_compressed_bytes(rg, col).map_err(exec_err)?;
         let array = Arc::new(reader.read_chunk(rg, col).map_err(exec_err)?);
@@ -263,7 +221,7 @@ impl<'a> Executor<'a> {
     pub fn run(mut self, plan: &Plan) -> OcsResult<(Vec<RecordBatch>, ExecutorStats)> {
         planck::verify(plan).map_err(|ds| OcsError::Plan(planck::primary(ds)))?;
         let batches = self.run_rel(&plan.root)?;
-        self.stats.wire.rows_returned = batches.iter().map(|b| b.num_rows() as u64).sum();
+        self.stats.wire.rows_returned = ops::total_rows(&batches);
         Ok((batches, self.stats))
     }
 
@@ -273,22 +231,10 @@ impl<'a> Executor<'a> {
             Rel::Filter { input, predicate } => {
                 // Scan-adjacent filters benefit from row-group pruning.
                 if let Rel::Read { projection, .. } = input.as_ref() {
-                    let mut preds = Vec::new();
-                    // Pruning predicates are in terms of the *read output*
-                    // (post-projection) — remap to file columns.
-                    prunable(predicate, &mut preds);
-                    let remapped: Vec<RangePredicate> = match projection {
-                        None => preds,
-                        Some(p) => preds
-                            .into_iter()
-                            .filter_map(|rp| {
-                                p.get(rp.column).map(|&file_col| RangePredicate {
-                                    column: file_col,
-                                    ..rp
-                                })
-                            })
-                            .collect(),
-                    };
+                    // The predicate speaks *read output* positions; pruning
+                    // wants file columns. Whatever lowers, prunes — the
+                    // whole predicate is still evaluated below.
+                    let (remapped, _) = RangePredicate::lower(predicate, projection.as_deref());
                     // Late materialization: decode filter columns first,
                     // mask, and only materialize payload columns for row
                     // groups with survivors. Predicates without field
@@ -334,14 +280,7 @@ impl<'a> Executor<'a> {
                     self.stats.work.add(Work::expr(
                         self.cost.eval_work(b.num_rows() as u64, weight.max(1)),
                     ));
-                    let columns = exprs
-                        .iter()
-                        .map(|(e, _)| eval_expr(e, b))
-                        .collect::<OcsResult<Vec<_>>>()?;
-                    out.push(
-                        RecordBatch::try_new(out_schema.clone(), columns)
-                            .map_err(|e| OcsError::Exec(e.to_string()))?,
-                    );
+                    out.push(ops::project(b, exprs, &out_schema).map_err(exec_err)?);
                 }
                 Ok(out)
             }
@@ -358,16 +297,10 @@ impl<'a> Executor<'a> {
             }
             Rel::Sort { input, keys } => {
                 let batches = self.run_rel(input)?;
-                if batches.is_empty() {
-                    return Ok(batches);
-                }
-                let (all, cols) = self.sortable(&batches, keys)?;
                 self.stats.work.add(Work::vector(
-                    self.cost.sort_work(all.num_rows() as u64, keys.len()),
+                    self.cost.sort_work(ops::total_rows(&batches), keys.len()),
                 ));
-                let sorted =
-                    sort::sort_batch(&all, &cols).map_err(|e| OcsError::Exec(e.to_string()))?;
-                Ok(vec![sorted])
+                ops::sort(&batches, &sort_keys(keys)?).map_err(exec_err)
             }
             Rel::Fetch {
                 input,
@@ -375,25 +308,29 @@ impl<'a> Executor<'a> {
                 limit,
             } => {
                 // Fetch directly over Sort is the top-N operator.
-                if let Rel::Sort { input: si, keys } = input.as_ref() {
+                let batches = if let Rel::Sort { input: si, keys } = input.as_ref() {
                     let batches = self.run_rel(si)?;
-                    if batches.is_empty() {
-                        return Ok(batches);
-                    }
-                    let (all, cols) = self.sortable(&batches, keys)?;
                     // Untrusted u64s: `offset + limit` must not wrap.
                     let n = offset.saturating_add(*limit);
                     self.stats.work.add(Work::vector(self.cost.topn_work(
-                        all.num_rows() as u64,
+                        ops::total_rows(&batches),
                         keys.len(),
                         n,
                     )));
-                    let top = sort::top_n(&all, &cols, n as usize)
-                        .map_err(|e| OcsError::Exec(e.to_string()))?;
-                    return self.apply_offset_limit(vec![top], *offset, *limit);
-                }
-                let batches = self.run_rel(input)?;
-                self.apply_offset_limit(batches, *offset, *limit)
+                    ops::top_n(&batches, &sort_keys(keys)?, n).map_err(exec_err)?
+                } else {
+                    self.run_rel(input)?
+                };
+                // One result batch (possibly empty) whenever there was input.
+                let Some(first) = batches.first() else {
+                    return Ok(batches);
+                };
+                let kept = ops::fetch(&batches, *offset, *limit).map_err(exec_err)?;
+                Ok(vec![if kept.is_empty() {
+                    RecordBatch::empty(first.schema().clone())
+                } else {
+                    RecordBatch::concat(&kept).map_err(exec_err)?
+                }])
             }
         }
     }
@@ -408,12 +345,7 @@ impl<'a> Executor<'a> {
             Some(p) => p.to_vec(),
             None => (0..self.reader.schema().len()).collect(),
         };
-        let schema = Arc::new(
-            self.reader
-                .schema()
-                .project(&indices)
-                .map_err(|e| OcsError::Exec(e.to_string()))?,
-        );
+        let schema = Arc::new(self.reader.schema().project(&indices).map_err(exec_err)?);
         let mut out = Vec::with_capacity(groups.len());
         for rg in groups {
             // Chunk-at-a-time through the (optional) row-group cache: a
@@ -429,8 +361,7 @@ impl<'a> Executor<'a> {
                 tally.absorb(&f);
                 columns.push(f.array);
             }
-            let batch = RecordBatch::try_new(schema.clone(), columns)
-                .map_err(|e| OcsError::Exec(e.to_string()))?;
+            let batch = RecordBatch::try_new(schema.clone(), columns).map_err(exec_err)?;
             self.stats.uncompressed_bytes += decoded;
             self.stats.wire.rows_scanned += batch.num_rows() as u64;
             self.stats.wire.rg_cache_hits += tally.hits;
@@ -480,7 +411,6 @@ impl<'a> Executor<'a> {
         let cost = self.cost;
         let caches = self.caches;
         let schema = reader.schema();
-        let exec_err = |e: parq::ParqError| OcsError::Exec(e.to_string());
 
         let scanned: Vec<OcsResult<GroupScan>> = groups
             .into_par_iter()
@@ -514,10 +444,10 @@ impl<'a> Executor<'a> {
                         .map(|&pos| cols[pos].clone().expect("decoded in phase 1"))
                         .collect(),
                 )
-                .map_err(|e| OcsError::Exec(e.to_string()))?;
+                .map_err(exec_err)?;
                 work.add(Work::vector(cost.eval_work(rows, weight)));
                 let mask = eval_expr(&local_pred, &filter_batch)?;
-                let mask = mask.as_bool().map_err(|e| OcsError::Exec(e.to_string()))?;
+                let mask = mask.as_bool().map_err(exec_err)?;
                 let sel = Selection::from_mask(mask);
 
                 if sel.is_none() {
@@ -565,10 +495,8 @@ impl<'a> Executor<'a> {
                         .map(|c| c.expect("all columns decoded"))
                         .collect(),
                 )
-                .map_err(|e| OcsError::Exec(e.to_string()))?;
-                let batch = sel
-                    .apply_batch(&full)
-                    .map_err(|e| OcsError::Exec(e.to_string()))?;
+                .map_err(exec_err)?;
+                let batch = sel.apply_batch(&full).map_err(exec_err)?;
                 Ok(GroupScan {
                     batch: Some(batch),
                     work,
@@ -614,55 +542,13 @@ impl<'a> Executor<'a> {
             self.stats.work.add(Work::vector(
                 self.cost.eval_work(b.num_rows() as u64, weight),
             ));
-            let mask = eval_expr(predicate, b)?;
-            let mask = mask.as_bool().map_err(|e| OcsError::Exec(e.to_string()))?;
-            let f = selection::filter_batch(b, mask).map_err(|e| OcsError::Exec(e.to_string()))?;
+            // Batches a filter empties are not worth a frame.
+            let f = ops::filter(b, predicate).map_err(exec_err)?;
             if f.num_rows() > 0 {
                 out.push(f);
             }
         }
         Ok(out)
-    }
-
-    fn sortable(
-        &self,
-        batches: &[RecordBatch],
-        keys: &[substrait_ir::SortField],
-    ) -> OcsResult<(RecordBatch, Vec<SortKey>)> {
-        let all = RecordBatch::concat(batches).map_err(|e| OcsError::Exec(e.to_string()))?;
-        let cols = keys
-            .iter()
-            .map(|k| match &k.expr {
-                Expr::FieldRef(i) => Ok(SortKey {
-                    column: *i,
-                    ascending: k.ascending,
-                    nulls_first: k.nulls_first,
-                }),
-                other => Err(OcsError::Plan(Diagnostic::new(
-                    planck::DiagCode::SortKeyNotFieldRef,
-                    "exec.sort",
-                    format!("sort keys must be field references, got {other}"),
-                ))),
-            })
-            .collect::<OcsResult<Vec<_>>>()?;
-        Ok((all, cols))
-    }
-
-    fn apply_offset_limit(
-        &mut self,
-        batches: Vec<RecordBatch>,
-        offset: u64,
-        limit: u64,
-    ) -> OcsResult<Vec<RecordBatch>> {
-        if batches.is_empty() {
-            return Ok(batches);
-        }
-        let all = RecordBatch::concat(&batches).map_err(|e| OcsError::Exec(e.to_string()))?;
-        let start = (offset as usize).min(all.num_rows());
-        let end = start.saturating_add(limit as usize).min(all.num_rows());
-        let idx: Vec<usize> = (start..end).collect();
-        let out = selection::take_batch(&all, &idx).map_err(|e| OcsError::Exec(e.to_string()))?;
-        Ok(vec![out])
     }
 
     fn aggregate(
@@ -672,79 +558,71 @@ impl<'a> Executor<'a> {
         group_by: &[(Expr, String)],
         measures: &[Measure],
     ) -> OcsResult<Vec<RecordBatch>> {
-        let err = |e: columnar::ColumnarError| OcsError::Exec(e.to_string());
         let plan_err =
             |e: substrait_ir::IrError| OcsError::Plan(Diagnostic::from_ir(&e, "exec.aggregate"));
 
         // Output schema and per-measure argument types, from the *plan*
         // (usable even when the filtered input is empty).
         let mut fields = Vec::with_capacity(group_by.len() + measures.len());
-        let mut key_types = Vec::with_capacity(group_by.len());
+        let mut keys = Vec::with_capacity(group_by.len());
         for (e, n) in group_by {
             let dt = e.output_type(input_schema).map_err(plan_err)?;
             fields.push(Field::new(n.clone(), dt, true));
-            key_types.push(dt);
+            keys.push((e, dt));
         }
-        let mut specs = Vec::with_capacity(measures.len());
+        let mut calls = Vec::with_capacity(measures.len());
         for m in measures {
-            let t = m
-                .arg
-                .as_ref()
-                .map(|e| e.output_type(input_schema))
-                .transpose()
-                .map_err(plan_err)?;
-            fields.push(Field::new(
-                m.name.clone(),
-                m.func.result_type(t).map_err(err)?,
-                true,
-            ));
-            specs.push((m.func, t));
+            let arg = match &m.arg {
+                Some(e) => Some((e, e.output_type(input_schema).map_err(plan_err)?)),
+                None => None,
+            };
+            let out = m.func.result_type(arg.map(|(_, t)| t)).map_err(exec_err)?;
+            fields.push(Field::new(m.name.clone(), out, true));
+            calls.push((m.func, arg));
         }
 
-        // The same vectorized kernel the compute-layer engine runs: dense
-        // group ids via the shared group-id kernel, then columnar
-        // accumulators — a pushed-down aggregate computes exactly what the
-        // engine would.
-        let mut agg = GroupedAggregator::new(key_types, &specs).map_err(err)?;
+        let mut agg = Aggregation::new(keys, calls).map_err(exec_err)?;
         for b in batches {
             self.stats.work.add(Work::vector(self.cost.agg_work(
                 b.num_rows() as u64,
                 group_by.len(),
                 measures.len(),
             )));
-            let keys = group_by
-                .iter()
-                .map(|(e, _)| eval_expr(e, b))
-                .collect::<OcsResult<Vec<_>>>()?;
-            let args = measures
-                .iter()
-                .map(|m| m.arg.as_ref().map(|e| eval_expr(e, b)).transpose())
-                .collect::<OcsResult<Vec<_>>>()?;
-            let key_refs: Vec<&Array> = keys.iter().map(|a| a.as_ref()).collect();
-            let arg_refs: Vec<Option<&Array>> = args.iter().map(|a| a.as_deref()).collect();
-            agg.update(&key_refs, &arg_refs, b.num_rows())
-                .map_err(err)?;
+            agg.update(b).map_err(exec_err)?;
         }
-
-        // A GLOBAL aggregate (no keys) over zero rows still emits one row
-        // of initial states (COUNT = 0, SUM = NULL) so the engine's final
-        // aggregation combines object totals correctly.
-        if group_by.is_empty() {
-            agg.ensure_global_group();
-        }
-        if agg.num_groups() == 0 {
-            // Keyed aggregate over an empty object: nothing to contribute.
+        // A keyed aggregate over an empty object has nothing to contribute;
+        // a GLOBAL one still emits its row of initial states (COUNT = 0,
+        // SUM = NULL) so the engine's final aggregation combines object
+        // totals correctly.
+        if !group_by.is_empty() && agg.num_groups() == 0 {
             return Ok(vec![]);
         }
-        let schema = Arc::new(Schema::new(fields));
-        let (keys, measures_out) = agg.finish();
-        let columns = keys
-            .into_iter()
-            .chain(measures_out)
-            .map(Arc::new)
-            .collect::<Vec<_>>();
-        Ok(vec![RecordBatch::try_new(schema, columns).map_err(err)?])
+        let out = agg.finish(Arc::new(Schema::new(fields)));
+        Ok(vec![out.map_err(exec_err)?])
     }
+}
+
+fn exec_err(e: impl std::fmt::Display) -> OcsError {
+    OcsError::Exec(e.to_string())
+}
+
+/// Substrait sort fields as column sort keys. planck has verified that
+/// each is a plain field reference; anything else is still a typed error.
+fn sort_keys(keys: &[substrait_ir::SortField]) -> OcsResult<Vec<SortKey>> {
+    keys.iter()
+        .map(|k| match &k.expr {
+            Expr::FieldRef(i) => Ok(SortKey {
+                column: *i,
+                ascending: k.ascending,
+                nulls_first: k.nulls_first,
+            }),
+            other => Err(OcsError::Plan(Diagnostic::new(
+                planck::DiagCode::SortKeyNotFieldRef,
+                "exec.sort",
+                format!("sort keys must be field references, got {other}"),
+            ))),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -1030,7 +908,71 @@ mod tests {
         let (batches, stats) = run(plan);
         assert_eq!(batches[0].num_rows(), 3);
         assert!(stats.wire.rows_returned == 3);
-        assert!(stats.work.total_units() > 0.0);
+        // Bit patterns captured at the parent of the `columnar::ops` change:
+        // moving the operator bodies must not move a frame or a work unit.
+        assert_eq!(batches.len(), 1);
+        assert_eq!(work_bits(&stats.work), [0, 0x40c7_c300_0000_0000, 0]);
+        assert_eq!(stats.scan_work.len(), 10);
+    }
+
+    fn work_bits(w: &Work) -> [u64; 3] {
+        [w.decode.to_bits(), w.vector.to_bits(), w.expr.to_bits()]
+    }
+
+    #[test]
+    fn fetch_past_the_end_is_one_empty_batch() {
+        // Same provenance as the golden above: a non-empty input always
+        // answers with exactly one batch, so the stream carries one frame.
+        let plan = Plan::new(Rel::Fetch {
+            offset: 5000,
+            limit: 10,
+            input: Box::new(Rel::read("t", base_schema(), Some(vec![0]))),
+        });
+        let (batches, stats) = run(plan);
+        assert_eq!(batches.len(), 1);
+        assert_eq!(batches[0].num_rows(), 0);
+        assert_eq!(batches[0].schema().names(), vec!["id"]);
+        assert_eq!(work_bits(&stats.work), [0x40bc_2000_0000_0000, 0, 0]);
+        assert_eq!(stats.scan_work.len(), 0);
+        // ...and no input at all answers with none.
+        let nothing = Rel::Filter {
+            input: Box::new(Rel::read("t", base_schema(), None)),
+            predicate: Expr::cmp(CmpOp::Lt, Expr::field(0), Expr::lit(Scalar::Int64(0))),
+        };
+        for rel in [
+            Rel::Fetch {
+                offset: 0,
+                limit: 5,
+                input: Box::new(nothing.clone()),
+            },
+            Rel::Sort {
+                input: Box::new(nothing.clone()),
+                keys: vec![SortField {
+                    expr: Expr::field(0),
+                    ascending: true,
+                    nulls_first: true,
+                }],
+            },
+            // A keyed aggregate over nothing contributes nothing...
+            Rel::Aggregate {
+                input: Box::new(nothing.clone()),
+                group_by: vec![(Expr::field(2), "g".into())],
+                measures: vec![],
+            },
+        ] {
+            assert!(run(Plan::new(rel)).0.is_empty());
+        }
+        // ...while a global one still reports its initial state.
+        let (batches, _) = run(Plan::new(Rel::Aggregate {
+            input: Box::new(nothing),
+            group_by: vec![],
+            measures: vec![Measure {
+                func: AggFunc::Count,
+                arg: None,
+                name: "n".into(),
+            }],
+        }));
+        assert_eq!(batches[0].rows(), vec![vec![Scalar::Int64(0)]]);
     }
 
     #[test]

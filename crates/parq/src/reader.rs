@@ -2,6 +2,7 @@
 //! statistics-based row-group pruning.
 
 use bytes::{Buf, Bytes};
+use columnar::expr::{ExprTree, Node};
 use columnar::kernels::cmp::CmpOp;
 use columnar::prelude::*;
 use lzcodec::CodecKind;
@@ -11,9 +12,10 @@ use crate::encoding::{decode_chunk, Encoding};
 use crate::stats::ColumnStats;
 use crate::{ParqError, Result, MAGIC};
 
-/// A simple range predicate against one column, used for row-group pruning
-/// (`col op literal`).
-#[derive(Debug, Clone)]
+/// `column op literal`: the one simple-conjunct form. Footer statistics
+/// prune row groups with it, the object store's `select()` evaluates it,
+/// and it is all the S3-Select capability level can express.
+#[derive(Debug, Clone, PartialEq)]
 pub struct RangePredicate {
     /// Column index in the file schema.
     pub column: usize,
@@ -24,6 +26,56 @@ pub struct RangePredicate {
 }
 
 impl RangePredicate {
+    /// Lower the top-level conjunction of `e` into range predicates:
+    /// `column op literal` in either operand order (a literal on the left
+    /// flips the operator), `column BETWEEN literal AND literal` as `>=`
+    /// and `<=`, and a literal `TRUE` as nothing. `file_columns` maps the
+    /// columns `e` references (scan-output positions) to file ordinals;
+    /// `None` means they already are file ordinals.
+    ///
+    /// Returns what lowered and whether *every* conjunct did. Pruning may
+    /// use an incomplete lowering; replacing the filter may not.
+    pub fn lower<E: ExprTree>(e: &E, file_columns: Option<&[usize]>) -> (Vec<Self>, bool) {
+        let mut out = Vec::new();
+        let complete = Self::lower_into(e, file_columns, &mut out);
+        (out, complete)
+    }
+
+    fn lower_into<E: ExprTree>(e: &E, map: Option<&[usize]>, out: &mut Vec<Self>) -> bool {
+        let mut push = |column: usize, op: CmpOp, value: &Scalar| {
+            let column = match map {
+                Some(m) => m.get(column).copied(),
+                None => Some(column),
+            };
+            out.extend(column.map(|column| RangePredicate {
+                column,
+                op,
+                value: value.clone(),
+            }));
+            column.is_some()
+        };
+        match e.node() {
+            Node::And(a, b) => {
+                // No short circuit: an incomplete lowering keeps the rest.
+                let left = Self::lower_into(a, map, out);
+                Self::lower_into(b, map, out) && left
+            }
+            Node::Cmp(op, left, right) => match (left.node(), right.node()) {
+                (Node::Column(c), Node::Literal(v)) => push(c, op, v),
+                (Node::Literal(v), Node::Column(c)) => push(c, op.flip(), v),
+                _ => false,
+            },
+            Node::Between(x, lo, hi) => match (x.node(), lo.node(), hi.node()) {
+                (Node::Column(c), Node::Literal(lo), Node::Literal(hi)) => {
+                    push(c, CmpOp::GtEq, lo) && push(c, CmpOp::LtEq, hi)
+                }
+                _ => false,
+            },
+            Node::Literal(Scalar::Boolean(true)) => true,
+            _ => false,
+        }
+    }
+
     /// Can a chunk with these stats contain a matching row? Conservative:
     /// returns `true` when unsure.
     pub fn may_match(&self, stats: &ColumnStats) -> bool {
@@ -473,6 +525,129 @@ mod tests {
             },
         ];
         assert_eq!(r.prune_row_groups(&preds), vec![1]);
+    }
+
+    /// The node kinds the lowering looks at, plus one (`Add`) it must not
+    /// see through.
+    enum T {
+        Col(usize),
+        Lit(Scalar),
+        Cmp(CmpOp, Box<T>, Box<T>),
+        And(Box<T>, Box<T>),
+        Or(Box<T>, Box<T>),
+        Between(Box<T>, Box<T>, Box<T>),
+        Add(Box<T>, Box<T>),
+    }
+
+    impl ExprTree for T {
+        fn node(&self) -> Node<'_, T> {
+            match self {
+                T::Col(i) => Node::Column(*i),
+                T::Lit(s) => Node::Literal(s),
+                T::Cmp(op, l, r) => Node::Cmp(*op, l, r),
+                T::And(a, b) => Node::And(a, b),
+                T::Or(a, b) => Node::Or(a, b),
+                T::Between(x, lo, hi) => Node::Between(x, lo, hi),
+                T::Add(l, r) => Node::Arith(columnar::kernels::arith::ArithOp::Add, l, r),
+            }
+        }
+    }
+
+    fn col(i: usize) -> Box<T> {
+        Box::new(T::Col(i))
+    }
+
+    fn int(v: i64) -> Box<T> {
+        Box::new(T::Lit(Scalar::Int64(v)))
+    }
+
+    fn range(column: usize, op: CmpOp, v: i64) -> RangePredicate {
+        RangePredicate {
+            column,
+            op,
+            value: Scalar::Int64(v),
+        }
+    }
+
+    #[test]
+    fn lowering_flips_a_literal_on_the_left() {
+        for (op, flipped) in [
+            (CmpOp::Eq, CmpOp::Eq),
+            (CmpOp::NotEq, CmpOp::NotEq),
+            (CmpOp::Lt, CmpOp::Gt),
+            (CmpOp::LtEq, CmpOp::GtEq),
+            (CmpOp::Gt, CmpOp::Lt),
+            (CmpOp::GtEq, CmpOp::LtEq),
+        ] {
+            let direct = RangePredicate::lower(&T::Cmp(op, col(2), int(7)), None);
+            assert_eq!(direct, (vec![range(2, op, 7)], true));
+            let literal_first = RangePredicate::lower(&T::Cmp(op, int(7), col(2)), None);
+            assert_eq!(literal_first, (vec![range(2, flipped, 7)], true));
+        }
+    }
+
+    #[test]
+    fn lowering_splits_between_and_keeps_what_it_can() {
+        // c0 BETWEEN 1 AND 9 AND TRUE AND c1 < 5: all of it lowers.
+        let all = T::And(
+            Box::new(T::And(
+                Box::new(T::Between(col(0), int(1), int(9))),
+                Box::new(T::Lit(Scalar::Boolean(true))),
+            )),
+            Box::new(T::Cmp(CmpOp::Lt, col(1), int(5))),
+        );
+        let expect = vec![
+            range(0, CmpOp::GtEq, 1),
+            range(0, CmpOp::LtEq, 9),
+            range(1, CmpOp::Lt, 5),
+        ];
+        assert_eq!(RangePredicate::lower(&all, None), (expect, true));
+
+        // One conjunct that does not lower, on either side: incomplete, but
+        // the others are still there for pruning.
+        let hidden = || Box::new(T::Cmp(CmpOp::Lt, Box::new(T::Add(col(0), int(1))), int(5)));
+        let simple = || Box::new(T::Cmp(CmpOp::Gt, col(1), int(3)));
+        for e in [T::And(hidden(), simple()), T::And(simple(), hidden())] {
+            let kept = vec![range(1, CmpOp::Gt, 3)];
+            assert_eq!(RangePredicate::lower(&e, None), (kept, false));
+        }
+
+        // Nothing under an OR, a column-to-column comparison, a non-literal
+        // bound or a bare FALSE is a range.
+        for e in [
+            T::Or(simple(), simple()),
+            T::Cmp(CmpOp::Lt, col(0), col(1)),
+            T::Between(col(0), int(1), col(1)),
+            T::Between(Box::new(T::Add(col(0), int(1))), int(1), int(2)),
+            T::Lit(Scalar::Boolean(false)),
+        ] {
+            assert_eq!(RangePredicate::lower(&e, None), (vec![], false));
+        }
+    }
+
+    #[test]
+    fn lowering_maps_scan_output_to_file_ordinals() {
+        // The scan emits file columns (5, 2); the filter speaks positions.
+        let e = T::And(
+            Box::new(T::Cmp(CmpOp::Gt, col(1), int(3))),
+            Box::new(T::Between(col(0), int(1), int(9))),
+        );
+        let expect = vec![
+            range(2, CmpOp::Gt, 3),
+            range(5, CmpOp::GtEq, 1),
+            range(5, CmpOp::LtEq, 9),
+        ];
+        assert_eq!(RangePredicate::lower(&e, Some(&[5, 2])), (expect, true));
+        // A column outside the projection is dropped, and reported.
+        let outside = T::And(
+            Box::new(T::Cmp(CmpOp::Gt, col(1), int(3))),
+            Box::new(T::Between(col(2), int(1), int(9))),
+        );
+        let kept = vec![range(2, CmpOp::Gt, 3)];
+        assert_eq!(
+            RangePredicate::lower(&outside, Some(&[5, 2])),
+            (kept, false)
+        );
     }
 
     #[test]
