@@ -9,13 +9,22 @@
 //! * `table3`  — per-phase breakdown of a single-file full-pushdown query;
 //! * `ablation` — cost-aware policy, symmetric-cluster, and
 //!   selectivity-threshold studies (the design choices DESIGN.md calls
-//!   out).
+//!   out);
+//! * `calibrate` — searches the cost-model constants against the paper's
+//!   published ratios.
+//!
+//! The first five write `results/<name>.txt` at the workspace root; CI's
+//! `results-reproduce` job regenerates them and fails on any diff. This
+//! crate measures no wall clock: that is `perfbench/`'s job, and the
+//! simulated acceptance gates are tier-1 tests
+//! (`tests/tests/sim_gates.rs`).
 //!
 //! Scale is controlled by `REPRO_SCALE` (`small` | `medium` | `large`,
 //! default `medium`). All results are *simulated seconds* under the
 //! paper-testbed cost model; ratios are the comparison currency (see
 //! EXPERIMENTS.md).
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use dsq::{Engine, EngineBuilder, QueryResult};
@@ -284,51 +293,59 @@ pub fn render_sweep(title: &str, rows: &[Measurement], baseline_label: &str) -> 
     out
 }
 
-/// Record one acceptance-gate ratio into `BENCH_RESULTS.json` at the
-/// workspace root. Merge-on-write: each gate bench rewrites only its own
-/// entry, so running a single bench never clobbers the others' numbers.
-/// Best-effort — an unwritable tree must never fail a gate that passed.
-pub fn record_gate(name: &str, ratio: f64) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_RESULTS.json");
-    let mut gates: std::collections::BTreeMap<String, f64> = std::collections::BTreeMap::new();
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(json) = obs::chrome::parse_json(&text) {
-            if let Some(obs::chrome::Json::Obj(fields)) = json.get("gates") {
-                for (k, v) in fields {
-                    if let Some(n) = v.as_num() {
-                        gates.insert(k.clone(), n);
-                    }
-                }
-            }
+/// The checked-in `results/` directory at the workspace root, wherever
+/// the binary is run from.
+fn results_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root")
+        .join("results")
+}
+
+/// Write `content` to `<dir>/<name>.txt`; the error names the path.
+fn write_report(dir: &Path, name: &str, content: &str) -> Result<PathBuf, String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    let path = dir.join(format!("{name}.txt"));
+    std::fs::write(&path, content).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    Ok(path)
+}
+
+/// Echo a report to stdout and write it under the workspace's `results/`.
+/// A report that cannot be written ends the process with a non-zero
+/// status: CI's `git diff --exit-code results/` must not pass because
+/// nothing was regenerated.
+pub fn emit_report(name: &str, content: &str) {
+    println!("{content}");
+    match write_report(&results_dir(), name, content) {
+        Ok(path) => println!("(written to {})", path.display()),
+        Err(e) => {
+            eprintln!("{name}: {e}");
+            std::process::exit(1);
         }
-    }
-    gates.insert(name.to_string(), ratio);
-    let mut out = String::from(
-        "{\n  \"note\": \"acceptance-gate ratios recorded by the criterion gate \
-         benches (cargo bench -- --test regenerates)\",\n  \"gates\": {\n",
-    );
-    let mut first = true;
-    for (k, v) in &gates {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str(&format!("    \"{k}\": {v:.6}"));
-    }
-    out.push_str("\n  }\n}\n");
-    if std::fs::write(&path, out).is_err() {
-        eprintln!("record_gate: could not write {}", path.display());
     }
 }
 
-/// Write a report under `results/` (best-effort) and echo it to stdout.
-pub fn emit_report(name: &str, content: &str) {
-    println!("{content}");
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(format!("{name}.txt"));
-        if std::fs::write(&path, content).is_ok() {
-            println!("(written to {})", path.display());
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unwritable_report_is_an_error_naming_the_path() {
+        let manifest_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+        // A regular file where the directory should go: `create_dir_all` fails.
+        let under_file = manifest_dir.join("Cargo.toml/results");
+        let e = write_report(&under_file, "table2", "x").unwrap_err();
+        assert!(
+            e.contains("cannot create") && e.contains("Cargo.toml/results"),
+            "{e}"
+        );
+        // The directory exists but the file's parent does not: `write` fails.
+        let e = write_report(manifest_dir, "no-such-dir/table2", "x").unwrap_err();
+        assert!(
+            e.contains("cannot write") && e.contains("no-such-dir/table2.txt"),
+            "{e}"
+        );
+        assert!(!manifest_dir.join("no-such-dir").exists());
     }
 }

@@ -123,8 +123,7 @@ impl EngineBuilder {
         self
     }
 
-    /// Enable or disable span recording (on by default; the `tracing-off`
-    /// obs feature forces it off regardless).
+    /// Enable or disable span recording (on by default).
     pub fn tracing(mut self, on: bool) -> Self {
         self.tracing = on;
         self

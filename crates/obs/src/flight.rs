@@ -25,7 +25,7 @@
 //! established lock-order edges appear in the stream as
 //! [`FlightKind::LockReport`] events.
 
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -233,7 +233,6 @@ pub struct FlightRecorder {
     /// live window.
     head: AtomicU64,
     epoch: Instant,
-    enabled: AtomicBool,
 }
 
 impl FlightRecorder {
@@ -244,28 +243,12 @@ impl FlightRecorder {
             slots: (0..capacity).map(|_| Slot::empty()).collect(),
             head: AtomicU64::new(0),
             epoch: Instant::now(),
-            enabled: AtomicBool::new(!cfg!(feature = "tracing-off")),
         }
     }
 
     /// Ring capacity in events.
     pub fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Whether events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        // RELAXED: isolated on/off flag; nothing is published through it.
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turn recording on or off (the overhead bench compares the two;
-    /// `tracing-off` builds force it off).
-    pub fn set_enabled(&self, on: bool) {
-        // RELAXED: isolated on/off flag — a writer observing the toggle
-        // one event late is harmless.
-        self.enabled
-            .store(on && !cfg!(feature = "tracing-off"), Ordering::Relaxed);
     }
 
     /// The next sequence number to be assigned. Capture before a query
@@ -277,12 +260,8 @@ impl FlightRecorder {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Record one event; returns its sequence number. Disabled recorders
-    /// return the current cursor without claiming a slot.
+    /// Record one event; returns its sequence number.
     pub fn record(&self, kind: FlightKind, a: u64, b: u64, c: u64) -> u64 {
-        if !self.is_enabled() {
-            return self.cursor();
-        }
         let t_bits = self.epoch.elapsed().as_secs_f64().to_bits();
         // RELAXED: pure sequence allocation — the slot contents are
         // published by the per-slot version protocol, not this counter.
@@ -514,22 +493,6 @@ mod tests {
         assert!(r.since(r.cursor()).is_empty());
     }
 
-    #[test]
-    fn disabled_recorder_drops_everything() {
-        let r = FlightRecorder::with_capacity(8);
-        r.set_enabled(false);
-        assert!(!r.is_enabled());
-        r.record(FlightKind::CacheHit, 1, 2, 3);
-        assert_eq!(r.cursor(), 0);
-        assert!(r.snapshot().is_empty());
-        r.set_enabled(true);
-        r.record(FlightKind::CacheHit, 1, 2, 3);
-        assert_eq!(
-            r.snapshot().len(),
-            if cfg!(feature = "tracing-off") { 0 } else { 1 }
-        );
-    }
-
     /// No tearing under concurrent writers: every event that reads back
     /// must satisfy the writer's per-event checksum invariant — a mixed
     /// slot (fields from two different writes) cannot.
@@ -602,9 +565,6 @@ mod tests {
     fn global_recorder_is_always_on() {
         let f = flight();
         assert!(f.capacity() >= 1);
-        if cfg!(feature = "tracing-off") {
-            return;
-        }
         let cur = f.cursor();
         f.record(FlightKind::CacheAdmit, 0, 1, 2);
         assert!(f.cursor() > cur);

@@ -28,8 +28,8 @@
 //!   profile + flight slice as one JSON document (`xtask report`).
 //!
 //! The crate is dependency-free and the tracer is free when disabled: a
-//! [`Tracer::disabled`] handle (or building with the `tracing-off`
-//! feature) records nothing and costs one branch per call site.
+//! [`Tracer::disabled`] handle records nothing and costs one branch per
+//! call site.
 
 #![warn(missing_docs)]
 
@@ -59,11 +59,11 @@ static KERNEL_TIMING: AtomicBool = AtomicBool::new(false);
 pub fn set_kernel_timing(on: bool) {
     // RELAXED: an isolated on/off flag — a timer arming one toggle late
     // is harmless and nothing else is published through it.
-    KERNEL_TIMING.store(on && !cfg!(feature = "tracing-off"), Ordering::Relaxed);
+    KERNEL_TIMING.store(on, Ordering::Relaxed);
 }
 
 /// True when kernel timing hooks should arm.
 pub fn kernel_timing_enabled() -> bool {
     // RELAXED: see `set_kernel_timing` — isolated flag read.
-    !cfg!(feature = "tracing-off") && KERNEL_TIMING.load(Ordering::Relaxed)
+    KERNEL_TIMING.load(Ordering::Relaxed)
 }

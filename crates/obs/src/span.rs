@@ -148,11 +148,8 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// An enabled tracer (no-op when built with `tracing-off`).
+    /// An enabled tracer.
     pub fn new() -> Tracer {
-        if cfg!(feature = "tracing-off") {
-            return Tracer::disabled();
-        }
         Tracer {
             inner: Some(Arc::new(TracerInner::default())),
         }

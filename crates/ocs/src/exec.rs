@@ -177,29 +177,18 @@ pub struct Executor<'a> {
     reader: &'a ParqReader,
     cost: &'a CostParams,
     stats: ExecutorStats,
-    late_mat: bool,
     caches: Option<(&'a NodeCaches, &'a ObjectId)>,
 }
 
 impl<'a> Executor<'a> {
-    /// New executor over an open object. Late materialization is on by
-    /// default (the production configuration); no cache is bound.
+    /// New executor over an open object; no cache is bound.
     pub fn new(reader: &'a ParqReader, cost: &'a CostParams) -> Self {
         Executor {
             reader,
             cost,
             stats: ExecutorStats::default(),
-            late_mat: true,
             caches: None,
         }
-    }
-
-    /// Toggle the late-materialized scan (off = decode every projected
-    /// column of every surviving row group before filtering, the legacy
-    /// path; kept for A/B benchmarking).
-    pub fn late_materialization(mut self, enabled: bool) -> Self {
-        self.late_mat = enabled;
-        self
     }
 
     /// Bind the node's caches and the scanned object's identity so chunk
@@ -242,7 +231,7 @@ impl<'a> Executor<'a> {
                     // path, which needs no column split.
                     let mut filter_pos = Vec::new();
                     predicate.referenced_fields(&mut filter_pos);
-                    if self.late_mat && !filter_pos.is_empty() {
+                    if !filter_pos.is_empty() {
                         return self.run_filtered_read(
                             projection.as_deref(),
                             &remapped,
@@ -677,13 +666,29 @@ mod tests {
         Executor::new(&reader, &cost).run(&plan).unwrap()
     }
 
-    fn run_with(plan: &Plan, late_mat: bool) -> (Vec<RecordBatch>, ExecutorStats) {
+    /// What the eager scan of a filter-over-read plan does, from the
+    /// reader alone: decode every projected chunk of every row group the
+    /// statistics keep, then filter. The surviving rows, and the scan's
+    /// `[rows_scanned, uncompressed_bytes, disk_bytes]`.
+    fn eager_reference(plan: &Plan) -> (Vec<Vec<Scalar>>, [u64; 3]) {
+        let Rel::Filter { input, predicate } = &plan.root else {
+            panic!("filter-over-read plans only");
+        };
+        let Rel::Read { projection, .. } = input.as_ref() else {
+            panic!("filter-over-read plans only");
+        };
         let reader = test_reader();
-        let cost = CostParams::default();
-        Executor::new(&reader, &cost)
-            .late_materialization(late_mat)
-            .run(plan)
-            .unwrap()
+        let (prune, _) = RangePredicate::lower(predicate, projection.as_deref());
+        let cols = projection.clone().unwrap_or_else(|| vec![0, 1, 2]);
+        let (mut rows, mut bounds) = (Vec::new(), [0u64; 3]);
+        for rg in reader.prune_row_groups(&prune) {
+            let batch = reader.read_row_group(rg, projection.as_deref()).unwrap();
+            bounds[0] += batch.num_rows() as u64;
+            bounds[1] += batch.byte_size() as u64;
+            bounds[2] += reader.projected_compressed_bytes(rg, &cols).unwrap();
+            rows.extend(ops::filter(&batch, predicate).unwrap().rows());
+        }
+        (rows, bounds)
     }
 
     /// A filter statistics pruning cannot touch (arith wraps the column)
@@ -1002,22 +1007,15 @@ mod tests {
             clustered_filter_plan(1000, Some(vec![2, 0])),
             clustered_filter_plan(50, Some(vec![1, 0])),
         ] {
-            let (late, late_stats) = run_with(&plan, true);
-            let (eager, eager_stats) = run_with(&plan, false);
+            let (eager, [eager_scanned, eager_decoded, _]) = eager_reference(&plan);
+            let (late, late_stats) = run(plan);
             let rows = |bs: &[RecordBatch]| bs.iter().map(|b| b.num_rows()).sum::<usize>();
-            assert_eq!(rows(&late), rows(&eager));
-            let flat = |bs: &[RecordBatch]| -> Vec<Vec<Scalar>> {
-                bs.iter()
-                    .flat_map(|b| (0..b.num_rows()).map(|r| b.row(r)).collect::<Vec<_>>())
-                    .collect()
-            };
-            assert_eq!(flat(&late), flat(&eager));
-            assert_eq!(
-                late_stats.wire.rows_returned,
-                eager_stats.wire.rows_returned
-            );
-            assert_eq!(late_stats.wire.rows_scanned, eager_stats.wire.rows_scanned);
-            assert!(late_stats.uncompressed_bytes <= eager_stats.uncompressed_bytes);
+            assert_eq!(rows(&late), eager.len());
+            let flat: Vec<Vec<Scalar>> = late.iter().flat_map(|b| b.rows()).collect();
+            assert_eq!(flat, eager);
+            assert_eq!(late_stats.wire.rows_returned, eager.len() as u64);
+            assert_eq!(late_stats.wire.rows_scanned, eager_scanned);
+            assert!(late_stats.uncompressed_bytes <= eager_decoded);
         }
     }
 
@@ -1026,14 +1024,11 @@ mod tests {
         // `id % 1000 < 1000` matches every row: the scan must bill exactly
         // what the eager path bills — same bytes, nothing avoided.
         let plan = clustered_filter_plan(1000, None);
-        let (late, late_stats) = run_with(&plan, true);
-        let (_, eager_stats) = run_with(&plan, false);
+        let (_, [_, eager_decoded, eager_disk]) = eager_reference(&plan);
+        let (late, late_stats) = run(plan);
         assert_eq!(late.iter().map(|b| b.num_rows()).sum::<usize>(), 1000);
-        assert_eq!(
-            late_stats.uncompressed_bytes,
-            eager_stats.uncompressed_bytes
-        );
-        assert_eq!(late_stats.wire.disk_bytes, eager_stats.wire.disk_bytes);
+        assert_eq!(late_stats.uncompressed_bytes, eager_decoded);
+        assert_eq!(late_stats.wire.disk_bytes, eager_disk);
         assert_eq!(late_stats.wire.row_groups_skipped, 0);
         assert_eq!(late_stats.wire.decoded_bytes_avoided, 0);
     }
@@ -1043,15 +1038,14 @@ mod tests {
         // The Laghos shape: select every column, filter to a tiny clustered
         // slice. The acceptance bar is a >=2x decoded-bytes reduction.
         let plan = clustered_filter_plan(10, None);
-        let (_, late) = run_with(&plan, true);
-        let (_, eager) = run_with(&plan, false);
+        let (_, [_, eager_decoded, eager_disk]) = eager_reference(&plan);
+        let (_, late) = run(plan);
         assert!(
-            late.uncompressed_bytes * 2 <= eager.uncompressed_bytes,
-            "late {} vs eager {}",
+            late.uncompressed_bytes * 2 <= eager_decoded,
+            "late {} vs eager {eager_decoded}",
             late.uncompressed_bytes,
-            eager.uncompressed_bytes
         );
-        assert!(late.wire.disk_bytes < eager.wire.disk_bytes);
+        assert!(late.wire.disk_bytes < eager_disk);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property test: the late-materialized scan pipeline is observationally
 //! identical to the naive read-everything-then-filter reference on random
 //! data, random projections, and random range predicates — while never
-//! decoding more bytes than the eager executor path.
+//! reading or decoding more bytes than an eager scan of the row groups
+//! that survive statistics pruning.
 
 use std::sync::Arc;
 
@@ -10,7 +11,7 @@ use columnar::kernels::selection;
 use columnar::prelude::*;
 use netsim::CostParams;
 use ocs::exec::{eval_expr, Executor};
-use parq::ParqReader;
+use parq::{ParqReader, RangePredicate};
 use proptest::prelude::*;
 use substrait_ir::{Expr, Plan, Rel};
 
@@ -111,6 +112,21 @@ fn naive_scan(
     flat_rows(&out)
 }
 
+/// What an eager scan costs, from the reader alone: every projected chunk
+/// of every row group `prune_row_groups` keeps is read and decoded before
+/// the filter runs. `[rows_scanned, uncompressed_bytes, disk_bytes]`.
+fn eager_bounds(reader: &ParqReader, projection: Option<&[usize]>, predicate: &Expr) -> [u64; 3] {
+    let (prune, _) = RangePredicate::lower(predicate, projection);
+    let cols: Vec<usize> = projection.map_or_else(|| (0..3).collect(), <[usize]>::to_vec);
+    let mut bounds = [0u64; 3];
+    for rg in reader.prune_row_groups(&prune) {
+        bounds[0] += reader.row_group_rows(rg).unwrap();
+        bounds[1] += reader.read_row_group(rg, projection).unwrap().byte_size() as u64;
+        bounds[2] += reader.projected_compressed_bytes(rg, &cols).unwrap();
+    }
+    bounds
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -141,27 +157,24 @@ proptest! {
         let (late, late_stats) = Executor::new(&reader, &cost)
             .run(&plan)
             .unwrap();
-        let (eager, eager_stats) = Executor::new(&reader, &cost)
-            .late_materialization(false)
-            .run(&plan)
-            .unwrap();
+        let [eager_scanned, eager_decoded, eager_disk] =
+            eager_bounds(&reader, projection.as_deref(), &predicate);
 
         let expected = naive_scan(&reader, projection.as_deref(), &predicate);
         prop_assert_eq!(&flat_rows(&late), &expected);
-        prop_assert_eq!(&flat_rows(&eager), &expected);
-        prop_assert_eq!(late_stats.wire.rows_returned, eager_stats.wire.rows_returned);
-        prop_assert_eq!(late_stats.wire.rows_scanned, eager_stats.wire.rows_scanned);
+        prop_assert_eq!(late_stats.wire.rows_returned, expected.len() as u64);
+        prop_assert_eq!(late_stats.wire.rows_scanned, eager_scanned);
         prop_assert!(
-            late_stats.uncompressed_bytes <= eager_stats.uncompressed_bytes,
+            late_stats.uncompressed_bytes <= eager_decoded,
             "late path decoded more: {} vs {}",
             late_stats.uncompressed_bytes,
-            eager_stats.uncompressed_bytes
+            eager_decoded
         );
         prop_assert!(
-            late_stats.wire.disk_bytes <= eager_stats.wire.disk_bytes,
+            late_stats.wire.disk_bytes <= eager_disk,
             "late path read more: {} vs {}",
             late_stats.wire.disk_bytes,
-            eager_stats.wire.disk_bytes
+            eager_disk
         );
     }
 }
