@@ -51,8 +51,10 @@ impl Bitmap {
             )));
         }
         let words = bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
+            .as_chunks::<8>()
+            .0
+            .iter()
+            .map(|w| u64::from_le_bytes(*w))
             .collect();
         let mut bm = Bitmap { words, len };
         bm.mask_tail();
@@ -66,6 +68,12 @@ impl Bitmap {
             out.extend_from_slice(&w.to_le_bytes());
         }
         out
+    }
+
+    /// The packed words, `len.div_ceil(64)` of them, bits past `len` zero:
+    /// exactly what [`Bitmap::to_le_bytes`] serializes.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Number of bits.

@@ -82,7 +82,7 @@ fn xxh32_round(acc: u32, word: u32) -> u32 {
 /// tail byte) therefore never collide; in particular every single-bit flip
 /// is detected. Damage spread over several words is caught with
 /// probability 1 - 2^-32.
-fn xxh32(bytes: &[u8]) -> u32 {
+pub fn xxh32(bytes: &[u8]) -> u32 {
     let mut stripes = bytes.chunks_exact(16);
     let mut h = if bytes.len() >= 16 {
         let mut v = [
@@ -136,41 +136,40 @@ fn le_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
 }
 
-fn put_validity(buf: &mut BytesMut, validity: Option<&Bitmap>) {
+/// Append `values` as `W`-byte little-endian words: one resize for the
+/// whole buffer, then a fill over exact-size chunks that compiles to a
+/// straight copy loop instead of one bounds-checked append per value.
+fn put_words<T: Copy, const W: usize>(
+    buf: &mut Vec<u8>,
+    values: &[T],
+    to_le: impl Fn(T) -> [u8; W],
+) {
+    let start = buf.len();
+    buf.resize(start + values.len() * W, 0);
+    for (dst, &v) in buf[start..].chunks_exact_mut(W).zip(values) {
+        dst.copy_from_slice(&to_le(v));
+    }
+}
+
+fn put_validity(buf: &mut Vec<u8>, validity: Option<&Bitmap>) {
     match validity {
         Some(v) => {
             buf.put_u8(1);
-            buf.put_slice(&v.to_le_bytes());
+            put_words(buf, v.words(), u64::to_le_bytes);
         }
         None => buf.put_u8(0),
     }
 }
 
-fn put_array(buf: &mut BytesMut, array: &Array) {
+fn put_array(buf: &mut Vec<u8>, array: &Array) {
     put_validity(buf, array.validity());
     match array {
-        Array::Int64(a) => {
-            for v in &a.values {
-                buf.put_i64_le(*v);
-            }
-        }
-        Array::Float64(a) => {
-            for v in &a.values {
-                buf.put_f64_le(*v);
-            }
-        }
-        Array::Date32(a) => {
-            for v in &a.values {
-                buf.put_i32_le(*v);
-            }
-        }
-        Array::Boolean(a) => {
-            buf.put_slice(&a.values.to_le_bytes());
-        }
+        Array::Int64(a) => put_words(buf, &a.values, i64::to_le_bytes),
+        Array::Float64(a) => put_words(buf, &a.values, f64::to_le_bytes),
+        Array::Date32(a) => put_words(buf, &a.values, i32::to_le_bytes),
+        Array::Boolean(a) => put_words(buf, a.values.words(), u64::to_le_bytes),
         Array::Utf8(a) => {
-            for o in &a.offsets {
-                buf.put_u32_le(*o);
-            }
+            put_words(buf, &a.offsets, u32::to_le_bytes);
             buf.put_u32_le(a.data.len() as u32);
             buf.put_slice(&a.data);
         }
@@ -180,7 +179,13 @@ fn put_array(buf: &mut BytesMut, array: &Array) {
 /// Serialize one batch.
 pub fn encode_batch(batch: &RecordBatch) -> Bytes {
     let _t = obs::KernelTimer::start("columnar.ipc.encode_s");
-    let mut buf = BytesMut::with_capacity(batch.byte_size() + 256);
+    // Room for the whole message up front: past `byte_size`, each field
+    // costs its name plus six bytes, and each column at most 15 (the
+    // validity flag, and up to 7 bytes of word padding on each of two
+    // bitmaps, or the Utf8 data length).
+    let names: usize = batch.schema().fields().iter().map(|f| f.name.len()).sum();
+    let room = 20 + names + 21 * batch.num_columns() + batch.byte_size();
+    let mut buf = Vec::with_capacity(room);
     buf.put_slice(MAGIC);
     buf.put_u32_le(batch.num_columns() as u32);
     buf.put_u64_le(batch.num_rows() as u64);
@@ -195,7 +200,11 @@ pub fn encode_batch(batch: &RecordBatch) -> Bytes {
     }
     let crc = xxh32(&buf);
     buf.put_u32_le(crc);
-    buf.freeze()
+    debug_assert!(
+        buf.len() <= room,
+        "encode_batch outgrew its {room}-byte estimate"
+    );
+    buf.into()
 }
 
 /// Position-tracking cursor over a shared [`Bytes`] buffer: fixed-width
@@ -262,45 +271,45 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// `count` fixed-width values of `width` bytes each. `count` comes from
-    /// the wire, so the product is checked before it is compared with what
-    /// is left of the buffer.
-    fn values(&mut self, count: usize, width: usize) -> Result<&'a [u8]> {
-        let n = count.checked_mul(width).ok_or_else(|| {
+    /// `count` little-endian `W`-byte words, decoded a whole buffer at a
+    /// time: `as_chunks` hands out `[u8; W]` arrays, so the conversion has
+    /// no length check left in it and the loop vectorises. `count` comes
+    /// from the wire, so the byte length is checked before it is compared
+    /// with what is left of the buffer.
+    fn words<T, const W: usize>(
+        &mut self,
+        count: usize,
+        from_le: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>> {
+        let n = count.checked_mul(W).ok_or_else(|| {
             ColumnarError::Corrupt(format!("implausible value count {count} in IPC message"))
         })?;
-        self.bytes(n)
+        let raw = self.bytes(n)?;
+        Ok(raw.as_chunks::<W>().0.iter().map(|w| from_le(*w)).collect())
     }
 
     fn array(&mut self, dt: DataType, nrows: usize) -> Result<Array> {
         let validity = self.validity(nrows)?;
         Ok(match dt {
-            DataType::Int64 => {
-                let raw = self.values(nrows, 8)?;
-                let values = raw.chunks_exact(8).map(|c| le_u64(c) as i64).collect();
-                Array::Int64(Int64Array { values, validity })
-            }
-            DataType::Float64 => {
-                let raw = self.values(nrows, 8)?;
-                let values = raw
-                    .chunks_exact(8)
-                    .map(|c| f64::from_bits(le_u64(c)))
-                    .collect();
-                Array::Float64(Float64Array { values, validity })
-            }
-            DataType::Date32 => {
-                let raw = self.values(nrows, 4)?;
-                let values = raw.chunks_exact(4).map(|c| le_u32(c) as i32).collect();
-                Array::Date32(Date32Array { values, validity })
-            }
+            DataType::Int64 => Array::Int64(Int64Array {
+                values: self.words(nrows, i64::from_le_bytes)?,
+                validity,
+            }),
+            DataType::Float64 => Array::Float64(Float64Array {
+                values: self.words(nrows, f64::from_le_bytes)?,
+                validity,
+            }),
+            DataType::Date32 => Array::Date32(Date32Array {
+                values: self.words(nrows, i32::from_le_bytes)?,
+                validity,
+            }),
             DataType::Boolean => {
                 let nbytes = nrows.div_ceil(64) * 8;
                 let values = Bitmap::from_le_bytes(self.bytes(nbytes)?, nrows)?;
                 Array::Boolean(BooleanArray { values, validity })
             }
             DataType::Utf8 => {
-                let raw = self.values(nrows.saturating_add(1), 4)?;
-                let offsets: Vec<u32> = raw.chunks_exact(4).map(le_u32).collect();
+                let offsets = self.words(nrows.saturating_add(1), u32::from_le_bytes)?;
                 let data_len = self.u32()? as usize;
                 if let Some(&last) = offsets.last() {
                     if last as usize != data_len {
@@ -587,21 +596,33 @@ mod tests {
         i.push_i64(1);
         i.push_null();
         i.push_i64(-7);
+        i.push_i64(i64::MIN);
         let mut s = ArrayBuilder::new(DataType::Utf8);
         s.push_str("hello");
         s.push_null();
         s.push_str("");
+        s.push_str("naïve 日本");
         RecordBatch::try_new(
             schema,
             vec![
                 Arc::new(i.finish()),
-                Arc::new(Array::from_f64(vec![0.5, f64::NAN, -1.0])),
-                Arc::new(Array::from_bools(vec![true, false, true])),
+                Arc::new(Array::from_f64(vec![0.5, f64::NAN, -1.0, f64::INFINITY])),
+                Arc::new(Array::from_bools(vec![true, false, true, true])),
                 Arc::new(s.finish()),
-                Arc::new(Array::from_dates(vec![0, 10561, -365])),
+                Arc::new(Array::from_dates(vec![0, 10561, -365, i32::MAX])),
             ],
         )
         .unwrap()
+    }
+
+    /// The exact bytes `encode_batch` writes, pinned by length and XXH32 to
+    /// what the element-at-a-time encoder wrote. Page and frame sizes feed
+    /// compressed sizes and so every `results/*.txt`; a wire change must be
+    /// declared, never slipped in by an encoder rewrite.
+    #[test]
+    fn encoded_mixed_batch_bytes_are_pinned() {
+        let enc = encode_batch(&mixed_batch());
+        assert_eq!((enc.len(), xxh32(&enc)), (206, 0x8584_4183));
     }
 
     /// Published XXH32 (seed 0) vectors: the xxHash sanity checks — empty
@@ -1041,6 +1062,6 @@ mod tests {
             other => panic!("expected batch, got {other:?}"),
         };
         let utf8 = decoded.column(3).as_utf8().unwrap();
-        assert_eq!(std::str::from_utf8(&utf8.data).unwrap(), "hello");
+        assert_eq!(std::str::from_utf8(&utf8.data).unwrap(), "hellonaïve 日本");
     }
 }

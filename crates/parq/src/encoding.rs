@@ -6,9 +6,9 @@
 //! columns, like Parquet's dictionary pages).
 
 use bytes::{Buf, BufMut, Bytes};
-use columnar::builder::ArrayBuilder;
 use columnar::ipc;
 use columnar::prelude::*;
+use columnar::Utf8Array;
 use std::sync::Arc;
 
 use crate::{ParqError, Result};
@@ -41,10 +41,10 @@ impl Encoding {
     }
 }
 
-fn single_column_batch(name: &str, array: Array) -> RecordBatch {
+fn single_column_batch(name: &str, array: Array) -> Result<RecordBatch> {
     let field = Field::new(name, array.data_type(), true);
     let schema = Arc::new(Schema::new(vec![field]));
-    RecordBatch::try_new(schema, vec![Arc::new(array)]).expect("self-consistent batch")
+    RecordBatch::try_new(schema, vec![Arc::new(array)]).map_err(ParqError::Columnar)
 }
 
 /// Pick the encoding for `array`: dictionary for Utf8 when it at least
@@ -68,7 +68,7 @@ pub fn choose_encoding(array: &Array) -> Encoding {
 /// Encode `array` with `encoding` into bytes.
 pub fn encode_chunk(array: &Array, encoding: Encoding) -> Result<Bytes> {
     match encoding {
-        Encoding::Plain => Ok(ipc::encode_batch(&single_column_batch("c", array.clone()))),
+        Encoding::Plain => Ok(ipc::encode_batch(&single_column_batch("c", array.clone())?)),
         Encoding::Dictionary => {
             let a = array.as_utf8().map_err(ParqError::Columnar)?;
             // Build dictionary in first-appearance order. NULL slots get
@@ -114,7 +114,7 @@ pub fn encode_chunk(array: &Array, encoding: Encoding) -> Result<Bytes> {
             let dict_bytes = ipc::encode_batch(&single_column_batch(
                 "d",
                 Array::from_strs(dict.iter().copied()),
-            ));
+            )?);
             out.put_u32_le(dict_bytes.len() as u32);
             out.put_slice(&dict_bytes);
             Ok(out.into())
@@ -168,16 +168,22 @@ pub fn decode_chunk(bytes: &Bytes, encoding: Encoding) -> Result<Array> {
                 return Err(ParqError::Corrupt(format!("bad index width {width}")));
             }
             need!(nrows * width);
-            let mut indices = Vec::with_capacity(nrows);
-            for i in 0..nrows {
-                let off = i * width;
-                let idx = match width {
-                    1 => buf[off] as u32,
-                    2 => u16::from_le_bytes([buf[off], buf[off + 1]]) as u32,
-                    _ => u32::from_le_bytes(buf[off..off + 4].try_into().expect("4 bytes")),
-                };
-                indices.push(idx);
-            }
+            let raw = &buf[..nrows * width];
+            let indices: Vec<u32> = match width {
+                1 => raw.iter().map(|&b| u32::from(b)).collect(),
+                2 => raw
+                    .as_chunks::<2>()
+                    .0
+                    .iter()
+                    .map(|w| u32::from(u16::from_le_bytes(*w)))
+                    .collect(),
+                _ => raw
+                    .as_chunks::<4>()
+                    .0
+                    .iter()
+                    .map(|w| u32::from_le_bytes(*w))
+                    .collect(),
+            };
             buf.advance(nrows * width);
             need!(4);
             let dlen = buf.get_u32_le() as usize;
@@ -185,23 +191,61 @@ pub fn decode_chunk(bytes: &Bytes, encoding: Encoding) -> Result<Array> {
             let consumed = bytes.len() - buf.len();
             let dict = decode_single(&bytes.slice(consumed..consumed + dlen))?;
             let dict = dict.as_utf8().map_err(ParqError::Columnar)?;
-            let mut out = ArrayBuilder::new(DataType::Utf8);
-            for (i, &id) in indices.iter().enumerate() {
-                if validity.as_ref().map(|v| !v.get(i)).unwrap_or(false) {
-                    out.push_null();
-                    continue;
-                }
-                if id as usize >= dict.len() {
-                    return Err(ParqError::Corrupt(format!(
-                        "dictionary index {id} out of range {}",
-                        dict.len()
-                    )));
-                }
-                out.push_str(dict.value(id as usize));
-            }
-            Ok(out.finish())
+            expand_dictionary(dict, &indices, validity)
         }
     }
+}
+
+/// Expand dictionary `indices` into a Utf8 array in two passes over whole
+/// buffers. The first range-checks the index of every valid slot and sums
+/// the bytes the expansion will hold, so a page that would expand past
+/// what `u32` offsets address (4 GiB) is `Corrupt` before anything is
+/// allocated. The second fills exactly-sized offsets and data by copying
+/// byte ranges out of the dictionary's own buffer. The index under a null
+/// slot is never read: the encoder writes 0 there, even over an empty
+/// dictionary.
+fn expand_dictionary(dict: &Utf8Array, indices: &[u32], validity: Option<Bitmap>) -> Result<Array> {
+    // The dictionary came through `ipc::decode_batch`, which checked its
+    // offsets are monotone and end at the data length.
+    let entries: Vec<&[u8]> = dict
+        .offsets
+        .windows(2)
+        .map(|w| &dict.data[w[0] as usize..w[1] as usize])
+        .collect();
+    let is_valid = |i: usize| validity.as_ref().is_none_or(|v| v.get(i));
+    let mut total = 0u64;
+    for (i, &id) in indices.iter().enumerate() {
+        if is_valid(i) {
+            let entry = entries.get(id as usize).ok_or_else(|| {
+                ParqError::Corrupt(format!(
+                    "dictionary index {id} out of range {}",
+                    entries.len()
+                ))
+            })?;
+            total += entry.len() as u64;
+        }
+    }
+    if total > u64::from(u32::MAX) {
+        return Err(ParqError::Corrupt(format!(
+            "dictionary page expands to {total} bytes, past what u32 offsets address"
+        )));
+    }
+    let mut offsets = Vec::with_capacity(indices.len() + 1);
+    let mut data = Vec::with_capacity(total as usize);
+    offsets.push(0);
+    for (i, &id) in indices.iter().enumerate() {
+        if is_valid(i) {
+            data.extend_from_slice(entries[id as usize]);
+        }
+        offsets.push(data.len() as u32);
+    }
+    Ok(Array::Utf8(Utf8Array {
+        offsets,
+        data: data.into(),
+        // No null, no bitmap: a batch re-encoded from this column then
+        // carries no validity words, whatever the page's writer held.
+        validity: validity.filter(|v| v.count_zeros() > 0),
+    }))
 }
 
 #[cfg(test)]
@@ -259,6 +303,60 @@ mod tests {
         let bytes = encode_chunk(&arr, Encoding::Dictionary).unwrap();
         let back = decode_chunk(&bytes, Encoding::Dictionary).unwrap();
         assert_eq!(back, arr);
+    }
+
+    /// `n` rows cycling through `distinct` strings (one of them empty, some
+    /// multi-byte), every `null_every`-th row null.
+    fn repeated_strings(n: usize, distinct: usize, null_every: usize) -> Array {
+        let mut b = ArrayBuilder::new(DataType::Utf8);
+        for i in 0..n {
+            match i % distinct {
+                _ if i % null_every == 0 => b.push_null(),
+                0 => b.push_str(""),
+                k if k % 5 == 0 => b.push_str(&format!("ünï{k}")),
+                k => b.push_str(&format!("k{k}")),
+            }
+        }
+        b.finish()
+    }
+
+    /// The exact page bytes the dictionary encoder writes at index widths 1
+    /// and 2, pinned by length and XXH32: page sizes feed compressed sizes
+    /// and so every `results/*.txt`.
+    #[test]
+    fn dictionary_page_bytes_are_pinned() {
+        for (arr, width, pinned) in [
+            (repeated_strings(100, 7, 10), 1, (206, 0x4C6B_ACC1)),
+            (repeated_strings(700, 300, 13), 2, (4058, 0x3120_3ECF)),
+        ] {
+            let page = encode_chunk(&arr, Encoding::Dictionary).unwrap();
+            let width_at = 4 + 1 + arr.len().div_ceil(64) * 8;
+            assert_eq!(page[width_at], width);
+            assert_eq!((page.len(), ipc::xxh32(&page)), pinned, "width {width}");
+            assert_eq!(decode_chunk(&page, Encoding::Dictionary).unwrap(), arr);
+        }
+    }
+
+    #[test]
+    fn dictionary_page_expanding_past_u32_offsets_is_corrupt_before_allocating() {
+        // One 64 KiB entry named by 65 537 one-byte indices: a 128 KiB page
+        // that expands to 65 537 x 64 KiB, 64 KiB past what u32 offsets
+        // address. Expanded row by row, the offsets would wrap after 4 GiB
+        // had been allocated and copied.
+        let entry = "x".repeat(1 << 16);
+        let dict = single_column_batch("d", Array::from_strs([entry.as_str()])).unwrap();
+        let dict = ipc::encode_batch(&dict);
+        let nrows = (1 << 16) + 1;
+        let mut page = Vec::new();
+        page.put_u32_le(nrows as u32);
+        page.put_u8(0); // no validity
+        page.put_u8(1); // index width
+        page.resize(page.len() + nrows, 0); // every row names entry 0
+        page.put_u32_le(dict.len() as u32);
+        page.put_slice(&dict);
+        assert!(page.len() < 129 << 10, "{} bytes", page.len());
+        let got = decode_chunk(&Bytes::from(page), Encoding::Dictionary);
+        assert!(matches!(got, Err(ParqError::Corrupt(_))));
     }
 
     #[test]

@@ -132,11 +132,7 @@ impl ParqReader {
         if bytes.len() < 12 || &bytes[..4] != MAGIC || &bytes[bytes.len() - 4..] != MAGIC {
             return Err(ParqError::Corrupt("missing parq magic".into()));
         }
-        let footer_len = u32::from_le_bytes(
-            bytes[bytes.len() - 8..bytes.len() - 4]
-                .try_into()
-                .expect("4 bytes"),
-        ) as usize;
+        let footer_len = (&bytes[bytes.len() - 8..]).get_u32_le() as usize;
         if footer_len + 12 > bytes.len() {
             return Err(ParqError::Corrupt(format!(
                 "footer length {footer_len} exceeds file size {}",

@@ -1,13 +1,17 @@
 //! Property tests: parq write→read round-trips across arbitrary batches,
-//! row-group sizes and codecs; pruning soundness on random data.
+//! row-group sizes and codecs; pruning soundness on random data; and
+//! dictionary pages at every index width, intact and damaged, against a
+//! row-at-a-time reference expansion.
 
 use std::sync::Arc;
 
+use bytes::Bytes;
 use columnar::builder::ArrayBuilder;
 use columnar::kernels::cmp::CmpOp;
 use columnar::prelude::*;
 use lzcodec::CodecKind;
-use parq::{ParqReader, RangePredicate, WriteOptions};
+use parq::encoding::{decode_chunk, encode_chunk, Encoding};
+use parq::{ParqError, ParqReader, RangePredicate, WriteOptions};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -131,5 +135,194 @@ proptest! {
             }
         }
         prop_assert_eq!(stats.row_count as usize, rows.len());
+    }
+}
+
+/// The dictionary expansion `decode_chunk` used before it worked on whole
+/// buffers, kept as the oracle: walk the page, then push one `&str` per
+/// row through an `ArrayBuilder`. `None` is "the page is damaged".
+fn reference_dictionary_decode(page: &[u8]) -> Option<Array> {
+    let mut at = 0usize;
+    let mut take = move |n: usize| {
+        let field = page.get(at..at.checked_add(n)?)?;
+        at += n;
+        Some(field)
+    };
+    let le = |b: &[u8]| {
+        let mut word = [0u8; 4];
+        word[..b.len()].copy_from_slice(b);
+        u32::from_le_bytes(word) as usize
+    };
+    let nrows = le(take(4)?);
+    let validity = match take(1)?[0] {
+        1 => Some(Bitmap::from_le_bytes(take(nrows.div_ceil(64) * 8)?, nrows).ok()?),
+        _ => None,
+    };
+    let width = take(1)?[0] as usize;
+    if !matches!(width, 1 | 2 | 4) {
+        return None;
+    }
+    let indices = take(nrows * width)?;
+    let dlen = le(take(4)?);
+    let dict = decode_chunk(&Bytes::from(take(dlen)?.to_vec()), Encoding::Plain).ok()?;
+    let dict = dict.as_utf8().ok()?;
+    let mut out = ArrayBuilder::new(DataType::Utf8);
+    for (i, id) in indices.chunks_exact(width).map(le).enumerate() {
+        if validity.as_ref().is_some_and(|v| !v.get(i)) {
+            out.push_null();
+        } else if id < dict.len() {
+            out.push_str(dict.value(id));
+        } else {
+            return None;
+        }
+    }
+    Some(out.finish())
+}
+
+fn is_corrupt(e: &ParqError) -> bool {
+    matches!(
+        e,
+        ParqError::Corrupt(_) | ParqError::Columnar(ColumnarError::Corrupt(_))
+    )
+}
+
+/// A Utf8 column over `distinct` dictionary entries (one empty, some
+/// multi-byte). The first `distinct` valid rows name every entry once and
+/// `extra` more pick entries at random, so the dictionary, and with it the
+/// index width, is fixed by `distinct`. About `null_pct` % of the rows are
+/// nulls placed at random; with `distinct == 0` every row is null.
+fn dictionary_column(distinct: usize, extra: usize, null_pct: u64, seed: u64) -> Array {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let entry = |k: usize| match k {
+        0 => String::new(),
+        k if k % 3 == 0 => format!("é{k}"),
+        k => format!("v{k}"),
+    };
+    let mut b = ArrayBuilder::new(DataType::Utf8);
+    let valid = if distinct == 0 { 0 } else { distinct + extra };
+    let mut pushed = 0;
+    while pushed < valid || (distinct == 0 && b.len() < extra) {
+        if distinct == 0 || next() % 100 < null_pct {
+            b.push_null();
+            continue;
+        }
+        let k = if pushed < distinct {
+            pushed
+        } else {
+            next() as usize % distinct
+        };
+        b.push_str(&entry(k));
+        pushed += 1;
+    }
+    b.finish()
+}
+
+/// Dictionary sizes that force each index width: 1 (up to 255 entries,
+/// 0 = all null), 2 (256 to 65 535) and 4 (65 536 and up).
+fn dictionary_size() -> impl Strategy<Value = usize> {
+    (0usize..3, any::<usize>()).prop_map(|(width_class, r)| match width_class {
+        0 => r % 256,
+        1 => 256 + r % 1_245,
+        _ => 65_536 + r % 165,
+    })
+}
+
+/// Where the index width byte of a dictionary page sits.
+fn width_at(page: &[u8]) -> usize {
+    let nrows = u32::from_le_bytes([page[0], page[1], page[2], page[3]]) as usize;
+    5 + if page[4] == 1 {
+        nrows.div_ceil(64) * 8
+    } else {
+        0
+    }
+}
+
+fn set_index(page: &mut [u8], row: usize, id: u32) {
+    let at = width_at(page);
+    let width = page[at] as usize;
+    let start = at + 1 + row * width;
+    page[start..start + width].copy_from_slice(&id.to_le_bytes()[..width]);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn dictionary_pages_roundtrip_at_every_index_width(
+        distinct in dictionary_size(),
+        extra in 0usize..300,
+        null_pct in 0u64..60,
+        seed in any::<u64>(),
+    ) {
+        let arr = dictionary_column(distinct, extra, null_pct, seed);
+        let page = encode_chunk(&arr, Encoding::Dictionary).unwrap();
+        let width = match distinct {
+            0..=255 => 1,
+            256..=65_535 => 2,
+            _ => 4,
+        };
+        prop_assert_eq!(page[width_at(&page)], width);
+        let got = decode_chunk(&page, Encoding::Dictionary).unwrap();
+        prop_assert_eq!(&got, &arr);
+        prop_assert_eq!(Some(got), reference_dictionary_decode(&page));
+    }
+
+    #[test]
+    fn damaged_dictionary_pages_match_the_reference(
+        distinct in dictionary_size(),
+        extra in 0usize..300,
+        null_pct in 0u64..60,
+        seed in any::<u64>(),
+        pick in any::<usize>(),
+        cut in any::<usize>(),
+    ) {
+        let arr = dictionary_column(distinct, extra, null_pct, seed);
+        let page = encode_chunk(&arr, Encoding::Dictionary).unwrap().to_vec();
+        let width = page[width_at(&page)] as u32;
+        let max_id = u32::MAX >> (32 - 8 * width);
+        let (valid, null): (Vec<usize>, Vec<usize>) =
+            (0..arr.len()).partition(|&i| arr.is_valid(i));
+
+        // An index past the dictionary in a valid slot is damage.
+        if !valid.is_empty() {
+            let mut bad = page.clone();
+            let id = distinct as u32 + (pick as u32 % (max_id - distinct as u32 + 1));
+            set_index(&mut bad, valid[pick % valid.len()], id);
+            let got = decode_chunk(&Bytes::from(bad.clone()), Encoding::Dictionary);
+            prop_assert!(matches!(got, Err(ParqError::Corrupt(_))), "{:?}", got);
+            prop_assert_eq!(reference_dictionary_decode(&bad), None);
+        }
+
+        // Under a null it is never read: the encoder writes 0 there, even
+        // over an empty dictionary.
+        if !null.is_empty() {
+            let mut odd = page.clone();
+            set_index(&mut odd, null[pick % null.len()], max_id);
+            let got = decode_chunk(&Bytes::from(odd.clone()), Encoding::Dictionary).unwrap();
+            prop_assert_eq!(&got, &arr);
+            prop_assert_eq!(Some(got), reference_dictionary_decode(&odd));
+        }
+
+        // A page cut short anywhere, inside the indices or the dictionary.
+        let short = cut % page.len();
+        let got = decode_chunk(&Bytes::from(page[..short].to_vec()), Encoding::Dictionary);
+        prop_assert!(matches!(got, Err(ParqError::Corrupt(_))), "cut at {}: {:?}", short, got);
+        prop_assert_eq!(reference_dictionary_decode(&page[..short]), None);
+
+        // A dictionary cut short under a length prefix that agrees with it.
+        let dict_len_at = width_at(&page) + 1 + arr.len() * width as usize;
+        let dict_len = page.len() - dict_len_at - 4;
+        let keep = cut % dict_len;
+        let mut cut_dict = page[..dict_len_at + 4 + keep].to_vec();
+        cut_dict[dict_len_at..dict_len_at + 4].copy_from_slice(&(keep as u32).to_le_bytes());
+        let got = decode_chunk(&Bytes::from(cut_dict.clone()), Encoding::Dictionary);
+        prop_assert!(got.as_ref().is_err_and(is_corrupt), "dictionary cut to {}: {:?}", keep, got);
+        prop_assert_eq!(reference_dictionary_decode(&cut_dict), None);
     }
 }

@@ -11,7 +11,8 @@
 //! 2. **No `unwrap`/`expect` on the trust boundary** (`L2`) — non-test
 //!    code in `crates/ocs`, `crates/substrait-ir`, `crates/core`,
 //!    `crates/obs` (which decodes span payloads off the wire),
-//!    `crates/lzcodec` (which decodes column chunks off the store) and the
+//!    `crates/lzcodec` and `parq::{encoding, reader}` (which decode column
+//!    chunks, pages and footers off the store) and the
 //!    shared operator / expression / select modules the storage side runs
 //!    (`columnar::{expr, ops}`, `objstore::select`) must
 //!    not call `.unwrap()` or `.expect(`; a storage node must return an
@@ -43,8 +44,9 @@ use std::path::{Path, PathBuf};
 /// Crates whose non-test code falls under rule 2 (the Substrait trust
 /// boundary: engine-side translation, the IR itself, and the OCS side),
 /// plus the streaming-boundary modules that decode untrusted wire frames
-/// or schedule from untrusted durations, and — because the rule is keyed
-/// by path — the shared modules that storage-side code moved into
+/// or schedule from untrusted durations, the modules that decode stored
+/// objects (`lzcodec`, `parq::{encoding, reader}`), and — because the rule
+/// is keyed by path — the shared modules that storage-side code moved into
 /// (`columnar::{expr, ops}` run inside the storage node; `objstore::select`
 /// is the Hive path's storage side).
 const BANNED_PANIC_CRATES: &[&str] = &[
@@ -57,6 +59,8 @@ const BANNED_PANIC_CRATES: &[&str] = &[
     "crates/columnar/src/ipc.rs",
     "crates/columnar/src/ops.rs",
     "crates/lzcodec/",
+    "crates/parq/src/encoding.rs",
+    "crates/parq/src/reader.rs",
     "crates/netsim/src/sched.rs",
     "crates/netsim/src/split.rs",
     "crates/netsim/src/stats.rs",
