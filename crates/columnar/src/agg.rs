@@ -428,28 +428,42 @@ impl GroupAcc {
                 }
             }
             GroupAcc::MinMaxStr { values, is_min } => {
-                if let Some(Array::Utf8(a)) = arg {
-                    let is_min = *is_min;
-                    let validity = a.validity.as_ref();
-                    for (i, &g) in group_ids.iter().enumerate() {
-                        if validity.map(|bm| bm.get(i)).unwrap_or(true) {
-                            let g = g as usize;
-                            let v = a.value(i);
-                            let better = match &values[g] {
-                                None => true,
-                                Some(cur) => {
-                                    if is_min {
-                                        v < cur.as_str()
-                                    } else {
-                                        v > cur.as_str()
-                                    }
-                                }
-                            };
-                            if better {
-                                values[g] = Some(v.to_string());
+                // Bytes compare in `str` order, so only a new extremum is
+                // turned back into a `String`.
+                let is_min = *is_min;
+                let mut fold = |g: u32, v: &[u8]| {
+                    let g = g as usize;
+                    let better = match &values[g] {
+                        None => true,
+                        Some(cur) => {
+                            if is_min {
+                                v < cur.as_bytes()
+                            } else {
+                                v > cur.as_bytes()
+                            }
+                        }
+                    };
+                    if better {
+                        values[g] = Some(String::from_utf8_lossy(v).into_owned());
+                    }
+                };
+                match arg {
+                    Some(Array::Utf8(a)) => {
+                        let validity = a.validity.as_ref();
+                        for (i, &g) in group_ids.iter().enumerate() {
+                            if validity.is_none_or(|bm| bm.get(i)) {
+                                fold(g, a.bytes(i));
                             }
                         }
                     }
+                    Some(Array::Dict(a)) => {
+                        for (i, &g) in group_ids.iter().enumerate() {
+                            if let Some(v) = a.value(i) {
+                                fold(g, v);
+                            }
+                        }
+                    }
+                    _ => {}
                 }
             }
             GroupAcc::Avg { sums, counts } => match arg {
@@ -910,6 +924,15 @@ mod tests {
         let s = Array::from_strs(["pear", "apple", "plum"]);
         assert_eq!(run(AggFunc::Min, &s), Scalar::Utf8("apple".into()));
         assert_eq!(run(AggFunc::Max, &s), Scalar::Utf8("plum".into()));
+        // Byte order is `str` order, multi-byte characters included.
+        let s = Array::from_strs(["é", "z", "ea"]);
+        assert_eq!(run(AggFunc::Max, &s), Scalar::Utf8("é".into()));
+        let entries = std::sync::Arc::new(crate::Utf8Array::from_strs(["pear", "apple"]));
+        let d = crate::DictArray::try_new(vec![0, 1, 0], entries, None).unwrap();
+        assert_eq!(
+            run(AggFunc::Min, &Array::Dict(d)),
+            Scalar::Utf8("apple".into())
+        );
         let b = Array::from_bools(vec![true, false, true]);
         assert_eq!(run(AggFunc::Min, &b), Scalar::Boolean(false));
         assert_eq!(run(AggFunc::Max, &b), Scalar::Boolean(true));

@@ -3,12 +3,14 @@
 //! Arrays pair a dense value buffer with an optional validity [`Bitmap`];
 //! a missing bitmap means "no nulls", the common fast path.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use bytes::Bytes;
 
 use crate::bitmap::Bitmap;
 use crate::datatype::{DataType, Scalar};
+use crate::dict::DictArray;
 use crate::error::{ColumnarError, Result};
 
 /// Shared, immutable handle to an [`Array`].
@@ -63,7 +65,10 @@ pub struct Date32Array {
 }
 
 /// A dynamically-typed columnar array.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality is by value: a [`Array::Dict`] equals the Utf8 array it
+/// expands to.
+#[derive(Debug, Clone)]
 pub enum Array {
     /// 64-bit integers.
     Int64(Int64Array),
@@ -75,16 +80,51 @@ pub enum Array {
     Utf8(Utf8Array),
     /// Dates.
     Date32(Date32Array),
+    /// UTF-8 strings as codes over shared dictionary entries; its
+    /// [`DataType`] is `Utf8`.
+    Dict(DictArray),
+}
+
+impl PartialEq for Array {
+    fn eq(&self, other: &Array) -> bool {
+        match (self, other) {
+            (Array::Int64(a), Array::Int64(b)) => a == b,
+            (Array::Float64(a), Array::Float64(b)) => a == b,
+            (Array::Boolean(a), Array::Boolean(b)) => a == b,
+            (Array::Utf8(a), Array::Utf8(b)) => a == b,
+            (Array::Date32(a), Array::Date32(b)) => a == b,
+            (Array::Dict(_), _) | (_, Array::Dict(_)) => match (self.to_utf8(), other.to_utf8()) {
+                (Ok(a), Ok(b)) => a == b,
+                _ => false,
+            },
+            _ => false,
+        }
+    }
+}
+
+/// `total` bytes of string data as a `u32` end offset, or an error when
+/// offsets of that width cannot address it (4 GiB).
+pub(crate) fn checked_utf8_len(total: u64) -> Result<u32> {
+    u32::try_from(total).map_err(|_| {
+        ColumnarError::Invalid(format!(
+            "{total} bytes of string data, past what u32 offsets address"
+        ))
+    })
 }
 
 impl Utf8Array {
     /// The string at `i`, ignoring validity.
     #[inline]
     pub fn value(&self, i: usize) -> &str {
-        let start = self.offsets[i] as usize;
-        let end = self.offsets[i + 1] as usize;
         // Data is validated UTF-8 at construction.
-        std::str::from_utf8(&self.data[start..end]).expect("utf8 invariant")
+        std::str::from_utf8(self.bytes(i)).expect("utf8 invariant")
+    }
+
+    /// The bytes of string `i`, ignoring validity: what byte-only kernels
+    /// (hashing, grouping, comparison) read instead of re-validating UTF-8.
+    #[inline]
+    pub fn bytes(&self, i: usize) -> &[u8] {
+        &self.data[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// Number of strings.
@@ -121,7 +161,7 @@ impl Array {
             Array::Int64(_) => DataType::Int64,
             Array::Float64(_) => DataType::Float64,
             Array::Boolean(_) => DataType::Boolean,
-            Array::Utf8(_) => DataType::Utf8,
+            Array::Utf8(_) | Array::Dict(_) => DataType::Utf8,
             Array::Date32(_) => DataType::Date32,
         }
     }
@@ -134,6 +174,7 @@ impl Array {
             Array::Boolean(a) => a.values.len(),
             Array::Utf8(a) => a.len(),
             Array::Date32(a) => a.values.len(),
+            Array::Dict(a) => a.len(),
         }
     }
 
@@ -150,6 +191,7 @@ impl Array {
             Array::Boolean(a) => a.validity.as_ref(),
             Array::Utf8(a) => a.validity.as_ref(),
             Array::Date32(a) => a.validity.as_ref(),
+            Array::Dict(a) => a.validity(),
         }
     }
 
@@ -175,11 +217,14 @@ impl Array {
             Array::Boolean(a) => Scalar::Boolean(a.values.get(i)),
             Array::Utf8(a) => Scalar::Utf8(a.value(i).to_string()),
             Array::Date32(a) => Scalar::Date32(a.values[i]),
+            Array::Dict(a) => Scalar::Utf8(a.entries().value(a.codes()[i] as usize).to_string()),
         }
     }
 
     /// Approximate in-memory footprint in bytes (value buffers + validity),
-    /// used by the cost model for data-movement accounting.
+    /// used by the cost model for data-movement accounting. A dictionary
+    /// column counts as the Utf8 array it expands to, so billing, cache
+    /// admission and stream apportioning do not depend on the encoding.
     pub fn byte_size(&self) -> usize {
         let validity = self.validity().map(|v| v.len().div_ceil(8)).unwrap_or(0);
         validity
@@ -189,6 +234,7 @@ impl Array {
                 Array::Boolean(a) => a.values.len().div_ceil(8),
                 Array::Utf8(a) => a.data.len() + a.offsets.len() * 4,
                 Array::Date32(a) => a.values.len() * 4,
+                Array::Dict(a) => a.data_len() + (a.len() + 1) * 4,
             }
     }
 
@@ -301,10 +347,30 @@ impl Array {
         }
     }
 
-    /// Borrow as Utf8 or error.
+    /// Borrow as a plain Utf8 array or error (a dictionary-coded column is
+    /// not one; [`Array::to_utf8`] takes either).
     pub fn as_utf8(&self) -> Result<&Utf8Array> {
         match self {
             Array::Utf8(a) => Ok(a),
+            other => Err(ColumnarError::type_mismatch("Utf8", other.data_type())),
+        }
+    }
+
+    /// Borrow as dictionary-coded Utf8, if it is that.
+    pub fn as_dict(&self) -> Option<&DictArray> {
+        match self {
+            Array::Dict(a) => Some(a),
+            _ => None,
+        }
+    }
+
+    /// Any Utf8 column as a plain [`Utf8Array`]: borrowed when it is one,
+    /// expanded when it is dictionary-coded. The one expansion helper for
+    /// every kernel with no dictionary arm of its own.
+    pub fn to_utf8(&self) -> Result<Cow<'_, Utf8Array>> {
+        match self {
+            Array::Utf8(a) => Ok(Cow::Borrowed(a)),
+            Array::Dict(a) => Ok(Cow::Owned(a.expand())),
             other => Err(ColumnarError::type_mismatch("Utf8", other.data_type())),
         }
     }
@@ -317,7 +383,11 @@ impl Array {
         }
     }
 
-    /// Concatenate same-typed arrays into one.
+    /// Concatenate same-typed arrays into one by copying typed buffers;
+    /// dictionary parts expand. The result is what pushing every row
+    /// through an [`crate::builder::ArrayBuilder`] gives: a validity bitmap
+    /// only when some part holds a null, and the type's zero (no bytes, for
+    /// a string) under every null.
     pub fn concat(arrays: &[&Array]) -> Result<Array> {
         let Some(first) = arrays.first() else {
             return Err(ColumnarError::Invalid("concat of zero arrays".into()));
@@ -328,15 +398,43 @@ impl Array {
                 return Err(ColumnarError::type_mismatch(dt, a.data_type()));
             }
         }
-        let total: usize = arrays.iter().map(|a| a.len()).sum();
-        let mut builder = crate::builder::ArrayBuilder::new(dt);
-        builder.reserve(total);
-        for a in arrays {
-            for i in 0..a.len() {
-                builder.push(a.scalar_at(i))?;
+        let validity = arrays.iter().any(|a| a.null_count() > 0).then(|| {
+            arrays
+                .iter()
+                .flat_map(|a| (0..a.len()).map(|i| a.is_valid(i)))
+                .collect()
+        });
+        Ok(match dt {
+            DataType::Int64 => Array::Int64(Int64Array {
+                values: concat_values(arrays, |a| Ok(&a.as_i64()?.values))?,
+                validity,
+            }),
+            DataType::Float64 => Array::Float64(Float64Array {
+                values: concat_values(arrays, |a| Ok(&a.as_f64()?.values))?,
+                validity,
+            }),
+            DataType::Date32 => Array::Date32(Date32Array {
+                values: concat_values(arrays, |a| Ok(&a.as_date32()?.values))?,
+                validity,
+            }),
+            DataType::Boolean => {
+                let mut values = Bitmap::new();
+                for a in arrays {
+                    let x = a.as_bool()?;
+                    for i in 0..x.values.len() {
+                        values.push(a.is_valid(i) && x.values.get(i));
+                    }
+                }
+                Array::Boolean(BooleanArray { values, validity })
             }
-        }
-        Ok(builder.finish())
+            DataType::Utf8 => {
+                let parts = arrays
+                    .iter()
+                    .map(|a| a.to_utf8())
+                    .collect::<Result<Vec<_>>>()?;
+                Array::Utf8(concat_utf8(&parts, validity)?)
+            }
+        })
     }
 
     /// Min and max non-null values, or `(Null, Null)` for an all-null/empty
@@ -358,6 +456,55 @@ impl Array {
         }
         (min, max)
     }
+}
+
+/// The value buffers of `arrays` end to end, with the type's zero under
+/// every null.
+fn concat_values<'a, T: Copy + Default + 'a>(
+    arrays: &[&'a Array],
+    values: impl Fn(&'a Array) -> Result<&'a Vec<T>>,
+) -> Result<Vec<T>> {
+    let mut out = Vec::with_capacity(arrays.iter().map(|a| a.len()).sum());
+    for &a in arrays {
+        let start = out.len();
+        out.extend_from_slice(values(a)?);
+        if let Some(v) = a.validity() {
+            for i in (0..v.len()).filter(|&i| !v.get(i)) {
+                out[start + i] = T::default();
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// The strings of `parts` end to end, in two passes: sum the bytes the
+/// valid slots hold (an error past what `u32` offsets address), then fill
+/// exactly-sized buffers.
+fn concat_utf8(parts: &[Cow<'_, Utf8Array>], validity: Option<Bitmap>) -> Result<Utf8Array> {
+    /// Each row's bytes, `None` under a null.
+    fn slots(p: &Utf8Array) -> impl Iterator<Item = Option<&[u8]>> {
+        (0..p.len()).map(|i| {
+            let valid = p.validity.as_ref().is_none_or(|v| v.get(i));
+            valid.then(|| p.bytes(i))
+        })
+    }
+    let total = parts
+        .iter()
+        .flat_map(|p| slots(p).flatten())
+        .map(|s| s.len() as u64)
+        .sum();
+    let mut data = Vec::with_capacity(checked_utf8_len(total)? as usize);
+    let mut offsets = Vec::with_capacity(parts.iter().map(|p| p.len()).sum::<usize>() + 1);
+    offsets.push(0);
+    for s in parts.iter().flat_map(|p| slots(p)) {
+        data.extend_from_slice(s.unwrap_or_default());
+        offsets.push(data.len() as u32);
+    }
+    Ok(Utf8Array {
+        offsets,
+        data: data.into(),
+        validity,
+    })
 }
 
 #[cfg(test)]
@@ -408,6 +555,69 @@ mod tests {
         assert!(Array::concat(&[&a, &bad]).is_err());
     }
 
+    /// What `concat` did before it copied buffers: one `scalar_at` per row
+    /// through a builder.
+    fn concat_by_rows(arrays: &[&Array]) -> Array {
+        let mut b = crate::builder::ArrayBuilder::new(arrays[0].data_type());
+        for a in arrays {
+            for i in 0..a.len() {
+                b.push(a.scalar_at(i)).unwrap();
+            }
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn concat_matches_the_row_by_row_builder() {
+        let some = |bits: &[bool]| Some(Bitmap::from_bools(bits));
+        // Values under nulls are junk, and an all-valid bitmap is present.
+        let ints = [
+            Array::Int64(Int64Array {
+                values: vec![1, 99, 3],
+                validity: some(&[true, false, true]),
+            }),
+            Array::Int64(Int64Array {
+                values: vec![4],
+                validity: some(&[true]),
+            }),
+        ];
+        let bools = [
+            Array::Boolean(BooleanArray {
+                values: Bitmap::from_bools(&[true, true]),
+                validity: some(&[false, true]),
+            }),
+            Array::from_bools(vec![false]),
+        ];
+        // Offsets that do not start at zero, bytes under a null, and a
+        // dictionary part.
+        let shifted = Array::Utf8(Utf8Array {
+            offsets: vec![2, 4, 7],
+            data: Bytes::from_static(b"..abxyz"),
+            validity: None,
+        });
+        let junk_under_null = Array::Utf8(Utf8Array {
+            validity: some(&[true, false]),
+            ..Utf8Array::from_strs(["q", "junk"])
+        });
+        let entries = Arc::new(Utf8Array::from_strs(["dd", "e"]));
+        let dict = Array::Dict(
+            DictArray::try_new(vec![1, 0, 5], entries, some(&[true, true, false])).unwrap(),
+        );
+        for parts in [
+            vec![&ints[0], &ints[1]],
+            vec![&ints[1], &ints[1]],
+            vec![&bools[0], &bools[1]],
+            vec![&shifted, &junk_under_null, &dict],
+            vec![&shifted, &dict],
+            vec![&shifted],
+        ] {
+            let got = Array::concat(&parts).unwrap();
+            let want = concat_by_rows(&parts);
+            assert!(got.as_dict().is_none(), "dictionary parts expand");
+            assert_eq!((&got, got.validity()), (&want, want.validity()));
+        }
+    }
+
     #[test]
     fn min_max_skips_nulls() {
         let arr = Array::Float64(Float64Array {
@@ -428,7 +638,6 @@ mod tests {
         let s = Array::from_strs(["ab", "cd"]);
         assert_eq!(s.byte_size(), 4 + 3 * 4);
     }
-
     #[test]
     fn typed_accessors() {
         let arr = Array::from_i64(vec![1]);

@@ -131,10 +131,12 @@ impl RecordBatch {
         (0..self.num_rows).map(|r| self.row(r)).collect()
     }
 
-    /// Concatenate same-schema batches.
+    /// Concatenate same-schema batches; a single batch shares its columns.
     pub fn concat(batches: &[RecordBatch]) -> Result<RecordBatch> {
-        let Some(first) = batches.first() else {
-            return Err(ColumnarError::Invalid("concat of zero batches".into()));
+        let first = match batches {
+            [] => return Err(ColumnarError::Invalid("concat of zero batches".into())),
+            [only] => return Ok(only.clone()),
+            [first, ..] => first,
         };
         let schema = first.schema.clone();
         for b in batches {
@@ -238,6 +240,11 @@ mod tests {
         let all = RecordBatch::concat(&[b.clone(), b.clone()]).unwrap();
         assert_eq!(all.num_rows(), 6);
         assert_eq!(all.row(5), vec![Scalar::Int64(3), Scalar::Float64(3.5)]);
+        let one = RecordBatch::concat(std::slice::from_ref(&b)).unwrap();
+        assert!(
+            Arc::ptr_eq(one.column(0), b.column(0)),
+            "one batch is shared"
+        );
     }
 
     #[test]

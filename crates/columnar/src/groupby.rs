@@ -11,6 +11,14 @@
 //! allocation, no double probe: one probe either finds the group or claims
 //! the slot and appends the key row.
 //!
+//! A batch whose key columns are all dictionary-coded ([`crate::DictArray`])
+//! takes a shortcut when its tuples of codes are few: each distinct tuple
+//! goes through the probe once, at its first row, and every row then reads
+//! its group from a table indexed by the tuple. Dictionary columns in any
+//! other key mix take the per-row path, hashed and compared by their bytes
+//! exactly as plain Utf8 rows are, so both forms of a column meet in one
+//! aggregation.
+//!
 //! Group ordinals are assigned in first-seen order and keys are exported in
 //! ordinal order, so output order is deterministic (insertion order), which
 //! the engine's tests and the distributed merge rely on.
@@ -25,9 +33,14 @@ use crate::bitmap::Bitmap;
 use crate::datatype::DataType;
 use crate::error::{ColumnarError, Result};
 use crate::kernels::hash::{canon_f64, hash_column_into};
+use crate::kernels::selection::take_indices;
 
 /// Sentinel ordinal marking an empty hash-table slot.
 const EMPTY: u32 = u32::MAX;
+
+/// Most code tuples (one table slot each) a batch of dictionary keys may
+/// span for the per-tuple path; wider key sets take the per-row path.
+const DICT_TUPLE_SLOTS: usize = 1 << 16;
 
 /// Typed storage for one accumulated key column, appended in group-ordinal
 /// order. Float values are stored canonicalized so equality is bitwise.
@@ -80,9 +93,13 @@ impl KeyColumn {
             (KeyStore::Boolean(v), Array::Boolean(a)) => v.push(valid && a.values.get(row)),
             (KeyStore::Utf8 { offsets, data }, Array::Utf8(a)) => {
                 if valid {
-                    let s = a.offsets[row] as usize;
-                    let e = a.offsets[row + 1] as usize;
-                    data.extend_from_slice(&a.data[s..e]);
+                    data.extend_from_slice(a.bytes(row));
+                }
+                offsets.push(data.len() as u32);
+            }
+            (KeyStore::Utf8 { offsets, data }, Array::Dict(a)) => {
+                if let Some(v) = a.value(row) {
+                    data.extend_from_slice(v);
                 }
                 offsets.push(data.len() as u32);
             }
@@ -112,11 +129,10 @@ impl KeyColumn {
             }
             (KeyStore::Boolean(v), Array::Boolean(a)) => v[ord] == a.values.get(row),
             (KeyStore::Utf8 { offsets, data }, Array::Utf8(a)) => {
-                let s = offsets[ord] as usize;
-                let e = offsets[ord + 1] as usize;
-                let rs = a.offsets[row] as usize;
-                let re = a.offsets[row + 1] as usize;
-                data[s..e] == a.data[rs..re]
+                data[offsets[ord] as usize..offsets[ord + 1] as usize] == *a.bytes(row)
+            }
+            (KeyStore::Utf8 { offsets, data }, Array::Dict(a)) => {
+                a.value(row) == Some(&data[offsets[ord] as usize..offsets[ord + 1] as usize])
             }
             (KeyStore::Date32(v), Array::Date32(a)) => v[ord] == a.values[row],
             _ => unreachable!("key column type checked at batch entry"),
@@ -166,6 +182,10 @@ pub struct GroupIdMap {
     slots: Vec<(u64, u32)>,
     len: usize,
     hash_buf: Vec<u64>,
+    /// Per-row code tuples, then tuple → group ordinal, on the dictionary
+    /// path (reused across batches).
+    tuple_buf: Vec<u32>,
+    tuple_table: Vec<u32>,
 }
 
 impl GroupIdMap {
@@ -178,6 +198,8 @@ impl GroupIdMap {
             slots: vec![(0, EMPTY); 16],
             len: 0,
             hash_buf: Vec::new(),
+            tuple_buf: Vec::new(),
+            tuple_table: Vec::new(),
         }
     }
 
@@ -229,6 +251,17 @@ impl GroupIdMap {
             out.resize(num_rows, 0);
             return Ok(());
         }
+        if !self.dict_group_ids(keys, num_rows, out)? {
+            self.probe_rows(keys, num_rows, out)?;
+        }
+        Ok(())
+    }
+
+    /// The per-row path: hash every row, then probe for each in turn. This
+    /// loop is the probe's only call site, the dictionary path included:
+    /// given a second one, the compiler stopped inlining the probe here and
+    /// Int64 keys resolved about a third slower.
+    fn probe_rows(&mut self, keys: &[&Array], num_rows: usize, out: &mut Vec<u32>) -> Result<()> {
         self.hash_buf.clear();
         self.hash_buf.resize(num_rows, 0);
         for arr in keys {
@@ -239,6 +272,74 @@ impl GroupIdMap {
             out.push(self.probe_insert(hash, keys, row));
         }
         Ok(())
+    }
+
+    /// The per-tuple path, taken (returning true) when every key column is
+    /// dictionary-coded and the code tuples, a null counting as one more
+    /// code per column, fit in [`DICT_TUPLE_SLOTS`]. A row's tuple is a
+    /// mixed-radix index into a table. The first row of each tuple, and
+    /// only those, go through [`GroupIdMap::probe_rows`], so ordinals,
+    /// first-seen order, hashing and equality are the per-row path's; every
+    /// row then reads its ordinal from the table.
+    fn dict_group_ids(
+        &mut self,
+        keys: &[&Array],
+        num_rows: usize,
+        out: &mut Vec<u32>,
+    ) -> Result<bool> {
+        let Some(dicts) = keys.iter().map(|a| a.as_dict()).collect::<Option<Vec<_>>>() else {
+            return Ok(false);
+        };
+        let mut slots = 1usize;
+        let mut strides = Vec::with_capacity(dicts.len());
+        for d in &dicts {
+            strides.push(slots as u32);
+            match slots.checked_mul(d.entries().len() + 1) {
+                Some(s) if s <= DICT_TUPLE_SLOTS => slots = s,
+                _ => return Ok(false),
+            }
+        }
+        let mut tuples = std::mem::take(&mut self.tuple_buf);
+        tuples.clear();
+        tuples.resize(num_rows, 0);
+        for (d, &stride) in dicts.iter().zip(&strides) {
+            let pairs = tuples.iter_mut().zip(d.codes());
+            match d.validity() {
+                None => pairs.for_each(|(t, &c)| *t += c * stride),
+                Some(v) => {
+                    let null = d.entries().len() as u32;
+                    for (i, (t, &c)) in pairs.enumerate() {
+                        *t += if v.get(i) { c } else { null } * stride;
+                    }
+                }
+            }
+        }
+        // Each tuple's slot first names its first row's place in `firsts`,
+        // then that row's ordinal.
+        let mut table = std::mem::take(&mut self.tuple_table);
+        table.clear();
+        table.resize(slots, EMPTY);
+        let mut firsts = Vec::new();
+        for (row, &t) in tuples.iter().enumerate() {
+            if table[t as usize] == EMPTY {
+                table[t as usize] = firsts.len() as u32;
+                firsts.push(row);
+            }
+        }
+        let first_keys = keys
+            .iter()
+            .map(|k| take_indices(k, &firsts))
+            .collect::<Result<Vec<_>>>()?;
+        let first_refs: Vec<&Array> = first_keys.iter().collect();
+        let mut ords = Vec::with_capacity(firsts.len());
+        self.probe_rows(&first_refs, firsts.len(), &mut ords)?;
+        for slot in table.iter_mut().filter(|s| **s != EMPTY) {
+            *slot = ords[*slot as usize];
+        }
+        out.extend(tuples.iter().map(|&t| table[t as usize]));
+        self.tuple_buf = tuples;
+        self.tuple_table = table;
+        Ok(true)
     }
 
     /// Find the group for `(keys, row)` or claim a fresh ordinal.
@@ -541,6 +642,41 @@ mod tests {
         assert!(k.is_empty());
         assert_eq!(m[0].scalar_at(0), Scalar::Int64(0));
         assert_eq!(m[1].scalar_at(0), Scalar::Null, "SUM of no rows is NULL");
+    }
+
+    #[test]
+    fn dictionary_keys_group_like_their_plain_form() {
+        use crate::dict::DictArray;
+        use std::sync::Arc;
+        let entries = Arc::new(Utf8Array::from_strs(["x", "y", ""]));
+        let validity = Some(Bitmap::from_bools(&[true, true, false, true, true, false]));
+        let dict = DictArray::try_new(vec![1, 0, 5, 1, 2, 0], entries, validity).unwrap();
+        let dict = Array::Dict(dict);
+        let plain = Array::Utf8(dict.to_utf8().unwrap().into_owned());
+        let ints = Array::from_i64(vec![1, 1, 1, 1, 1, 1]);
+        // Per-tuple path, per-row path over the same bytes, and a mixed key
+        // set, each seeing the other form next: same ordinals throughout,
+        // NULL a group of its own and apart from "".
+        for (first, second, key_types) in [
+            ([&dict, &dict], [&plain, &plain], [DataType::Utf8; 2]),
+            ([&plain, &plain], [&dict, &dict], [DataType::Utf8; 2]),
+            (
+                [&ints, &dict],
+                [&ints, &plain],
+                [DataType::Int64, DataType::Utf8],
+            ),
+        ] {
+            let mut map = GroupIdMap::new(key_types.to_vec());
+            let mut out = Vec::new();
+            map.group_ids(&first, 6, &mut out).unwrap();
+            assert_eq!(out, vec![0, 1, 2, 0, 3, 2]);
+            map.group_ids(&second, 6, &mut out).unwrap();
+            assert_eq!(out, vec![0, 1, 2, 0, 3, 2]);
+            let keys = &map.key_arrays()[1];
+            let s = |v: &str| Scalar::Utf8(v.into());
+            let rows: Vec<Scalar> = (0..keys.len()).map(|g| keys.scalar_at(g)).collect();
+            assert_eq!(rows, vec![s("y"), s("x"), Scalar::Null, s("")]);
+        }
     }
 
     #[test]

@@ -139,14 +139,14 @@ fn le_u64(b: &[u8]) -> u64 {
 /// Append `values` as `W`-byte little-endian words: one resize for the
 /// whole buffer, then a fill over exact-size chunks that compiles to a
 /// straight copy loop instead of one bounds-checked append per value.
-fn put_words<T: Copy, const W: usize>(
+fn put_words<T, const W: usize>(
     buf: &mut Vec<u8>,
-    values: &[T],
+    values: impl ExactSizeIterator<Item = T>,
     to_le: impl Fn(T) -> [u8; W],
 ) {
     let start = buf.len();
     buf.resize(start + values.len() * W, 0);
-    for (dst, &v) in buf[start..].chunks_exact_mut(W).zip(values) {
+    for (dst, v) in buf[start..].chunks_exact_mut(W).zip(values) {
         dst.copy_from_slice(&to_le(v));
     }
 }
@@ -155,7 +155,7 @@ fn put_validity(buf: &mut Vec<u8>, validity: Option<&Bitmap>) {
     match validity {
         Some(v) => {
             buf.put_u8(1);
-            put_words(buf, v.words(), u64::to_le_bytes);
+            put_words(buf, v.words().iter().copied(), u64::to_le_bytes);
         }
         None => buf.put_u8(0),
     }
@@ -164,14 +164,22 @@ fn put_validity(buf: &mut Vec<u8>, validity: Option<&Bitmap>) {
 fn put_array(buf: &mut Vec<u8>, array: &Array) {
     put_validity(buf, array.validity());
     match array {
-        Array::Int64(a) => put_words(buf, &a.values, i64::to_le_bytes),
-        Array::Float64(a) => put_words(buf, &a.values, f64::to_le_bytes),
-        Array::Date32(a) => put_words(buf, &a.values, i32::to_le_bytes),
-        Array::Boolean(a) => put_words(buf, a.values.words(), u64::to_le_bytes),
+        Array::Int64(a) => put_words(buf, a.values.iter().copied(), i64::to_le_bytes),
+        Array::Float64(a) => put_words(buf, a.values.iter().copied(), f64::to_le_bytes),
+        Array::Date32(a) => put_words(buf, a.values.iter().copied(), i32::to_le_bytes),
+        Array::Boolean(a) => put_words(buf, a.values.words().iter().copied(), u64::to_le_bytes),
         Array::Utf8(a) => {
-            put_words(buf, &a.offsets, u32::to_le_bytes);
+            put_words(buf, a.offsets.iter().copied(), u32::to_le_bytes);
             buf.put_u32_le(a.data.len() as u32);
             buf.put_slice(&a.data);
+        }
+        // The expanded Utf8 layout, written straight from codes and
+        // entries: the wire does not know the column was a dictionary.
+        Array::Dict(a) => {
+            buf.put_u32_le(0);
+            put_words(buf, a.ends(), u32::to_le_bytes);
+            buf.put_u32_le(a.data_len() as u32);
+            a.extend_data(buf);
         }
     }
 }
@@ -625,6 +633,29 @@ mod tests {
         assert_eq!((enc.len(), xxh32(&enc)), (206, 0x8584_4183));
     }
 
+    /// A dictionary-coded column is its expansion on the wire: same
+    /// length, same checksum as the pin above, and it decodes to plain Utf8.
+    #[test]
+    fn a_dictionary_column_encodes_as_its_expansion() {
+        let plain = mixed_batch();
+        let entries = Arc::new(Utf8Array::from_strs(["naïve 日本", "", "hello"]));
+        let validity = plain.column(3).validity().cloned();
+        let dict = crate::dict::DictArray::try_new(vec![2, 99, 1, 0], entries, validity).unwrap();
+        let mut columns = plain.columns().to_vec();
+        columns[3] = Arc::new(Array::Dict(dict));
+        let b = RecordBatch::try_new(plain.schema().clone(), columns).unwrap();
+        // (Whole batches never compare equal here: column "f" holds a NaN.)
+        assert_eq!(b.column(3), plain.column(3));
+        assert_eq!(b.byte_size(), plain.byte_size());
+        let enc = encode_batch(&b);
+        assert_eq!((enc.len(), xxh32(&enc)), (206, 0x8584_4183));
+        let back = decode_batch(&enc).unwrap();
+        assert_eq!(
+            back.column(3).as_utf8().unwrap(),
+            plain.column(3).as_utf8().unwrap()
+        );
+    }
+
     /// Published XXH32 (seed 0) vectors: the xxHash sanity checks — empty
     /// input, then 1, 14 and 222 bytes of the generator below — and the
     /// python-xxhash README string (39 bytes: two stripes, one tail word,
@@ -875,6 +906,7 @@ mod tests {
                     out.push((pos, 4)); // data_len
                     4 + a.data.len()
                 }
+                Array::Dict(_) => unreachable!("the fixtures hold no dictionary column"),
             };
         }
         assert_eq!(pos + 4, encoded_len, "layout walk drifted");

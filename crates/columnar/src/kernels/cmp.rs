@@ -174,16 +174,41 @@ pub fn compare_scalar(a: &Array, s: &Scalar, op: CmpOp) -> Result<BooleanArray> 
                 validity: x.validity.clone(),
             }
         }
+        // Strings compare as bytes, which is `str` order for valid UTF-8.
         (Array::Utf8(x), Scalar::Utf8(v)) => {
             let mut bits = Bitmap::with_value(x.len(), false);
             for i in 0..x.len() {
-                if op.eval(x.value(i).cmp(v.as_str())) {
+                if op.eval(x.bytes(i).cmp(v.as_bytes())) {
                     bits.set(i, true);
                 }
             }
             BooleanArray {
                 values: bits,
                 validity: x.validity.clone(),
+            }
+        }
+        // One comparison per entry, then one lookup per row. Under a null
+        // the expansion holds no bytes, so the bit is what "" gives.
+        (Array::Dict(x), Scalar::Utf8(v)) => {
+            let entries = x.entries();
+            let hits: Vec<bool> = (0..entries.len())
+                .map(|e| op.eval(entries.bytes(e).cmp(v.as_bytes())))
+                .collect();
+            let under_null = op.eval(b"".as_slice().cmp(v.as_bytes()));
+            let mut bits = Bitmap::with_value(x.len(), false);
+            for (i, &c) in x.codes().iter().enumerate() {
+                let hit = if x.is_valid(i) {
+                    hits[c as usize]
+                } else {
+                    under_null
+                };
+                if hit {
+                    bits.set(i, true);
+                }
+            }
+            BooleanArray {
+                values: bits,
+                validity: x.validity().cloned(),
             }
         }
         // Mixed numeric scalar: compare through total_cmp.
@@ -312,6 +337,26 @@ mod tests {
         let a = Array::from_strs(["apple", "banana", "cherry"]);
         let m = compare_scalar(&a, &Scalar::Utf8("banana".into()), CmpOp::GtEq).unwrap();
         assert_eq!(m.values.set_indices(), vec![1, 2]);
+    }
+
+    #[test]
+    fn dictionary_comparison_matches_its_expansion() {
+        use crate::array::Utf8Array;
+        use crate::dict::DictArray;
+        let entries = std::sync::Arc::new(Utf8Array::from_strs(["b", "", "é"]));
+        let validity = Some(Bitmap::from_bools(&[true, false, true, true, true]));
+        let d = Array::Dict(DictArray::try_new(vec![0, 8, 2, 1, 0], entries, validity).unwrap());
+        let plain = Array::Utf8(d.to_utf8().unwrap().into_owned());
+        for op in [CmpOp::Eq, CmpOp::NotEq, CmpOp::Lt, CmpOp::GtEq] {
+            for lit in ["", "b", "z"] {
+                let lit = Scalar::Utf8(lit.into());
+                assert_eq!(
+                    compare_scalar(&d, &lit, op).unwrap(),
+                    compare_scalar(&plain, &lit, op).unwrap(),
+                    "{op:?} {lit}"
+                );
+            }
+        }
     }
 
     #[test]

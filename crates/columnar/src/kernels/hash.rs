@@ -11,7 +11,7 @@
 //! group together no matter which kernel produced the array.
 
 use crate::array::Array;
-use crate::error::Result;
+use crate::error::{ColumnarError, Result};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
@@ -39,11 +39,10 @@ fn mix(h: u64, v: u64) -> u64 {
 #[inline]
 fn hash_bytes(h: u64, bytes: &[u8]) -> u64 {
     let mut acc = mix(h, bytes.len() as u64);
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        acc = mix(acc, u64::from_le_bytes(c.try_into().expect("chunk of 8")));
+    let (words, rem) = bytes.as_chunks::<8>();
+    for w in words {
+        acc = mix(acc, u64::from_le_bytes(*w));
     }
-    let rem = chunks.remainder();
     if !rem.is_empty() {
         let mut buf = [0u8; 8];
         buf[..rem.len()].copy_from_slice(rem);
@@ -56,13 +55,29 @@ fn hash_bytes(h: u64, bytes: &[u8]) -> u64 {
 /// consistently.
 const NULL_MARK: u64 = 0x6e_75_6c_6c_6e_75_6c_6c;
 
+/// Combine one string slot into `h`: its bytes, or the null marker. Plain
+/// and dictionary-coded columns hash each row through this, so the two
+/// forms of one value hash alike.
+#[inline]
+fn hash_str_slot(h: u64, value: Option<&[u8]>) -> u64 {
+    match value {
+        Some(bytes) => hash_bytes(h, bytes),
+        None => mix(h, NULL_MARK),
+    }
+}
+
 /// Hash each row of `column`, combining into `hashes` (which must have one
 /// slot per row, pre-seeded — pass all-zeros for the first column).
 ///
 /// NULL rows mix a fixed null marker in place of the value slot, so the bytes
 /// sitting under a null never influence the hash.
 pub fn hash_column_into(column: &Array, hashes: &mut [u64]) -> Result<()> {
-    assert_eq!(column.len(), hashes.len(), "hash buffer length");
+    if column.len() != hashes.len() {
+        return Err(ColumnarError::LengthMismatch {
+            left: column.len(),
+            right: hashes.len(),
+        });
+    }
     let validity = column.validity();
     // Per-type value hashing; `valid` closure is only consulted when a
     // validity bitmap exists (the no-nulls fast path skips the branch).
@@ -87,30 +102,17 @@ pub fn hash_column_into(column: &Array, hashes: &mut [u64]) -> Result<()> {
         Array::Float64(a) => hash_loop!(a.values.iter().map(|&v| canon_f64(v).to_bits())),
         Array::Date32(a) => hash_loop!(a.values.iter().map(|&v| v as u64)),
         Array::Boolean(a) => hash_loop!((0..a.values.len()).map(|i| a.values.get(i) as u64)),
+        // Hash raw bytes: `value()` would re-validate UTF-8 on every row,
+        // and byte equality is what grouping needs anyway.
         Array::Utf8(a) => {
-            // Hash raw offset slices: `value()` would re-validate UTF-8 on
-            // every row, and byte equality is what grouping needs anyway.
-            let data: &[u8] = &a.data;
-            let offsets = &a.offsets;
-            match validity {
-                None => {
-                    for (i, h) in hashes.iter_mut().enumerate() {
-                        let s = offsets[i] as usize;
-                        let e = offsets[i + 1] as usize;
-                        *h = hash_bytes(*h, &data[s..e]);
-                    }
-                }
-                Some(bm) => {
-                    for (i, h) in hashes.iter_mut().enumerate() {
-                        if bm.get(i) {
-                            let s = offsets[i] as usize;
-                            let e = offsets[i + 1] as usize;
-                            *h = hash_bytes(*h, &data[s..e]);
-                        } else {
-                            *h = mix(*h, NULL_MARK);
-                        }
-                    }
-                }
+            for (i, h) in hashes.iter_mut().enumerate() {
+                let valid = validity.is_none_or(|bm| bm.get(i));
+                *h = hash_str_slot(*h, valid.then(|| a.bytes(i)));
+            }
+        }
+        Array::Dict(a) => {
+            for (i, h) in hashes.iter_mut().enumerate() {
+                *h = hash_str_slot(*h, a.value(i));
             }
         }
     }
@@ -203,6 +205,23 @@ mod tests {
         let b = Array::from_strs(["c", "bc"]);
         let h = hash_rows(&[&a, &b]).unwrap();
         assert_ne!(h[0], h[1], "('ab','c') vs ('a','bc')");
+    }
+
+    #[test]
+    fn dictionary_rows_hash_like_their_plain_form() {
+        use crate::array::Utf8Array;
+        use crate::bitmap::Bitmap;
+        use crate::dict::DictArray;
+        let entries = std::sync::Arc::new(Utf8Array::from_strs(["", "a long entry", "b"]));
+        let validity = Some(Bitmap::from_bools(&[true, false, true, true]));
+        let dict = Array::Dict(DictArray::try_new(vec![1, 7, 0, 2], entries, validity).unwrap());
+        let plain = Array::Utf8(dict.to_utf8().unwrap().into_owned());
+        let ints = Array::from_i64(vec![3, 3, 3, 3]);
+        assert_eq!(
+            hash_rows(&[&ints, &dict]).unwrap(),
+            hash_rows(&[&ints, &plain]).unwrap()
+        );
+        assert!(hash_column_into(&ints, &mut [0; 3]).is_err());
     }
 
     #[test]

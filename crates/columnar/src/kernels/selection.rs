@@ -3,7 +3,9 @@
 
 use std::sync::Arc;
 
-use crate::array::{Array, BooleanArray, Date32Array, Float64Array, Int64Array, Utf8Array};
+use crate::array::{
+    checked_utf8_len, Array, BooleanArray, Date32Array, Float64Array, Int64Array, Utf8Array,
+};
 use crate::batch::RecordBatch;
 use crate::bitmap::Bitmap;
 use crate::error::{ColumnarError, Result};
@@ -139,20 +141,27 @@ pub fn take_indices(a: &Array, indices: &[usize]) -> Result<Array> {
             values: indices.iter().map(|&i| x.values.get(i)).collect(),
             validity: filtered_validity(x.validity.as_ref(), indices),
         }),
-        Array::Utf8(x) => {
-            let mut offsets = Vec::with_capacity(indices.len() + 1);
-            offsets.push(0u32);
-            let mut data = Vec::new();
-            for &i in indices {
-                data.extend_from_slice(x.value(i).as_bytes());
-                offsets.push(data.len() as u32);
-            }
-            Array::Utf8(Utf8Array {
-                offsets,
-                data: data.into(),
-                validity: filtered_validity(x.validity.as_ref(), indices),
-            })
-        }
+        Array::Utf8(x) => Array::Utf8(take_utf8(x, indices)?),
+        Array::Dict(x) => Array::Dict(x.take(indices)?),
+    })
+}
+
+/// Gather strings in two passes over raw offsets: sum the lengths (indices
+/// may repeat, so the sum can pass what `u32` offsets address, which is an
+/// error before anything is allocated), then fill exactly-sized buffers.
+fn take_utf8(x: &Utf8Array, indices: &[usize]) -> Result<Utf8Array> {
+    let total = checked_utf8_len(indices.iter().map(|&i| x.bytes(i).len() as u64).sum())?;
+    let mut data = Vec::with_capacity(total as usize);
+    let mut offsets = Vec::with_capacity(indices.len() + 1);
+    offsets.push(0u32);
+    for &i in indices {
+        data.extend_from_slice(x.bytes(i));
+        offsets.push(data.len() as u32);
+    }
+    Ok(Utf8Array {
+        offsets,
+        data: data.into(),
+        validity: filtered_validity(x.validity.as_ref(), indices),
     })
 }
 
@@ -253,6 +262,35 @@ mod tests {
         assert_eq!(t.scalar_at(0), Scalar::Utf8("z".into()));
         assert_eq!(t.scalar_at(2), Scalar::Utf8("z".into()));
         assert!(take_indices(&a, &[5]).is_err());
+    }
+
+    #[test]
+    fn utf8_take_past_u32_offsets_is_an_error_before_allocating() {
+        // One 64 KiB string taken 65 537 times: 64 KiB past what u32
+        // offsets address. Gathered row by row, the offsets would wrap
+        // after 4 GiB had been allocated and copied.
+        let a = Array::from_strs(["x".repeat(1 << 16).as_str()]);
+        let got = take_indices(&a, &vec![0; (1 << 16) + 1]);
+        assert!(matches!(got, Err(ColumnarError::Invalid(_))), "{got:?}");
+    }
+
+    #[test]
+    fn dictionary_take_gathers_codes() {
+        use crate::dict::DictArray;
+        let entries = Arc::new(Utf8Array::from_strs(["lo", "high"]));
+        let validity = Some(Bitmap::from_bools(&[true, false, true]));
+        let d = Array::Dict(DictArray::try_new(vec![1, 9, 0], entries, validity).unwrap());
+        let t = take_indices(&d, &[2, 1, 0, 0]).unwrap();
+        assert_eq!(t.as_dict().unwrap().codes(), &[0, 9, 1, 1]);
+        assert_eq!(
+            t,
+            take_indices(
+                &Array::Utf8(d.to_utf8().unwrap().into_owned()),
+                &[2, 1, 0, 0]
+            )
+            .unwrap()
+        );
+        assert_eq!(filter(&d, &mask(&[false, false, false])).unwrap().len(), 0);
     }
 
     #[test]

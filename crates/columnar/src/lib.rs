@@ -11,6 +11,8 @@
 //! * [`datatype`] — the logical type system ([`DataType`], [`Scalar`]).
 //! * [`bitmap`] — packed validity/selection bitmaps.
 //! * [`array`](mod@array) — immutable typed arrays and the [`Array`] enum.
+//! * [`dict`] — dictionary-coded strings ([`DictArray`]), what a `parq`
+//!   dictionary page decodes to; expanded only where bytes leave.
 //! * [`builder`] — incremental array construction.
 //! * [`schema`] — [`Field`] / [`Schema`].
 //! * [`batch`] — [`RecordBatch`], the unit of vectorized execution
@@ -65,6 +67,7 @@ pub mod batch;
 pub mod bitmap;
 pub mod builder;
 pub mod datatype;
+pub mod dict;
 pub mod error;
 pub mod expr;
 pub mod groupby;
@@ -78,6 +81,7 @@ pub use array::{Array, ArrayRef, BooleanArray, Float64Array, Int64Array, Utf8Arr
 pub use batch::RecordBatch;
 pub use bitmap::Bitmap;
 pub use datatype::{DataType, Scalar};
+pub use dict::DictArray;
 pub use error::{ColumnarError, Result};
 pub use schema::{Field, Schema, SchemaRef};
 

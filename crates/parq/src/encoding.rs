@@ -3,12 +3,13 @@
 //! A chunk is one column of one row group. Plain encoding reuses the
 //! columnar IPC array layout; dictionary encoding factors repeated strings
 //! through an index array (chosen automatically for low-cardinality Utf8
-//! columns, like Parquet's dictionary pages).
+//! columns, like Parquet's dictionary pages). A dictionary page decodes to
+//! a [`DictArray`] over its entries, not to the strings it stands for.
 
 use bytes::{Buf, BufMut, Bytes};
 use columnar::ipc;
 use columnar::prelude::*;
-use columnar::Utf8Array;
+use columnar::{DictArray, Utf8Array};
 use std::sync::Arc;
 
 use crate::{ParqError, Result};
@@ -50,19 +51,20 @@ fn single_column_batch(name: &str, array: Array) -> Result<RecordBatch> {
 /// Pick the encoding for `array`: dictionary for Utf8 when it at least
 /// halves the distinct count, else plain.
 pub fn choose_encoding(array: &Array) -> Encoding {
-    if let Array::Utf8(a) = array {
-        if a.len() >= 16 {
-            let mut distinct = std::collections::HashSet::new();
-            for i in 0..a.len() {
-                distinct.insert(a.value(i));
-                if distinct.len() * 2 > a.len() {
-                    return Encoding::Plain;
-                }
-            }
-            return Encoding::Dictionary;
+    let Ok(a) = array.to_utf8() else {
+        return Encoding::Plain;
+    };
+    if a.len() < 16 {
+        return Encoding::Plain;
+    }
+    let mut distinct = std::collections::HashSet::new();
+    for i in 0..a.len() {
+        distinct.insert(a.bytes(i));
+        if distinct.len() * 2 > a.len() {
+            return Encoding::Plain;
         }
     }
-    Encoding::Plain
+    Encoding::Dictionary
 }
 
 /// Encode `array` with `encoding` into bytes.
@@ -70,18 +72,19 @@ pub fn encode_chunk(array: &Array, encoding: Encoding) -> Result<Bytes> {
     match encoding {
         Encoding::Plain => Ok(ipc::encode_batch(&single_column_batch("c", array.clone())?)),
         Encoding::Dictionary => {
-            let a = array.as_utf8().map_err(ParqError::Columnar)?;
+            let a = array.to_utf8().map_err(ParqError::Columnar)?;
             // Build dictionary in first-appearance order. NULL slots get
             // index 0 (masked out by the validity bitmap on decode).
-            let mut lookup: std::collections::HashMap<&str, u32> = std::collections::HashMap::new();
-            let mut dict: Vec<&str> = Vec::new();
+            let mut lookup: std::collections::HashMap<&[u8], u32> =
+                std::collections::HashMap::new();
+            let mut dict: Vec<&[u8]> = Vec::new();
             let mut indices: Vec<u32> = Vec::with_capacity(a.len());
             for i in 0..a.len() {
                 if !array.is_valid(i) {
                     indices.push(0);
                     continue;
                 }
-                let s = a.value(i);
+                let s = a.bytes(i);
                 let id = *lookup.entry(s).or_insert_with(|| {
                     dict.push(s);
                     (dict.len() - 1) as u32
@@ -111,10 +114,17 @@ pub fn encode_chunk(array: &Array, encoding: Encoding) -> Result<Bytes> {
                     _ => out.put_u32_le(idx),
                 }
             }
-            let dict_bytes = ipc::encode_batch(&single_column_batch(
-                "d",
-                Array::from_strs(dict.iter().copied()),
-            )?);
+            let entries = Utf8Array {
+                offsets: std::iter::once(0)
+                    .chain(dict.iter().scan(0u32, |end, e| {
+                        *end += e.len() as u32;
+                        Some(*end)
+                    }))
+                    .collect(),
+                data: dict.concat().into(),
+                validity: None,
+            };
+            let dict_bytes = ipc::encode_batch(&single_column_batch("d", Array::Utf8(entries))?);
             out.put_u32_le(dict_bytes.len() as u32);
             out.put_slice(&dict_bytes);
             Ok(out.into())
@@ -189,63 +199,28 @@ pub fn decode_chunk(bytes: &Bytes, encoding: Encoding) -> Result<Array> {
             let dlen = buf.get_u32_le() as usize;
             need!(dlen);
             let consumed = bytes.len() - buf.len();
-            let dict = decode_single(&bytes.slice(consumed..consumed + dlen))?;
-            let dict = dict.as_utf8().map_err(ParqError::Columnar)?;
-            expand_dictionary(dict, &indices, validity)
+            let entries = match decode_single(&bytes.slice(consumed..consumed + dlen))? {
+                Array::Utf8(entries) => entries,
+                other => {
+                    return Err(ParqError::Columnar(ColumnarError::type_mismatch(
+                        "Utf8",
+                        other.data_type(),
+                    )))
+                }
+            };
+            // The page stays codes: the checked constructor is the pass that
+            // range-checks the index of every valid slot and bounds the
+            // expansion by what u32 offsets address, before anything is
+            // built. The index under a null slot is never read (the encoder
+            // writes 0 there, even over an empty dictionary). No null, no
+            // bitmap: a batch re-encoded from this column then carries no
+            // validity words, whatever the page's writer held.
+            let validity = validity.filter(|v| v.count_zeros() > 0);
+            DictArray::try_new(indices, Arc::new(entries), validity)
+                .map(Array::Dict)
+                .map_err(|e| ParqError::Corrupt(format!("dictionary page: {e}")))
         }
     }
-}
-
-/// Expand dictionary `indices` into a Utf8 array in two passes over whole
-/// buffers. The first range-checks the index of every valid slot and sums
-/// the bytes the expansion will hold, so a page that would expand past
-/// what `u32` offsets address (4 GiB) is `Corrupt` before anything is
-/// allocated. The second fills exactly-sized offsets and data by copying
-/// byte ranges out of the dictionary's own buffer. The index under a null
-/// slot is never read: the encoder writes 0 there, even over an empty
-/// dictionary.
-fn expand_dictionary(dict: &Utf8Array, indices: &[u32], validity: Option<Bitmap>) -> Result<Array> {
-    // The dictionary came through `ipc::decode_batch`, which checked its
-    // offsets are monotone and end at the data length.
-    let entries: Vec<&[u8]> = dict
-        .offsets
-        .windows(2)
-        .map(|w| &dict.data[w[0] as usize..w[1] as usize])
-        .collect();
-    let is_valid = |i: usize| validity.as_ref().is_none_or(|v| v.get(i));
-    let mut total = 0u64;
-    for (i, &id) in indices.iter().enumerate() {
-        if is_valid(i) {
-            let entry = entries.get(id as usize).ok_or_else(|| {
-                ParqError::Corrupt(format!(
-                    "dictionary index {id} out of range {}",
-                    entries.len()
-                ))
-            })?;
-            total += entry.len() as u64;
-        }
-    }
-    if total > u64::from(u32::MAX) {
-        return Err(ParqError::Corrupt(format!(
-            "dictionary page expands to {total} bytes, past what u32 offsets address"
-        )));
-    }
-    let mut offsets = Vec::with_capacity(indices.len() + 1);
-    let mut data = Vec::with_capacity(total as usize);
-    offsets.push(0);
-    for (i, &id) in indices.iter().enumerate() {
-        if is_valid(i) {
-            data.extend_from_slice(entries[id as usize]);
-        }
-        offsets.push(data.len() as u32);
-    }
-    Ok(Array::Utf8(Utf8Array {
-        offsets,
-        data: data.into(),
-        // No null, no bitmap: a batch re-encoded from this column then
-        // carries no validity words, whatever the page's writer held.
-        validity: validity.filter(|v| v.count_zeros() > 0),
-    }))
 }
 
 #[cfg(test)]
@@ -278,7 +253,7 @@ mod tests {
         let arr = Array::from_strs(values.iter().copied());
         let bytes = encode_chunk(&arr, Encoding::Dictionary).unwrap();
         let back = decode_chunk(&bytes, Encoding::Dictionary).unwrap();
-        assert_eq!(back, arr);
+        assert_eq!((&back, back.byte_size()), (&arr, arr.byte_size()));
         // Dictionary should be much smaller than plain for this data.
         let plain = encode_chunk(&arr, Encoding::Plain).unwrap();
         assert!(
@@ -333,7 +308,23 @@ mod tests {
             let width_at = 4 + 1 + arr.len().div_ceil(64) * 8;
             assert_eq!(page[width_at], width);
             assert_eq!((page.len(), ipc::xxh32(&page)), pinned, "width {width}");
-            assert_eq!(decode_chunk(&page, Encoding::Dictionary).unwrap(), arr);
+            let back = decode_chunk(&page, Encoding::Dictionary).unwrap();
+            assert!(
+                back.as_dict().is_some(),
+                "a dictionary page decodes to codes"
+            );
+            assert_eq!(back, arr);
+            // `arr` is what the page used to expand to at decode: billing,
+            // cache admission and stream apportioning read this size.
+            assert_eq!(back.byte_size(), arr.byte_size());
+            // Codes written back out are the page and the plain chunk the
+            // strings give.
+            assert_eq!(choose_encoding(&back), choose_encoding(&arr));
+            assert_eq!(encode_chunk(&back, Encoding::Dictionary).unwrap(), page);
+            assert_eq!(
+                encode_chunk(&back, Encoding::Plain).unwrap(),
+                encode_chunk(&arr, Encoding::Plain).unwrap()
+            );
         }
     }
 
