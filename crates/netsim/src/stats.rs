@@ -32,8 +32,9 @@ pub struct ExecStats {
     pub decoded_bytes_avoided: u64,
     /// Row-group chunk fetches served from the decoded row-group cache.
     pub rg_cache_hits: u64,
-    /// Row-group chunk fetches that went to disk (cache miss or cache
-    /// disabled).
+    /// Row-group chunk fetches the decoded row-group cache missed, which
+    /// went to disk. Zero when the tier is off: an uncached read is not a
+    /// miss.
     pub rg_cache_misses: u64,
     /// Compressed + decode bytes the caches kept off the disk/decode path
     /// (the "bytes avoided" EXPLAIN ANALYZE reports per scan).

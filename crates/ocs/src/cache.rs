@@ -38,8 +38,6 @@ pub type ResultKey = (String, String, u64, u64);
 pub struct CachedResult {
     /// Result batches of the cold execution.
     pub batches: Vec<RecordBatch>,
-    /// Rows the cold run returned.
-    pub rows_emitted: u64,
     /// Disk + decode bytes the cold run paid (what a hit avoids).
     pub bytes_avoided: u64,
 }
@@ -145,7 +143,6 @@ mod tests {
             ("lake".into(), "t/0".into(), 1, 99),
             Arc::new(CachedResult {
                 batches: vec![],
-                rows_emitted: 0,
                 bytes_avoided: 0,
             }),
             64,

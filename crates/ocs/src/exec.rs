@@ -31,9 +31,10 @@ pub struct ExecutorStats {
     /// Serial operator work (everything downstream of the scan), by
     /// efficiency channel.
     pub work: Work,
-    /// Per-row-group decode+filter work of the scan stage. Each entry is
-    /// independent of the others, so a node bills this stage as the LPT
-    /// makespan over its cores rather than the serial sum.
+    /// The scan stage: one entry per row group the statistics kept, its
+    /// decode plus, when the scan filters, its mask evaluation. Each entry
+    /// is independent of the others, so a node bills this stage as the
+    /// LPT makespan over its cores rather than the serial sum.
     pub scan_work: Vec<Work>,
     /// Uncompressed bytes decoded.
     pub uncompressed_bytes: u64,
@@ -46,130 +47,60 @@ pub struct ExecutorStats {
     pub wire: ExecStats,
 }
 
-/// Evaluate a Substrait expression against a batch.
-pub fn eval_expr(e: &Expr, batch: &RecordBatch) -> OcsResult<ArrayRef> {
-    e.eval(batch).map_err(exec_err)
-}
-
-/// Outcome of scanning one row group in the late-materialized pipeline.
+/// What scanning one row group produced.
 struct GroupScan {
-    /// Filtered batch (None when the selection was all-false).
+    /// The group's surviving rows (None when the mask killed them all).
     batch: Option<RecordBatch>,
-    /// Decode + filter work for this group (one makespan lane).
+    /// Decode (+ mask) work for this group: one makespan lane.
     work: Work,
-    /// Compressed bytes actually pulled for this group.
-    disk_bytes: u64,
     /// Uncompressed bytes actually decoded for this group.
     uncompressed_bytes: u64,
-    /// Rows in the group (scanned regardless of the mask outcome).
-    rows: u64,
-    /// Encoded bytes of payload chunks never decoded.
-    avoided_bytes: u64,
-    /// True when the mask killed the whole group.
-    skipped: bool,
-    /// Chunk-cache accounting for this group.
-    cache: ChunkTally,
+    /// The group's wire counters, folded into the request's by `merge`.
+    wire: ExecStats,
 }
 
-/// How one column chunk was obtained.
-enum FetchOutcome {
-    /// Served from the decoded row-group cache.
-    Hit,
-    /// Read + decoded, then admitted to the cache.
-    Miss,
-    /// No cache configured — the cold path, with zero cache accounting.
-    Uncached,
-}
-
-/// One column chunk obtained through the (optional) row-group cache, with
-/// the cost-ledger deltas it actually incurred: a hit pulls nothing from
-/// disk and decodes nothing, so those lanes bill zero and the skipped
-/// bytes land in `avoided_bytes` instead.
-struct ChunkFetch {
-    array: Arc<Array>,
-    /// Compressed bytes pulled from disk (0 on a hit).
-    disk_bytes: u64,
-    /// Bytes decoded (0 on a hit — drives decode work and decompression).
-    decoded_bytes: u64,
-    /// Disk + decode bytes a hit kept off the ledger (0 on a miss).
-    avoided_bytes: u64,
-    outcome: FetchOutcome,
-}
-
-/// Per-scope accumulator of chunk-cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct ChunkTally {
-    hits: u64,
-    misses: u64,
-    avoided_bytes: u64,
-}
-
-impl ChunkTally {
-    fn absorb(&mut self, f: &ChunkFetch) {
-        match f.outcome {
-            FetchOutcome::Hit => self.hits += 1,
-            FetchOutcome::Miss => self.misses += 1,
-            FetchOutcome::Uncached => {}
-        }
-        self.avoided_bytes += f.avoided_bytes;
-    }
-}
-
-/// Fetch one column chunk, through the row-group cache when one is bound.
+/// Fetch one column chunk, through the row-group cache when one is bound,
+/// and count what it cost into `wire`. A hit pulls nothing from disk and
+/// decodes nothing, so it bills zero and records the disk + decode bytes
+/// it kept off the ledger instead; a miss is counted only when a cache is
+/// bound. Returns the array and the bytes decoded (0 on a hit).
 fn fetch_chunk(
     reader: &ParqReader,
     cache: Option<(&NodeCaches, &ObjectId)>,
     rg: usize,
     col: usize,
-) -> OcsResult<ChunkFetch> {
-    let Some((caches, object)) = cache else {
-        let disk_bytes = reader.chunk_compressed_bytes(rg, col).map_err(exec_err)?;
-        let array = Arc::new(reader.read_chunk(rg, col).map_err(exec_err)?);
-        let decoded_bytes = array.byte_size() as u64;
-        return Ok(ChunkFetch {
-            array,
-            disk_bytes,
-            decoded_bytes,
-            avoided_bytes: 0,
-            outcome: FetchOutcome::Uncached,
-        });
-    };
-    let key: ChunkKey = (
-        object.bucket.clone(),
-        object.key.clone(),
-        object.version,
-        rg,
-        col,
-    );
-    if let Some(array) = caches.row_group.get(&key) {
-        let avoided_bytes =
-            reader.chunk_compressed_bytes(rg, col).map_err(exec_err)? + array.byte_size() as u64;
-        return Ok(ChunkFetch {
-            array,
-            disk_bytes: 0,
-            decoded_bytes: 0,
-            avoided_bytes,
-            outcome: FetchOutcome::Hit,
-        });
+    wire: &mut ExecStats,
+) -> OcsResult<(Arc<Array>, u64)> {
+    let compressed = reader.chunk_compressed_bytes(rg, col).map_err(exec_err)?;
+    let cache = cache.map(|(caches, object)| {
+        let key: ChunkKey = (
+            object.bucket.clone(),
+            object.key.clone(),
+            object.version,
+            rg,
+            col,
+        );
+        (caches, key)
+    });
+    if let Some((caches, key)) = &cache {
+        if let Some(array) = caches.row_group.get(key) {
+            wire.rg_cache_hits += 1;
+            wire.cache_bytes_avoided += compressed + array.byte_size() as u64;
+            return Ok((array, 0));
+        }
     }
-    let disk_bytes = reader.chunk_compressed_bytes(rg, col).map_err(exec_err)?;
+    wire.disk_bytes += compressed;
     let array = Arc::new(reader.read_chunk(rg, col).map_err(exec_err)?);
-    let decoded_bytes = array.byte_size() as u64;
-    if caches
-        .row_group
-        .insert(key, array.clone(), decoded_bytes.max(1))
-    {
-        // Node id is unknown at this layer; the admit is attributed in
-        // the per-request events the node records.
-        obs::flight().record(obs::FlightKind::CacheAdmit, 0, decoded_bytes.max(1), 0);
+    let decoded = array.byte_size() as u64;
+    if let Some((caches, key)) = cache {
+        wire.rg_cache_misses += 1;
+        if caches.row_group.insert(key, array.clone(), decoded.max(1)) {
+            // Node id is unknown at this layer; the admit is attributed in
+            // the per-request events the node records.
+            obs::flight().record(obs::FlightKind::CacheAdmit, 0, decoded.max(1), 0);
+        }
     }
-    Ok(ChunkFetch {
-        array,
-        disk_bytes,
-        decoded_bytes,
-        avoided_bytes: 0,
-        outcome: FetchOutcome::Miss,
-    })
+    Ok((array, decoded))
 }
 
 /// The embedded executor over one parq object.
@@ -216,34 +147,30 @@ impl<'a> Executor<'a> {
 
     fn run_rel(&mut self, rel: &Rel) -> OcsResult<Vec<RecordBatch>> {
         match rel {
-            Rel::Read { projection, .. } => self.run_read(projection.as_deref(), &[]),
+            Rel::Read { projection, .. } => self.scan(projection.as_deref(), &[], None),
             Rel::Filter { input, predicate } => {
-                // Scan-adjacent filters benefit from row-group pruning.
-                if let Rel::Read { projection, .. } = input.as_ref() {
-                    // The predicate speaks *read output* positions; pruning
-                    // wants file columns. Whatever lowers, prunes — the
-                    // whole predicate is still evaluated below.
-                    let (remapped, _) = RangePredicate::lower(predicate, projection.as_deref());
-                    // Late materialization: decode filter columns first,
-                    // mask, and only materialize payload columns for row
-                    // groups with survivors. Predicates without field
-                    // references (rare constants) fall back to the eager
-                    // path, which needs no column split.
-                    let mut filter_pos = Vec::new();
-                    predicate.referenced_fields(&mut filter_pos);
-                    if !filter_pos.is_empty() {
-                        return self.run_filtered_read(
+                // A filter that reads a column and sits on the scan runs
+                // inside it; any other filter, constants included, runs
+                // over its input's batches.
+                let mut filter_pos = Vec::new();
+                predicate.referenced_fields(&mut filter_pos);
+                match input.as_ref() {
+                    Rel::Read { projection, .. } if !filter_pos.is_empty() => {
+                        // The predicate speaks *read output* positions;
+                        // pruning wants file columns. Whatever lowers,
+                        // prunes — the whole predicate still masks.
+                        let (prune, _) = RangePredicate::lower(predicate, projection.as_deref());
+                        self.scan(
                             projection.as_deref(),
-                            &remapped,
-                            predicate,
-                            &filter_pos,
-                        );
+                            &prune,
+                            Some((predicate, &filter_pos)),
+                        )
                     }
-                    let batches = self.run_read(projection.as_deref(), &remapped)?;
-                    return self.apply_filter(batches, predicate);
+                    _ => {
+                        let batches = self.run_rel(input)?;
+                        self.apply_filter(batches, predicate)
+                    }
                 }
-                let batches = self.run_rel(input)?;
-                self.apply_filter(batches, predicate)
             }
             Rel::Project { input, exprs } => {
                 // Output field types come from the plan, inferred once —
@@ -324,177 +251,110 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn run_read(
-        &mut self,
-        projection: Option<&[usize]>,
-        prune: &[RangePredicate],
-    ) -> OcsResult<Vec<RecordBatch>> {
-        let groups = self.reader.prune_row_groups(prune);
-        let indices: Vec<usize> = match projection {
-            Some(p) => p.to_vec(),
-            None => (0..self.reader.schema().len()).collect(),
-        };
-        let schema = Arc::new(self.reader.schema().project(&indices).map_err(exec_err)?);
-        let mut out = Vec::with_capacity(groups.len());
-        for rg in groups {
-            // Chunk-at-a-time through the (optional) row-group cache: a
-            // hit bills no disk bytes and no decode work, so the node's
-            // disk/decompress/scan lanes shrink accordingly.
-            let mut columns = Vec::with_capacity(indices.len());
-            let mut decoded = 0u64;
-            let mut tally = ChunkTally::default();
-            for &c in &indices {
-                let f = fetch_chunk(self.reader, self.caches, rg, c)?;
-                self.stats.wire.disk_bytes += f.disk_bytes;
-                decoded += f.decoded_bytes;
-                tally.absorb(&f);
-                columns.push(f.array);
-            }
-            let batch = RecordBatch::try_new(schema.clone(), columns).map_err(exec_err)?;
-            self.stats.uncompressed_bytes += decoded;
-            self.stats.wire.rows_scanned += batch.num_rows() as u64;
-            self.stats.wire.rg_cache_hits += tally.hits;
-            self.stats.wire.rg_cache_misses += tally.misses;
-            self.stats.wire.cache_bytes_avoided += tally.avoided_bytes;
-            self.stats
-                .work
-                .add(Work::decode(decoded as f64 * self.cost.byte_decode));
-            out.push(batch);
-        }
-        Ok(out)
-    }
-
-    /// The late-materialized scan: per row group, decode only the columns
-    /// `predicate` references, evaluate it into a [`Selection`], and skip
-    /// the group outright when no row survives; otherwise decode the
-    /// remaining projected columns, reuse the already-decoded filter
-    /// arrays, and apply the selection (zero-copy when it is all-true).
+    /// The one storage scan, late-materialized: per row group the
+    /// statistics keep, decode the columns `filter` references, evaluate
+    /// it into a [`Selection`], and skip the group outright when no row
+    /// survives; otherwise decode the remaining projected columns, reuse
+    /// the filter arrays, and apply the selection (zero-copy when it is
+    /// all-true). Without a filter the first phase decodes nothing and no
+    /// mask is evaluated. `filter` is the predicate and the output
+    /// positions it references.
     ///
-    /// Row groups are independent, so decode+filter runs in parallel
-    /// across them; batches come back in file order and each group's work
-    /// lands in its own `scan_work` lane for makespan billing.
-    fn run_filtered_read(
+    /// Row groups are independent, so they are scanned in parallel;
+    /// batches come back in file order and each group's work lands in its
+    /// own `scan_work` lane for makespan billing.
+    fn scan(
         &mut self,
         projection: Option<&[usize]>,
         prune: &[RangePredicate],
-        predicate: &Expr,
-        filter_pos: &[usize],
+        filter: Option<(&Expr, &[usize])>,
     ) -> OcsResult<Vec<RecordBatch>> {
-        let groups = self.reader.prune_row_groups(prune);
+        let (reader, cost, caches) = (self.reader, self.cost, self.caches);
         let out_cols: Vec<usize> = match projection {
             Some(p) => p.to_vec(),
-            None => (0..self.reader.schema().len()).collect(),
+            None => (0..reader.schema().len()).collect(),
         };
-        // planck verified field-reference bounds before execution, so
-        // every position in `filter_pos` indexes into `out_cols`.
-        // Rewrite the predicate from scan-output positions to positions in
-        // the narrow filter-column batch.
-        let local_pred = predicate.remap_fields(&|i| {
-            filter_pos
-                .iter()
-                .position(|&p| p == i)
-                .expect("every referenced field is in filter_pos")
-        });
-        let weight = predicate.op_weight();
-        let reader = self.reader;
-        let cost = self.cost;
-        let caches = self.caches;
-        let schema = reader.schema();
+        let filter_pos = filter.map_or(&[][..], |(_, pos)| pos);
+        // Both checks bound every position below by `out_cols.len()`.
+        let schema = Arc::new(reader.schema().project(&out_cols).map_err(exec_err)?);
+        let filter_schema = Arc::new(schema.project(filter_pos).map_err(exec_err)?);
+        let payload_pos: Vec<usize> = (0..out_cols.len())
+            .filter(|pos| !filter_pos.contains(pos))
+            .collect();
+        // Chunks are fetched filter columns first: `rank[pos]` is where
+        // output position `pos` lands in that order. Rewritten through it,
+        // the predicate reads the narrow filter batch.
+        let mut rank = vec![0; out_cols.len()];
+        for (i, &pos) in filter_pos.iter().chain(&payload_pos).enumerate() {
+            rank[pos] = i;
+        }
+        let mask_pred = filter.map(|(p, _)| (p.remap_fields(&|i| rank[i]), p.op_weight()));
 
-        let scanned: Vec<OcsResult<GroupScan>> = groups
+        let scanned: Vec<OcsResult<GroupScan>> = reader
+            .prune_row_groups(prune)
             .into_par_iter()
             .map(|rg| -> OcsResult<GroupScan> {
-                let rows = reader.row_group_rows(rg).map_err(exec_err)?;
-                let mut work = Work::zero();
-                let mut disk_bytes = 0u64;
-                let mut tally = ChunkTally::default();
-                let mut cols: Vec<Option<Arc<Array>>> = vec![None; out_cols.len()];
+                let mut wire = ExecStats {
+                    rows_scanned: reader.row_group_rows(rg).map_err(exec_err)?,
+                    ..ExecStats::default()
+                };
+                let mut arrays = Vec::with_capacity(out_cols.len());
 
-                // Phase 1: filter columns only. `filter_bytes` counts only
-                // bytes actually decoded — cache hits bill nothing here.
-                let mut filter_bytes = 0usize;
+                // Phase 1: filter columns only. Decoded bytes bill; cache
+                // hits decode nothing and bill nothing.
+                let mut filter_bytes = 0;
                 for &pos in filter_pos {
-                    let file_col = out_cols[pos];
-                    let f = fetch_chunk(reader, caches, rg, file_col)?;
-                    disk_bytes += f.disk_bytes;
-                    filter_bytes += f.decoded_bytes as usize;
-                    tally.absorb(&f);
-                    cols[pos] = Some(f.array);
+                    let (array, decoded) =
+                        fetch_chunk(reader, caches, rg, out_cols[pos], &mut wire)?;
+                    filter_bytes += decoded;
+                    arrays.push(array);
                 }
-                work.add(Work::decode(filter_bytes as f64 * cost.byte_decode));
-                let filter_fields: Vec<Field> = filter_pos
-                    .iter()
-                    .map(|&pos| schema.field(out_cols[pos]).clone())
-                    .collect();
-                let filter_batch = RecordBatch::try_new(
-                    Arc::new(Schema::new(filter_fields)),
-                    filter_pos
-                        .iter()
-                        .map(|&pos| cols[pos].clone().expect("decoded in phase 1"))
-                        .collect(),
-                )
-                .map_err(exec_err)?;
-                work.add(Work::vector(cost.eval_work(rows, weight)));
-                let mask = eval_expr(&local_pred, &filter_batch)?;
-                let mask = mask.as_bool().map_err(exec_err)?;
-                let sel = Selection::from_mask(mask);
-
-                if sel.is_none() {
-                    // Nothing survives: never touch the payload chunks.
-                    let mut avoided = 0u64;
-                    for (pos, slot) in cols.iter().enumerate() {
-                        if slot.is_none() {
-                            avoided += reader
+                let mut work = Work::decode(filter_bytes as f64 * cost.byte_decode);
+                let mut sel = None;
+                if let Some((pred, weight)) = &mask_pred {
+                    work.add(Work::vector(cost.eval_work(wire.rows_scanned, *weight)));
+                    let filter_batch = RecordBatch::try_new(filter_schema.clone(), arrays.clone())
+                        .map_err(exec_err)?;
+                    let mask = pred.eval(&filter_batch).map_err(exec_err)?;
+                    let s = Selection::from_mask(mask.as_bool().map_err(exec_err)?);
+                    if s.is_none() {
+                        // Nothing survives: never touch the payload chunks.
+                        wire.row_groups_skipped = 1;
+                        for &pos in &payload_pos {
+                            wire.decoded_bytes_avoided += reader
                                 .chunk_uncompressed_bytes(rg, out_cols[pos])
                                 .map_err(exec_err)?;
                         }
+                        return Ok(GroupScan {
+                            batch: None,
+                            work,
+                            uncompressed_bytes: filter_bytes,
+                            wire,
+                        });
                     }
-                    return Ok(GroupScan {
-                        batch: None,
-                        work,
-                        disk_bytes,
-                        uncompressed_bytes: filter_bytes as u64,
-                        rows,
-                        avoided_bytes: avoided,
-                        skipped: true,
-                        cache: tally,
-                    });
+                    sel = Some(s);
                 }
 
-                // Phase 2: payload columns for the surviving group. As in
-                // phase 1, `payload_bytes` counts decoded (missed) bytes
-                // only so decompression and decode work bill honestly.
-                let mut payload_bytes = 0usize;
-                for (pos, slot) in cols.iter_mut().enumerate() {
-                    if slot.is_none() {
-                        let file_col = out_cols[pos];
-                        let f = fetch_chunk(reader, caches, rg, file_col)?;
-                        disk_bytes += f.disk_bytes;
-                        payload_bytes += f.decoded_bytes as usize;
-                        tally.absorb(&f);
-                        *slot = Some(f.array);
-                    }
+                // Phase 2: payload columns for the surviving group.
+                let mut payload_bytes = 0;
+                for &pos in &payload_pos {
+                    let (array, decoded) =
+                        fetch_chunk(reader, caches, rg, out_cols[pos], &mut wire)?;
+                    payload_bytes += decoded;
+                    arrays.push(array);
                 }
                 work.add(Work::decode(payload_bytes as f64 * cost.byte_decode));
-                let fields: Vec<Field> =
-                    out_cols.iter().map(|&c| schema.field(c).clone()).collect();
-                let full = RecordBatch::try_new(
-                    Arc::new(Schema::new(fields)),
-                    cols.into_iter()
-                        .map(|c| c.expect("all columns decoded"))
-                        .collect(),
-                )
-                .map_err(exec_err)?;
-                let batch = sel.apply_batch(&full).map_err(exec_err)?;
+                let columns = rank.iter().map(|&i| arrays[i].clone()).collect();
+                let full = RecordBatch::try_new(schema.clone(), columns).map_err(exec_err)?;
+                let batch = match sel {
+                    Some(sel) => sel.apply_batch(&full).map_err(exec_err)?,
+                    None => full,
+                };
                 Ok(GroupScan {
                     batch: Some(batch),
                     work,
-                    disk_bytes,
-                    uncompressed_bytes: (filter_bytes + payload_bytes) as u64,
-                    rows,
-                    avoided_bytes: 0,
-                    skipped: false,
-                    cache: tally,
+                    uncompressed_bytes: filter_bytes + payload_bytes,
+                    wire,
                 })
             })
             .collect();
@@ -502,20 +362,10 @@ impl<'a> Executor<'a> {
         let mut out = Vec::with_capacity(scanned.len());
         for g in scanned {
             let g = g?;
-            self.stats.wire.disk_bytes += g.disk_bytes;
+            self.stats.wire.merge(&g.wire);
             self.stats.uncompressed_bytes += g.uncompressed_bytes;
-            self.stats.wire.rows_scanned += g.rows;
-            self.stats.wire.decoded_bytes_avoided += g.avoided_bytes;
-            self.stats.wire.row_groups_skipped += g.skipped as u64;
-            self.stats.wire.rg_cache_hits += g.cache.hits;
-            self.stats.wire.rg_cache_misses += g.cache.misses;
-            self.stats.wire.cache_bytes_avoided += g.cache.avoided_bytes;
             self.stats.scan_work.push(g.work);
-            if let Some(b) = g.batch {
-                if b.num_rows() > 0 {
-                    out.push(b);
-                }
-            }
+            out.extend(g.batch.filter(|b| b.num_rows() > 0));
         }
         Ok(out)
     }
@@ -713,7 +563,37 @@ mod tests {
         assert_eq!(batches[0].schema().names(), vec!["g", "id"]);
         assert_eq!(stats.wire.rows_scanned, 1000);
         assert!(stats.wire.disk_bytes > 0);
-        assert!(stats.work.total_units() > 0.0);
+        // The decode is all scan work: one lane per row group, no mask.
+        assert_eq!(stats.work, Work::zero());
+        assert_eq!(stats.scan_work.len(), 10);
+        assert!(stats
+            .scan_work
+            .iter()
+            .all(|w| w.decode > 0.0 && w.vector == 0.0));
+    }
+
+    #[test]
+    fn disabled_cache_counts_no_hits_and_no_misses() {
+        let reader = test_reader();
+        let cost = CostParams::default();
+        let caches = NodeCaches::disabled();
+        let object = ObjectId {
+            bucket: "lake".into(),
+            key: "t/0".into(),
+            version: 1,
+        };
+        for plan in [
+            Plan::new(Rel::read("t", base_schema(), None)),
+            clustered_filter_plan(50, None),
+        ] {
+            let (_, stats) = Executor::new(&reader, &cost)
+                .with_caches(&caches, &object)
+                .run(&plan)
+                .unwrap();
+            assert!(stats.wire.disk_bytes > 0);
+            assert_eq!(stats.wire.rg_cache_hits, 0);
+            assert_eq!(stats.wire.rg_cache_misses, 0);
+        }
     }
 
     #[test]
@@ -937,8 +817,12 @@ mod tests {
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].num_rows(), 0);
         assert_eq!(batches[0].schema().names(), vec!["id"]);
-        assert_eq!(work_bits(&stats.work), [0x40bc_2000_0000_0000, 0, 0]);
-        assert_eq!(stats.scan_work.len(), 0);
+        // The read's decode moved from `work` to one lane per group; summed
+        // in group order the lanes are the golden's serial total.
+        assert_eq!(work_bits(&stats.work), [0, 0, 0]);
+        assert_eq!(stats.scan_work.len(), 10);
+        let decode = stats.scan_work.iter().fold(0.0, |s, w| s + w.decode);
+        assert_eq!(decode.to_bits(), 0x40bc_2000_0000_0000);
         // ...and no input at all answers with none.
         let nothing = Rel::Filter {
             input: Box::new(Rel::read("t", base_schema(), None)),

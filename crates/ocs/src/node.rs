@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use columnar::RecordBatch;
+use columnar::{ops, RecordBatch};
 use netsim::{makespan, CostParams, DiskSpec, ExecStats, NodeSpec};
 use objstore::ObjectStore;
 use parq::ParqReader;
@@ -126,7 +126,6 @@ impl StorageNode {
                 result_key,
                 Arc::new(CachedResult {
                     batches: batches.clone(),
-                    rows_emitted: exec.wire.rows_returned,
                     // What a future hit avoids: this run's disk + decode
                     // traffic, plus whatever the chunk cache already saved.
                     bytes_avoided: exec.wire.disk_bytes
@@ -225,6 +224,7 @@ impl StorageNode {
     /// Answer a request from the result cache: the cold run's batches,
     /// zero simulated cost, and a span marking the hit.
     fn replay_cached(&self, cached: &CachedResult, wall_start: std::time::Instant) -> NodeResponse {
+        let rows = ops::total_rows(&cached.batches);
         let m = obs::metrics();
         m.counter("ocs.storage.requests").inc();
         m.counter("ocs.cache.result_hits").inc();
@@ -249,7 +249,7 @@ impl StorageNode {
             tracer.set_wall(root, wall_start.elapsed().as_secs_f64());
             tracer.attr(root, "cache_hit", "result");
             tracer.attr(root, "cache_bytes_avoided", cached.bytes_avoided);
-            tracer.attr(root, "rows", cached.rows_emitted);
+            tracer.attr(root, "rows", rows);
             tracer.finish().to_recs()
         } else {
             Vec::new()
@@ -259,7 +259,7 @@ impl StorageNode {
             batches: cached.batches.clone(),
             groups_scanned: 0,
             stats: ExecStats {
-                rows_returned: cached.rows_emitted,
+                rows_returned: rows,
                 result_cache_hits: 1,
                 cache_bytes_avoided: cached.bytes_avoided,
                 spans,

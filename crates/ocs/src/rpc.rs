@@ -368,11 +368,15 @@ mod tests {
             "no disk traffic on a warm scan"
         );
         assert!(warm.report.stats.cache_bytes_avoided > 0);
+        // The same aggregate on a fresh deployment decodes every chunk.
+        let (_, fresh, _) = cached_deployment();
+        let cold_agg = fresh.client().execute(&agg, "lake", "t/0").unwrap();
+        assert_eq!(cold_agg.report.stats.rg_cache_hits, 0);
         assert!(
-            warm.report.stats.storage_cpu_s < cold.report.stats.storage_cpu_s,
+            warm.report.stats.storage_cpu_s < cold_agg.report.stats.storage_cpu_s,
             "warm aggregation skips decode: {} vs {}",
             warm.report.stats.storage_cpu_s,
-            cold.report.stats.storage_cpu_s
+            cold_agg.report.stats.storage_cpu_s
         );
     }
 

@@ -2,7 +2,9 @@
 //! identical to the naive read-everything-then-filter reference on random
 //! data, random projections, and random range predicates — while never
 //! reading or decoding more bytes than an eager scan of the row groups
-//! that survive statistics pruning.
+//! that survive statistics pruning. The same scan with no filter is
+//! exactly that eager scan, and a constant predicate over it changes the
+//! rows, never the scan.
 
 use std::sync::Arc;
 
@@ -10,7 +12,7 @@ use columnar::kernels::cmp::CmpOp;
 use columnar::kernels::selection;
 use columnar::prelude::*;
 use netsim::CostParams;
-use ocs::exec::{eval_expr, Executor};
+use ocs::exec::{Executor, ExecutorStats};
 use parq::{ParqReader, RangePredicate};
 use proptest::prelude::*;
 use substrait_ir::{Expr, Plan, Rel};
@@ -85,6 +87,22 @@ fn make_predicate(pos: usize, file_col: usize, op: usize, lo: i64, span: i64) ->
     }
 }
 
+/// The read projections every property draws from.
+fn projection(pick: usize) -> Option<Vec<usize>> {
+    [None, Some(vec![0, 1, 2]), Some(vec![2, 0]), Some(vec![1])][pick].clone()
+}
+
+fn run(reader: &ParqReader, root: Rel) -> (Vec<RecordBatch>, ExecutorStats) {
+    Executor::new(reader, &CostParams::default())
+        .run(&Plan::new(root))
+        .unwrap()
+}
+
+/// `[rows_scanned, uncompressed_bytes, disk_bytes]`, as [`eager_bounds`].
+fn scan_counters(s: &ExecutorStats) -> [u64; 3] {
+    [s.wire.rows_scanned, s.uncompressed_bytes, s.wire.disk_bytes]
+}
+
 fn flat_rows(batches: &[RecordBatch]) -> Vec<Vec<Scalar>> {
     batches
         .iter()
@@ -102,7 +120,7 @@ fn naive_scan(
     let batches = reader.read_all(projection).unwrap();
     let mut out = Vec::new();
     for b in &batches {
-        let mask = eval_expr(predicate, b).unwrap();
+        let mask = predicate.eval(b).unwrap();
         let mask = mask.as_bool().unwrap();
         let f = selection::filter_batch(b, mask).unwrap();
         if f.num_rows() > 0 {
@@ -141,22 +159,16 @@ proptest! {
         span in 0i64..150,
     ) {
         let reader = make_reader(seed, rows);
-        let projections: [Option<Vec<usize>>; 4] =
-            [None, Some(vec![0, 1, 2]), Some(vec![2, 0]), Some(vec![1])];
-        let projection = projections[proj_pick].clone();
+        let projection = projection(proj_pick);
         let out_len = projection.as_ref().map_or(3, |p| p.len());
         let pos = filter_pick % out_len;
         let file_col = projection.as_ref().map_or(pos, |p| p[pos]);
         let predicate = make_predicate(pos, file_col, op, lo, span);
 
-        let plan = Plan::new(Rel::Filter {
+        let (late, late_stats) = run(&reader, Rel::Filter {
             input: Box::new(Rel::read("t", base_schema(), projection.clone())),
             predicate: predicate.clone(),
         });
-        let cost = CostParams::default();
-        let (late, late_stats) = Executor::new(&reader, &cost)
-            .run(&plan)
-            .unwrap();
         let [eager_scanned, eager_decoded, eager_disk] =
             eager_bounds(&reader, projection.as_deref(), &predicate);
 
@@ -176,5 +188,49 @@ proptest! {
             late_stats.wire.disk_bytes,
             eager_disk
         );
+    }
+
+    #[test]
+    fn plain_read_is_the_eager_scan(
+        seed in any::<u64>(),
+        rows in 40usize..300,
+        proj_pick in 0usize..4,
+    ) {
+        let reader = make_reader(seed, rows);
+        let projection = projection(proj_pick);
+        let (batches, stats) = run(&reader, Rel::read("t", base_schema(), projection.clone()));
+        let all = reader.read_all(projection.as_deref()).unwrap();
+        prop_assert_eq!(flat_rows(&batches), flat_rows(&all));
+        // A literal TRUE lowers to no pruning predicate: every group.
+        let every_group = Expr::lit(Scalar::Boolean(true));
+        prop_assert_eq!(
+            scan_counters(&stats),
+            eager_bounds(&reader, projection.as_deref(), &every_group)
+        );
+        prop_assert_eq!(stats.scan_work.len(), reader.num_row_groups());
+    }
+
+    #[test]
+    fn constant_predicate_scans_like_plain_read(
+        seed in any::<u64>(),
+        rows in 40usize..300,
+        proj_pick in 0usize..4,
+        keep in any::<bool>(),
+    ) {
+        let reader = make_reader(seed, rows);
+        let projection = projection(proj_pick);
+        let read = Rel::read("t", base_schema(), projection.clone());
+        let (_, plain) = run(&reader, read.clone());
+        let (batches, stats) = run(&reader, Rel::Filter {
+            input: Box::new(read),
+            predicate: Expr::lit(Scalar::Boolean(keep)),
+        });
+        let expected = match keep {
+            true => flat_rows(&reader.read_all(projection.as_deref()).unwrap()),
+            false => Vec::new(),
+        };
+        prop_assert_eq!(flat_rows(&batches), expected);
+        prop_assert_eq!(scan_counters(&stats), scan_counters(&plain));
+        prop_assert_eq!(&stats.scan_work, &plain.scan_work);
     }
 }
