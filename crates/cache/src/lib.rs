@@ -12,7 +12,7 @@
 //!   deterministic (a monotonic recency tick, ties impossible), so cache
 //!   behaviour is reproducible under the simulated clock.
 //! * [`SharedByteLru`] — the `Arc<DebugMutex<_>>` wrapper storage nodes
-//!   hold (audited for lock-order inversions in debug builds).
+//!   hold (its lock's rank is audited in debug builds).
 //! * [`fnv1a64`] — the stable FNV-1a fingerprint used for plan keys and
 //!   affinity routing (same constants as the frontend's shard router).
 //!
@@ -229,8 +229,8 @@ impl<K: Eq + Hash + Clone, V: Clone> ByteLru<K, V> {
 /// workers. All methods take `&self` and hold the internal mutex for one
 /// call at most (never across user callbacks other than [`retain`]'s
 /// predicate, which must therefore stay lock-free). The mutex is a
-/// [`sync::DebugMutex`], so debug builds audit every acquisition for
-/// lock-order inversions.
+/// [`sync::DebugMutex`], so debug builds audit every acquisition against
+/// the lock's rank.
 ///
 /// [`retain`]: SharedByteLru::retain
 #[derive(Debug)]
@@ -247,19 +247,11 @@ impl<K, V> Clone for SharedByteLru<K, V> {
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> SharedByteLru<K, V> {
-    /// New shared cache with `budget` bytes (zero disables it), using the
-    /// generic `cache.bytelru` lock class. Prefer [`SharedByteLru::named`]
-    /// when a node holds several tiers, so the audit graph tells them
-    /// apart.
-    pub fn new(budget: u64) -> Self {
-        Self::named(budget, "cache.bytelru")
-    }
-
-    /// New shared cache whose audit lock class is `class` (see
-    /// `LOCK_ORDER.md`).
-    pub fn named(budget: u64, class: &str) -> Self {
+    /// New shared cache with `budget` bytes (zero disables it), whose lock
+    /// has class `class` and rank `rank` (see `LOCK_ORDER.md`).
+    pub fn named(budget: u64, class: &str, rank: u32) -> Self {
         SharedByteLru {
-            inner: Arc::new(DebugMutex::named(class, ByteLru::new(budget))),
+            inner: Arc::new(DebugMutex::named(class, rank, ByteLru::new(budget))),
         }
     }
 
@@ -393,7 +385,7 @@ mod tests {
 
     #[test]
     fn shared_handle_clones_see_one_cache() {
-        let a: SharedByteLru<u32, u32> = SharedByteLru::new(100);
+        let a: SharedByteLru<u32, u32> = SharedByteLru::named(100, "test.shared", 10);
         let b = a.clone();
         a.insert(7, 49, 8);
         assert_eq!(b.get(&7), Some(49));

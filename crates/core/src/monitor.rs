@@ -225,7 +225,7 @@ impl PushdownMonitor {
     /// Monitor keeping the last `window` executions.
     pub fn new(window: usize) -> Self {
         PushdownMonitor {
-            history: DebugMutex::named("core.monitor.history", PushdownHistory::new(window)),
+            history: DebugMutex::named("core.monitor.history", 40, PushdownHistory::new(window)),
         }
     }
 

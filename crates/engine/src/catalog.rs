@@ -77,7 +77,7 @@ pub struct Metastore {
 impl Default for Metastore {
     fn default() -> Self {
         Metastore {
-            tables: DebugRwLock::named("engine.catalog.tables", BTreeMap::new()),
+            tables: DebugRwLock::named("engine.catalog.tables", 30, BTreeMap::new()),
         }
     }
 }

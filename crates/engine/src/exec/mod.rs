@@ -148,7 +148,7 @@ pub fn execute_plan(
     tracer: &obs::Tracer,
     analysis_s: f64,
 ) -> EResult<ExecutionOutcome> {
-    let ledger = Ledger::new();
+    let mut ledger = Ledger::new();
     let scan = plan.scan().clone();
     let table = metastore.table(&scan.table)?;
     let connector = connectors

@@ -149,14 +149,14 @@ impl EngineBuilder {
     pub fn build(self) -> Engine {
         Engine {
             metastore: Arc::new(Metastore::new()),
-            connectors: DebugRwLock::named("engine.session.connectors", HashMap::new()),
-            listeners: DebugRwLock::named("engine.session.listeners", Vec::new()),
+            connectors: DebugRwLock::named("engine.session.connectors", 10, HashMap::new()),
+            listeners: DebugRwLock::named("engine.session.listeners", 20, Vec::new()),
             cluster: self.cluster,
             cost: self.cost,
             tracing: self.tracing,
             slow_query_threshold: self.slow_query_threshold,
             incident_dir: self.incident_dir,
-            last_incident: DebugMutex::named("engine.session.incident", None),
+            last_incident: DebugMutex::named("engine.session.incident", 25, None),
         }
     }
 }

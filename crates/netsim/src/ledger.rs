@@ -1,10 +1,9 @@
-//! The [`Ledger`]: a thread-safe accumulator of simulated seconds, bucketed
-//! by execution phase. One ledger per query run; the bench harness reads it
-//! to print Figure-5/6 bars and the Table-3 breakdown.
+//! The [`Ledger`]: an accumulator of simulated seconds, bucketed by
+//! execution phase. One ledger per query run, built and filled by the
+//! thread that runs the query; the bench harness reads it to print
+//! Figure-5/6 bars and the Table-3 breakdown.
 
-use std::collections::BTreeMap;
 use std::fmt;
-use sync::DebugMutex;
 
 /// Execution phases mirroring the paper's Table 3 breakdown (plus the
 /// storage-internal phases our simulation makes visible).
@@ -66,18 +65,10 @@ impl fmt::Display for Phase {
     }
 }
 
-/// Thread-safe bucketed accumulator of simulated seconds.
-#[derive(Debug)]
+/// Bucketed accumulator of simulated seconds, one bucket per [`Phase`].
+#[derive(Debug, Clone, Default)]
 pub struct Ledger {
-    buckets: DebugMutex<BTreeMap<Phase, f64>>,
-}
-
-impl Default for Ledger {
-    fn default() -> Ledger {
-        Ledger {
-            buckets: DebugMutex::named("netsim.ledger.buckets", BTreeMap::new()),
-        }
-    }
+    buckets: [f64; Phase::ALL.len()],
 }
 
 impl Ledger {
@@ -87,44 +78,29 @@ impl Ledger {
     }
 
     /// Add `seconds` of simulated time to `phase`.
-    pub fn add(&self, phase: Phase, seconds: f64) {
+    pub fn add(&mut self, phase: Phase, seconds: f64) {
         debug_assert!(seconds.is_finite() && seconds >= 0.0, "bad time {seconds}");
-        let mut b = self.buckets.lock();
-        *b.entry(phase).or_insert(0.0) += seconds;
+        self.buckets[phase as usize] += seconds;
     }
 
     /// Simulated seconds accumulated in `phase`.
     pub fn get(&self, phase: Phase) -> f64 {
-        self.buckets.lock().get(&phase).copied().unwrap_or(0.0)
+        self.buckets[phase as usize]
     }
 
-    /// Total simulated seconds across all phases.
+    /// Total simulated seconds across all phases, summed in [`Phase`]
+    /// order.
     pub fn total(&self) -> f64 {
-        self.buckets.lock().values().sum()
+        self.buckets.iter().sum()
     }
 
     /// Snapshot of all non-zero buckets in presentation order.
     pub fn snapshot(&self) -> Vec<(Phase, f64)> {
-        let b = self.buckets.lock();
         Phase::ALL
             .iter()
-            .filter_map(|p| b.get(p).map(|&v| (*p, v)))
+            .map(|&p| (p, self.get(p)))
             .filter(|(_, v)| *v > 0.0)
             .collect()
-    }
-
-    /// Zero every bucket.
-    pub fn reset(&self) {
-        self.buckets.lock().clear();
-    }
-
-    /// Merge another ledger into this one.
-    pub fn merge(&self, other: &Ledger) {
-        let other_snapshot = other.snapshot();
-        let mut b = self.buckets.lock();
-        for (p, v) in other_snapshot {
-            *b.entry(p).or_insert(0.0) += v;
-        }
     }
 
     /// Lay `items` out as back-to-back phase spans under `parent`,
@@ -158,10 +134,6 @@ impl Ledger {
     }
 
     /// Render a Table-3-style breakdown (label, seconds, share%).
-    ///
-    /// Seconds and shares derive from one snapshot taken under a single
-    /// lock acquisition, so concurrent `add`s can never make the shares
-    /// sum to anything but 100% (a second `total()` read could drift).
     pub fn breakdown(&self) -> Vec<(String, f64, f64)> {
         let snap = self.snapshot();
         let total: f64 = snap.iter().map(|(_, v)| v).sum();
@@ -183,7 +155,7 @@ mod tests {
 
     #[test]
     fn accumulates_per_phase() {
-        let l = Ledger::new();
+        let mut l = Ledger::new();
         l.add(Phase::ComputeCpu, 1.5);
         l.add(Phase::ComputeCpu, 0.5);
         l.add(Phase::NetworkTransfer, 3.0);
@@ -195,7 +167,7 @@ mod tests {
 
     #[test]
     fn snapshot_in_presentation_order() {
-        let l = Ledger::new();
+        let mut l = Ledger::new();
         l.add(Phase::ComputeCpu, 1.0);
         l.add(Phase::PlanAnalysis, 0.1);
         let s = l.snapshot();
@@ -205,26 +177,12 @@ mod tests {
 
     #[test]
     fn breakdown_shares_sum_to_100() {
-        let l = Ledger::new();
+        let mut l = Ledger::new();
         l.add(Phase::PlanAnalysis, 1.0);
         l.add(Phase::SubstraitGen, 1.0);
         l.add(Phase::ComputeCpu, 2.0);
         let shares: f64 = l.breakdown().iter().map(|(_, _, s)| s).sum();
         assert!((shares - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_and_reset() {
-        let a = Ledger::new();
-        a.add(Phase::Other, 1.0);
-        let b = Ledger::new();
-        b.add(Phase::Other, 2.0);
-        b.add(Phase::StorageCpu, 4.0);
-        a.merge(&b);
-        assert_eq!(a.get(Phase::Other), 3.0);
-        assert_eq!(a.get(Phase::StorageCpu), 4.0);
-        a.reset();
-        assert_eq!(a.total(), 0.0);
     }
 
     #[test]
@@ -249,48 +207,5 @@ mod tests {
         let sum: f64 = trace.children(root).iter().map(|s| s.seconds()).sum();
         assert!((sum - 3.0).abs() < 1e-12);
         assert_eq!(trace.find(Phase::ComputeCpu.label()).unwrap().start_s, 1.5);
-    }
-
-    #[test]
-    fn breakdown_shares_consistent_under_concurrent_adds() {
-        // Regression: `breakdown` used to read `total()` and `snapshot()`
-        // under two separate lock acquisitions; an `add` landing between
-        // them skewed every share. Shares must now always sum to 100
-        // (within float tolerance) no matter how adds interleave.
-        let l = std::sync::Arc::new(Ledger::new());
-        l.add(Phase::PlanAnalysis, 1.0);
-        std::thread::scope(|s| {
-            let writer = l.clone();
-            s.spawn(move || {
-                for _ in 0..2000 {
-                    writer.add(Phase::StorageCpu, 0.01);
-                    writer.add(Phase::NetworkTransfer, 0.02);
-                }
-            });
-            for _ in 0..500 {
-                let b = l.breakdown();
-                let shares: f64 = b.iter().map(|(_, _, s)| s).sum();
-                assert!(
-                    (shares - 100.0).abs() < 1e-6,
-                    "shares drifted: {shares} over {b:?}"
-                );
-            }
-        });
-    }
-
-    #[test]
-    fn concurrent_adds_are_safe() {
-        let l = std::sync::Arc::new(Ledger::new());
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let l = l.clone();
-                s.spawn(move || {
-                    for _ in 0..1000 {
-                        l.add(Phase::StorageCpu, 0.001);
-                    }
-                });
-            }
-        });
-        assert!((l.get(Phase::StorageCpu) - 8.0).abs() < 1e-6);
     }
 }

@@ -119,7 +119,7 @@ pub struct ObjectStore {
 impl Default for ObjectStore {
     fn default() -> ObjectStore {
         ObjectStore {
-            buckets: DebugRwLock::named("objstore.buckets", BTreeMap::new()),
+            buckets: DebugRwLock::named("objstore.buckets", 70, BTreeMap::new()),
             next_version: std::sync::atomic::AtomicU64::new(0),
         }
     }

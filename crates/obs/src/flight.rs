@@ -4,8 +4,8 @@
 //! Spans answer "where did the time go" for one traced query; the flight
 //! recorder answers "what was the *system* doing around then" — cache
 //! admissions and hits, routing decisions, frame-window backpressure
-//! stalls, version purges, lock-audit observations — continuously, for
-//! every query, traced or not. It is sized in events, not bytes, and old
+//! stalls, version purges, slow queries — continuously, for every query,
+//! traced or not. It is sized in events, not bytes, and old
 //! events are overwritten oldest-first, so the cost is a fixed allocation
 //! at first use plus a handful of atomic stores per event.
 //!
@@ -20,10 +20,7 @@
 //! lie.
 //!
 //! The process-global recorder ([`flight`]) reads its capacity from
-//! `OBS_FLIGHT_CAPACITY` (events, default 4096) once at first use, and
-//! installs itself as the `sync` lock auditor's edge observer so newly
-//! established lock-order edges appear in the stream as
-//! [`FlightKind::LockReport`] events.
+//! `OBS_FLIGHT_CAPACITY` (events, default 4096) once at first use.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -65,10 +62,6 @@ pub enum FlightKind {
     /// `a` = new version, `b` = row-group entries purged, `c` = result
     /// entries purged.
     VersionPurge,
-    /// The dynamic lock auditor recorded a new order-graph edge.
-    /// `a` = FNV-1a hash of the held class, `b` = hash of the acquired
-    /// class, `c` = 0.
-    LockReport,
     /// A query exceeded the engine's slow-query threshold.
     /// `a` = simulated microseconds, `b` = threshold microseconds,
     /// `c` = flight cursor at query start.
@@ -87,7 +80,6 @@ impl FlightKind {
             FlightKind::RouteSpill => 6,
             FlightKind::BackpressureStall => 7,
             FlightKind::VersionPurge => 8,
-            FlightKind::LockReport => 9,
             FlightKind::SlowQuery => 10,
         }
     }
@@ -103,7 +95,6 @@ impl FlightKind {
             6 => FlightKind::RouteSpill,
             7 => FlightKind::BackpressureStall,
             8 => FlightKind::VersionPurge,
-            9 => FlightKind::LockReport,
             10 => FlightKind::SlowQuery,
             _ => return None,
         })
@@ -120,7 +111,6 @@ impl FlightKind {
             FlightKind::RouteSpill => "route.spill",
             FlightKind::BackpressureStall => "backpressure.stall",
             FlightKind::VersionPurge => "version.purge",
-            FlightKind::LockReport => "lock.edge",
             FlightKind::SlowQuery => "slow_query",
         }
     }
@@ -180,9 +170,6 @@ impl FlightEvent {
                 "version.purge version={} rg_purged={} result_purged={}",
                 self.a, self.b, self.c
             ),
-            FlightKind::LockReport => {
-                format!("lock.edge held={:016x} acquired={:016x}", self.a, self.b)
-            }
             FlightKind::SlowQuery => {
                 format!("slow_query sim_us={} threshold_us={}", self.a, self.b)
             }
@@ -356,30 +343,8 @@ impl FlightRecorder {
     }
 }
 
-/// FNV-1a 64 of a string (local copy: `obs` stays dependency-free).
-fn fnv1a64_str(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in s.as_bytes() {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// `sync` auditor edge observer: new lock-order edges become
-/// [`FlightKind::LockReport`] events.
-fn lock_edge_observer(held: &str, acquired: &str) {
-    flight().record(
-        FlightKind::LockReport,
-        fnv1a64_str(held),
-        fnv1a64_str(acquired),
-        0,
-    );
-}
-
 /// The process-global flight recorder. Capacity comes from
-/// `OBS_FLIGHT_CAPACITY` (events), read once at first use; the first call
-/// also registers the lock-audit edge observer.
+/// `OBS_FLIGHT_CAPACITY` (events), read once at first use.
 pub fn flight() -> &'static FlightRecorder {
     static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
     GLOBAL.get_or_init(|| {
@@ -388,7 +353,6 @@ pub fn flight() -> &'static FlightRecorder {
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|c| *c > 0)
             .unwrap_or(DEFAULT_CAPACITY);
-        sync::set_audit_edge_hook(lock_edge_observer);
         FlightRecorder::with_capacity(capacity)
     })
 }
@@ -409,13 +373,13 @@ mod tests {
             FlightKind::RouteSpill,
             FlightKind::BackpressureStall,
             FlightKind::VersionPurge,
-            FlightKind::LockReport,
             FlightKind::SlowQuery,
         ] {
             assert_eq!(FlightKind::from_code(kind.code()), Some(kind));
             assert!(!kind.label().is_empty());
         }
         assert_eq!(FlightKind::from_code(0), None);
+        assert_eq!(FlightKind::from_code(9), None, "retired code");
         assert_eq!(FlightKind::from_code(999), None);
     }
 

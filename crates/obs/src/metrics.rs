@@ -218,7 +218,7 @@ pub struct Registry {
 impl Default for Registry {
     fn default() -> Registry {
         Registry {
-            by_name: DebugMutex::named("obs.metrics.by_name", BTreeMap::new()),
+            by_name: DebugMutex::named("obs.metrics.by_name", 110, BTreeMap::new()),
         }
     }
 }

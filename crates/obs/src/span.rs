@@ -134,7 +134,7 @@ struct TracerInner {
 impl Default for TracerInner {
     fn default() -> TracerInner {
         TracerInner {
-            spans: DebugMutex::named("obs.span.spans", Vec::new()),
+            spans: DebugMutex::named("obs.span.spans", 100, Vec::new()),
             next: AtomicU64::new(0),
         }
     }

@@ -70,9 +70,9 @@ impl NodeCaches {
     /// Caches with the given byte budgets (zero disables a tier).
     pub fn new(row_group_bytes: u64, result_bytes: u64) -> NodeCaches {
         NodeCaches {
-            row_group: SharedByteLru::named(row_group_bytes, "ocs.cache.row_group"),
-            result: SharedByteLru::named(result_bytes, "ocs.cache.result"),
-            seen: Arc::new(DebugMutex::named("ocs.cache.seen", HashMap::new())),
+            row_group: SharedByteLru::named(row_group_bytes, "ocs.cache.row_group", 80),
+            result: SharedByteLru::named(result_bytes, "ocs.cache.result", 90),
+            seen: Arc::new(DebugMutex::named("ocs.cache.seen", 60, HashMap::new())),
         }
     }
 

@@ -40,6 +40,7 @@ impl OcsFrontend {
         assert!(!nodes.is_empty(), "OCS needs at least one storage node");
         let router = DebugMutex::named(
             "ocs.frontend.router",
+            50,
             RouterState {
                 owner: HashMap::new(),
                 load: vec![0; nodes.len()],

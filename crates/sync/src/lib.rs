@@ -1,35 +1,32 @@
-//! Deadlock-auditing lock wrappers — the dynamic half of the repo's
-//! concurrency auditor (the static half lives in `crates/xtask`).
+//! Deadlock-auditing lock wrappers: one lock hierarchy, enforced where
+//! locks are taken.
 //!
 //! [`DebugMutex`] and [`DebugRwLock`] are drop-in replacements for the
-//! plain `Mutex` / `RwLock` the workspace used to hold its shared state
+//! plain `Mutex` / `RwLock` the workspace holds its shared state in
 //! (cache-affinity router, near-storage caches, connector registry,
-//! pushdown monitor, metrics registry, cost ledger, object store). In
-//! release builds without the `lock-audit` feature they compile down to
-//! `std::sync` primitives with poison recovery and nothing else.
+//! pushdown monitor, metrics registry, object store). Every lock is built
+//! with a **class** and a **rank** ([`DebugMutex::named`]), which must
+//! match its row in `LOCK_ORDER.md` at the repo root (`xtask lint` checks
+//! the call sites against the table). In release builds without the
+//! `lock-audit` feature the wrappers compile down to `std::sync`
+//! primitives with poison recovery and nothing else; class and rank are
+//! ignored.
 //!
 //! Under `cfg(debug_assertions)` **or** the `lock-audit` feature, every
-//! acquisition is audited *before it can block*:
+//! acquisition is audited *before it can block* against a **per-thread
+//! lockset** (see [`audit`]):
 //!
-//! * a **per-thread lockset** records which locks the current thread
-//!   holds, so a reentrant acquire (guaranteed deadlock on `std` locks)
-//!   panics immediately with the thread's lock path instead of hanging;
-//! * a **global acquisition-order graph** accumulates one edge
-//!   `held → acquired` per observed class pair; before a new edge is
-//!   inserted, a cycle check runs, and a potential deadlock (this thread
-//!   acquires B while holding A, some earlier acquisition took A while
-//!   holding B) panics with **both** acquisition paths — the current
-//!   thread's lockset and the remembered path that created the reverse
-//!   edge.
+//! * a reentrant acquire (guaranteed deadlock on `std` locks) panics with
+//!   the thread's lock path instead of hanging;
+//! * nesting two instances of one class panics (another thread nesting
+//!   them the other way around would deadlock);
+//! * acquiring a lock whose rank is not strictly above every lock the
+//!   thread holds panics as a lock-order inversion.
 //!
-//! Lock *classes* are the names given via [`DebugMutex::named`] /
-//! [`DebugRwLock::named`] and are expected to match the `dynamic class`
-//! column of `LOCK_ORDER.md` at the repo root; anonymous locks get a
-//! unique per-instance class. Because the audit runs in every debug
-//! build, the entire existing test suite doubles as a deadlock/race
-//! regression harness: any new nesting that inverts an established order
-//! fails the first test that exercises both orders, not the first
-//! production hang.
+//! Because the audit runs in every debug build, the entire test suite
+//! doubles as a deadlock regression harness: one out-of-order nesting on
+//! any tested path fails the first test that runs it, even when the two
+//! acquisitions sit in different functions.
 
 #![warn(missing_docs)]
 
@@ -48,37 +45,11 @@ pub const fn audit_enabled() -> bool {
     cfg!(any(debug_assertions, feature = "lock-audit"))
 }
 
-/// Observer invoked when the dynamic auditor records a **new** order-graph
-/// edge `held-class → acquired-class` (an observation, not a violation —
-/// violations panic). Installed once; later installs are ignored.
-///
-/// This is how higher layers (the `obs` flight recorder) see audit
-/// activity without `sync` growing a dependency on them. The hook runs on
-/// the acquiring thread with the audit graph lock *released*; it must not
-/// block and must not acquire audited locks.
-static AUDIT_EDGE_HOOK: std::sync::OnceLock<fn(&str, &str)> = std::sync::OnceLock::new();
-
-/// Install the order-graph edge observer. Returns `false` if one was
-/// already installed (the first install wins). In builds without the
-/// auditor compiled in, the hook is accepted but never fires.
-pub fn set_audit_edge_hook(hook: fn(&str, &str)) -> bool {
-    AUDIT_EDGE_HOOK.set(hook).is_ok()
-}
-
-/// Fire the edge observer, if installed.
-#[cfg(any(debug_assertions, feature = "lock-audit"))]
-pub(crate) fn notify_audit_edge(held: &str, acquired: &str) {
-    if let Some(hook) = AUDIT_EDGE_HOOK.get() {
-        hook(held, acquired);
-    }
-}
-
 /// A mutex audited for lock-order inversions and reentrant acquires.
 ///
 /// `lock()` never returns a poison error (a poisoned lock is recovered
 /// transparently, matching the `parking_lot` API the workspace migrated
 /// from).
-#[derive(Default)]
 pub struct DebugMutex<T: ?Sized> {
     #[cfg(any(debug_assertions, feature = "lock-audit"))]
     meta: LockMeta,
@@ -86,26 +57,16 @@ pub struct DebugMutex<T: ?Sized> {
 }
 
 impl<T> DebugMutex<T> {
-    /// An anonymous audited mutex (its lock class is unique to this
-    /// instance). Prefer [`DebugMutex::named`] for long-lived state so
-    /// the order graph aggregates by role.
-    pub fn new(value: T) -> DebugMutex<T> {
-        DebugMutex {
-            #[cfg(any(debug_assertions, feature = "lock-audit"))]
-            meta: LockMeta::anonymous(),
-            inner: sync::Mutex::new(value),
-        }
-    }
-
-    /// An audited mutex whose lock class is `name` (one class per *role*,
-    /// shared by every instance constructed with the same name; declared
-    /// in `LOCK_ORDER.md`).
-    pub fn named(name: &str, value: T) -> DebugMutex<T> {
+    /// An audited mutex of lock class `class` (one class per *role*,
+    /// shared by every instance constructed with the same name) at
+    /// position `rank` in the hierarchy; both as declared in
+    /// `LOCK_ORDER.md`.
+    pub fn named(class: &str, rank: u32, value: T) -> DebugMutex<T> {
         #[cfg(not(any(debug_assertions, feature = "lock-audit")))]
-        let _ = name;
+        let _ = (class, rank);
         DebugMutex {
             #[cfg(any(debug_assertions, feature = "lock-audit"))]
-            meta: LockMeta::named(name),
+            meta: LockMeta::named(class, rank),
             inner: sync::Mutex::new(value),
         }
     }
@@ -121,7 +82,9 @@ impl<T> DebugMutex<T> {
 
 impl<T: ?Sized> DebugMutex<T> {
     /// Acquire the lock (audited first, so a would-be deadlock panics
-    /// with both lock paths instead of blocking forever).
+    /// with the ranks and the thread's lock path instead of blocking
+    /// forever).
+    #[cfg_attr(any(debug_assertions, feature = "lock-audit"), track_caller)]
     pub fn lock(&self) -> DebugMutexGuard<'_, T> {
         #[cfg(any(debug_assertions, feature = "lock-audit"))]
         let token = audit::acquire(&self.meta, AcquireMode::Exclusive);
@@ -185,7 +148,6 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for DebugMutexGuard<'_, T> {
 /// A reader-writer lock audited for lock-order inversions and reentrant
 /// acquires (a same-thread `read` inside `read` is flagged too: with a
 /// queued writer in between it deadlocks on `std::sync::RwLock`).
-#[derive(Default)]
 pub struct DebugRwLock<T: ?Sized> {
     #[cfg(any(debug_assertions, feature = "lock-audit"))]
     meta: LockMeta,
@@ -193,23 +155,14 @@ pub struct DebugRwLock<T: ?Sized> {
 }
 
 impl<T> DebugRwLock<T> {
-    /// An anonymous audited rwlock (see [`DebugMutex::new`]).
-    pub fn new(value: T) -> DebugRwLock<T> {
-        DebugRwLock {
-            #[cfg(any(debug_assertions, feature = "lock-audit"))]
-            meta: LockMeta::anonymous(),
-            inner: sync::RwLock::new(value),
-        }
-    }
-
-    /// An audited rwlock whose lock class is `name` (declared in
-    /// `LOCK_ORDER.md`).
-    pub fn named(name: &str, value: T) -> DebugRwLock<T> {
+    /// An audited rwlock of lock class `class` at position `rank` (see
+    /// [`DebugMutex::named`]).
+    pub fn named(class: &str, rank: u32, value: T) -> DebugRwLock<T> {
         #[cfg(not(any(debug_assertions, feature = "lock-audit")))]
-        let _ = name;
+        let _ = (class, rank);
         DebugRwLock {
             #[cfg(any(debug_assertions, feature = "lock-audit"))]
-            meta: LockMeta::named(name),
+            meta: LockMeta::named(class, rank),
             inner: sync::RwLock::new(value),
         }
     }
@@ -225,6 +178,7 @@ impl<T> DebugRwLock<T> {
 
 impl<T: ?Sized> DebugRwLock<T> {
     /// Acquire a shared read guard (audited first).
+    #[cfg_attr(any(debug_assertions, feature = "lock-audit"), track_caller)]
     pub fn read(&self) -> DebugReadGuard<'_, T> {
         #[cfg(any(debug_assertions, feature = "lock-audit"))]
         let token = audit::acquire(&self.meta, AcquireMode::Shared);
@@ -240,6 +194,7 @@ impl<T: ?Sized> DebugRwLock<T> {
     }
 
     /// Acquire an exclusive write guard (audited first).
+    #[cfg_attr(any(debug_assertions, feature = "lock-audit"), track_caller)]
     pub fn write(&self) -> DebugWriteGuard<'_, T> {
         #[cfg(any(debug_assertions, feature = "lock-audit"))]
         let token = audit::acquire(&self.meta, AcquireMode::Exclusive);
@@ -327,7 +282,7 @@ mod tests {
 
     #[test]
     fn mutex_basic_lock_unlock() {
-        let m = DebugMutex::named("test.basic", 41);
+        let m = DebugMutex::named("test.basic", 10, 41);
         {
             let mut g = m.lock();
             *g += 1;
@@ -338,7 +293,7 @@ mod tests {
 
     #[test]
     fn rwlock_readers_then_writer() {
-        let l = DebugRwLock::named("test.rw", vec![1, 2, 3]);
+        let l = DebugRwLock::named("test.rw", 10, vec![1, 2, 3]);
         {
             let r = l.read();
             assert_eq!(r.len(), 3);
@@ -348,17 +303,18 @@ mod tests {
     }
 
     #[test]
-    fn get_mut_and_default() {
-        let mut m = DebugMutex::new(1u64);
+    fn get_mut_bypasses_the_lock() {
+        let mut m = DebugMutex::named("test.get_mut", 10, 1u64);
         *m.get_mut() += 1;
         assert_eq!(*m.lock(), 2);
-        let d: DebugRwLock<u32> = DebugRwLock::default();
-        assert_eq!(*d.read(), 0);
+        let mut l = DebugRwLock::named("test.get_mut.rw", 10, 0u32);
+        *l.get_mut() += 3;
+        assert_eq!(*l.read(), 3);
     }
 
     #[test]
     fn concurrent_counting() {
-        let m = Arc::new(DebugMutex::named("test.concurrent", 0u64));
+        let m = Arc::new(DebugMutex::named("test.concurrent", 10, 0u64));
         std::thread::scope(|s| {
             for _ in 0..8 {
                 let m = m.clone();
@@ -374,10 +330,10 @@ mod tests {
 
     #[test]
     fn consistent_nesting_is_fine() {
-        // A -> B in many threads concurrently: a legal hierarchy, never
-        // flagged.
-        let a = Arc::new(DebugMutex::named("test.nest.outer", ()));
-        let b = Arc::new(DebugMutex::named("test.nest.inner", 0u64));
+        // outer (rank 10) -> inner (rank 20) in many threads concurrently:
+        // a legal hierarchy, never flagged.
+        let a = Arc::new(DebugMutex::named("test.nest.outer", 10, ()));
+        let b = Arc::new(DebugMutex::named("test.nest.inner", 20, 0u64));
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let (a, b) = (a.clone(), b.clone());
@@ -399,7 +355,7 @@ mod tests {
         #[test]
         #[should_panic(expected = "reentrant acquire")]
         fn reentrant_mutex_panics_instead_of_deadlocking() {
-            let m = DebugMutex::named("test.reentrant", ());
+            let m = DebugMutex::named("test.reentrant", 10, ());
             let _g = m.lock();
             let _g2 = m.lock();
         }
@@ -407,7 +363,7 @@ mod tests {
         #[test]
         #[should_panic(expected = "reentrant acquire")]
         fn reentrant_read_panics() {
-            let l = DebugRwLock::named("test.reentrant.rw", ());
+            let l = DebugRwLock::named("test.reentrant.rw", 10, ());
             let _r1 = l.read();
             // With a writer queued between the two reads this deadlocks on
             // std::sync::RwLock, so the auditor treats it as an error.
@@ -416,29 +372,38 @@ mod tests {
 
         #[test]
         #[should_panic(expected = "lock-order inversion")]
+        fn single_out_of_rank_nesting_panics() {
+            // The reverse order (a -> b) never runs: the ranks alone say
+            // that b -> a can deadlock against it.
+            let a = DebugMutex::named("test.single.a", 10, ());
+            let b = DebugMutex::named("test.single.b", 20, ());
+            let _gb = b.lock();
+            let _ga = a.lock();
+        }
+
+        #[test]
+        #[should_panic(expected = "lock-order inversion")]
         fn deliberate_inversion_is_caught() {
-            // The acceptance-criteria test: establish A -> B, then acquire
-            // B -> A. Single-threaded, yet the order graph proves two
-            // threads interleaving these paths can deadlock.
-            let a = DebugMutex::named("test.inv.a", ());
-            let b = DebugMutex::named("test.inv.b", ());
+            // Establish a -> b, then acquire b -> a. Single-threaded, yet
+            // two threads interleaving these paths can deadlock.
+            let a = DebugMutex::named("test.inv.a", 10, ());
+            let b = DebugMutex::named("test.inv.b", 20, ());
             {
                 let _ga = a.lock();
                 let _gb = b.lock();
             }
             let _gb = b.lock();
-            let _ga = a.lock(); // inversion: panics with both lock paths
+            let _ga = a.lock(); // inversion: panics with both ranks
         }
 
         #[test]
         #[should_panic(expected = "lock-order inversion")]
         fn cross_thread_inversion_is_caught_without_interleaving() {
-            // Thread 1 takes X then Y and finishes completely before
-            // thread 2 takes Y then X: no timing ever deadlocks this run,
-            // but the graph remembers the first order and flags the
-            // second — the whole point of lockset analysis.
-            let x = Arc::new(DebugMutex::named("test.cross.x", ()));
-            let y = Arc::new(DebugMutex::named("test.cross.y", ()));
+            // Thread 1 takes x then y and finishes completely before the
+            // main thread takes y then x: no timing ever deadlocks this
+            // run, but the second order breaks the ranks.
+            let x = Arc::new(DebugMutex::named("test.cross.x", 10, ()));
+            let y = Arc::new(DebugMutex::named("test.cross.y", 20, ()));
             let (x1, y1) = (x.clone(), y.clone());
             std::thread::spawn(move || {
                 let _gx = x1.lock();
@@ -453,9 +418,9 @@ mod tests {
         #[test]
         #[should_panic(expected = "lock-order inversion")]
         fn three_lock_cycle_is_caught() {
-            let a = DebugMutex::named("test.tri.a", ());
-            let b = DebugMutex::named("test.tri.b", ());
-            let c = DebugMutex::named("test.tri.c", ());
+            let a = DebugMutex::named("test.tri.a", 10, ());
+            let b = DebugMutex::named("test.tri.b", 20, ());
+            let c = DebugMutex::named("test.tri.c", 30, ());
             {
                 let _ga = a.lock();
                 let _gb = b.lock();
@@ -465,7 +430,7 @@ mod tests {
                 let _gc = c.lock();
             }
             let _gc = c.lock();
-            let _ga = a.lock(); // closes the a -> b -> c -> a cycle
+            let _ga = a.lock(); // would close the a -> b -> c -> a cycle
         }
 
         #[test]
@@ -474,26 +439,27 @@ mod tests {
             // Two instances sharing one class nested: safe in this exact
             // order, but another thread nesting them the other way around
             // deadlocks, so class-level analysis rejects it.
-            let a = DebugMutex::named("test.sameclass", 1);
-            let b = DebugMutex::named("test.sameclass", 2);
+            let a = DebugMutex::named("test.sameclass", 10, 1);
+            let b = DebugMutex::named("test.sameclass", 10, 2);
             let _ga = a.lock();
             let _gb = b.lock();
         }
 
         #[test]
-        fn anonymous_instances_do_not_share_a_class() {
-            // Anonymous locks get per-instance classes, so nesting two of
-            // them (in a stable order) is not a same-class violation.
-            let a = DebugMutex::new(());
-            let b = DebugMutex::new(());
-            let _ga = a.lock();
-            let _gb = b.lock();
+        #[should_panic(expected = "while holding a lock of the same class")]
+        fn same_class_readers_nested_panics() {
+            // Shared reads of two instances of one class nest no better: a
+            // writer queued on each turns them into the same deadlock.
+            let a = DebugRwLock::named("test.sameclass.rw", 10, ());
+            let b = DebugRwLock::named("test.sameclass.rw", 10, ());
+            let _ra = a.read();
+            let _rb = b.read();
         }
 
         #[test]
         fn lockset_reports_current_thread_path() {
-            let a = DebugMutex::named("test.path.outer", ());
-            let b = DebugMutex::named("test.path.inner", ());
+            let a = DebugMutex::named("test.path.outer", 10, ());
+            let b = DebugMutex::named("test.path.inner", 20, ());
             assert_eq!(audit::held_lock_names(), Vec::<String>::new());
             let _ga = a.lock();
             let _gb = b.lock();
@@ -510,8 +476,8 @@ mod tests {
 
         #[test]
         fn out_of_order_guard_drops_release_correctly() {
-            let a = DebugMutex::named("test.ooo.a", ());
-            let b = DebugMutex::named("test.ooo.b", ());
+            let a = DebugMutex::named("test.ooo.a", 10, ());
+            let b = DebugMutex::named("test.ooo.b", 20, ());
             let ga = a.lock();
             let gb = b.lock();
             drop(ga); // release the *outer* guard first

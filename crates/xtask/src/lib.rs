@@ -27,10 +27,10 @@
 //!    entry must suppress at least one would-be violation; an unused
 //!    entry means the excused code is gone and the entry must go too.
 //!
-//! The [`conc`] module adds the concurrency audit (`C100`–`C400`): a
-//! lock inventory checked against the `LOCK_ORDER.md` hierarchy, a
-//! static nested-acquisition scan, the `Ordering::Relaxed`/`RELAXED:`
-//! justification rule, and a guard-across-yield-point check. See the
+//! The [`conc`] module adds the concurrency lints (`C300`–`C500`): the
+//! `Ordering::Relaxed`/`RELAXED:` justification rule, a
+//! guard-across-yield-point check, and the check that `LOCK_ORDER.md`
+//! lists exactly the classes and ranks the locks are built with. See the
 //! module docs for the individual codes.
 //!
 //! The scanner is deliberately not a Rust parser (no external deps); the
@@ -618,7 +618,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Run every lint over the workspace at `root` — the general rules
-/// (`L1`–`L3`), the concurrency audit (`C100`–`C400`) against
+/// (`L1`–`L3`), the concurrency lints (`C300`–`C500`) against
 /// `LOCK_ORDER.md`, and the stale-allowlist check (`L4`). Returns all
 /// violations sorted by file and line.
 pub fn run(root: &Path) -> Result<Vec<Violation>, String> {
@@ -634,8 +634,8 @@ pub fn run(root: &Path) -> Result<Vec<Violation>, String> {
     violations.extend(check_error_enums(&files));
     let order_text = fs::read_to_string(root.join("LOCK_ORDER.md"))
         .map_err(|e| format!("reading LOCK_ORDER.md: {e}"))?;
-    let order = conc::parse_lock_order(&order_text)?;
-    violations.extend(conc::check_concurrency(&files, &order, &allow, &mut used));
+    let table = conc::parse_lock_table(&order_text)?;
+    violations.extend(conc::check_concurrency(&files, &table, &allow, &mut used));
     for (entry, &was_used) in allow.iter().zip(used.iter()) {
         if !was_used {
             violations.push(Violation {
@@ -806,7 +806,7 @@ mod tests {
         .expect("write allowlist");
         fs::write(
             root.join("LOCK_ORDER.md"),
-            "| rank | lock id | dynamic class | kind | declared in |\n|--|--|--|--|--|\n",
+            "| rank | class | declared in |\n|--|--|--|\n",
         )
         .expect("write lock order");
         fs::write(crate_dir.join("lib.rs"), "pub fn f() {}\n").expect("write source");

@@ -1,10 +1,8 @@
 //! Repo tasks:
 //!
 //! * `cargo run -p xtask -- lint` — run the repo lints (including the
-//!   concurrency audit against `LOCK_ORDER.md`); non-zero exit on any
+//!   concurrency lints against `LOCK_ORDER.md`); non-zero exit on any
 //!   violation. See `xtask::lint_source` and `xtask::conc` for the rules.
-//! * `cargo run -p xtask -- locks` — print the lock inventory next to the
-//!   declared hierarchy: rank, id, kind, wrapper, and declaration site.
 //! * `cargo run -p xtask -- validate-trace <file.json>` — validate a
 //!   Chrome trace-event file exported by `obs::chrome::export` (used by CI
 //!   against the `trace_query` example's output).
@@ -18,7 +16,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(),
-        Some("locks") => locks(),
         Some("validate-trace") => match args.get(1) {
             Some(path) => validate_trace(path),
             None => {
@@ -39,7 +36,7 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- \
-                 <lint | locks | validate-trace <file.json> | report [--check] <incident.json>>"
+                 <lint | validate-trace <file.json> | report [--check] <incident.json>>"
             );
             ExitCode::from(2)
         }
@@ -70,71 +67,6 @@ fn lint() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// Print the lock inventory joined with the `LOCK_ORDER.md` hierarchy.
-fn locks() -> ExitCode {
-    let root = xtask::workspace_root();
-    let order_text = match std::fs::read_to_string(root.join("LOCK_ORDER.md")) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("locks: reading LOCK_ORDER.md: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let order = match xtask::conc::parse_lock_order(&order_text) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("locks: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let files = match xtask::collect_sources(&root) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("locks: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let inventory = xtask::conc::lock_inventory(&files);
-    println!(
-        "{:>5}  {:<20} {:<7} {:<7} declared",
-        "rank", "lock id", "kind", "audited"
-    );
-    for f in &inventory {
-        match order.iter().find(|e| e.id == f.id) {
-            Some(e) => println!(
-                "{:>5}  {:<20} {:<7} {:<7} {}:{}",
-                e.rank,
-                f.id,
-                f.kind.label(),
-                if f.debug_wrapper { "yes" } else { "NO" },
-                f.file,
-                f.line
-            ),
-            None => println!(
-                "{:>5}  {:<20} {:<7} {:<7} {}:{}  (C100: not in LOCK_ORDER.md)",
-                "-",
-                f.id,
-                f.kind.label(),
-                if f.debug_wrapper { "yes" } else { "NO" },
-                f.file,
-                f.line
-            ),
-        }
-    }
-    for e in &order {
-        if !inventory.iter().any(|f| f.id == e.id) {
-            println!(
-                "{:>5}  {:<20} {:<7} {:<7} (C101: stale LOCK_ORDER.md row)",
-                e.rank,
-                e.id,
-                e.kind.label(),
-                "-"
-            );
-        }
-    }
-    ExitCode::SUCCESS
 }
 
 fn validate_trace(path: &str) -> ExitCode {
