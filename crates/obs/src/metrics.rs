@@ -230,53 +230,73 @@ impl Registry {
         Registry::default()
     }
 
-    /// Get or register the counter `name`.
-    pub fn counter(&self, name: &str) -> Counter {
+    /// Get or register `name` as the kind `as_kind` accepts. A hit
+    /// allocates nothing; only a miss copies the name into the map.
+    fn instrument<T: Clone>(
+        &self,
+        name: &str,
+        make: impl Fn() -> T,
+        as_kind: fn(&Instrument) -> Option<&T>,
+        register: fn(T) -> Instrument,
+    ) -> T {
         let mut map = self.by_name.lock();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Instrument::Counter(Counter(Arc::new(AtomicU64::new(0)))))
-        {
-            Instrument::Counter(c) => c.clone(),
+        match map.get(name) {
             // Name collision across kinds: return a detached instrument
             // rather than panicking; the registered one wins in snapshots.
-            _ => Counter(Arc::new(AtomicU64::new(0))),
+            Some(inst) => as_kind(inst).cloned().unwrap_or_else(make),
+            None => {
+                let fresh = make();
+                map.insert(name.to_string(), register(fresh.clone()));
+                fresh
+            }
         }
+    }
+
+    /// Get or register the counter `name`.
+    pub fn counter(&self, name: &str) -> Counter {
+        self.instrument(
+            name,
+            || Counter(Arc::new(AtomicU64::new(0))),
+            |i| match i {
+                Instrument::Counter(c) => Some(c),
+                _ => None,
+            },
+            Instrument::Counter,
+        )
     }
 
     /// Get or register the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.by_name.lock();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Instrument::Gauge(Gauge(Arc::new(AtomicI64::new(0)))))
-        {
-            Instrument::Gauge(g) => g.clone(),
-            _ => Gauge(Arc::new(AtomicI64::new(0))),
-        }
+        self.instrument(
+            name,
+            || Gauge(Arc::new(AtomicI64::new(0))),
+            |i| match i {
+                Instrument::Gauge(g) => Some(g),
+                _ => None,
+            },
+            Instrument::Gauge,
+        )
     }
 
     /// Get or register the histogram `name` with the given bucket bounds
     /// (ignored if the histogram already exists).
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
-        let mut map = self.by_name.lock();
-        match map.entry(name.to_string()).or_insert_with(|| {
-            let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
-            Instrument::Histogram(Histogram(Arc::new(HistogramInner {
-                bounds: bounds.to_vec(),
-                buckets,
-                count: AtomicU64::new(0),
-                sum_bits: AtomicU64::new(0.0f64.to_bits()),
-            })))
-        }) {
-            Instrument::Histogram(h) => h.clone(),
-            _ => Histogram(Arc::new(HistogramInner {
-                bounds: bounds.to_vec(),
-                buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-                count: AtomicU64::new(0),
-                sum_bits: AtomicU64::new(0.0f64.to_bits()),
-            })),
-        }
+        self.instrument(
+            name,
+            || {
+                Histogram(Arc::new(HistogramInner {
+                    bounds: bounds.to_vec(),
+                    buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
+                    count: AtomicU64::new(0),
+                    sum_bits: AtomicU64::new(0.0f64.to_bits()),
+                }))
+            },
+            |i| match i {
+                Instrument::Histogram(h) => Some(h),
+                _ => None,
+            },
+            Instrument::Histogram,
+        )
     }
 
     /// Freeze every instrument into a diffable snapshot.
@@ -480,6 +500,27 @@ mod tests {
         g.record_max(10);
         g.record_max(7);
         assert_eq!(r.gauge("depth").get(), 10);
+    }
+
+    #[test]
+    fn lookups_share_one_instrument_and_cross_kind_names_detach() {
+        let r = Registry::new();
+        let c = r.counter("n");
+        assert!(Arc::ptr_eq(&c.0, &r.counter("n").0));
+        let g = r.gauge("d");
+        assert!(Arc::ptr_eq(&g.0, &r.gauge("d").0));
+        let h = r.histogram("h", &[1.0]);
+        assert!(Arc::ptr_eq(&h.0, &r.histogram("h", &[5.0]).0));
+        // A second kind under a taken name gets a detached instrument:
+        // its updates never reach the snapshot.
+        r.gauge("n").set(7);
+        r.histogram("n", &[1.0]).observe(0.5);
+        r.counter("d").add(9);
+        c.inc();
+        let snap = r.snapshot();
+        assert_eq!(snap.counter("n"), 1);
+        assert_eq!(snap.gauge("d"), 0);
+        assert_eq!(snap.get("n"), Some(&MetricValue::Counter(1)));
     }
 
     #[test]

@@ -423,7 +423,7 @@ mod tests {
             // Before `dict_start` only "no panic" can be required: the row
             // count, validity words, index width, indices and dictionary
             // length carry no checksum, so a flip there may decode to wrong
-            // values. Covering them changes page sizes (ROADMAP item 4).
+            // values. Covering them changes page sizes (ROADMAP item 10a).
         }
     }
 }

@@ -314,7 +314,12 @@ impl ParqReader {
             .ok_or_else(|| ParqError::Invalid(format!("column {col} out of range")))?;
         let start = ch.offset as usize;
         let end = start + ch.compressed_len as usize;
-        let raw: Bytes = lzcodec::decompress(self.codec, &self.bytes[start..end])?.into();
+        // An uncompressed chunk is a view of the object: Utf8 data decoded
+        // from it aliases the object buffer instead of a copy.
+        let raw: Bytes = match self.codec {
+            CodecKind::None => self.bytes.slice(start..end),
+            codec => lzcodec::decompress(codec, &self.bytes[start..end])?.into(),
+        };
         // Decode work and late-materialization savings are billed from the
         // footer's length, so it has to be the length that was decoded.
         if raw.len() as u64 != ch.uncompressed_len {
@@ -734,6 +739,36 @@ mod tests {
                 );
                 assert!(r.read_chunk(0, 1).is_ok(), "other chunks are untouched");
             }
+        }
+    }
+
+    #[test]
+    fn uncompressed_utf8_chunk_aliases_the_object_buffer() {
+        let schema = Arc::new(Schema::new(vec![Field::new("s", DataType::Utf8, false)]));
+        let strs: Vec<String> = (0..200).map(|i| format!("value-{i}")).collect();
+        let batch = RecordBatch::try_new(
+            schema.clone(),
+            vec![Arc::new(Array::from_strs(strs.iter().map(|s| s.as_str())))],
+        )
+        .unwrap();
+        for (codec, aliases) in [(CodecKind::None, true), (CodecKind::Zst, false)] {
+            let options = WriteOptions {
+                codec,
+                row_group_rows: 200,
+                enable_dictionary: false,
+            };
+            let object: Bytes = write_file(schema.clone(), std::slice::from_ref(&batch), options)
+                .unwrap()
+                .into();
+            let chunk = ParqReader::open(object.clone())
+                .unwrap()
+                .read_chunk(0, 0)
+                .unwrap();
+            let data = &chunk.as_utf8().unwrap().data;
+            let inside = object.as_ptr_range().contains(&data.as_ptr())
+                && data.as_ptr_range().end <= object.as_ptr_range().end;
+            assert_eq!(inside, aliases, "{codec}");
+            assert_eq!(chunk, *batch.column(0).as_ref());
         }
     }
 

@@ -24,10 +24,14 @@
 //!   `::named(` call sites that build locks, each row naming the file of
 //!   its call site; and no code may declare a raw `Mutex`/`RwLock`, which
 //!   the auditor could not see.
+//! * **Threads** (**C600**) — no `thread::spawn`, `thread::scope` or
+//!   `thread::Builder`: parallel work goes through `par_iter`, whose
+//!   process-wide helper budget is then the only thing that starts
+//!   threads, and so bounds them by the core count.
 //!
 //! C300 and C400 can be suppressed with rule-prefixed allowlist entries
-//! (`C300 path: needle` in `lint-allow.txt`); C500 cannot — fix the table
-//! or the call site instead.
+//! (`C300 path: needle` in `lint-allow.txt`); C500 and C600 cannot — fix
+//! the table or the call site instead.
 
 use crate::{code_view, line_of, test_line_mask, AllowEntry, Violation};
 
@@ -98,6 +102,15 @@ fn in_scope(path: &str) -> bool {
 
 fn is_ident(c: u8) -> bool {
     c == b'_' || c.is_ascii_alphanumeric()
+}
+
+/// Does `line` hold `tok` as a whole token, with no identifier character
+/// right before or after it?
+fn has_token(line: &str, tok: &str) -> bool {
+    let b = line.as_bytes();
+    line.match_indices(tok).any(|(pos, _)| {
+        (pos == 0 || !is_ident(b[pos - 1])) && !is_ident(*b.get(pos + tok.len()).unwrap_or(&b' '))
+    })
 }
 
 /// First line of the multi-line statement containing `line` (1-based):
@@ -185,6 +198,7 @@ pub fn check_concurrency(
         let src_lines: Vec<&str> = src.lines().collect();
         let view_lines: Vec<&str> = view.lines().collect();
         scan_lock_sites(path, src, &view, &mask, &mut sites, &mut out);
+        out.extend(scan_thread_starts(path, &view, &mask));
         out.extend(scan_yield_points(
             path, &view, &mask, &src_lines, allow, used,
         ));
@@ -282,13 +296,8 @@ fn scan_lock_sites(
         if masked(idx + 1) {
             continue;
         }
-        let vb = vline.as_bytes();
         for tok in ["Mutex", "RwLock"] {
-            let raw = vline.match_indices(tok).any(|(pos, _)| {
-                (pos == 0 || !is_ident(vb[pos - 1]))
-                    && !is_ident(*vb.get(pos + tok.len()).unwrap_or(&b' '))
-            });
-            if raw {
+            if has_token(vline, tok) {
                 out.push(Violation {
                     file: path.to_string(),
                     line: idx + 1,
@@ -339,6 +348,33 @@ fn check_table(sites: &[LockSite], table: &[LockRow]) -> Vec<Violation> {
                     r.class
                 ),
             });
+        }
+    }
+    out
+}
+
+/// Calls that start OS threads outside the `par_iter` budget (C600).
+const THREAD_STARTS: &[&str] = &["thread::spawn", "thread::scope", "thread::Builder"];
+
+/// C600: flag every [`THREAD_STARTS`] token outside test code.
+fn scan_thread_starts(path: &str, view: &str, mask: &[bool]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for (idx, vline) in view.lines().enumerate() {
+        if mask.get(idx + 1).copied().unwrap_or(false) {
+            continue;
+        }
+        for tok in THREAD_STARTS {
+            if has_token(vline, tok) {
+                out.push(Violation {
+                    file: path.to_string(),
+                    line: idx + 1,
+                    rule: "C600",
+                    message: format!(
+                        "`{tok}` outside test code — fan work out with `par_iter`, \
+                         whose process-wide budget bounds threads by the core count"
+                    ),
+                });
+            }
         }
     }
     out
@@ -709,6 +745,19 @@ fn f(c: &AtomicU64) {{\n\
         // ... but not before it: the pull runs under the guard.
         let body = "    self.first.lock().push(stream.next_frame());\n";
         assert_eq!(check_one(&in_fn(body)).len(), 1);
+    }
+
+    #[test]
+    fn c600_thread_starts_outside_tests() {
+        let body = "    std::thread::spawn(|| {});\n    let b = thread::Builder::new();\n    \
+                    thread::scope(|s| {});\n    my_thread::spawn();\n    thread::spawner();\n";
+        let v = check_one(&in_fn(body));
+        let lines: Vec<(&str, usize)> = v.iter().map(|v| (v.rule, v.line)).collect();
+        assert_eq!(lines, [("C600", 14), ("C600", 15), ("C600", 16)], "{v:?}");
+        assert!(v[1].message.contains("thread::Builder"), "{}", v[1].message);
+        // Test code may start threads.
+        let src = format!("{DECLS}#[cfg(test)]\nmod tests {{\n    fn f() {{\n        std::thread::spawn(|| {{}});\n    }}\n}}\n");
+        assert!(check_one(&src).is_empty());
     }
 
     #[test]

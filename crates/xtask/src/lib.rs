@@ -27,11 +27,12 @@
 //!    entry must suppress at least one would-be violation; an unused
 //!    entry means the excused code is gone and the entry must go too.
 //!
-//! The [`conc`] module adds the concurrency lints (`C300`–`C500`): the
+//! The [`conc`] module adds the concurrency lints (`C300`–`C600`): the
 //! `Ordering::Relaxed`/`RELAXED:` justification rule, a
-//! guard-across-yield-point check, and the check that `LOCK_ORDER.md`
-//! lists exactly the classes and ranks the locks are built with. See the
-//! module docs for the individual codes.
+//! guard-across-yield-point check, the check that `LOCK_ORDER.md`
+//! lists exactly the classes and ranks the locks are built with, and the
+//! ban on starting threads outside `par_iter`. See the module docs for
+//! the individual codes.
 //!
 //! The scanner is deliberately not a Rust parser (no external deps); the
 //! heuristics are documented inline where they matter.
@@ -618,7 +619,7 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Run every lint over the workspace at `root` — the general rules
-/// (`L1`–`L3`), the concurrency lints (`C300`–`C500`) against
+/// (`L1`–`L3`), the concurrency lints (`C300`–`C600`) against
 /// `LOCK_ORDER.md`, and the stale-allowlist check (`L4`). Returns all
 /// violations sorted by file and line.
 pub fn run(root: &Path) -> Result<Vec<Violation>, String> {
