@@ -32,12 +32,31 @@ impl Bitmap {
 
     /// Create a bitmap from a slice of booleans.
     pub fn from_bools(bools: &[bool]) -> Self {
-        let mut bm = Bitmap::with_value(bools.len(), false);
-        for (i, &b) in bools.iter().enumerate() {
-            if b {
-                bm.set(i, true);
-            }
-        }
+        Bitmap::pack(bools.iter().copied())
+    }
+
+    /// Pack one bit per item, 64 items a word, with no branch on any item:
+    /// the one constructor every comparison kernel fills its mask with.
+    pub(crate) fn pack(bits: impl ExactSizeIterator<Item = bool>) -> Self {
+        let len = bits.len();
+        let mut bits = bits;
+        let words = (0..len.div_ceil(64))
+            .map(|_| {
+                bits.by_ref()
+                    .take(64)
+                    .enumerate()
+                    .fold(0, |word, (j, bit)| word | (u64::from(bit) << j))
+            })
+            .collect();
+        Bitmap { words, len }
+    }
+
+    /// A bitmap of `len` bits from `len.div_ceil(64)` packed words; bits
+    /// past `len` are cleared.
+    pub(crate) fn from_words(words: Vec<u64>, len: usize) -> Self {
+        debug_assert_eq!(words.len(), len.div_ceil(64));
+        let mut bm = Bitmap { words, len };
+        bm.mask_tail();
         bm
     }
 

@@ -58,6 +58,14 @@ impl DataType {
     pub fn is_numeric(&self) -> bool {
         matches!(self, DataType::Int64 | DataType::Float64 | DataType::Date32)
     }
+
+    /// True when values of `self` and `other` can be compared: the same
+    /// type, or both numeric (mixed numeric types compare as `f64`). The one
+    /// rule the engine's analyzer, the Substrait type check and planck
+    /// apply to comparisons and `BETWEEN` bounds.
+    pub fn comparable_with(&self, other: DataType) -> bool {
+        *self == other || (self.is_numeric() && other.is_numeric())
+    }
 }
 
 impl fmt::Display for DataType {

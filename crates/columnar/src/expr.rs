@@ -79,10 +79,11 @@ fn mask(b: BooleanArray) -> ArrayRef {
 
 /// Evaluate `e` over `batch`, producing one array of `batch.num_rows()`.
 ///
-/// Column references share the batch's array (no copy). A literal operand
-/// of a comparison, of `BETWEEN` bounds, or on the right of an arithmetic
-/// operator stays scalar; a literal on the left of a comparison flips the
-/// operator so it takes the same scalar kernel.
+/// Column references, and a cast to the type a value already has, share
+/// their input array (no copy). A literal operand of a comparison, of
+/// `BETWEEN` bounds, or on either side of an arithmetic operator stays
+/// scalar; a literal on the left of a comparison flips the operator so it
+/// takes the same scalar kernel.
 pub fn eval<E: ExprTree>(e: &E, batch: &RecordBatch) -> Result<ArrayRef> {
     Ok(match e.node() {
         Node::Column(i) => {
@@ -101,8 +102,9 @@ pub fn eval<E: ExprTree>(e: &E, batch: &RecordBatch) -> Result<ArrayRef> {
             (Node::Literal(s), _) => cmp::compare_scalar(&*eval(right, batch)?, s, op.flip())?,
             _ => cmp::compare(&*eval(left, batch)?, &*eval(right, batch)?, op)?,
         }),
-        Node::Arith(op, left, right) => Arc::new(match right.node() {
-            Node::Literal(s) => arith::arith_scalar(&*eval(left, batch)?, s, op)?,
+        Node::Arith(op, left, right) => Arc::new(match (left.node(), right.node()) {
+            (_, Node::Literal(s)) => arith::arith_scalar(&*eval(left, batch)?, s, op)?,
+            (Node::Literal(s), _) => arith::scalar_arith(s, &*eval(right, batch)?, op)?,
             _ => arith::arith(&*eval(left, batch)?, &*eval(right, batch)?, op)?,
         }),
         Node::And(a, b) => {
@@ -125,7 +127,14 @@ pub fn eval<E: ExprTree>(e: &E, batch: &RecordBatch) -> Result<ArrayRef> {
                 }
             })
         }
-        Node::Cast(expr, to) => Arc::new(cast::cast(&*eval(expr, batch)?, to)?),
+        Node::Cast(expr, to) => {
+            let x = eval(expr, batch)?;
+            if x.data_type() == to {
+                x
+            } else {
+                Arc::new(cast::cast(&x, to)?)
+            }
+        }
         Node::Negate(x) => Arc::new(arith::negate(&*eval(x, batch)?)?),
         Node::IsNull(x) => mask(cmp::is_null(&*eval(x, batch)?)),
         Node::IsNotNull(x) => mask(cmp::is_not_null(&*eval(x, batch)?)),
@@ -282,6 +291,39 @@ pub(crate) mod tests {
             let direct = eval(&T::Cmp(op.flip(), col(1), float(2.5)), &batch()).unwrap();
             assert_eq!(flipped, direct, "{op:?}");
         }
+    }
+
+    #[test]
+    fn literal_on_the_left_of_arithmetic_stays_scalar() {
+        // 1 - x, 10 / a, 10 % a: the mirror of the right-literal kernels.
+        let e = T::Arith(ArithOp::Sub, float(1.0), col(1));
+        let out = eval(&e, &batch()).unwrap();
+        assert_eq!(out.as_f64().unwrap().values, vec![0.5, -0.5, -1.5, -2.5]);
+        let e = T::Arith(ArithOp::Div, int(10), col(0));
+        assert_eq!(
+            eval(&e, &batch()).unwrap().as_i64().unwrap().values,
+            vec![10, 5, 3, 2]
+        );
+        let e = T::Arith(ArithOp::Mod, int(10), col(0));
+        assert_eq!(
+            eval(&e, &batch()).unwrap().as_i64().unwrap().values,
+            vec![0, 0, 1, 2]
+        );
+        // Int64 literal, Float64 column: promoted like the right-hand form.
+        let left = eval(&T::Arith(ArithOp::Mul, int(2), col(1)), &batch()).unwrap();
+        let right = eval(&T::Arith(ArithOp::Mul, col(1), int(2)), &batch()).unwrap();
+        assert_eq!(left, right);
+    }
+
+    #[test]
+    fn same_type_cast_shares_its_input() {
+        let b = batch();
+        for (i, dt) in [(0, DataType::Int64), (1, DataType::Float64)] {
+            let out = eval(&T::Cast(col(i), dt), &b).unwrap();
+            assert!(Arc::ptr_eq(&out, b.column(i)), "no deep copy");
+        }
+        let widened = eval(&T::Cast(col(0), DataType::Float64), &b).unwrap();
+        assert_eq!(widened.as_f64().unwrap().values, vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

@@ -1,11 +1,18 @@
-//! Arithmetic kernels (`+ - * / %`) over numeric arrays.
+//! Arithmetic kernels (`+ - * / %`) over numeric arrays and literals.
 //!
-//! Int64 ⊕ Int64 stays Int64 (with `%` and `/` defined as in SQL integer
-//! arithmetic); any Float64 operand promotes the result to Float64. Integer
-//! division or modulo by zero yields a NULL slot rather than an error, which
-//! matches how the engine's expression evaluator surfaces row-level faults.
+//! Int64 ⊕ Int64 stays Int64 (wrapping on overflow, with `%` and `/`
+//! defined as in SQL integer arithmetic); any Float64 operand promotes the
+//! result to Float64; a Date32 ± Int64 days stays Date32. Integer division
+//! or modulo by zero yields a NULL slot holding 0 rather than an error,
+//! which matches how the engine's expression evaluator surfaces row-level
+//! faults; a literal zero divisor makes every row NULL.
+//!
+//! Operands are read in place: no input is copied and a literal on either
+//! side ([`arith_scalar`], [`scalar_arith`]) stays one scalar, never an
+//! n-row array. The operator is matched once, outside the loop. Value bits
+//! under NULL slots are what the operator gives on the values there.
 
-use crate::array::{Array, Float64Array, Int64Array};
+use crate::array::{Array, Date32Array, Float64Array, Int64Array};
 use crate::bitmap::Bitmap;
 use crate::datatype::{DataType, Scalar};
 use crate::error::{ColumnarError, Result};
@@ -54,40 +61,6 @@ impl ArithOp {
             ))),
         }
     }
-
-    #[inline]
-    fn eval_i64(&self, a: i64, b: i64) -> Option<i64> {
-        match self {
-            ArithOp::Add => Some(a.wrapping_add(b)),
-            ArithOp::Sub => Some(a.wrapping_sub(b)),
-            ArithOp::Mul => Some(a.wrapping_mul(b)),
-            ArithOp::Div => {
-                if b == 0 {
-                    None
-                } else {
-                    Some(a.wrapping_div(b))
-                }
-            }
-            ArithOp::Mod => {
-                if b == 0 {
-                    None
-                } else {
-                    Some(a.wrapping_rem(b))
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn eval_f64(&self, a: f64, b: f64) -> f64 {
-        match self {
-            ArithOp::Add => a + b,
-            ArithOp::Sub => a - b,
-            ArithOp::Mul => a * b,
-            ArithOp::Div => a / b,
-            ArithOp::Mod => a % b,
-        }
-    }
 }
 
 fn merge_validity(a: Option<&Bitmap>, b: Option<&Bitmap>) -> Option<Bitmap> {
@@ -98,17 +71,183 @@ fn merge_validity(a: Option<&Bitmap>, b: Option<&Bitmap>) -> Option<Bitmap> {
     }
 }
 
-fn to_f64_values(a: &Array) -> Result<Vec<f64>> {
-    Ok(match a {
-        Array::Float64(x) => x.values.clone(),
-        Array::Int64(x) => x.values.iter().map(|&v| v as f64).collect(),
-        Array::Date32(x) => x.values.iter().map(|&v| v as f64).collect(),
-        other => {
-            return Err(ColumnarError::type_mismatch(
-                "numeric array",
-                other.data_type(),
-            ))
+/// One operand: an array, or a literal that stays scalar.
+#[derive(Clone, Copy)]
+enum Operand<'a> {
+    Array(&'a Array),
+    Scalar(&'a Scalar),
+}
+
+/// An operand's values of one physical type, borrowed in place.
+#[derive(Clone, Copy)]
+enum Values<'a, T> {
+    Slice(&'a [T]),
+    One(T),
+}
+
+/// The Float64 view of an operand: its `f64` or `i64` values.
+enum F64Values<'a> {
+    F64(Values<'a, f64>),
+    I64(Values<'a, i64>),
+}
+
+/// A value arithmetic promotes to `f64`.
+trait ToF64: Copy {
+    fn to_f64(self) -> f64;
+}
+
+impl ToF64 for f64 {
+    #[inline]
+    fn to_f64(self) -> f64 {
+        self
+    }
+}
+
+impl ToF64 for i64 {
+    #[inline]
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+impl<'a> Operand<'a> {
+    /// The operand's type; a NULL literal types as Int64.
+    fn data_type(self) -> DataType {
+        match self {
+            Operand::Array(a) => a.data_type(),
+            Operand::Scalar(s) => s.data_type().unwrap_or(DataType::Int64),
         }
+    }
+
+    fn validity(self) -> Option<&'a Bitmap> {
+        match self {
+            Operand::Array(a) => a.validity(),
+            Operand::Scalar(_) => None,
+        }
+    }
+
+    fn mismatch(self, expected: DataType) -> ColumnarError {
+        ColumnarError::type_mismatch(expected, self.data_type())
+    }
+
+    fn i64s(self) -> Result<Values<'a, i64>> {
+        match self {
+            Operand::Array(Array::Int64(x)) => Ok(Values::Slice(&x.values)),
+            Operand::Scalar(Scalar::Int64(v)) => Ok(Values::One(*v)),
+            _ => Err(self.mismatch(DataType::Int64)),
+        }
+    }
+
+    fn dates(self) -> Result<Values<'a, i32>> {
+        match self {
+            Operand::Array(Array::Date32(x)) => Ok(Values::Slice(&x.values)),
+            Operand::Scalar(Scalar::Date32(v)) => Ok(Values::One(*v)),
+            _ => Err(self.mismatch(DataType::Date32)),
+        }
+    }
+
+    fn f64s(self) -> Result<F64Values<'a>> {
+        match self {
+            Operand::Array(Array::Float64(x)) => Ok(F64Values::F64(Values::Slice(&x.values))),
+            Operand::Scalar(Scalar::Float64(v)) => Ok(F64Values::F64(Values::One(*v))),
+            _ => self.i64s().map(F64Values::I64),
+        }
+    }
+}
+
+/// `f(l, r)` for each of `len` rows, reading both sides in place.
+fn map2<A: Copy, B: Copy, T: Clone>(
+    l: Values<'_, A>,
+    r: Values<'_, B>,
+    len: usize,
+    f: impl Fn(A, B) -> T,
+) -> Vec<T> {
+    match (l, r) {
+        (Values::Slice(x), Values::Slice(y)) => x.iter().zip(y).map(|(&p, &q)| f(p, q)).collect(),
+        (Values::Slice(x), Values::One(q)) => x.iter().map(|&p| f(p, q)).collect(),
+        (Values::One(p), Values::Slice(y)) => y.iter().map(|&q| f(p, q)).collect(),
+        (Values::One(p), Values::One(q)) => vec![f(p, q); len],
+    }
+}
+
+/// Float64 arithmetic on two sides that promote to `f64`.
+fn float<A: ToF64, B: ToF64>(
+    op: ArithOp,
+    l: Values<'_, A>,
+    r: Values<'_, B>,
+    len: usize,
+) -> Vec<f64> {
+    match op {
+        ArithOp::Add => map2(l, r, len, |p, q| p.to_f64() + q.to_f64()),
+        ArithOp::Sub => map2(l, r, len, |p, q| p.to_f64() - q.to_f64()),
+        ArithOp::Mul => map2(l, r, len, |p, q| p.to_f64() * q.to_f64()),
+        ArithOp::Div => map2(l, r, len, |p, q| p.to_f64() / q.to_f64()),
+        ArithOp::Mod => map2(l, r, len, |p, q| p.to_f64() % q.to_f64()),
+    }
+}
+
+/// Int64 arithmetic, and the rows a zero divisor faults (0 in the value).
+fn int(
+    op: ArithOp,
+    l: Values<'_, i64>,
+    r: Values<'_, i64>,
+    len: usize,
+) -> (Vec<i64>, Option<Bitmap>) {
+    let values = match op {
+        ArithOp::Add => map2(l, r, len, i64::wrapping_add),
+        ArithOp::Sub => map2(l, r, len, i64::wrapping_sub),
+        ArithOp::Mul => map2(l, r, len, i64::wrapping_mul),
+        ArithOp::Div => map2(l, r, len, |p, q| if q == 0 { 0 } else { p.wrapping_div(q) }),
+        ArithOp::Mod => map2(l, r, len, |p, q| if q == 0 { 0 } else { p.wrapping_rem(q) }),
+    };
+    let faults = match (op, r) {
+        (ArithOp::Add | ArithOp::Sub | ArithOp::Mul, _) => None,
+        (_, Values::One(q)) => (q == 0).then(|| Bitmap::with_value(len, false)),
+        (_, Values::Slice(y)) => y
+            .contains(&0)
+            .then(|| Bitmap::pack(y.iter().map(|&q| q != 0))),
+    };
+    (values, faults)
+}
+
+/// `l ⊕ r` over `len` rows; at least one side is an array of `len` rows.
+fn binary(l: Operand<'_>, r: Operand<'_>, op: ArithOp, len: usize) -> Result<Array> {
+    let (lt, rt) = (l.data_type(), r.data_type());
+    let null = |o: Operand<'_>| matches!(o, Operand::Scalar(Scalar::Null));
+    if null(l) || null(r) {
+        // NULL on every row, of the type an Int64 literal would give (the
+        // array's own when that is undefined).
+        let own = if null(l) { rt } else { lt };
+        return Array::from_scalar(&Scalar::Null, op.result_type(lt, rt).unwrap_or(own), len);
+    }
+    let validity = merge_validity(l.validity(), r.validity());
+    Ok(match op.result_type(lt, rt)? {
+        DataType::Int64 => {
+            let (values, faults) = int(op, l.i64s()?, r.i64s()?, len);
+            let validity = match (validity, faults) {
+                (Some(v), Some(f)) => Some(v.and(&f)?),
+                (v, f) => v.or(f),
+            };
+            Array::Int64(Int64Array { values, validity })
+        }
+        DataType::Float64 => {
+            let values = match (l.f64s()?, r.f64s()?) {
+                (F64Values::F64(x), F64Values::F64(y)) => float(op, x, y, len),
+                (F64Values::F64(x), F64Values::I64(y)) => float(op, x, y, len),
+                (F64Values::I64(x), F64Values::F64(y)) => float(op, x, y, len),
+                (F64Values::I64(x), F64Values::I64(y)) => float(op, x, y, len),
+            };
+            Array::Float64(Float64Array { values, validity })
+        }
+        DataType::Date32 => {
+            let (days, n) = (l.dates()?, r.i64s()?);
+            let values = match op {
+                ArithOp::Add => map2(days, n, len, |d, n| d.wrapping_add(n as i32)),
+                _ => map2(days, n, len, |d, n| d.wrapping_sub(n as i32)),
+            };
+            Array::Date32(Date32Array { values, validity })
+        }
+        _ => unreachable!("result_type only returns numeric types"),
     })
 }
 
@@ -120,76 +259,18 @@ pub fn arith(a: &Array, b: &Array, op: ArithOp) -> Result<Array> {
             right: b.len(),
         });
     }
-    let out_dt = op.result_type(a.data_type(), b.data_type())?;
-    match out_dt {
-        DataType::Int64 => {
-            let (x, y) = (a.as_i64()?, b.as_i64()?);
-            let mut values = Vec::with_capacity(x.values.len());
-            let mut fault_validity: Option<Bitmap> = None;
-            for (i, (&p, &q)) in x.values.iter().zip(&y.values).enumerate() {
-                match op.eval_i64(p, q) {
-                    Some(v) => values.push(v),
-                    None => {
-                        values.push(0);
-                        fault_validity
-                            .get_or_insert_with(|| Bitmap::with_value(x.values.len(), true))
-                            .set(i, false);
-                    }
-                }
-            }
-            let mut validity = merge_validity(x.validity.as_ref(), y.validity.as_ref());
-            if let Some(f) = fault_validity {
-                validity = Some(match validity {
-                    Some(v) => v.and(&f)?,
-                    None => f,
-                });
-            }
-            Ok(Array::Int64(Int64Array { values, validity }))
-        }
-        DataType::Float64 => {
-            let xs = to_f64_values(a)?;
-            let ys = to_f64_values(b)?;
-            let values: Vec<f64> = xs
-                .iter()
-                .zip(&ys)
-                .map(|(&p, &q)| op.eval_f64(p, q))
-                .collect();
-            Ok(Array::Float64(Float64Array {
-                values,
-                validity: merge_validity(a.validity(), b.validity()),
-            }))
-        }
-        DataType::Date32 => {
-            let x = a.as_date32()?;
-            let y = b.as_i64()?;
-            let values: Vec<i32> = x
-                .values
-                .iter()
-                .zip(&y.values)
-                .map(|(&d, &n)| match op {
-                    ArithOp::Add => d.wrapping_add(n as i32),
-                    _ => d.wrapping_sub(n as i32),
-                })
-                .collect();
-            Ok(Array::Date32(crate::array::Date32Array {
-                values,
-                validity: merge_validity(x.validity.as_ref(), y.validity.as_ref()),
-            }))
-        }
-        _ => unreachable!("result_type only returns numeric types"),
-    }
+    binary(Operand::Array(a), Operand::Array(b), op, a.len())
 }
 
-/// Element-wise `a ⊕ scalar`.
+/// Element-wise `a ⊕ scalar`; the scalar is never widened into an array.
 pub fn arith_scalar(a: &Array, s: &Scalar, op: ArithOp) -> Result<Array> {
-    if s.is_null() {
-        let dt = op
-            .result_type(a.data_type(), s.data_type().unwrap_or(DataType::Int64))
-            .unwrap_or(a.data_type());
-        return Array::from_scalar(&Scalar::Null, dt, a.len());
-    }
-    let b = Array::from_scalar(s, s.data_type().expect("non-null"), a.len())?;
-    arith(a, &b, op)
+    binary(Operand::Array(a), Operand::Scalar(s), op, a.len())
+}
+
+/// Element-wise `scalar ⊕ a`, such as `1 - discount`; the mirror of
+/// [`arith_scalar`].
+pub fn scalar_arith(s: &Scalar, a: &Array, op: ArithOp) -> Result<Array> {
+    binary(Operand::Scalar(s), Operand::Array(a), op, a.len())
 }
 
 /// Unary negation.

@@ -1,7 +1,9 @@
 //! SQL three-valued boolean logic on [`BooleanArray`] masks.
 //!
 //! `AND`/`OR` follow Kleene semantics: `FALSE AND NULL = FALSE`,
-//! `TRUE OR NULL = TRUE`, otherwise NULL propagates.
+//! `TRUE OR NULL = TRUE`, otherwise NULL propagates. Each is one pass over
+//! the packed words; the result clears the value bit of every NULL row and
+//! carries a validity bitmap only when some row is NULL.
 
 use crate::array::BooleanArray;
 use crate::bitmap::Bitmap;
@@ -17,45 +19,70 @@ fn check_len(a: &BooleanArray, b: &BooleanArray) -> Result<()> {
     Ok(())
 }
 
-fn validity_bits(a: &BooleanArray) -> Bitmap {
-    a.validity
-        .clone()
-        .unwrap_or_else(|| Bitmap::with_value(a.values.len(), true))
+/// A Kleene operator in one pass over the words: `f` takes the words of
+/// (known-true `a`, valid `a`, known-true `b`, valid `b`) and returns the
+/// result's (values, validity). Two null-free masks build no validity.
+fn kleene(
+    a: &BooleanArray,
+    b: &BooleanArray,
+    f: impl Fn(u64, u64, u64, u64) -> (u64, u64),
+) -> Result<BooleanArray> {
+    check_len(a, b)?;
+    let len = a.values.len();
+    let (aw, bw) = (a.values.words(), b.values.words());
+    if a.validity.is_none() && b.validity.is_none() {
+        let values = aw
+            .iter()
+            .zip(bw)
+            .map(|(&x, &y)| f(x, u64::MAX, y, u64::MAX).0);
+        return Ok(BooleanArray {
+            values: Bitmap::from_words(values.collect(), len),
+            validity: None,
+        });
+    }
+    let valid = |m: &BooleanArray, i: usize| m.validity.as_ref().map_or(u64::MAX, |v| v.words()[i]);
+    let (values, validity): (Vec<u64>, Vec<u64>) = (0..aw.len())
+        .map(|i| {
+            let (av, bv) = (valid(a, i), valid(b, i));
+            f(aw[i] & av, av, bw[i] & bv, bv)
+        })
+        .unzip();
+    let validity = Bitmap::from_words(validity, len);
+    Ok(BooleanArray {
+        values: Bitmap::from_words(values, len),
+        validity: (!validity.all_set()).then_some(validity),
+    })
 }
 
 /// Kleene `AND`.
 pub fn and(a: &BooleanArray, b: &BooleanArray) -> Result<BooleanArray> {
-    check_len(a, b)?;
-    let av = validity_bits(a);
-    let bv = validity_bits(b);
-    // value: known-true only when both valid-and-true.
-    let at = a.values.and(&av)?;
-    let bt = b.values.and(&bv)?;
-    let values = at.and(&bt)?;
-    // valid: (both valid) OR (a valid and a false) OR (b valid and b false)
-    let a_false = av.and(&a.values.not())?;
-    let b_false = bv.and(&b.values.not())?;
-    let validity = av.and(&bv)?.or(&a_false)?.or(&b_false)?;
-    Ok(BooleanArray {
-        values,
-        validity: (!validity.all_set()).then_some(validity),
+    // valid: (both valid) OR (a known false) OR (b known false).
+    kleene(a, b, |at, av, bt, bv| {
+        (at & bt, (av & bv) | (av & !at) | (bv & !bt))
     })
 }
 
 /// Kleene `OR`.
 pub fn or(a: &BooleanArray, b: &BooleanArray) -> Result<BooleanArray> {
-    check_len(a, b)?;
-    let av = validity_bits(a);
-    let bv = validity_bits(b);
-    let at = a.values.and(&av)?;
-    let bt = b.values.and(&bv)?;
-    let values = at.or(&bt)?;
-    // valid: (both valid) OR (a valid and a true) OR (b valid and b true)
-    let validity = av.and(&bv)?.or(&at)?.or(&bt)?;
-    Ok(BooleanArray {
-        values,
-        validity: (!validity.all_set()).then_some(validity),
-    })
+    // valid: (both valid) OR (a known true) OR (b known true).
+    kleene(a, b, |at, av, bt, bv| (at | bt, (av & bv) | at | bt))
+}
+
+/// The canonical mask for `values` under `validity`: the value bit of every
+/// NULL row cleared, and a validity bitmap only when some row is NULL: what
+/// the Kleene operators return, and what Boolean, mixed-type and `BETWEEN`
+/// comparisons return.
+pub(crate) fn canonical(values: Bitmap, validity: Option<Bitmap>) -> BooleanArray {
+    match validity {
+        Some(v) if !v.all_set() => BooleanArray {
+            values: values.and(&v).expect("same length"),
+            validity: Some(v),
+        },
+        _ => BooleanArray {
+            values,
+            validity: None,
+        },
+    }
 }
 
 /// Logical `NOT` (NULL stays NULL).

@@ -1,9 +1,25 @@
 //! Comparison kernels producing [`BooleanArray`] masks.
+//!
+//! Every kernel packs its results 64 rows a word through one packer and
+//! matches the operator once, outside the loop, so no row branches on its
+//! own result. Float64 compares through `f64::total_cmp`'s integer key, so
+//! NaN sorts above +inf and -0.0 below +0.0. A literal stays one scalar and
+//! inputs are read in place. `BETWEEN` with literal bounds of the column's
+//! type is one fused pass; Boolean columns compare a word at a time.
+//!
+//! Value bits under NULL slots are the ones the row-at-a-time kernels
+//! wrote. A same-type Int64, Float64, Date32 or string compare keeps the
+//! bit its value gives and the input's validity. A Boolean or mixed-type
+//! compare, and `BETWEEN`, clear the bit and carry a validity bitmap only
+//! when some row is NULL. Types no comparison is defined for are an error,
+//! unless no row has both sides valid: then every row is NULL, which is how
+//! a NULL literal (the engine types it as Boolean) compares with anything.
 
 use crate::array::{Array, BooleanArray};
 use crate::bitmap::Bitmap;
-use crate::datatype::Scalar;
+use crate::datatype::{DataType, Scalar};
 use crate::error::{ColumnarError, Result};
+use crate::kernels::boolean::canonical;
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,19 +86,65 @@ fn merge_validity(a: Option<&Bitmap>, b: Option<&Bitmap>) -> Option<Bitmap> {
     }
 }
 
-macro_rules! primitive_cmp {
-    ($a:expr, $b:expr, $op:expr, $cmpfn:expr) => {{
-        let mut bits = Bitmap::with_value($a.values.len(), false);
-        for (i, (x, y)) in $a.values.iter().zip($b.values.iter()).enumerate() {
-            if $op.eval($cmpfn(x, y)) {
-                bits.set(i, true);
-            }
-        }
-        BooleanArray {
-            values: bits,
-            validity: merge_validity($a.validity.as_ref(), $b.validity.as_ref()),
-        }
-    }};
+/// `f64::total_cmp`'s key: two floats compare as their keys do as `i64`.
+#[inline]
+fn f64_key(v: f64) -> i64 {
+    let bits = v.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The `f64::total_cmp` keys of a numeric column's values as `f64`, read in
+/// place: how mixed numeric types compare, as `Scalar::total_cmp` does.
+fn f64_keys(a: &Array) -> Option<Box<dyn ExactSizeIterator<Item = i64> + '_>> {
+    Some(match a {
+        Array::Int64(x) => Box::new(x.values.iter().map(|&v| f64_key(v as f64))),
+        Array::Float64(x) => Box::new(x.values.iter().map(|&v| f64_key(v))),
+        Array::Date32(x) => Box::new(x.values.iter().map(|&v| f64_key(f64::from(v)))),
+        _ => return None,
+    })
+}
+
+/// `l op r` for every pair, packed; the operator is matched once.
+fn pack_cmp<T: Ord>(op: CmpOp, pairs: impl ExactSizeIterator<Item = (T, T)>) -> Bitmap {
+    match op {
+        CmpOp::Eq => Bitmap::pack(pairs.map(|(l, r)| l == r)),
+        CmpOp::NotEq => Bitmap::pack(pairs.map(|(l, r)| l != r)),
+        CmpOp::Lt => Bitmap::pack(pairs.map(|(l, r)| l < r)),
+        CmpOp::LtEq => Bitmap::pack(pairs.map(|(l, r)| l <= r)),
+        CmpOp::Gt => Bitmap::pack(pairs.map(|(l, r)| l > r)),
+        CmpOp::GtEq => Bitmap::pack(pairs.map(|(l, r)| l >= r)),
+    }
+}
+
+/// `l op r` over packed Boolean words: each output bit is the operator's
+/// truth-table entry for its two input bits.
+fn pack_bool_cmp(op: CmpOp, len: usize, words: impl Iterator<Item = (u64, u64)>) -> Bitmap {
+    let entry = |l: bool, r: bool| if op.eval(l.cmp(&r)) { u64::MAX } else { 0 };
+    let (tt, tf) = (entry(true, true), entry(true, false));
+    let (ft, ff) = (entry(false, true), entry(false, false));
+    let words = words.map(|(l, r)| (l & r & tt) | (l & !r & tf) | (!l & r & ft) | (!l & !r & ff));
+    Bitmap::from_words(words.collect(), len)
+}
+
+/// Every word of a Boolean literal.
+fn fill(v: bool) -> u64 {
+    if v {
+        u64::MAX
+    } else {
+        0
+    }
+}
+
+/// Operands of types no comparison is defined for. A type error, unless no
+/// row has both sides valid (`validity` is theirs merged): then no row is
+/// compared and every row is NULL.
+fn incomparable(a: &Array, b: Option<DataType>, validity: Option<Bitmap>) -> Result<BooleanArray> {
+    let len = a.len();
+    if validity.as_ref().map_or(len, Bitmap::count_ones) > 0 {
+        let b = b.map_or("NULL".to_string(), |t| t.to_string());
+        return Err(ColumnarError::type_mismatch(a.data_type(), b));
+    }
+    Ok(canonical(Bitmap::with_value(len, false), validity))
 }
 
 /// Element-wise comparison of two equal-length arrays.
@@ -93,39 +155,44 @@ pub fn compare(a: &Array, b: &Array, op: CmpOp) -> Result<BooleanArray> {
             right: b.len(),
         });
     }
-    Ok(match (a, b) {
+    let values = match (a, b) {
         (Array::Int64(x), Array::Int64(y)) => {
-            primitive_cmp!(x, y, op, |p: &i64, q: &i64| p.cmp(q))
+            pack_cmp(op, x.values.iter().zip(&y.values).map(|(&p, &q)| (p, q)))
         }
         (Array::Float64(x), Array::Float64(y)) => {
-            primitive_cmp!(x, y, op, |p: &f64, q: &f64| p.total_cmp(q))
+            let pairs = x.values.iter().zip(&y.values);
+            pack_cmp(op, pairs.map(|(&p, &q)| (f64_key(p), f64_key(q))))
         }
         (Array::Date32(x), Array::Date32(y)) => {
-            primitive_cmp!(x, y, op, |p: &i32, q: &i32| p.cmp(q))
+            pack_cmp(op, x.values.iter().zip(&y.values).map(|(&p, &q)| (p, q)))
         }
-        // Mixed numeric types: promote via scalar path (rare in practice
-        // because the analyzer inserts casts).
-        _ => {
-            let mut bits = Bitmap::with_value(a.len(), false);
-            let mut validity = Bitmap::with_value(a.len(), true);
-            let mut any_null = false;
-            for i in 0..a.len() {
-                let (x, y) = (a.scalar_at(i), b.scalar_at(i));
-                if x.is_null() || y.is_null() {
-                    validity.set(i, false);
-                    any_null = true;
-                    continue;
-                }
-                if op.eval(x.total_cmp(&y)) {
-                    bits.set(i, true);
-                }
-            }
-            BooleanArray {
-                values: bits,
-                validity: any_null.then_some(validity),
-            }
-        }
+        _ => return compare_other(a, b, op),
+    };
+    Ok(BooleanArray {
+        values,
+        validity: merge_validity(a.validity(), b.validity()),
     })
+}
+
+/// The pairs [`compare`]'s typed arms leave: Boolean, strings (either
+/// encoding) and mixed numeric types. Each result is canonical.
+fn compare_other(a: &Array, b: &Array, op: CmpOp) -> Result<BooleanArray> {
+    let validity = merge_validity(a.validity(), b.validity());
+    let values = match (a, b) {
+        (Array::Boolean(x), Array::Boolean(y)) => {
+            let words = x.values.words().iter().zip(y.values.words());
+            pack_bool_cmp(op, a.len(), words.map(|(&l, &r)| (l, r)))
+        }
+        (Array::Utf8(_) | Array::Dict(_), Array::Utf8(_) | Array::Dict(_)) => {
+            let (x, y) = (a.to_utf8()?, b.to_utf8()?);
+            pack_cmp(op, (0..x.len()).map(|i| (x.bytes(i), y.bytes(i))))
+        }
+        _ => match (f64_keys(a), f64_keys(b)) {
+            (Some(x), Some(y)) => pack_cmp(op, x.zip(y)),
+            _ => return incomparable(a, Some(b.data_type()), validity),
+        },
+    };
+    Ok(canonical(values, validity))
 }
 
 /// Element-wise comparison of an array against a scalar.
@@ -137,103 +204,59 @@ pub fn compare_scalar(a: &Array, s: &Scalar, op: CmpOp) -> Result<BooleanArray> 
             validity: Some(Bitmap::with_value(a.len(), false)),
         });
     }
-    let out = match (a, s) {
-        (Array::Int64(x), Scalar::Int64(v)) => {
-            let mut bits = Bitmap::with_value(x.values.len(), false);
-            for (i, p) in x.values.iter().enumerate() {
-                if op.eval(p.cmp(v)) {
-                    bits.set(i, true);
-                }
-            }
-            BooleanArray {
-                values: bits,
-                validity: x.validity.clone(),
-            }
-        }
+    let values = match (a, s) {
+        (Array::Int64(x), Scalar::Int64(v)) => pack_cmp(op, x.values.iter().map(|&p| (p, *v))),
         (Array::Float64(x), Scalar::Float64(v)) => {
-            let mut bits = Bitmap::with_value(x.values.len(), false);
-            for (i, p) in x.values.iter().enumerate() {
-                if op.eval(p.total_cmp(v)) {
-                    bits.set(i, true);
-                }
-            }
-            BooleanArray {
-                values: bits,
-                validity: x.validity.clone(),
-            }
+            let v = f64_key(*v);
+            pack_cmp(op, x.values.iter().map(|&p| (f64_key(p), v)))
         }
-        (Array::Date32(x), Scalar::Date32(v)) => {
-            let mut bits = Bitmap::with_value(x.values.len(), false);
-            for (i, p) in x.values.iter().enumerate() {
-                if op.eval(p.cmp(v)) {
-                    bits.set(i, true);
-                }
-            }
-            BooleanArray {
-                values: bits,
-                validity: x.validity.clone(),
-            }
-        }
+        (Array::Date32(x), Scalar::Date32(v)) => pack_cmp(op, x.values.iter().map(|&p| (p, *v))),
         // Strings compare as bytes, which is `str` order for valid UTF-8.
         (Array::Utf8(x), Scalar::Utf8(v)) => {
-            let mut bits = Bitmap::with_value(x.len(), false);
-            for i in 0..x.len() {
-                if op.eval(x.bytes(i).cmp(v.as_bytes())) {
-                    bits.set(i, true);
-                }
-            }
-            BooleanArray {
-                values: bits,
-                validity: x.validity.clone(),
-            }
+            pack_cmp(op, (0..x.len()).map(|i| (x.bytes(i), v.as_bytes())))
         }
         // One comparison per entry, then one lookup per row. Under a null
-        // the expansion holds no bytes, so the bit is what "" gives.
+        // the code may be anything and the bit is what "" gives.
         (Array::Dict(x), Scalar::Utf8(v)) => {
             let entries = x.entries();
             let hits: Vec<bool> = (0..entries.len())
                 .map(|e| op.eval(entries.bytes(e).cmp(v.as_bytes())))
                 .collect();
-            let under_null = op.eval(b"".as_slice().cmp(v.as_bytes()));
-            let mut bits = Bitmap::with_value(x.len(), false);
-            for (i, &c) in x.codes().iter().enumerate() {
-                let hit = if x.is_valid(i) {
-                    hits[c as usize]
-                } else {
-                    under_null
-                };
-                if hit {
-                    bits.set(i, true);
+            let bits = Bitmap::pack(
+                x.codes()
+                    .iter()
+                    .map(|&c| hits.get(c as usize) == Some(&true)),
+            );
+            match x.validity() {
+                None => bits,
+                Some(valid) => {
+                    let under_null = fill(op.eval(b"".as_slice().cmp(v.as_bytes())));
+                    let words = bits.words().iter().zip(valid.words());
+                    let words = words.map(|(&b, &m)| (b & m) | (under_null & !m));
+                    Bitmap::from_words(words.collect(), x.len())
                 }
-            }
-            BooleanArray {
-                values: bits,
-                validity: x.validity().cloned(),
             }
         }
-        // Mixed numeric scalar: compare through total_cmp.
+        (Array::Boolean(x), Scalar::Boolean(v)) => {
+            let words = x.values.words().iter().map(|&l| (l, fill(*v)));
+            let values = pack_bool_cmp(op, x.values.len(), words);
+            return Ok(canonical(values, x.validity.clone()));
+        }
         _ => {
-            let mut bits = Bitmap::with_value(a.len(), false);
-            let mut validity = Bitmap::with_value(a.len(), true);
-            let mut any_null = false;
-            for i in 0..a.len() {
-                let x = a.scalar_at(i);
-                if x.is_null() {
-                    validity.set(i, false);
-                    any_null = true;
-                    continue;
-                }
-                if op.eval(x.total_cmp(s)) {
-                    bits.set(i, true);
-                }
-            }
-            BooleanArray {
-                values: bits,
-                validity: any_null.then_some(validity),
-            }
+            let (Some(x), Some(v)) = (f64_keys(a), s.as_f64()) else {
+                return incomparable(a, s.data_type(), a.validity().cloned());
+            };
+            let v = f64_key(v);
+            return Ok(canonical(
+                pack_cmp(op, x.map(|p| (p, v))),
+                a.validity().cloned(),
+            ));
         }
     };
-    Ok(out)
+    Ok(BooleanArray {
+        values,
+        validity: a.validity().cloned(),
+    })
 }
 
 /// `a > s` mask.
@@ -242,11 +265,31 @@ pub fn gt_scalar(a: &Array, s: &Scalar) -> Result<BooleanArray> {
 }
 
 /// `a BETWEEN lo AND hi` (inclusive both ends), the predicate form in the
-/// paper's Laghos query.
+/// paper's Laghos query. Bounds of the column's own type take one fused
+/// pass; any other bounds compose two comparisons and a Kleene `AND`.
 pub fn between_scalar(a: &Array, lo: &Scalar, hi: &Scalar) -> Result<BooleanArray> {
-    let ge = compare_scalar(a, lo, CmpOp::GtEq)?;
-    let le = compare_scalar(a, hi, CmpOp::LtEq)?;
-    super::boolean::and(&ge, &le)
+    fn within<T: Ord + Copy>(keys: impl ExactSizeIterator<Item = T>, lo: T, hi: T) -> Bitmap {
+        Bitmap::pack(keys.map(|k| (lo <= k) & (k <= hi)))
+    }
+    let values = match (a, lo, hi) {
+        (Array::Int64(x), Scalar::Int64(l), Scalar::Int64(h)) => {
+            within(x.values.iter().copied(), *l, *h)
+        }
+        (Array::Float64(x), Scalar::Float64(l), Scalar::Float64(h)) => within(
+            x.values.iter().map(|&v| f64_key(v)),
+            f64_key(*l),
+            f64_key(*h),
+        ),
+        (Array::Date32(x), Scalar::Date32(l), Scalar::Date32(h)) => {
+            within(x.values.iter().copied(), *l, *h)
+        }
+        _ => {
+            let ge = compare_scalar(a, lo, CmpOp::GtEq)?;
+            let le = compare_scalar(a, hi, CmpOp::LtEq)?;
+            return super::boolean::and(&ge, &le);
+        }
+    };
+    Ok(canonical(values, a.validity().cloned()))
 }
 
 /// Mask of valid (non-NULL) slots — `IS NOT NULL`.
@@ -381,6 +424,30 @@ mod tests {
         ] {
             assert_eq!(op.flip().flip(), op);
         }
+    }
+
+    #[test]
+    fn incomparable_types_are_an_error() {
+        let city = Array::from_strs(["oslo", "lima"]);
+        let five = Scalar::Int64(5);
+        for op in [CmpOp::Eq, CmpOp::NotEq, CmpOp::Lt] {
+            assert!(matches!(
+                compare_scalar(&city, &five, op),
+                Err(ColumnarError::TypeMismatch { .. })
+            ));
+            let fives = Array::from_i64(vec![5, 5]);
+            assert!(compare(&city, &fives, op).is_err());
+            assert!(compare(&fives, &city, op).is_err());
+        }
+        assert!(between_scalar(&city, &Scalar::Int64(1), &Scalar::Int64(2)).is_err());
+        assert!(compare_scalar(&Array::from_bools(vec![true]), &five, CmpOp::Eq).is_err());
+        // A NULL literal, which the engine types as Boolean, is NULL
+        // against anything.
+        let null = Array::from_scalar(&Scalar::Null, DataType::Boolean, 2).unwrap();
+        let m = compare_scalar(&null, &five, CmpOp::Eq).unwrap();
+        assert_eq!(m.validity.unwrap().count_ones(), 0);
+        let m = compare(&city, &null, CmpOp::Lt).unwrap();
+        assert_eq!(m.validity.unwrap().count_ones(), 0);
     }
 
     #[test]

@@ -7,5 +7,7 @@ pub mod arith;
 pub mod boolean;
 pub mod cast;
 pub mod cmp;
+#[cfg(test)]
+mod differential;
 pub mod hash;
 pub mod selection;

@@ -342,12 +342,12 @@ pub fn resolve(e: &AstExpr, schema: &SchemaRef) -> EResult<ScalarExpr> {
             match op {
                 BinaryOp::And => ScalarExpr::And(Arc::new(l), Arc::new(r)),
                 BinaryOp::Or => ScalarExpr::Or(Arc::new(l), Arc::new(r)),
-                BinaryOp::Eq => cmp(CmpOp::Eq, l, r),
-                BinaryOp::NotEq => cmp(CmpOp::NotEq, l, r),
-                BinaryOp::Lt => cmp(CmpOp::Lt, l, r),
-                BinaryOp::LtEq => cmp(CmpOp::LtEq, l, r),
-                BinaryOp::Gt => cmp(CmpOp::Gt, l, r),
-                BinaryOp::GtEq => cmp(CmpOp::GtEq, l, r),
+                BinaryOp::Eq => cmp(CmpOp::Eq, l, r)?,
+                BinaryOp::NotEq => cmp(CmpOp::NotEq, l, r)?,
+                BinaryOp::Lt => cmp(CmpOp::Lt, l, r)?,
+                BinaryOp::LtEq => cmp(CmpOp::LtEq, l, r)?,
+                BinaryOp::Gt => cmp(CmpOp::Gt, l, r)?,
+                BinaryOp::GtEq => cmp(CmpOp::GtEq, l, r)?,
                 BinaryOp::Add => arith(ArithOp::Add, l, r)?,
                 BinaryOp::Sub => arith(ArithOp::Sub, l, r)?,
                 BinaryOp::Mul => arith(ArithOp::Mul, l, r)?,
@@ -368,10 +368,17 @@ pub fn resolve(e: &AstExpr, schema: &SchemaRef) -> EResult<ScalarExpr> {
             hi,
             negated,
         } => {
+            let (expr, lo, hi) = (
+                resolve(expr, schema)?,
+                resolve(lo, schema)?,
+                resolve(hi, schema)?,
+            );
+            comparable(&expr, &lo)?;
+            comparable(&expr, &hi)?;
             let b = ScalarExpr::Between {
-                expr: Arc::new(resolve(expr, schema)?),
-                lo: Arc::new(resolve(lo, schema)?),
-                hi: Arc::new(resolve(hi, schema)?),
+                expr: Arc::new(expr),
+                lo: Arc::new(lo),
+                hi: Arc::new(hi),
             };
             if *negated {
                 ScalarExpr::Not(Arc::new(b))
@@ -396,12 +403,27 @@ pub fn resolve(e: &AstExpr, schema: &SchemaRef) -> EResult<ScalarExpr> {
     })
 }
 
-fn cmp(op: CmpOp, l: ScalarExpr, r: ScalarExpr) -> ScalarExpr {
-    ScalarExpr::Cmp {
+fn cmp(op: CmpOp, l: ScalarExpr, r: ScalarExpr) -> EResult<ScalarExpr> {
+    comparable(&l, &r)?;
+    Ok(ScalarExpr::Cmp {
         op,
         left: Arc::new(l),
         right: Arc::new(r),
+    })
+}
+
+/// Reject a comparison (or `BETWEEN` bound) whose operand types are not
+/// [`DataType::comparable_with`] each other. A NULL literal, typed Boolean
+/// here, compares with anything.
+fn comparable(l: &ScalarExpr, r: &ScalarExpr) -> EResult<()> {
+    let null = |e: &ScalarExpr| matches!(e, ScalarExpr::Literal(Scalar::Null));
+    let (lt, rt) = (l.data_type(), r.data_type());
+    if lt.comparable_with(rt) || null(l) || null(r) {
+        return Ok(());
     }
+    Err(EngineError::Analysis(format!(
+        "cannot compare {lt} with {rt}"
+    )))
 }
 
 fn arith(op: ArithOp, l: ScalarExpr, r: ScalarExpr) -> EResult<ScalarExpr> {
@@ -533,6 +555,33 @@ mod tests {
         assert!(bad("SELECT tag + 1 FROM points")
             .to_string()
             .contains("arithmetic"));
+    }
+
+    #[test]
+    fn comparisons_need_comparable_operands() {
+        let m = metastore();
+        let analyzed = |sql: &str| analyze(&sqlparse::parse(sql).unwrap(), &m);
+        for sql in [
+            "SELECT id FROM points WHERE tag = 5",
+            "SELECT id FROM points WHERE 5 <> tag",
+            "SELECT id FROM points WHERE tag BETWEEN 1 AND 2",
+            "SELECT id FROM points WHERE x BETWEEN 1 AND 'z'",
+            "SELECT id FROM points WHERE d < 'z'",
+        ] {
+            let err = analyzed(sql).unwrap_err();
+            assert!(matches!(err, EngineError::Analysis(_)), "{sql}: {err}");
+            assert!(err.to_string().contains("cannot compare"), "{sql}: {err}");
+        }
+        // Same type, both numeric (Date32 included), or a NULL literal.
+        for sql in [
+            "SELECT id FROM points WHERE tag = 'a'",
+            "SELECT id FROM points WHERE x < id AND d > 3",
+            "SELECT id FROM points WHERE x BETWEEN 1 AND 2.5",
+            "SELECT id FROM points WHERE tag = NULL OR NULL < x",
+            "SELECT id FROM points WHERE tag BETWEEN NULL AND 'b'",
+        ] {
+            analyzed(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        }
     }
 
     #[test]

@@ -111,8 +111,7 @@ impl Expr {
                 .ok_or_else(|| IrError::Type("untyped NULL literal; wrap in Cast".into())),
             Expr::Cmp { left, right, .. } => {
                 let (l, r) = (left.output_type(input)?, right.output_type(input)?);
-                let compatible = l == r || (l.is_numeric() && r.is_numeric());
-                if !compatible {
+                if !l.comparable_with(r) {
                     return Err(IrError::Type(format!("cannot compare {l} with {r}")));
                 }
                 Ok(DataType::Boolean)
@@ -144,8 +143,7 @@ impl Expr {
                 let t = expr.output_type(input)?;
                 for b in [lo, hi] {
                     let bt = b.output_type(input)?;
-                    let ok = bt == t || (bt.is_numeric() && t.is_numeric());
-                    if !ok {
+                    if !bt.comparable_with(t) {
                         return Err(IrError::Type(format!("BETWEEN bound {bt} vs {t}")));
                     }
                 }

@@ -657,7 +657,7 @@ impl Cx {
                 let l = sub(self, ".left", left, path);
                 let r = sub(self, ".right", right, path);
                 if let (Some(l), Some(r)) = (l, r) {
-                    if l != r && !(l.is_numeric() && r.is_numeric()) {
+                    if !l.comparable_with(r) {
                         self.push(
                             DiagCode::CmpTypeMismatch,
                             path.as_str(),
@@ -722,7 +722,7 @@ impl Cx {
                 let (t, lo_t, hi_t) = (t?, lo_t?, hi_t?);
                 let mut ok = true;
                 for (side, bt) in [(".lo", lo_t), (".hi", hi_t)] {
-                    if bt != t && !(bt.is_numeric() && t.is_numeric()) {
+                    if !bt.comparable_with(t) {
                         path.push_str(side);
                         self.push(
                             DiagCode::BetweenTypeMismatch,

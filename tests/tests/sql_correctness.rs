@@ -11,8 +11,14 @@ use objstore::ObjectStore;
 use ocs_connector::{register_ocs_stack, PushdownPolicy};
 use parq::ColumnStats;
 
-/// city, temp, day — 9 rows over 3 cities, split across 2 objects.
+/// city, temp, day — 9 rows over 3 cities, split across 2 objects, read
+/// through the OCS connector.
 fn setup() -> Engine {
+    setup_on("ocs")
+}
+
+/// The same table read through `connector` (`ocs`, `hive` or `raw`).
+fn setup_on(connector: &str) -> Engine {
     let engine = EngineBuilder::new().build();
     let store = Arc::new(ObjectStore::new());
     store.create_bucket("lake").unwrap();
@@ -68,7 +74,7 @@ fn setup() -> Engine {
     }
     engine.metastore().register(TableMeta {
         name: "weather".into(),
-        connector: "ocs".into(),
+        connector: connector.into(),
         schema,
         objects,
         stats: TableStats {
@@ -222,4 +228,33 @@ fn errors_are_surfaced_cleanly() {
     assert!(engine.execute("SELECT FROM weather").is_err());
     // Type error: string arithmetic.
     assert!(engine.execute("SELECT city + 1 FROM weather").is_err());
+}
+
+#[test]
+fn comparing_mismatched_types_is_an_analysis_error_on_every_connector() {
+    for connector in ["raw", "hive", "ocs"] {
+        let engine = setup_on(connector);
+        for sql in [
+            "SELECT COUNT(*) FROM weather WHERE city = 5",
+            "SELECT COUNT(*) FROM weather WHERE city <> 5",
+            "SELECT COUNT(*) FROM weather WHERE city BETWEEN 1 AND 2",
+        ] {
+            let err = engine.execute(sql).unwrap_err();
+            assert!(
+                matches!(err, dsq::EngineError::Analysis(_)),
+                "{connector}: {sql}: {err}"
+            );
+        }
+        // Comparable operands still run: 3 oslo rows, 6 others.
+        let got = rows_of(
+            &engine,
+            "SELECT COUNT(*) AS n FROM weather WHERE city = 'oslo'",
+        );
+        assert_eq!(got, vec![vec!["3"]], "{connector}");
+        let got = rows_of(
+            &engine,
+            "SELECT COUNT(*) AS n FROM weather WHERE city <> 'oslo'",
+        );
+        assert_eq!(got, vec![vec!["6"]], "{connector}");
+    }
 }
