@@ -1,13 +1,14 @@
 //! The one operator layer: the batch-level bodies of filter, project,
-//! grouped aggregation, sort, top-N and fetch, for any [`ExprTree`].
+//! grouped aggregation, sort, top-N and fetch, for any [`ExprTree`], and the
+//! one [`Pipeline`] that drives them.
 //!
 //! A pushed-down operator is the same operator run somewhere else, so its
-//! body is written once, here, and called by the query engine
-//! (`dsq::exec`) and by the OCS storage executor (`ocs::exec`) alike. What
-//! stays with each caller is what genuinely differs between them: how the
-//! plan is interpreted, where output types come from, which batches are
-//! kept or dropped between operators, error mapping, and billing (this
-//! crate cannot see `netsim`; every call site prices its own work).
+//! body and the rules between operators are written once, here. The query
+//! engine (`dsq::exec`) and the OCS storage executor (`ocs::exec`) both
+//! lower their plans to chains of pipelines. What stays with each is what
+//! genuinely differs: reading the plan, output types, the source, error
+//! mapping, its own wire rules, and billing (this crate cannot see
+//! `netsim`, so each prices the pipeline's [`Cost`] records itself).
 
 use std::sync::Arc;
 
@@ -16,7 +17,7 @@ use crate::array::Array;
 use crate::batch::RecordBatch;
 use crate::datatype::DataType;
 use crate::error::Result;
-use crate::expr::{eval, ExprTree};
+use crate::expr::{eval, weight, ExprTree};
 use crate::groupby::GroupedAggregator;
 use crate::kernels::selection;
 use crate::schema::SchemaRef;
@@ -119,7 +120,7 @@ impl<'a, E: ExprTree> Aggregation<'a, E> {
 }
 
 /// Rows in `batches` altogether — what [`sort`] and [`top_n`] gather, and
-/// what their callers bill.
+/// what a [`Pipeline`] bills them for.
 pub fn total_rows(batches: &[RecordBatch]) -> u64 {
     batches.iter().map(|b| b.num_rows() as u64).sum()
 }
@@ -145,7 +146,9 @@ pub fn top_n(batches: &[RecordBatch], keys: &[SortKey], n: u64) -> Result<Vec<Re
 
 /// Rows `offset .. offset + limit` (saturating) of the batches read in
 /// order, cut per batch: whole batches are shared, a straddling batch is
-/// sliced, and batches that contribute no row are dropped.
+/// sliced, and batches that contribute no row are dropped. Like [`sort`]
+/// and [`top_n`], it answers with no batch only for no input: input that
+/// keeps no row yields one zero-row batch.
 pub fn fetch(batches: &[RecordBatch], offset: u64, limit: u64) -> Result<Vec<RecordBatch>> {
     let mut skip = usize::try_from(offset).unwrap_or(usize::MAX);
     let mut want = usize::try_from(limit).unwrap_or(usize::MAX);
@@ -162,7 +165,156 @@ pub fn fetch(batches: &[RecordBatch], offset: u64, limit: u64) -> Result<Vec<Rec
             out.push(selection::slice_batch(b, start..end)?);
         }
     }
-    Ok(out)
+    match batches.first() {
+        Some(b) if out.is_empty() => Ok(vec![selection::slice_batch(b, 0..0)?]),
+        _ => Ok(out),
+    }
+}
+
+/// A streaming operator: one batch in, one batch out.
+#[derive(Debug)]
+pub enum Stage<'a, E> {
+    /// [`filter`] by the predicate.
+    Filter(&'a E),
+    /// [`project`] the expressions into a batch of the schema.
+    Project(&'a [(E, String)], SchemaRef),
+}
+
+/// The blocking end of a pipeline: where its batches go.
+#[derive(Debug)]
+pub enum Sink<'a, E> {
+    /// Keep every batch as it arrives.
+    Collect,
+    /// Fold every batch into the aggregation.
+    Aggregate(Box<Aggregation<'a, E>>),
+    /// [`sort`] everything that arrived by the keys.
+    Sort(Vec<SortKey>),
+    /// [`top_n`] of everything that arrived: keys, `n`.
+    TopN(Vec<SortKey>, u64),
+    /// [`fetch`] of everything that arrived: offset, limit.
+    Fetch(u64, u64),
+}
+
+/// What a finished pipeline yields.
+#[derive(Debug)]
+pub enum Output<'a, E> {
+    /// The sink's batches.
+    Batches(Vec<RecordBatch>),
+    /// An aggregating sink's state, unfinished, for the caller to
+    /// [`merge`](Aggregation::merge) or [`finish`](Aggregation::finish).
+    Aggregation(Box<Aggregation<'a, E>>),
+}
+
+/// One unit of work a pipeline did, for its caller to price: one record
+/// per stage per batch, one per batch an aggregation folds in, and one per
+/// sort or top-N when the pipeline finishes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cost {
+    /// The operator: its stage index, or the stage count for the sink.
+    pub op: usize,
+    /// What the operator is, with the plan figures its price depends on.
+    pub kind: CostKind,
+    /// Rows it read.
+    pub rows: u64,
+    /// Rows it passed on (none for an aggregation update).
+    pub rows_out: u64,
+}
+
+/// The operator behind a [`Cost`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CostKind {
+    /// A filter: its predicate's [`weight`].
+    Filter(u32),
+    /// A projection: its expressions' summed [`weight`].
+    Project(u32),
+    /// An aggregation update: key and call counts.
+    Aggregate(usize, usize),
+    /// A full sort: key count.
+    Sort(usize),
+    /// A top-N: key count and `n`.
+    TopN(usize, u64),
+}
+
+/// Streaming stages into one sink, driven by [`push`](Pipeline::push) and
+/// [`finish`](Pipeline::finish). The rules between operators live here:
+/// a batch that a stage empties ends its chain and is not kept, and a
+/// zero-row batch is a no-op for an aggregation (whose global-group rule
+/// stays in [`Aggregation::finish`]).
+#[derive(Debug)]
+pub struct Pipeline<'a, E> {
+    stages: Vec<Stage<'a, E>>,
+    sink: Sink<'a, E>,
+    kept: Vec<RecordBatch>,
+}
+
+fn cost(op: usize, kind: CostKind, rows: u64, rows_out: u64) -> Cost {
+    Cost {
+        op,
+        kind,
+        rows,
+        rows_out,
+    }
+}
+
+impl<'a, E: ExprTree> Pipeline<'a, E> {
+    /// `stages` in the order a batch passes them, then `sink`.
+    pub fn new(stages: Vec<Stage<'a, E>>, sink: Sink<'a, E>) -> Self {
+        let kept = Vec::new();
+        Pipeline { stages, sink, kept }
+    }
+
+    /// Pass one batch through the stages into the sink, reporting each
+    /// unit of work to `bill` as it is done.
+    pub fn push(&mut self, mut batch: RecordBatch, bill: &mut impl FnMut(Cost)) -> Result<()> {
+        for (op, stage) in self.stages.iter().enumerate() {
+            let (out, kind) = match stage {
+                Stage::Filter(p) => (filter(&batch, *p)?, CostKind::Filter(weight(*p))),
+                Stage::Project(es, schema) => {
+                    let w = es.iter().map(|(e, _)| weight(e)).sum();
+                    (project(&batch, es, schema)?, CostKind::Project(w))
+                }
+            };
+            let (rows, rows_out) = (batch.num_rows() as u64, out.num_rows() as u64);
+            bill(cost(op, kind, rows, rows_out));
+            if rows_out == 0 {
+                return Ok(());
+            }
+            batch = out;
+        }
+        let rows = batch.num_rows() as u64;
+        match &mut self.sink {
+            Sink::Aggregate(agg) if rows > 0 => {
+                let kind = CostKind::Aggregate(agg.keys.len(), agg.args.len());
+                bill(cost(self.stages.len(), kind, rows, 0));
+                agg.update(&batch)
+            }
+            Sink::Aggregate(_) => Ok(()),
+            _ => {
+                self.kept.push(batch);
+                Ok(())
+            }
+        }
+    }
+
+    /// Close the sink: run a sort or top-N over what arrived (reporting it
+    /// to `bill`), cut a fetch's window, or hand back the aggregation.
+    pub fn finish(self, bill: &mut impl FnMut(Cost)) -> Result<Output<'a, E>> {
+        let kept = self.kept;
+        let (out, kind) = match self.sink {
+            Sink::Collect => return Ok(Output::Batches(kept)),
+            Sink::Aggregate(agg) => return Ok(Output::Aggregation(agg)),
+            Sink::Fetch(offset, limit) => return fetch(&kept, offset, limit).map(Output::Batches),
+            Sink::Sort(keys) => (sort(&kept, &keys)?, CostKind::Sort(keys.len())),
+            Sink::TopN(keys, n) => (top_n(&kept, &keys, n)?, CostKind::TopN(keys.len(), n)),
+        };
+        bill(cost(
+            self.stages.len(),
+            kind,
+            total_rows(&kept),
+            total_rows(&out),
+        ));
+        Ok(Output::Batches(out))
+    }
 }
 
 #[cfg(test)]
@@ -367,6 +519,9 @@ mod tests {
         // `offset + limit` saturates instead of wrapping.
         assert_eq!(rows(1, u64::MAX), vec![1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(rows(u64::MAX, u64::MAX), Vec::<i64>::new());
+        // Input that keeps no row answers with one zero-row batch.
+        let none = fetch(&input, 9, 1).unwrap();
+        assert_eq!((none.len(), none[0].num_rows()), (1, 0));
         // Whole batches are shared, not copied; the limit stops the walk.
         let out = fetch(&input, 3, 2).unwrap();
         assert_eq!(out.len(), 1);

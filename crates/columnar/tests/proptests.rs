@@ -1,5 +1,6 @@
 //! Property tests for the columnar substrate: IPC round-trips, kernel
-//! algebraic identities, sort invariants, and aggregation merge laws.
+//! algebraic identities, sort invariants, aggregation merge laws, and the
+//! operator pipeline against a one-operator-at-a-time reference.
 
 use std::sync::Arc;
 
@@ -7,9 +8,13 @@ use std::collections::HashMap;
 
 use columnar::agg::{AggFunc, GroupAcc};
 use columnar::builder::ArrayBuilder;
+use columnar::expr::{ExprTree, Node};
 use columnar::groupby::GroupedAggregator;
 use columnar::ipc::{decode_batch, encode_batch};
+use columnar::kernels::arith::ArithOp;
+use columnar::kernels::cmp::CmpOp;
 use columnar::kernels::{boolean, cmp, selection};
+use columnar::ops::{self, Aggregation, Cost, Output, Pipeline, Sink, Stage};
 use columnar::prelude::*;
 use columnar::sort::{sort_batch, top_n, SortKey};
 use proptest::prelude::*;
@@ -211,6 +216,72 @@ fn result_rows(agg: GroupedAggregator) -> Vec<Vec<Scalar>> {
         .collect()
 }
 
+/// A minimal expression IR, enough to drive `ops::Pipeline` from outside
+/// the crate.
+enum X {
+    Col(usize),
+    Lit(Scalar),
+    Cmp(CmpOp, Box<X>, Box<X>),
+    Arith(ArithOp, Box<X>, Box<X>),
+}
+
+impl ExprTree for X {
+    fn node(&self) -> Node<'_, Self> {
+        match self {
+            X::Col(i) => Node::Column(*i),
+            X::Lit(s) => Node::Literal(s),
+            X::Cmp(op, l, r) => Node::Cmp(*op, l, r),
+            X::Arith(op, l, r) => Node::Arith(*op, l, r),
+        }
+    }
+}
+
+fn col_op_lit(op: ArithOp, col: usize, lit: i64) -> X {
+    X::Arith(
+        op,
+        Box::new(X::Col(col)),
+        Box::new(X::Lit(Scalar::Int64(lit))),
+    )
+}
+
+fn col_gt(col: usize, lit: i64) -> X {
+    X::Cmp(
+        CmpOp::Gt,
+        Box::new(X::Col(col)),
+        Box::new(X::Lit(Scalar::Int64(lit))),
+    )
+}
+
+fn kv_schema(v: &str) -> SchemaRef {
+    Arc::new(Schema::new(vec![
+        Field::new("k", DataType::Int64, true),
+        Field::new(v, DataType::Int64, false),
+    ]))
+}
+
+/// `(k, v)` rows cut into batches at `cuts` (repeated cuts make zero-row
+/// batches); there is always at least one batch.
+fn kv_batches(rows: &[(Option<i64>, i64)], mut cuts: Vec<usize>) -> Vec<RecordBatch> {
+    let keys: Vec<_> = rows.iter().map(|r| r.0).collect();
+    let vs = Array::from_i64(rows.iter().map(|r| r.1).collect());
+    let full = RecordBatch::try_new(
+        kv_schema("v"),
+        vec![Arc::new(build_int(&keys)), Arc::new(vs)],
+    )
+    .unwrap();
+    cuts.iter_mut().for_each(|c| *c = (*c).min(rows.len()));
+    cuts.sort_unstable();
+    let bounds: Vec<usize> = std::iter::once(0).chain(cuts).chain([rows.len()]).collect();
+    bounds
+        .windows(2)
+        .map(|w| selection::slice_batch(&full, w[0]..w[1]).unwrap())
+        .collect()
+}
+
+fn flat_rows(batches: &[RecordBatch]) -> Vec<Vec<Scalar>> {
+    batches.iter().flat_map(|b| b.rows()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -388,5 +459,116 @@ proptest! {
         let idx2: Vec<usize> = (0..vals.len()).rev().collect();
         let twice = selection::take_indices(&once, &idx2).unwrap();
         prop_assert_eq!(twice.as_i64().unwrap().values.clone(), vals);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The pipeline over any split of its input — zero-row batches and
+    /// batches a filter empties included — matches concatenating the input
+    /// and applying its operators one at a time: the same rows, and every
+    /// operator reports the rows it read (and a stage the rows it passed
+    /// on) in total. A batch a stage empties goes no further.
+    #[test]
+    fn pipeline_matches_one_operator_at_a_time(
+        rows in proptest::collection::vec((proptest::option::weighted(0.9, -3i64..3), -50i64..50), 0..120),
+        cuts in proptest::collection::vec(0usize..130, 0..8),
+        plan in 0usize..4,
+        thresholds in (-60i64..60, -60i64..60),
+        sink in 0usize..5,
+        window in (0u64..40, 0u64..40, 0u64..40),
+    ) {
+        let ((t1, t2), (n, offset, limit)) = (thresholds, window);
+        let input = kv_batches(&rows, cuts);
+        let (gt1, gt2) = (col_gt(1, t1), col_gt(1, t2));
+        let double = [(X::Col(0), "k".to_string()), (col_op_lit(ArithOp::Mul, 1, 2), "w".to_string())];
+        let inc = [(X::Col(0), "k".to_string()), (col_op_lit(ArithOp::Add, 1, 1), "w".to_string())];
+        let stages = || -> Vec<Stage<'_, X>> {
+            match plan {
+                0 => vec![],
+                1 => vec![Stage::Filter(&gt1)],
+                2 => vec![Stage::Filter(&gt1), Stage::Project(&double, kv_schema("w"))],
+                _ => vec![
+                    Stage::Project(&inc, kv_schema("w")),
+                    Stage::Filter(&gt2),
+                    Stage::Project(&double, kv_schema("w")),
+                ],
+            }
+        };
+        let (key, arg) = (X::Col(0), X::Col(1));
+        let aggregation = || {
+            let calls = [(AggFunc::Sum, Some((&arg, DataType::Int64))), (AggFunc::Count, None)];
+            Aggregation::new([(&key, DataType::Int64)], calls).unwrap()
+        };
+        let agg_schema = Arc::new(Schema::new(vec![
+            Field::new("k", DataType::Int64, true),
+            Field::new("s", DataType::Int64, true),
+            Field::new("n", DataType::Int64, true),
+        ]));
+        let sort_keys = vec![SortKey::desc(1), SortKey::asc(0)];
+        let make_sink = || match sink {
+            0 => Sink::Collect,
+            1 => Sink::Aggregate(Box::new(aggregation())),
+            2 => Sink::Sort(sort_keys.clone()),
+            3 => Sink::TopN(sort_keys.clone(), n),
+            _ => Sink::Fetch(offset, limit),
+        };
+
+        // The reference: everything at once, one operator after another.
+        let mut all = RecordBatch::concat(&input).unwrap();
+        let mut read = Vec::new();
+        let mut passed = Vec::new();
+        for stage in stages() {
+            read.push(all.num_rows() as u64);
+            all = match stage {
+                Stage::Filter(p) => ops::filter(&all, p).unwrap(),
+                Stage::Project(es, schema) => ops::project(&all, es, &schema).unwrap(),
+            };
+            passed.push(all.num_rows() as u64);
+        }
+        let sink_rows = all.num_rows() as u64;
+        let expect = match sink {
+            0 => all.rows(),
+            1 => {
+                let mut agg = aggregation();
+                agg.update(&all).unwrap();
+                agg.finish(agg_schema.clone()).unwrap().rows()
+            }
+            2 => sort_batch(&all, &sort_keys).unwrap().rows(),
+            3 => top_n(&all, &sort_keys, n as usize).unwrap().rows(),
+            _ => all.rows().into_iter().skip(offset as usize).take(limit as usize).collect(),
+        };
+
+        let mut costs: Vec<Cost> = Vec::new();
+        let mut pipe = Pipeline::new(stages(), make_sink());
+        for b in input {
+            pipe.push(b, &mut |c| costs.push(c)).unwrap();
+        }
+        let got = match pipe.finish(&mut |c| costs.push(c)).unwrap() {
+            Output::Batches(b) => {
+                if plan > 0 && sink == 0 {
+                    prop_assert!(b.iter().all(|b| b.num_rows() > 0), "an emptied batch was kept");
+                }
+                flat_rows(&b)
+            }
+            Output::Aggregation(agg) => agg.finish(agg_schema).unwrap().rows(),
+        };
+        prop_assert_eq!(got, expect);
+
+        let nstages = read.len();
+        for (op, (&r, &p)) in read.iter().zip(&passed).enumerate() {
+            let mine = costs.iter().filter(|c| c.op == op);
+            prop_assert_eq!(mine.clone().map(|c| c.rows).sum::<u64>(), r, "stage {} read", op);
+            prop_assert_eq!(mine.map(|c| c.rows_out).sum::<u64>(), p, "stage {} passed on", op);
+        }
+        // Only the first stage ever sees a zero-row batch.
+        prop_assert!(costs.iter().filter(|c| c.op > 0 && c.op < nstages).all(|c| c.rows > 0));
+        let sunk = costs.iter().filter(|c| c.op == nstages);
+        match sink {
+            0 | 4 => prop_assert_eq!(sunk.count(), 0),
+            1 => prop_assert!(sunk.clone().all(|c| c.rows > 0) && sunk.map(|c| c.rows).sum::<u64>() == sink_rows),
+            _ => prop_assert_eq!(sunk.map(|c| c.rows).collect::<Vec<_>>(), vec![sink_rows]),
+        }
     }
 }

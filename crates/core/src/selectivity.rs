@@ -201,14 +201,6 @@ impl<'a> SelectivityAnalyzer<'a> {
         self.aggregate_output_rows(group_by) as f64 / rows as f64
     }
 
-    /// Top-N selectivity: limit over estimated input rows.
-    pub fn topn_selectivity(&self, limit: u64, input_rows: u64) -> f64 {
-        if input_rows == 0 {
-            return 1.0;
-        }
-        (limit as f64 / input_rows as f64).min(1.0)
-    }
-
     /// Total table rows (estimation input for chained operators).
     pub fn row_count(&self) -> u64 {
         self.table.stats.row_count
@@ -344,16 +336,6 @@ mod tests {
         // Expression keys fall back to row count (no reduction assumed).
         let expr_key = ScalarExpr::Negate(std::sync::Arc::new(col(0)));
         assert_eq!(a.aggregate_output_rows(&[(expr_key, "e".into())]), 100_000);
-    }
-
-    #[test]
-    fn topn_selectivity_is_exact() {
-        let t = table();
-        let proj = [0usize];
-        let a = SelectivityAnalyzer::new(&t, &proj);
-        assert!((a.topn_selectivity(100, 100_000) - 0.001).abs() < 1e-12);
-        assert_eq!(a.topn_selectivity(100, 10), 1.0);
-        assert_eq!(a.topn_selectivity(5, 0), 1.0);
     }
 
     #[test]

@@ -16,8 +16,6 @@ pub enum EngineError {
     UnknownTable(String),
     /// A connector failed.
     Connector(String),
-    /// Execution failed.
-    Execution(String),
     /// Columnar-layer error.
     Columnar(columnar::ColumnarError),
 }
@@ -29,7 +27,6 @@ impl fmt::Display for EngineError {
             EngineError::Analysis(m) => write!(f, "analysis error: {m}"),
             EngineError::UnknownTable(t) => write!(f, "unknown table: {t}"),
             EngineError::Connector(m) => write!(f, "connector error: {m}"),
-            EngineError::Execution(m) => write!(f, "execution error: {m}"),
             EngineError::Columnar(e) => write!(f, "columnar error: {e}"),
         }
     }

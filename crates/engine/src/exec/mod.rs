@@ -2,20 +2,20 @@
 //! single-stream stage (Presto's partial/final operator model), with every
 //! unit of work billed to the `netsim` cost model.
 //!
-//! The operator bodies are [`columnar::ops`] — the same code the OCS
-//! storage executor runs, so a pushed-down operator computes in storage
-//! what it would here. This module owns what is the engine's: reading the
-//! `LogicalPlan`, the split / partial / final staging, and the one
-//! `CostParams` call per operator that prices it.
+//! The operators and the pipeline that runs them are [`columnar::ops`] — the
+//! code the OCS storage executor runs too, so a pushed-down operator
+//! computes in storage what it would here. This module owns what is the
+//! engine's: reading the `LogicalPlan` into pipelines, the split / partial
+//! / final staging, and `price`, which turns the pipelines' cost records
+//! into `Work`.
 
 use std::collections::HashMap;
+use std::iter::successors;
 use std::sync::Arc;
 
-use columnar::ops::{self, Aggregation};
+use columnar::ops::{self, Aggregation, CostKind, Output, Pipeline, Sink, Stage};
 use columnar::prelude::*;
-use netsim::{
-    split_phase, ClusterSpec, CostParams, ExecStats, Ledger, Phase, SplitPhase, SplitReport, Work,
-};
+use netsim::{split_phase, ClusterSpec, CostParams, ExecStats, Ledger, Phase, SplitPhase, Work};
 use rayon::prelude::*;
 
 use crate::catalog::Metastore;
@@ -47,18 +47,6 @@ pub struct ExecutionOutcome {
     pub profile: obs::Profile,
 }
 
-/// Per-split partial result.
-enum Partial<'a> {
-    Batches(Vec<RecordBatch>),
-    Agg(Box<Aggregation<'a, ScalarExpr>>),
-}
-
-struct SplitOutput<'a> {
-    partial: Partial<'a>,
-    report: SplitReport,
-    substrait_gen_s: f64,
-}
-
 /// The aggregation state of an `Aggregate` node, typed from its plan.
 fn aggregation<'a>(
     group_by: &'a [(ScalarExpr, String)],
@@ -71,66 +59,44 @@ fn aggregation<'a>(
     Ok(Aggregation::new(keys, calls)?)
 }
 
-/// Run one operator over gathered batches, returning its output and the
-/// work it bills. Shared by the streaming prefix (one batch at a time), a
-/// split's tail (top-N / limit over its own survivors), the merge of the
-/// split partials, and every operator above the blocking one.
-fn run_op(
-    op: &LogicalPlan,
-    input: &[RecordBatch],
-    cost: &CostParams,
-) -> EResult<(Vec<RecordBatch>, Work)> {
-    let mut work = Work::zero();
-    let out = match op {
-        LogicalPlan::Filter { predicate, .. } => {
-            let weight = predicate.weight();
-            let mut next = Vec::with_capacity(input.len());
-            for b in input {
-                work.add(Work::vector(cost.eval_work(b.num_rows() as u64, weight)));
-                next.push(ops::filter(b, predicate)?);
-            }
-            next
+/// The streaming operators at the head of `ops` as pipeline stages, and
+/// the blocking operator that ends them, if any.
+fn lower<'a>(
+    ops: &[&'a LogicalPlan],
+) -> EResult<(Vec<Stage<'a, ScalarExpr>>, Option<&'a LogicalPlan>)> {
+    let mut stages = Vec::new();
+    for &op in ops {
+        match op {
+            LogicalPlan::Filter { predicate, .. } => stages.push(Stage::Filter(predicate)),
+            LogicalPlan::Project { exprs, .. } => stages.push(Stage::Project(exprs, op.schema()?)),
+            _ => return Ok((stages, Some(op))),
         }
-        LogicalPlan::Project { exprs, .. } => {
-            let schema = op.schema()?;
-            let weight: u32 = exprs.iter().map(|(e, _)| e.weight()).sum();
-            let mut next = Vec::with_capacity(input.len());
-            for b in input {
-                work.add(Work::expr(
-                    cost.eval_work(b.num_rows() as u64, weight.max(1)),
-                ));
-                next.push(ops::project(b, exprs, &schema)?);
-            }
-            next
+    }
+    Ok((stages, None))
+}
+
+/// A blocking `op` as a pipeline sink; no operator collects.
+fn sink(op: Option<&LogicalPlan>) -> EResult<Sink<'_, ScalarExpr>> {
+    Ok(match op {
+        Some(LogicalPlan::Aggregate { group_by, aggs, .. }) => {
+            Sink::Aggregate(Box::new(aggregation(group_by, aggs)?))
         }
-        LogicalPlan::Aggregate { group_by, aggs, .. } => {
-            let mut agg = aggregation(group_by, aggs)?;
-            let mut units = 0.0;
-            for b in input {
-                units += cost.agg_work(b.num_rows() as u64, group_by.len(), aggs.len());
-                agg.update(b)?;
-            }
-            work.add(Work::vector(units));
-            vec![agg.finish(op.schema()?)?]
-        }
-        LogicalPlan::Sort { keys, .. } => {
-            work.add(Work::vector(
-                cost.sort_work(ops::total_rows(input), keys.len()),
-            ));
-            ops::sort(input, keys)?
-        }
-        LogicalPlan::TopN { keys, limit, .. } => {
-            work.add(Work::vector(cost.topn_work(
-                ops::total_rows(input),
-                keys.len(),
-                *limit,
-            )));
-            ops::top_n(input, keys, *limit)?
-        }
-        LogicalPlan::Limit { limit, .. } => ops::fetch(input, 0, *limit)?,
-        LogicalPlan::TableScan(_) => return Err(EngineError::Execution("scan above leaf".into())),
-    };
-    Ok((out, work))
+        Some(LogicalPlan::Sort { keys, .. }) => Sink::Sort(keys.clone()),
+        Some(LogicalPlan::TopN { keys, limit, .. }) => Sink::TopN(keys.clone(), *limit),
+        Some(LogicalPlan::Limit { limit, .. }) => Sink::Fetch(0, *limit),
+        _ => Sink::Collect,
+    })
+}
+
+/// The work one pipeline record bills.
+fn price(cost: &CostParams, c: &ops::Cost) -> Work {
+    match c.kind {
+        CostKind::Filter(weight) => Work::vector(cost.eval_work(c.rows, weight)),
+        CostKind::Project(weight) => Work::expr(cost.eval_work(c.rows, weight.max(1))),
+        CostKind::Aggregate(keys, calls) => Work::vector(cost.agg_work(c.rows, keys, calls)),
+        CostKind::Sort(keys) => Work::vector(cost.sort_work(c.rows, keys)),
+        CostKind::TopN(keys, n) => Work::vector(cost.topn_work(c.rows, keys, n)),
+    }
 }
 
 /// Execute a linear plan chain.
@@ -179,112 +145,58 @@ pub fn execute_plan(
         &[(Phase::Other, other_s), (Phase::PlanAnalysis, analysis_s)],
     );
 
-    // Collect the operator chain leaf→root (excluding the scan).
-    let mut ops: Vec<&LogicalPlan> = Vec::new();
-    {
-        let mut cur = plan;
-        while let Some(next) = cur.input() {
-            ops.push(cur);
-            cur = next;
-        }
-        ops.reverse();
-    }
-    // Streaming prefix (Filter/Project), then one optional blocking op,
-    // then final-stage ops.
-    let mut streaming: Vec<&LogicalPlan> = Vec::new();
-    let mut blocking: Option<&LogicalPlan> = None;
-    let mut final_ops: Vec<&LogicalPlan> = Vec::new();
-    for op in ops {
-        if blocking.is_some() {
-            final_ops.push(op);
-        } else {
-            match op {
-                LogicalPlan::Filter { .. } | LogicalPlan::Project { .. } => streaming.push(op),
-                other => blocking = Some(other),
-            }
-        }
-    }
+    // The operator chain leaf→root above the scan. The first blocking
+    // operator and everything above it run in the final stage.
+    let mut ops: Vec<&LogicalPlan> = successors(Some(plan), |op| op.input()).collect();
+    ops.pop();
+    ops.reverse();
+    let final_ops = &ops[lower(&ops)?.0.len()..];
+    let blocking = final_ops.first().copied();
 
     // ---- Parallel split phase ----------------------------------------
-    // Each worker pulls its split's stream batch-at-a-time: streaming
-    // Filter/Project and partial-aggregation updates run per yielded
-    // batch, so consumption overlaps production and per-batch compute
-    // seconds can be pinned to the frame that carried the batch.
-    let split_outputs: Vec<EResult<SplitOutput<'_>>> = splits
+    // Each worker pulls its split's stream batch-at-a-time through one
+    // pipeline: the streaming operators into the blocking one's partial
+    // form. Consumption overlaps production, and each pulled batch's
+    // compute seconds are pinned to the frame that carried it.
+    let split_outputs: Vec<EResult<_>> = splits
         .par_iter()
-        .map(|split| -> EResult<SplitOutput<'_>> {
+        .map(|split| {
             let page = provider.create(split)?;
             let mut stream = page.stream;
+            let stages = lower(&ops)?.0;
+            // A sort defers to the final stage.
+            let split_sink = sink(blocking.filter(|op| !matches!(op, LogicalPlan::Sort { .. })))?;
+            let mut pipe = Pipeline::new(stages, split_sink);
             let mut batch_compute_s: Vec<f64> = Vec::new();
-            let mut agg = match blocking {
-                Some(LogicalPlan::Aggregate { group_by, aggs, .. }) => {
-                    Some((aggregation(group_by, aggs)?, group_by.len(), aggs.len()))
-                }
-                _ => None,
-            };
-            let mut agg_units = 0.0;
-            let mut survivors: Vec<RecordBatch> = Vec::new();
             while let Some(batch) = stream.next_batch()? {
                 let mut work = Work::zero();
-                let mut cur = Some(batch);
-                for op in &streaming {
-                    // An emptied batch ends the chain for this batch.
-                    let Some(b) = cur.take() else { break };
-                    let (mut out, w) = run_op(op, std::slice::from_ref(&b), cost)?;
-                    work.add(w);
-                    cur = out.pop().filter(|b| b.num_rows() > 0);
-                }
-                if let Some(b) = cur {
-                    match agg.as_mut() {
-                        Some((agg, nkeys, naggs)) => {
-                            // Billed as the difference of running totals.
-                            let before = agg_units;
-                            agg_units += cost.agg_work(b.num_rows() as u64, *nkeys, *naggs);
-                            agg.update(&b)?;
-                            work.add(Work::vector(agg_units - before));
-                        }
-                        None => survivors.push(b),
-                    }
-                }
+                pipe.push(batch, &mut |c| work.add(price(cost, &c)))?;
                 batch_compute_s.push(cluster.compute.core_seconds_for(work));
             }
-            // Tail ops that can only run once the stream has drained.
+            // A top-N runs once the stream has drained.
             let mut tail_work = Work::zero();
-            let partial = if let Some((agg, ..)) = agg {
-                Partial::Agg(Box::new(agg))
-            } else {
-                match blocking {
-                    Some(op @ (LogicalPlan::TopN { .. } | LogicalPlan::Limit { .. })) => {
-                        let (out, w) = run_op(op, &survivors, cost)?;
-                        tail_work.add(w);
-                        Partial::Batches(out)
-                    }
-                    // Sort defers to the final stage.
-                    _ => Partial::Batches(survivors),
-                }
-            };
+            let partial = pipe.finish(&mut |c| tail_work.add(price(cost, &c)))?;
             let mut report = stream.finish()?;
             report.fold_compute(
                 &batch_compute_s,
                 cluster.compute.core_seconds_for(tail_work),
             );
-            Ok(SplitOutput {
-                partial,
-                report,
-                substrait_gen_s: page.substrait_gen_s,
-            })
+            Ok((partial, report, page.substrait_gen_s))
         })
         .collect();
 
     // Separate what each split produced from how it was billed.
-    let mut partials = Vec::with_capacity(split_outputs.len());
+    let (mut partial_aggs, mut gathered) = (Vec::new(), Vec::new());
     let mut reports = Vec::with_capacity(split_outputs.len());
     let mut substrait = 0.0;
     for o in split_outputs {
-        let o = o?;
-        partials.push(o.partial);
-        reports.push(o.report);
-        substrait += o.substrait_gen_s;
+        let (partial, report, substrait_gen_s) = o?;
+        match partial {
+            Output::Aggregation(agg) => partial_aggs.push(agg),
+            Output::Batches(b) => gathered.extend(b),
+        }
+        reports.push(report);
+        substrait += substrait_gen_s;
     }
 
     // Substrait IR generation happens before any request is issued; it is
@@ -359,57 +271,62 @@ pub fn execute_plan(
     }
 
     // ---- Final stage ---------------------------------------------------
-    // Per-operator (name, output rows, core-seconds) for the final span's
-    // children; seconds come from the same `Work` units billed to the
-    // ledger so the children sum to the final span.
-    let mut final_op_spans: Vec<(String, u64, f64)> = Vec::new();
-    let mut final_work = Work::zero();
-    let mut bill = |name: String, out: &[RecordBatch], w: Work| {
-        final_op_spans.push((
-            name,
-            ops::total_rows(out),
-            cluster.compute.core_seconds_for(w),
-        ));
-        final_work.add(w);
-    };
-
-    // Merge the split partials through the blocking operator.
-    let mut partial_aggs = Vec::new();
-    let mut gathered: Vec<RecordBatch> = Vec::new();
-    for p in partials {
-        match p {
-            Partial::Agg(agg) => partial_aggs.push(agg),
-            Partial::Batches(b) => gathered.extend(b),
-        }
+    // Per-operator (name, output rows, work) for the final span's children,
+    // from the same `Work` units billed to the ledger so the children sum
+    // to the final span. The blocking operator merges the splits' outputs.
+    let mut spans: Vec<(String, u64, Work)> = final_ops
+        .iter()
+        .map(|op| (op.name().to_ascii_lowercase(), 0, Work::zero()))
+        .collect();
+    if let Some((name, ..)) = spans.first_mut() {
+        name.insert_str(0, "merge_");
     }
-    let mut current = match blocking {
-        None => gathered,
-        Some(op @ LogicalPlan::Aggregate { group_by, aggs, .. }) => {
-            let mut merged = aggregation(group_by, aggs)?;
-            let mut w = Work::zero();
-            for agg in partial_aggs {
-                let groups = agg.num_groups() as f64;
-                merged.merge(&agg)?;
-                w.add(Work::vector(
-                    groups * cost.agg_update * aggs.len().max(1) as f64,
-                ));
-            }
-            let out = vec![merged.finish(op.schema()?)?];
-            bill("merge_aggregate".into(), &out, w);
-            out
+    // Partial aggregations combine; anything else was gathered for the
+    // blocking operator to run over once more, at the head of the chain.
+    let (mut current, mut start) = (gathered, 0);
+    if let Some(op @ LogicalPlan::Aggregate { group_by, aggs, .. }) = blocking {
+        let mut merged = aggregation(group_by, aggs)?;
+        let mut w = Work::zero();
+        for agg in partial_aggs {
+            let groups = agg.num_groups() as f64;
+            merged.merge(&agg)?;
+            w.add(Work::vector(
+                groups * cost.agg_update * aggs.len().max(1) as f64,
+            ));
         }
-        Some(op) => {
-            let (out, w) = run_op(op, &gathered, cost)?;
-            bill(format!("merge_{}", op.name().to_ascii_lowercase()), &out, w);
-            out
+        current = vec![merged.finish(op.schema()?)?];
+        spans[0] = ("merge_aggregate".into(), ops::total_rows(&current), w);
+        start = 1;
+    }
+    // The rest (e.g. a Sort above the Aggregate) is a chain of pipelines:
+    // streaming operators up to the next blocking one, their sink, whose
+    // output is the next pipeline's source.
+    while start < final_ops.len() {
+        let (stages, blocking) = lower(&final_ops[start..])?;
+        let end = start + stages.len();
+        let slots = &mut spans[start..];
+        let mut bill = |c: ops::Cost| {
+            slots[c.op].1 += c.rows_out;
+            slots[c.op].2.add(price(cost, &c));
+        };
+        let mut pipe = Pipeline::new(stages, sink(blocking)?);
+        for batch in current {
+            pipe.push(batch, &mut bill)?;
         }
-    };
-
-    // Remaining ops above the blocking one (e.g. Sort after Aggregate).
-    for op in final_ops {
-        let (out, w) = run_op(op, &current, cost)?;
-        bill(op.name().to_ascii_lowercase(), &out, w);
-        current = out;
+        current = match pipe.finish(&mut bill)? {
+            Output::Batches(b) => b,
+            // Only an `Aggregate` at `end` sinks into an aggregation.
+            Output::Aggregation(agg) => vec![agg.finish(final_ops[end].schema()?)?],
+        };
+        // A sink passes on what it outputs.
+        if let Some(slot) = spans.get_mut(end) {
+            slot.1 = ops::total_rows(&current);
+        }
+        start = end + 1;
+    }
+    let mut final_work = Work::zero();
+    for (_, _, w) in &spans {
+        final_work.add(*w);
     }
     // Final stage runs on a handful of driver threads; bill one lane.
     let final_s = cluster.compute.core_seconds_for(final_work);
@@ -426,8 +343,9 @@ pub fn execute_plan(
             cursor + final_s,
         );
         let mut op_cursor = cursor;
-        for (name, rows, secs) in &final_op_spans {
-            if *secs <= 0.0 {
+        for (name, rows, w) in &spans {
+            let secs = cluster.compute.core_seconds_for(*w);
+            if secs <= 0.0 {
                 continue;
             }
             let id = tracer.record(
@@ -448,14 +366,10 @@ pub fn execute_plan(
     let batch = if current.is_empty() {
         RecordBatch::empty(schema)
     } else {
+        // Names/nullability may differ slightly (e.g. empty vs non-empty
+        // paths); rebuild against the plan schema for a stable contract.
         let all = RecordBatch::concat(&current)?;
-        if all.schema() != &schema {
-            // Names/nullability may differ slightly (e.g. empty vs non-empty
-            // paths); rebuild against the plan schema for a stable contract.
-            RecordBatch::try_new(schema, all.columns().to_vec()).unwrap_or(all)
-        } else {
-            all
-        }
+        RecordBatch::try_new(schema, all.columns().to_vec()).unwrap_or(all)
     };
 
     Ok(ExecutionOutcome {

@@ -3,24 +3,26 @@
 //!
 //! This is OCS's own engine, independent of the `dsq` query engine (as in
 //! the paper, where OCS embeds its own SQL engine and Presto merely ships
-//! plans to it). What is its own is the plan interpretation, the scan
-//! (row-group pruning, late materialization, the chunk cache), output
-//! types inferred from the plan, error mapping, and which `Work` channel
-//! each operator bills. The operator *bodies* are [`columnar::ops`], the
+//! plans to it). What is its own is reading the plan, the scan (row-group
+//! pruning, late materialization, the chunk cache), output types inferred
+//! from the plan, error mapping, the wire rules, and `price`. The
+//! operators and the pipeline that drives them are [`columnar::ops`], the
 //! code the compute-layer engine runs too, and a filter's prunable
 //! conjuncts are [`RangePredicate::lower`]'s, as on the Hive path.
 
+use std::iter::successors;
+use std::mem::take;
 use std::sync::Arc;
 
 use columnar::kernels::selection::Selection;
-use columnar::ops::{self, Aggregation};
+use columnar::ops::{self, Aggregation, CostKind, Output, Pipeline, Sink, Stage};
 use columnar::prelude::*;
 use columnar::sort::SortKey;
 use netsim::{CostParams, ExecStats, Work};
 use parq::{ParqReader, RangePredicate};
 use rayon::prelude::*;
 use substrait_ir::planck::{self, Diagnostic};
-use substrait_ir::{Expr, Measure, Plan, Rel};
+use substrait_ir::{Expr, Plan, Rel};
 
 use crate::cache::{ChunkKey, NodeCaches, ObjectId};
 use crate::{OcsError, OcsResult};
@@ -137,118 +139,111 @@ impl<'a> Executor<'a> {
     /// Every plan is hard-verified by `planck` first — the executor
     /// relies on its guarantees (field references in bounds, operand
     /// types agreed, sort keys plain field references) and carries no
-    /// per-operator shape checks of its own.
+    /// per-operator shape checks of its own. The plan lowers to the scan
+    /// as source plus a chain of [`Pipeline`]s, each sink's output the
+    /// next one's source; output types come from the plan, once.
     pub fn run(mut self, plan: &Plan) -> OcsResult<(Vec<RecordBatch>, ExecutorStats)> {
         planck::verify(plan).map_err(|ds| OcsError::Plan(planck::primary(ds)))?;
-        let batches = self.run_rel(&plan.root)?;
-        self.stats.wire.rows_returned = ops::total_rows(&batches);
-        Ok((batches, self.stats))
-    }
-
-    fn run_rel(&mut self, rel: &Rel) -> OcsResult<Vec<RecordBatch>> {
-        match rel {
-            Rel::Read { projection, .. } => self.scan(projection.as_deref(), &[], None),
-            Rel::Filter { input, predicate } => {
-                // A filter that reads a column and sits on the scan runs
-                // inside it; any other filter, constants included, runs
-                // over its input's batches.
-                let mut filter_pos = Vec::new();
-                predicate.referenced_fields(&mut filter_pos);
-                match input.as_ref() {
-                    Rel::Read { projection, .. } if !filter_pos.is_empty() => {
-                        // The predicate speaks *read output* positions;
-                        // pruning wants file columns. Whatever lowers,
-                        // prunes — the whole predicate still masks.
-                        let (prune, _) = RangePredicate::lower(predicate, projection.as_deref());
-                        self.scan(
-                            projection.as_deref(),
-                            &prune,
-                            Some((predicate, &filter_pos)),
-                        )
-                    }
-                    _ => {
-                        let batches = self.run_rel(input)?;
-                        self.apply_filter(batches, predicate)
-                    }
-                }
-            }
-            Rel::Project { input, exprs } => {
-                // Output field types come from the plan, inferred once —
-                // planck verified the typing up front, so the old
-                // per-batch re-inference was redundant.
-                let input_schema = input
-                    .output_schema()
-                    .map_err(|e| OcsError::Plan(Diagnostic::from_ir(&e, "exec.project")))?;
-                let fields = exprs
-                    .iter()
-                    .map(|(e, n)| {
-                        let dt = e
-                            .output_type(&input_schema)
-                            .map_err(|e| OcsError::Plan(Diagnostic::from_ir(&e, "exec.project")))?;
-                        Ok(Field::new(n.clone(), dt, true))
-                    })
-                    .collect::<OcsResult<Vec<Field>>>()?;
-                let out_schema = Arc::new(Schema::new(fields));
-                let batches = self.run_rel(input)?;
-                let weight: u32 = exprs.iter().map(|(e, _)| e.op_weight()).sum();
-                let mut out = Vec::with_capacity(batches.len());
-                for b in &batches {
-                    self.stats.work.add(Work::expr(
-                        self.cost.eval_work(b.num_rows() as u64, weight.max(1)),
-                    ));
-                    out.push(ops::project(b, exprs, &out_schema).map_err(exec_err)?);
-                }
-                Ok(out)
-            }
-            Rel::Aggregate {
-                input,
-                group_by,
-                measures,
-            } => {
-                let input_schema = input
-                    .output_schema()
-                    .map_err(|e| OcsError::Plan(Diagnostic::from_ir(&e, "exec.aggregate")))?;
-                let batches = self.run_rel(input)?;
-                self.aggregate(&input_schema, &batches, group_by, measures)
-            }
-            Rel::Sort { input, keys } => {
-                let batches = self.run_rel(input)?;
-                self.stats.work.add(Work::vector(
-                    self.cost.sort_work(ops::total_rows(&batches), keys.len()),
-                ));
-                ops::sort(&batches, &sort_keys(keys)?).map_err(exec_err)
-            }
-            Rel::Fetch {
-                input,
-                offset,
-                limit,
-            } => {
-                // Fetch directly over Sort is the top-N operator.
-                let batches = if let Rel::Sort { input: si, keys } = input.as_ref() {
-                    let batches = self.run_rel(si)?;
-                    // Untrusted u64s: `offset + limit` must not wrap.
-                    let n = offset.saturating_add(*limit);
-                    self.stats.work.add(Work::vector(self.cost.topn_work(
-                        ops::total_rows(&batches),
-                        keys.len(),
-                        n,
-                    )));
-                    ops::top_n(&batches, &sort_keys(keys)?, n).map_err(exec_err)?
-                } else {
-                    self.run_rel(input)?
-                };
-                // One result batch (possibly empty) whenever there was input.
-                let Some(first) = batches.first() else {
-                    return Ok(batches);
-                };
-                let kept = ops::fetch(&batches, *offset, *limit).map_err(exec_err)?;
-                Ok(vec![if kept.is_empty() {
-                    RecordBatch::empty(first.schema().clone())
-                } else {
-                    RecordBatch::concat(&kept).map_err(exec_err)?
-                }])
+        let mut rels: Vec<&Rel> = successors(Some(&plan.root), |r| r.input()).collect();
+        rels.reverse();
+        let Some((Rel::Read { projection, .. }, mut rels)) = rels.split_first() else {
+            return Err(exec_err("plan has no read at its leaf"));
+        };
+        let projection = projection.as_deref();
+        // A filter that reads a column and sits on the read runs inside the
+        // scan; any other filter, constants included, is a pipeline stage.
+        let (mut filter_pos, mut scan_filter) = (Vec::new(), None);
+        if let Some((Rel::Filter { predicate, .. }, rest)) = rels.split_first() {
+            predicate.referenced_fields(&mut filter_pos);
+            if !filter_pos.is_empty() {
+                (scan_filter, rels) = (Some(predicate), rest);
             }
         }
+        // The predicate speaks *read output* positions; pruning wants file
+        // columns. Whatever lowers, prunes — the whole predicate still
+        // masks.
+        let prune = scan_filter.map_or_else(Vec::new, |p| RangePredicate::lower(p, projection).0);
+        let filter = scan_filter.map(|p| (p, &filter_pos[..]));
+        let mut batches = self.scan(projection, &prune, filter)?;
+
+        // A final `None` collects what the last sink left.
+        let mut stages = Vec::new();
+        for (i, rel) in rels.iter().copied().map(Some).chain([None]).enumerate() {
+            let sink = match rel {
+                Some(Rel::Filter { predicate, .. }) => {
+                    stages.push(Stage::Filter(predicate));
+                    continue;
+                }
+                Some(rel @ Rel::Project { exprs, .. }) => {
+                    let schema = rel.output_schema().map_err(plan_err("exec.project"))?;
+                    stages.push(Stage::Project(exprs, Arc::new(schema)));
+                    continue;
+                }
+                Some(Rel::Aggregate {
+                    input,
+                    group_by,
+                    measures,
+                }) => {
+                    // Typed from the plan: usable even when no row arrives.
+                    let input = input.output_schema().map_err(plan_err("exec.aggregate"))?;
+                    let keys = group_by
+                        .iter()
+                        .map(|(e, _)| typed(e, &input))
+                        .collect::<OcsResult<Vec<_>>>()?;
+                    let calls = measures
+                        .iter()
+                        .map(|m| {
+                            Ok((
+                                m.func,
+                                m.arg.as_ref().map(|e| typed(e, &input)).transpose()?,
+                            ))
+                        })
+                        .collect::<OcsResult<Vec<_>>>()?;
+                    Sink::Aggregate(Box::new(Aggregation::new(keys, calls).map_err(exec_err)?))
+                }
+                // Fetch directly over Sort is the top-N operator. Untrusted
+                // u64s: `offset + limit` must not wrap.
+                Some(Rel::Sort { keys, .. }) => match rels.get(i + 1) {
+                    Some(Rel::Fetch { offset, limit, .. }) => {
+                        Sink::TopN(sort_keys(keys)?, offset.saturating_add(*limit))
+                    }
+                    _ => Sink::Sort(sort_keys(keys)?),
+                },
+                Some(Rel::Fetch { offset, limit, .. }) => Sink::Fetch(*offset, *limit),
+                Some(Rel::Read { .. }) => return Err(exec_err("read above the plan's leaf")),
+                None => Sink::Collect,
+            };
+            let (cost, work) = (self.cost, &mut self.stats.work);
+            let mut bill = |c: ops::Cost| work.add(price(cost, &c));
+            let mut pipe = Pipeline::new(take(&mut stages), sink);
+            for batch in batches {
+                pipe.push(batch, &mut bill).map_err(exec_err)?;
+            }
+            batches = match (pipe.finish(&mut bill).map_err(exec_err)?, rel) {
+                // The wire rules. A keyed aggregate over an empty object has
+                // nothing to contribute; a global one still emits its row of
+                // initial states (COUNT = 0, SUM = NULL) so the engine's
+                // final aggregation combines object totals correctly.
+                (Output::Aggregation(agg), Some(Rel::Aggregate { group_by, .. }))
+                    if !group_by.is_empty() && agg.num_groups() == 0 =>
+                {
+                    vec![]
+                }
+                (Output::Aggregation(agg), Some(rel)) => {
+                    let schema = rel.output_schema().map_err(plan_err("exec.aggregate"))?;
+                    vec![agg.finish(Arc::new(schema)).map_err(exec_err)?]
+                }
+                // A fetch answers with exactly one batch whenever there was
+                // input.
+                (Output::Batches(b), Some(Rel::Fetch { .. })) if b.len() > 1 => {
+                    vec![RecordBatch::concat(&b).map_err(exec_err)?]
+                }
+                (Output::Batches(b), _) => b,
+                (Output::Aggregation(_), None) => vec![],
+            };
+        }
+        self.stats.wire.rows_returned = ops::total_rows(&batches);
+        Ok((batches, self.stats))
     }
 
     /// The one storage scan, late-materialized: per row group the
@@ -369,76 +364,27 @@ impl<'a> Executor<'a> {
         }
         Ok(out)
     }
+}
 
-    fn apply_filter(
-        &mut self,
-        batches: Vec<RecordBatch>,
-        predicate: &Expr,
-    ) -> OcsResult<Vec<RecordBatch>> {
-        let weight = predicate.op_weight();
-        let mut out = Vec::with_capacity(batches.len());
-        for b in &batches {
-            self.stats.work.add(Work::vector(
-                self.cost.eval_work(b.num_rows() as u64, weight),
-            ));
-            // Batches a filter empties are not worth a frame.
-            let f = ops::filter(b, predicate).map_err(exec_err)?;
-            if f.num_rows() > 0 {
-                out.push(f);
-            }
-        }
-        Ok(out)
+/// The work one pipeline record bills.
+fn price(cost: &CostParams, c: &ops::Cost) -> Work {
+    match c.kind {
+        CostKind::Filter(weight) => Work::vector(cost.eval_work(c.rows, weight)),
+        CostKind::Project(weight) => Work::expr(cost.eval_work(c.rows, weight.max(1))),
+        CostKind::Aggregate(keys, calls) => Work::vector(cost.agg_work(c.rows, keys, calls)),
+        CostKind::Sort(keys) => Work::vector(cost.sort_work(c.rows, keys)),
+        CostKind::TopN(keys, n) => Work::vector(cost.topn_work(c.rows, keys, n)),
     }
+}
 
-    fn aggregate(
-        &mut self,
-        input_schema: &Schema,
-        batches: &[RecordBatch],
-        group_by: &[(Expr, String)],
-        measures: &[Measure],
-    ) -> OcsResult<Vec<RecordBatch>> {
-        let plan_err =
-            |e: substrait_ir::IrError| OcsError::Plan(Diagnostic::from_ir(&e, "exec.aggregate"));
+/// A plan-typing error at `at`.
+fn plan_err(at: &'static str) -> impl Fn(substrait_ir::IrError) -> OcsError {
+    move |e| OcsError::Plan(Diagnostic::from_ir(&e, at))
+}
 
-        // Output schema and per-measure argument types, from the *plan*
-        // (usable even when the filtered input is empty).
-        let mut fields = Vec::with_capacity(group_by.len() + measures.len());
-        let mut keys = Vec::with_capacity(group_by.len());
-        for (e, n) in group_by {
-            let dt = e.output_type(input_schema).map_err(plan_err)?;
-            fields.push(Field::new(n.clone(), dt, true));
-            keys.push((e, dt));
-        }
-        let mut calls = Vec::with_capacity(measures.len());
-        for m in measures {
-            let arg = match &m.arg {
-                Some(e) => Some((e, e.output_type(input_schema).map_err(plan_err)?)),
-                None => None,
-            };
-            let out = m.func.result_type(arg.map(|(_, t)| t)).map_err(exec_err)?;
-            fields.push(Field::new(m.name.clone(), out, true));
-            calls.push((m.func, arg));
-        }
-
-        let mut agg = Aggregation::new(keys, calls).map_err(exec_err)?;
-        for b in batches {
-            self.stats.work.add(Work::vector(self.cost.agg_work(
-                b.num_rows() as u64,
-                group_by.len(),
-                measures.len(),
-            )));
-            agg.update(b).map_err(exec_err)?;
-        }
-        // A keyed aggregate over an empty object has nothing to contribute;
-        // a GLOBAL one still emits its row of initial states (COUNT = 0,
-        // SUM = NULL) so the engine's final aggregation combines object
-        // totals correctly.
-        if !group_by.is_empty() && agg.num_groups() == 0 {
-            return Ok(vec![]);
-        }
-        let out = agg.finish(Arc::new(Schema::new(fields)));
-        Ok(vec![out.map_err(exec_err)?])
-    }
+/// An aggregate's key or argument with its type over the `input` schema.
+fn typed<'e>(e: &'e Expr, input: &Schema) -> OcsResult<(&'e Expr, DataType)> {
+    Ok((e, e.output_type(input).map_err(plan_err("exec.aggregate"))?))
 }
 
 fn exec_err(e: impl std::fmt::Display) -> OcsError {
@@ -470,7 +416,7 @@ mod tests {
     use columnar::agg::AggFunc;
     use columnar::kernels::arith::ArithOp;
     use columnar::kernels::cmp::CmpOp;
-    use substrait_ir::SortField;
+    use substrait_ir::{Measure, SortField};
 
     fn test_reader() -> ParqReader {
         let schema = Arc::new(Schema::new(vec![

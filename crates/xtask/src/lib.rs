@@ -14,8 +14,8 @@
 //!    `crates/lzcodec` and `parq::{encoding, reader}` (which decode column
 //!    chunks, pages and footers off the store) and the
 //!    shared operator / expression / select modules the storage side runs
-//!    (`columnar::{expr, ops, groupby, dict, kernels::{hash, selection}}`,
-//!    `objstore::select`) must
+//!    (`columnar::{batch, expr, ops, sort, groupby, dict,
+//!    kernels::{hash, selection}}`, `objstore::select`) must
 //!    not call `.unwrap()` or `.expect(`; a storage node must return an
 //!    error frame, never abort. Survivors are listed in
 //!    `crates/xtask/lint-allow.txt` with a justification.
@@ -49,15 +49,16 @@ use std::path::{Path, PathBuf};
 /// or schedule from untrusted durations, the modules that decode stored
 /// objects (`lzcodec`, `parq::{encoding, reader}`), and — because the rule
 /// is keyed by path — the shared modules that storage-side code moved into
-/// (`columnar::{expr, ops}` and the group-by, dictionary, hash and selection
-/// kernels under them run inside the storage node; `objstore::select` is
-/// the Hive path's storage side).
+/// (`columnar::{expr, ops}`, the batch, sort, group-by, dictionary, hash
+/// and selection code under them run inside the storage node;
+/// `objstore::select` is the Hive path's storage side).
 const BANNED_PANIC_CRATES: &[&str] = &[
     "crates/cache/",
     "crates/ocs/",
     "crates/substrait-ir/",
     "crates/core/",
     "crates/obs/",
+    "crates/columnar/src/batch.rs",
     "crates/columnar/src/dict.rs",
     "crates/columnar/src/expr.rs",
     "crates/columnar/src/groupby.rs",
@@ -65,6 +66,7 @@ const BANNED_PANIC_CRATES: &[&str] = &[
     "crates/columnar/src/kernels/hash.rs",
     "crates/columnar/src/kernels/selection.rs",
     "crates/columnar/src/ops.rs",
+    "crates/columnar/src/sort.rs",
     "crates/lzcodec/",
     "crates/parq/src/encoding.rs",
     "crates/parq/src/reader.rs",
