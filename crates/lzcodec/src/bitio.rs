@@ -136,6 +136,31 @@ impl<'a> BitReader<'a> {
         Ok(())
     }
 
+    /// Stream bytes not loaded into the accumulator yet. At eight or more,
+    /// a [`BitReader::refill`] leaves at least
+    /// [`BitReader::REFILL_BITS`] real stream bits buffered.
+    #[inline]
+    pub(crate) fn unloaded(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// The accumulator: its low [`BitReader::buffered`] bits are the next
+    /// stream bits, for a caller that resolves several codes from one
+    /// refill.
+    #[inline]
+    pub(crate) fn window(&self) -> u64 {
+        self.acc
+    }
+
+    /// Drop `n` bits the caller knows are buffered (a checked
+    /// [`BitReader::consume`] without the check).
+    #[inline]
+    pub(crate) fn skip(&mut self, n: u32) {
+        debug_assert!(n <= self.nbits, "skip {n} of {} buffered bits", self.nbits);
+        self.acc >>= n;
+        self.nbits -= n;
+    }
+
     /// Read `count` bits (count ≤ 32), LSB-first. The zero padding of the
     /// final byte is readable; one bit past the final byte is an error.
     #[inline]

@@ -11,9 +11,9 @@
 //! Frame: `[varint raw_len][huffman table][bit stream]`.
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::huffman::{CodeTable, Decoder};
+use crate::huffman::{CodeTable, Decoder, PRIMARY_BITS};
 use crate::lz77::{self, LzParams, Token, MIN_MATCH};
-use crate::{CodecError, Result};
+use crate::{get_varint, put_varint, CodecError, Result};
 
 pub(crate) const GZ_PARAMS: LzParams = lz77::presets::BALANCED;
 pub(crate) const ZST_PARAMS: LzParams = lz77::presets::STRONG;
@@ -37,37 +37,6 @@ fn bucketize(v: u32) -> (u32, u8, u32) {
 #[inline]
 fn unbucketize(bucket: u32, extra: u32) -> u32 {
     (1u32 << bucket) + extra
-}
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            break;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-fn get_varint(data: &[u8], pos: &mut usize) -> Result<u64> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let &b = data
-            .get(*pos)
-            .ok_or_else(|| CodecError("truncated varint".into()))?;
-        *pos += 1;
-        if shift >= 64 {
-            return Err(CodecError("varint overflow".into()));
-        }
-        v |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
 }
 
 /// Compress `data` with `params` for the LZ stage.
@@ -120,6 +89,79 @@ fn encode_frame(data: &[u8], params: LzParams) -> Result<Vec<u8>> {
     Ok(out)
 }
 
+/// Literals one refill can resolve: each code is at most [`PRIMARY_BITS`]
+/// bits, and a refill buffers at least [`BitReader::REFILL_BITS`].
+const LITERAL_BURST: usize = (BitReader::REFILL_BITS / PRIMARY_BITS) as usize;
+
+/// Decode one whole token from one refill, when it is the common case:
+/// up to [`LITERAL_BURST`] literals, or a complete match whose two codes
+/// are primary-table codes and whose codes and extra bits all lie in the
+/// first [`BitReader::REFILL_BITS`] bits. It runs only while eight stream
+/// bytes are unloaded and 16 declared bytes are unwritten, so no bit it
+/// takes can be past the stream's end and no literal it writes can
+/// overrun the declared length. A match's distance and length are checked
+/// before anything is consumed.
+///
+/// Returns `false`, having consumed and written nothing, for anything
+/// else; the per-symbol path then decodes that token the way it always
+/// has, and reports any error in its words.
+#[inline]
+fn decode_token(dec: &Decoder, r: &mut BitReader<'_>, out: &mut Vec<u8>, expected: usize) -> bool {
+    if r.unloaded() < 8 || expected - out.len() < 16 {
+        return false;
+    }
+    r.refill();
+    let bits = r.window();
+    let entry = dec.entry(bits);
+    if entry == 0 {
+        return false;
+    }
+    let sym = (entry >> 4) as usize;
+    if sym < EOB {
+        let mut entry = entry;
+        for _ in 1..LITERAL_BURST {
+            out.push((entry >> 4) as u8);
+            r.skip(entry & 15);
+            entry = dec.entry(r.window());
+            if entry == 0 || (entry >> 4) as usize >= EOB {
+                return true;
+            }
+        }
+        out.push((entry >> 4) as u8);
+        r.skip(entry & 15);
+        return true;
+    }
+    if !(LEN_BASE..DIST_BASE).contains(&sym) {
+        return false;
+    }
+    // Bit offsets into `bits`: a code is at most PRIMARY_BITS and an extra
+    // field at most 31 bits, so every shift below stays under 64.
+    let lb = (sym - LEN_BASE) as u32;
+    let at = entry & 15;
+    let lv = (bits >> at) as u32 & ((1u64 << lb) - 1) as u32;
+    let at = at + lb;
+    let dentry = dec.entry(bits >> at);
+    let dsym = (dentry >> 4) as usize;
+    if dentry == 0 || !(DIST_BASE..ALPHABET).contains(&dsym) {
+        return false;
+    }
+    let db = (dsym - DIST_BASE) as u32;
+    let at = at + (dentry & 15);
+    if at + db > BitReader::REFILL_BITS {
+        return false;
+    }
+    let dv = (bits >> at) as u32 & ((1u64 << db) - 1) as u32;
+    let len = (unbucketize(lb, lv) - 1) as usize + MIN_MATCH;
+    // At least 1 by construction, so only the upper end is checked.
+    let dist = unbucketize(db, dv) as usize;
+    if dist > out.len() || len > expected - out.len() {
+        return false;
+    }
+    r.skip(at + db);
+    lz77::copy_match(out, dist, len);
+    true
+}
+
 /// Decompress a frame produced by [`compress`] (either parameter set —
 /// the frame is self-describing).
 pub(crate) fn decompress(data: &[u8]) -> Result<Vec<u8>> {
@@ -131,6 +173,11 @@ pub(crate) fn decompress(data: &[u8]) -> Result<Vec<u8>> {
     let dec = Decoder::new(&table);
     let mut r = BitReader::new(&data[pos..]);
     loop {
+        if decode_token(&dec, &mut r, &mut out, expected) {
+            continue;
+        }
+        // One symbol at a time, every check in place: the stream's tail,
+        // long codes, wide extra bits, and every error.
         let sym = dec.decode(&mut r)? as usize;
         if sym < EOB {
             if out.len() == expected {
@@ -375,5 +422,174 @@ mod tests {
             e == "decoded 0 bytes, expected 17179869184" || e.starts_with("cannot reserve"),
             "{e}"
         );
+    }
+
+    #[test]
+    fn length_past_64_bits_is_an_error() {
+        // Bit 1 of the tenth byte would be bit 64 of the length; in front
+        // of an empty frame it used to be dropped and the frame decoded.
+        let empty = compress(b"", ZST_PARAMS);
+        assert_eq!(empty[0], 0);
+        let mut f = vec![0x80; 9];
+        f.push(0x02);
+        f.extend_from_slice(&empty[1..]);
+        assert_eq!(error_of(&f), "varint overflow");
+        f[9] = 0x00;
+        assert_eq!(decompress(&f).unwrap(), b"");
+    }
+
+    #[test]
+    fn checks_fire_inside_the_token_window() {
+        // The same checks as above with enough stream on both sides that
+        // the whole-token path sees each bad token first: 400 one-bit
+        // codes keep eight stream bytes unloaded behind it.
+        let a = [lit(b'a'); 20];
+        let z = [lit(b'z'); 400];
+        let [l4, d1] = copy(4, 1);
+        let [l30, _] = copy(30, 1);
+        let [_, d21] = copy(4, 21);
+        let cases = [
+            (120, [l4, d21], "distance 21 out of range at 20"),
+            (40, [l30, d1], "match overruns declared length"),
+            (120, [l4, lit(b'b')], "expected distance symbol, got 98"),
+            (120, [d1, lit(b'b')], "unexpected symbol 289"),
+        ];
+        for (declared, bad, want) in cases {
+            let ops: Vec<_> = a
+                .iter()
+                .chain(&bad)
+                .chain(&z)
+                .chain(&[END])
+                .copied()
+                .collect();
+            assert_eq!(error_of(&frame(declared, ALPHABET, &ops)), want);
+        }
+    }
+
+    /// A decoder over the code lengths in `codes` (every other symbol has
+    /// none), and `ops` written with them.
+    fn window_case(codes: &[(usize, u8)], ops: &[(usize, u32, u8)]) -> (Decoder, Vec<u8>) {
+        let mut lengths = vec![0u8; ALPHABET];
+        for &(sym, len) in codes {
+            lengths[sym] = len;
+        }
+        let table = CodeTable::from_lengths(lengths).unwrap();
+        let mut w = BitWriter::new();
+        for &(sym, extra, count) in ops {
+            table.encode(&mut w, sym).unwrap();
+            w.write_bits(extra, count);
+        }
+        (Decoder::new(&table), w.finish())
+    }
+
+    /// Two-bit literals `a` and `b` and end-of-block, three-bit shortest
+    /// length and distance buckets: a complete code.
+    const SHORT: [(usize, u8); 5] = [
+        (LIT_BASE + b'a' as usize, 2),
+        (LIT_BASE + b'b' as usize, 2),
+        (EOB, 2),
+        (LEN_BASE, 3),
+        (DIST_BASE, 3),
+    ];
+
+    #[test]
+    fn token_path_resolves_five_literals_per_refill() {
+        let mut ops = [lit(b'a'), lit(b'b')].repeat(4);
+        ops.extend([END; 100]);
+        let (dec, stream) = window_case(&SHORT, &ops);
+        let mut r = BitReader::new(&stream);
+        let mut out = Vec::with_capacity(64);
+        assert!(decode_token(&dec, &mut r, &mut out, 64));
+        assert_eq!(out, b"ababa");
+        // The burst stops in front of end-of-block, which it leaves.
+        assert!(decode_token(&dec, &mut r, &mut out, 64));
+        assert_eq!(out, b"abababab");
+        assert!(!decode_token(&dec, &mut r, &mut out, 64));
+        assert_eq!(dec.decode(&mut r).unwrap() as usize, EOB);
+    }
+
+    #[test]
+    fn token_path_needs_16_bytes_of_room_and_8_unloaded_stream_bytes() {
+        let mut ops = vec![lit(b'a'); 5];
+        ops.extend([END; 40]);
+        let (dec, stream) = window_case(&SHORT, &ops);
+        let mut out = Vec::with_capacity(16);
+        assert!(!decode_token(
+            &dec,
+            &mut BitReader::new(&stream),
+            &mut out,
+            15
+        ));
+        assert!(out.is_empty());
+        assert!(decode_token(
+            &dec,
+            &mut BitReader::new(&stream),
+            &mut out,
+            16
+        ));
+        assert_eq!(out, b"aaaaa");
+        out.clear();
+        assert!(!decode_token(
+            &dec,
+            &mut BitReader::new(&stream[..7]),
+            &mut out,
+            16
+        ));
+        assert!(out.is_empty());
+        assert!(decode_token(
+            &dec,
+            &mut BitReader::new(&stream[..8]),
+            &mut out,
+            16
+        ));
+        assert_eq!(out, b"aaaaa");
+    }
+
+    #[test]
+    fn a_match_ending_at_bit_56_is_one_token_and_at_bit_57_is_not() {
+        // Ten-bit codes around 18 or 19 extra bits each: 10+18+10+18 = 56.
+        let codes = [
+            (EOB, 1),
+            (LIT_BASE + b'a' as usize, 2),
+            (LEN_BASE + 18, 10),
+            (LEN_BASE + 19, 10),
+            (DIST_BASE + 18, 10),
+        ];
+        let history: Vec<u8> = (0..300_000u32).map(|i| (i % 251) as u8).collect();
+        for (lb, fits) in [(18u8, true), (19, false)] {
+            let ops = [
+                (LEN_BASE + usize::from(lb), 2, lb),
+                (DIST_BASE + 18, 7, 18),
+                END,
+                END,
+                END,
+                END,
+                END,
+                END,
+                END,
+                END,
+            ];
+            let (dec, stream) = window_case(&codes, &ops);
+            let len = (1usize << lb) + 2 - 1 + MIN_MATCH;
+            let dist = (1usize << 18) + 7;
+            let expected = history.len() + len + 16;
+            let mut out = Vec::with_capacity(expected);
+            out.extend_from_slice(&history);
+            let mut r = BitReader::new(&stream);
+            assert_eq!(
+                decode_token(&dec, &mut r, &mut out, expected),
+                fits,
+                "lb {lb}"
+            );
+            if fits {
+                let start = history.len() - dist;
+                assert_eq!(&out[history.len()..], &history[start..start + len]);
+                assert_eq!(dec.decode(&mut r).unwrap() as usize, EOB);
+            } else {
+                assert_eq!(out.len(), history.len());
+                let sym = dec.decode(&mut r).unwrap() as usize;
+                assert_eq!(sym, LEN_BASE + usize::from(lb), "nothing consumed");
+            }
+        }
     }
 }

@@ -243,8 +243,9 @@ impl CodeTable {
 #[derive(Debug)]
 pub struct Decoder {
     /// `symbol << 4 | length`, or 0 where no code of ≤ `PRIMARY_BITS` bits
-    /// matches (a length is never 0, so 0 is free to mean "none").
-    primary: Vec<u32>,
+    /// matches (a length is never 0, so 0 is free to mean "none"). A fixed
+    /// size, so a masked index needs no bounds check.
+    primary: Box<[u32; 1 << PRIMARY_BITS]>,
     /// Per code length: the first canonical code, how many codes there
     /// are, and where their symbols start in `symbols`.
     first_code: [u32; MAX_BITS as usize + 1],
@@ -274,7 +275,7 @@ impl Decoder {
             code += count[len];
             index += count[len];
         }
-        let mut primary = vec![0u32; 1 << PRIMARY_BITS];
+        let mut primary = Box::new([0u32; 1 << PRIMARY_BITS]);
         let mut symbols = vec![0u16; index as usize];
         let mut next_index = first_index;
         for (sym, (&len, &reversed)) in table.lengths.iter().zip(&table.codes).enumerate() {
@@ -306,7 +307,7 @@ impl Decoder {
         if r.buffered() < u32::from(MAX_BITS) {
             r.refill();
         }
-        let entry = self.primary[r.peek(PRIMARY_BITS) as usize];
+        let entry = self.entry(r.window());
         let entry = if entry == 0 {
             self.decode_long(r.peek(u32::from(MAX_BITS)))?
         } else {
@@ -314,6 +315,14 @@ impl Decoder {
         };
         r.consume(entry & 15)?;
         Ok((entry >> 4) as u16)
+    }
+
+    /// The primary entry for the code at the bottom of `bits`:
+    /// `symbol << 4 | length`, or 0 when no code of at most
+    /// [`PRIMARY_BITS`] bits matches there.
+    #[inline]
+    pub(crate) fn entry(&self, bits: u64) -> u32 {
+        self.primary[(bits & ((1 << PRIMARY_BITS) - 1)) as usize]
     }
 
     /// The canonical walk over the next [`MAX_BITS`] stream bits, for a

@@ -19,13 +19,19 @@
 //! The storage node decompresses every column chunk before any pushed-down
 //! operator can run, so the decode side is built for speed: [`bitio`]
 //! reads the stream through a 64-bit accumulator refilled eight bytes at a
-//! time, and [`huffman::Decoder`] resolves a symbol with one lookup in a
-//! table indexed by the next ten stream bits. Neither changes a byte of the
-//! frame; `tests/golden.rs` pins the encoder's output and
-//! `tests/proptests.rs` holds the decoder to a bit-at-a-time reference on
-//! valid, mutated and truncated frames. Frames come off the object store,
-//! so no declared length is trusted: output space is reserved fallibly and
-//! every match and literal is checked against it before it is written.
+//! time, [`huffman::Decoder`] resolves a symbol with one lookup in a table
+//! indexed by the next ten stream bits, and the frame decoder resolves a
+//! whole token per refill (up to five literals, or a match with its extra
+//! bits) wherever 56 stream bits hold it, falling back to one symbol at a
+//! time for the stream's tail, long codes and every error. Short matches
+//! clear of their source are copied as one 8- or 16-byte chunk. None of
+//! this changes a byte of the frame; `tests/golden.rs` pins the encoder's
+//! output, and `tests/proptests.rs` holds the decoder to a bit-at-a-time
+//! reference and, error string for error string, to the per-symbol loop,
+//! on valid, mutated and truncated frames. Frames come off the object
+//! store, so no declared length is trusted: a length header past 64 bits
+//! is an error, output space is reserved fallibly, and every match and
+//! literal is checked against it before it is written.
 //!
 //! Each codec also advertises *throughput hints*
 //! ([`CodecSpec::compress_gbps`] / [`CodecSpec::decompress_gbps`]) used by
@@ -191,6 +197,43 @@ pub struct CodecSpec {
     pub decompress_gbps: f64,
 }
 
+/// Append `v` as a LEB128 varint: seven bits a byte, low group first, the
+/// high bit set on every byte but the last.
+pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let b = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(b);
+            break;
+        }
+        out.push(b | 0x80);
+    }
+}
+
+/// Read a [`put_varint`] value at `*pos` and advance past it. A value that
+/// does not fit in 64 bits is an error, never silently cut: the tenth byte
+/// may carry one bit, and there is no eleventh.
+pub(crate) fn get_varint(data: &[u8], pos: &mut usize) -> Result<u64> {
+    let mut v = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let &b = data
+            .get(*pos)
+            .ok_or_else(|| CodecError("truncated varint".into()))?;
+        *pos += 1;
+        let bits = u64::from(b & 0x7f);
+        if shift >= 64 || (bits << shift) >> shift != bits {
+            return Err(CodecError("varint overflow".into()));
+        }
+        v |= bits << shift;
+        if b & 0x80 == 0 {
+            return Ok(v);
+        }
+        shift += 7;
+    }
+}
+
 /// An output buffer with room for the `expected` bytes a frame declares.
 /// The length comes from untrusted object bytes: beyond 16 GiB it is
 /// implausible, and an allocation the system refuses is a decode error,
@@ -311,6 +354,28 @@ mod tests {
         assert!(snap.decompress_gbps > zst.decompress_gbps);
         assert!(zst.decompress_gbps > gz.decompress_gbps);
         assert!(gz.compress_gbps < snap.compress_gbps);
+    }
+
+    #[test]
+    fn varint_roundtrip_and_overflow() {
+        for v in [0u64, 1, 127, 128, 300, 1 << 20, u32::MAX as u64, u64::MAX] {
+            let mut out = Vec::new();
+            put_varint(&mut out, v);
+            let mut pos = 0;
+            assert_eq!(get_varint(&out, &mut pos).unwrap(), v);
+            assert_eq!(pos, out.len());
+        }
+        // u64::MAX ends in a tenth byte of 1; anything wider is refused.
+        let mut wide = vec![0xff; 9];
+        for last in [0x02, 0x7f, 0x81] {
+            wide.truncate(9);
+            wide.extend([last, 0]);
+            assert_eq!(get_varint(&wide, &mut 0).unwrap_err().0, "varint overflow");
+        }
+        assert_eq!(
+            get_varint(&[0x80; 3], &mut 0).unwrap_err().0,
+            "truncated varint"
+        );
     }
 
     #[test]

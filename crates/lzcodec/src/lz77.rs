@@ -174,6 +174,25 @@ pub fn tokenize(data: &[u8], params: LzParams) -> Vec<Token> {
 pub fn copy_match(out: &mut Vec<u8>, dist: usize, len: usize) {
     assert!(dist >= 1 && dist <= out.len(), "match distance {dist}");
     let start = out.len() - dist;
+    if (1..=16).contains(&len) && out.capacity() - out.len() >= 16 {
+        // Short and clear of its source: append a whole 8- or 16-byte
+        // chunk, which is one fixed-width move, then cut it to `len`. The
+        // chunk fits in capacity the caller already holds, so at most 15
+        // bytes past the new length are written and nothing is allocated.
+        let end = out.len() + len;
+        if let Some(&chunk) = out[start..].first_chunk::<16>() {
+            out.extend_from_slice(&chunk);
+            out.truncate(end);
+            return;
+        }
+        if len <= 8 {
+            if let Some(&chunk) = out[start..].first_chunk::<8>() {
+                out.extend_from_slice(&chunk);
+                out.truncate(end);
+                return;
+            }
+        }
+    }
     if dist >= len {
         // Non-overlapping: the whole source range already exists, so copy
         // it in one chunk. The loop below would do the same in one round;
@@ -312,6 +331,27 @@ mod tests {
         assert_eq!(out, b"abcabcbcbcbcbbbbbbab");
         copy_match(&mut out, 4, 0);
         assert_eq!(out.len(), 20);
+    }
+
+    #[test]
+    fn short_copies_stay_inside_the_reservation() {
+        // len 16 from 16 back and len 8 from 8 back are whole chunks; len 9
+        // from 8 back overlaps its source and keeps doubling.
+        let history: Vec<u8> = (0..40u8).map(|i| i.wrapping_mul(37)).collect();
+        for (dist, len) in [(16, 16), (8, 8), (8, 9), (16, 1), (40, 16), (9, 8), (7, 7)] {
+            for spare in [16, len] {
+                let mut out = Vec::with_capacity(history.len() + spare);
+                out.extend_from_slice(&history);
+                let capacity = out.capacity();
+                copy_match(&mut out, dist, len);
+                let mut want = history.clone();
+                for k in 0..len {
+                    want.push(want[history.len() - dist + k]);
+                }
+                assert_eq!(out, want, "dist {dist} len {len} spare {spare}");
+                assert_eq!(out.capacity(), capacity, "dist {dist} len {len}");
+            }
+        }
     }
 
     #[test]

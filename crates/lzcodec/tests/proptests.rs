@@ -4,7 +4,7 @@
 
 use lzcodec::bitio::{BitReader, BitWriter};
 use lzcodec::huffman::{build_lengths, CodeTable, Decoder, MAX_BITS, PRIMARY_BITS};
-use lzcodec::lz77::{detokenize, tokenize, Token, MIN_MATCH};
+use lzcodec::lz77::{copy_match, detokenize, tokenize, Token, MIN_MATCH};
 use lzcodec::{compress, decompress, CodecKind};
 use proptest::prelude::*;
 
@@ -98,16 +98,19 @@ impl ReferenceDecoder {
     }
 }
 
+/// The frame's length header, read as the crate reads it: LEB128, and a
+/// value wider than 64 bits is an error.
 fn reference_varint(data: &[u8], pos: &mut usize) -> Result<u64, String> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
         let &b = data.get(*pos).ok_or("truncated varint")?;
         *pos += 1;
-        if shift >= 64 {
+        let bits = (b & 0x7f) as u64;
+        if shift >= 64 || (bits << shift) >> shift != bits {
             return Err("varint overflow".into());
         }
-        v |= ((b & 0x7f) as u64) << shift;
+        v |= bits << shift;
         if b & 0x80 == 0 {
             return Ok(v);
         }
@@ -177,6 +180,128 @@ fn reference_decompress(data: &[u8]) -> Result<Vec<u8>, String> {
         return Err(format!("decoded {} bytes, expected {expected}", out.len()));
     }
     Ok(out)
+}
+
+/// The crate's frame decoder as it was while it decoded one symbol per
+/// step: one `Decoder::decode` per symbol, every check in its place and
+/// order, built from the crate's public items. Unlike the crate, it does
+/// not reserve the declared length up front.
+fn per_symbol_decompress(data: &[u8]) -> Result<Vec<u8>, String> {
+    const EOB: usize = 256;
+    const LEN_BASE: usize = 257;
+    const DIST_BASE: usize = 289;
+    const ALPHABET: usize = 321;
+    let mut pos = 0usize;
+    let expected = reference_varint(data, &mut pos)? as usize;
+    if expected > (1 << 34) {
+        return Err(format!("implausible frame length {expected}"));
+    }
+    let (table, consumed) = CodeTable::read_table(&data[pos..]).map_err(|e| e.0)?;
+    pos += consumed;
+    let dec = Decoder::new(&table);
+    let mut r = BitReader::new(&data[pos..]);
+    let mut out: Vec<u8> = Vec::new();
+    loop {
+        let sym = dec.decode(&mut r).map_err(|e| e.0)? as usize;
+        if sym < EOB {
+            if out.len() == expected {
+                return Err("output overruns declared length".into());
+            }
+            out.push(sym as u8);
+            continue;
+        }
+        if sym == EOB {
+            break;
+        }
+        if !(LEN_BASE..DIST_BASE).contains(&sym) {
+            return Err(format!("unexpected symbol {sym}"));
+        }
+        let lb = (sym - LEN_BASE) as u32;
+        let lv = r.read_bits(lb as u8).map_err(|e| e.0)?;
+        let len = ((1u32 << lb) + lv - 1) as usize + MIN_MATCH;
+        let dsym = dec.decode(&mut r).map_err(|e| e.0)? as usize;
+        if !(DIST_BASE..ALPHABET).contains(&dsym) {
+            return Err(format!("expected distance symbol, got {dsym}"));
+        }
+        let db = (dsym - DIST_BASE) as u32;
+        let dv = r.read_bits(db as u8).map_err(|e| e.0)?;
+        let dist = ((1u32 << db) + dv) as usize;
+        if dist == 0 || dist > out.len() {
+            return Err(format!("distance {dist} out of range at {}", out.len()));
+        }
+        if len > expected - out.len() {
+            return Err("match overruns declared length".into());
+        }
+        copy_match(&mut out, dist, len);
+    }
+    if out.len() != expected {
+        return Err(format!("decoded {} bytes, expected {expected}", out.len()));
+    }
+    Ok(out)
+}
+
+/// The crate's decoder must give the per-symbol loop's bytes, and its
+/// error string word for word. Only a refused reservation of the declared
+/// length is the crate's alone.
+fn assert_decodes_like_per_symbol_loop(frame: &[u8]) {
+    let new = decompress(CodecKind::Zst, frame).map_err(|e| e.0);
+    if matches!(&new, Err(e) if e.starts_with("cannot reserve")) {
+        return;
+    }
+    let old = per_symbol_decompress(frame);
+    if new != old {
+        panic!(
+            "decoder: {:?}, per-symbol loop: {:?}",
+            new.map(|b| b.len()),
+            old.map(|b| b.len())
+        );
+    }
+}
+
+/// A frame, its prefixes of `cuts` bytes, each of `flips` applied alone
+/// and with the stream cut behind it, the frame with `tail` appended (with
+/// every cut, the mutations [`assert_mutations_decode_like_reference`]
+/// makes), and the frame declaring lengths within 40 of its own and at
+/// each sixteenth of it.
+fn for_each_mutation(
+    frame: &[u8],
+    cuts: impl IntoIterator<Item = usize>,
+    flips: &[(usize, u8)],
+    tail: &[u8],
+    mut check: impl FnMut(&[u8]),
+) {
+    check(frame);
+    for cut in cuts {
+        check(&frame[..cut]);
+    }
+    for &(at, xor) in flips {
+        let mut bad = frame.to_vec();
+        let at = at % bad.len();
+        bad[at] ^= xor | 1;
+        check(&bad);
+        check(&bad[..at + 1]);
+    }
+    let mut longer = frame.to_vec();
+    longer.extend_from_slice(tail);
+    check(&longer);
+    // The same table and stream under each declared length near the true
+    // one, and at sixteenths of it: every overrun check meets its edge,
+    // with the stream's end near and far.
+    let mut at = 0;
+    if let Ok(declared) = reference_varint(frame, &mut at) {
+        let near = declared.saturating_sub(40)..declared + 40;
+        for len in near.chain((0..16).map(|k| declared / 16 * k)) {
+            let mut relabeled = Vec::new();
+            let mut v = len;
+            while v >= 0x80 {
+                relabeled.push(v as u8 | 0x80);
+                v >>= 7;
+            }
+            relabeled.push(v as u8);
+            relabeled.extend_from_slice(&frame[at..]);
+            check(&relabeled);
+        }
+    }
 }
 
 /// The table-driven decoder must accept exactly the frames the reference
@@ -359,6 +484,51 @@ fn valid_tokens(spec: &[(u8, u16, u16)]) -> Vec<Token> {
     tokens
 }
 
+/// `n` bytes shaped like one of `codec-scan`'s column chunks, by `shape`:
+/// 0 an Int64 sequence (one literal and a 7-byte match 8 back per value),
+/// 1 Float64 noise (long literal runs), 2 Date32 values from a few
+/// thousand days (short matches far back), 3 all three in a row.
+fn column_chunk(shape: u8, seed: u64, n: usize) -> Vec<u8> {
+    let mut x = seed | 1;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let mut out = Vec::with_capacity(n + 8);
+    match shape {
+        0 => {
+            let start = (next() >> 16) as i64;
+            for k in 0.. {
+                if out.len() >= n {
+                    break;
+                }
+                out.extend_from_slice(&(start + k).to_le_bytes());
+            }
+        }
+        1 => {
+            while out.len() < n {
+                let v = (next() >> 11) as f64 / (1u64 << 53) as f64 * 1000.0;
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+        }
+        2 => {
+            while out.len() < n {
+                let day = 8_000 + (next() % 3_000) as i32;
+                out.extend_from_slice(&day.to_le_bytes());
+            }
+        }
+        _ => {
+            for part in 0..3 {
+                out.extend(column_chunk(part, seed ^ u64::from(part), n / 3));
+            }
+        }
+    }
+    out.truncate(n);
+    out
+}
+
 fn roundtrip(kind: CodecKind, data: &[u8]) {
     let packed = compress(kind, data);
     let back = decompress(kind, &packed).expect("decompress own output");
@@ -462,6 +632,56 @@ proptest! {
     }
 
     #[test]
+    fn entropy_decoder_equals_per_symbol_loop_on_arbitrary_data(
+        data in proptest::collection::vec(any::<u8>(), 0..1_000),
+        flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..24),
+        tail in proptest::collection::vec(any::<u8>(), 0..40),
+    ) {
+        for kind in [CodecKind::Gz, CodecKind::Zst] {
+            let frame = compress(kind, &data);
+            for_each_mutation(
+                &frame,
+                0..frame.len(),
+                &flips,
+                &tail,
+                assert_decodes_like_per_symbol_loop,
+            );
+        }
+    }
+
+    #[test]
+    fn entropy_decoder_equals_per_symbol_loop_on_structured_data(
+        seed in any::<u8>(),
+        period in 1usize..300,
+        reps in 1usize..60,
+        noise in proptest::collection::vec(any::<u8>(), 0..200),
+        flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..24),
+        tail in proptest::collection::vec(any::<u8>(), 0..40),
+    ) {
+        let mut data: Vec<u8> = (0..period * reps)
+            .map(|i| seed.wrapping_add((i % period) as u8))
+            .collect();
+        data.splice(data.len() / 2..data.len() / 2, noise);
+        for kind in [CodecKind::Gz, CodecKind::Zst] {
+            let frame = compress(kind, &data);
+            for_each_mutation(
+                &frame,
+                0..frame.len(),
+                &flips,
+                &tail,
+                assert_decodes_like_per_symbol_loop,
+            );
+        }
+    }
+
+    #[test]
+    fn entropy_decoder_equals_per_symbol_loop_on_garbage(
+        data in proptest::collection::vec(any::<u8>(), 0..2_000),
+    ) {
+        assert_decodes_like_per_symbol_loop(&data);
+    }
+
+    #[test]
     fn detokenize_chunked_equals_bytewise_on_random_tokens(
         spec in proptest::collection::vec(
             (any::<u8>(), any::<u16>(), any::<u16>()),
@@ -502,5 +722,42 @@ proptest! {
         prop_assert_eq!(&back1, &once);
         let back0 = decompress(CodecKind::Zst, &back1).unwrap();
         prop_assert_eq!(back0, data);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Chunks of 4-64 KiB shaped like `codec-scan`'s, against both
+    /// references. Cutting at every prefix is quadratic in the frame, so
+    /// the whole chunk is cut at 64 strides and through its last 64 bytes,
+    /// and its first 4 KiB, compressed alone, at every prefix.
+    #[test]
+    fn entropy_decoder_equals_both_references_on_column_chunks(
+        shape in 0u8..4,
+        seed in any::<u64>(),
+        kib in 4usize..=64,
+        flips in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..24),
+        tail in proptest::collection::vec(any::<u8>(), 0..40),
+    ) {
+        let data = column_chunk(shape, seed, kib * 1024);
+        let frame = compress(CodecKind::Zst, &data);
+        prop_assert_eq!(&decompress(CodecKind::Zst, &frame).unwrap(), &data);
+        let cuts = (0..frame.len())
+            .step_by(frame.len() / 64 + 1)
+            .chain(frame.len().saturating_sub(64)..frame.len());
+        for_each_mutation(&frame, cuts, &flips, &tail, |f| {
+            assert_decodes_like_reference(f);
+            assert_decodes_like_per_symbol_loop(f);
+        });
+        let head = compress(CodecKind::Zst, &data[..4096]);
+        assert_mutations_decode_like_reference(&head, &flips, &tail);
+        for_each_mutation(
+            &head,
+            0..head.len(),
+            &flips,
+            &tail,
+            assert_decodes_like_per_symbol_loop,
+        );
     }
 }
