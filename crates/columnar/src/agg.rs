@@ -57,24 +57,26 @@ impl AggFunc {
         })
     }
 
-    /// Result type given the input type.
+    /// Result type given the argument type (`None` = `*`): `COUNT` takes
+    /// anything or nothing, `SUM` and `AVG` an Int64 or Float64, `MIN` and
+    /// `MAX` an argument of any type. The one measure rule: the engine's
+    /// analyzer and planck both type aggregates with it.
     pub fn result_type(&self, input: Option<DataType>) -> Result<DataType> {
-        Ok(match self {
-            AggFunc::Count => DataType::Int64,
-            AggFunc::Avg => DataType::Float64,
-            AggFunc::Sum => match input {
-                Some(DataType::Int64) => DataType::Int64,
-                Some(DataType::Float64) => DataType::Float64,
-                other => {
-                    return Err(ColumnarError::Invalid(format!(
-                        "SUM over {other:?} not supported"
-                    )))
-                }
-            },
-            AggFunc::Min | AggFunc::Max => input.ok_or_else(|| {
-                ColumnarError::Invalid(format!("{} requires an argument", self.sql()))
-            })?,
-        })
+        use DataType::{Float64, Int64};
+        match (self, input) {
+            (AggFunc::Count, _) => Ok(Int64),
+            (AggFunc::Sum, Some(t @ (Int64 | Float64)))
+            | (AggFunc::Min | AggFunc::Max, Some(t)) => Ok(t),
+            (AggFunc::Avg, Some(Int64 | Float64)) => Ok(Float64),
+            (_, Some(t)) => Err(ColumnarError::Invalid(format!(
+                "{} over {t} not supported",
+                self.sql()
+            ))),
+            (_, None) => Err(ColumnarError::Invalid(format!(
+                "{} requires an argument",
+                self.sql()
+            ))),
+        }
     }
 }
 
@@ -957,6 +959,15 @@ mod tests {
         assert_eq!(AggFunc::Count.result_type(None).unwrap(), DataType::Int64);
         assert!(AggFunc::Sum.result_type(Some(DataType::Utf8)).is_err());
         assert!(AggFunc::Min.result_type(None).is_err());
+        // AVG takes what SUM takes: a numeric argument, never `*`.
+        assert_eq!(
+            AggFunc::Avg.result_type(Some(DataType::Float64)).unwrap(),
+            DataType::Float64
+        );
+        for t in [DataType::Utf8, DataType::Boolean, DataType::Date32] {
+            assert!(AggFunc::Avg.result_type(Some(t)).is_err(), "{t}");
+        }
+        assert!(AggFunc::Avg.result_type(None).is_err());
     }
 
     #[test]

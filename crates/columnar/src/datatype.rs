@@ -60,9 +60,10 @@ impl DataType {
     }
 
     /// True when values of `self` and `other` can be compared: the same
-    /// type, or both numeric (mixed numeric types compare as `f64`). The one
-    /// rule the engine's analyzer, the Substrait type check and planck
-    /// apply to comparisons and `BETWEEN` bounds.
+    /// type, or both numeric (mixed numeric types compare as `f64`). The
+    /// engine's analyzer and planck apply it to comparisons and `BETWEEN`
+    /// bounds through [`crate::expr::comparable`], which adds the one
+    /// exception: an untyped `NULL` literal compares with any type.
     pub fn comparable_with(&self, other: DataType) -> bool {
         *self == other || (self.is_numeric() && other.is_numeric())
     }

@@ -93,10 +93,7 @@ pub fn eval<E: ExprTree>(e: &E, batch: &RecordBatch) -> Result<ArrayRef> {
                 len: batch.num_columns(),
             })?
         }
-        Node::Literal(s) => {
-            let dt = s.data_type().unwrap_or(DataType::Boolean);
-            Arc::new(Array::from_scalar(s, dt, batch.num_rows())?)
-        }
+        Node::Literal(s) => Arc::new(Array::from_scalar(s, literal_type(s), batch.num_rows())?),
         Node::Cmp(op, left, right) => mask(match (left.node(), right.node()) {
             (_, Node::Literal(s)) => cmp::compare_scalar(&*eval(left, batch)?, s, op)?,
             (Node::Literal(s), _) => cmp::compare_scalar(&*eval(right, batch)?, s, op.flip())?,
@@ -139,6 +136,22 @@ pub fn eval<E: ExprTree>(e: &E, batch: &RecordBatch) -> Result<ArrayRef> {
         Node::IsNull(x) => mask(cmp::is_null(&*eval(x, batch)?)),
         Node::IsNotNull(x) => mask(cmp::is_not_null(&*eval(x, batch)?)),
     })
+}
+
+/// The type of a literal: its value's, or Boolean for the untyped `NULL`,
+/// which is how [`eval`] materializes it and how every typer types it.
+pub fn literal_type(s: &Scalar) -> DataType {
+    s.data_type().unwrap_or(DataType::Boolean)
+}
+
+/// The comparison rule for two operands with their types: a comparison's
+/// sides, or a `BETWEEN`'s tested expression and one bound. The types must
+/// be [`DataType::comparable_with`] each other, with one exception: the
+/// untyped `NULL` literal, Boolean by [`literal_type`], compares with any
+/// type (the result is NULL).
+pub fn comparable<E: ExprTree>((l, lt): (&E, DataType), (r, rt): (&E, DataType)) -> bool {
+    let null = |e: &E| matches!(e.node(), Node::Literal(Scalar::Null));
+    lt.comparable_with(rt) || null(l) || null(r)
 }
 
 /// Primitive operations one row costs. Both sides of the pushdown boundary

@@ -273,6 +273,17 @@ pub fn scalar_arith(s: &Scalar, a: &Array, op: ArithOp) -> Result<Array> {
     binary(Operand::Scalar(s), Operand::Array(a), op, a.len())
 }
 
+/// The type of `-x` for an `x` of type `t`: Int64 and Float64 negate to
+/// themselves, and nothing else negates. The rule [`negate`] implements.
+pub fn negate_type(t: DataType) -> Result<DataType> {
+    match t {
+        DataType::Int64 | DataType::Float64 => Ok(t),
+        other => Err(ColumnarError::Invalid(format!(
+            "negate not defined for {other}"
+        ))),
+    }
+}
+
 /// Unary negation.
 pub fn negate(a: &Array) -> Result<Array> {
     match a {

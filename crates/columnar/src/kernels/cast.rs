@@ -4,6 +4,23 @@ use crate::array::{Array, Date32Array, Float64Array, Int64Array, Utf8Array};
 use crate::datatype::DataType;
 use crate::error::{ColumnarError, Result};
 
+/// Whether [`cast`] supports `from` → `to`: identity, numeric ↔ numeric,
+/// date ↔ int64, date → float64, and anything → utf8. The rule plan
+/// typers apply to a `CAST` before it reaches this kernel.
+pub fn castable(from: DataType, to: DataType) -> bool {
+    use DataType::*;
+    from == to
+        || to == Utf8
+        || matches!(
+            (from, to),
+            (Int64, Float64)
+                | (Float64, Int64)
+                | (Date32, Int64)
+                | (Int64, Date32)
+                | (Date32, Float64)
+        )
+}
+
 /// Cast `a` to `to`, following SQL cast semantics for the supported pairs.
 pub fn cast(a: &Array, to: DataType) -> Result<Array> {
     if a.data_type() == to {
@@ -96,6 +113,18 @@ mod tests {
     fn invalid_cast_errors() {
         let a = Array::from_bools(vec![true]);
         assert!(cast(&a, DataType::Float64).is_err());
+    }
+
+    #[test]
+    fn castable_matches_the_kernel() {
+        use DataType::*;
+        let types = [Int64, Float64, Boolean, Utf8, Date32];
+        for from in types {
+            let one = Array::from_scalar(&Scalar::Null, from, 1).unwrap();
+            for to in types {
+                assert_eq!(castable(from, to), cast(&one, to).is_ok(), "{from} -> {to}");
+            }
+        }
     }
 
     #[test]

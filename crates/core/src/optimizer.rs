@@ -280,23 +280,15 @@ impl ConnectorPlanOptimizer for OcsPlanOptimizer {
             output_schema: scan_output.clone(),
         };
 
-        // Layer-1 enforcement: verify the exact Substrait plan this handle
-        // will ship. A rejection here is a rewrite bug in this optimizer —
-        // debug builds fail loudly; under the `verify-plans` feature the
-        // query hard-errors instead of shipping a plan storage would
-        // reject.
-        #[cfg(any(debug_assertions, feature = "verify-plans"))]
-        if let Err(d) = crate::translate::to_substrait_verified(&handle) {
-            if cfg!(feature = "verify-plans") {
-                return Err(EngineError::Analysis(format!(
-                    "pushdown rewrite produced an illegal storage plan: {d}"
-                )));
-            }
-            debug_assert!(
-                false,
+        // The engine-side check, once per query in every build: verify the
+        // exact Substrait plan this handle ships to every split. The
+        // analyzer has typed the query with the same `columnar` rules, so
+        // a rejection here is a rewrite bug in this optimizer.
+        crate::translate::to_substrait_verified(&handle).map_err(|d| {
+            EngineError::Analysis(format!(
                 "pushdown rewrite produced an illegal storage plan: {d}"
-            );
-        }
+            ))
+        })?;
 
         let mut rebuilt = LogicalPlan::TableScan(TableScanNode {
             table: scan.table.clone(),
@@ -503,6 +495,48 @@ pub fn decompose_aggregate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsq::catalog::{Metastore, ObjectLocation, TableMeta};
+    use netsim::CostParams;
+
+    #[test]
+    fn an_ill_typed_pushed_filter_is_an_analysis_error() {
+        // A rewrite bug stand-in: a filter whose predicate is Int64. The
+        // analyzer never builds one; if a rewrite did, the plan shipped to
+        // storage fails planck, in every build, as a typed error.
+        let schema = Arc::new(Schema::new(vec![Field::new("x", DataType::Int64, false)]));
+        let metastore = Metastore::new();
+        metastore.register(TableMeta {
+            name: "t".into(),
+            connector: "ocs".into(),
+            schema: schema.clone(),
+            objects: vec![ObjectLocation {
+                bucket: "lake".into(),
+                key: "t/0".into(),
+                rows: 10,
+                bytes: 100,
+                ..Default::default()
+            }],
+            stats: Default::default(),
+        });
+        let plan = LogicalPlan::Filter {
+            input: Box::new(LogicalPlan::TableScan(TableScanNode {
+                table: "t".into(),
+                connector: "ocs".into(),
+                output_schema: schema,
+                handle: Arc::new(DefaultTableHandle::all_columns()),
+            })),
+            predicate: ScalarExpr::col(0, "x", DataType::Int64),
+        };
+        let ctx = OptimizerContext {
+            metastore: &metastore,
+            cost: &CostParams::default(),
+        };
+        let optimizer = OcsPlanOptimizer::new("ocs".into(), PushdownPolicy::all());
+        match optimizer.optimize(plan, &ctx) {
+            Err(EngineError::Analysis(m)) => assert!(m.contains("P300"), "{m}"),
+            other => panic!("expected an analysis error, got {other:?}"),
+        }
+    }
 
     fn call(func: AggFunc, col: usize, dt: DataType, name: &str) -> AggregateCall {
         AggregateCall {

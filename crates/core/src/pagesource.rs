@@ -117,16 +117,10 @@ impl PageSourceProvider for OcsPageSourceProvider {
         }
 
         // 1. Reconstruct + translate the pushdown plan (Table 3's
-        //    "Substrait IR Generation", billed to the coordinator). Debug
-        //    builds and `verify-plans` builds run the planck pushdown
-        //    verifier on the generated IR before it ships.
-        let (plan, ir_nodes) = if cfg!(any(debug_assertions, feature = "verify-plans")) {
-            crate::translate::to_substrait_verified(&handle).map_err(|d| {
-                EngineError::Connector(format!("refusing to ship illegal plan: {d}"))
-            })?
-        } else {
-            to_substrait(&handle)
-        };
+        //    "Substrait IR Generation", billed to the coordinator). The
+        //    connector optimizer verified this handle's plan once for the
+        //    query; OCS verifies what arrives.
+        let (plan, ir_nodes) = to_substrait(&handle);
         let substrait_gen_s = self
             .cluster
             .compute

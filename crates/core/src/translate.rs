@@ -199,11 +199,12 @@ pub fn to_substrait(handle: &OcsTableHandle) -> (Plan, u64) {
     (Plan::new(rel), nodes)
 }
 
-/// [`to_substrait`] followed by the planck pushdown verifier — the single
-/// post-translate check on everything the connector ships: structure,
-/// typing, operator shape and pushdown legality (Fetch at root, offset 0,
-/// one Aggregate, deterministic expressions). Returns the primary
-/// diagnostic on failure so callers can log the offending plan node.
+/// [`to_substrait`] followed by the planck pushdown verifier — the one
+/// engine-side check on what the connector ships, made once per query by
+/// the connector optimizer: structure, typing, operator shape and
+/// pushdown legality (Fetch at root, offset 0, one Aggregate). Returns the
+/// primary diagnostic on failure so callers can log the offending plan
+/// node.
 pub fn to_substrait_verified(handle: &OcsTableHandle) -> Result<(Plan, u64), planck::Diagnostic> {
     let (plan, nodes) = to_substrait(handle);
     planck::verify_pushdown(&plan).map_err(planck::primary)?;
@@ -279,7 +280,8 @@ mod tests {
     #[test]
     fn builds_verifying_plan() {
         let (plan, nodes) = to_substrait_verified(&handle()).expect("generated plan must verify");
-        let schema = planck::verify_pushdown(&plan).expect("pushdown-legal");
+        let verified = planck::verify_pushdown(&plan).expect("pushdown-legal");
+        let schema = verified.schema();
         // Read → Filter → Aggregate → Sort → Fetch.
         assert_eq!(plan.root.operator_count(), 5);
         assert!(nodes > 10);

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use columnar::agg::AggFunc;
-use columnar::kernels::arith::ArithOp;
+use columnar::kernels::arith::{negate_type, ArithOp};
 use columnar::kernels::cmp::CmpOp;
 use columnar::sort::SortKey;
 use columnar::{DataType, Scalar, Schema, SchemaRef};
@@ -159,6 +159,8 @@ fn build_aggregate(
                     }
                     Some(resolve(&args[0], scan_schema)?)
                 };
+                func.result_type(arg.as_ref().map(ScalarExpr::data_type))
+                    .map_err(analysis)?;
                 let output_name = item
                     .alias
                     .clone()
@@ -340,8 +342,8 @@ pub fn resolve(e: &AstExpr, schema: &SchemaRef) -> EResult<ScalarExpr> {
             let l = resolve(left, schema)?;
             let r = resolve(right, schema)?;
             match op {
-                BinaryOp::And => ScalarExpr::And(Arc::new(l), Arc::new(r)),
-                BinaryOp::Or => ScalarExpr::Or(Arc::new(l), Arc::new(r)),
+                BinaryOp::And => ScalarExpr::And(Arc::new(boolean(l)?), Arc::new(boolean(r)?)),
+                BinaryOp::Or => ScalarExpr::Or(Arc::new(boolean(l)?), Arc::new(boolean(r)?)),
                 BinaryOp::Eq => cmp(CmpOp::Eq, l, r)?,
                 BinaryOp::NotEq => cmp(CmpOp::NotEq, l, r)?,
                 BinaryOp::Lt => cmp(CmpOp::Lt, l, r)?,
@@ -358,8 +360,11 @@ pub fn resolve(e: &AstExpr, schema: &SchemaRef) -> EResult<ScalarExpr> {
         AstExpr::Unary { op, expr } => {
             let inner = resolve(expr, schema)?;
             match op {
-                UnaryOp::Neg => ScalarExpr::Negate(Arc::new(inner)),
-                UnaryOp::Not => ScalarExpr::Not(Arc::new(inner)),
+                UnaryOp::Neg => {
+                    negate_type(inner.data_type()).map_err(analysis)?;
+                    ScalarExpr::Negate(Arc::new(inner))
+                }
+                UnaryOp::Not => ScalarExpr::Not(Arc::new(boolean(inner)?)),
             }
         }
         AstExpr::Between {
@@ -412,13 +417,11 @@ fn cmp(op: CmpOp, l: ScalarExpr, r: ScalarExpr) -> EResult<ScalarExpr> {
     })
 }
 
-/// Reject a comparison (or `BETWEEN` bound) whose operand types are not
-/// [`DataType::comparable_with`] each other. A NULL literal, typed Boolean
-/// here, compares with anything.
+/// Reject a comparison (or `BETWEEN` bound) whose operands
+/// [`columnar::expr::comparable`] rejects.
 fn comparable(l: &ScalarExpr, r: &ScalarExpr) -> EResult<()> {
-    let null = |e: &ScalarExpr| matches!(e, ScalarExpr::Literal(Scalar::Null));
     let (lt, rt) = (l.data_type(), r.data_type());
-    if lt.comparable_with(rt) || null(l) || null(r) {
+    if columnar::expr::comparable((l, lt), (r, rt)) {
         return Ok(());
     }
     Err(EngineError::Analysis(format!(
@@ -426,15 +429,30 @@ fn comparable(l: &ScalarExpr, r: &ScalarExpr) -> EResult<()> {
     )))
 }
 
+/// `e` as an operand of AND, OR or NOT, which must be Boolean.
+fn boolean(e: ScalarExpr) -> EResult<ScalarExpr> {
+    match e.data_type() {
+        DataType::Boolean => Ok(e),
+        t => Err(EngineError::Analysis(format!(
+            "boolean operator over {t} operand '{e}'"
+        ))),
+    }
+}
+
 fn arith(op: ArithOp, l: ScalarExpr, r: ScalarExpr) -> EResult<ScalarExpr> {
     // Validate typing eagerly for a friendly error.
     op.result_type(l.data_type(), r.data_type())
-        .map_err(|e| EngineError::Analysis(e.to_string()))?;
+        .map_err(analysis)?;
     Ok(ScalarExpr::Arith {
         op,
         left: Arc::new(l),
         right: Arc::new(r),
     })
+}
+
+/// A `columnar` typing rule's rejection as an analysis error.
+fn analysis(e: columnar::ColumnarError) -> EngineError {
+    EngineError::Analysis(e.to_string())
 }
 
 #[cfg(test)]
@@ -555,6 +573,22 @@ mod tests {
         assert!(bad("SELECT tag + 1 FROM points")
             .to_string()
             .contains("arithmetic"));
+        // So is every operand the `columnar` rules planck applies to a
+        // shipped plan reject: boolean connectives, negation, measures.
+        for sql in [
+            "SELECT id FROM points WHERE NOT x",
+            "SELECT id FROM points WHERE x AND id > 1",
+            "SELECT id FROM points WHERE id > 1 OR tag",
+            "SELECT -tag FROM points",
+            "SELECT -d FROM points",
+            "SELECT avg(tag) FROM points",
+            "SELECT avg(*) FROM points",
+            "SELECT sum(d) FROM points",
+            "SELECT min(*) FROM points",
+        ] {
+            assert!(matches!(bad(sql), EngineError::Analysis(_)), "{sql}");
+        }
+        plan_for("SELECT -x, -id FROM points WHERE NOT (x > 1) AND NULL IS NULL");
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl ScalarExpr {
     pub fn data_type(&self) -> DataType {
         match self {
             ScalarExpr::Column { dtype, .. } => *dtype,
-            ScalarExpr::Literal(s) => s.data_type().unwrap_or(DataType::Boolean),
+            ScalarExpr::Literal(s) => expr::literal_type(s),
             ScalarExpr::Cmp { .. }
             | ScalarExpr::And(..)
             | ScalarExpr::Or(..)

@@ -88,6 +88,12 @@ pub fn prune_projection(plan: LogicalPlan) -> EResult<LogicalPlan> {
     }
     needed.sort_unstable();
     needed.dedup();
+    if needed.is_empty() {
+        // Nothing reads a column (`COUNT(*)`, `WHERE 1 = 1`, `SELECT 1`),
+        // but the rows still count, and a zero-column batch has none: keep
+        // one column to carry them.
+        needed.push(0);
+    }
     if needed.len() == scan.output_schema.len() {
         return Ok(plan); // nothing to prune
     }

@@ -3,14 +3,14 @@
 //!
 //! This is OCS's own engine, independent of the `dsq` query engine (as in
 //! the paper, where OCS embeds its own SQL engine and Presto merely ships
-//! plans to it). What is its own is reading the plan, the scan (row-group
-//! pruning, late materialization, the chunk cache), output types inferred
-//! from the plan, error mapping, the wire rules, and `price`. The
+//! plans to it). What is its own is reading the verified plan, the scan
+//! (row-group pruning, late materialization, the chunk cache), error
+//! mapping, the wire rules, and `price`; output types are the ones planck
+//! inferred when it verified the plan. The
 //! operators and the pipeline that drives them are [`columnar::ops`], the
 //! code the compute-layer engine runs too, and a filter's prunable
 //! conjuncts are [`RangePredicate::lower`]'s, as on the Hive path.
 
-use std::iter::successors;
 use std::mem::take;
 use std::sync::Arc;
 
@@ -21,8 +21,7 @@ use columnar::sort::SortKey;
 use netsim::{CostParams, ExecStats, Work};
 use parq::{ParqReader, RangePredicate};
 use rayon::prelude::*;
-use substrait_ir::planck::{self, Diagnostic};
-use substrait_ir::{Expr, Plan, Rel};
+use substrait_ir::{Expr, Rel, VerifiedPlan};
 
 use crate::cache::{ChunkKey, NodeCaches, ObjectId};
 use crate::{OcsError, OcsResult};
@@ -136,24 +135,21 @@ impl<'a> Executor<'a> {
 
     /// Execute `plan`, returning result batches and resource stats.
     ///
-    /// Every plan is hard-verified by `planck` first — the executor
-    /// relies on its guarantees (field references in bounds, operand
-    /// types agreed, sort keys plain field references) and carries no
-    /// per-operator shape checks of its own. The plan lowers to the scan
+    /// The plan is one planck accepted, so the executor relies on its
+    /// guarantees (field references in bounds, operand types agreed, sort
+    /// keys plain field references) and carries no checks of its own; each
+    /// operator's output types come with it. The plan lowers to the scan
     /// as source plus a chain of [`Pipeline`]s, each sink's output the
-    /// next one's source; output types come from the plan, once.
-    pub fn run(mut self, plan: &Plan) -> OcsResult<(Vec<RecordBatch>, ExecutorStats)> {
-        planck::verify(plan).map_err(|ds| OcsError::Plan(planck::primary(ds)))?;
-        let mut rels: Vec<&Rel> = successors(Some(&plan.root), |r| r.input()).collect();
-        rels.reverse();
-        let Some((Rel::Read { projection, .. }, mut rels)) = rels.split_first() else {
+    /// next one's source.
+    pub fn run(mut self, plan: &VerifiedPlan<'_>) -> OcsResult<(Vec<RecordBatch>, ExecutorStats)> {
+        let Some(((Rel::Read { projection, .. }, _), mut rels)) = plan.ops().split_first() else {
             return Err(exec_err("plan has no read at its leaf"));
         };
         let projection = projection.as_deref();
         // A filter that reads a column and sits on the read runs inside the
         // scan; any other filter, constants included, is a pipeline stage.
         let (mut filter_pos, mut scan_filter) = (Vec::new(), None);
-        if let Some((Rel::Filter { predicate, .. }, rest)) = rels.split_first() {
+        if let Some(((Rel::Filter { predicate, .. }, _), rest)) = rels.split_first() {
             predicate.referenced_fields(&mut filter_pos);
             if !filter_pos.is_empty() {
                 (scan_filter, rels) = (Some(predicate), rest);
@@ -168,49 +164,44 @@ impl<'a> Executor<'a> {
 
         // A final `None` collects what the last sink left.
         let mut stages = Vec::new();
-        for (i, rel) in rels.iter().copied().map(Some).chain([None]).enumerate() {
-            let sink = match rel {
-                Some(Rel::Filter { predicate, .. }) => {
+        for (i, op) in rels.iter().map(Some).chain([None]).enumerate() {
+            let sink = match op {
+                Some((Rel::Filter { predicate, .. }, _)) => {
                     stages.push(Stage::Filter(predicate));
                     continue;
                 }
-                Some(rel @ Rel::Project { exprs, .. }) => {
-                    let schema = rel.output_schema().map_err(plan_err("exec.project"))?;
-                    stages.push(Stage::Project(exprs, Arc::new(schema)));
+                Some((Rel::Project { exprs, .. }, types)) => {
+                    stages.push(Stage::Project(exprs, types.schema.clone()));
                     continue;
                 }
-                Some(Rel::Aggregate {
-                    input,
-                    group_by,
-                    measures,
-                }) => {
+                Some((
+                    Rel::Aggregate {
+                        group_by, measures, ..
+                    },
+                    types,
+                )) => {
                     // Typed from the plan: usable even when no row arrives.
-                    let input = input.output_schema().map_err(plan_err("exec.aggregate"))?;
+                    // The output schema starts with the keys.
                     let keys = group_by
                         .iter()
-                        .map(|(e, _)| typed(e, &input))
-                        .collect::<OcsResult<Vec<_>>>()?;
+                        .zip(types.schema.fields())
+                        .map(|((e, _), f)| (e, f.data_type));
                     let calls = measures
                         .iter()
-                        .map(|m| {
-                            Ok((
-                                m.func,
-                                m.arg.as_ref().map(|e| typed(e, &input)).transpose()?,
-                            ))
-                        })
-                        .collect::<OcsResult<Vec<_>>>()?;
+                        .zip(&types.measure_args)
+                        .map(|(m, t)| (m.func, m.arg.as_ref().zip(*t)));
                     Sink::Aggregate(Box::new(Aggregation::new(keys, calls).map_err(exec_err)?))
                 }
                 // Fetch directly over Sort is the top-N operator. Untrusted
                 // u64s: `offset + limit` must not wrap.
-                Some(Rel::Sort { keys, .. }) => match rels.get(i + 1) {
-                    Some(Rel::Fetch { offset, limit, .. }) => {
+                Some((Rel::Sort { keys, .. }, _)) => match rels.get(i + 1) {
+                    Some((Rel::Fetch { offset, limit, .. }, _)) => {
                         Sink::TopN(sort_keys(keys)?, offset.saturating_add(*limit))
                     }
                     _ => Sink::Sort(sort_keys(keys)?),
                 },
-                Some(Rel::Fetch { offset, limit, .. }) => Sink::Fetch(*offset, *limit),
-                Some(Rel::Read { .. }) => return Err(exec_err("read above the plan's leaf")),
+                Some((Rel::Fetch { offset, limit, .. }, _)) => Sink::Fetch(*offset, *limit),
+                Some((Rel::Read { .. }, _)) => return Err(exec_err("read above the plan's leaf")),
                 None => Sink::Collect,
             };
             let (cost, work) = (self.cost, &mut self.stats.work);
@@ -219,23 +210,22 @@ impl<'a> Executor<'a> {
             for batch in batches {
                 pipe.push(batch, &mut bill).map_err(exec_err)?;
             }
-            batches = match (pipe.finish(&mut bill).map_err(exec_err)?, rel) {
+            batches = match (pipe.finish(&mut bill).map_err(exec_err)?, op) {
                 // The wire rules. A keyed aggregate over an empty object has
                 // nothing to contribute; a global one still emits its row of
                 // initial states (COUNT = 0, SUM = NULL) so the engine's
                 // final aggregation combines object totals correctly.
-                (Output::Aggregation(agg), Some(Rel::Aggregate { group_by, .. }))
+                (Output::Aggregation(agg), Some((Rel::Aggregate { group_by, .. }, _)))
                     if !group_by.is_empty() && agg.num_groups() == 0 =>
                 {
                     vec![]
                 }
-                (Output::Aggregation(agg), Some(rel)) => {
-                    let schema = rel.output_schema().map_err(plan_err("exec.aggregate"))?;
-                    vec![agg.finish(Arc::new(schema)).map_err(exec_err)?]
+                (Output::Aggregation(agg), Some((_, types))) => {
+                    vec![agg.finish(types.schema.clone()).map_err(exec_err)?]
                 }
                 // A fetch answers with exactly one batch whenever there was
                 // input.
-                (Output::Batches(b), Some(Rel::Fetch { .. })) if b.len() > 1 => {
+                (Output::Batches(b), Some((Rel::Fetch { .. }, _))) if b.len() > 1 => {
                     vec![RecordBatch::concat(&b).map_err(exec_err)?]
                 }
                 (Output::Batches(b), _) => b,
@@ -377,22 +367,12 @@ fn price(cost: &CostParams, c: &ops::Cost) -> Work {
     }
 }
 
-/// A plan-typing error at `at`.
-fn plan_err(at: &'static str) -> impl Fn(substrait_ir::IrError) -> OcsError {
-    move |e| OcsError::Plan(Diagnostic::from_ir(&e, at))
-}
-
-/// An aggregate's key or argument with its type over the `input` schema.
-fn typed<'e>(e: &'e Expr, input: &Schema) -> OcsResult<(&'e Expr, DataType)> {
-    Ok((e, e.output_type(input).map_err(plan_err("exec.aggregate"))?))
-}
-
 fn exec_err(e: impl std::fmt::Display) -> OcsError {
     OcsError::Exec(e.to_string())
 }
 
-/// Substrait sort fields as column sort keys. planck has verified that
-/// each is a plain field reference; anything else is still a typed error.
+/// Substrait sort fields as column sort keys; planck has verified that
+/// each is a plain field reference.
 fn sort_keys(keys: &[substrait_ir::SortField]) -> OcsResult<Vec<SortKey>> {
     keys.iter()
         .map(|k| match &k.expr {
@@ -401,10 +381,8 @@ fn sort_keys(keys: &[substrait_ir::SortField]) -> OcsResult<Vec<SortKey>> {
                 ascending: k.ascending,
                 nulls_first: k.nulls_first,
             }),
-            other => Err(OcsError::Plan(Diagnostic::new(
-                planck::DiagCode::SortKeyNotFieldRef,
-                "exec.sort",
-                format!("sort keys must be field references, got {other}"),
+            other => Err(exec_err(format!(
+                "sort key {other} is not a field reference"
             ))),
         })
         .collect()
@@ -416,7 +394,8 @@ mod tests {
     use columnar::agg::AggFunc;
     use columnar::kernels::arith::ArithOp;
     use columnar::kernels::cmp::CmpOp;
-    use substrait_ir::{Measure, SortField};
+    use substrait_ir::planck::{verify_untrusted, DiagCode};
+    use substrait_ir::{Measure, Plan, SortField};
 
     fn test_reader() -> ParqReader {
         let schema = Arc::new(Schema::new(vec![
@@ -459,7 +438,8 @@ mod tests {
     fn run(plan: Plan) -> (Vec<RecordBatch>, ExecutorStats) {
         let reader = test_reader();
         let cost = CostParams::default();
-        Executor::new(&reader, &cost).run(&plan).unwrap()
+        let verified = verify_untrusted(&plan).unwrap();
+        Executor::new(&reader, &cost).run(&verified).unwrap()
     }
 
     /// What the eager scan of a filter-over-read plan does, from the
@@ -534,7 +514,7 @@ mod tests {
         ] {
             let (_, stats) = Executor::new(&reader, &cost)
                 .with_caches(&caches, &object)
-                .run(&plan)
+                .run(&verify_untrusted(&plan).unwrap())
                 .unwrap();
             assert!(stats.wire.disk_bytes > 0);
             assert_eq!(stats.wire.rg_cache_hits, 0);
@@ -880,7 +860,8 @@ mod tests {
 
     #[test]
     fn invalid_plans_rejected() {
-        // Sort key not a field ref.
+        // The executor only takes a verified plan; these two never become
+        // one, so they never reach it.
         let plan = Plan::new(Rel::Sort {
             input: Box::new(Rel::read("t", base_schema(), None)),
             keys: vec![SortField {
@@ -889,14 +870,14 @@ mod tests {
                 nulls_first: true,
             }],
         });
-        let reader = test_reader();
-        let cost = CostParams::default();
-        assert!(Executor::new(&reader, &cost).run(&plan).is_err());
+        let ds = verify_untrusted(&plan).unwrap_err();
+        assert_eq!(ds[0].code, DiagCode::SortKeyNotFieldRef);
         // Ill-typed filter.
         let plan = Plan::new(Rel::Filter {
             input: Box::new(Rel::read("t", base_schema(), None)),
             predicate: Expr::field(0),
         });
-        assert!(Executor::new(&reader, &cost).run(&plan).is_err());
+        let ds = verify_untrusted(&plan).unwrap_err();
+        assert_eq!(ds[0].code, DiagCode::FilterNotBoolean);
     }
 }

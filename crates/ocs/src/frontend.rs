@@ -111,13 +111,14 @@ impl OcsFrontend {
         idx
     }
 
-    /// Decode and hard-verify an untrusted plan, then run it on the node
+    /// Decode and verify an untrusted plan, then run it on the node
     /// owning `key`.
     ///
     /// The bytes come from an untrusted peer, so the decoded plan is
-    /// always hard-verified — structure, typing, operator shape *and*
-    /// resource caps ([`planck::Limits::untrusted`]) — before any
-    /// storage node touches it. A rejection carries the structured
+    /// verified — structure, typing, operator shape *and* resource caps
+    /// ([`planck::Limits::untrusted`]) — before any storage node touches
+    /// it, once per split: the node and its executor take the
+    /// [`planck::VerifiedPlan`]. A rejection carries the structured
     /// [`planck::Diagnostic`] back across the error frame.
     fn verify_and_execute(
         &self,
@@ -128,11 +129,11 @@ impl OcsFrontend {
         // Parse the plan (real work, billed to the frontend).
         let plan = substrait_ir::decode(plan_bytes)
             .map_err(|e| OcsError::Plan(planck::Diagnostic::from_ir(&e, "root")))?;
-        planck::verify_untrusted(&plan).map_err(|ds| OcsError::Plan(planck::primary(ds)))?;
+        let verified = planck::verify_untrusted(&plan).map_err(planck::primary)?;
         // The wire bytes ARE the canonical encoding, so hash them directly
         // for the result-cache fingerprint instead of re-encoding.
         self.route(key)
-            .execute_encoded(&plan, bucket, key, cache::fnv1a64(plan_bytes))
+            .execute_encoded(&verified, bucket, key, cache::fnv1a64(plan_bytes))
     }
 
     /// Handle one request: Substrait plan bytes in, a lazy [`WireStream`]

@@ -6,11 +6,11 @@ use columnar::{ops, RecordBatch};
 use netsim::{makespan, CostParams, DiskSpec, ExecStats, NodeSpec};
 use objstore::ObjectStore;
 use parq::ParqReader;
-use substrait_ir::Plan;
+use substrait_ir::{Plan, VerifiedPlan};
 
 use crate::cache::{CachedResult, NodeCaches, ObjectId, ResultKey};
 use crate::exec::{Executor, ExecutorStats};
-use crate::OcsResult;
+use crate::{planck, OcsResult};
 
 /// Result of one in-storage plan execution.
 #[derive(Debug, Clone)]
@@ -70,27 +70,29 @@ impl StorageNode {
         self.id
     }
 
-    /// Execute `plan` against the object at `bucket`/`key`.
+    /// Verify `plan` with planck, then execute it against the object at
+    /// `bucket`/`key`.
     ///
     /// The result-cache fingerprint is computed here from the canonical
     /// Substrait encoding; callers that already hold the encoded plan
-    /// bytes (the frontend) should use [`StorageNode::execute_encoded`]
-    /// to skip the re-encode.
+    /// bytes and its verification (the frontend) should use
+    /// [`StorageNode::execute_encoded`] to skip both.
     pub fn execute(&self, plan: &Plan, bucket: &str, key: &str) -> OcsResult<NodeResponse> {
+        let verified = planck::verify_untrusted(plan).map_err(planck::primary)?;
         let fingerprint = if self.caches.result.is_enabled() {
             cache::fnv1a64(&substrait_ir::encode(plan))
         } else {
             0
         };
-        self.execute_encoded(plan, bucket, key, fingerprint)
+        self.execute_encoded(&verified, bucket, key, fingerprint)
     }
 
-    /// [`StorageNode::execute`] with a precomputed plan fingerprint —
-    /// FNV-1a of the canonical Substrait plan bytes (ignored when the
-    /// result tier is disabled).
+    /// [`StorageNode::execute`] of an already verified plan, with a
+    /// precomputed plan fingerprint — FNV-1a of the canonical Substrait
+    /// plan bytes (ignored when the result tier is disabled).
     pub fn execute_encoded(
         &self,
-        plan: &Plan,
+        plan: &VerifiedPlan<'_>,
         bucket: &str,
         key: &str,
         fingerprint: u64,

@@ -93,8 +93,10 @@ fn projection(pick: usize) -> Option<Vec<usize>> {
 }
 
 fn run(reader: &ParqReader, root: Rel) -> (Vec<RecordBatch>, ExecutorStats) {
+    let plan = Plan::new(root);
+    let verified = substrait_ir::planck::verify_untrusted(&plan).unwrap();
     Executor::new(reader, &CostParams::default())
-        .run(&Plan::new(root))
+        .run(&verified)
         .unwrap()
 }
 

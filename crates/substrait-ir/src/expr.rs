@@ -4,10 +4,8 @@ use columnar::agg::AggFunc;
 use columnar::expr::{self, ExprTree, Node};
 use columnar::kernels::arith::ArithOp;
 use columnar::kernels::cmp::CmpOp;
-use columnar::{ArrayRef, DataType, RecordBatch, Scalar, Schema};
+use columnar::{ArrayRef, DataType, RecordBatch, Scalar};
 use std::fmt;
-
-use crate::{IrError, Result};
 
 /// A scalar expression evaluated row-wise against an input schema.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,83 +88,6 @@ impl Expr {
             op,
             left: Box::new(left),
             right: Box::new(right),
-        }
-    }
-
-    /// The expression's output type against `input`, or an error if ill-typed.
-    pub fn output_type(&self, input: &Schema) -> Result<DataType> {
-        match self {
-            Expr::FieldRef(i) => {
-                if *i >= input.len() {
-                    Err(IrError::FieldOutOfRange {
-                        index: *i,
-                        arity: input.len(),
-                    })
-                } else {
-                    Ok(input.field(*i).data_type)
-                }
-            }
-            Expr::Literal(s) => s
-                .data_type()
-                .ok_or_else(|| IrError::Type("untyped NULL literal; wrap in Cast".into())),
-            Expr::Cmp { left, right, .. } => {
-                let (l, r) = (left.output_type(input)?, right.output_type(input)?);
-                if !l.comparable_with(r) {
-                    return Err(IrError::Type(format!("cannot compare {l} with {r}")));
-                }
-                Ok(DataType::Boolean)
-            }
-            Expr::Arith { op, left, right } => {
-                let (l, r) = (left.output_type(input)?, right.output_type(input)?);
-                op.result_type(l, r)
-                    .map_err(|e| IrError::Type(e.to_string()))
-            }
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                for (side, e) in [("left", a), ("right", b)] {
-                    let t = e.output_type(input)?;
-                    if t != DataType::Boolean {
-                        return Err(IrError::Type(format!(
-                            "{side} operand of boolean op is {t}"
-                        )));
-                    }
-                }
-                Ok(DataType::Boolean)
-            }
-            Expr::Not(e) => {
-                let t = e.output_type(input)?;
-                if t != DataType::Boolean {
-                    return Err(IrError::Type(format!("NOT of {t}")));
-                }
-                Ok(DataType::Boolean)
-            }
-            Expr::Between { expr, lo, hi } => {
-                let t = expr.output_type(input)?;
-                for b in [lo, hi] {
-                    let bt = b.output_type(input)?;
-                    if !bt.comparable_with(t) {
-                        return Err(IrError::Type(format!("BETWEEN bound {bt} vs {t}")));
-                    }
-                }
-                Ok(DataType::Boolean)
-            }
-            Expr::Cast { expr, to } => {
-                // CAST(NULL AS t) is how untyped NULLs acquire a type.
-                if !matches!(expr.as_ref(), Expr::Literal(Scalar::Null)) {
-                    expr.output_type(input)?;
-                }
-                Ok(*to)
-            }
-            Expr::Negate(e) => {
-                let t = e.output_type(input)?;
-                if !matches!(t, DataType::Int64 | DataType::Float64) {
-                    return Err(IrError::Type(format!("negate of {t}")));
-                }
-                Ok(t)
-            }
-            Expr::IsNull(e) | Expr::IsNotNull(e) => {
-                e.output_type(input)?;
-                Ok(DataType::Boolean)
-            }
         }
     }
 
@@ -289,7 +210,9 @@ pub struct SortField {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use columnar::Field;
+    use crate::planck::{self, DiagCode};
+    use crate::{Plan, Rel};
+    use columnar::{Field, Schema};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -301,45 +224,69 @@ mod tests {
 
     #[test]
     fn typing_rules() {
-        let s = schema();
-        assert_eq!(Expr::field(0).output_type(&s).unwrap(), DataType::Int64);
+        // Typing is planck's: an expression's type is that of a one-column
+        // projection over (Int64, Float64, Utf8).
+        let type_of = |e: Expr| {
+            let read = Rel::read("t", schema(), None);
+            let plan = Plan::new(Rel::Project {
+                input: Box::new(read),
+                exprs: vec![(e, "y".into())],
+            });
+            let t = planck::verify_untrusted(&plan).map(|v| v.schema().field(0).data_type);
+            t.map_err(|ds| ds[0].code)
+        };
+        assert_eq!(type_of(Expr::field(0)), Ok(DataType::Int64));
         assert_eq!(
-            Expr::cmp(CmpOp::Lt, Expr::field(0), Expr::field(1))
-                .output_type(&s)
-                .unwrap(),
-            DataType::Boolean
+            type_of(Expr::cmp(CmpOp::Lt, Expr::field(0), Expr::field(1))),
+            Ok(DataType::Boolean)
         );
         assert_eq!(
-            Expr::arith(ArithOp::Add, Expr::field(0), Expr::field(1))
-                .output_type(&s)
-                .unwrap(),
-            DataType::Float64
+            type_of(Expr::arith(ArithOp::Add, Expr::field(0), Expr::field(1))),
+            Ok(DataType::Float64)
         );
         // Comparing string with number is a type error.
-        assert!(Expr::cmp(CmpOp::Eq, Expr::field(2), Expr::field(0))
-            .output_type(&s)
-            .is_err());
+        assert_eq!(
+            type_of(Expr::cmp(CmpOp::Eq, Expr::field(2), Expr::field(0))),
+            Err(DiagCode::CmpTypeMismatch)
+        );
         // Boolean ops need boolean inputs.
-        assert!(
-            Expr::And(Box::new(Expr::field(0)), Box::new(Expr::field(0)))
-                .output_type(&s)
-                .is_err()
+        assert_eq!(
+            type_of(Expr::And(
+                Box::new(Expr::field(0)),
+                Box::new(Expr::field(0))
+            )),
+            Err(DiagCode::BoolOperandNotBoolean)
+        );
+        assert_eq!(
+            type_of(Expr::Not(Box::new(Expr::field(1)))),
+            Err(DiagCode::BoolOperandNotBoolean)
+        );
+        // Negation is numeric only.
+        assert_eq!(
+            type_of(Expr::Negate(Box::new(Expr::field(1)))),
+            Ok(DataType::Float64)
+        );
+        assert_eq!(
+            type_of(Expr::Negate(Box::new(Expr::field(2)))),
+            Err(DiagCode::NegateNonNumeric)
         );
         // Out-of-range reference.
-        assert!(matches!(
-            Expr::field(9).output_type(&s),
-            Err(IrError::FieldOutOfRange { index: 9, arity: 3 })
-        ));
-        // Untyped NULL literal needs a cast.
-        assert!(Expr::lit(Scalar::Null).output_type(&s).is_err());
+        assert_eq!(type_of(Expr::field(9)), Err(DiagCode::FieldOutOfRange));
+        // An untyped NULL literal is Boolean, and casts only where a
+        // Boolean casts.
+        assert_eq!(type_of(Expr::lit(Scalar::Null)), Ok(DataType::Boolean));
+        let cast_null = |to| Expr::Cast {
+            expr: Box::new(Expr::lit(Scalar::Null)),
+            to,
+        };
+        assert_eq!(type_of(cast_null(DataType::Utf8)), Ok(DataType::Utf8));
         assert_eq!(
-            Expr::Cast {
-                expr: Box::new(Expr::lit(Scalar::Null)),
-                to: DataType::Int64
-            }
-            .output_type(&s)
-            .unwrap(),
-            DataType::Int64
+            type_of(cast_null(DataType::Int64)),
+            Err(DiagCode::CastIllegal)
+        );
+        assert_eq!(
+            type_of(Expr::IsNull(Box::new(Expr::field(2)))),
+            Ok(DataType::Boolean)
         );
     }
 

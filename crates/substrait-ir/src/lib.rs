@@ -11,7 +11,9 @@
 //! * relational operators ([`Rel`]) — `Read` (with projection), `Filter`,
 //!   `Project`, `Aggregate`, `Sort`, `Fetch` (limit / top-N when stacked on
 //!   `Sort`);
-//! * full output-schema inference and [`validate`](Plan::validate);
+//! * [`planck`], the one typer: it infers every operator's output schema
+//!   and rejects an ill-typed or ill-shaped plan with a coded
+//!   [`Diagnostic`];
 //! * a compact tag-length binary serialization ([`encode()`](fn@encode) /
 //!   [`decode`]) playing the role of protobuf on the wire;
 //! * a pretty-printer for plan debugging.
@@ -31,7 +33,8 @@
 //!     input: Box::new(Rel::read("points", schema, None)),
 //!     predicate: Expr::cmp(CmpOp::Gt, Expr::field(0), Expr::lit(Scalar::Float64(1.0))),
 //! });
-//! plan.validate().unwrap();
+//! let verified = substrait_ir::planck::verify_untrusted(&plan).unwrap();
+//! assert_eq!(verified.schema().names(), vec!["x", "id"]);
 //!
 //! let bytes = substrait_ir::encode(&plan);
 //! let back = substrait_ir::decode(&bytes).unwrap();
@@ -47,39 +50,23 @@ pub mod rel;
 
 pub use encode::{decode, encode};
 pub use expr::{Expr, Measure, SortField};
-pub use planck::{DiagCode, Diagnostic};
+pub use planck::{DiagCode, Diagnostic, VerifiedPlan};
 pub use rel::{Plan, Rel};
 
 use std::fmt;
 
-/// Errors from IR construction, validation or decoding.
+/// Errors from decoding plan bytes. Typing a plan is [`planck`]'s, whose
+/// findings are [`Diagnostic`]s.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IrError {
-    /// Field reference outside the input schema.
-    FieldOutOfRange {
-        /// The referenced index.
-        index: usize,
-        /// Input arity.
-        arity: usize,
-    },
-    /// Types do not line up.
-    Type(String),
-    /// Structurally invalid plan (e.g. aggregate of an aggregate of a sort).
-    Structure(String),
     /// Malformed bytes.
     Corrupt(String),
 }
 
 impl fmt::Display for IrError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IrError::FieldOutOfRange { index, arity } => {
-                write!(f, "field reference #{index} out of range for arity {arity}")
-            }
-            IrError::Type(m) => write!(f, "type error: {m}"),
-            IrError::Structure(m) => write!(f, "invalid plan structure: {m}"),
-            IrError::Corrupt(m) => write!(f, "corrupt plan bytes: {m}"),
-        }
+        let IrError::Corrupt(m) = self;
+        write!(f, "corrupt plan bytes: {m}")
     }
 }
 

@@ -1,45 +1,49 @@
-//! `planck` — the static plan verifier for the Substrait boundary.
+//! `planck` — the one typer and verifier of Substrait plans.
 //!
 //! The plan shipped from the connector to OCS is the *entire* contract
 //! between engine and storage: whatever arrives is executed inside the
 //! storage device, where a malformed or illegally-rewritten plan is
-//! hardest to debug. This module is a multi-pass static analysis over
-//! [`Rel`]/[`Expr`] trees that goes well beyond the schema inference in
-//! [`Plan::validate`]:
+//! hardest to debug. This module is the only code that types a [`Rel`] /
+//! [`Expr`] tree, in passes over the operator chain:
 //!
 //! * **structure + resource bounds** — single `Read` leaf, supported IR
-//!   version, and (for plans decoded from untrusted bytes) caps on tree
-//!   depth, node count and schema width so a hostile frame cannot DoS
-//!   the storage executor;
-//! * **scope + typing** — field-reference bounds, comparison operand
-//!   agreement, numeric-only arithmetic, `BETWEEN` bound typing *and*
-//!   constant-bound ordering, cast legality against the kernel matrix,
-//!   untyped `NULL` literals;
+//!   version, and caps on tree depth, node count and schema width
+//!   ([`Limits::untrusted`]) so a hostile frame cannot DoS the storage
+//!   executor;
+//! * **scope + typing** — field-reference bounds, then every expression
+//!   typed by the rules `columnar` states once: comparisons and `BETWEEN`
+//!   bounds by [`columnar::expr::comparable`], arithmetic by
+//!   [`ArithOp::result_type`](columnar::kernels::arith::ArithOp::result_type),
+//!   negation by [`negate_type`], casts by [`castable`], literals by
+//!   [`literal_type`] (an untyped `NULL` is Boolean);
 //! * **operator shape** — boolean filter predicates, non-empty
-//!   project/aggregate/sort, measure input types the accumulators
-//!   actually support, hashable group keys, field-reference sort keys,
-//!   and the top-N rule (an inner `Sort` is only meaningful directly
-//!   under a `Fetch`);
-//! * **pushdown legality** (engine-side, before shipping) — `Fetch`
-//!   only at the root with offset 0 (a per-object offset is semantically
-//!   wrong once results are merged), at most one `Aggregate`, and no
-//!   non-deterministic expressions below the storage boundary.
+//!   project/aggregate/sort, measures typed by
+//!   [`AggFunc::result_type`](columnar::agg::AggFunc::result_type),
+//!   field-reference sort keys, and the top-N rule (an inner `Sort` is
+//!   only meaningful directly under a `Fetch`);
+//! * **pushdown legality** (engine-side, before shipping) — `Fetch` only
+//!   at the root with offset 0 (a per-object offset is semantically wrong
+//!   once results are merged) and at most one `Aggregate`.
 //!
 //! Every violation is a structured [`Diagnostic`] carrying a stable
 //! [`DiagCode`] and the plan path of the offending node, so the engine
 //! can log exactly which node of a shipped plan was rejected.
 //!
-//! Three enforcement layers use these passes (see DESIGN.md):
-//! engine-side before shipping ([`verify_pushdown`]), OCS-side on every
-//! decoded plan ([`verify_untrusted`] at the RPC frontend plus
-//! [`verify`] in the executor), and the optimizer invariant checker in
-//! the engine crate (differential schema check after every rewrite).
+//! A plan is checked once per boundary (see DESIGN.md §8): once per query
+//! on the engine side ([`verify_pushdown`], through the connector
+//! optimizer), and once per split at the OCS frontend
+//! ([`verify_untrusted`] on the decoded bytes). The frontend's
+//! [`VerifiedPlan`] carries every operator's output schema to the
+//! executor, which neither re-checks the plan nor re-derives a type.
 
 use std::fmt;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-use columnar::agg::AggFunc;
-use columnar::{DataType, Field, Scalar, Schema};
+use columnar::expr::{comparable, literal_type};
+use columnar::kernels::arith::negate_type;
+use columnar::kernels::cast::castable;
+use columnar::{DataType, Field, Schema, SchemaRef};
 
 use crate::expr::Expr;
 use crate::rel::{Plan, Rel, IR_VERSION};
@@ -47,8 +51,8 @@ use crate::IrError;
 
 /// Stable diagnostic codes. The numeric bands group related checks:
 /// `P1xx` structure/resources, `P2xx` expression typing, `P3xx`
-/// operator shape, `P4xx` pushdown legality, `P9xx` transport errors
-/// mapped from [`IrError`] at the decode boundary.
+/// operator shape, `P4xx` pushdown legality, `P9xx` plan bytes that did
+/// not decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum DiagCode {
@@ -74,12 +78,8 @@ pub enum DiagCode {
     BoolOperandNotBoolean,
     /// `P204` — `BETWEEN` bound type incompatible with the tested expr.
     BetweenTypeMismatch,
-    /// `P205` — constant `BETWEEN` bounds are inverted (lo > hi).
-    BetweenBoundsInverted,
     /// `P206` — cast with no kernel support (e.g. boolean → float64).
     CastIllegal,
-    /// `P207` — untyped `NULL` literal outside a typing cast.
-    NullLiteralUntyped,
     /// `P208` — unary minus over a non-numeric type.
     NegateNonNumeric,
     /// `P300` — filter predicate is not boolean.
@@ -90,8 +90,6 @@ pub enum DiagCode {
     AggregateEmpty,
     /// `P303` — measure input type the accumulator cannot fold.
     MeasureTypeIllegal,
-    /// `P304` — group-by key type is not hashable.
-    GroupKeyNotHashable,
     /// `P305` — sort with no keys.
     SortEmpty,
     /// `P306` — sort key is not a plain field reference.
@@ -105,14 +103,8 @@ pub enum DiagCode {
     PushdownOffsetNonZero,
     /// `P402` — pushed plan has more than one `Aggregate`.
     PushdownMultipleAggregates,
-    /// `P403` — non-deterministic expression below the storage boundary.
-    PushdownNonDeterministic,
     /// `P900` — plan bytes failed to decode.
     Corrupt,
-    /// `P901` — type error surfaced by schema inference outside planck.
-    TransportType,
-    /// `P902` — structural error surfaced outside planck.
-    TransportStructure,
 }
 
 impl DiagCode {
@@ -130,25 +122,19 @@ impl DiagCode {
             DiagCode::ArithTypeIllegal => "P202",
             DiagCode::BoolOperandNotBoolean => "P203",
             DiagCode::BetweenTypeMismatch => "P204",
-            DiagCode::BetweenBoundsInverted => "P205",
             DiagCode::CastIllegal => "P206",
-            DiagCode::NullLiteralUntyped => "P207",
             DiagCode::NegateNonNumeric => "P208",
             DiagCode::FilterNotBoolean => "P300",
             DiagCode::ProjectEmpty => "P301",
             DiagCode::AggregateEmpty => "P302",
             DiagCode::MeasureTypeIllegal => "P303",
-            DiagCode::GroupKeyNotHashable => "P304",
             DiagCode::SortEmpty => "P305",
             DiagCode::SortKeyNotFieldRef => "P306",
             DiagCode::SortNotUnderFetch => "P307",
             DiagCode::PushdownFetchNotRoot => "P400",
             DiagCode::PushdownOffsetNonZero => "P401",
             DiagCode::PushdownMultipleAggregates => "P402",
-            DiagCode::PushdownNonDeterministic => "P403",
             DiagCode::Corrupt => "P900",
-            DiagCode::TransportType => "P901",
-            DiagCode::TransportStructure => "P902",
         }
     }
 }
@@ -181,19 +167,11 @@ impl Diagnostic {
         }
     }
 
-    /// Map a decode/inference [`IrError`] into the diagnostic space so
-    /// one structured type crosses the RPC error frame.
+    /// Map a decode [`IrError`] into the diagnostic space so one
+    /// structured type crosses the RPC error frame.
     pub fn from_ir(err: &IrError, path: impl Into<String>) -> Diagnostic {
-        let (code, message) = match err {
-            IrError::FieldOutOfRange { index, arity } => (
-                DiagCode::FieldOutOfRange,
-                format!("field reference #{index} out of range for arity {arity}"),
-            ),
-            IrError::Type(m) => (DiagCode::TransportType, m.clone()),
-            IrError::Structure(m) => (DiagCode::TransportStructure, m.clone()),
-            IrError::Corrupt(m) => (DiagCode::Corrupt, m.clone()),
-        };
-        Diagnostic::new(code, path, message)
+        let IrError::Corrupt(message) = err;
+        Diagnostic::new(DiagCode::Corrupt, path, message.clone())
     }
 }
 
@@ -217,9 +195,9 @@ pub struct Limits {
 }
 
 impl Limits {
-    /// Caps for plans decoded from an untrusted peer. Tighter than the
-    /// wire-format caps so the verifier, not the allocator, is the
-    /// backstop.
+    /// The one set of caps, for every plan: tighter than the wire-format
+    /// caps so the verifier, not the allocator, is the backstop against a
+    /// hostile peer, and the engine rejects anything storage would.
     pub fn untrusted() -> Limits {
         Limits {
             max_depth: 128,
@@ -227,66 +205,65 @@ impl Limits {
             max_schema_width: 4_096,
         }
     }
+}
 
-    /// Generous caps for engine-constructed plans; still finite so a
-    /// runaway rewrite cannot build an unbounded tree unnoticed.
-    pub fn generous() -> Limits {
-        Limits {
-            max_depth: 4_096,
-            max_nodes: 1 << 20,
-            max_schema_width: 65_536,
-        }
+/// What planck inferred for one operator of a [`VerifiedPlan`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct OpTypes {
+    /// The operator's output schema.
+    pub schema: SchemaRef,
+    /// An `Aggregate`'s measure argument types, in measure order (`None`
+    /// for `COUNT(*)`); empty for every other operator.
+    pub measure_args: Vec<Option<DataType>>,
+}
+
+/// A plan planck accepted, with the types it inferred for each operator.
+/// Only [`verify_untrusted`] and [`verify_pushdown`] construct one, so
+/// whoever holds one neither re-checks the plan nor re-derives a type.
+#[derive(Debug, Clone, PartialEq)]
+pub struct VerifiedPlan<'p> {
+    /// Leaf (the `Read`) first; never empty.
+    ops: Vec<(&'p Rel, OpTypes)>,
+}
+
+impl<'p> VerifiedPlan<'p> {
+    /// Every operator, leaf (the `Read`) first, with its inferred types.
+    pub fn ops(&self) -> &[(&'p Rel, OpTypes)] {
+        &self.ops
+    }
+
+    /// The plan's output schema: the root operator's.
+    pub fn schema(&self) -> &SchemaRef {
+        &self.ops[self.ops.len() - 1].1.schema
     }
 }
 
-/// The verifier. Construct with [`Verifier::new`] (trusted input),
-/// [`Verifier::untrusted`] (decoded bytes) or [`Verifier::pushdown`]
-/// (engine-side pre-ship check), then call [`Verifier::verify`].
+/// The verifier. Construct with [`Verifier::untrusted`] (decoded bytes)
+/// or [`Verifier::pushdown`] (engine-side pre-ship check), then call
+/// [`Verifier::verify`].
 #[derive(Debug, Clone)]
 pub struct Verifier {
-    limits: Limits,
     pushdown: bool,
 }
 
-impl Default for Verifier {
-    fn default() -> Self {
-        Verifier::new()
-    }
-}
-
 impl Verifier {
-    /// Structure, typing and shape passes with generous resource caps.
-    pub fn new() -> Verifier {
-        Verifier {
-            limits: Limits::generous(),
-            pushdown: false,
-        }
-    }
-
-    /// Same passes with [`Limits::untrusted`] — for plans decoded from
-    /// bytes an untrusted peer sent.
+    /// Structure, typing and shape passes — for plans decoded from bytes
+    /// an untrusted peer sent.
     pub fn untrusted() -> Verifier {
-        Verifier {
-            limits: Limits::untrusted(),
-            pushdown: false,
-        }
+        Verifier { pushdown: false }
     }
 
     /// All passes including pushdown legality — the engine-side check
-    /// run on a plan about to be shipped to storage. Uses untrusted
-    /// limits so the engine rejects anything storage would.
+    /// run on a plan about to be shipped to storage.
     pub fn pushdown() -> Verifier {
-        Verifier {
-            limits: Limits::untrusted(),
-            pushdown: true,
-        }
+        Verifier { pushdown: true }
     }
 
-    /// Run every pass. Returns the inferred output schema on success or
-    /// every diagnostic found (never empty on `Err`).
-    pub fn verify(&self, plan: &Plan) -> Result<Schema, Vec<Diagnostic>> {
+    /// Run every pass. Returns the plan with each operator's inferred
+    /// types on success, or every diagnostic found (never empty on `Err`).
+    pub fn verify<'p>(&self, plan: &'p Plan) -> Result<VerifiedPlan<'p>, Vec<Diagnostic>> {
         let mut cx = Cx {
-            limits: self.limits,
+            limits: Limits::untrusted(),
             nodes: 0,
             diags: Vec::new(),
         };
@@ -332,13 +309,14 @@ impl Verifier {
 
         // Pass 2 + 3: scope/typing and operator shape, leaf → root,
         // threading the inferred schema upward.
-        let mut schema: Option<Schema> = None;
+        let mut typed: Vec<(&Rel, OpTypes)> = Vec::with_capacity(ops.len());
         for (depth, op) in ops.iter().enumerate().rev() {
             let path = rel_path(depth);
             let consumer = depth.checked_sub(1).map(|d| ops[d]);
-            schema = self.check_op(&mut cx, op, schema, &path, consumer);
-            if schema.is_none() {
-                break;
+            let input = typed.last().map(|(_, t)| &t.schema);
+            match self.check_op(&mut cx, op, input, &path, consumer) {
+                Some(types) => typed.push((op, types)),
+                None => break,
             }
         }
 
@@ -375,16 +353,6 @@ impl Verifier {
                     }
                     _ => {}
                 }
-                let diags = &mut cx.diags;
-                for_each_op_expr(op, |expr, path_of| {
-                    if !deterministic(expr) {
-                        diags.push(Diagnostic::new(
-                            DiagCode::PushdownNonDeterministic,
-                            format!("{}{}", rel_path(depth), path_of()),
-                            "non-deterministic expressions may not be pushed",
-                        ));
-                    }
-                });
             }
         }
 
@@ -396,23 +364,30 @@ impl Verifier {
             );
         }
 
-        match (cx.diags.is_empty(), schema) {
-            (true, Some(s)) => Ok(s),
-            _ => Err(cx.diags),
+        if cx.diags.is_empty() && typed.len() == ops.len() {
+            Ok(VerifiedPlan { ops: typed })
+        } else {
+            Err(cx.diags)
         }
     }
 
     /// Check one operator given its (already-checked) input schema;
-    /// returns this operator's output schema if it could be inferred.
+    /// returns this operator's types if they could be inferred.
     fn check_op(
         &self,
         cx: &mut Cx,
         op: &Rel,
-        input_schema: Option<Schema>,
+        input_schema: Option<&SchemaRef>,
         path: &str,
         consumer: Option<&Rel>,
-    ) -> Option<Schema> {
+    ) -> Option<OpTypes> {
         cx.nodes += 1;
+        let schema_only = |schema: SchemaRef| {
+            Some(OpTypes {
+                schema,
+                measure_args: Vec::new(),
+            })
+        };
         match op {
             Rel::Read {
                 base_schema,
@@ -432,7 +407,7 @@ impl Verifier {
                     return None;
                 }
                 match projection {
-                    None => Some(base_schema.clone()),
+                    None => schema_only(Arc::new(base_schema.clone())),
                     Some(idx) => {
                         let mut ok = true;
                         for (i, col) in idx.iter().enumerate() {
@@ -451,16 +426,16 @@ impl Verifier {
                         if !ok {
                             return None;
                         }
-                        Some(Schema::new(
+                        schema_only(Arc::new(Schema::new(
                             idx.iter().map(|&c| base_schema.field(c).clone()).collect(),
-                        ))
+                        )))
                     }
                 }
             }
             Rel::Filter { predicate, .. } => {
                 let schema = input_schema?;
                 let mut p = scratch(path, ".predicate");
-                if let Some(t) = cx.check_expr(predicate, &schema, &mut p, 0) {
+                if let Some(t) = cx.check_expr(predicate, schema, &mut p, 0) {
                     if t != DataType::Boolean {
                         cx.push(
                             DiagCode::FilterNotBoolean,
@@ -469,7 +444,7 @@ impl Verifier {
                         );
                     }
                 }
-                Some(schema)
+                schema_only(schema.clone())
             }
             Rel::Project { exprs, .. } => {
                 let schema = input_schema?;
@@ -486,11 +461,11 @@ impl Verifier {
                 let mut fields = Vec::with_capacity(exprs.len());
                 for (i, (e, name)) in exprs.iter().enumerate() {
                     let _ = write!(p, ".exprs[{i}]");
-                    let t = cx.check_expr(e, &schema, &mut p, 0)?;
+                    let t = cx.check_expr(e, schema, &mut p, 0)?;
                     p.truncate(base);
                     fields.push(Field::new(name.clone(), t, true));
                 }
-                Some(Schema::new(fields))
+                schema_only(Arc::new(Schema::new(fields)))
             }
             Rel::Aggregate {
                 group_by, measures, ..
@@ -509,39 +484,37 @@ impl Verifier {
                 let mut fields = Vec::with_capacity(group_by.len() + measures.len());
                 for (i, (e, name)) in group_by.iter().enumerate() {
                     let _ = write!(p, ".group_by[{i}]");
-                    let t = cx.check_expr(e, &schema, &mut p, 0)?;
-                    if !hashable(t) {
-                        cx.push(
-                            DiagCode::GroupKeyNotHashable,
-                            p.as_str(),
-                            format!("group key type {t} is not hashable"),
-                        );
-                    }
+                    let t = cx.check_expr(e, schema, &mut p, 0)?;
                     p.truncate(base);
                     fields.push(Field::new(name.clone(), t, true));
                 }
+                let mut measure_args = Vec::with_capacity(measures.len());
                 for (i, m) in measures.iter().enumerate() {
                     let _ = write!(p, ".measures[{i}]");
                     let measure = p.len();
                     let arg_type = match &m.arg {
                         Some(e) => {
                             p.push_str(".arg");
-                            let t = cx.check_expr(e, &schema, &mut p, 0)?;
+                            let t = cx.check_expr(e, schema, &mut p, 0)?;
                             p.truncate(measure);
                             Some(t)
                         }
                         None => None,
                     };
-                    match measure_type(m.func, arg_type) {
+                    match m.func.result_type(arg_type) {
                         Ok(t) => fields.push(Field::new(m.name.clone(), t, true)),
-                        Err(msg) => {
-                            cx.push(DiagCode::MeasureTypeIllegal, p, msg);
+                        Err(e) => {
+                            cx.push(DiagCode::MeasureTypeIllegal, p, e.to_string());
                             return None;
                         }
                     }
+                    measure_args.push(arg_type);
                     p.truncate(base);
                 }
-                Some(Schema::new(fields))
+                Some(OpTypes {
+                    schema: Arc::new(Schema::new(fields)),
+                    measure_args,
+                })
             }
             Rel::Sort { keys, .. } => {
                 let schema = input_schema?;
@@ -574,12 +547,12 @@ impl Verifier {
                             format!("sort key must be a field reference, got {}", k.expr),
                         );
                     }
-                    cx.check_expr(&k.expr, &schema, &mut p, 0);
+                    cx.check_expr(&k.expr, schema, &mut p, 0);
                     p.truncate(base);
                 }
-                Some(schema)
+                schema_only(schema.clone())
             }
-            Rel::Fetch { .. } => input_schema,
+            Rel::Fetch { .. } => schema_only(input_schema?.clone()),
         }
     }
 }
@@ -642,33 +615,20 @@ impl Cx {
                 }
                 Some(schema.field(*i).data_type)
             }
-            Expr::Literal(s) => match s.data_type() {
-                Some(t) => Some(t),
-                None => {
-                    self.push(
-                        DiagCode::NullLiteralUntyped,
-                        path.as_str(),
-                        "untyped NULL literal; wrap in CAST(NULL AS type)",
-                    );
-                    None
-                }
-            },
+            Expr::Literal(s) => Some(literal_type(s)),
             Expr::Cmp { left, right, .. } => {
                 let l = sub(self, ".left", left, path);
                 let r = sub(self, ".right", right, path);
-                if let (Some(l), Some(r)) = (l, r) {
-                    if !l.comparable_with(r) {
-                        self.push(
-                            DiagCode::CmpTypeMismatch,
-                            path.as_str(),
-                            format!("cannot compare {l} with {r}"),
-                        );
-                        return None;
-                    }
-                    Some(DataType::Boolean)
-                } else {
-                    None
+                let (l, r) = (l?, r?);
+                if !comparable((left.as_ref(), l), (right.as_ref(), r)) {
+                    self.push(
+                        DiagCode::CmpTypeMismatch,
+                        path.as_str(),
+                        format!("cannot compare {l} with {r}"),
+                    );
+                    return None;
                 }
+                Some(DataType::Boolean)
             }
             Expr::Arith { op, left, right } => {
                 let l = sub(self, ".left", left, path)?;
@@ -721,8 +681,8 @@ impl Cx {
                 let hi_t = sub(self, ".hi", hi, path);
                 let (t, lo_t, hi_t) = (t?, lo_t?, hi_t?);
                 let mut ok = true;
-                for (side, bt) in [(".lo", lo_t), (".hi", hi_t)] {
-                    if !bt.comparable_with(t) {
+                for (side, bound, bt) in [(".lo", lo, lo_t), (".hi", hi, hi_t)] {
+                    if !comparable((bound.as_ref(), bt), (expr.as_ref(), t)) {
                         path.push_str(side);
                         self.push(
                             DiagCode::BetweenTypeMismatch,
@@ -733,33 +693,11 @@ impl Cx {
                         ok = false;
                     }
                 }
-                // Constant-bound ordering: a literal range with lo > hi can
-                // only be a rewrite bug, never a useful predicate.
-                if ok {
-                    if let (Expr::Literal(a), Expr::Literal(b)) = (lo.as_ref(), hi.as_ref()) {
-                        if !a.is_null()
-                            && !b.is_null()
-                            && a.data_type() == b.data_type()
-                            && a.total_cmp(b) == std::cmp::Ordering::Greater
-                        {
-                            self.push(
-                                DiagCode::BetweenBoundsInverted,
-                                path.as_str(),
-                                format!("constant BETWEEN bounds inverted: {a} > {b}"),
-                            );
-                            ok = false;
-                        }
-                    }
-                }
                 ok.then_some(DataType::Boolean)
             }
             Expr::Cast { expr, to } => {
-                // CAST(NULL AS t) is how untyped NULLs acquire a type.
-                if matches!(expr.as_ref(), Expr::Literal(Scalar::Null)) {
-                    return Some(*to);
-                }
                 let from = sub(self, ".expr", expr, path)?;
-                if !cast_ok(from, *to) {
+                if !castable(from, *to) {
                     self.push(
                         DiagCode::CastIllegal,
                         path.as_str(),
@@ -771,15 +709,13 @@ impl Cx {
             }
             Expr::Negate(child) => {
                 let t = sub(self, ".expr", child, path)?;
-                if !matches!(t, DataType::Int64 | DataType::Float64) {
-                    self.push(
-                        DiagCode::NegateNonNumeric,
-                        path.as_str(),
-                        format!("negate of {t}"),
-                    );
-                    return None;
+                match negate_type(t) {
+                    Ok(t) => Some(t),
+                    Err(e) => {
+                        self.push(DiagCode::NegateNonNumeric, path.as_str(), e.to_string());
+                        None
+                    }
                 }
-                Some(t)
             }
             Expr::IsNull(child) | Expr::IsNotNull(child) => {
                 sub(self, ".expr", child, path)?;
@@ -807,134 +743,31 @@ fn rel_path(depth: usize) -> String {
     p
 }
 
-/// Whether a value of this type can be a group-by key. Every current
-/// type hashes (floats through a canonical bit pattern); the explicit
-/// match forces a decision when a type is added.
-fn hashable(t: DataType) -> bool {
-    match t {
-        DataType::Int64
-        | DataType::Float64
-        | DataType::Boolean
-        | DataType::Utf8
-        | DataType::Date32 => true,
-    }
-}
-
-/// Whether an expression always evaluates to the same value for the
-/// same input row. Every current node is deterministic; the exhaustive
-/// match forces a decision when (e.g.) `random()` is added.
-fn deterministic(e: &Expr) -> bool {
-    match e {
-        Expr::FieldRef(_) | Expr::Literal(_) => true,
-        Expr::Cmp { left, right, .. } | Expr::Arith { left, right, .. } => {
-            deterministic(left) && deterministic(right)
-        }
-        Expr::And(a, b) | Expr::Or(a, b) => deterministic(a) && deterministic(b),
-        Expr::Not(x) | Expr::Cast { expr: x, .. } | Expr::Negate(x) => deterministic(x),
-        Expr::IsNull(x) | Expr::IsNotNull(x) => deterministic(x),
-        Expr::Between { expr, lo, hi } => {
-            deterministic(expr) && deterministic(lo) && deterministic(hi)
-        }
-    }
-}
-
-/// The cast-kernel legality matrix (mirrors `columnar::kernels::cast`):
-/// identity, numeric↔numeric, date↔int64, date→float64, anything→utf8.
-fn cast_ok(from: DataType, to: DataType) -> bool {
-    use DataType::*;
-    from == to
-        || to == Utf8
-        || matches!(
-            (from, to),
-            (Int64, Float64)
-                | (Float64, Int64)
-                | (Date32, Int64)
-                | (Int64, Date32)
-                | (Date32, Float64)
-        )
-}
-
-/// Measure legality against what the accumulators actually fold:
-/// `COUNT` takes anything (or nothing), `SUM`/`AVG` need a numeric
-/// argument, `MIN`/`MAX` need an argument of any ordered type.
-fn measure_type(func: AggFunc, arg: Option<DataType>) -> Result<DataType, String> {
-    match func {
-        AggFunc::Count => Ok(DataType::Int64),
-        AggFunc::Sum | AggFunc::Avg => match arg {
-            Some(DataType::Int64) | Some(DataType::Float64) => {
-                func.result_type(arg).map_err(|e| e.to_string())
-            }
-            Some(t) => Err(format!("{} over non-numeric {t}", func.sql())),
-            None => Err(format!("{} requires an argument", func.sql())),
-        },
-        AggFunc::Min | AggFunc::Max => match arg {
-            Some(t) => Ok(t),
-            None => Err(format!("{} requires an argument", func.sql())),
-        },
-    }
-}
-
-/// Visit every expression an operator carries with a *lazy* path: `f`
-/// receives the expression and a formatter that materializes the path
-/// only when a diagnostic actually needs it, so the clean case allocates
-/// nothing.
-fn for_each_op_expr<'a>(op: &'a Rel, mut f: impl FnMut(&'a Expr, &dyn Fn() -> String)) {
-    match op {
-        Rel::Read { .. } | Rel::Fetch { .. } => {}
-        Rel::Filter { predicate, .. } => f(predicate, &|| ".predicate".to_string()),
-        Rel::Project { exprs, .. } => {
-            for (i, (e, _)) in exprs.iter().enumerate() {
-                f(e, &|| format!(".exprs[{i}]"));
-            }
-        }
-        Rel::Aggregate {
-            group_by, measures, ..
-        } => {
-            for (i, (e, _)) in group_by.iter().enumerate() {
-                f(e, &|| format!(".group_by[{i}]"));
-            }
-            for (i, m) in measures.iter().enumerate() {
-                if let Some(e) = &m.arg {
-                    f(e, &|| format!(".measures[{i}].arg"));
-                }
-            }
-        }
-        Rel::Sort { keys, .. } => {
-            for (i, k) in keys.iter().enumerate() {
-                f(&k.expr, &|| format!(".keys[{i}]"));
-            }
-        }
-    }
-}
-
 /// The most useful single diagnostic from a batch: the first one found,
 /// with a note when others follow. For error types that carry exactly
 /// one diagnostic across a boundary.
-pub fn primary(mut diags: Vec<Diagnostic>) -> Diagnostic {
-    if diags.is_empty() {
+pub fn primary(diags: Vec<Diagnostic>) -> Diagnostic {
+    let extra = diags.len().saturating_sub(1);
+    let mut diags = diags.into_iter();
+    let Some(mut first) = diags.next() else {
         // verify() never returns an empty Err; defend anyway.
-        return Diagnostic::new(DiagCode::TransportStructure, "root", "verification failed");
-    }
-    let extra = diags.len() - 1;
-    let mut first = diags.swap_remove(0);
+        return Diagnostic::new(DiagCode::Corrupt, "root", "verification failed");
+    };
     if extra > 0 {
         first.message = format!("{} (+{extra} more)", first.message);
     }
     first
 }
 
-/// Verify a trusted (engine-constructed) plan.
-pub fn verify(plan: &Plan) -> Result<Schema, Vec<Diagnostic>> {
-    Verifier::new().verify(plan)
-}
-
-/// Verify a plan decoded from untrusted bytes (resource caps applied).
-pub fn verify_untrusted(plan: &Plan) -> Result<Schema, Vec<Diagnostic>> {
+/// Verify a plan decoded from untrusted bytes (resource caps applied) —
+/// the check the OCS frontend makes once per split.
+pub fn verify_untrusted(plan: &Plan) -> Result<VerifiedPlan<'_>, Vec<Diagnostic>> {
     Verifier::untrusted().verify(plan)
 }
 
-/// Verify a plan about to be pushed to storage (all passes).
-pub fn verify_pushdown(plan: &Plan) -> Result<Schema, Vec<Diagnostic>> {
+/// Verify a plan about to be pushed to storage (all passes) — the check
+/// the connector optimizer makes once per query.
+pub fn verify_pushdown(plan: &Plan) -> Result<VerifiedPlan<'_>, Vec<Diagnostic>> {
     Verifier::pushdown().verify(plan)
 }
 
@@ -942,8 +775,10 @@ pub fn verify_pushdown(plan: &Plan) -> Result<Schema, Vec<Diagnostic>> {
 mod tests {
     use super::*;
     use crate::expr::{Measure, SortField};
+    use columnar::agg::AggFunc;
     use columnar::kernels::arith::ArithOp;
     use columnar::kernels::cmp::CmpOp;
+    use columnar::Scalar;
 
     fn base() -> Schema {
         Schema::new(vec![
@@ -954,7 +789,7 @@ mod tests {
     }
 
     fn codes(plan: &Plan) -> Vec<DiagCode> {
-        match verify(plan) {
+        match verify_untrusted(plan) {
             Ok(_) => Vec::new(),
             Err(ds) => ds.iter().map(|d| d.code).collect(),
         }
@@ -989,8 +824,14 @@ mod tests {
             offset: 0,
             limit: 100,
         });
-        let s = verify(&plan).unwrap();
-        assert_eq!(s.names(), vec!["id", "e"]);
+        let v = verify_untrusted(&plan).unwrap();
+        assert_eq!(v.schema().names(), vec!["id", "e"]);
+        // One entry per operator, leaf first; only the Aggregate has
+        // measure arguments.
+        let names: Vec<&str> = v.ops().iter().map(|(r, _)| r.name()).collect();
+        assert_eq!(names, ["Read", "Filter", "Aggregate", "Sort", "Fetch"]);
+        assert_eq!(v.ops()[2].1.measure_args, vec![Some(DataType::Float64)]);
+        assert!(v.ops()[1].1.measure_args.is_empty());
         // The same plan is also pushdown-legal.
         assert!(verify_pushdown(&plan).is_ok());
     }
@@ -1008,7 +849,7 @@ mod tests {
             input: Box::new(Rel::read("t", base(), None)),
             predicate: Expr::cmp(CmpOp::Gt, Expr::field(9), Expr::lit(Scalar::Int64(1))),
         });
-        let ds = verify(&plan).unwrap_err();
+        let ds = verify_untrusted(&plan).unwrap_err();
         assert_eq!(ds[0].code, DiagCode::FieldOutOfRange);
         assert_eq!(ds[0].path, "root.predicate.left");
     }
@@ -1033,6 +874,7 @@ mod tests {
 
     #[test]
     fn between_ordering_and_typing() {
+        // Inverted constant bounds are valid SQL that matches no row.
         let inverted = Plan::new(Rel::Filter {
             input: Box::new(Rel::read("t", base(), None)),
             predicate: Expr::Between {
@@ -1041,7 +883,7 @@ mod tests {
                 hi: Box::new(Expr::lit(Scalar::Float64(2.0))),
             },
         });
-        assert_eq!(codes(&inverted), vec![DiagCode::BetweenBoundsInverted]);
+        assert_eq!(codes(&inverted), vec![]);
 
         let mistyped = Plan::new(Rel::Filter {
             input: Box::new(Rel::read("t", base(), None)),
@@ -1071,18 +913,42 @@ mod tests {
             )],
         });
         assert_eq!(codes(&bad), vec![DiagCode::CastIllegal]);
-        // Anything casts to utf8; null literals acquire a type via cast.
-        assert!(cast_ok(DataType::Boolean, DataType::Utf8));
-        assert!(!cast_ok(DataType::Utf8, DataType::Int64));
     }
 
     #[test]
     fn untyped_null_literal() {
-        let plan = Plan::new(Rel::Project {
-            input: Box::new(Rel::read("t", base(), None)),
-            exprs: vec![(Expr::lit(Scalar::Null), "n".into())],
-        });
-        assert_eq!(codes(&plan), vec![DiagCode::NullLiteralUntyped]);
+        let project = |e: Expr| {
+            Plan::new(Rel::Project {
+                input: Box::new(Rel::read("t", base(), None)),
+                exprs: vec![(e, "n".into())],
+            })
+        };
+        let plan = project(Expr::lit(Scalar::Null));
+        let v = verify_untrusted(&plan).unwrap();
+        assert_eq!(v.schema().field(0).data_type, DataType::Boolean);
+        // It compares with any type...
+        let cmp = project(Expr::cmp(
+            CmpOp::Gt,
+            Expr::field(2),
+            Expr::lit(Scalar::Null),
+        ));
+        assert_eq!(codes(&cmp), vec![]);
+        // ...and casts only where a Boolean casts.
+        let cast = |to| {
+            project(Expr::Cast {
+                expr: Box::new(Expr::lit(Scalar::Null)),
+                to,
+            })
+        };
+        assert_eq!(codes(&cast(DataType::Utf8)), vec![]);
+        assert_eq!(codes(&cast(DataType::Int64)), vec![DiagCode::CastIllegal]);
+        // Nor is it an arithmetic operand.
+        let add = project(Expr::arith(
+            ArithOp::Add,
+            Expr::field(0),
+            Expr::lit(Scalar::Null),
+        ));
+        assert_eq!(codes(&add), vec![DiagCode::ArithTypeIllegal]);
     }
 
     #[test]
@@ -1108,6 +974,20 @@ mod tests {
             }],
         });
         assert_eq!(codes(&min_no_arg), vec![DiagCode::MeasureTypeIllegal]);
+
+        // AVG takes what SUM takes, and never `*`.
+        for arg in [Some(Expr::field(2)), None] {
+            let avg = Plan::new(Rel::Aggregate {
+                input: Box::new(Rel::read("t", base(), None)),
+                group_by: vec![],
+                measures: vec![Measure {
+                    func: AggFunc::Avg,
+                    arg,
+                    name: "a".into(),
+                }],
+            });
+            assert_eq!(codes(&avg), vec![DiagCode::MeasureTypeIllegal]);
+        }
     }
 
     #[test]
@@ -1135,7 +1015,7 @@ mod tests {
                 nulls_first: false,
             }],
         });
-        assert!(verify(&root_sort).is_ok());
+        assert!(verify_untrusted(&root_sort).is_ok());
 
         // Computed sort keys are rejected.
         let computed = Plan::new(Rel::Sort {
@@ -1160,7 +1040,7 @@ mod tests {
             }),
             predicate: Expr::cmp(CmpOp::Gt, Expr::field(0), Expr::lit(Scalar::Int64(0))),
         });
-        assert!(verify(&buried_fetch).is_ok());
+        assert!(verify_untrusted(&buried_fetch).is_ok());
         let ds = verify_pushdown(&buried_fetch).unwrap_err();
         assert_eq!(ds[0].code, DiagCode::PushdownFetchNotRoot);
 
@@ -1170,7 +1050,7 @@ mod tests {
             offset: 5,
             limit: 10,
         });
-        assert!(verify(&offset).is_ok());
+        assert!(verify_untrusted(&offset).is_ok());
         let ds = verify_pushdown(&offset).unwrap_err();
         assert_eq!(ds[0].code, DiagCode::PushdownOffsetNonZero);
 
@@ -1212,8 +1092,9 @@ mod tests {
         let plan = Plan::new(rel);
         let ds = verify_untrusted(&plan).unwrap_err();
         assert_eq!(ds[0].code, DiagCode::DepthExceeded);
-        // The generous trusted limits accept it.
-        assert!(verify(&plan).is_ok());
+        // The engine-side check applies the same caps.
+        let ds = verify_pushdown(&plan).unwrap_err();
+        assert_eq!(ds[0].code, DiagCode::DepthExceeded);
 
         // A hostile schema width is rejected.
         let wide = Schema::new(
@@ -1234,15 +1115,19 @@ mod tests {
             primary(vec![d.clone(), d.clone()]).message,
             "boom (+1 more)"
         );
-        let ir = IrError::FieldOutOfRange { index: 4, arity: 2 };
+        let ir = IrError::Corrupt("unexpected end".into());
         let mapped = Diagnostic::from_ir(&ir, "root");
-        assert_eq!(mapped.code, DiagCode::FieldOutOfRange);
+        assert_eq!(mapped.code, DiagCode::Corrupt);
+        assert_eq!(mapped.to_string(), "[P900] at root: unexpected end");
     }
 
     #[test]
     fn projection_bounds() {
+        let plan = Plan::new(Rel::read("t", base(), Some(vec![2, 0])));
+        let v = verify_untrusted(&plan).unwrap();
+        assert_eq!(v.schema().names(), vec!["tag", "id"]);
         let plan = Plan::new(Rel::read("t", base(), Some(vec![0, 7])));
-        let ds = verify(&plan).unwrap_err();
+        let ds = verify_untrusted(&plan).unwrap_err();
         assert_eq!(ds[0].code, DiagCode::ProjectionOutOfRange);
         assert_eq!(ds[0].path, "root.projection[1]");
     }

@@ -1,10 +1,9 @@
 //! Relational operators and whole plans.
 
-use columnar::{DataType, Field, Schema};
+use columnar::Schema;
 use std::fmt;
 
 use crate::expr::{Expr, Measure, SortField};
-use crate::{IrError, Result};
 
 /// A relational operator tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,77 +84,6 @@ impl Rel {
             | Rel::Aggregate { input, .. }
             | Rel::Sort { input, .. }
             | Rel::Fetch { input, .. } => Some(input),
-        }
-    }
-
-    /// Infer the output schema (validates expression typing on the way).
-    pub fn output_schema(&self) -> Result<Schema> {
-        match self {
-            Rel::Read {
-                base_schema,
-                projection,
-                ..
-            } => match projection {
-                None => Ok(base_schema.clone()),
-                Some(idx) => base_schema
-                    .project(idx)
-                    .map_err(|e| IrError::Structure(e.to_string())),
-            },
-            Rel::Filter { input, predicate } => {
-                let schema = input.output_schema()?;
-                let t = predicate.output_type(&schema)?;
-                if t != DataType::Boolean {
-                    return Err(IrError::Type(format!("filter predicate is {t}")));
-                }
-                Ok(schema)
-            }
-            Rel::Project { input, exprs } => {
-                let schema = input.output_schema()?;
-                if exprs.is_empty() {
-                    return Err(IrError::Structure("empty projection".into()));
-                }
-                let fields = exprs
-                    .iter()
-                    .map(|(e, name)| Ok(Field::new(name.clone(), e.output_type(&schema)?, true)))
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(Schema::new(fields))
-            }
-            Rel::Aggregate {
-                input,
-                group_by,
-                measures,
-            } => {
-                let schema = input.output_schema()?;
-                if measures.is_empty() && group_by.is_empty() {
-                    return Err(IrError::Structure(
-                        "aggregate with no keys and no measures".into(),
-                    ));
-                }
-                let mut fields = Vec::with_capacity(group_by.len() + measures.len());
-                for (e, name) in group_by {
-                    fields.push(Field::new(name.clone(), e.output_type(&schema)?, true));
-                }
-                for m in measures {
-                    let input_type = m.arg.as_ref().map(|e| e.output_type(&schema)).transpose()?;
-                    let out = m
-                        .func
-                        .result_type(input_type)
-                        .map_err(|e| IrError::Type(e.to_string()))?;
-                    fields.push(Field::new(m.name.clone(), out, true));
-                }
-                Ok(Schema::new(fields))
-            }
-            Rel::Sort { input, keys } => {
-                let schema = input.output_schema()?;
-                if keys.is_empty() {
-                    return Err(IrError::Structure("sort with no keys".into()));
-                }
-                for k in keys {
-                    k.expr.output_type(&schema)?;
-                }
-                Ok(schema)
-            }
-            Rel::Fetch { input, .. } => input.output_schema(),
         }
     }
 
@@ -272,26 +200,6 @@ impl Plan {
             root,
         }
     }
-
-    /// Validate the whole tree: schema inference succeeds and the structure
-    /// is one the embedded engine supports (single `Read` leaf).
-    pub fn validate(&self) -> Result<Schema> {
-        if self.version != IR_VERSION {
-            return Err(IrError::Structure(format!(
-                "unsupported IR version {}",
-                self.version
-            )));
-        }
-        // Exactly one leaf, and it must be a Read.
-        let mut cur = &self.root;
-        while let Some(next) = cur.input() {
-            cur = next;
-        }
-        if !matches!(cur, Rel::Read { .. }) {
-            return Err(IrError::Structure("leaf operator must be Read".into()));
-        }
-        self.root.output_schema()
-    }
 }
 
 impl fmt::Display for Plan {
@@ -303,9 +211,18 @@ impl fmt::Display for Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::planck::{verify_untrusted, DiagCode};
     use columnar::agg::AggFunc;
     use columnar::kernels::cmp::CmpOp;
-    use columnar::Scalar;
+    use columnar::{DataType, Field, Scalar, SchemaRef};
+
+    /// Typing is planck's: the output schema of `rel` as a whole plan, or
+    /// the first diagnostic code.
+    fn verified_schema(rel: Rel) -> Result<SchemaRef, DiagCode> {
+        let plan = Plan::new(rel);
+        let verified = verify_untrusted(&plan).map_err(|ds| ds[0].code)?;
+        Ok(verified.schema().clone())
+    }
 
     fn base() -> Schema {
         Schema::new(vec![
@@ -318,10 +235,10 @@ mod tests {
     #[test]
     fn read_schema_with_projection() {
         let r = Rel::read("t", base(), Some(vec![2, 0]));
-        let s = r.output_schema().unwrap();
+        let s = verified_schema(r).unwrap();
         assert_eq!(s.names(), vec!["tag", "id"]);
         let r = Rel::read("t", base(), None);
-        assert_eq!(r.output_schema().unwrap().len(), 3);
+        assert_eq!(verified_schema(r).unwrap().len(), 3);
     }
 
     #[test]
@@ -330,12 +247,12 @@ mod tests {
             input: Box::new(Rel::read("t", base(), None)),
             predicate: Expr::field(0),
         };
-        assert!(bad.output_schema().is_err());
+        assert_eq!(verified_schema(bad), Err(DiagCode::FilterNotBoolean));
         let good = Rel::Filter {
             input: Box::new(Rel::read("t", base(), None)),
             predicate: Expr::cmp(CmpOp::Gt, Expr::field(1), Expr::lit(Scalar::Float64(0.5))),
         };
-        assert_eq!(good.output_schema().unwrap().len(), 3);
+        assert_eq!(verified_schema(good).unwrap().len(), 3);
     }
 
     #[test]
@@ -356,7 +273,7 @@ mod tests {
                 },
             ],
         };
-        let s = agg.output_schema().unwrap();
+        let s = verified_schema(agg).unwrap();
         assert_eq!(s.names(), vec!["tag", "avg_x", "n"]);
         assert_eq!(s.field(1).data_type, DataType::Float64);
         assert_eq!(s.field(2).data_type, DataType::Int64);
@@ -369,17 +286,23 @@ mod tests {
             input: Box::new(Rel::read("t", base(), None)),
             exprs: vec![],
         };
-        assert!(empty_proj.output_schema().is_err());
+        assert_eq!(verified_schema(empty_proj), Err(DiagCode::ProjectEmpty));
         let empty_sort = Rel::Sort {
             input: Box::new(Rel::read("t", base(), None)),
             keys: vec![],
         };
-        assert!(empty_sort.output_schema().is_err());
+        assert_eq!(verified_schema(empty_sort), Err(DiagCode::SortEmpty));
+        let empty_agg = Rel::Aggregate {
+            input: Box::new(Rel::read("t", base(), None)),
+            group_by: vec![],
+            measures: vec![],
+        };
+        assert_eq!(verified_schema(empty_agg), Err(DiagCode::AggregateEmpty));
         let plan = Plan::new(Rel::read("t", base(), None));
-        assert!(plan.validate().is_ok());
+        assert!(verify_untrusted(&plan).is_ok());
         let mut bad = plan.clone();
         bad.version = 99;
-        assert!(bad.validate().is_err());
+        assert!(verify_untrusted(&bad).is_err());
     }
 
     #[test]
@@ -412,7 +335,7 @@ mod tests {
             offset: 0,
             limit: 100,
         });
-        let s = plan.validate().unwrap();
+        let s = verify_untrusted(&plan).unwrap().schema().clone();
         assert_eq!(s.names(), vec!["id", "e"]);
         assert_eq!(plan.root.operator_count(), 5);
         // Pretty printer shows the chain.

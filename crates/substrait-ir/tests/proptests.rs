@@ -240,14 +240,14 @@ proptest! {
     #[test]
     fn roundtrip_preserves_verified_plans(seed in any::<u64>()) {
         let plan = gen_valid_plan(seed);
-        let schema = match planck::verify(&plan) {
+        let schema = match planck::verify_untrusted(&plan) {
             Ok(s) => s,
             Err(ds) => panic!("generator produced an invalid plan (seed {seed}): {}", planck::primary(ds)),
         };
         let bytes = encode(&plan);
         let back = decode(&bytes).expect("roundtrip decode");
         prop_assert_eq!(&back, &plan);
-        let schema2 = planck::verify(&back).expect("decoded plan verifies");
+        let schema2 = planck::verify_untrusted(&back).expect("decoded plan verifies");
         prop_assert_eq!(schema2, schema);
     }
 
@@ -289,7 +289,7 @@ proptest! {
                 Expr::lit(Scalar::Int64(0)),
             ),
         });
-        let ds = planck::verify(&plan).expect_err("field past arity");
+        let ds = planck::verify_untrusted(&plan).expect_err("field past arity");
         prop_assert!(ds.iter().any(|d| d.code == DiagCode::FieldOutOfRange), "{ds:?}");
     }
 
@@ -305,7 +305,7 @@ proptest! {
                 Expr::lit(Scalar::Utf8("not a number".into())),
             ),
         });
-        let ds = planck::verify(&plan).expect_err("int64 vs utf8");
+        let ds = planck::verify_untrusted(&plan).expect_err("int64 vs utf8");
         prop_assert!(ds.iter().any(|d| d.code == DiagCode::CmpTypeMismatch), "{ds:?}");
     }
 
@@ -325,7 +325,7 @@ proptest! {
             }),
             predicate: Expr::cmp(CmpOp::Gt, Expr::field(0), Expr::lit(Scalar::Int64(0))),
         });
-        let ds = planck::verify(&plan).expect_err("buried sort");
+        let ds = planck::verify_untrusted(&plan).expect_err("buried sort");
         prop_assert!(ds.iter().any(|d| d.code == DiagCode::SortNotUnderFetch), "{ds:?}");
     }
 }

@@ -196,8 +196,9 @@ fn late_materialization_decoded_bytes() {
             Expr::lit(Scalar::Int64(100)),
         ),
     });
+    let verified = substrait_ir::planck::verify_untrusted(&plan).unwrap();
     let (batches, late) = Executor::new(&reader, &CostParams::default())
-        .run(&plan)
+        .run(&verified)
         .unwrap();
     assert_eq!(batches.iter().map(|b| b.num_rows()).sum::<usize>(), 100);
     assert_eq!(late.wire.row_groups_skipped, 19);

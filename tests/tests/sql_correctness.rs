@@ -19,6 +19,11 @@ fn setup() -> Engine {
 
 /// The same table read through `connector` (`ocs`, `hive` or `raw`).
 fn setup_on(connector: &str) -> Engine {
+    setup_with(connector, PushdownPolicy::all())
+}
+
+/// [`setup_on`] with the OCS connector pushing down what `policy` allows.
+fn setup_with(connector: &str, policy: PushdownPolicy) -> Engine {
     let engine = EngineBuilder::new().build();
     let store = Arc::new(ObjectStore::new());
     store.create_bucket("lake").unwrap();
@@ -82,7 +87,7 @@ fn setup_on(connector: &str) -> Engine {
             columns: stats_cols,
         },
     });
-    register_ocs_stack(&engine, store, PushdownPolicy::all());
+    register_ocs_stack(&engine, store, policy);
     engine
 }
 
@@ -256,5 +261,78 @@ fn comparing_mismatched_types_is_an_analysis_error_on_every_connector() {
             "SELECT COUNT(*) AS n FROM weather WHERE city <> 'oslo'",
         );
         assert_eq!(got, vec![vec!["6"]], "{connector}");
+    }
+}
+
+#[test]
+fn every_connector_types_sql_by_the_same_rules() {
+    let engines = [
+        ("raw", setup_with("raw", PushdownPolicy::all())),
+        ("hive", setup_with("hive", PushdownPolicy::all())),
+        ("ocs/all", setup_with("ocs", PushdownPolicy::all())),
+        (
+            "ocs/filter",
+            setup_with("ocs", PushdownPolicy::filter_only()),
+        ),
+    ];
+    // Ill-typed: the same analysis error before any connector runs.
+    for sql in [
+        "SELECT AVG(city) AS a FROM weather",
+        "SELECT AVG(*) AS a FROM weather",
+        "SELECT SUM(city) AS s FROM weather",
+        "SELECT city FROM weather WHERE NOT temp",
+        "SELECT city FROM weather WHERE temp AND day > 1",
+        "SELECT -city AS c FROM weather",
+        "SELECT day + NULL AS d FROM weather",
+    ] {
+        for (name, engine) in &engines {
+            let err = engine.execute(sql).unwrap_err();
+            assert!(
+                matches!(err, dsq::EngineError::Analysis(_)),
+                "{name}: {sql}: {err}"
+            );
+        }
+    }
+    // Well-typed: the same rows everywhere (in any order).
+    let nine = |v: &str| vec![vec![v.to_string()]; 9];
+    let cases = [
+        (
+            "SELECT COUNT(*) AS n FROM weather WHERE temp BETWEEN 40 AND 1",
+            vec![vec!["0".to_string()]],
+        ),
+        (
+            "SELECT COUNT(*) AS n FROM weather WHERE temp > NULL OR temp > 30",
+            vec![vec!["3".to_string()]],
+        ),
+        (
+            "SELECT COUNT(*) AS n FROM weather WHERE NULL IS NULL AND temp > 0",
+            vec![vec!["8".to_string()]],
+        ),
+        (
+            "SELECT COUNT(*) AS n FROM weather",
+            vec![vec!["9".to_string()]],
+        ),
+        (
+            "SELECT COUNT(*) AS n FROM weather WHERE 1 = 1",
+            vec![vec!["9".to_string()]],
+        ),
+        ("SELECT 1 AS one FROM weather", nine("1")),
+        ("SELECT NULL AS n FROM weather", nine("NULL")),
+    ];
+    for (sql, want) in cases {
+        for (name, engine) in &engines {
+            let mut got = rows_of(engine, sql);
+            got.sort();
+            assert_eq!(got, want, "{name}: {sql}");
+        }
+    }
+    let sql = "SELECT temp, NULL AS n FROM weather";
+    let mut want = rows_of(&engines[0].1, sql);
+    want.sort();
+    assert_eq!(want.len(), 9);
+    for (name, engine) in &engines {
+        let mut got = rows_of(engine, sql);
+        got.sort();
+        assert_eq!(got, want, "{name}: {sql}");
     }
 }
