@@ -1,13 +1,12 @@
 //! The engine façade: connector registry, query lifecycle, event listeners.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use columnar::prelude::*;
 use netsim::{ClusterSpec, CostParams, ExecStats, Ledger};
 use sqlparse::{Query, StatementKind};
-use sync::{DebugMutex, DebugRwLock};
+use sync::DebugRwLock;
 
 use crate::analyzer::{analyze, AnalyzedQuery};
 use crate::catalog::Metastore;
@@ -89,8 +88,6 @@ pub struct EngineBuilder {
     cluster: ClusterSpec,
     cost: CostParams,
     tracing: bool,
-    slow_query_threshold: Option<f64>,
-    incident_dir: Option<PathBuf>,
 }
 
 impl Default for EngineBuilder {
@@ -99,8 +96,6 @@ impl Default for EngineBuilder {
             cluster: ClusterSpec::paper_testbed(),
             cost: CostParams::default(),
             tracing: true,
-            slow_query_threshold: None,
-            incident_dir: None,
         }
     }
 }
@@ -129,22 +124,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Auto-capture an incident report for any query whose simulated time
-    /// exceeds `seconds` (off by default). A captured incident records a
-    /// [`FlightKind::SlowQuery`](obs::FlightKind::SlowQuery) event and is
-    /// retrievable via [`Engine::take_last_incident`].
-    pub fn slow_query_threshold(mut self, seconds: f64) -> Self {
-        self.slow_query_threshold = Some(seconds);
-        self
-    }
-
-    /// Also write each captured incident report to
-    /// `dir/incident-<seq>.json` (for `xtask report`).
-    pub fn incident_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.incident_dir = Some(dir.into());
-        self
-    }
-
     /// Build the engine.
     pub fn build(self) -> Engine {
         Engine {
@@ -154,9 +133,6 @@ impl EngineBuilder {
             cluster: self.cluster,
             cost: self.cost,
             tracing: self.tracing,
-            slow_query_threshold: self.slow_query_threshold,
-            incident_dir: self.incident_dir,
-            last_incident: DebugMutex::named("engine.session.incident", 25, None),
         }
     }
 }
@@ -169,9 +145,6 @@ pub struct Engine {
     cluster: ClusterSpec,
     cost: CostParams,
     tracing: bool,
-    slow_query_threshold: Option<f64>,
-    incident_dir: Option<PathBuf>,
-    last_incident: DebugMutex<Option<String>>,
 }
 
 impl Engine {
@@ -303,64 +276,12 @@ impl Engine {
         }
     }
 
-    /// The most recently captured slow-query incident report (JSON),
-    /// clearing it. `None` when no query has tripped the threshold since
-    /// the last take.
-    pub fn take_last_incident(&self) -> Option<String> {
-        self.last_incident.lock().take()
-    }
-
-    /// Capture a slow-query incident: record the [`obs::FlightKind::SlowQuery`]
-    /// event, render the report and stash it (plus write it to the
-    /// incident dir when configured — write failures surface as a metric,
-    /// never as a query error).
-    fn capture_incident(
-        &self,
-        sql: &str,
-        simulated_seconds: f64,
-        threshold_s: f64,
-        flight_start: u64,
-        trace: &obs::Trace,
-        profile: &obs::Profile,
-    ) {
-        let recorder = obs::flight();
-        let seq = recorder.record(
-            obs::FlightKind::SlowQuery,
-            (simulated_seconds * 1e6) as u64,
-            (threshold_s * 1e6) as u64,
-            flight_start,
-        );
-        let events = recorder.since(flight_start);
-        let report = obs::incident::render(
-            &obs::incident::IncidentMeta {
-                sql: sql.to_string(),
-                simulated_seconds,
-                threshold_s,
-            },
-            trace,
-            profile,
-            &events,
-        );
-        if let Some(dir) = &self.incident_dir {
-            let path = dir.join(format!("incident-{seq}.json"));
-            if std::fs::create_dir_all(dir)
-                .and_then(|_| std::fs::write(&path, &report))
-                .is_err()
-            {
-                obs::metrics().counter("engine.incident_write_errors").inc();
-            }
-        }
-        obs::metrics().counter("engine.slow_queries").inc();
-        *self.last_incident.lock() = Some(report);
-    }
-
     fn execute_parsed(
         &self,
         query: &Query,
         sql: &str,
         tracer: &obs::Tracer,
     ) -> EResult<QueryResult> {
-        let flight_start = obs::flight().cursor();
         let (analyzed, plan, traversed_nodes) = self.plan_parsed(query)?;
         let logical_plan = analyzed.plan.to_string();
         // Table 3's "Logical Plan Analysis".
@@ -395,19 +316,6 @@ impl Engine {
         let simulated_seconds = outcome.ledger.total();
         let trace = Arc::new(tracer.finish());
         let profile = Arc::new(outcome.profile);
-
-        if let Some(threshold_s) = self.slow_query_threshold {
-            if simulated_seconds > threshold_s {
-                self.capture_incident(
-                    sql,
-                    simulated_seconds,
-                    threshold_s,
-                    flight_start,
-                    &trace,
-                    &profile,
-                );
-            }
-        }
 
         let m = obs::metrics();
         m.counter("engine.queries").inc();

@@ -9,15 +9,16 @@
 //!
 //! [`validate`] is the CI-side check: it re-parses exported JSON with a
 //! small hand-rolled parser (the workspace vendors no serde) and checks
-//! the structural rules Perfetto cares about — well-formed JSON, every
-//! event has `name`/`ph`/`ts`/`pid`/`tid`, `"X"` events carry
-//! non-negative `dur`, and any `"B"`/`"E"` pairs balance per `tid`.
+//! the structural rules Perfetto cares about for the phases the exporters
+//! emit — well-formed JSON, every event has `name`/`ph`/`ts`/`pid`/`tid`,
+//! `"X"` events carry non-negative `dur`, and `"C"` counters carry a
+//! numeric series. Any other phase is rejected.
 
 use crate::profile::Profile;
 use crate::span::Trace;
 use std::collections::BTreeMap;
 
-pub(crate) fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -374,9 +375,11 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 /// * every event has a string `name` and `ph`, numeric `pid`/`tid`,
 ///   and (except metadata `"M"` events) a numeric `ts`,
 /// * complete `"X"` events carry a finite, non-negative `dur`,
-/// * `"B"`/`"E"` begin/end events balance per `(pid, tid)` stack,
 /// * counter `"C"` events carry an `args` object with at least one
-///   finite numeric series value.
+///   finite numeric series value,
+/// * any phase other than the `"X"`, `"C"` and `"M"` that
+///   [`export_with_profile`] and perfbench's span exporter emit is
+///   rejected as `unsupported ph`.
 ///
 /// Returns a short summary (event counts) on success.
 pub fn validate(text: &str) -> Result<String, String> {
@@ -388,7 +391,6 @@ pub fn validate(text: &str) -> Result<String, String> {
     let mut complete = 0usize;
     let mut metadata = 0usize;
     let mut counters = 0usize;
-    let mut open: BTreeMap<(u64, u64), usize> = BTreeMap::new();
     for (i, ev) in events.iter().enumerate() {
         let name = ev
             .get("name")
@@ -398,14 +400,11 @@ pub fn validate(text: &str) -> Result<String, String> {
             .get("ph")
             .and_then(|v| v.as_str())
             .ok_or_else(|| format!("event {i} ('{name}'): missing ph"))?;
-        let pid = ev
-            .get("pid")
-            .and_then(|v| v.as_num())
-            .ok_or_else(|| format!("event {i} ('{name}'): missing pid"))? as u64;
-        let tid = ev
-            .get("tid")
-            .and_then(|v| v.as_num())
-            .ok_or_else(|| format!("event {i} ('{name}'): missing tid"))? as u64;
+        for key in ["pid", "tid"] {
+            if ev.get(key).and_then(|v| v.as_num()).is_none() {
+                return Err(format!("event {i} ('{name}'): missing {key}"));
+            }
+        }
         if ph != "M" {
             let ts = ev
                 .get("ts")
@@ -425,19 +424,6 @@ pub fn validate(text: &str) -> Result<String, String> {
                     return Err(format!("event {i} ('{name}'): negative dur {dur}"));
                 }
                 complete += 1;
-            }
-            "B" => {
-                *open.entry((pid, tid)).or_insert(0) += 1;
-                complete += 1;
-            }
-            "E" => {
-                let depth = open.entry((pid, tid)).or_insert(0);
-                if *depth == 0 {
-                    return Err(format!(
-                        "event {i} ('{name}'): E without matching B on pid={pid} tid={tid}"
-                    ));
-                }
-                *depth -= 1;
             }
             "C" => {
                 let args = ev
@@ -462,11 +448,6 @@ pub fn validate(text: &str) -> Result<String, String> {
                 return Err(format!("event {i} ('{name}'): unsupported ph '{other}'"));
             }
         }
-    }
-    if let Some(((pid, tid), depth)) = open.iter().find(|(_, d)| **d > 0) {
-        return Err(format!(
-            "{depth} unclosed B event(s) on pid={pid} tid={tid}"
-        ));
     }
     if complete == 0 {
         return Err("trace has no duration events".to_string());
@@ -532,21 +513,17 @@ mod tests {
             "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"ts\":0,\"dur\":-1,\"pid\":1,\"tid\":1}]}"
         )
         .is_err());
-        // Unbalanced B.
+        // Missing tid.
         assert!(validate(
-            "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"B\",\"ts\":0,\"pid\":1,\"tid\":1}]}"
+            "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"ts\":0,\"dur\":1,\"pid\":1}]}"
         )
         .is_err());
-        // E without B.
-        assert!(validate(
-            "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"E\",\"ts\":0,\"pid\":1,\"tid\":1}]}"
-        )
-        .is_err());
-        // Balanced B/E passes.
-        assert!(validate(
+        // No exporter emits B/E, so even a balanced pair is rejected.
+        let err = validate(
             "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"B\",\"ts\":0,\"pid\":1,\"tid\":1},{\"name\":\"a\",\"ph\":\"E\",\"ts\":5,\"pid\":1,\"tid\":1}]}"
         )
-        .is_ok());
+        .expect_err("B/E is not an exported phase");
+        assert!(err.contains("unsupported ph 'B'"), "{err}");
     }
 
     #[test]

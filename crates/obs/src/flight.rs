@@ -4,10 +4,10 @@
 //! Spans answer "where did the time go" for one traced query; the flight
 //! recorder answers "what was the *system* doing around then" — cache
 //! admissions and hits, routing decisions, frame-window backpressure
-//! stalls, version purges, slow queries — continuously, for every query,
-//! traced or not. It is sized in events, not bytes, and old
-//! events are overwritten oldest-first, so the cost is a fixed allocation
-//! at first use plus a handful of atomic stores per event.
+//! stalls, version purges — continuously, for every query, traced or
+//! not. It is sized in events, not bytes, and old events are overwritten
+//! oldest-first, so the cost is a fixed allocation at first use plus a
+//! handful of atomic stores per event.
 //!
 //! Concurrency model: a per-slot seqlock over plain atomics (no locks, no
 //! `unsafe`). The writer claims a sequence number from a global cursor,
@@ -19,15 +19,13 @@
 //! rather than interleave stores — a flight recorder prefers a hole to a
 //! lie.
 //!
-//! The process-global recorder ([`flight`]) reads its capacity from
-//! `OBS_FLIGHT_CAPACITY` (events, default 4096) once at first use.
+//! The process-global recorder ([`flight`]) holds the last 4096 events.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
 
-/// Ring capacity (events) when `OBS_FLIGHT_CAPACITY` is unset.
-pub const DEFAULT_CAPACITY: usize = 4096;
+/// Capacity (events) of the process-global recorder.
+const CAPACITY: usize = 4096;
 
 /// The event taxonomy. Every event carries three `u64` payload words
 /// (`a`, `b`, `c`) whose meaning is per-kind (documented on each
@@ -62,10 +60,6 @@ pub enum FlightKind {
     /// `a` = new version, `b` = row-group entries purged, `c` = result
     /// entries purged.
     VersionPurge,
-    /// A query exceeded the engine's slow-query threshold.
-    /// `a` = simulated microseconds, `b` = threshold microseconds,
-    /// `c` = flight cursor at query start.
-    SlowQuery,
 }
 
 impl FlightKind {
@@ -80,7 +74,6 @@ impl FlightKind {
             FlightKind::RouteSpill => 6,
             FlightKind::BackpressureStall => 7,
             FlightKind::VersionPurge => 8,
-            FlightKind::SlowQuery => 10,
         }
     }
 
@@ -95,24 +88,8 @@ impl FlightKind {
             6 => FlightKind::RouteSpill,
             7 => FlightKind::BackpressureStall,
             8 => FlightKind::VersionPurge,
-            10 => FlightKind::SlowQuery,
             _ => return None,
         })
-    }
-
-    /// Short display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            FlightKind::CacheAdmit => "cache.admit",
-            FlightKind::CacheEvict => "cache.evict",
-            FlightKind::CacheHit => "cache.hit",
-            FlightKind::ResultCacheHit => "cache.result_hit",
-            FlightKind::RouteNatural => "route.natural",
-            FlightKind::RouteSpill => "route.spill",
-            FlightKind::BackpressureStall => "backpressure.stall",
-            FlightKind::VersionPurge => "version.purge",
-            FlightKind::SlowQuery => "slow_query",
-        }
     }
 }
 
@@ -121,8 +98,6 @@ impl FlightKind {
 pub struct FlightEvent {
     /// Global sequence number (monotonic across the process).
     pub seq: u64,
-    /// Wall seconds since the recorder was created.
-    pub t_s: f64,
     /// Event kind.
     pub kind: FlightKind,
     /// First payload word (per-kind meaning; see [`FlightKind`]).
@@ -134,7 +109,7 @@ pub struct FlightEvent {
 }
 
 impl FlightEvent {
-    /// One-line human rendering (`EXPLAIN ANALYZE` and incident reports).
+    /// One-line human rendering (as `EXPLAIN ANALYZE` prints it).
     pub fn describe(&self) -> String {
         match self.kind {
             FlightKind::CacheAdmit => format!(
@@ -170,9 +145,6 @@ impl FlightEvent {
                 "version.purge version={} rg_purged={} result_purged={}",
                 self.a, self.b, self.c
             ),
-            FlightKind::SlowQuery => {
-                format!("slow_query sim_us={} threshold_us={}", self.a, self.b)
-            }
         }
     }
 }
@@ -191,7 +163,6 @@ fn tier_label(tier: u64) -> &'static str {
 struct Slot {
     ver: AtomicU64,
     seq: AtomicU64,
-    t_bits: AtomicU64,
     kind: AtomicU64,
     a: AtomicU64,
     b: AtomicU64,
@@ -203,7 +174,6 @@ impl Slot {
         Slot {
             ver: AtomicU64::new(0),
             seq: AtomicU64::new(u64::MAX),
-            t_bits: AtomicU64::new(0),
             kind: AtomicU64::new(0),
             a: AtomicU64::new(0),
             b: AtomicU64::new(0),
@@ -219,7 +189,6 @@ pub struct FlightRecorder {
     /// Next sequence number to claim; `head - capacity .. head` is the
     /// live window.
     head: AtomicU64,
-    epoch: Instant,
 }
 
 impl FlightRecorder {
@@ -229,13 +198,7 @@ impl FlightRecorder {
         FlightRecorder {
             slots: (0..capacity).map(|_| Slot::empty()).collect(),
             head: AtomicU64::new(0),
-            epoch: Instant::now(),
         }
-    }
-
-    /// Ring capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// The next sequence number to be assigned. Capture before a query
@@ -249,7 +212,6 @@ impl FlightRecorder {
 
     /// Record one event; returns its sequence number.
     pub fn record(&self, kind: FlightKind, a: u64, b: u64, c: u64) -> u64 {
-        let t_bits = self.epoch.elapsed().as_secs_f64().to_bits();
         // RELAXED: pure sequence allocation — the slot contents are
         // published by the per-slot version protocol, not this counter.
         let seq = self.head.fetch_add(1, Ordering::Relaxed);
@@ -277,8 +239,6 @@ impl FlightRecorder {
         // below; readers re-check the version and discard torn slots.
         slot.seq.store(seq, Ordering::Relaxed);
         // RELAXED: see the bracketing argument above.
-        slot.t_bits.store(t_bits, Ordering::Relaxed);
-        // RELAXED: see the bracketing argument above.
         slot.kind.store(kind.code(), Ordering::Relaxed);
         // RELAXED: see the bracketing argument above.
         slot.a.store(a, Ordering::Relaxed);
@@ -303,8 +263,6 @@ impl FlightRecorder {
         // is detected and discarded.
         let got_seq = slot.seq.load(Ordering::Relaxed);
         // RELAXED: see the seqlock validation argument above.
-        let t_bits = slot.t_bits.load(Ordering::Relaxed);
-        // RELAXED: see the seqlock validation argument above.
         let kind = slot.kind.load(Ordering::Relaxed);
         // RELAXED: see the seqlock validation argument above.
         let a = slot.a.load(Ordering::Relaxed);
@@ -321,7 +279,6 @@ impl FlightRecorder {
         }
         Some(FlightEvent {
             seq,
-            t_s: f64::from_bits(t_bits),
             kind: FlightKind::from_code(kind)?,
             a,
             b,
@@ -336,25 +293,12 @@ impl FlightRecorder {
         let start = seq.max(head.saturating_sub(self.slots.len() as u64));
         (start..head).filter_map(|s| self.read_slot(s)).collect()
     }
-
-    /// Everything still live in the ring, oldest first.
-    pub fn snapshot(&self) -> Vec<FlightEvent> {
-        self.since(0)
-    }
 }
 
-/// The process-global flight recorder. Capacity comes from
-/// `OBS_FLIGHT_CAPACITY` (events), read once at first use.
+/// The process-global flight recorder (the last 4096 events).
 pub fn flight() -> &'static FlightRecorder {
     static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        let capacity = std::env::var("OBS_FLIGHT_CAPACITY")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|c| *c > 0)
-            .unwrap_or(DEFAULT_CAPACITY);
-        FlightRecorder::with_capacity(capacity)
-    })
+    GLOBAL.get_or_init(|| FlightRecorder::with_capacity(CAPACITY))
 }
 
 #[cfg(test)]
@@ -373,13 +317,12 @@ mod tests {
             FlightKind::RouteSpill,
             FlightKind::BackpressureStall,
             FlightKind::VersionPurge,
-            FlightKind::SlowQuery,
         ] {
             assert_eq!(FlightKind::from_code(kind.code()), Some(kind));
-            assert!(!kind.label().is_empty());
         }
         assert_eq!(FlightKind::from_code(0), None);
         assert_eq!(FlightKind::from_code(9), None, "retired code");
+        assert_eq!(FlightKind::from_code(10), None, "retired code");
         assert_eq!(FlightKind::from_code(999), None);
     }
 
@@ -389,7 +332,7 @@ mod tests {
         for i in 0..5u64 {
             r.record(FlightKind::CacheHit, i, i * 10, i * 100);
         }
-        let events = r.snapshot();
+        let events = r.since(0);
         assert_eq!(events.len(), 5);
         for (i, e) in events.iter().enumerate() {
             assert_eq!(e.seq, i as u64);
@@ -397,10 +340,6 @@ mod tests {
             assert_eq!(e.a, i as u64);
             assert_eq!(e.b, i as u64 * 10);
             assert_eq!(e.c, i as u64 * 100);
-        }
-        // Timestamps are monotone non-decreasing.
-        for w in events.windows(2) {
-            assert!(w[1].t_s >= w[0].t_s);
         }
     }
 
@@ -410,7 +349,7 @@ mod tests {
         for i in 0..20u64 {
             r.record(FlightKind::RouteNatural, i, 0, 0);
         }
-        let events = r.snapshot();
+        let events = r.since(0);
         // Exactly the last `capacity` events survive, oldest first.
         assert_eq!(events.len(), 8);
         assert_eq!(
@@ -427,20 +366,21 @@ mod tests {
     #[test]
     fn capacity_is_exact() {
         let r = FlightRecorder::with_capacity(3);
-        assert_eq!(r.capacity(), 3);
         for i in 0..3u64 {
             r.record(FlightKind::VersionPurge, i, 0, 0);
         }
-        assert_eq!(r.snapshot().len(), 3, "exactly capacity events fit");
+        assert_eq!(r.since(0).len(), 3, "exactly capacity events fit");
         r.record(FlightKind::VersionPurge, 3, 0, 0);
-        let events = r.snapshot();
+        let events = r.since(0);
         assert_eq!(events.len(), 3, "one past capacity still holds capacity");
         assert_eq!(events[0].a, 1, "event 0 overwritten first");
         // Degenerate capacity clamps to 1.
         let tiny = FlightRecorder::with_capacity(0);
-        assert_eq!(tiny.capacity(), 1);
-        tiny.record(FlightKind::SlowQuery, 1, 2, 3);
-        assert_eq!(tiny.snapshot().len(), 1);
+        tiny.record(FlightKind::VersionPurge, 1, 2, 3);
+        tiny.record(FlightKind::VersionPurge, 4, 5, 6);
+        let events = tiny.since(0);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].a, 4);
     }
 
     #[test]
@@ -478,7 +418,7 @@ mod tests {
                         if i % 64 == 0 {
                             // Concurrent readers must also never observe
                             // a torn slot.
-                            for e in r.snapshot() {
+                            for e in r.since(0) {
                                 assert_eq!(
                                     e.c,
                                     e.a.wrapping_mul(0x9e37_79b9).wrapping_add(e.b),
@@ -492,9 +432,9 @@ mod tests {
         });
         let total = threads as u64 * per_thread;
         assert_eq!(r.cursor(), total, "every record claimed a sequence");
-        let events = r.snapshot();
+        let events = r.since(0);
         assert!(!events.is_empty());
-        assert!(events.len() <= r.capacity());
+        assert!(events.len() <= 32);
         for e in events {
             assert_eq!(
                 e.c,
@@ -511,7 +451,6 @@ mod tests {
     fn describe_renders_each_kind() {
         let mk = |kind| FlightEvent {
             seq: 0,
-            t_s: 0.0,
             kind,
             a: 1,
             b: 2,
@@ -522,13 +461,11 @@ mod tests {
         assert!(mk(FlightKind::BackpressureStall)
             .describe()
             .contains("window=1"));
-        assert!(mk(FlightKind::SlowQuery).describe().contains("sim_us=1"));
     }
 
     #[test]
     fn global_recorder_is_always_on() {
         let f = flight();
-        assert!(f.capacity() >= 1);
         let cur = f.cursor();
         f.record(FlightKind::CacheAdmit, 0, 1, 2);
         assert!(f.cursor() > cur);

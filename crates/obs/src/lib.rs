@@ -23,9 +23,8 @@
 //!   ([`Profile::bottleneck`]) and Chrome counter-track export
 //!   ([`chrome::export_with_profile`]).
 //! * [`flight()`] — an always-on, fixed-size, lock-free flight recorder
-//!   of cache/routing/backpressure decisions ([`FlightRecorder`]).
-//! * [`incident`] — slow-query incident reports: SQL + span tree +
-//!   profile + flight slice as one JSON document (`xtask report`).
+//!   of cache/routing/backpressure decisions ([`FlightRecorder`]), whose
+//!   per-query slice `EXPLAIN ANALYZE` prints.
 //!
 //! The crate is dependency-free and the tracer is free when disabled: a
 //! [`Tracer::disabled`] handle records nothing and costs one branch per
@@ -36,7 +35,6 @@
 pub mod chrome;
 pub mod explain;
 pub mod flight;
-pub mod incident;
 pub mod metrics;
 pub mod profile;
 pub mod span;

@@ -60,22 +60,10 @@ impl Counter {
 pub struct Gauge(Arc<AtomicI64>);
 
 impl Gauge {
-    /// Set to an absolute value.
-    pub fn set(&self, v: i64) {
-        // RELAXED: an isolated statistics cell — the level itself is the
-        // only state, nothing else is published through it.
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Add a (possibly negative) delta.
-    pub fn add(&self, delta: i64) {
-        // RELAXED: see `set` — isolated statistics cell.
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
     /// Record a new value and keep the maximum (high-water marks).
     pub fn record_max(&self, v: i64) {
-        // RELAXED: see `set` — isolated statistics cell.
+        // RELAXED: an isolated statistics cell — the level itself is the
+        // only state, nothing else is published through it.
         self.0.fetch_max(v, Ordering::Relaxed);
     }
 
@@ -153,13 +141,6 @@ impl Histogram {
             // RELAXED: statistics read; a torn multi-bucket view is fine.
             .map(|b| b.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// Estimated `q`-quantile (`0.0..=1.0`) by linear interpolation inside
-    /// the bucket holding the rank (see [`quantile_from_buckets`]).
-    /// `None` when the histogram is empty.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        quantile_from_buckets(&self.0.bounds, &self.bucket_counts(), q)
     }
 }
 
@@ -350,11 +331,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Value for `name`.
-    pub fn get(&self, name: &str) -> Option<&MetricValue> {
-        self.values.get(name)
-    }
-
     /// Counter value for `name` (0 when absent — convenient in diffs).
     pub fn counter(&self, name: &str) -> u64 {
         match self.values.get(name) {
@@ -494,8 +470,7 @@ mod tests {
         c.add(4);
         assert_eq!(r.counter("frames").get(), 5);
         let g = r.gauge("depth");
-        g.add(3);
-        g.add(-1);
+        g.record_max(2);
         assert_eq!(g.get(), 2);
         g.record_max(10);
         g.record_max(7);
@@ -513,14 +488,14 @@ mod tests {
         assert!(Arc::ptr_eq(&h.0, &r.histogram("h", &[5.0]).0));
         // A second kind under a taken name gets a detached instrument:
         // its updates never reach the snapshot.
-        r.gauge("n").set(7);
+        r.gauge("n").record_max(7);
         r.histogram("n", &[1.0]).observe(0.5);
         r.counter("d").add(9);
         c.inc();
         let snap = r.snapshot();
         assert_eq!(snap.counter("n"), 1);
         assert_eq!(snap.gauge("d"), 0);
-        assert_eq!(snap.get("n"), Some(&MetricValue::Counter(1)));
+        assert_eq!(snap.values.get("n"), Some(&MetricValue::Counter(1)));
     }
 
     #[test]
@@ -542,7 +517,7 @@ mod tests {
         let g = r.gauge("g");
         let h = r.histogram("h", &[1.0]);
         c.add(2);
-        g.set(5);
+        g.record_max(5);
         h.observe(0.5);
         let before = r.snapshot();
         c.add(3);
@@ -550,7 +525,7 @@ mod tests {
         let after = r.snapshot();
         let d = after.diff(&before);
         assert_eq!(d.counter("a"), 3);
-        assert_eq!(d.get("g"), None, "unchanged gauge dropped");
+        assert_eq!(d.values.get("g"), None, "unchanged gauge dropped");
         assert_eq!(d.histogram("h"), (1, 2.0));
         assert!(d.render().contains("a 3"));
     }
@@ -564,13 +539,12 @@ mod tests {
         for _ in 0..10 {
             h.observe(1.5);
         }
-        assert!((h.quantile(0.5).unwrap() - 1.5).abs() < 1e-9);
-        assert!((h.quantile(1.0).unwrap() - 2.0).abs() < 1e-9);
-        // p0 still reads inside the occupied bucket, above its lower edge.
-        assert!(h.quantile(0.0).unwrap() > 1.0);
-        // Snapshot path agrees with the live instrument.
         let snap = r.snapshot();
-        assert_eq!(snap.histogram_quantile("lat", 0.5), h.quantile(0.5));
+        let q = |q| snap.histogram_quantile("lat", q).unwrap();
+        assert!((q(0.5) - 1.5).abs() < 1e-9);
+        assert!((q(1.0) - 2.0).abs() < 1e-9);
+        // p0 still reads inside the occupied bucket, above its lower edge.
+        assert!(q(0.0) > 1.0);
         assert_eq!(snap.histogram_quantile("missing", 0.5), None);
     }
 
@@ -583,10 +557,12 @@ mod tests {
         for _ in 0..4 {
             h.observe(2.0);
         }
-        assert!((h.quantile(1.0).unwrap() - 2.0).abs() < 1e-9);
+        let snap = r.snapshot();
+        let quantile = |q| snap.histogram_quantile("b", q).unwrap();
+        assert!((quantile(1.0) - 2.0).abs() < 1e-9);
         // All mass in one bucket: every quantile interpolates in (1, 2].
         for q in [0.0, 0.25, 0.5, 0.95, 0.99] {
-            let v = h.quantile(q).unwrap();
+            let v = quantile(q);
             assert!(v > 1.0 && v <= 2.0, "q={q} -> {v}");
         }
     }
@@ -597,16 +573,17 @@ mod tests {
         // overflow.
         let r = Registry::new();
         let h = r.histogram("s", &[10.0]);
-        assert_eq!(h.quantile(0.5), None, "empty histogram has no quantile");
+        let quantile = |q| r.snapshot().histogram_quantile("s", q);
+        assert_eq!(quantile(0.5), None, "empty histogram has no quantile");
         h.observe(5.0);
         h.observe(5.0);
-        assert!((h.quantile(0.5).unwrap() - 5.0).abs() < 1e-9);
-        assert!((h.quantile(1.0).unwrap() - 10.0).abs() < 1e-9);
+        assert!((quantile(0.5).unwrap() - 5.0).abs() < 1e-9);
+        assert!((quantile(1.0).unwrap() - 10.0).abs() < 1e-9);
         // Overflow observations clamp to the last finite bound.
         for _ in 0..100 {
             h.observe(1e9);
         }
-        assert!((h.quantile(0.99).unwrap() - 10.0).abs() < 1e-9);
+        assert!((quantile(0.99).unwrap() - 10.0).abs() < 1e-9);
         // No finite bounds at all: nothing to interpolate against.
         assert_eq!(quantile_from_buckets(&[], &[7], 0.5), None);
     }

@@ -141,14 +141,6 @@ impl Profile {
         self.timelines.iter().all(|t| t.intervals.is_empty())
     }
 
-    /// Utilization of `resource` over `[a, b]`; `None` for unknown names.
-    pub fn utilization_in(&self, resource: &str, a: f64, b: f64) -> Option<f64> {
-        self.timelines
-            .iter()
-            .find(|t| t.resource == resource)
-            .map(|t| t.utilization_in(a, b))
-    }
-
     /// The bottleneck over `[a, b]`: the resource with the highest
     /// utilization (ties break toward the earlier-registered resource).
     /// `None` when the profile is empty or the window is degenerate.
@@ -211,7 +203,7 @@ mod tests {
     fn steps_count_concurrency() {
         let t = timeline(2, &[(0.0, 2.0), (1.0, 3.0)]);
         assert_eq!(t.steps(), vec![(0.0, 1), (1.0, 2), (2.0, 1), (3.0, 0)]);
-        // Coincident edges collapse to one step entry.
+        // Edges at the same instant collapse to one step entry.
         let t = timeline(2, &[(0.0, 1.0), (1.0, 2.0)]);
         assert_eq!(t.steps(), vec![(0.0, 1), (1.0, 1), (2.0, 0)]);
     }
@@ -237,8 +229,7 @@ mod tests {
         p.add_resource("link", 1, vec![(0.0, 1.0)]);
         p.add_resource("link", 1, vec![(2.0, 3.0)]);
         assert_eq!(p.timelines.len(), 1);
-        assert_eq!(p.utilization_in("link", 0.0, 4.0), Some(0.5));
-        assert_eq!(p.utilization_in("nope", 0.0, 4.0), None);
+        assert_eq!(p.timelines[0].utilization_in(0.0, 4.0), 0.5);
     }
 
     #[test]

@@ -360,13 +360,6 @@ impl SpanGuard {
         }
     }
 
-    /// Attach measured wall-clock seconds before closing.
-    pub fn wall(&mut self, wall_s: f64) {
-        if let Some(s) = self.span.as_mut() {
-            s.wall_s = Some(wall_s);
-        }
-    }
-
     /// Close the span at `end_s` and record it.
     pub fn close(mut self, end_s: f64) -> SpanId {
         match self.span.take() {

@@ -92,7 +92,7 @@ impl BatchStream {
         }
         // Leaving the refill with a full window means the producer ran out
         // of slots, not frames: the consumer is pacing the stream. Record
-        // the stall so slow-query incidents can show where drains lagged.
+        // the stall so `EXPLAIN ANALYZE` can show where drains lagged.
         if self.inflight.len() >= self.window && !self.done {
             obs::flight().record(
                 obs::FlightKind::BackpressureStall,

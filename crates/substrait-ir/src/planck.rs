@@ -58,8 +58,6 @@ use crate::IrError;
 pub enum DiagCode {
     /// `P100` — plan version differs from [`IR_VERSION`].
     UnsupportedVersion,
-    /// `P101` — the leaf operator is not a `Read`.
-    LeafNotRead,
     /// `P102` — operator chain or expression tree exceeds the depth cap.
     DepthExceeded,
     /// `P103` — total node count exceeds the cap.
@@ -112,7 +110,6 @@ impl DiagCode {
     pub fn as_str(&self) -> &'static str {
         match self {
             DiagCode::UnsupportedVersion => "P100",
-            DiagCode::LeafNotRead => "P101",
             DiagCode::DepthExceeded => "P102",
             DiagCode::NodeCountExceeded => "P103",
             DiagCode::SchemaWidthExceeded => "P104",
@@ -294,17 +291,6 @@ impl Verifier {
                 Some(next) => cur = next,
                 None => break,
             }
-        }
-        if !matches!(ops[ops.len() - 1], Rel::Read { .. }) {
-            cx.push(
-                DiagCode::LeafNotRead,
-                rel_path(ops.len() - 1),
-                format!(
-                    "leaf operator is {}, must be Read",
-                    ops[ops.len() - 1].name()
-                ),
-            );
-            return Err(cx.diags);
         }
 
         // Pass 2 + 3: scope/typing and operator shape, leaf → root,

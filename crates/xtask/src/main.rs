@@ -6,9 +6,6 @@
 //! * `cargo run -p xtask -- validate-trace <file.json>` — validate a
 //!   Chrome trace-event file exported by `obs::chrome::export` (used by CI
 //!   against the `trace_query` example's output).
-//! * `cargo run -p xtask -- report <incident.json>` — render the
-//!   human-readable view of a slow-query incident report; `--check`
-//!   validates the report structurally instead (the CI gate).
 
 use std::process::ExitCode;
 
@@ -23,21 +20,8 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         },
-        Some("report") => {
-            let check = args.iter().any(|a| a == "--check");
-            match args.iter().skip(1).find(|a| *a != "--check") {
-                Some(path) => report(path, check),
-                None => {
-                    eprintln!("usage: cargo run -p xtask -- report [--check] <incident.json>");
-                    ExitCode::from(2)
-                }
-            }
-        }
         _ => {
-            eprintln!(
-                "usage: cargo run -p xtask -- \
-                 <lint | validate-trace <file.json> | report [--check] <incident.json>>"
-            );
+            eprintln!("usage: cargo run -p xtask -- <lint | validate-trace <file.json>>");
             ExitCode::from(2)
         }
     }
@@ -84,33 +68,6 @@ fn validate_trace(path: &str) -> ExitCode {
         }
         Err(e) => {
             eprintln!("validate-trace: {path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Render (or, with `--check`, just structurally validate) a slow-query
-/// incident report produced by the engine's slow-query auto-capture.
-fn report(path: &str, check: bool) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("report: reading {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = if check {
-        obs::incident::check(&text).map(|summary| format!("report: {path}: {summary}"))
-    } else {
-        obs::incident::summarize(&text)
-    };
-    match result {
-        Ok(out) => {
-            println!("{out}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("report: {path}: {e}");
             ExitCode::FAILURE
         }
     }

@@ -7,7 +7,7 @@
 mod common;
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 use common::{rebind, stack};
 use dsq::session::{EventListener, QueryEvent};
@@ -21,8 +21,18 @@ use workloads::queries;
 /// bound is 1%, the construction is exact up to float association.
 const SUM_EPS: f64 = 0.01;
 
+/// The flight recorder is one process-global ring, so the test that reads
+/// a query's slice of it runs alone: it holds this lock exclusively, and
+/// every test that runs a query (and so writes the ring) holds it shared.
+static FLIGHT_RING: RwLock<()> = RwLock::new(());
+
+fn writes_flight_ring() -> RwLockReadGuard<'static, ()> {
+    FLIGHT_RING.read().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn q1_span_tree_accounts_for_total_time() {
+    let _ring = writes_flight_ring();
     let st = stack(PushdownPolicy::all(), CodecKind::None, &[]);
     rebind(&st, "lineitem", "ocs");
     let r = st.engine.execute(queries::TPCH_Q1).expect("q1");
@@ -84,6 +94,7 @@ fn q1_span_tree_accounts_for_total_time() {
 
 #[test]
 fn explain_and_explain_analyze_render() {
+    let _ring = writes_flight_ring();
     let st = stack(PushdownPolicy::all(), CodecKind::None, &[]);
     rebind(&st, "lineitem", "ocs");
 
@@ -128,6 +139,7 @@ fn explain_and_explain_analyze_render() {
 
 #[test]
 fn explain_analyze_annotates_cache_tier_and_bytes_avoided() {
+    let _ring = writes_flight_ring();
     let st = stack(PushdownPolicy::all(), CodecKind::None, &[]);
     rebind(&st, "lineitem", "ocs");
     let sql = format!("EXPLAIN ANALYZE {}", queries::TPCH_Q1);
@@ -153,6 +165,7 @@ fn explain_analyze_annotates_cache_tier_and_bytes_avoided() {
 
 #[test]
 fn chrome_export_of_real_query_validates() {
+    let _ring = writes_flight_ring();
     let st = stack(PushdownPolicy::all(), CodecKind::None, &[]);
     rebind(&st, "lineitem", "ocs");
     let r = st.engine.execute(queries::TPCH_Q1).expect("q1");
@@ -163,6 +176,7 @@ fn chrome_export_of_real_query_validates() {
 
 #[test]
 fn disabled_tracing_yields_empty_trace_and_working_queries() {
+    let _ring = writes_flight_ring();
     let st = stack(PushdownPolicy::all(), CodecKind::None, &[]);
     // The fixture engine traces; spot-check the off switch via a second
     // engine sharing nothing: cheapest is rebuilding a stack is heavy, so
@@ -183,6 +197,7 @@ fn disabled_tracing_yields_empty_trace_and_working_queries() {
 /// stream buffer. It now reads the finished result the event borrows.
 #[test]
 fn monitor_reports_streaming_numbers_with_tracing_off() {
+    let _ring = writes_flight_ring();
     let engine = dsq::EngineBuilder::new().tracing(false).build();
     let store = Arc::new(objstore::ObjectStore::new());
     workloads::tpch::load(
@@ -222,6 +237,7 @@ fn monitor_reports_streaming_numbers_with_tracing_off() {
 
 #[test]
 fn concurrent_listener_dispatch_counts_every_query() {
+    let _ring = writes_flight_ring();
     struct Counting {
         events: AtomicU64,
         pushed: AtomicU64,
@@ -265,10 +281,26 @@ fn concurrent_listener_dispatch_counts_every_query() {
 
 #[test]
 fn explain_analyze_names_bottleneck_and_flight_events() {
-    let st = stack(PushdownPolicy::all(), CodecKind::None, &[]);
-    rebind(&st, "lineitem", "ocs");
+    let engine = dsq::EngineBuilder::new().build();
+    let store = Arc::new(objstore::ObjectStore::new());
+    workloads::tpch::load(
+        &workloads::TableLoader::new(&store, engine.metastore()),
+        &workloads::TpchConfig {
+            files: 4,
+            rows_per_file: 8 * 1024,
+            ..Default::default()
+        },
+    );
+    ocs_connector::register_ocs_stack_configured(&engine, store, PushdownPolicy::all(), 0, 0);
+    engine
+        .metastore()
+        .rebind_connector("lineitem", "ocs")
+        .expect("rebind");
+    // Caches off, so the query's own events are its routing decisions
+    // alone, and none of them falls out of the last-8 window.
     let sql = format!("EXPLAIN ANALYZE {}", queries::TPCH_Q1);
-    match st.engine.execute_statement(&sql).expect("explain analyze") {
+    let _ring = FLIGHT_RING.write().unwrap_or_else(|e| e.into_inner());
+    match engine.execute_statement(&sql).expect("explain analyze") {
         StatementOutput::Text(text) => {
             // Per-span attribution on the split phase…
             assert!(text.contains("bottleneck="), "{text}");
@@ -291,8 +323,37 @@ fn explain_analyze_names_bottleneck_and_flight_events() {
                 "{verdict}"
             );
             assert!(verdict.contains('%'), "{verdict}");
-            // The always-on flight recorder saw the query happen.
-            assert!(text.contains("flight events during query"), "{text}");
+            // The always-on flight recorder saw the query happen: the
+            // header's counts match the `#<seq>` lines that follow it…
+            let (_, rest) = text
+                .split_once("flight events during query (")
+                .unwrap_or_else(|| panic!("no flight events in:\n{text}"));
+            let (counts, lines) = rest.split_once("):\n").expect("header closes");
+            let (total, shown) = counts.split_once(", last ").expect("total, shown");
+            let total: usize = total.parse().expect("total count");
+            let shown: usize = shown
+                .strip_suffix(" shown")
+                .and_then(|n| n.parse().ok())
+                .expect("shown count");
+            let events: Vec<(u64, &str)> = lines
+                .lines()
+                .map_while(|l| l.strip_prefix("  #"))
+                .map(|l| {
+                    let (seq, desc) = l.split_once(' ').expect("seq, description");
+                    (seq.parse().expect("numeric seq"), desc)
+                })
+                .collect();
+            assert!((1..=total.min(8)).contains(&shown), "{text}");
+            assert_eq!(events.len(), shown, "{text}");
+            // …in strictly increasing sequence order…
+            assert!(events.windows(2).all(|w| w[0].0 < w[1].0), "{text}");
+            // …and every OCS split was routed by the frontend.
+            assert!(
+                events
+                    .iter()
+                    .any(|(_, d)| d.starts_with("route.natural") || d.starts_with("route.spill")),
+                "{text}"
+            );
         }
         StatementOutput::Rows(_) => panic!("EXPLAIN ANALYZE must return text"),
     }
@@ -300,6 +361,7 @@ fn explain_analyze_names_bottleneck_and_flight_events() {
 
 #[test]
 fn bottleneck_flips_between_link_and_storage_cores_with_pushdown_depth() {
+    let _ring = writes_flight_ring();
     // The paper's central trade: shipping projected rows saturates the
     // shared storage→compute link, while in-storage aggregation moves the
     // bottleneck onto the storage cores doing the aggregation work.
@@ -336,6 +398,7 @@ fn bottleneck_flips_between_link_and_storage_cores_with_pushdown_depth() {
 
 #[test]
 fn counter_tracks_of_real_query_validate() {
+    let _ring = writes_flight_ring();
     let st = stack(PushdownPolicy::all(), CodecKind::None, &[]);
     rebind(&st, "lineitem", "ocs");
     let r = st.engine.execute(queries::TPCH_Q1).expect("q1");
@@ -344,47 +407,6 @@ fn counter_tracks_of_real_query_validate() {
     let summary = obs::chrome::validate(&json).expect("valid trace-event JSON");
     assert!(summary.contains("counter sample"), "{summary}");
     assert!(summary.contains("duration event"), "{summary}");
-}
-
-#[test]
-fn slow_query_auto_capture_roundtrips_incident_report() {
-    use dsq::EngineBuilder;
-    use objstore::ObjectStore;
-    use ocs_connector::register_ocs_stack;
-    use workloads::{TableLoader, TpchConfig};
-
-    // Any query is "slow" against a nano-second threshold.
-    let engine = EngineBuilder::new().slow_query_threshold(1e-9).build();
-    let store = Arc::new(ObjectStore::new());
-    {
-        let loader = TableLoader::new(&store, engine.metastore());
-        workloads::tpch::load(
-            &loader,
-            &TpchConfig {
-                files: 2,
-                rows_per_file: 4 * 1024,
-                ..Default::default()
-            },
-        );
-    }
-    register_ocs_stack(&engine, store.clone(), PushdownPolicy::all());
-    engine
-        .metastore()
-        .rebind_connector("lineitem", "ocs")
-        .expect("lineitem");
-
-    let r = engine.execute(queries::TPCH_Q1).expect("q1");
-    assert!(r.simulated_seconds > 1e-9);
-    let report = engine.take_last_incident().expect("incident captured");
-    let summary = obs::incident::check(&report).expect("incident validates");
-    assert!(summary.contains("span(s)"), "{summary}");
-    assert!(summary.contains("flight event(s)"), "{summary}");
-    assert!(summary.contains("resource(s)"), "{summary}");
-    // Taking the incident clears the slot until the next slow query.
-    assert!(engine.take_last_incident().is_none());
-    let again = engine.execute(queries::TPCH_Q1).expect("q1 again");
-    assert!(again.simulated_seconds > 1e-9);
-    assert!(engine.take_last_incident().is_some());
 }
 
 // ---- span API property tests ---------------------------------------------
