@@ -11,13 +11,18 @@
 //! allocation, no double probe: one probe either finds the group or claims
 //! the slot and appends the key row.
 //!
-//! A batch whose key columns are all dictionary-coded ([`crate::DictArray`])
-//! takes a shortcut when its tuples of codes are few: each distinct tuple
-//! goes through the probe once, at its first row, and every row then reads
-//! its group from a table indexed by the tuple. Dictionary columns in any
-//! other key mix take the per-row path, hashed and compared by their bytes
-//! exactly as plain Utf8 rows are, so both forms of a column meet in one
-//! aggregation.
+//! A batch whose every key column has a cheap exact code for its rows takes
+//! a shortcut when its tuples of codes are few, and fewer than its rows:
+//! each distinct tuple goes through the probe once, at its first row, and
+//! every row then reads its group from a table indexed by the tuple. The
+//! codes are batch-local —
+//! dictionary codes ([`crate::DictArray`]), `v - min` for integers and
+//! dates, the bit for booleans, a small per-batch table for plain strings
+//! of at most 7 bytes — and equal codes always mean equal keys; the probe
+//! alone decides which group a key belongs to. Any other batch takes the
+//! per-row path, where dictionary rows are hashed and compared by their
+//! bytes exactly as plain Utf8 rows are, so both forms of a column meet in
+//! one aggregation.
 //!
 //! Group ordinals are assigned in first-seen order and keys are exported in
 //! ordinal order, so output order is deterministic (insertion order), which
@@ -32,15 +37,40 @@ use crate::array::{Array, BooleanArray, Date32Array, Float64Array, Int64Array, U
 use crate::bitmap::Bitmap;
 use crate::datatype::DataType;
 use crate::error::{ColumnarError, Result};
-use crate::kernels::hash::{canon_f64, hash_column_into};
+use crate::kernels::hash::{canon_f64, hash_column_into, le_u64_short};
 use crate::kernels::selection::take_indices;
+use std::sync::OnceLock;
 
 /// Sentinel ordinal marking an empty hash-table slot.
 const EMPTY: u32 = u32::MAX;
 
-/// Most code tuples (one table slot each) a batch of dictionary keys may
-/// span for the per-tuple path; wider key sets take the per-row path.
-const DICT_TUPLE_SLOTS: usize = 1 << 16;
+/// Most code tuples (one table slot each) a batch's key columns may span
+/// for the coded path; wider key sets, and key sets spanning as many tuples
+/// as the batch has rows, take the per-row path.
+const TUPLE_SLOTS: usize = 1 << 16;
+
+/// Longest plain string the coded path packs, with its length, into one
+/// word: 7 bytes leave the top byte for the length.
+const SHORT_STR: u32 = 7;
+
+/// Most distinct short strings one key column of a batch may hold on the
+/// coded path; a column with more takes the per-row path.
+const SHORT_STR_CODES: u32 = 256;
+
+/// Slots of the per-batch short-string table, a power of two at least
+/// twice [`SHORT_STR_CODES`], and the shift that maps a hash onto them.
+const SHORT_STR_SLOTS: usize = 512;
+const SHORT_STR_SHIFT: u32 = 64 - SHORT_STR_SLOTS.trailing_zeros();
+
+/// A packed short string never has this value: its top byte is a length
+/// of at most [`SHORT_STR`].
+const NO_STR: u64 = u64::MAX;
+
+/// Rows that went through the per-row probe, process-wide.
+fn rows_probed() -> &'static obs::Counter {
+    static C: OnceLock<obs::Counter> = OnceLock::new();
+    C.get_or_init(|| obs::metrics().counter("columnar.groupby.rows_probed"))
+}
 
 /// Typed storage for one accumulated key column, appended in group-ordinal
 /// order. Float values are stored canonicalized so equality is bitwise.
@@ -182,10 +212,12 @@ pub struct GroupIdMap {
     slots: Vec<(u64, u32)>,
     len: usize,
     hash_buf: Vec<u64>,
-    /// Per-row code tuples, then tuple → group ordinal, on the dictionary
-    /// path (reused across batches).
+    /// Per-row code tuples, tuple → group ordinal, and one column's
+    /// short-string → code table, on the coded path (reused across
+    /// batches).
     tuple_buf: Vec<u32>,
     tuple_table: Vec<u32>,
+    str_table: Vec<(u64, u32)>,
 }
 
 impl GroupIdMap {
@@ -200,6 +232,7 @@ impl GroupIdMap {
             hash_buf: Vec::new(),
             tuple_buf: Vec::new(),
             tuple_table: Vec::new(),
+            str_table: Vec::new(),
         }
     }
 
@@ -251,17 +284,18 @@ impl GroupIdMap {
             out.resize(num_rows, 0);
             return Ok(());
         }
-        if !self.dict_group_ids(keys, num_rows, out)? {
+        if !self.coded_group_ids(keys, num_rows, out)? {
             self.probe_rows(keys, num_rows, out)?;
         }
         Ok(())
     }
 
     /// The per-row path: hash every row, then probe for each in turn. This
-    /// loop is the probe's only call site, the dictionary path included:
-    /// given a second one, the compiler stopped inlining the probe here and
-    /// Int64 keys resolved about a third slower.
+    /// loop is the probe's only call site, the coded path included: given a
+    /// second one, the compiler stopped inlining the probe here and Int64
+    /// keys resolved about a third slower.
     fn probe_rows(&mut self, keys: &[&Array], num_rows: usize, out: &mut Vec<u32>) -> Result<()> {
+        rows_probed().add(num_rows as u64);
         self.hash_buf.clear();
         self.hash_buf.resize(num_rows, 0);
         for arr in keys {
@@ -274,43 +308,35 @@ impl GroupIdMap {
         Ok(())
     }
 
-    /// The per-tuple path, taken (returning true) when every key column is
-    /// dictionary-coded and the code tuples, a null counting as one more
-    /// code per column, fit in [`DICT_TUPLE_SLOTS`]. A row's tuple is a
-    /// mixed-radix index into a table. The first row of each tuple, and
-    /// only those, go through [`GroupIdMap::probe_rows`], so ordinals,
-    /// first-seen order, hashing and equality are the per-row path's; every
-    /// row then reads its ordinal from the table.
-    fn dict_group_ids(
+    /// The coded path, taken (returning true) when every key column has a
+    /// batch-local code per row ([`add_codes`]) and the code tuples fit in
+    /// [`TUPLE_SLOTS`] and number fewer than the batch's rows. A row's
+    /// tuple is a mixed-radix index into a table.
+    /// The first row of each tuple, and only those, go through
+    /// [`GroupIdMap::probe_rows`], so ordinals, first-seen order, hashing
+    /// and equality are the per-row path's; every row then reads its
+    /// ordinal from the table.
+    fn coded_group_ids(
         &mut self,
         keys: &[&Array],
         num_rows: usize,
         out: &mut Vec<u32>,
     ) -> Result<bool> {
-        let Some(dicts) = keys.iter().map(|a| a.as_dict()).collect::<Option<Vec<_>>>() else {
-            return Ok(false);
-        };
-        let mut slots = 1usize;
-        let mut strides = Vec::with_capacity(dicts.len());
-        for d in &dicts {
-            strides.push(slots as u32);
-            match slots.checked_mul(d.entries().len() + 1) {
-                Some(s) if s <= DICT_TUPLE_SLOTS => slots = s,
-                _ => return Ok(false),
-            }
-        }
         let mut tuples = std::mem::take(&mut self.tuple_buf);
         tuples.clear();
         tuples.resize(num_rows, 0);
-        for (d, &stride) in dicts.iter().zip(&strides) {
-            let pairs = tuples.iter_mut().zip(d.codes());
-            match d.validity() {
-                None => pairs.for_each(|(t, &c)| *t += c * stride),
-                Some(v) => {
-                    let null = d.entries().len() as u32;
-                    for (i, (t, &c)) in pairs.enumerate() {
-                        *t += if v.get(i) { c } else { null } * stride;
-                    }
+        // Fewer tuples than rows: a batch whose every row may be a key of
+        // its own (a partial aggregate being merged) would pay for the
+        // table and the first-row gather and save no probe.
+        let limit = TUPLE_SLOTS.min(num_rows.saturating_sub(1));
+        let mut slots = 1usize;
+        for arr in keys {
+            let room = limit / slots;
+            match add_codes(arr, slots as u32, room, &mut tuples, &mut self.str_table) {
+                Some(radix) if radix <= room => slots *= radix.max(1),
+                _ => {
+                    self.tuple_buf = tuples;
+                    return Ok(false);
                 }
             }
         }
@@ -405,6 +431,151 @@ impl GroupIdMap {
     pub fn key_arrays(&self) -> Vec<Array> {
         self.keys.iter().map(|kc| kc.to_array()).collect()
     }
+}
+
+/// Add each row's code in `arr`, times `stride`, to its tuple in `tuples`
+/// and return the column's radix: one more than its largest code. Equal
+/// codes mean equal keys, and a null is a code of its own. `None` when the
+/// column has no cheap exact code in this batch (Float64 keys, an integer
+/// span past `room`, a string longer than [`SHORT_STR`], more than
+/// [`SHORT_STR_CODES`] distinct strings); a returned radix may still pass
+/// `room`, which the caller checks. `stride * radix` stays within
+/// [`TUPLE_SLOTS`] times [`SHORT_STR_CODES`], far inside `u32`.
+fn add_codes(
+    arr: &Array,
+    stride: u32,
+    room: usize,
+    tuples: &mut [u32],
+    str_table: &mut Vec<(u64, u32)>,
+) -> Option<usize> {
+    match arr {
+        Array::Dict(d) => {
+            let radix = d.entries().len() + 1;
+            if radix > room {
+                return None;
+            }
+            let null = d.entries().len() as u32;
+            add_each(
+                tuples,
+                stride,
+                d.validity(),
+                null,
+                d.codes().iter().copied(),
+            );
+            Some(radix)
+        }
+        Array::Int64(a) => add_span_codes(tuples, stride, room, a.validity.as_ref(), &a.values),
+        Array::Date32(a) => add_span_codes(tuples, stride, room, a.validity.as_ref(), &a.values),
+        Array::Boolean(a) => {
+            let values = (0..a.values.len()).map(|i| u32::from(a.values.get(i)));
+            add_each(tuples, stride, a.validity.as_ref(), 2, values);
+            Some(2 + usize::from(a.validity.is_some()))
+        }
+        Array::Utf8(a) => add_short_str_codes(tuples, stride, a, str_table),
+        Array::Float64(_) => None,
+    }
+}
+
+/// `tuples[i] += code * stride` for each row's code, `null` under a null.
+#[inline]
+fn add_each(
+    tuples: &mut [u32],
+    stride: u32,
+    validity: Option<&Bitmap>,
+    null: u32,
+    codes: impl Iterator<Item = u32>,
+) {
+    let pairs = tuples.iter_mut().zip(codes);
+    match validity {
+        None => pairs.for_each(|(t, c)| *t += c * stride),
+        Some(v) => {
+            for (i, (t, c)) in pairs.enumerate() {
+                *t += if v.get(i) { c } else { null } * stride;
+            }
+        }
+    }
+}
+
+/// Integer and date codes: `v - min` over the valid rows' span, a null one
+/// past it. The span is a checked subtraction, so a batch holding both
+/// `i64::MIN` and `i64::MAX` has no code.
+fn add_span_codes<T: Copy + Into<i64>>(
+    tuples: &mut [u32],
+    stride: u32,
+    room: usize,
+    validity: Option<&Bitmap>,
+    values: &[T],
+) -> Option<usize> {
+    let bounds = |(lo, hi): (i64, i64), v: T| (lo.min(v.into()), hi.max(v.into()));
+    let (lo, hi) = match validity {
+        None => values.iter().copied().fold((i64::MAX, i64::MIN), bounds),
+        Some(bm) => (values.iter().copied().enumerate())
+            .filter(|&(i, _)| bm.get(i))
+            .map(|(_, v)| v)
+            .fold((i64::MAX, i64::MIN), bounds),
+    };
+    // No valid row: every row is the null code 0.
+    let span = if lo > hi {
+        0
+    } else {
+        usize::try_from(hi.checked_sub(lo)?).ok()?.checked_add(1)?
+    };
+    let radix = span + usize::from(validity.is_some());
+    if radix > room {
+        return None;
+    }
+    let codes = values.iter().map(|&v| (v.into().wrapping_sub(lo)) as u32);
+    add_each(tuples, stride, validity, span as u32, codes);
+    Some(radix)
+}
+
+/// Plain string codes, when every value has at most [`SHORT_STR`] bytes
+/// (read from the offsets before any row is coded): each value's bytes
+/// packed with its length are one word, numbered in first-seen order by a
+/// small open-addressed table. A null is code 0 when the column can hold
+/// one. Past [`SHORT_STR_CODES`] distinct values the column has no code.
+fn add_short_str_codes(
+    tuples: &mut [u32],
+    stride: u32,
+    a: &Utf8Array,
+    table: &mut Vec<(u64, u32)>,
+) -> Option<usize> {
+    if a.offsets
+        .windows(2)
+        .any(|w| w[1].wrapping_sub(w[0]) > SHORT_STR)
+    {
+        return None;
+    }
+    table.clear();
+    table.resize(SHORT_STR_SLOTS, (NO_STR, 0));
+    let first = u32::from(a.validity.is_some());
+    let mut next = first;
+    for (i, t) in tuples.iter_mut().enumerate() {
+        let code = if a.validity.as_ref().is_none_or(|v| v.get(i)) {
+            let b = a.bytes(i);
+            let word = le_u64_short(b) | (b.len() as u64) << 56;
+            let mut slot = (word.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> SHORT_STR_SHIFT) as usize;
+            loop {
+                let (k, c) = table[slot];
+                if k == word {
+                    break c;
+                }
+                if k == NO_STR {
+                    if next - first == SHORT_STR_CODES {
+                        return None;
+                    }
+                    table[slot] = (word, next);
+                    next += 1;
+                    break next - 1;
+                }
+                slot = (slot + 1) & (SHORT_STR_SLOTS - 1);
+            }
+        } else {
+            0
+        };
+        *t += code * stride;
+    }
+    Some(next as usize)
 }
 
 /// A complete vectorized grouped aggregation: group-id resolution plus one
@@ -685,5 +856,218 @@ mod tests {
         let keys = Array::from_f64(vec![1.0]);
         let mut out = Vec::new();
         assert!(map.group_ids(&[&keys], 1, &mut out).is_err());
+    }
+
+    /// The table the coded path built for `copies` copies of one batch
+    /// into a fresh map: its slot count, or 0 when the batch took the
+    /// per-row path.
+    fn coded_slots(keys: &[Array], copies: usize) -> usize {
+        let cols: Vec<Array> = keys
+            .iter()
+            .map(|k| Array::concat(&vec![k; copies]).unwrap())
+            .collect();
+        let refs: Vec<&Array> = cols.iter().collect();
+        let types = refs.iter().map(|k| k.data_type()).collect();
+        let mut map = GroupIdMap::new(types);
+        let mut out = Vec::new();
+        map.group_ids(&refs, refs[0].len(), &mut out).unwrap();
+        map.tuple_table.len()
+    }
+
+    #[test]
+    fn coded_path_takes_each_cheap_key_type() {
+        let mut nullable = ArrayBuilder::new(DataType::Int64);
+        nullable.push_i64(10);
+        nullable.push_null();
+        nullable.push_i64(12);
+        let nullable = nullable.finish();
+        let edge = (TUPLE_SLOTS - 1) as i64;
+        // Just more rows than the widest table.
+        let many_rows = TUPLE_SLOTS / 2 + 1;
+        let many: Vec<String> = (0..=SHORT_STR_CODES).map(|i| i.to_string()).collect();
+        for (keys, copies, slots) in [
+            (vec![Array::from_i64(vec![5, 7, 5])], 3, 3),
+            (vec![Array::from_i64(vec![5, 7, 5])], 1, 0),
+            (vec![nullable], 3, 4),
+            (
+                vec![Array::from_i64(vec![-3, -3 + edge])],
+                many_rows,
+                TUPLE_SLOTS,
+            ),
+            (vec![Array::from_i64(vec![-3, -2 + edge])], many_rows, 0),
+            (vec![Array::from_i64(vec![i64::MIN, i64::MAX])], 3, 0),
+            (vec![Array::from_dates(vec![-1, 1, 0])], 3, 3),
+            (vec![Array::from_bools(vec![true, false])], 3, 2),
+            (
+                vec![Array::from_strs(["R", "A", "", "a\0", "a", "1234567"])],
+                3,
+                6,
+            ),
+            (vec![Array::from_strs(["12345678"])], 3, 0),
+            (
+                vec![Array::from_strs(many.iter().map(|s| s.as_str()))],
+                3,
+                0,
+            ),
+            (vec![Array::from_f64(vec![1.0])], 3, 0),
+            (
+                vec![Array::from_strs(["N", "R"]), Array::from_strs(["O", "F"])],
+                3,
+                4,
+            ),
+            (vec![Array::from_strs(["x"]), Array::from_strs(["x"])], 3, 1),
+        ] {
+            assert_eq!(coded_slots(&keys, copies), slots, "{keys:?} x {copies}");
+        }
+    }
+
+    mod differential {
+        //! The coded path against the per-row path it stands for: the same
+        //! batches into two maps, one resolving through `group_ids`, the
+        //! other through `probe_rows` alone, must give the same ordinals
+        //! for every batch and export the same keys. With equal ordinals the
+        //! aggregates see the same group ids, so `finish` agrees too.
+
+        use super::*;
+        use crate::dict::DictArray;
+        use proptest::prelude::*;
+        use std::sync::Arc;
+
+        /// SplitMix64, so one proptest seed drives a whole case.
+        struct Gen(u64);
+
+        impl Gen {
+            fn next(&mut self) -> u64 {
+                self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            }
+
+            fn below(&mut self, n: usize) -> usize {
+                (self.next() % n as u64) as usize
+            }
+
+            fn pick<T: Copy>(&mut self, pool: &[T]) -> T {
+                pool[self.below(pool.len())]
+            }
+        }
+
+        /// Short strings of 0–8 bytes: an embedded NUL, "a" next to "a\0",
+        /// multi-byte characters, and one 8-byte value that has no code.
+        const STRS: [&str; 12] = [
+            "",
+            "a",
+            "a\0",
+            "\0",
+            "ab",
+            "N",
+            "R",
+            "abcdefg",
+            "é",
+            "日本",
+            "\0\0\0\0\0\0\0",
+            "abcdefgh",
+        ];
+
+        const TYPES: [DataType; 4] = [
+            DataType::Int64,
+            DataType::Date32,
+            DataType::Boolean,
+            DataType::Utf8,
+        ];
+
+        fn validity(g: &mut Gen, n: usize) -> Option<Bitmap> {
+            (g.below(2) == 0).then(|| (0..n).map(|_| g.below(4) != 0).collect())
+        }
+
+        /// Integers around the tuple table's edge, at both ends of `i64`,
+        /// or a few values near a random base.
+        fn ints(g: &mut Gen, n: usize) -> Vec<i64> {
+            let edge = TUPLE_SLOTS as i64;
+            let base = g.pick(&[i64::MIN, -1, 0, 1 << 40, i64::MAX - edge]);
+            let pool: Vec<i64> = match g.below(4) {
+                0 => vec![base, base + edge - 2, base + edge - 1],
+                1 => vec![base, base + edge],
+                2 => vec![i64::MIN, i64::MAX, 0],
+                _ => (0..6).map(|i| base.saturating_add(i)).collect(),
+            };
+            (0..n).map(|_| g.pick(&pool)).collect()
+        }
+
+        fn column(g: &mut Gen, dt: DataType, n: usize) -> Array {
+            let validity = validity(g, n);
+            match dt {
+                DataType::Int64 => Array::Int64(Int64Array {
+                    values: ints(g, n),
+                    validity,
+                }),
+                DataType::Date32 => Array::Date32(Date32Array {
+                    values: ints(g, n).into_iter().map(|v| v as i32).collect(),
+                    validity,
+                }),
+                DataType::Boolean => Array::Boolean(BooleanArray {
+                    values: (0..n).map(|_| g.below(2) == 0).collect(),
+                    validity,
+                }),
+                _ => {
+                    // Few short strings, or more distinct ones than the
+                    // per-batch table holds.
+                    let many = g.below(5) == 0;
+                    let values: Vec<String> = (0..n)
+                        .map(|_| match many {
+                            true => g.below(400).to_string(),
+                            false => g.pick(&STRS).to_string(),
+                        })
+                        .collect();
+                    let mut plain = Utf8Array::from_strs(values.iter().map(|s| s.as_str()));
+                    plain.validity = validity.clone();
+                    if g.below(2) == 0 {
+                        return Array::Utf8(plain);
+                    }
+                    // The same column, dictionary-coded.
+                    let mut entries: Vec<&str> = values.iter().map(|s| s.as_str()).collect();
+                    entries.sort_unstable();
+                    entries.dedup();
+                    let codes = values
+                        .iter()
+                        .map(|v| entries.binary_search(&v.as_str()).unwrap() as u32)
+                        .collect();
+                    let entries = Arc::new(Utf8Array::from_strs(entries));
+                    Array::Dict(DictArray::try_new(codes, entries, validity).unwrap())
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn coded_and_per_row_resolution_agree(
+                seed in any::<u64>(),
+                ncols in 1usize..4,
+                nbatches in 1usize..5,
+            ) {
+                let mut g = Gen(seed);
+                let types: Vec<DataType> = (0..ncols).map(|_| g.pick(&TYPES)).collect();
+                let mut coded = GroupIdMap::new(types.clone());
+                let mut per_row = GroupIdMap::new(types.clone());
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                for _ in 0..nbatches {
+                    // Past `TUPLE_SLOTS` rows, spans at the table's edge can
+                    // take the coded path.
+                    let n = g.pick(&[0, 1, 63, 64, 65, 200, TUPLE_SLOTS + 1]);
+                    let cols: Vec<Array> = types.iter().map(|&dt| column(&mut g, dt, n)).collect();
+                    let keys: Vec<&Array> = cols.iter().collect();
+                    coded.group_ids(&keys, n, &mut got).unwrap();
+                    want.clear();
+                    per_row.probe_rows(&keys, n, &mut want).unwrap();
+                    prop_assert_eq!(&got, &want);
+                }
+                prop_assert_eq!(coded.num_groups(), per_row.num_groups());
+                prop_assert_eq!(coded.key_arrays(), per_row.key_arrays());
+            }
+        }
     }
 }

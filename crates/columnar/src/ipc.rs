@@ -41,8 +41,8 @@
 //! crc     : u32 (XXH32 over magic..payload)
 //! ```
 
-use bytes::{BufMut, Bytes, BytesMut};
-use std::sync::Arc;
+use bytes::{BufMut, Bytes};
+use std::sync::{Arc, OnceLock};
 
 use crate::array::{Array, BooleanArray, Date32Array, Float64Array, Int64Array, Utf8Array};
 use crate::batch::RecordBatch;
@@ -83,6 +83,7 @@ fn xxh32_round(acc: u32, word: u32) -> u32 {
 /// is detected. Damage spread over several words is caught with
 /// probability 1 - 2^-32.
 pub fn xxh32(bytes: &[u8]) -> u32 {
+    bytes_hashed().add(bytes.len() as u64);
     let mut stripes = bytes.chunks_exact(16);
     let mut h = if bytes.len() >= 16 {
         let mut v = [
@@ -124,6 +125,12 @@ pub fn xxh32(bytes: &[u8]) -> u32 {
     h ^= h >> 13;
     h = h.wrapping_mul(PRIME32_3);
     h ^ (h >> 16)
+}
+
+/// Bytes that went through [`xxh32`], process-wide.
+fn bytes_hashed() -> &'static obs::Counter {
+    static C: OnceLock<obs::Counter> = OnceLock::new();
+    C.get_or_init(|| obs::metrics().counter("columnar.bytes_hashed"))
 }
 
 /// Little-endian u32 from the first four bytes of a length-checked slice.
@@ -186,14 +193,26 @@ fn put_array(buf: &mut Vec<u8>, array: &Array) {
 
 /// Serialize one batch.
 pub fn encode_batch(batch: &RecordBatch) -> Bytes {
-    let _t = obs::KernelTimer::start("columnar.ipc.encode_s");
-    // Room for the whole message up front: past `byte_size`, each field
-    // costs its name plus six bytes, and each column at most 15 (the
-    // validity flag, and up to 7 bytes of word padding on each of two
-    // bitmaps, or the Utf8 data length).
+    let mut buf = Vec::with_capacity(batch_room(batch));
+    put_batch(&mut buf, batch);
+    buf.into()
+}
+
+/// An upper bound on the CIP2 message of `batch`: past `byte_size`, the
+/// message costs 20 bytes, each field its name plus six bytes, and each
+/// column at most 15 (the validity flag, and up to 7 bytes of word padding
+/// on each of two bitmaps, or the Utf8 data length).
+fn batch_room(batch: &RecordBatch) -> usize {
     let names: usize = batch.schema().fields().iter().map(|f| f.name.len()).sum();
-    let room = 20 + names + 21 * batch.num_columns() + batch.byte_size();
-    let mut buf = Vec::with_capacity(room);
+    20 + names + 21 * batch.num_columns() + batch.byte_size()
+}
+
+/// Append the CIP2 message of `batch` to `buf`, its checksum over its own
+/// bytes only, so the message is the same wherever in a buffer it starts.
+fn put_batch(buf: &mut Vec<u8>, batch: &RecordBatch) {
+    let _t = obs::KernelTimer::start("columnar.ipc.encode_s");
+    let start = buf.len();
+    let room = batch_room(batch);
     buf.put_slice(MAGIC);
     buf.put_u32_le(batch.num_columns() as u32);
     buf.put_u64_le(batch.num_rows() as u64);
@@ -204,15 +223,14 @@ pub fn encode_batch(batch: &RecordBatch) -> Bytes {
         buf.put_u8(field.nullable as u8);
     }
     for col in batch.columns() {
-        put_array(&mut buf, col);
+        put_array(buf, col);
     }
-    let crc = xxh32(&buf);
+    let crc = xxh32(&buf[start..]);
     buf.put_u32_le(crc);
     debug_assert!(
-        buf.len() <= room,
+        buf.len() - start <= room,
         "encode_batch outgrew its {room}-byte estimate"
     );
-    buf.into()
 }
 
 /// Position-tracking cursor over a shared [`Bytes`] buffer: fixed-width
@@ -432,20 +450,31 @@ pub enum Frame {
     Trailer(Bytes),
 }
 
-fn encode_frame(kind: u8, payload: &[u8]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(FRAME_HEADER + payload.len() + 4);
+/// A frame of `kind` whose payload `put_payload` appends, built in one
+/// buffer of `capacity` bytes: header, payload, then the checksum over
+/// both.
+fn build_frame(kind: u8, capacity: usize, put_payload: impl FnOnce(&mut Vec<u8>)) -> Bytes {
+    let mut buf = Vec::with_capacity(capacity);
     buf.put_slice(FRAME_MAGIC);
     buf.put_u8(kind);
-    buf.put_u32_le(payload.len() as u32);
-    buf.put_slice(payload);
+    buf.put_u32_le(0); // payload length, set once the payload is written
+    put_payload(&mut buf);
+    let len = (buf.len() - FRAME_HEADER) as u32;
+    buf[5..FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
     let crc = xxh32(&buf);
     buf.put_u32_le(crc);
-    buf.freeze()
+    buf.into()
+}
+
+fn encode_frame(kind: u8, payload: &[u8]) -> Bytes {
+    build_frame(kind, FRAME_HEADER + payload.len() + 4, |buf| {
+        buf.put_slice(payload)
+    })
 }
 
 /// Encode a schema frame (the first frame of every stream).
 pub fn encode_schema_frame(schema: &Schema) -> Bytes {
-    let mut payload = BytesMut::new();
+    let mut payload = Vec::new();
     payload.put_u32_le(schema.fields().len() as u32);
     for field in schema.fields() {
         payload.put_u32_le(field.name.len() as u32);
@@ -457,9 +486,12 @@ pub fn encode_schema_frame(schema: &Schema) -> Bytes {
 }
 
 /// Encode one batch frame (payload is a full CIP2 message, so each batch
-/// frame is independently verifiable).
+/// frame is independently verifiable). The message is written straight
+/// into the frame's buffer: the bytes are those of
+/// `encode_frame(KIND_BATCH, &encode_batch(batch))`, with no second copy.
 pub fn encode_batch_frame(batch: &RecordBatch) -> Bytes {
-    encode_frame(KIND_BATCH, &encode_batch(batch))
+    let capacity = FRAME_HEADER + batch_room(batch) + 4;
+    build_frame(KIND_BATCH, capacity, |buf| put_batch(buf, batch))
 }
 
 /// Encode the trailer frame closing a stream. The payload is opaque to
@@ -505,9 +537,19 @@ fn decode_schema_payload(payload: &Bytes) -> Result<SchemaRef> {
 /// checksum mismatch, unknown kind) is a structured [`ColumnarError`] —
 /// never a panic. [`FrameDecoder::finish`] reports bytes left dangling
 /// after the producer claims the stream is complete (truncation check).
+///
+/// Complete frames fed while nothing is buffered are sliced out of the fed
+/// [`Bytes`] without a copy, so a decoded batch's Utf8 data aliases the
+/// producer's frame. Bytes fed while undecoded ones remain (the start of a
+/// partial frame, when frames are drained between feeds) are copied, with
+/// those, into one growing buffer until it drains.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
-    buf: BytesMut,
+    /// Fed bytes not yet decoded, when they arrived with nothing buffered.
+    fed: Bytes,
+    /// Fed bytes not yet decoded, when a partial frame was buffered as
+    /// more arrived. At most one of `fed` and `partial` holds bytes.
+    partial: Vec<u8>,
 }
 
 impl FrameDecoder {
@@ -517,31 +559,49 @@ impl FrameDecoder {
     }
 
     /// Append wire bytes (any chunking, including byte-at-a-time).
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+    pub fn feed(&mut self, bytes: Bytes) {
+        if self.fed.is_empty() && self.partial.is_empty() {
+            self.fed = bytes;
+        } else {
+            let fed = std::mem::take(&mut self.fed);
+            self.partial.extend_from_slice(&fed);
+            self.partial.extend_from_slice(&bytes);
+        }
     }
 
     /// Try to decode the next complete frame. `Ok(None)` means "need more
     /// bytes"; errors are fatal for the stream.
     pub fn next_frame(&mut self) -> Result<Option<Frame>> {
-        if self.buf.len() < FRAME_HEADER {
+        let buf: &[u8] = if self.partial.is_empty() {
+            &self.fed
+        } else {
+            &self.partial
+        };
+        if buf.len() < FRAME_HEADER {
             return Ok(None);
         }
-        if &self.buf[..4] != FRAME_MAGIC {
+        if &buf[..4] != FRAME_MAGIC {
             return Err(ColumnarError::Corrupt("bad frame magic".into()));
         }
-        let kind = self.buf[4];
-        let payload_len = le_u32(&self.buf[5..9]) as usize;
+        let kind = buf[4];
+        let payload_len = le_u32(&buf[5..9]) as usize;
         if payload_len > MAX_FRAME_BYTES {
             return Err(ColumnarError::Corrupt(format!(
                 "frame payload of {payload_len} bytes exceeds the {MAX_FRAME_BYTES} byte bound"
             )));
         }
         let total = FRAME_HEADER + payload_len + 4;
-        if self.buf.len() < total {
+        if buf.len() < total {
             return Ok(None);
         }
-        let frame = self.buf.split_to(total).freeze();
+        let frame = if self.partial.is_empty() {
+            let frame = self.fed.slice(..total);
+            self.fed = self.fed.slice(total..);
+            frame
+        } else {
+            let rest = self.partial.split_off(total);
+            Bytes::from(std::mem::replace(&mut self.partial, rest))
+        };
         let body = frame.slice(..total - 4);
         let expect = le_u32(&frame[total - 4..]);
         if xxh32(&body) != expect {
@@ -561,12 +621,12 @@ impl FrameDecoder {
     /// Assert the stream ended cleanly: no partial frame left in the
     /// buffer. Call after the producer signals end-of-stream.
     pub fn finish(&self) -> Result<()> {
-        if self.buf.is_empty() {
+        let dangling = self.fed.len() + self.partial.len();
+        if dangling == 0 {
             Ok(())
         } else {
             Err(ColumnarError::Corrupt(format!(
-                "{} dangling bytes after end of frame stream (truncated frame)",
-                self.buf.len()
+                "{dangling} dangling bytes after end of frame stream (truncated frame)"
             )))
         }
     }
@@ -576,7 +636,7 @@ impl FrameDecoder {
 /// [`FrameDecoder`] for tests).
 pub fn decode_frames(bytes: &Bytes) -> Result<Vec<Frame>> {
     let mut dec = FrameDecoder::new();
-    dec.feed(bytes);
+    dec.feed(bytes.clone());
     let mut out = Vec::new();
     while let Some(f) = dec.next_frame()? {
         out.push(f);
@@ -773,7 +833,7 @@ mod tests {
             let mut dec = FrameDecoder::new();
             let mut frames = Vec::new();
             for piece in wire.chunks(chunk) {
-                dec.feed(piece);
+                dec.feed(Bytes::from(piece.to_vec()));
                 while let Some(f) = dec.next_frame().unwrap() {
                     frames.push(f);
                 }
@@ -798,7 +858,7 @@ mod tests {
         // or a structured decode error — never a panic.
         for cut in [1usize, 8, 9, wire.len() / 2, wire.len() - 1] {
             let mut dec = FrameDecoder::new();
-            dec.feed(&wire[..cut]);
+            dec.feed(Bytes::from(wire[..cut].to_vec()));
             let mut ok = true;
             loop {
                 match dec.next_frame() {
@@ -823,7 +883,7 @@ mod tests {
             let mut bad = wire.clone();
             bad[pos] ^= 0x01;
             let mut dec = FrameDecoder::new();
-            dec.feed(&bad);
+            dec.feed(Bytes::from(bad));
             let mut failed = false;
             loop {
                 match dec.next_frame() {
@@ -851,7 +911,7 @@ mod tests {
         frame.push(KIND_BATCH);
         frame.extend_from_slice(&u32::MAX.to_le_bytes());
         let mut dec = FrameDecoder::new();
-        dec.feed(&frame);
+        dec.feed(Bytes::from(frame));
         assert!(dec.next_frame().is_err());
     }
 
@@ -859,7 +919,7 @@ mod tests {
     fn unknown_frame_kind_is_rejected() {
         let enc = encode_frame(9, b"zzz");
         let mut dec = FrameDecoder::new();
-        dec.feed(&enc);
+        dec.feed(enc);
         assert!(matches!(dec.next_frame(), Err(ColumnarError::Corrupt(_))));
     }
 
@@ -1084,16 +1144,66 @@ mod tests {
     #[test]
     fn batch_frames_alias_wire_buffer() {
         // Zero-copy must survive the framing layer: a decoded batch's Utf8
-        // data should point into the frame bytes fed to the decoder.
+        // data points into the frame bytes fed to the decoder.
         let b = mixed_batch();
         let frame = encode_batch_frame(&b);
         let mut dec = FrameDecoder::new();
-        dec.feed(&frame);
+        dec.feed(frame.clone());
         let decoded = match dec.next_frame().unwrap() {
             Some(Frame::Batch(batch)) => batch,
             other => panic!("expected batch, got {other:?}"),
         };
         let utf8 = decoded.column(3).as_utf8().unwrap();
         assert_eq!(std::str::from_utf8(&utf8.data).unwrap(), "hellonaïve 日本");
+        let (data, wire) = (utf8.data.as_ptr() as usize, frame.as_ptr() as usize);
+        assert!(
+            data >= wire && data + utf8.data.len() <= wire + frame.len(),
+            "utf8 data was copied out of the frame"
+        );
+    }
+
+    /// Building the batch frame in one buffer changes no byte: it is the
+    /// CIP2 message framed, for a batch with every column type and for an
+    /// empty one.
+    #[test]
+    fn batch_frame_is_the_framed_message() {
+        for b in [
+            mixed_batch(),
+            RecordBatch::empty(mixed_batch().schema().clone()),
+        ] {
+            assert_eq!(
+                encode_batch_frame(&b),
+                encode_frame(KIND_BATCH, &encode_batch(&b))
+            );
+        }
+    }
+
+    /// A frame split across feeds is gathered in the decoder's own buffer,
+    /// and the frames after it are sliced from the fed bytes again.
+    #[test]
+    fn split_frame_then_whole_frames() {
+        let (wire, _) = stream_bytes(3);
+        let wire = Bytes::from(wire);
+        let schema_len = encode_schema_frame(mixed_batch().schema()).len();
+        let mut dec = FrameDecoder::new();
+        dec.feed(wire.slice(..schema_len + 5));
+        assert!(matches!(dec.next_frame().unwrap(), Some(Frame::Schema(_))));
+        assert!(dec.next_frame().unwrap().is_none());
+        let frame_len = encode_batch_frame(&mixed_batch()).len();
+        dec.feed(wire.slice(schema_len + 5..schema_len + frame_len));
+        assert!(matches!(dec.next_frame().unwrap(), Some(Frame::Batch(_))));
+        let rest = wire.slice(schema_len + frame_len..);
+        dec.feed(rest.clone());
+        match dec.next_frame().unwrap() {
+            Some(Frame::Batch(batch)) => {
+                let data = batch.column(3).as_utf8().unwrap().data.as_ptr() as usize;
+                let start = rest.as_ptr() as usize;
+                assert!(data >= start && data < start + rest.len(), "copied");
+            }
+            other => panic!("expected batch, got {other:?}"),
+        }
+        assert!(matches!(dec.next_frame().unwrap(), Some(Frame::Batch(_))));
+        assert!(matches!(dec.next_frame().unwrap(), Some(Frame::Trailer(_))));
+        dec.finish().unwrap();
     }
 }

@@ -44,11 +44,29 @@ fn hash_bytes(h: u64, bytes: &[u8]) -> u64 {
         acc = mix(acc, u64::from_le_bytes(*w));
     }
     if !rem.is_empty() {
-        let mut buf = [0u8; 8];
-        buf[..rem.len()].copy_from_slice(rem);
-        acc = mix(acc, u64::from_le_bytes(buf));
+        acc = mix(acc, le_u64_short(rem));
     }
     acc
+}
+
+/// The little-endian word of up to 7 bytes, zero-padded: what copying them
+/// into a zeroed `[u8; 8]` gives, assembled from two overlapping loads
+/// instead of a copy of the slice's own length (a call per string row).
+#[inline]
+pub(crate) fn le_u64_short(b: &[u8]) -> u64 {
+    let n = b.len();
+    debug_assert!(n < 8, "{n} bytes do not fit a short word");
+    if n >= 4 {
+        let lo = u64::from(u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+        let hi = u64::from(u32::from_le_bytes([b[n - 4], b[n - 3], b[n - 2], b[n - 1]]));
+        lo | hi << (8 * (n - 4))
+    } else if n > 0 {
+        u64::from(b[0])
+            | u64::from(b[n / 2]) << (8 * (n / 2))
+            | u64::from(b[n - 1]) << (8 * (n - 1))
+    } else {
+        0
+    }
 }
 
 /// Marker hashed in place of a value for NULL slots so NULL groups hash
@@ -222,6 +240,45 @@ mod tests {
             hash_rows(&[&ints, &plain]).unwrap()
         );
         assert!(hash_column_into(&ints, &mut [0; 3]).is_err());
+    }
+
+    /// String hashes of 0 to 17 bytes, pinned to what the hash wrote when
+    /// it built the tail word by copying the tail into a zeroed buffer:
+    /// empty, tail only, one word, a word and a tail, two words and one
+    /// more byte.
+    #[test]
+    fn string_hashes_are_pinned() {
+        let text = "The quick brown f";
+        let a = Array::from_strs((0..=17).map(|n| &text[..n]));
+        let pinned: [u64; 18] = [
+            0x0,
+            0xca34_fa07_1eff_39d6,
+            0xdbdf_e1e1_0a23_5100,
+            0x968a_4963_19cb_91f2,
+            0x0527_8d3c_2388_e20c,
+            0x29ff_f7d5_170f_d05e,
+            0x8ed4_a150_a956_3cbd,
+            0x7048_7ea9_5ea0_8daf,
+            0x9d06_ebef_f13d_1b29,
+            0x67d7_0edc_c954_1d39,
+            0x379f_e06d_5517_fb3e,
+            0x5045_c809_1166_079d,
+            0x719a_d2eb_d215_d2b1,
+            0xdf3f_15ba_a711_549b,
+            0x0d41_6b42_796d_f6a0,
+            0x42e1_c891_5e3c_b0de,
+            0x29da_4f72_7dc4_d220,
+            0xfac7_ca29_b966_5fd8,
+        ];
+        assert_eq!(hash_rows(&[&a]).unwrap(), pinned);
+        for n in 0..8 {
+            let mut padded = [0u8; 8];
+            padded[..n].copy_from_slice(&text.as_bytes()[..n]);
+            assert_eq!(
+                le_u64_short(&text.as_bytes()[..n]),
+                u64::from_le_bytes(padded)
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Selection kernels: `filter` (keep masked rows) and `take` (gather by
 //! index). These are the work-horses of predicate evaluation and sorting.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::array::{
     checked_utf8_len, Array, BooleanArray, Date32Array, Float64Array, Int64Array, Utf8Array,
@@ -15,38 +15,53 @@ fn filtered_validity(validity: Option<&Bitmap>, keep: &[usize]) -> Option<Bitmap
     validity.map(|v| keep.iter().map(|&i| v.get(i)).collect())
 }
 
+/// Rows that selections gathered, process-wide.
+fn rows_gathered() -> &'static obs::Counter {
+    static C: OnceLock<obs::Counter> = OnceLock::new();
+    C.get_or_init(|| obs::metrics().counter("columnar.rows_gathered"))
+}
+
 /// How a boolean mask resolves over a row domain: every row survives, no
-/// row survives, or an explicit ascending keep-index list.
+/// row survives, or the rows whose bits are set.
 ///
-/// Computing this once per mask lets callers reuse the keep indices across
-/// many columns (instead of re-walking the bitmap per column) and take the
-/// degenerate fast paths: `All` filters are zero-copy at the batch level
-/// (shared `Arc` columns) and `None` filters skip row materialization
-/// entirely — which is what makes late-materialized scans cheap on
-/// low-selectivity predicates.
+/// Computing this once per mask lets callers reuse it across many columns
+/// (instead of re-walking the mask per column) and take the degenerate
+/// fast paths: `All` filters are zero-copy at the batch level (shared
+/// `Arc` columns) and `None` filters skip row materialization entirely —
+/// which is what makes late-materialized scans cheap on low-selectivity
+/// predicates. A partial selection keeps its bitmap, not a list of row
+/// indices: fixed-width columns without nulls gather 64 rows a word from
+/// it, and only the columns that gather row by row build the index list,
+/// once per batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Selection {
     /// All rows of a domain of the given length survive.
     All(usize),
     /// No row of a domain of the given length survives.
     None(usize),
-    /// Exactly these row indices (ascending) survive.
-    Indices(Vec<usize>),
+    /// The rows whose bits are set survive; `count` of them, at least one
+    /// and fewer than the domain.
+    Some {
+        /// One bit per row of the domain.
+        bits: Bitmap,
+        /// Number of set bits.
+        count: usize,
+    },
 }
 
 impl Selection {
     /// Resolve a filter mask (valid-and-true rows survive).
     pub fn from_mask(mask: &BooleanArray) -> Selection {
-        Selection::from_bitmap(&true_bits(mask))
+        Selection::from_bitmap(true_bits(mask))
     }
 
     /// Resolve a plain bitmap (set bits survive).
-    pub fn from_bitmap(bits: &Bitmap) -> Selection {
+    pub fn from_bitmap(bits: Bitmap) -> Selection {
         let n = bits.len();
         match bits.count_ones() {
             0 => Selection::None(n),
             ones if ones == n => Selection::All(n),
-            _ => Selection::Indices(bits.set_indices()),
+            count => Selection::Some { bits, count },
         }
     }
 
@@ -55,7 +70,7 @@ impl Selection {
         match self {
             Selection::All(n) => *n,
             Selection::None(_) => 0,
-            Selection::Indices(keep) => keep.len(),
+            Selection::Some { count, .. } => *count,
         }
     }
 
@@ -64,37 +79,97 @@ impl Selection {
         matches!(self, Selection::None(_))
     }
 
-    /// Apply to a single array. `All` clones the array; `None` produces an
-    /// empty array of the same type without touching row data.
-    pub fn apply(&self, a: &Array) -> Result<Array> {
+    /// The surviving row indices, ascending.
+    pub fn indices(&self) -> Vec<usize> {
         match self {
-            Selection::All(n) => {
-                check_selection_len(a.len(), *n)?;
-                Ok(a.clone())
-            }
-            Selection::None(n) => {
-                check_selection_len(a.len(), *n)?;
-                take_indices(a, &[])
-            }
-            Selection::Indices(keep) => take_indices(a, keep),
+            Selection::All(n) => (0..*n).collect(),
+            Selection::None(_) => Vec::new(),
+            Selection::Some { bits, .. } => bits.set_indices(),
         }
     }
 
-    /// Apply to every column of a batch, reusing the keep indices. `All`
-    /// is zero-copy (the batch's `Arc` columns are shared, not re-gathered).
+    /// Apply to a single array. `All` clones the array; `None` produces an
+    /// empty array of the same type without touching row data.
+    pub fn apply(&self, a: &Array) -> Result<Array> {
+        self.gather(&[a]).map(|mut cols| cols.swap_remove(0))
+    }
+
+    /// Apply to every column of a batch. `All` is zero-copy (the batch's
+    /// `Arc` columns are shared, not re-gathered).
     pub fn apply_batch(&self, batch: &RecordBatch) -> Result<RecordBatch> {
+        if let Selection::All(n) = self {
+            check_selection_len(batch.num_rows(), *n)?;
+            return Ok(batch.clone());
+        }
+        let columns: Vec<&Array> = batch.columns().iter().map(|c| c.as_ref()).collect();
+        let gathered = self.gather(&columns)?;
+        RecordBatch::try_new(
+            batch.schema().clone(),
+            gathered.into_iter().map(Arc::new).collect(),
+        )
+    }
+
+    /// Rows in the domain the selection resolves.
+    fn domain(&self) -> usize {
         match self {
-            Selection::All(n) => {
-                check_selection_len(batch.num_rows(), *n)?;
-                Ok(batch.clone())
-            }
-            Selection::None(n) => {
-                check_selection_len(batch.num_rows(), *n)?;
-                take_batch(batch, &[])
-            }
-            Selection::Indices(keep) => take_batch(batch, keep),
+            Selection::All(n) | Selection::None(n) => *n,
+            Selection::Some { bits, .. } => bits.len(),
         }
     }
+
+    /// The surviving rows of each of `columns`.
+    fn gather(&self, columns: &[&Array]) -> Result<Vec<Array>> {
+        for c in columns {
+            check_selection_len(c.len(), self.domain())?;
+        }
+        let (bits, count) = match self {
+            Selection::All(_) => return Ok(columns.iter().map(|&c| c.clone()).collect()),
+            Selection::None(_) => return columns.iter().map(|c| take_indices(c, &[])).collect(),
+            Selection::Some { bits, count } => (bits, *count),
+        };
+        rows_gathered().add(count as u64);
+        let mut indices = None;
+        columns
+            .iter()
+            .map(|c| {
+                Ok(match c {
+                    Array::Int64(x) if x.validity.is_none() => Array::Int64(Int64Array {
+                        values: gather_words(&x.values, bits, count),
+                        validity: None,
+                    }),
+                    Array::Float64(x) if x.validity.is_none() => Array::Float64(Float64Array {
+                        values: gather_words(&x.values, bits, count),
+                        validity: None,
+                    }),
+                    Array::Date32(x) if x.validity.is_none() => Array::Date32(Date32Array {
+                        values: gather_words(&x.values, bits, count),
+                        validity: None,
+                    }),
+                    _ => take_indices(c, indices.get_or_insert_with(|| bits.set_indices()))?,
+                })
+            })
+            .collect()
+    }
+}
+
+/// The values at the set bits of `bits`, a word of 64 rows at a time: a
+/// full word copies its 64 values as one slice, an empty word is skipped,
+/// and a mixed word walks its set bits.
+fn gather_words<T: Copy>(values: &[T], bits: &Bitmap, count: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(count);
+    for (&word, chunk) in bits.words().iter().zip(values.chunks(64)) {
+        match word {
+            0 => {}
+            u64::MAX => out.extend_from_slice(chunk),
+            mut word => {
+                while word != 0 {
+                    out.push(chunk[word.trailing_zeros() as usize]);
+                    word &= word - 1;
+                }
+            }
+        }
+    }
+    out
 }
 
 fn check_selection_len(rows: usize, domain: usize) -> Result<()> {
@@ -167,8 +242,7 @@ fn take_utf8(x: &Utf8Array, indices: &[usize]) -> Result<Utf8Array> {
 
 /// Keep the rows of every column of `batch` where `mask` is valid-and-true.
 /// All-true masks return the batch zero-copy; all-false masks skip row
-/// gathering; otherwise the keep indices are computed once and shared by
-/// every column.
+/// gathering; otherwise every column gathers from the one [`Selection`].
 pub fn filter_batch(batch: &RecordBatch, mask: &BooleanArray) -> Result<RecordBatch> {
     if batch.num_rows() != mask.values.len() {
         return Err(ColumnarError::LengthMismatch {
@@ -316,10 +390,9 @@ mod tests {
             Selection::from_mask(&mask(&[false, false])),
             Selection::None(2)
         );
-        assert_eq!(
-            Selection::from_mask(&mask(&[false, true, true, false])),
-            Selection::Indices(vec![1, 2])
-        );
+        let some = Selection::from_mask(&mask(&[false, true, true, false]));
+        assert!(matches!(some, Selection::Some { count: 2, .. }), "{some:?}");
+        assert_eq!(some.indices(), vec![1, 2]);
         // A mask that is all-true in values but nulled out is all-false.
         let nulled = BooleanArray {
             values: Bitmap::from_bools(&[true, true]),

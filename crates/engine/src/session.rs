@@ -258,6 +258,20 @@ impl Engine {
                         events.len(),
                         events.len().min(8)
                     ));
+                    // Counts over the whole slice, kinds in first-seen
+                    // order: the tail below may show one kind only.
+                    let mut by_kind: Vec<(obs::FlightKind, usize)> = Vec::new();
+                    for e in &events {
+                        match by_kind.iter_mut().find(|(k, _)| *k == e.kind) {
+                            Some((_, n)) => *n += 1,
+                            None => by_kind.push((e.kind, 1)),
+                        }
+                    }
+                    let counts: Vec<String> = by_kind
+                        .iter()
+                        .map(|(k, n)| format!("{} {n}", k.label()))
+                        .collect();
+                    text.push_str(&format!("  by kind: {}\n", counts.join(", ")));
                     let tail = events.len().saturating_sub(8);
                     for e in &events[tail..] {
                         text.push_str(&format!("  #{} {}\n", e.seq, e.describe()));

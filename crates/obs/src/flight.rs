@@ -91,6 +91,20 @@ impl FlightKind {
             _ => return None,
         })
     }
+
+    /// Short display label: the first word of [`FlightEvent::describe`].
+    pub fn label(self) -> &'static str {
+        match self {
+            FlightKind::CacheAdmit => "cache.admit",
+            FlightKind::CacheEvict => "cache.evict",
+            FlightKind::CacheHit => "cache.hit",
+            FlightKind::ResultCacheHit => "cache.result_hit",
+            FlightKind::RouteNatural => "route.natural",
+            FlightKind::RouteSpill => "route.spill",
+            FlightKind::BackpressureStall => "backpressure.stall",
+            FlightKind::VersionPurge => "version.purge",
+        }
+    }
 }
 
 /// One decoded flight event.
@@ -461,6 +475,10 @@ mod tests {
         assert!(mk(FlightKind::BackpressureStall)
             .describe()
             .contains("window=1"));
+        for kind in (1..=8).filter_map(FlightKind::from_code) {
+            let text = mk(kind).describe();
+            assert_eq!(text.split(' ').next(), Some(kind.label()), "{text}");
+        }
     }
 
     #[test]

@@ -232,7 +232,7 @@ mod tests {
         let mut frontend_sum = 0.0;
         while let Some(frame) = stream.next_frame() {
             frontend_sum += frame.timing.frontend_s;
-            dec.feed(&frame.bytes);
+            dec.feed(frame.bytes);
             while let Some(f) = dec.next_frame().unwrap() {
                 match f {
                     columnar::ipc::Frame::Schema(_) => {}

@@ -121,7 +121,7 @@ impl BatchStream {
                 ));
             };
             self.inflight_bytes -= frame.bytes.len() as u64;
-            self.decoder.feed(&frame.bytes);
+            self.decoder.feed(frame.bytes);
             let decoded = self
                 .decoder
                 .next_frame()
@@ -560,5 +560,39 @@ mod tests {
         // First and last frames are schema/trailer, not batches.
         assert!(!report.frames[0].is_batch);
         assert!(!report.frames[report.frames.len() - 1].is_batch);
+    }
+
+    /// The receive path copies no batch byte: a batch pulled from the
+    /// stream holds its Utf8 data inside the frame the producer encoded.
+    #[test]
+    fn batch_stream_batches_alias_wire_frames() {
+        let schema = Arc::new(Schema::new(vec![Field::new("s", DataType::Utf8, false)]));
+        let batch = RecordBatch::try_new(
+            schema.clone(),
+            vec![Arc::new(Array::from_strs(["alpha", "beta", "gamma"]))],
+        )
+        .unwrap();
+        let resp = crate::node::NodeResponse {
+            batches: vec![batch],
+            stats: ExecStats::default(),
+            groups_scanned: 1,
+        };
+        let spec = netsim::ClusterSpec::paper_testbed().frontend;
+        let wire = WireStream::new(schema, resp, 0, spec, netsim::CostParams::default());
+        let mut stream = BatchStream::new(wire, 8, 0);
+        stream.fill_window();
+        let frames: Vec<bytes::Bytes> = stream.inflight.iter().map(|f| f.bytes.clone()).collect();
+        assert_eq!(frames.len(), 3, "schema, batch, trailer");
+        let got = stream.next_batch().unwrap().expect("one batch");
+        let data = &got.column(0).as_utf8().unwrap().data;
+        assert_eq!(data.as_ref(), b"alphabetagamma");
+        let (at, frame) = (data.as_ptr() as usize, &frames[1]);
+        let start = frame.as_ptr() as usize;
+        assert!(
+            at >= start && at + data.len() <= start + frame.len(),
+            "utf8 data was copied out of the batch frame"
+        );
+        assert!(stream.next_batch().unwrap().is_none());
+        stream.finish().unwrap();
     }
 }

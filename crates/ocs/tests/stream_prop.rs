@@ -196,7 +196,7 @@ proptest! {
         // frames, or a structured incomplete-stream error.
         let cut = cut % wire.len();
         let mut dec = FrameDecoder::new();
-        dec.feed(&wire[..cut]);
+        dec.feed(bytes::Bytes::from(wire[..cut].to_vec()));
         let mut decoded = 0usize;
         let result = loop {
             match dec.next_frame() {

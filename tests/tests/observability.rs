@@ -329,6 +329,8 @@ fn explain_analyze_names_bottleneck_and_flight_events() {
                 .split_once("flight events during query (")
                 .unwrap_or_else(|| panic!("no flight events in:\n{text}"));
             let (counts, lines) = rest.split_once("):\n").expect("header closes");
+            let (by_kind, lines) = lines.split_once('\n').expect("by-kind line");
+            assert!(by_kind.starts_with("  by kind: "), "{text}");
             let (total, shown) = counts.split_once(", last ").expect("total, shown");
             let total: usize = total.parse().expect("total count");
             let shown: usize = shown
@@ -357,6 +359,54 @@ fn explain_analyze_names_bottleneck_and_flight_events() {
         }
         StatementOutput::Rows(_) => panic!("EXPLAIN ANALYZE must return text"),
     }
+}
+
+/// On the default cached stack a cold Q1 records more cache admissions
+/// than the last-8 tail can show, so the routing decisions, recorded
+/// first, are visible only in the by-kind line, whose counts cover every
+/// event of the query.
+#[test]
+fn explain_analyze_counts_flight_events_by_kind() {
+    let st = stack(PushdownPolicy::all(), CodecKind::None, &[]);
+    rebind(&st, "lineitem", "ocs");
+    let sql = format!("EXPLAIN ANALYZE {}", queries::TPCH_Q1);
+    let _ring = FLIGHT_RING.write().unwrap_or_else(|e| e.into_inner());
+    let StatementOutput::Text(text) = st.engine.execute_statement(&sql).expect("explain analyze")
+    else {
+        panic!("EXPLAIN ANALYZE must return text");
+    };
+    let (_, rest) = text
+        .split_once("flight events during query (")
+        .unwrap_or_else(|| panic!("no flight events in:\n{text}"));
+    let (total, rest) = rest.split_once(", last ").expect("total, shown");
+    let total: usize = total.parse().expect("total count");
+    let line = rest
+        .lines()
+        .nth(1)
+        .and_then(|l| l.strip_prefix("  by kind: "))
+        .unwrap_or_else(|| panic!("no by-kind line after the header in:\n{text}"));
+    let counts: Vec<(&str, usize)> = line
+        .split(", ")
+        .map(|kv| {
+            let (kind, n) = kv.rsplit_once(' ').expect("kind count");
+            (kind, n.parse().expect("numeric count"))
+        })
+        .collect();
+    assert!(
+        counts
+            .iter()
+            .any(|(k, _)| *k == "route.natural" || *k == "route.spill"),
+        "{text}"
+    );
+    assert_eq!(
+        counts.iter().map(|(_, n)| n).sum::<usize>(),
+        total,
+        "{text}"
+    );
+    let mut kinds: Vec<&str> = counts.iter().map(|(k, _)| *k).collect();
+    kinds.sort_unstable();
+    kinds.dedup();
+    assert_eq!(kinds.len(), counts.len(), "each kind once: {text}");
 }
 
 #[test]
