@@ -1,21 +1,36 @@
-//! Aggregate functions and type-specialized columnar accumulators.
+//! Aggregate functions and their columnar accumulators.
 //!
-//! [`GroupAcc`] holds the running state for one aggregate across *all*
-//! groups as dense per-group vectors, and consumes `(group_ids, argument
-//! array)` pairs in tight type-specialized loops with a no-nulls fast path —
-//! there is no per-row enum dispatch or scalar boxing on the hot path.
+//! [`GroupAcc`] holds the running state of one aggregate across *all*
+//! groups as dense per-group vectors and consumes `(group_ids, argument
+//! array)` pairs. Each state shape is written once and instantiated per
+//! element type: `COUNT`; one folded state (running value plus a `seen`
+//! flag) shared by `SUM` (wrapping `i64`, `f64`) and `MIN`/`MAX` (`i64`,
+//! `f64` by `total_cmp`, Date32 `i32`, `bool` with `false < true`); `AVG`
+//! as exact `(sum, count)` pairs; and a byte-compare `MIN`/`MAX` over
+//! Utf8 and dictionary strings. The state is picked once per aggregate and
+//! called once per batch; its loops are monomorphised, with a no-nulls
+//! fast path.
+//!
+//! [`GroupAcc::new`] accepts exactly what [`AggFunc::result_type`]
+//! accepts. [`GroupAcc::update`] returns an error for an argument whose
+//! type or length does not match, rather than dropping or panicking.
 //!
 //! Accumulators support the two-phase (partial → final) protocol a
 //! distributed engine needs: `update` consumes input rows, `merge` combines
 //! partial states column-wise (e.g. from different splits or storage
-//! nodes), and `finish` produces one result column. `AVG` carries
-//! (sum, count) state so the merge is exact. Group ids come from
+//! nodes), and `finish` produces one result column. Group ids come from
 //! [`crate::groupby::GroupIdMap`]; [`crate::groupby::GroupedAggregator`]
 //! bundles both halves.
 
+use std::any::Any;
+use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::fmt::Debug;
+use std::marker::PhantomData;
+
 use crate::array::{Array, BooleanArray, Date32Array, Float64Array, Int64Array, Utf8Array};
 use crate::bitmap::Bitmap;
-use crate::datatype::{DataType, Scalar};
+use crate::datatype::DataType;
 use crate::error::{ColumnarError, Result};
 
 /// The aggregate functions supported for pushdown in the paper.
@@ -103,703 +118,493 @@ macro_rules! update_loop {
     };
 }
 
-/// Columnar accumulator: state for one aggregate function across all
-/// groups, stored as dense vectors indexed by group ordinal.
-#[derive(Debug, Clone, PartialEq)]
-pub enum GroupAcc {
-    /// COUNT state (`COUNT(*)` when updated with no argument).
-    Count {
-        /// Per-group row count.
-        counts: Vec<i64>,
-    },
-    /// SUM over integers (wrapping, matching two's-complement SQL engines).
-    SumI64 {
-        /// Per-group running totals.
-        sums: Vec<i64>,
-        /// Whether the group saw any non-null input (SUM of no rows is NULL).
-        seen: Vec<bool>,
-    },
-    /// SUM over floats.
-    SumF64 {
-        /// Per-group running totals.
-        sums: Vec<f64>,
-        /// Whether the group saw any non-null input.
-        seen: Vec<bool>,
-    },
-    /// MIN/MAX over integers.
-    MinMaxI64 {
-        /// Per-group current extremum (unspecified until seen).
-        values: Vec<i64>,
-        /// Whether the group saw any non-null input.
-        seen: Vec<bool>,
-        /// True for MIN, false for MAX.
-        is_min: bool,
-    },
-    /// MIN/MAX over floats (IEEE total order, matching `Scalar::total_cmp`).
-    MinMaxF64 {
-        /// Per-group current extremum.
-        values: Vec<f64>,
-        /// Whether the group saw any non-null input.
-        seen: Vec<bool>,
-        /// True for MIN, false for MAX.
-        is_min: bool,
-    },
-    /// MIN/MAX over dates.
-    MinMaxDate {
-        /// Per-group current extremum.
-        values: Vec<i32>,
-        /// Whether the group saw any non-null input.
-        seen: Vec<bool>,
-        /// True for MIN, false for MAX.
-        is_min: bool,
-    },
-    /// MIN/MAX over booleans (`false < true`).
-    MinMaxBool {
-        /// Per-group current extremum.
-        values: Vec<bool>,
-        /// Whether the group saw any non-null input.
-        seen: Vec<bool>,
-        /// True for MIN, false for MAX.
-        is_min: bool,
-    },
-    /// MIN/MAX over strings (lexicographic byte order).
-    MinMaxStr {
-        /// Per-group current extremum, `None` until seen.
-        values: Vec<Option<String>>,
-        /// True for MIN, false for MAX.
-        is_min: bool,
-    },
-    /// AVG state: exact (sum, count) pairs so the distributed merge is exact.
-    Avg {
-        /// Per-group running sums.
-        sums: Vec<f64>,
-        /// Per-group counts of non-null inputs.
-        counts: Vec<i64>,
-    },
+/// A fixed-width element type: Int64 `i64`, Float64 `f64`, Date32 `i32`
+/// or Boolean `bool`.
+trait Elem: Copy + Default + Debug + Send + Sync + 'static {
+    /// The argument's values and validity, or `None` for another type.
+    fn view(arr: &Array) -> Option<(Cow<'_, [Self]>, Option<&Bitmap>)>;
+    /// The result column.
+    fn column(values: Vec<Self>, validity: Option<Bitmap>) -> Array;
+    /// The order `MIN` and `MAX` use.
+    fn order(self, other: Self) -> Ordering;
 }
 
-impl GroupAcc {
-    /// Fresh (zero-group) accumulator for `func` over inputs of type `input`.
-    pub fn new(func: AggFunc, input: Option<DataType>) -> Result<GroupAcc> {
-        Ok(match func {
-            AggFunc::Count => GroupAcc::Count { counts: Vec::new() },
-            AggFunc::Sum => match input {
-                Some(DataType::Int64) => GroupAcc::SumI64 {
-                    sums: Vec::new(),
-                    seen: Vec::new(),
-                },
-                Some(DataType::Float64) => GroupAcc::SumF64 {
-                    sums: Vec::new(),
-                    seen: Vec::new(),
-                },
-                other => {
-                    return Err(ColumnarError::Invalid(format!(
-                        "SUM over {other:?} not supported"
-                    )))
+macro_rules! dense_elem {
+    ($t:ty, $variant:ident, $array:ident, $order:path) => {
+        impl Elem for $t {
+            fn view(arr: &Array) -> Option<(Cow<'_, [$t]>, Option<&Bitmap>)> {
+                match arr {
+                    Array::$variant(a) => Some((Cow::Borrowed(&a.values[..]), a.validity.as_ref())),
+                    _ => None,
                 }
-            },
-            AggFunc::Min | AggFunc::Max => {
-                let is_min = func == AggFunc::Min;
-                match input {
-                    Some(DataType::Int64) => GroupAcc::MinMaxI64 {
-                        values: Vec::new(),
-                        seen: Vec::new(),
-                        is_min,
-                    },
-                    Some(DataType::Float64) => GroupAcc::MinMaxF64 {
-                        values: Vec::new(),
-                        seen: Vec::new(),
-                        is_min,
-                    },
-                    Some(DataType::Date32) => GroupAcc::MinMaxDate {
-                        values: Vec::new(),
-                        seen: Vec::new(),
-                        is_min,
-                    },
-                    Some(DataType::Boolean) => GroupAcc::MinMaxBool {
-                        values: Vec::new(),
-                        seen: Vec::new(),
-                        is_min,
-                    },
-                    Some(DataType::Utf8) => GroupAcc::MinMaxStr {
-                        values: Vec::new(),
-                        is_min,
-                    },
-                    None => {
-                        return Err(ColumnarError::Invalid(format!(
-                            "{} requires an argument",
-                            func.sql()
-                        )))
+            }
+            fn column(values: Vec<$t>, validity: Option<Bitmap>) -> Array {
+                Array::$variant($array { values, validity })
+            }
+            #[inline]
+            fn order(self, other: $t) -> Ordering {
+                $order(&self, &other)
+            }
+        }
+    };
+}
+
+dense_elem!(i64, Int64, Int64Array, Ord::cmp);
+dense_elem!(f64, Float64, Float64Array, f64::total_cmp);
+dense_elem!(i32, Date32, Date32Array, Ord::cmp);
+
+impl Elem for bool {
+    /// Booleans are bit-packed; one batch unpacks into a `Vec<bool>`.
+    fn view(arr: &Array) -> Option<(Cow<'_, [bool]>, Option<&Bitmap>)> {
+        match arr {
+            Array::Boolean(a) => Some((Cow::Owned(a.values.iter().collect()), a.validity.as_ref())),
+            _ => None,
+        }
+    }
+    fn column(values: Vec<bool>, validity: Option<Bitmap>) -> Array {
+        Array::Boolean(BooleanArray {
+            values: Bitmap::from_bools(&values),
+            validity,
+        })
+    }
+    #[inline]
+    fn order(self, other: bool) -> Ordering {
+        self.cmp(&other)
+    }
+}
+
+/// A `SUM` and `AVG` element type.
+trait Num: Elem {
+    /// `self + v`, wrapping for `i64` (as two's-complement SQL engines do).
+    fn add(self, v: Self) -> Self;
+    /// The value as an `AVG` sum term.
+    fn to_f64(self) -> f64;
+}
+
+impl Num for i64 {
+    #[inline]
+    fn add(self, v: i64) -> i64 {
+        self.wrapping_add(v)
+    }
+    #[inline]
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+impl Num for f64 {
+    #[inline]
+    fn add(self, v: f64) -> f64 {
+        self + v
+    }
+    #[inline]
+    fn to_f64(self) -> f64 {
+        self
+    }
+}
+
+/// How one non-null value folds into a group's running value; `seen` says
+/// whether the group holds one yet.
+trait Fold<T>: Debug + Send + Sync + 'static {
+    fn fold(seen: bool, acc: &mut T, v: T);
+}
+
+/// `SUM`: every value adds to a running value that starts at zero.
+#[derive(Debug)]
+struct Sum;
+
+impl<T: Num> Fold<T> for Sum {
+    #[inline]
+    fn fold(_seen: bool, acc: &mut T, v: T) {
+        *acc = acc.add(v);
+    }
+}
+
+/// `MIN` or `MAX`: the first value, then each that orders past it.
+trait Extremum: Debug + Send + Sync + 'static {
+    /// Whether a value ordered `ord` against the current one replaces it.
+    fn better(ord: Ordering) -> bool;
+}
+
+#[derive(Debug)]
+struct Min;
+
+impl Extremum for Min {
+    #[inline]
+    fn better(ord: Ordering) -> bool {
+        ord.is_lt()
+    }
+}
+
+#[derive(Debug)]
+struct Max;
+
+impl Extremum for Max {
+    #[inline]
+    fn better(ord: Ordering) -> bool {
+        ord.is_gt()
+    }
+}
+
+impl<T: Elem, M: Extremum> Fold<T> for M {
+    #[inline]
+    fn fold(seen: bool, acc: &mut T, v: T) {
+        if !seen || M::better(v.order(*acc)) {
+            *acc = v;
+        }
+    }
+}
+
+/// The running state of one aggregate shape over one element type,
+/// called once per batch.
+trait State: Any + Debug + Send + Sync {
+    /// Grow to `n` group slots; new slots start in the initial state.
+    fn resize(&mut self, n: usize);
+    /// Fold a batch in; `arg` is checked for type and length already.
+    fn update(&mut self, group_ids: &[u32], arg: Option<&Array>) -> Result<()>;
+    /// Merge a partial state of the same shape and element type.
+    fn merge(&mut self, other: &dyn State, group_map: &[u32]) -> Result<()>;
+    /// The result column, one row per group.
+    fn finish(self: Box<Self>) -> Array;
+}
+
+/// The error for an argument a state cannot fold. [`GroupAcc::update`]
+/// checks the argument's type first, so only a state picked wrongly by
+/// [`GroupAcc::new`] could return it.
+fn unfit() -> ColumnarError {
+    ColumnarError::Invalid("argument does not fit the aggregate state".into())
+}
+
+/// `arg`'s values as `T`s.
+fn view<T: Elem>(arg: Option<&Array>) -> Result<(Cow<'_, [T]>, Option<&Bitmap>)> {
+    arg.and_then(T::view).ok_or_else(unfit)
+}
+
+/// `other` as a state of `S`'s kind.
+fn same<S: State>(other: &dyn State) -> Result<&S> {
+    (other as &dyn Any).downcast_ref::<S>().ok_or_else(|| {
+        ColumnarError::Invalid(format!(
+            "cannot merge aggregate states: expected {}",
+            std::any::type_name::<S>()
+        ))
+    })
+}
+
+/// A validity bitmap over `valid`, or none when every group is valid.
+fn validity(valid: &[bool]) -> Option<Bitmap> {
+    (!valid.iter().all(|&v| v)).then(|| Bitmap::from_bools(valid))
+}
+
+/// `COUNT`: per-group row counts.
+#[derive(Debug)]
+struct Count(Vec<i64>);
+
+impl State for Count {
+    fn resize(&mut self, n: usize) {
+        self.0.resize(n, 0);
+    }
+
+    fn update(&mut self, group_ids: &[u32], arg: Option<&Array>) -> Result<()> {
+        // COUNT(*) counts every row; COUNT(x) skips NULL x. The ids stand
+        // in for the argument's values, which COUNT never reads.
+        let counts = &mut self.0;
+        update_loop!(
+            group_ids,
+            group_ids,
+            arg.and_then(Array::validity),
+            |g, _row| counts[g] += 1
+        );
+        Ok(())
+    }
+
+    fn merge(&mut self, other: &dyn State, group_map: &[u32]) -> Result<()> {
+        for (&g, v) in group_map.iter().zip(&same::<Self>(other)?.0) {
+            self.0[g as usize] += v;
+        }
+        Ok(())
+    }
+
+    fn finish(self: Box<Self>) -> Array {
+        Array::from_i64(self.0)
+    }
+}
+
+/// Per-group running values and whether each group saw a non-null input
+/// (`SUM`, `MIN` and `MAX` of no rows is NULL): the one state of `SUM` and
+/// `MIN`/`MAX` over every element type, `F` saying how a value folds in.
+#[derive(Debug)]
+struct Folded<T, F> {
+    values: Vec<T>,
+    seen: Vec<bool>,
+    fold: PhantomData<F>,
+}
+
+impl<T: Elem, F: Fold<T>> State for Folded<T, F> {
+    fn resize(&mut self, n: usize) {
+        self.values.resize(n, T::default());
+        self.seen.resize(n, false);
+    }
+
+    fn update(&mut self, group_ids: &[u32], arg: Option<&Array>) -> Result<()> {
+        let (values, validity) = view::<T>(arg)?;
+        let (acc, seen) = (&mut self.values, &mut self.seen);
+        update_loop!(group_ids, values, validity, |g, v| {
+            F::fold(seen[g], &mut acc[g], v);
+            seen[g] = true;
+        });
+        Ok(())
+    }
+
+    fn merge(&mut self, other: &dyn State, group_map: &[u32]) -> Result<()> {
+        let other = same::<Self>(other)?;
+        for (i, &g) in group_map.iter().enumerate() {
+            let g = g as usize;
+            // Only a partial that saw input folds in, so an empty one's zero
+            // state cannot touch the running value.
+            if other.seen[i] {
+                F::fold(self.seen[g], &mut self.values[g], other.values[i]);
+                self.seen[g] = true;
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self: Box<Self>) -> Array {
+        T::column(self.values, validity(&self.seen))
+    }
+}
+
+fn folded<T: Elem, F: Fold<T>>() -> Box<dyn State> {
+    Box::new(Folded::<T, F> {
+        values: Vec::new(),
+        seen: Vec::new(),
+        fold: PhantomData,
+    })
+}
+
+/// `AVG`: exact `(sum, count)` pairs, so the distributed merge is exact.
+#[derive(Debug)]
+struct Avg<T> {
+    sums: Vec<f64>,
+    counts: Vec<i64>,
+    input: PhantomData<T>,
+}
+
+impl<T: Num> State for Avg<T> {
+    fn resize(&mut self, n: usize) {
+        self.sums.resize(n, 0.0);
+        self.counts.resize(n, 0);
+    }
+
+    fn update(&mut self, group_ids: &[u32], arg: Option<&Array>) -> Result<()> {
+        let (values, validity) = view::<T>(arg)?;
+        let (sums, counts) = (&mut self.sums, &mut self.counts);
+        update_loop!(group_ids, values, validity, |g, v| {
+            sums[g] += v.to_f64();
+            counts[g] += 1;
+        });
+        Ok(())
+    }
+
+    fn merge(&mut self, other: &dyn State, group_map: &[u32]) -> Result<()> {
+        let other = same::<Self>(other)?;
+        for (i, &g) in group_map.iter().enumerate() {
+            let g = g as usize;
+            // Skip empty partials, as the folded state does.
+            if other.counts[i] > 0 {
+                self.sums[g] += other.sums[i];
+                self.counts[g] += other.counts[i];
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(self: Box<Self>) -> Array {
+        let values = self
+            .sums
+            .iter()
+            .zip(&self.counts)
+            .map(|(&s, &c)| if c == 0 { 0.0 } else { s / c as f64 })
+            .collect();
+        let seen: Vec<bool> = self.counts.iter().map(|&c| c > 0).collect();
+        Array::Float64(Float64Array {
+            values,
+            validity: validity(&seen),
+        })
+    }
+}
+
+fn avg<T: Num>() -> Box<dyn State> {
+    Box::new(Avg::<T> {
+        sums: Vec::new(),
+        counts: Vec::new(),
+        input: PhantomData,
+    })
+}
+
+/// `MIN`/`MAX` over Utf8 and dictionary strings, in byte order (which is
+/// `str` order): per-group extremum, `None` until seen.
+#[derive(Debug)]
+struct Strs<M> {
+    values: Vec<Option<String>>,
+    order: PhantomData<M>,
+}
+
+impl<M: Extremum> Strs<M> {
+    /// Fold `v` into `cur`; only a new extremum becomes a `String`.
+    #[inline]
+    fn fold(cur: &mut Option<String>, v: &[u8]) {
+        if cur.as_ref().is_none_or(|c| M::better(v.cmp(c.as_bytes()))) {
+            *cur = Some(String::from_utf8_lossy(v).into_owned());
+        }
+    }
+}
+
+impl<M: Extremum> State for Strs<M> {
+    fn resize(&mut self, n: usize) {
+        self.values.resize(n, None);
+    }
+
+    fn update(&mut self, group_ids: &[u32], arg: Option<&Array>) -> Result<()> {
+        let values = &mut self.values;
+        match arg {
+            Some(Array::Utf8(a)) => {
+                let validity = a.validity.as_ref();
+                for (i, &g) in group_ids.iter().enumerate() {
+                    if validity.is_none_or(|bm| bm.get(i)) {
+                        Self::fold(&mut values[g as usize], a.bytes(i));
                     }
                 }
             }
-            AggFunc::Avg => GroupAcc::Avg {
-                sums: Vec::new(),
-                counts: Vec::new(),
-            },
-        })
+            Some(Array::Dict(a)) => {
+                for (i, &g) in group_ids.iter().enumerate() {
+                    if let Some(v) = a.value(i) {
+                        Self::fold(&mut values[g as usize], v);
+                    }
+                }
+            }
+            _ => return Err(unfit()),
+        }
+        Ok(())
     }
 
-    /// Number of group slots currently allocated.
-    pub fn num_groups(&self) -> usize {
-        match self {
-            GroupAcc::Count { counts } => counts.len(),
-            GroupAcc::SumI64 { sums, .. } => sums.len(),
-            GroupAcc::SumF64 { sums, .. } => sums.len(),
-            GroupAcc::MinMaxI64 { values, .. } => values.len(),
-            GroupAcc::MinMaxF64 { values, .. } => values.len(),
-            GroupAcc::MinMaxDate { values, .. } => values.len(),
-            GroupAcc::MinMaxBool { values, .. } => values.len(),
-            GroupAcc::MinMaxStr { values, .. } => values.len(),
-            GroupAcc::Avg { sums, .. } => sums.len(),
+    fn merge(&mut self, other: &dyn State, group_map: &[u32]) -> Result<()> {
+        for (&g, v) in group_map.iter().zip(&same::<Self>(other)?.values) {
+            if let Some(v) = v {
+                Self::fold(&mut self.values[g as usize], v.as_bytes());
+            }
         }
+        Ok(())
+    }
+
+    fn finish(self: Box<Self>) -> Array {
+        let mut offsets = vec![0u32];
+        let mut data = Vec::new();
+        for v in &self.values {
+            if let Some(s) = v {
+                data.extend_from_slice(s.as_bytes());
+            }
+            offsets.push(data.len() as u32);
+        }
+        let seen: Vec<bool> = self.values.iter().map(Option::is_some).collect();
+        Array::Utf8(Utf8Array {
+            offsets,
+            data: data.into(),
+            validity: validity(&seen),
+        })
+    }
+}
+
+fn extremum<M: Extremum>(input: DataType) -> Box<dyn State> {
+    match input {
+        DataType::Int64 => folded::<i64, M>(),
+        DataType::Float64 => folded::<f64, M>(),
+        DataType::Date32 => folded::<i32, M>(),
+        DataType::Boolean => folded::<bool, M>(),
+        DataType::Utf8 => Box::new(Strs::<M> {
+            values: Vec::new(),
+            order: PhantomData,
+        }),
+    }
+}
+
+/// Columnar accumulator: the state of one aggregate function across all
+/// groups, stored as dense vectors indexed by group ordinal.
+#[derive(Debug)]
+pub struct GroupAcc {
+    input: Option<DataType>,
+    state: Box<dyn State>,
+}
+
+impl GroupAcc {
+    /// Fresh (zero-group) accumulator for `func` over inputs of type
+    /// `input` (`None` = `COUNT(*)`); accepts exactly the pairs
+    /// [`AggFunc::result_type`] accepts.
+    pub fn new(func: AggFunc, input: Option<DataType>) -> Result<GroupAcc> {
+        let out = func.result_type(input)?;
+        let state: Box<dyn State> = match func {
+            AggFunc::Count => Box::new(Count(Vec::new())),
+            AggFunc::Sum if out == DataType::Int64 => folded::<i64, Sum>(),
+            AggFunc::Sum => folded::<f64, Sum>(),
+            AggFunc::Avg if input == Some(DataType::Int64) => avg::<i64>(),
+            AggFunc::Avg => avg::<f64>(),
+            AggFunc::Min => extremum::<Min>(out),
+            AggFunc::Max => extremum::<Max>(out),
+        };
+        Ok(GroupAcc { input, state })
     }
 
     /// Grow to `n` group slots (new slots start in the initial state).
     pub fn resize(&mut self, n: usize) {
-        match self {
-            GroupAcc::Count { counts } => counts.resize(n, 0),
-            GroupAcc::SumI64 { sums, seen } => {
-                sums.resize(n, 0);
-                seen.resize(n, false);
-            }
-            GroupAcc::SumF64 { sums, seen } => {
-                sums.resize(n, 0.0);
-                seen.resize(n, false);
-            }
-            GroupAcc::MinMaxI64 { values, seen, .. } => {
-                values.resize(n, 0);
-                seen.resize(n, false);
-            }
-            GroupAcc::MinMaxF64 { values, seen, .. } => {
-                values.resize(n, 0.0);
-                seen.resize(n, false);
-            }
-            GroupAcc::MinMaxDate { values, seen, .. } => {
-                values.resize(n, 0);
-                seen.resize(n, false);
-            }
-            GroupAcc::MinMaxBool { values, seen, .. } => {
-                values.resize(n, false);
-                seen.resize(n, false);
-            }
-            GroupAcc::MinMaxStr { values, .. } => values.resize(n, None),
-            GroupAcc::Avg { sums, counts } => {
-                sums.resize(n, 0.0);
-                counts.resize(n, 0);
-            }
-        }
+        self.state.resize(n);
     }
 
     /// Fold a batch of rows into the accumulator. `group_ids[i]` is the
-    /// dense group ordinal of row `i` (all must be `< num_groups()`);
-    /// `arg` is the evaluated argument column (`None` = `COUNT(*)`).
-    ///
-    /// An argument array whose type does not match the accumulator is
-    /// ignored, mirroring the scalar path this replaced (planning computes
-    /// types up front, so this does not happen in well-typed plans).
-    pub fn update(&mut self, group_ids: &[u32], arg: Option<&Array>) {
-        if let Some(a) = arg {
-            assert_eq!(a.len(), group_ids.len(), "arg length");
+    /// dense group ordinal of row `i` (every ordinal must have a slot, see
+    /// [`GroupAcc::resize`]); `arg` is the evaluated argument column
+    /// (`None` = `COUNT(*)`).
+    /// An argument of another type than the accumulator's, or of another
+    /// length than `group_ids`, is an error.
+    pub fn update(&mut self, group_ids: &[u32], arg: Option<&Array>) -> Result<()> {
+        let found = arg.map(Array::data_type);
+        if found != self.input {
+            let name = |t: Option<DataType>| t.map_or("no argument".into(), |t| t.to_string());
+            return Err(ColumnarError::type_mismatch(name(self.input), name(found)));
         }
-        match self {
-            GroupAcc::Count { counts } => match arg {
-                // COUNT(*) counts every row; COUNT(x) skips NULL x.
-                None => {
-                    for &g in group_ids {
-                        counts[g as usize] += 1;
-                    }
-                }
-                Some(a) => match a.validity() {
-                    None => {
-                        for &g in group_ids {
-                            counts[g as usize] += 1;
-                        }
-                    }
-                    Some(bm) => {
-                        for (i, &g) in group_ids.iter().enumerate() {
-                            if bm.get(i) {
-                                counts[g as usize] += 1;
-                            }
-                        }
-                    }
-                },
-            },
-            GroupAcc::SumI64 { sums, seen } => {
-                if let Some(Array::Int64(a)) = arg {
-                    update_loop!(group_ids, a.values, a.validity.as_ref(), |g, v| {
-                        sums[g] = sums[g].wrapping_add(v);
-                        seen[g] = true;
-                    });
-                }
-            }
-            GroupAcc::SumF64 { sums, seen } => match arg {
-                Some(Array::Float64(a)) => {
-                    update_loop!(group_ids, a.values, a.validity.as_ref(), |g, v| {
-                        sums[g] += v;
-                        seen[g] = true;
-                    });
-                }
-                // The scalar path accepted anything `as_f64` covers.
-                Some(Array::Int64(a)) => {
-                    update_loop!(group_ids, a.values, a.validity.as_ref(), |g, v| {
-                        sums[g] += v as f64;
-                        seen[g] = true;
-                    });
-                }
-                Some(Array::Date32(a)) => {
-                    update_loop!(group_ids, a.values, a.validity.as_ref(), |g, v| {
-                        sums[g] += v as f64;
-                        seen[g] = true;
-                    });
-                }
-                _ => {}
-            },
-            GroupAcc::MinMaxI64 {
-                values,
-                seen,
-                is_min,
-            } => {
-                if let Some(Array::Int64(a)) = arg {
-                    let is_min = *is_min;
-                    update_loop!(group_ids, a.values, a.validity.as_ref(), |g, v| {
-                        if !seen[g] || (is_min && v < values[g]) || (!is_min && v > values[g]) {
-                            values[g] = v;
-                            seen[g] = true;
-                        }
-                    });
-                }
-            }
-            GroupAcc::MinMaxF64 {
-                values,
-                seen,
-                is_min,
-            } => {
-                if let Some(Array::Float64(a)) = arg {
-                    let is_min = *is_min;
-                    update_loop!(group_ids, a.values, a.validity.as_ref(), |g, v| {
-                        let better = !seen[g]
-                            || if is_min {
-                                v.total_cmp(&values[g]).is_lt()
-                            } else {
-                                v.total_cmp(&values[g]).is_gt()
-                            };
-                        if better {
-                            values[g] = v;
-                            seen[g] = true;
-                        }
-                    });
-                }
-            }
-            GroupAcc::MinMaxDate {
-                values,
-                seen,
-                is_min,
-            } => {
-                if let Some(Array::Date32(a)) = arg {
-                    let is_min = *is_min;
-                    update_loop!(group_ids, a.values, a.validity.as_ref(), |g, v| {
-                        if !seen[g] || (is_min && v < values[g]) || (!is_min && v > values[g]) {
-                            values[g] = v;
-                            seen[g] = true;
-                        }
-                    });
-                }
-            }
-            GroupAcc::MinMaxBool {
-                values,
-                seen,
-                is_min,
-            } => {
-                if let Some(Array::Boolean(a)) = arg {
-                    let is_min = *is_min;
-                    let validity = a.validity.as_ref();
-                    for (i, &g) in group_ids.iter().enumerate() {
-                        if validity.map(|bm| bm.get(i)).unwrap_or(true) {
-                            let g = g as usize;
-                            let v = a.values.get(i);
-                            if !seen[g]
-                                || (is_min && !v && values[g])
-                                || (!is_min && v && !values[g])
-                            {
-                                values[g] = v;
-                                seen[g] = true;
-                            }
-                        }
-                    }
-                }
-            }
-            GroupAcc::MinMaxStr { values, is_min } => {
-                // Bytes compare in `str` order, so only a new extremum is
-                // turned back into a `String`.
-                let is_min = *is_min;
-                let mut fold = |g: u32, v: &[u8]| {
-                    let g = g as usize;
-                    let better = match &values[g] {
-                        None => true,
-                        Some(cur) => {
-                            if is_min {
-                                v < cur.as_bytes()
-                            } else {
-                                v > cur.as_bytes()
-                            }
-                        }
-                    };
-                    if better {
-                        values[g] = Some(String::from_utf8_lossy(v).into_owned());
-                    }
-                };
-                match arg {
-                    Some(Array::Utf8(a)) => {
-                        let validity = a.validity.as_ref();
-                        for (i, &g) in group_ids.iter().enumerate() {
-                            if validity.is_none_or(|bm| bm.get(i)) {
-                                fold(g, a.bytes(i));
-                            }
-                        }
-                    }
-                    Some(Array::Dict(a)) => {
-                        for (i, &g) in group_ids.iter().enumerate() {
-                            if let Some(v) = a.value(i) {
-                                fold(g, v);
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            GroupAcc::Avg { sums, counts } => match arg {
-                Some(Array::Float64(a)) => {
-                    update_loop!(group_ids, a.values, a.validity.as_ref(), |g, v| {
-                        sums[g] += v;
-                        counts[g] += 1;
-                    });
-                }
-                Some(Array::Int64(a)) => {
-                    update_loop!(group_ids, a.values, a.validity.as_ref(), |g, v| {
-                        sums[g] += v as f64;
-                        counts[g] += 1;
-                    });
-                }
-                Some(Array::Date32(a)) => {
-                    update_loop!(group_ids, a.values, a.validity.as_ref(), |g, v| {
-                        sums[g] += v as f64;
-                        counts[g] += 1;
-                    });
-                }
-                _ => {}
-            },
+        if let Some(a) = arg.filter(|a| a.len() != group_ids.len()) {
+            return Err(ColumnarError::LengthMismatch {
+                left: group_ids.len(),
+                right: a.len(),
+            });
         }
+        self.state.update(group_ids, arg)
     }
 
     /// Merge another partial accumulator of the same kind. `group_map[g]`
     /// is the ordinal in `self` that `other`'s group `g` maps to; `self`
     /// must already be resized to cover every mapped ordinal.
     pub fn merge(&mut self, other: &GroupAcc, group_map: &[u32]) -> Result<()> {
-        match (self, other) {
-            (GroupAcc::Count { counts: a }, GroupAcc::Count { counts: b }) => {
-                for (g, v) in group_map.iter().zip(b.iter()) {
-                    a[*g as usize] += v;
-                }
-            }
-            (GroupAcc::SumI64 { sums: a, seen: sa }, GroupAcc::SumI64 { sums: b, seen: sb }) => {
-                for (i, &g) in group_map.iter().enumerate() {
-                    let g = g as usize;
-                    a[g] = a[g].wrapping_add(b[i]);
-                    sa[g] |= sb[i];
-                }
-            }
-            (GroupAcc::SumF64 { sums: a, seen: sa }, GroupAcc::SumF64 { sums: b, seen: sb }) => {
-                for (i, &g) in group_map.iter().enumerate() {
-                    let g = g as usize;
-                    if sb[i] {
-                        a[g] += b[i];
-                        sa[g] = true;
-                    }
-                }
-            }
-            (
-                GroupAcc::MinMaxI64 {
-                    values: a,
-                    seen: sa,
-                    is_min,
-                },
-                GroupAcc::MinMaxI64 {
-                    values: b,
-                    seen: sb,
-                    ..
-                },
-            ) => {
-                let is_min = *is_min;
-                for (i, &g) in group_map.iter().enumerate() {
-                    let g = g as usize;
-                    if sb[i] && (!sa[g] || (is_min && b[i] < a[g]) || (!is_min && b[i] > a[g])) {
-                        a[g] = b[i];
-                        sa[g] = true;
-                    }
-                }
-            }
-            (
-                GroupAcc::MinMaxF64 {
-                    values: a,
-                    seen: sa,
-                    is_min,
-                },
-                GroupAcc::MinMaxF64 {
-                    values: b,
-                    seen: sb,
-                    ..
-                },
-            ) => {
-                let is_min = *is_min;
-                for (i, &g) in group_map.iter().enumerate() {
-                    let g = g as usize;
-                    if sb[i] {
-                        let better = !sa[g]
-                            || if is_min {
-                                b[i].total_cmp(&a[g]).is_lt()
-                            } else {
-                                b[i].total_cmp(&a[g]).is_gt()
-                            };
-                        if better {
-                            a[g] = b[i];
-                            sa[g] = true;
-                        }
-                    }
-                }
-            }
-            (
-                GroupAcc::MinMaxDate {
-                    values: a,
-                    seen: sa,
-                    is_min,
-                },
-                GroupAcc::MinMaxDate {
-                    values: b,
-                    seen: sb,
-                    ..
-                },
-            ) => {
-                let is_min = *is_min;
-                for (i, &g) in group_map.iter().enumerate() {
-                    let g = g as usize;
-                    if sb[i] && (!sa[g] || (is_min && b[i] < a[g]) || (!is_min && b[i] > a[g])) {
-                        a[g] = b[i];
-                        sa[g] = true;
-                    }
-                }
-            }
-            (
-                GroupAcc::MinMaxBool {
-                    values: a,
-                    seen: sa,
-                    is_min,
-                },
-                GroupAcc::MinMaxBool {
-                    values: b,
-                    seen: sb,
-                    ..
-                },
-            ) => {
-                let is_min = *is_min;
-                for (i, &g) in group_map.iter().enumerate() {
-                    let g = g as usize;
-                    if sb[i] && (!sa[g] || (is_min && !b[i] && a[g]) || (!is_min && b[i] && !a[g]))
-                    {
-                        a[g] = b[i];
-                        sa[g] = true;
-                    }
-                }
-            }
-            (GroupAcc::MinMaxStr { values: a, is_min }, GroupAcc::MinMaxStr { values: b, .. }) => {
-                let is_min = *is_min;
-                for (i, &g) in group_map.iter().enumerate() {
-                    let g = g as usize;
-                    if let Some(v) = &b[i] {
-                        let better = match &a[g] {
-                            None => true,
-                            Some(cur) => {
-                                if is_min {
-                                    v < cur
-                                } else {
-                                    v > cur
-                                }
-                            }
-                        };
-                        if better {
-                            a[g] = Some(v.clone());
-                        }
-                    }
-                }
-            }
-            (
-                GroupAcc::Avg {
-                    sums: a,
-                    counts: ca,
-                },
-                GroupAcc::Avg {
-                    sums: b,
-                    counts: cb,
-                },
-            ) => {
-                for (i, &g) in group_map.iter().enumerate() {
-                    let g = g as usize;
-                    // Skip empty partials so a `0.0` zero-state cannot
-                    // erase the sign of a `-0.0` running sum.
-                    if cb[i] > 0 {
-                        a[g] += b[i];
-                        ca[g] += cb[i];
-                    }
-                }
-            }
-            (me, other) => {
-                return Err(ColumnarError::Invalid(format!(
-                    "cannot merge aggregate states {me:?} and {other:?}"
-                )))
-            }
-        }
-        Ok(())
-    }
-
-    /// The SQL result for one group (used by tests and scalar references).
-    pub fn finish_one(&self, g: usize) -> Scalar {
-        match self {
-            GroupAcc::Count { counts } => Scalar::Int64(counts[g]),
-            GroupAcc::SumI64 { sums, seen } => {
-                if seen[g] {
-                    Scalar::Int64(sums[g])
-                } else {
-                    Scalar::Null
-                }
-            }
-            GroupAcc::SumF64 { sums, seen } => {
-                if seen[g] {
-                    Scalar::Float64(sums[g])
-                } else {
-                    Scalar::Null
-                }
-            }
-            GroupAcc::MinMaxI64 { values, seen, .. } => {
-                if seen[g] {
-                    Scalar::Int64(values[g])
-                } else {
-                    Scalar::Null
-                }
-            }
-            GroupAcc::MinMaxF64 { values, seen, .. } => {
-                if seen[g] {
-                    Scalar::Float64(values[g])
-                } else {
-                    Scalar::Null
-                }
-            }
-            GroupAcc::MinMaxDate { values, seen, .. } => {
-                if seen[g] {
-                    Scalar::Date32(values[g])
-                } else {
-                    Scalar::Null
-                }
-            }
-            GroupAcc::MinMaxBool { values, seen, .. } => {
-                if seen[g] {
-                    Scalar::Boolean(values[g])
-                } else {
-                    Scalar::Null
-                }
-            }
-            GroupAcc::MinMaxStr { values, .. } => match &values[g] {
-                Some(v) => Scalar::Utf8(v.clone()),
-                None => Scalar::Null,
-            },
-            GroupAcc::Avg { sums, counts } => {
-                if counts[g] == 0 {
-                    Scalar::Null
-                } else {
-                    Scalar::Float64(sums[g] / counts[g] as f64)
-                }
-            }
-        }
+        self.state.merge(&*other.state, group_map)
     }
 
     /// Produce the result column, one row per group in ordinal order.
     pub fn finish(self) -> Array {
-        fn validity_from(seen: Vec<bool>) -> Option<Bitmap> {
-            if seen.iter().all(|&s| s) {
-                None
-            } else {
-                Some(Bitmap::from_bools(&seen))
-            }
-        }
-        match self {
-            GroupAcc::Count { counts } => Array::from_i64(counts),
-            GroupAcc::SumI64 { sums, seen } => Array::Int64(Int64Array {
-                values: sums,
-                validity: validity_from(seen),
-            }),
-            GroupAcc::SumF64 { sums, seen } => Array::Float64(Float64Array {
-                values: sums,
-                validity: validity_from(seen),
-            }),
-            GroupAcc::MinMaxI64 { values, seen, .. } => Array::Int64(Int64Array {
-                values,
-                validity: validity_from(seen),
-            }),
-            GroupAcc::MinMaxF64 { values, seen, .. } => Array::Float64(Float64Array {
-                values,
-                validity: validity_from(seen),
-            }),
-            GroupAcc::MinMaxDate { values, seen, .. } => Array::Date32(Date32Array {
-                values,
-                validity: validity_from(seen),
-            }),
-            GroupAcc::MinMaxBool { values, seen, .. } => Array::Boolean(BooleanArray {
-                values: Bitmap::from_bools(&values),
-                validity: validity_from(seen),
-            }),
-            GroupAcc::MinMaxStr { values, .. } => {
-                let mut offsets = vec![0u32];
-                let mut data = Vec::new();
-                let mut valid = Vec::with_capacity(values.len());
-                for v in &values {
-                    if let Some(s) = v {
-                        data.extend_from_slice(s.as_bytes());
-                    }
-                    offsets.push(data.len() as u32);
-                    valid.push(v.is_some());
-                }
-                Array::Utf8(Utf8Array {
-                    offsets,
-                    data: data.into(),
-                    validity: validity_from(valid),
-                })
-            }
-            GroupAcc::Avg { sums, counts } => {
-                let values = sums
-                    .iter()
-                    .zip(counts.iter())
-                    .map(|(&s, &c)| if c == 0 { 0.0 } else { s / c as f64 })
-                    .collect();
-                let seen: Vec<bool> = counts.iter().map(|&c| c > 0).collect();
-                Array::Float64(Float64Array {
-                    values,
-                    validity: validity_from(seen),
-                })
-            }
-        }
+        self.state.finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datatype::Scalar;
 
     /// One-group helper: run `func` over the whole array as a single group.
     fn run(func: AggFunc, arr: &Array) -> Scalar {
         let mut acc = GroupAcc::new(func, Some(arr.data_type())).unwrap();
         acc.resize(1);
         let gids = vec![0u32; arr.len()];
-        acc.update(&gids, Some(arr));
-        acc.finish_one(0)
+        acc.update(&gids, Some(arr)).unwrap();
+        acc.finish().scalar_at(0)
     }
 
     #[test]
@@ -840,8 +645,8 @@ mod tests {
     fn count_star_counts_nulls() {
         let mut acc = GroupAcc::new(AggFunc::Count, None).unwrap();
         acc.resize(1);
-        acc.update(&[0, 0], None);
-        assert_eq!(acc.finish_one(0), Scalar::Int64(2));
+        acc.update(&[0, 0], None).unwrap();
+        assert_eq!(acc.finish(), Array::from_i64(vec![2]));
     }
 
     #[test]
@@ -864,9 +669,7 @@ mod tests {
         let gids = [0u32, 1, 0, 1];
         let mut acc = GroupAcc::new(AggFunc::Sum, Some(DataType::Int64)).unwrap();
         acc.resize(2);
-        acc.update(&gids, Some(&vals));
-        assert_eq!(acc.finish_one(0), Scalar::Int64(30));
-        assert_eq!(acc.finish_one(1), Scalar::Int64(3));
+        acc.update(&gids, Some(&vals)).unwrap();
         let arr = acc.finish();
         assert_eq!(arr.scalar_at(0), Scalar::Int64(30));
         assert_eq!(arr.scalar_at(1), Scalar::Int64(3));
@@ -891,12 +694,12 @@ mod tests {
             let whole = run(func, &all);
             let mut a = GroupAcc::new(func, Some(DataType::Int64)).unwrap();
             a.resize(1);
-            a.update(&vec![0u32; left.len()], Some(&left));
+            a.update(&vec![0u32; left.len()], Some(&left)).unwrap();
             let mut b = GroupAcc::new(func, Some(DataType::Int64)).unwrap();
             b.resize(1);
-            b.update(&vec![0u32; right.len()], Some(&right));
+            b.update(&vec![0u32; right.len()], Some(&right)).unwrap();
             a.merge(&b, &[0]).unwrap();
-            assert_eq!(a.finish_one(0), whole, "{func:?}");
+            assert_eq!(a.finish().scalar_at(0), whole, "{func:?}");
         }
     }
 
@@ -905,13 +708,13 @@ mod tests {
         // other's group 0 lands on self's group 1 and vice versa.
         let mut a = GroupAcc::new(AggFunc::Count, None).unwrap();
         a.resize(2);
-        a.update(&[0, 0, 1], None);
+        a.update(&[0, 0, 1], None).unwrap();
         let mut b = GroupAcc::new(AggFunc::Count, None).unwrap();
         b.resize(2);
-        b.update(&[0, 1, 1], None);
+        b.update(&[0, 1, 1], None).unwrap();
         a.merge(&b, &[1, 0]).unwrap();
-        assert_eq!(a.finish_one(0), Scalar::Int64(4)); // 2 + b's group 1 (2)
-        assert_eq!(a.finish_one(1), Scalar::Int64(2)); // 1 + b's group 0 (1)
+        // 2 + b's group 1 (2), then 1 + b's group 0 (1).
+        assert_eq!(a.finish(), Array::from_i64(vec![4, 2]));
     }
 
     #[test]
@@ -919,6 +722,61 @@ mod tests {
         let mut a = GroupAcc::new(AggFunc::Count, None).unwrap();
         let b = GroupAcc::new(AggFunc::Avg, Some(DataType::Float64)).unwrap();
         assert!(a.merge(&b, &[]).is_err());
+    }
+
+    #[test]
+    fn new_accepts_exactly_what_result_type_accepts() {
+        let types = [
+            DataType::Int64,
+            DataType::Float64,
+            DataType::Boolean,
+            DataType::Utf8,
+            DataType::Date32,
+        ];
+        let inputs = std::iter::once(None).chain(types.map(Some));
+        for input in inputs {
+            for func in [
+                AggFunc::Count,
+                AggFunc::Sum,
+                AggFunc::Min,
+                AggFunc::Max,
+                AggFunc::Avg,
+            ] {
+                assert_eq!(
+                    GroupAcc::new(func, input).is_ok(),
+                    func.result_type(input).is_ok(),
+                    "{func:?} over {input:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mistyped_or_short_argument_is_an_error() {
+        let mut acc = GroupAcc::new(AggFunc::Count, Some(DataType::Utf8)).unwrap();
+        acc.resize(1);
+        let ints = Array::from_i64(vec![1, 2]);
+        assert!(
+            acc.update(&[0, 0], Some(&ints)).is_err(),
+            "COUNT(Utf8) fed Int64"
+        );
+        assert!(
+            acc.update(&[0, 0], None).is_err(),
+            "COUNT(x) fed no argument"
+        );
+        let mut acc = GroupAcc::new(AggFunc::Sum, Some(DataType::Float64)).unwrap();
+        acc.resize(1);
+        assert!(
+            acc.update(&[0, 0], Some(&ints)).is_err(),
+            "SUM(Float64) fed Int64"
+        );
+        let floats = Array::from_f64(vec![1.0]);
+        assert!(
+            acc.update(&[0, 0], Some(&floats)).is_err(),
+            "one value, two rows"
+        );
+        // Nothing was folded in.
+        assert_eq!(acc.finish().scalar_at(0), Scalar::Null);
     }
 
     #[test]

@@ -582,7 +582,7 @@ fn add_short_str_codes(
 /// columnar accumulator per aggregate. This is the single aggregation
 /// engine shared by the query engine (partial and final phases) and the
 /// OCS storage executor.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GroupedAggregator {
     map: GroupIdMap,
     accs: Vec<GroupAcc>,
@@ -634,7 +634,7 @@ impl GroupedAggregator {
         let n = self.map.num_groups();
         for (acc, arg) in self.accs.iter_mut().zip(args.iter()) {
             acc.resize(n);
-            acc.update(&gids, *arg);
+            acc.update(&gids, *arg)?;
         }
         self.gid_buf = gids;
         Ok(())
@@ -778,6 +778,20 @@ mod tests {
         assert_eq!(k[0], Array::from_strs(["a", "b"]));
         assert_eq!(m[0], Array::from_i64(vec![6, 30]));
         assert_eq!(m[1], Array::from_i64(vec![3, 2]));
+    }
+
+    #[test]
+    fn mistyped_argument_is_an_error() {
+        let keys = Array::from_i64(vec![1, 2]);
+        let mut agg = GroupedAggregator::new(
+            vec![DataType::Int64],
+            &[(AggFunc::Sum, Some(DataType::Int64))],
+        )
+        .unwrap();
+        let floats = Array::from_f64(vec![1.0, 2.0]);
+        assert!(agg.update(&[&keys], &[Some(&floats)], 2).is_err());
+        let short = Array::from_i64(vec![1]);
+        assert!(agg.update(&[&keys], &[Some(&short)], 2).is_err());
     }
 
     #[test]

@@ -376,15 +376,15 @@ proptest! {
                 let arr = build_int(ch);
                 let mut st = GroupAcc::new(func, Some(DataType::Int64)).unwrap();
                 st.resize(1);
-                st.update(&vec![0u32; arr.len()], Some(&arr));
+                st.update(&vec![0u32; arr.len()], Some(&arr)).unwrap();
                 merged.merge(&st, &[0]).unwrap();
                 flat.extend_from_slice(ch);
             }
             let all = build_int(&flat);
             let mut whole = GroupAcc::new(func, Some(DataType::Int64)).unwrap();
             whole.resize(1);
-            whole.update(&vec![0u32; all.len()], Some(&all));
-            let (m, w) = (merged.finish_one(0), whole.finish_one(0));
+            whole.update(&vec![0u32; all.len()], Some(&all)).unwrap();
+            let (m, w) = (merged.finish().scalar_at(0), whole.finish().scalar_at(0));
             // AVG accumulates floats in a different association order; allow tiny eps.
             let ok = match (&m, &w) {
                 (Scalar::Float64(x), Scalar::Float64(y)) => (x - y).abs() < 1e-9,

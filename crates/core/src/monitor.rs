@@ -35,7 +35,7 @@ pub struct HistoryEntry {
     /// Frames that crossed the storage boundary.
     pub frames: u64,
     /// Per-phase `(label, simulated seconds)` — the root span's direct
-    /// phase children, in execution order. Empty when tracing was off.
+    /// phase children, in execution order.
     pub breakdown: Vec<(String, f64)>,
 }
 

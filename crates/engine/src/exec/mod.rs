@@ -101,10 +101,10 @@ fn price(cost: &CostParams, c: &ops::Cost) -> Work {
 
 /// Execute a linear plan chain.
 ///
-/// `tracer` receives the query's span tree on the simulated clock (pass
-/// [`obs::Tracer::disabled`] to skip all span work); `analysis_s` is the
-/// coordinator's plan-analysis cost, billed here so the trace's phase
-/// spans can be laid out in execution order from one place.
+/// `tracer` receives the query's span tree on the simulated clock;
+/// `analysis_s` is the coordinator's plan-analysis cost, billed here so
+/// the trace's phase spans can be laid out in execution order from one
+/// place.
 pub fn execute_plan(
     plan: &LogicalPlan,
     metastore: &Metastore,
@@ -220,50 +220,47 @@ pub fn execute_plan(
     // run concurrently, and each receives the storage-executor spans that
     // crossed the boundary in its trailer frame, re-scaled into the
     // split's window ([`obs::Tracer::graft`]).
-    if tracer.is_enabled() {
-        let mut span = tracer.start("split_phase", "phase", Some(root_id), cursor);
-        span.attr("splits", reports.len() as u64);
-        span.attr("frames", phase.frames);
-        span.attr("bytes", phase.moved_bytes);
-        span.attr("time_to_first_batch_s", phase.time_to_first_batch_s);
-        span.attr("peak_buffered_bytes", phase.peak_buffered_bytes);
-        if let Some(b) = profile.bottleneck() {
+    let mut span = tracer.start("split_phase", "phase", Some(root_id), cursor);
+    span.attr("splits", reports.len() as u64);
+    span.attr("frames", phase.frames);
+    span.attr("bytes", phase.moved_bytes);
+    span.attr("time_to_first_batch_s", phase.time_to_first_batch_s);
+    span.attr("peak_buffered_bytes", phase.peak_buffered_bytes);
+    if let Some(b) = profile.bottleneck() {
+        span.attr("bottleneck", b.resource.as_str());
+        span.attr(
+            "bottleneck_util_pct",
+            (b.utilization * 100.0).round() as u64,
+        );
+    }
+    let split_phase_id = span.close(cursor + phase.overlapped_s);
+    Ledger::layout_spans(tracer, split_phase_id, cursor, &phase.phase_shares);
+
+    for (split_ix, (r, done)) in reports.iter().zip(&phase.split_done_s).enumerate() {
+        let end = cursor + done;
+        let mut span = tracer.start(
+            format!("split[{split_ix}]"),
+            "split",
+            Some(split_phase_id),
+            cursor,
+        );
+        span.attr("rows", r.stats.rows_returned);
+        span.attr("bytes", r.network_bytes);
+        span.attr("frames", r.frames.len() as u64);
+        if let Some(b) = profile.bottleneck_in(cursor, end) {
             span.attr("bottleneck", b.resource.as_str());
             span.attr(
                 "bottleneck_util_pct",
                 (b.utilization * 100.0).round() as u64,
             );
         }
-        let split_phase_id = span.close(cursor + phase.overlapped_s);
-        Ledger::layout_spans(tracer, split_phase_id, cursor, &phase.phase_shares);
-
-        for (split_ix, (r, done)) in reports.iter().zip(&phase.split_done_s).enumerate() {
-            let end = cursor + done;
-            let mut span = tracer.start(
-                format!("split[{split_ix}]"),
-                "split",
-                Some(split_phase_id),
-                cursor,
-            );
-            span.attr("rows", r.stats.rows_returned);
-            span.attr("bytes", r.network_bytes);
-            span.attr("frames", r.frames.len() as u64);
-            if let Some(b) = profile.bottleneck_in(cursor, end) {
-                span.attr("bottleneck", b.resource.as_str());
-                span.attr(
-                    "bottleneck_util_pct",
-                    (b.utilization * 100.0).round() as u64,
-                );
-            }
-            let id = span.close(end);
-            tracer.graft(&r.stats.spans, id, cursor, end);
-        }
+        let id = span.close(end);
+        tracer.graft(&r.stats.spans, id, cursor, end);
     }
     cursor += phase.overlapped_s;
 
     // Query totals of the storage-side counters. The spans were grafted
-    // above (or tracing is off); dropping them first keeps `merge` from
-    // cloning any.
+    // above; dropping them first keeps `merge` from cloning any.
     let mut stats = ExecStats::default();
     for mut r in reports {
         r.stats.spans.clear();
@@ -334,7 +331,7 @@ pub fn execute_plan(
     // The final-stage span is the root's last sequential child; its
     // operator children are laid back-to-back inside it with the same
     // core-seconds the ledger was billed.
-    if tracer.is_enabled() && final_s > 0.0 {
+    if final_s > 0.0 {
         let final_id = tracer.record(
             Phase::ComputeCpu.label(),
             "phase",

@@ -65,8 +65,7 @@ pub struct QueryResult {
     /// The priced split phase (overlapped vs. additive makespan,
     /// streaming observability).
     pub pipeline: netsim::SplitPhase,
-    /// The query's span tree on the simulated clock (empty when tracing
-    /// is disabled).
+    /// The query's span tree on the simulated clock.
     pub trace: Arc<obs::Trace>,
     /// Per-resource utilization timelines over the split phase, with
     /// bottleneck attribution ([`obs::Profile::bottleneck`]).
@@ -87,7 +86,6 @@ pub enum StatementOutput {
 pub struct EngineBuilder {
     cluster: ClusterSpec,
     cost: CostParams,
-    tracing: bool,
 }
 
 impl Default for EngineBuilder {
@@ -95,7 +93,6 @@ impl Default for EngineBuilder {
         EngineBuilder {
             cluster: ClusterSpec::paper_testbed(),
             cost: CostParams::default(),
-            tracing: true,
         }
     }
 }
@@ -118,12 +115,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Enable or disable span recording (on by default).
-    pub fn tracing(mut self, on: bool) -> Self {
-        self.tracing = on;
-        self
-    }
-
     /// Build the engine.
     pub fn build(self) -> Engine {
         Engine {
@@ -132,7 +123,6 @@ impl EngineBuilder {
             listeners: DebugRwLock::named("engine.session.listeners", 20, Vec::new()),
             cluster: self.cluster,
             cost: self.cost,
-            tracing: self.tracing,
         }
     }
 }
@@ -144,7 +134,6 @@ pub struct Engine {
     listeners: DebugRwLock<Vec<Arc<dyn EventListener>>>,
     cluster: ClusterSpec,
     cost: CostParams,
-    tracing: bool,
 }
 
 impl Engine {
@@ -217,25 +206,18 @@ impl Engine {
     /// Execute a SQL query end to end.
     pub fn execute(&self, sql: &str) -> EResult<QueryResult> {
         let query = sqlparse::parse(sql)?;
-        let tracer = self.new_tracer();
-        self.execute_parsed(&query, sql, &tracer)
+        self.execute_parsed(&query, sql)
     }
 
     /// Execute a statement: a plain query returns rows; `EXPLAIN` returns
     /// the optimized plan without executing; `EXPLAIN ANALYZE` executes
-    /// and renders the annotated span tree over the simulated clock
-    /// (tracing is forced on for it, regardless of the builder flag).
+    /// and renders the annotated span tree over the simulated clock.
     pub fn execute_statement(&self, sql: &str) -> EResult<StatementOutput> {
         let stmt = sqlparse::parse_statement(sql)?;
         match stmt.kind {
-            StatementKind::Query => {
-                let tracer = self.new_tracer();
-                Ok(StatementOutput::Rows(Box::new(self.execute_parsed(
-                    &stmt.query,
-                    sql,
-                    &tracer,
-                )?)))
-            }
+            StatementKind::Query => Ok(StatementOutput::Rows(Box::new(
+                self.execute_parsed(&stmt.query, sql)?,
+            ))),
             StatementKind::Explain => {
                 let (_, plan, _) = self.plan_parsed(&stmt.query)?;
                 Ok(StatementOutput::Text(format!(
@@ -244,17 +226,18 @@ impl Engine {
                 )))
             }
             StatementKind::ExplainAnalyze => {
-                let tracer = obs::Tracer::new();
                 let flight_start = obs::flight().cursor();
-                let result = self.execute_parsed(&stmt.query, sql, &tracer)?;
+                let result = self.execute_parsed(&stmt.query, sql)?;
                 let mut text = obs::explain::render_analyze(sql.trim(), &result.trace);
                 if let Some(b) = result.profile.bottleneck() {
                     text.push_str(&format!("\nbottleneck: {b}\n"));
                 }
+                // One process-wide ring: a concurrent query's events land
+                // in this slice too, and the header says so.
                 let events = obs::flight().since(flight_start);
                 if !events.is_empty() {
                     text.push_str(&format!(
-                        "flight events during query ({}, last {} shown):\n",
+                        "flight events during query, process-wide ({}, last {} shown):\n",
                         events.len(),
                         events.len().min(8)
                     ));
@@ -282,20 +265,7 @@ impl Engine {
         }
     }
 
-    fn new_tracer(&self) -> obs::Tracer {
-        if self.tracing {
-            obs::Tracer::new()
-        } else {
-            obs::Tracer::disabled()
-        }
-    }
-
-    fn execute_parsed(
-        &self,
-        query: &Query,
-        sql: &str,
-        tracer: &obs::Tracer,
-    ) -> EResult<QueryResult> {
+    fn execute_parsed(&self, query: &Query, sql: &str) -> EResult<QueryResult> {
         let (analyzed, plan, traversed_nodes) = self.plan_parsed(query)?;
         let logical_plan = analyzed.plan.to_string();
         // Table 3's "Logical Plan Analysis".
@@ -304,13 +274,14 @@ impl Engine {
         let chain = plan.chain_description();
 
         let connectors = self.connectors.read().clone();
+        let tracer = obs::Tracer::new();
         let outcome = execute_plan(
             &plan,
             &self.metastore,
             &connectors,
             &self.cluster,
             &self.cost,
-            tracer,
+            &tracer,
             self.cluster.compute.core_seconds(analysis_work),
         )?;
 

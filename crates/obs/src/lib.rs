@@ -26,9 +26,7 @@
 //!   of cache/routing/backpressure decisions ([`FlightRecorder`]), whose
 //!   per-query slice `EXPLAIN ANALYZE` prints.
 //!
-//! The crate is dependency-free and the tracer is free when disabled: a
-//! [`Tracer::disabled`] handle records nothing and costs one branch per
-//! call site.
+//! The crate is dependency-free.
 
 #![warn(missing_docs)]
 

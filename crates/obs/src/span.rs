@@ -140,49 +140,28 @@ impl Default for TracerInner {
     }
 }
 
-/// A handle recording spans for one query. Clones share the same trace;
-/// the disabled tracer records nothing and costs one branch per call.
+/// A handle recording spans for one query. Clones share the same trace.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
-    inner: Option<Arc<TracerInner>>,
+    inner: Arc<TracerInner>,
 }
 
 impl Tracer {
-    /// An enabled tracer.
+    /// A tracer with no spans yet.
     pub fn new() -> Tracer {
-        Tracer {
-            inner: Some(Arc::new(TracerInner::default())),
-        }
-    }
-
-    /// The no-op tracer.
-    pub fn disabled() -> Tracer {
-        Tracer { inner: None }
-    }
-
-    /// True when spans are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        Tracer::default()
     }
 
     fn push(&self, span: Span) -> SpanId {
-        match &self.inner {
-            None => SpanId(0),
-            Some(inner) => {
-                let id = span.id;
-                inner.spans.lock().push(span);
-                id
-            }
-        }
+        let id = span.id;
+        self.inner.spans.lock().push(span);
+        id
     }
 
     fn mint(&self) -> SpanId {
-        match &self.inner {
-            None => SpanId(0),
-            // RELAXED: a pure id allocator — ids only need uniqueness, no
-            // ordering with any other memory access.
-            Some(inner) => SpanId(inner.next.fetch_add(1, Ordering::Relaxed) + 1),
-        }
+        // RELAXED: a pure id allocator — ids only need uniqueness, no
+        // ordering with any other memory access.
+        SpanId(self.inner.next.fetch_add(1, Ordering::Relaxed) + 1)
     }
 
     /// Record a closed span `[start_s, end_s]` on the simulated clock.
@@ -194,9 +173,6 @@ impl Tracer {
         start_s: f64,
         end_s: f64,
     ) -> SpanId {
-        if self.inner.is_none() {
-            return SpanId(0);
-        }
         let id = self.mint();
         self.push(Span {
             id,
@@ -221,12 +197,6 @@ impl Tracer {
         parent: Option<SpanId>,
         start_s: f64,
     ) -> SpanGuard {
-        if self.inner.is_none() {
-            return SpanGuard {
-                tracer: Tracer::disabled(),
-                span: None,
-            };
-        }
         let id = self.mint();
         SpanGuard {
             tracer: self.clone(),
@@ -246,8 +216,7 @@ impl Tracer {
 
     /// Attach an attribute to an already-recorded span.
     pub fn attr(&self, id: SpanId, key: &str, value: impl Into<AttrValue>) {
-        let Some(inner) = &self.inner else { return };
-        let mut spans = inner.spans.lock();
+        let mut spans = self.inner.spans.lock();
         if let Some(s) = spans.iter_mut().find(|s| s.id == id) {
             s.attrs.push((key.to_string(), value.into()));
         }
@@ -255,8 +224,7 @@ impl Tracer {
 
     /// Attach measured wall-clock seconds to an already-recorded span.
     pub fn set_wall(&self, id: SpanId, wall_s: f64) {
-        let Some(inner) = &self.inner else { return };
-        let mut spans = inner.spans.lock();
+        let mut spans = self.inner.spans.lock();
         if let Some(s) = spans.iter_mut().find(|s| s.id == id) {
             s.wall_s = Some(wall_s);
         }
@@ -274,7 +242,6 @@ impl Tracer {
     ///
     /// Returns the number of spans grafted.
     pub fn graft(&self, recs: &[SpanRec], parent: SpanId, start_s: f64, end_s: f64) -> usize {
-        let Some(inner) = &self.inner else { return 0 };
         if recs.is_empty() {
             return 0;
         }
@@ -293,7 +260,7 @@ impl Tracer {
         let lookup = |local: u64| -> Option<SpanId> {
             map.iter().find(|(l, _)| *l == local).map(|(_, id)| *id)
         };
-        let mut spans = inner.spans.lock();
+        let mut spans = self.inner.spans.lock();
         for (r, (_, id)) in recs.iter().zip(&map) {
             let new_parent = if r.parent == 0 {
                 Some(parent)
@@ -324,10 +291,7 @@ impl Tracer {
     /// Snapshot the recorded spans as a finished [`Trace`], sorted by
     /// (start, id). The tracer stays usable afterwards.
     pub fn finish(&self) -> Trace {
-        let mut spans = match &self.inner {
-            None => Vec::new(),
-            Some(inner) => inner.spans.lock().clone(),
-        };
+        let mut spans = self.inner.spans.lock().clone();
         spans.sort_by(|a, b| {
             a.start_s
                 .partial_cmp(&b.start_s)
@@ -348,7 +312,7 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// The id of the span being recorded (0 when tracing is disabled).
+    /// The id of the span being recorded.
     pub fn id(&self) -> SpanId {
         self.span.as_ref().map(|s| s.id).unwrap_or(SpanId(0))
     }
@@ -701,17 +665,6 @@ mod tests {
         let trace = t.finish();
         assert!(!trace.spans[0].closed_cleanly);
         assert!(trace.verify(0.0).is_err());
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let t = Tracer::disabled();
-        assert!(!t.is_enabled());
-        let id = t.record("x", "phase", None, 0.0, 1.0);
-        assert_eq!(id, SpanId(0));
-        let g = t.start("y", "phase", None, 0.0);
-        g.close(1.0);
-        assert!(t.finish().spans.is_empty());
     }
 
     #[test]

@@ -240,22 +240,18 @@ impl StorageNode {
         );
 
         let tracer = obs::Tracer::new();
-        let spans = if tracer.is_enabled() {
-            let root = tracer.record(
-                format!("storage[{}].execute", self.id),
-                "storage",
-                None,
-                0.0,
-                0.0,
-            );
-            tracer.set_wall(root, wall_start.elapsed().as_secs_f64());
-            tracer.attr(root, "cache_hit", "result");
-            tracer.attr(root, "cache_bytes_avoided", cached.bytes_avoided);
-            tracer.attr(root, "rows", rows);
-            tracer.finish().to_recs()
-        } else {
-            Vec::new()
-        };
+        let root = tracer.record(
+            format!("storage[{}].execute", self.id),
+            "storage",
+            None,
+            0.0,
+            0.0,
+        );
+        tracer.set_wall(root, wall_start.elapsed().as_secs_f64());
+        tracer.attr(root, "cache_hit", "result");
+        tracer.attr(root, "cache_bytes_avoided", cached.bytes_avoided);
+        tracer.attr(root, "rows", rows);
+        let spans = tracer.finish().to_recs();
 
         NodeResponse {
             batches: cached.batches.clone(),
@@ -280,9 +276,6 @@ impl StorageNode {
         wall_start: std::time::Instant,
     ) -> Vec<obs::SpanRec> {
         let tracer = obs::Tracer::new();
-        if !tracer.is_enabled() {
-            return Vec::new();
-        }
         let total = disk_s + decompress_s + scan_s + ops_s;
         let root = tracer.record(
             format!("storage[{}].execute", self.id),

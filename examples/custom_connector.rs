@@ -12,7 +12,7 @@
 //! ```
 
 use std::any::Any;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use columnar::kernels::{boolean, cmp, selection};
 use columnar::prelude::*;
@@ -25,7 +25,6 @@ use dsq::spi::{
     PageSourceProvider, PageSourceResult, Split, SplitManager, TableHandle,
 };
 use dsq::EngineBuilder;
-use parking_lot::Mutex;
 
 /// Our connector's private scan handle: the pushed-down predicate.
 #[derive(Debug, Clone)]
@@ -64,7 +63,10 @@ impl MemOptimizer {
         if let LogicalPlan::Filter { input, predicate } = plan {
             if let LogicalPlan::TableScan(scan) = input.as_ref() {
                 if scan.connector == "mem" {
-                    self.log.lock().push(format!("pushed filter: {predicate}"));
+                    self.log
+                        .lock()
+                        .expect("connector log lock")
+                        .push(format!("pushed filter: {predicate}"));
                     return plan.with_input(LogicalPlan::TableScan(TableScanNode {
                         handle: Arc::new(MemHandle {
                             predicate: Some(predicate.clone()),
@@ -187,7 +189,7 @@ fn main() {
     println!("plan:\n{}", result.optimized_plan);
     print!("result:\n{}", result.batch);
     println!("\nconnector log:");
-    for line in log.lock().iter() {
+    for line in log.lock().expect("connector log lock").iter() {
         println!("  {line}");
     }
 

@@ -174,31 +174,14 @@ fn chrome_export_of_real_query_validates() {
     assert!(summary.contains("duration event"), "{summary}");
 }
 
+/// The monitor remembers a query's streaming numbers from the finished
+/// result the event borrows: frames, peak buffer, time to first batch,
+/// storage stats and rows all equal the `QueryResult`'s, and its phase
+/// breakdown is the trace root's phase children.
 #[test]
-fn disabled_tracing_yields_empty_trace_and_working_queries() {
+fn monitor_reports_the_results_streaming_numbers() {
     let _ring = writes_flight_ring();
-    let st = stack(PushdownPolicy::all(), CodecKind::None, &[]);
-    // The fixture engine traces; spot-check the off switch via a second
-    // engine sharing nothing: cheapest is rebuilding a stack is heavy, so
-    // assert the no-op tracer contract directly instead.
-    let t = obs::Tracer::disabled();
-    assert!(!t.is_enabled());
-    assert_eq!(t.record("x", "phase", None, 0.0, 1.0), obs::SpanId(0));
-    assert!(t.finish().spans.is_empty());
-    // And a traced engine run still returns correct rows.
-    rebind(&st, "lineitem", "ocs");
-    let r = st.engine.execute(queries::TPCH_Q1).expect("q1");
-    assert!(r.batch.num_rows() > 0);
-}
-
-/// Regression: the monitor used to read its streaming numbers off the
-/// `split_phase` span's attributes, so an engine built with
-/// `tracing(false)` remembered every query as zero frames and an empty
-/// stream buffer. It now reads the finished result the event borrows.
-#[test]
-fn monitor_reports_streaming_numbers_with_tracing_off() {
-    let _ring = writes_flight_ring();
-    let engine = dsq::EngineBuilder::new().tracing(false).build();
+    let engine = dsq::EngineBuilder::new().build();
     let store = Arc::new(objstore::ObjectStore::new());
     workloads::tpch::load(
         &workloads::TableLoader::new(&store, engine.metastore()),
@@ -217,8 +200,16 @@ fn monitor_reports_streaming_numbers_with_tracing_off() {
     engine.add_listener(monitor.clone());
 
     let r = engine.execute(queries::TPCH_Q1).expect("q1");
-    assert!(r.trace.spans.is_empty(), "tracing is off");
     assert!(r.pipeline.frames > 0 && r.pipeline.peak_buffered_bytes > 0);
+    let root = r.trace.root().expect("root span");
+    let phases: Vec<(String, f64)> = r
+        .trace
+        .children(root.id)
+        .into_iter()
+        .filter(|s| s.cat == "phase")
+        .map(|s| (s.name.clone(), s.seconds()))
+        .collect();
+    assert!(!phases.is_empty());
     monitor.with_history(|h| {
         let e = h.entries().next().expect("one remembered query");
         assert_eq!(e.frames, r.pipeline.frames);
@@ -226,7 +217,7 @@ fn monitor_reports_streaming_numbers_with_tracing_off() {
         assert_eq!(e.time_to_first_batch_s, r.pipeline.time_to_first_batch_s);
         assert_eq!(e.stats, r.stats);
         assert_eq!(e.result_rows, r.batch.num_rows() as u64);
-        assert!(e.breakdown.is_empty(), "no span tree to break down");
+        assert_eq!(e.breakdown, phases);
         assert!(
             !h.summary().contains(" 0.0 frames/query"),
             "{}",
@@ -326,7 +317,7 @@ fn explain_analyze_names_bottleneck_and_flight_events() {
             // The always-on flight recorder saw the query happen: the
             // header's counts match the `#<seq>` lines that follow it…
             let (_, rest) = text
-                .split_once("flight events during query (")
+                .split_once("flight events during query, process-wide (")
                 .unwrap_or_else(|| panic!("no flight events in:\n{text}"));
             let (counts, lines) = rest.split_once("):\n").expect("header closes");
             let (by_kind, lines) = lines.split_once('\n').expect("by-kind line");
@@ -376,7 +367,7 @@ fn explain_analyze_counts_flight_events_by_kind() {
         panic!("EXPLAIN ANALYZE must return text");
     };
     let (_, rest) = text
-        .split_once("flight events during query (")
+        .split_once("flight events during query, process-wide (")
         .unwrap_or_else(|| panic!("no flight events in:\n{text}"));
     let (total, rest) = rest.split_once(", last ").expect("total, shown");
     let total: usize = total.parse().expect("total count");
