@@ -4,8 +4,10 @@
 //!
 //! Two layers live here:
 //!
-//! * the **batch encoding** (`encode_batch`/`decode_batch`) — one
-//!   self-describing `b"CIP2"` message per batch;
+//! * the **message** — one self-describing `b"CIP3"` encoding of a batch.
+//!   `encode_batch`/`decode_batch` seal it with its own checksum: that is a
+//!   plain `parq` page. [`put_message`]/[`decode_message`] leave it bare,
+//!   for containers that checksum it together with their own bytes;
 //! * the **frame stream** (`encode_schema_frame`/`encode_batch_frame`/
 //!   `encode_trailer_frame` + [`FrameDecoder`]) — the streaming boundary's
 //!   unit of transfer: a schema frame, then one frame per batch as the
@@ -13,32 +15,34 @@
 //!   request's execution statistics. Frames are length-prefixed,
 //!   bound-checked and individually checksummed so a consumer can decode
 //!   incrementally as bytes arrive and fail structurally (never panic) on
-//!   truncation or corruption.
+//!   truncation or corruption. A batch frame carries a bare message.
 //!
-//! Both layers end in the same integrity check: a little-endian `u32`
-//! XXH32 (seed 0) of every byte before it — the checksum LZ4's frame format
-//! uses for this job (the `xxh32` function in this module documents what
-//! it guarantees). There is one wire version and one decoder.
+//! Every container that crosses a trust boundary — a plain page, a
+//! dictionary page and a file footer in `parq`, a frame here — ends in one
+//! little-endian `u64` [`checksum`] of every byte before it, and no byte is
+//! under two checksums. [`seal`] writes it and [`unseal`] verifies it;
+//! [`checksum`] documents what it guarantees. There is one wire version and
+//! one decoder.
 //!
-//! Batch layout (all integers little-endian):
+//! Message layout (all integers little-endian):
 //!
 //! ```text
-//! magic   : 4 bytes  b"CIP2"
+//! magic   : 4 bytes  b"CIP3"
 //! ncols   : u32
 //! nrows   : u64
 //! fields  : per column — name_len u32, name bytes, type tag u8, nullable u8
 //! columns : per column — has_validity u8, [validity bytes], value buffers
-//! crc     : u32 (XXH32 over everything before it)
+//! [crc]   : u64 (checksum over everything before it; sealed messages only)
 //! ```
 //!
 //! Frame layout:
 //!
 //! ```text
-//! magic   : 4 bytes  b"CFR2"
+//! magic   : 4 bytes  b"CFR3"
 //! kind    : u8 (1 = schema, 2 = batch, 3 = trailer)
 //! len     : u32 payload length (bound-checked against MAX_FRAME_BYTES)
-//! payload : len bytes (schema fields / one CIP2 batch / opaque stats)
-//! crc     : u32 (XXH32 over magic..payload)
+//! payload : len bytes (schema fields / one bare CIP3 message / opaque stats)
+//! crc     : u64 (checksum over magic..payload)
 //! ```
 
 use bytes::{BufMut, Bytes};
@@ -51,83 +55,121 @@ use crate::datatype::DataType;
 use crate::error::{ColumnarError, Result};
 use crate::schema::{Field, Schema, SchemaRef};
 
-const MAGIC: &[u8; 4] = b"CIP2";
+const MAGIC: &[u8; 4] = b"CIP3";
 
-const PRIME32_1: u32 = 0x9E37_79B1;
-const PRIME32_2: u32 = 0x85EB_CA77;
-const PRIME32_3: u32 = 0xC2B2_AE3D;
-const PRIME32_4: u32 = 0x27D4_EB2F;
-const PRIME32_5: u32 = 0x1656_67B1;
+/// Width of the checksum that ends every sealed container.
+pub const CHECKSUM_BYTES: usize = 8;
 
-fn xxh32_round(acc: u32, word: u32) -> u32 {
-    acc.wrapping_add(word.wrapping_mul(PRIME32_2))
-        .rotate_left(13)
-        .wrapping_mul(PRIME32_1)
+const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
+const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const PRIME64_3: u64 = 0x1656_67B1_9E37_79F9;
+const PRIME64_4: u64 = 0x85EB_CA77_C2B2_AE63;
+const PRIME64_5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// XXH64's round: a bijection of `acc` for a fixed `word`, and of `word`
+/// for a fixed `acc` (the multipliers are odd).
+fn round(acc: u64, word: u64) -> u64 {
+    acc.wrapping_add(word.wrapping_mul(PRIME64_2))
+        .rotate_left(31)
+        .wrapping_mul(PRIME64_1)
 }
 
-/// XXH32 with seed 0: the integrity checksum of every CIP batch (hence
-/// every plain `parq` page) and every `CFR` frame.
+/// The integrity checksum of every page, frame and footer: XXH64 (seed 0)
+/// with its lanes merged by rotate-and-add, as XXH32 merges its lanes.
 ///
-/// Input is consumed in 16-byte stripes, one little-endian word into each
-/// of four independent accumulators, so the four multiplies of a stripe
-/// overlap instead of queueing behind one another as in a byte-serial
-/// hash. Words and bytes left after the last stripe are folded in one at a
-/// time.
+/// Input is consumed in 32-byte stripes, one little-endian `u64` word into
+/// each of four independent accumulators, so the four multiplies of a
+/// stripe overlap instead of queueing behind one another. Words, a half
+/// word and bytes left after the last stripe are folded in one at a time,
+/// then the result is avalanched. Every step is XXH64's except the merge:
+/// XXH64 then mixes each lane into the sum a second time, which this hash
+/// leaves out. Below 32 bytes there is no merge, so the hash *is* XXH64
+/// there and its published vectors pin it.
 ///
 /// Guarantee the corruption tests rely on: every step (stripe round, tail
-/// word, tail byte) is a bijection of its accumulator in the input it
-/// absorbs, and everything after it — later rounds, the lane merge, the
-/// final avalanche — is a bijection of that accumulator. Two inputs of
-/// equal length that differ only inside one 4-byte stripe word (or one
-/// tail byte) therefore never collide; in particular every single-bit flip
-/// is detected. Damage spread over several words is caught with
-/// probability 1 - 2^-32.
-pub fn xxh32(bytes: &[u8]) -> u32 {
+/// word, half word, tail byte) is a bijection of its accumulator in the
+/// input it absorbs, and everything after it — later rounds of the same
+/// lane, the rotate-and-add merge (a bijection of each lane with the others
+/// fixed), the length fold, later tail steps, the final avalanche — is a
+/// bijection of that accumulator. Two inputs of equal length that differ
+/// only inside one 8-byte word (or one tail half word or byte) therefore
+/// never collide; in particular every single-byte change is detected.
+/// XXH64's merge rounds would break the chain: after them a lane enters the
+/// sum twice, and no step is a bijection of it alone. Damage spread over
+/// several words is caught with probability 1 - 2^-64.
+pub fn checksum(bytes: &[u8]) -> u64 {
     bytes_hashed().add(bytes.len() as u64);
-    let mut stripes = bytes.chunks_exact(16);
-    let mut h = if bytes.len() >= 16 {
+    let (stripes, tail) = bytes.as_chunks::<32>();
+    let mut h = if stripes.is_empty() {
+        PRIME64_5
+    } else {
         let mut v = [
-            PRIME32_1.wrapping_add(PRIME32_2),
-            PRIME32_2,
+            PRIME64_1.wrapping_add(PRIME64_2),
+            PRIME64_2,
             0,
-            0u32.wrapping_sub(PRIME32_1),
+            0u64.wrapping_sub(PRIME64_1),
         ];
-        for stripe in &mut stripes {
-            v[0] = xxh32_round(v[0], le_u32(&stripe[0..4]));
-            v[1] = xxh32_round(v[1], le_u32(&stripe[4..8]));
-            v[2] = xxh32_round(v[2], le_u32(&stripe[8..12]));
-            v[3] = xxh32_round(v[3], le_u32(&stripe[12..16]));
+        for stripe in stripes {
+            v[0] = round(v[0], le_u64(&stripe[0..8]));
+            v[1] = round(v[1], le_u64(&stripe[8..16]));
+            v[2] = round(v[2], le_u64(&stripe[16..24]));
+            v[3] = round(v[3], le_u64(&stripe[24..32]));
         }
         v[0].rotate_left(1)
             .wrapping_add(v[1].rotate_left(7))
             .wrapping_add(v[2].rotate_left(12))
             .wrapping_add(v[3].rotate_left(18))
-    } else {
-        PRIME32_5
     };
-    // The reference folds the length in modulo 2^32.
-    h = h.wrapping_add(bytes.len() as u32);
-    let mut words = stripes.remainder().chunks_exact(4);
-    for word in &mut words {
-        h = h
-            .wrapping_add(le_u32(word).wrapping_mul(PRIME32_3))
-            .rotate_left(17)
-            .wrapping_mul(PRIME32_4);
+    h = h.wrapping_add(bytes.len() as u64);
+    let (words, tail) = tail.as_chunks::<8>();
+    for word in words {
+        h = (h ^ round(0, u64::from_le_bytes(*word)))
+            .rotate_left(27)
+            .wrapping_mul(PRIME64_1)
+            .wrapping_add(PRIME64_4);
     }
-    for &byte in words.remainder() {
-        h = h
-            .wrapping_add(u32::from(byte).wrapping_mul(PRIME32_5))
+    let (halves, tail) = tail.as_chunks::<4>();
+    for half in halves {
+        h = (h ^ u64::from(u32::from_le_bytes(*half)).wrapping_mul(PRIME64_1))
+            .rotate_left(23)
+            .wrapping_mul(PRIME64_2)
+            .wrapping_add(PRIME64_3);
+    }
+    for &byte in tail {
+        h = (h ^ u64::from(byte).wrapping_mul(PRIME64_5))
             .rotate_left(11)
-            .wrapping_mul(PRIME32_1);
+            .wrapping_mul(PRIME64_1);
     }
-    h ^= h >> 15;
-    h = h.wrapping_mul(PRIME32_2);
-    h ^= h >> 13;
-    h = h.wrapping_mul(PRIME32_3);
-    h ^ (h >> 16)
+    h ^= h >> 33;
+    h = h.wrapping_mul(PRIME64_2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(PRIME64_3);
+    h ^ (h >> 32)
 }
 
-/// Bytes that went through [`xxh32`], process-wide.
+/// Append the [`checksum`] of `buf[start..]` to `buf`: the container that
+/// starts at `start` is sealed.
+pub fn seal(buf: &mut Vec<u8>, start: usize) {
+    let crc = checksum(&buf[start..]);
+    buf.put_u64_le(crc);
+}
+
+/// Verify the checksum that ends `sealed` and return the bytes it covers,
+/// as a view of the same buffer.
+pub fn unseal(sealed: &Bytes) -> Result<Bytes> {
+    let Some(body_len) = sealed.len().checked_sub(CHECKSUM_BYTES) else {
+        return Err(ColumnarError::Corrupt(format!(
+            "{} bytes cannot hold a checksum",
+            sealed.len()
+        )));
+    };
+    if checksum(&sealed[..body_len]) != le_u64(&sealed[body_len..]) {
+        return Err(ColumnarError::Corrupt("checksum mismatch".into()));
+    }
+    Ok(sealed.slice(..body_len))
+}
+
+/// Bytes that went through [`checksum`], process-wide.
 fn bytes_hashed() -> &'static obs::Counter {
     static C: OnceLock<obs::Counter> = OnceLock::new();
     C.get_or_init(|| obs::metrics().counter("columnar.bytes_hashed"))
@@ -191,28 +233,34 @@ fn put_array(buf: &mut Vec<u8>, array: &Array) {
     }
 }
 
-/// Serialize one batch.
+/// Serialize one batch as a sealed message: the message, then its checksum.
 pub fn encode_batch(batch: &RecordBatch) -> Bytes {
-    let mut buf = Vec::with_capacity(batch_room(batch));
-    put_batch(&mut buf, batch);
+    let _t = obs::KernelTimer::start("columnar.ipc.encode_s");
+    let mut buf = Vec::with_capacity(message_room(batch) + CHECKSUM_BYTES);
+    write_message(&mut buf, batch);
+    seal(&mut buf, 0);
     buf.into()
 }
 
-/// An upper bound on the CIP2 message of `batch`: past `byte_size`, the
-/// message costs 20 bytes, each field its name plus six bytes, and each
-/// column at most 15 (the validity flag, and up to 7 bytes of word padding
-/// on each of two bitmaps, or the Utf8 data length).
-fn batch_room(batch: &RecordBatch) -> usize {
-    let names: usize = batch.schema().fields().iter().map(|f| f.name.len()).sum();
-    20 + names + 21 * batch.num_columns() + batch.byte_size()
+/// Append the bare CIP3 message of `batch` to `buf`, for a container that
+/// checksums it with its own bytes (a batch frame, a dictionary page).
+pub fn put_message(buf: &mut Vec<u8>, batch: &RecordBatch) {
+    let _t = obs::KernelTimer::start("columnar.ipc.encode_s");
+    write_message(buf, batch);
 }
 
-/// Append the CIP2 message of `batch` to `buf`, its checksum over its own
-/// bytes only, so the message is the same wherever in a buffer it starts.
-fn put_batch(buf: &mut Vec<u8>, batch: &RecordBatch) {
-    let _t = obs::KernelTimer::start("columnar.ipc.encode_s");
+/// An upper bound on the bare CIP3 message of `batch`: past `byte_size`,
+/// the message costs 16 bytes, each field its name plus six bytes, and each
+/// column at most 15 (the validity flag, and up to 7 bytes of word padding
+/// on each of two bitmaps, or the Utf8 data length).
+fn message_room(batch: &RecordBatch) -> usize {
+    let names: usize = batch.schema().fields().iter().map(|f| f.name.len()).sum();
+    16 + names + 21 * batch.num_columns() + batch.byte_size()
+}
+
+fn write_message(buf: &mut Vec<u8>, batch: &RecordBatch) {
     let start = buf.len();
-    let room = batch_room(batch);
+    let room = message_room(batch);
     buf.put_slice(MAGIC);
     buf.put_u32_le(batch.num_columns() as u32);
     buf.put_u64_le(batch.num_rows() as u64);
@@ -225,11 +273,9 @@ fn put_batch(buf: &mut Vec<u8>, batch: &RecordBatch) {
     for col in batch.columns() {
         put_array(buf, col);
     }
-    let crc = xxh32(&buf[start..]);
-    buf.put_u32_le(crc);
     debug_assert!(
         buf.len() - start <= room,
-        "encode_batch outgrew its {room}-byte estimate"
+        "a CIP3 message outgrew its {room}-byte estimate"
     );
 }
 
@@ -369,21 +415,24 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Deserialize one batch (with CRC verification).
+/// Deserialize one sealed message: verify its checksum, then decode it.
 ///
 /// Takes the shared [`Bytes`] wire buffer so variable-length payloads
 /// (Utf8 data) can be aliased zero-copy instead of re-allocated.
 pub fn decode_batch(bytes: &Bytes) -> Result<RecordBatch> {
     let _t = obs::KernelTimer::start("columnar.ipc.decode_s");
-    if bytes.len() < MAGIC.len() + 4 {
-        return Err(ColumnarError::Corrupt("IPC message too short".into()));
-    }
-    let body = bytes.slice(..bytes.len() - 4);
-    let expect = le_u32(&bytes[bytes.len() - 4..]);
-    if xxh32(&body) != expect {
-        return Err(ColumnarError::Corrupt("IPC checksum mismatch".into()));
-    }
-    let mut r = Reader { src: &body, pos: 0 };
+    read_message(&unseal(bytes)?)
+}
+
+/// Deserialize one bare message, whose bytes a container's checksum has
+/// already verified. Zero-copy as [`decode_batch`] is.
+pub fn decode_message(body: &Bytes) -> Result<RecordBatch> {
+    let _t = obs::KernelTimer::start("columnar.ipc.decode_s");
+    read_message(body)
+}
+
+fn read_message(body: &Bytes) -> Result<RecordBatch> {
+    let mut r = Reader { src: body, pos: 0 };
     if r.bytes(4)? != MAGIC {
         return Err(ColumnarError::Corrupt("bad IPC magic".into()));
     }
@@ -427,7 +476,7 @@ pub fn decode_batch(bytes: &Bytes) -> Result<RecordBatch> {
 // Frame stream: the streaming boundary's unit of transfer.
 // ---------------------------------------------------------------------------
 
-const FRAME_MAGIC: &[u8; 4] = b"CFR2";
+const FRAME_MAGIC: &[u8; 4] = b"CFR3";
 /// Fixed frame header size: magic + kind + payload length.
 const FRAME_HEADER: usize = 4 + 1 + 4;
 /// Upper bound on a single frame's payload — rejects absurd length
@@ -461,13 +510,12 @@ fn build_frame(kind: u8, capacity: usize, put_payload: impl FnOnce(&mut Vec<u8>)
     put_payload(&mut buf);
     let len = (buf.len() - FRAME_HEADER) as u32;
     buf[5..FRAME_HEADER].copy_from_slice(&len.to_le_bytes());
-    let crc = xxh32(&buf);
-    buf.put_u32_le(crc);
+    seal(&mut buf, 0);
     buf.into()
 }
 
 fn encode_frame(kind: u8, payload: &[u8]) -> Bytes {
-    build_frame(kind, FRAME_HEADER + payload.len() + 4, |buf| {
+    build_frame(kind, FRAME_HEADER + payload.len() + CHECKSUM_BYTES, |buf| {
         buf.put_slice(payload)
     })
 }
@@ -485,13 +533,12 @@ pub fn encode_schema_frame(schema: &Schema) -> Bytes {
     encode_frame(KIND_SCHEMA, &payload)
 }
 
-/// Encode one batch frame (payload is a full CIP2 message, so each batch
-/// frame is independently verifiable). The message is written straight
-/// into the frame's buffer: the bytes are those of
-/// `encode_frame(KIND_BATCH, &encode_batch(batch))`, with no second copy.
+/// Encode one batch frame. The payload is the bare CIP3 message, written
+/// straight into the frame's buffer, and the frame's checksum is the only
+/// one over its bytes.
 pub fn encode_batch_frame(batch: &RecordBatch) -> Bytes {
-    let capacity = FRAME_HEADER + batch_room(batch) + 4;
-    build_frame(KIND_BATCH, capacity, |buf| put_batch(buf, batch))
+    let capacity = FRAME_HEADER + message_room(batch) + CHECKSUM_BYTES;
+    build_frame(KIND_BATCH, capacity, |buf| put_message(buf, batch))
 }
 
 /// Encode the trailer frame closing a stream. The payload is opaque to
@@ -590,7 +637,7 @@ impl FrameDecoder {
                 "frame payload of {payload_len} bytes exceeds the {MAX_FRAME_BYTES} byte bound"
             )));
         }
-        let total = FRAME_HEADER + payload_len + 4;
+        let total = FRAME_HEADER + payload_len + CHECKSUM_BYTES;
         if buf.len() < total {
             return Ok(None);
         }
@@ -602,15 +649,10 @@ impl FrameDecoder {
             let rest = self.partial.split_off(total);
             Bytes::from(std::mem::replace(&mut self.partial, rest))
         };
-        let body = frame.slice(..total - 4);
-        let expect = le_u32(&frame[total - 4..]);
-        if xxh32(&body) != expect {
-            return Err(ColumnarError::Corrupt("frame checksum mismatch".into()));
-        }
-        let payload = frame.slice(FRAME_HEADER..total - 4);
+        let payload = unseal(&frame)?.slice(FRAME_HEADER..);
         match kind {
             KIND_SCHEMA => Ok(Some(Frame::Schema(decode_schema_payload(&payload)?))),
-            KIND_BATCH => Ok(Some(Frame::Batch(decode_batch(&payload)?))),
+            KIND_BATCH => Ok(Some(Frame::Batch(decode_message(&payload)?))),
             KIND_TRAILER => Ok(Some(Frame::Trailer(payload))),
             other => Err(ColumnarError::Corrupt(format!(
                 "unknown frame kind {other}"
@@ -683,15 +725,17 @@ mod tests {
         .unwrap()
     }
 
-    /// The exact bytes `encode_batch` writes, pinned by length and XXH32 to
-    /// what the element-at-a-time encoder wrote. Page and frame sizes feed
-    /// compressed sizes and so every `results/*.txt`; a wire change must be
-    /// declared, never slipped in by an encoder rewrite.
+    /// The exact bytes `encode_batch` writes, pinned by length and checksum.
+    /// Page and frame sizes feed compressed sizes and so every
+    /// `results/*.txt`; a wire change must be declared, never slipped in by
+    /// an encoder rewrite.
     #[test]
     fn encoded_mixed_batch_bytes_are_pinned() {
         let enc = encode_batch(&mixed_batch());
-        assert_eq!((enc.len(), xxh32(&enc)), (206, 0x8584_4183));
+        assert_eq!((enc.len(), checksum(&enc)), PINNED_MIXED_BATCH);
     }
+
+    const PINNED_MIXED_BATCH: (usize, u64) = (210, 0xE27B_442B_16E5_2EDA);
 
     /// A dictionary-coded column is its expansion on the wire: same
     /// length, same checksum as the pin above, and it decodes to plain Utf8.
@@ -708,7 +752,7 @@ mod tests {
         assert_eq!(b.column(3), plain.column(3));
         assert_eq!(b.byte_size(), plain.byte_size());
         let enc = encode_batch(&b);
-        assert_eq!((enc.len(), xxh32(&enc)), (206, 0x8584_4183));
+        assert_eq!((enc.len(), checksum(&enc)), PINNED_MIXED_BATCH);
         let back = decode_batch(&enc).unwrap();
         assert_eq!(
             back.column(3).as_utf8().unwrap(),
@@ -716,31 +760,122 @@ mod tests {
         );
     }
 
-    /// Published XXH32 (seed 0) vectors: the xxHash sanity checks — empty
-    /// input, then 1, 14 and 222 bytes of the generator below — and the
-    /// python-xxhash README string (39 bytes: two stripes, one tail word,
-    /// three tail bytes). The exactly-one-stripe value was cross-checked
-    /// against the content checksum `lz4` 1.9.4 writes for the same bytes.
+    /// XXH64 (seed 0) written out in full, the merge rounds included when
+    /// `merge` is set: the reference the checksum is held against.
+    fn reference_xxh64(bytes: &[u8], merge: bool) -> u64 {
+        let word = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().unwrap());
+        let mut rest = bytes;
+        let mut h = if bytes.len() >= 32 {
+            let mut v = [
+                PRIME64_1.wrapping_add(PRIME64_2),
+                PRIME64_2,
+                0,
+                0u64.wrapping_sub(PRIME64_1),
+            ];
+            while rest.len() >= 32 {
+                for (lane, acc) in v.iter_mut().enumerate() {
+                    *acc = round(*acc, word(&rest[8 * lane..]));
+                }
+                rest = &rest[32..];
+            }
+            let mut h = v[0]
+                .rotate_left(1)
+                .wrapping_add(v[1].rotate_left(7))
+                .wrapping_add(v[2].rotate_left(12))
+                .wrapping_add(v[3].rotate_left(18));
+            if merge {
+                for lane in v {
+                    h = (h ^ round(0, lane))
+                        .wrapping_mul(PRIME64_1)
+                        .wrapping_add(PRIME64_4);
+                }
+            }
+            h
+        } else {
+            PRIME64_5
+        };
+        h = h.wrapping_add(bytes.len() as u64);
+        while rest.len() >= 8 {
+            h ^= round(0, word(rest));
+            h = h
+                .rotate_left(27)
+                .wrapping_mul(PRIME64_1)
+                .wrapping_add(PRIME64_4);
+            rest = &rest[8..];
+        }
+        if rest.len() >= 4 {
+            let half = u32::from_le_bytes(rest[..4].try_into().unwrap());
+            h ^= u64::from(half).wrapping_mul(PRIME64_1);
+            h = h
+                .rotate_left(23)
+                .wrapping_mul(PRIME64_2)
+                .wrapping_add(PRIME64_3);
+            rest = &rest[4..];
+        }
+        for &byte in rest {
+            h ^= u64::from(byte).wrapping_mul(PRIME64_5);
+            h = h.rotate_left(11).wrapping_mul(PRIME64_1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(PRIME64_2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(PRIME64_3);
+        h ^ (h >> 32)
+    }
+
+    /// Published XXH64 (seed 0) vectors: below 32 bytes the checksum is
+    /// XXH64. The python-xxhash README string (39 bytes: one stripe, then a
+    /// word, a half word and three bytes) pins the full reference above,
+    /// merge rounds included; without them the reference is the checksum at
+    /// every length from 0 to 300 bytes. Longer inputs are pinned by this
+    /// crate's own values.
     #[test]
-    fn xxh32_matches_reference_vectors() {
+    fn checksum_matches_reference_vectors() {
+        assert_eq!(checksum(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(checksum(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(checksum(b"abc"), 0x44BC_2CF5_AD77_0999);
+        let spam = b"Nobody inspects the spammish repetition";
+        assert_eq!(reference_xxh64(spam, true), 0xFBCE_A83C_8A37_8BF1);
         let mut gen: u64 = 2_654_435_761;
-        let sanity: Vec<u8> = (0..222)
+        let data: Vec<u8> = (0..300)
             .map(|_| {
                 let byte = (gen >> 56) as u8;
                 gen = gen.wrapping_mul(11_400_714_785_074_694_797);
                 byte
             })
             .collect();
-        assert_eq!(xxh32(b""), 0x02CC_5D05);
-        assert_eq!(xxh32(&sanity[..1]), 0xCF65_B03E);
-        assert_eq!(xxh32(b"abc"), 0x32D1_53FF);
-        assert_eq!(xxh32(&sanity[..14]), 0x1208_E7E2);
-        assert_eq!(xxh32(b"0123456789abcdef"), 0xC2C4_5B69);
-        assert_eq!(
-            xxh32(b"Nobody inspects the spammish repetition"),
-            0xE229_3B2F
-        );
-        assert_eq!(xxh32(&sanity), 0x5BD1_1DBD);
+        for n in 0..=data.len() {
+            assert_eq!(
+                checksum(&data[..n]),
+                reference_xxh64(&data[..n], false),
+                "{n} bytes"
+            );
+        }
+        assert_eq!(checksum(spam), 0x97E6_6BF8_9758_34BE);
+        assert_eq!(checksum(&data[..32]), 0x935A_4442_8FFF_185E);
+        assert_eq!(checksum(&data), 0x0146_D276_B174_9D99);
+    }
+
+    /// The one-flip guarantee, exhaustively over small inputs: every byte
+    /// position, every nonzero xor mask, at lengths that put the flip in a
+    /// stripe word, a tail word, a half word and a tail byte.
+    #[test]
+    fn every_single_byte_change_changes_the_checksum() {
+        for len in [1usize, 5, 13, 32, 45, 71] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let clean = checksum(&data);
+            for pos in 0..len {
+                let mut bad = data.clone();
+                for mask in 1..=255u8 {
+                    bad[pos] = data[pos] ^ mask;
+                    assert_ne!(
+                        checksum(&bad),
+                        clean,
+                        "len {len}, byte {pos}, mask {mask:#x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -876,30 +1011,19 @@ mod tests {
         }
     }
 
+    /// Any change to one byte of a schema, batch or trailer frame is a
+    /// `Corrupt` error, whichever byte and however it changes.
     #[test]
     fn frame_bitflips_are_structured_errors() {
         let (wire, _) = stream_bytes(1);
         for pos in 0..wire.len() {
-            let mut bad = wire.clone();
-            bad[pos] ^= 0x01;
-            let mut dec = FrameDecoder::new();
-            dec.feed(Bytes::from(bad));
-            let mut failed = false;
-            loop {
-                match dec.next_frame() {
-                    Ok(Some(_)) => {}
-                    Ok(None) => break,
-                    Err(ColumnarError::Corrupt(_)) => {
-                        failed = true;
-                        break;
-                    }
-                    Err(e) => panic!("unexpected error class at byte {pos}: {e}"),
+            for mask in [0x01, 0x80, 0xff] {
+                let mut bad = wire.clone();
+                bad[pos] ^= mask;
+                match decode_frames(&Bytes::from(bad)) {
+                    Err(ColumnarError::Corrupt(_)) => {}
+                    other => panic!("flip {mask:#x} at byte {pos}: {other:?}"),
                 }
-            }
-            if !failed {
-                // A flip may land in a payload length prefix such that the
-                // stream just looks incomplete; finish() must flag it.
-                assert!(dec.finish().is_err(), "bit flip at {pos} undetected");
             }
         }
     }
@@ -928,16 +1052,20 @@ mod tests {
         let (wire, _) = stream_bytes(2);
         let frames = decode_frames(&Bytes::from(wire)).unwrap();
         assert_eq!(frames.len(), 4);
-        assert!(decode_frames(&Bytes::from_static(b"CFR2")).is_err());
+        assert!(decode_frames(&Bytes::from_static(b"CFR3")).is_err());
         assert!(decode_frames(&Bytes::new()).unwrap().is_empty());
     }
 
     /// Recompute the trailing checksum after tampering with the body, so
     /// the decoder's structural checks are what the input has to get past.
-    fn reseal(msg: &mut [u8]) {
-        let body = msg.len() - 4;
-        let crc = xxh32(&msg[..body]);
-        msg[body..].copy_from_slice(&crc.to_le_bytes());
+    fn reseal(msg: &mut Vec<u8>) {
+        msg.truncate(msg.len() - CHECKSUM_BYTES);
+        seal(msg, 0);
+    }
+
+    /// The bare message inside a sealed one: what a batch frame carries.
+    fn bare(sealed: &[u8]) -> &[u8] {
+        &sealed[..sealed.len() - CHECKSUM_BYTES]
     }
 
     /// `(offset, width)` of every count, length, tag and flag field in
@@ -969,7 +1097,7 @@ mod tests {
                 Array::Dict(_) => unreachable!("the fixtures hold no dictionary column"),
             };
         }
-        assert_eq!(pos + 4, encoded_len, "layout walk drifted");
+        assert_eq!(pos + CHECKSUM_BYTES, encoded_len, "layout walk drifted");
         out
     }
 
@@ -1057,13 +1185,13 @@ mod tests {
         assert_eq!(back.rows(), b.rows(), "a valid multi-byte column decodes");
 
         // Tail of the message: offsets 3 x u32 | data_len u32 | "é" | crc.
-        let offsets_at = msg.len() - 4 - "é".len() - 4 - 12;
+        let offsets_at = msg.len() - CHECKSUM_BYTES - "é".len() - 4 - 12;
         assert_eq!(field_value(&msg, (offsets_at + 4, 4)), 2);
         set_field(&mut msg, (offsets_at + 4, 4), 1);
         reseal(&mut msg);
         for got in [
             decode_batch(&Bytes::from(msg.clone())).map(|_| ()),
-            decode_frames(&encode_frame(KIND_BATCH, &msg)).map(|_| ()),
+            decode_frames(&encode_frame(KIND_BATCH, bare(&msg))).map(|_| ()),
         ] {
             assert!(matches!(got, Err(ColumnarError::Corrupt(_))), "{got:?}");
         }
@@ -1097,7 +1225,7 @@ mod tests {
             reseal(&mut msg);
             let what = format!("field {field:?} = {value:#x}");
             // The same damage inside a frame whose own checksum is good.
-            assert_ok_or_corrupt(&what, decode_frames(&encode_frame(KIND_BATCH, &msg)));
+            assert_ok_or_corrupt(&what, decode_frames(&encode_frame(KIND_BATCH, bare(&msg))));
             assert_ok_or_corrupt(&what, decode_batch(&Bytes::from(msg)));
         }
 
@@ -1130,7 +1258,7 @@ mod tests {
                 // is allocated here) and seal that.
                 let declared = field_value(&frame, (5, 4)) as usize;
                 if declared <= 4096 {
-                    frame.resize(FRAME_HEADER + declared + 4, 0);
+                    frame.resize(FRAME_HEADER + declared + CHECKSUM_BYTES, 0);
                 }
                 reseal(&mut frame);
                 assert_ok_or_corrupt(
@@ -1162,19 +1290,19 @@ mod tests {
         );
     }
 
-    /// Building the batch frame in one buffer changes no byte: it is the
-    /// CIP2 message framed, for a batch with every column type and for an
-    /// empty one.
+    /// A batch frame is the bare message framed: the frame's checksum is
+    /// the only one over its bytes, for a batch with every column type and
+    /// for an empty one.
     #[test]
     fn batch_frame_is_the_framed_message() {
         for b in [
             mixed_batch(),
             RecordBatch::empty(mixed_batch().schema().clone()),
         ] {
-            assert_eq!(
-                encode_batch_frame(&b),
-                encode_frame(KIND_BATCH, &encode_batch(&b))
-            );
+            let sealed = encode_batch(&b);
+            let frame = encode_batch_frame(&b);
+            assert_eq!(frame, encode_frame(KIND_BATCH, bare(&sealed)));
+            assert_eq!(frame.len(), FRAME_HEADER + sealed.len());
         }
     }
 

@@ -6,11 +6,16 @@
 //!    any frame window.
 //! 2. Corrupted wire streams — truncations and bit flips anywhere in the
 //!    frame bytes — surface as structured decode errors, never panics.
+//! 3. Over random batches of every column type, a change to any one byte
+//!    of a schema, batch or trailer frame is an error: each frame's one
+//!    checksum covers all of it.
 
 use std::sync::Arc;
 
 use columnar::agg::AggFunc;
-use columnar::ipc::{decode_frames, FrameDecoder};
+use columnar::ipc::{
+    decode_frames, encode_batch_frame, encode_schema_frame, encode_trailer_frame, FrameDecoder,
+};
 use columnar::kernels::cmp::CmpOp;
 use columnar::prelude::*;
 use objstore::ObjectStore;
@@ -130,6 +135,78 @@ fn make_plan(shape: usize, proj_pick: usize, op: usize, lo: i64, span: i64) -> P
             }],
         },
     })
+}
+
+/// A batch of `rows` rows over `types` (column `i` of type
+/// `types[i] % 5`), values and nulls drawn from `seed`.
+fn random_batch(types: &[u8], rows: usize, seed: u64) -> RecordBatch {
+    let mut x = seed | 1;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let mut fields = Vec::new();
+    let mut columns = Vec::new();
+    for (i, &t) in types.iter().enumerate() {
+        let dt = [
+            DataType::Int64,
+            DataType::Float64,
+            DataType::Utf8,
+            DataType::Boolean,
+            DataType::Date32,
+        ][t as usize % 5];
+        let mut b = columnar::builder::ArrayBuilder::new(dt);
+        for _ in 0..rows {
+            let v = next();
+            let scalar = match dt {
+                _ if v % 7 == 0 => Scalar::Null,
+                DataType::Int64 => Scalar::Int64(v as i64),
+                DataType::Float64 => Scalar::Float64(f64::from_bits(v)),
+                DataType::Utf8 => Scalar::Utf8(["", "a", "é", "naïve 日本"][v as usize % 4].into()),
+                DataType::Boolean => Scalar::Boolean(v % 2 == 0),
+                DataType::Date32 => Scalar::Date32(v as i32),
+            };
+            b.push(scalar).unwrap();
+        }
+        fields.push(Field::new(format!("c{i}"), dt, true));
+        columns.push(Arc::new(b.finish()));
+    }
+    RecordBatch::try_new(Arc::new(Schema::new(fields)), columns).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn any_one_byte_change_in_any_frame_is_an_error(
+        types in proptest::collection::vec(any::<u8>(), 1..6),
+        rows in 0usize..80,
+        seed in any::<u64>(),
+        trailer in proptest::collection::vec(any::<u8>(), 0..64),
+        which in 0usize..3,
+        pick in any::<usize>(),
+        mask in 1u8..=255,
+    ) {
+        let batch = random_batch(&types, rows, seed);
+        let frames = [
+            encode_schema_frame(batch.schema()),
+            encode_batch_frame(&batch),
+            encode_trailer_frame(&trailer),
+        ];
+        let mut wire: Vec<u8> = frames.iter().flat_map(|f| f.iter().copied()).collect();
+        let intact = decode_frames(&bytes::Bytes::from(wire.clone())).unwrap();
+        prop_assert_eq!(intact.len(), 3);
+        let start: usize = frames[..which].iter().map(|f| f.len()).sum();
+        let pos = start + pick % frames[which].len();
+        wire[pos] ^= mask;
+        let got = decode_frames(&bytes::Bytes::from(wire));
+        prop_assert!(
+            matches!(got, Err(ColumnarError::Corrupt(_))),
+            "frame {}, byte {}, mask {:#x}: {:?}", which, pos - start, mask, got
+        );
+    }
 }
 
 proptest! {

@@ -5,6 +5,16 @@
 //! through an index array (chosen automatically for low-cardinality Utf8
 //! columns, like Parquet's dictionary pages). A dictionary page decodes to
 //! a [`DictArray`] over its entries, not to the strings it stands for.
+//!
+//! Either page ends in one [`ipc::checksum`] over every byte before it, as
+//! Parquet's page CRC covers the pages that hold dictionary indices. A plain
+//! page is a sealed CIP3 message. A dictionary page is:
+//!
+//! ```text
+//! nrows u32 | has_validity u8 | [validity words] | width u8 |
+//! indices (width bytes each) | dict_len u32 | bare CIP3 message of the
+//! entries | crc u64
+//! ```
 
 use bytes::{Buf, BufMut, Bytes};
 use columnar::ipc;
@@ -124,18 +134,20 @@ pub fn encode_chunk(array: &Array, encoding: Encoding) -> Result<Bytes> {
                 data: dict.concat().into(),
                 validity: None,
             };
-            let dict_bytes = ipc::encode_batch(&single_column_batch("d", Array::Utf8(entries))?);
-            out.put_u32_le(dict_bytes.len() as u32);
-            out.put_slice(&dict_bytes);
+            let dict_len_at = out.len();
+            out.put_u32_le(0); // set once the message is written
+            ipc::put_message(&mut out, &single_column_batch("d", Array::Utf8(entries))?);
+            let dict_len = (out.len() - dict_len_at - 4) as u32;
+            out[dict_len_at..dict_len_at + 4].copy_from_slice(&dict_len.to_le_bytes());
+            ipc::seal(&mut out, 0);
             Ok(out.into())
         }
     }
 }
 
-fn decode_single(bytes: &Bytes) -> Result<Array> {
-    let columns = ipc::decode_batch(bytes)
-        .map_err(ParqError::Columnar)?
-        .into_columns();
+/// The one column of a decoded chunk batch.
+fn single_column(batch: RecordBatch) -> Result<Array> {
+    let columns = batch.into_columns();
     let Ok([column]) = <[ArrayRef; 1]>::try_from(columns) else {
         return Err(ParqError::Corrupt(
             "chunk batch must have one column".into(),
@@ -149,9 +161,10 @@ fn decode_single(bytes: &Bytes) -> Result<Array> {
 /// Decode a chunk back into an array.
 pub fn decode_chunk(bytes: &Bytes, encoding: Encoding) -> Result<Array> {
     match encoding {
-        Encoding::Plain => decode_single(bytes),
+        Encoding::Plain => single_column(ipc::decode_batch(bytes)?),
         Encoding::Dictionary => {
-            let mut buf: &[u8] = bytes;
+            let page = ipc::unseal(bytes)?;
+            let mut buf: &[u8] = &page;
             macro_rules! need {
                 ($n:expr) => {
                     if buf.remaining() < $n {
@@ -197,9 +210,15 @@ pub fn decode_chunk(bytes: &Bytes, encoding: Encoding) -> Result<Array> {
             buf.advance(nrows * width);
             need!(4);
             let dlen = buf.get_u32_le() as usize;
-            need!(dlen);
-            let consumed = bytes.len() - buf.len();
-            let entries = match decode_single(&bytes.slice(consumed..consumed + dlen))? {
+            if buf.remaining() != dlen {
+                return Err(ParqError::Corrupt(format!(
+                    "dictionary of {dlen} bytes in the last {} of the page",
+                    buf.remaining()
+                )));
+            }
+            let consumed = page.len() - buf.len();
+            let message = page.slice(consumed..consumed + dlen);
+            let entries = match single_column(ipc::decode_message(&message)?)? {
                 Array::Utf8(entries) => entries,
                 other => {
                     return Err(ParqError::Columnar(ColumnarError::type_mismatch(
@@ -296,18 +315,26 @@ mod tests {
     }
 
     /// The exact page bytes the dictionary encoder writes at index widths 1
-    /// and 2, pinned by length and XXH32: page sizes feed compressed sizes
-    /// and so every `results/*.txt`.
+    /// and 2, pinned by length and checksum: page sizes feed compressed
+    /// sizes and so every `results/*.txt`.
     #[test]
     fn dictionary_page_bytes_are_pinned() {
         for (arr, width, pinned) in [
-            (repeated_strings(100, 7, 10), 1, (206, 0x4C6B_ACC1)),
-            (repeated_strings(700, 300, 13), 2, (4058, 0x3120_3ECF)),
+            (
+                repeated_strings(100, 7, 10),
+                1,
+                (210, 0x639F_4C77_A6A3_AAF6),
+            ),
+            (
+                repeated_strings(700, 300, 13),
+                2,
+                (4062, 0xAEC6_BB8C_E515_3A3A),
+            ),
         ] {
             let page = encode_chunk(&arr, Encoding::Dictionary).unwrap();
             let width_at = 4 + 1 + arr.len().div_ceil(64) * 8;
             assert_eq!(page[width_at], width);
-            assert_eq!((page.len(), ipc::xxh32(&page)), pinned, "width {width}");
+            assert_eq!((page.len(), ipc::checksum(&page)), pinned, "width {width}");
             let back = decode_chunk(&page, Encoding::Dictionary).unwrap();
             assert!(
                 back.as_dict().is_some(),
@@ -336,15 +363,17 @@ mod tests {
         // had been allocated and copied.
         let entry = "x".repeat(1 << 16);
         let dict = single_column_batch("d", Array::from_strs([entry.as_str()])).unwrap();
-        let dict = ipc::encode_batch(&dict);
+        let mut message = Vec::new();
+        ipc::put_message(&mut message, &dict);
         let nrows = (1 << 16) + 1;
         let mut page = Vec::new();
         page.put_u32_le(nrows as u32);
         page.put_u8(0); // no validity
         page.put_u8(1); // index width
         page.resize(page.len() + nrows, 0); // every row names entry 0
-        page.put_u32_le(dict.len() as u32);
-        page.put_slice(&dict);
+        page.put_u32_le(message.len() as u32);
+        page.put_slice(&message);
+        ipc::seal(&mut page, 0);
         assert!(page.len() < 129 << 10, "{} bytes", page.len());
         let got = decode_chunk(&Bytes::from(page), Encoding::Dictionary);
         assert!(matches!(got, Err(ParqError::Corrupt(_))));
@@ -394,8 +423,11 @@ mod tests {
         }
     }
 
+    /// The whole dictionary page is under its one checksum: row count,
+    /// validity words, index width, indices, dictionary length and
+    /// dictionary. No change to one byte decodes, let alone to wrong rows.
     #[test]
-    fn dictionary_page_corruption_never_panics_and_the_dictionary_is_checksummed() {
+    fn every_byte_of_a_dictionary_page_is_checksummed() {
         let mut b = ArrayBuilder::new(DataType::Utf8);
         for i in 0..40 {
             if i % 9 == 0 {
@@ -407,23 +439,22 @@ mod tests {
         let arr = b.finish();
         let page = encode_chunk(&arr, Encoding::Dictionary).unwrap();
         // Layout: nrows u32, has_validity u8, validity words, index width u8,
-        // one index byte per row, dictionary length u32, dictionary batch.
+        // one index byte per row, dictionary length u32, dictionary message,
+        // checksum.
         let dict_len_at = 4 + 1 + 8 + 1 + arr.len();
         let dict_start = dict_len_at + 4;
         let dict_len = u32::from_le_bytes(page[dict_len_at..dict_start].try_into().unwrap());
-        assert_eq!(dict_start + dict_len as usize, page.len());
+        assert_eq!(
+            dict_start + dict_len as usize + ipc::CHECKSUM_BYTES,
+            page.len()
+        );
         for pos in 0..page.len() {
             let got = decode_chunk(&with_byte_flipped(&page, pos), Encoding::Dictionary);
-            if pos >= dict_start {
-                assert!(
-                    got.is_err(),
-                    "flip at dictionary byte {pos} went undetected"
-                );
-            }
-            // Before `dict_start` only "no panic" can be required: the row
-            // count, validity words, index width, indices and dictionary
-            // length carry no checksum, so a flip there may decode to wrong
-            // values. Covering them changes page sizes (ROADMAP item 10a).
+            assert!(
+                got.is_err(),
+                "flip at byte {pos} of {} went undetected",
+                page.len()
+            );
         }
     }
 }

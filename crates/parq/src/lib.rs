@@ -14,12 +14,17 @@
 //! Layout:
 //!
 //! ```text
-//! magic "PQL1"
+//! magic "PQL2"
 //! column chunk data (compressed pages), row group by row group
 //! footer: schema, codec, row-group directory with per-chunk
 //!         offsets/lengths/encodings/statistics
-//! footer length u32 | magic "PQL1"
+//! footer length u32 | crc u64 (over footer and length) | magic "PQL2"
 //! ```
+//!
+//! Each page and the footer end in one `columnar::ipc::checksum` of their
+//! own bytes (a compressed page's checksum is inside it, over the bytes it
+//! decompresses to). [`ParqReader::open`] verifies the footer once, so a
+//! damaged statistic can never prune a row group that holds matches.
 //!
 //! # Example
 //!
@@ -62,7 +67,7 @@ pub use writer::{ParqWriter, WriteOptions};
 use std::fmt;
 
 /// Magic bytes bracketing every file.
-pub const MAGIC: &[u8; 4] = b"PQL1";
+pub const MAGIC: &[u8; 4] = b"PQL2";
 
 /// Errors from reading/writing parq files.
 #[derive(Debug)]

@@ -3,6 +3,7 @@
 
 use bytes::{Buf, Bytes};
 use columnar::expr::{ExprTree, Node};
+use columnar::ipc::{self, CHECKSUM_BYTES};
 use columnar::kernels::cmp::CmpOp;
 use columnar::prelude::*;
 use lzcodec::CodecKind;
@@ -126,21 +127,25 @@ pub struct ParqReader {
     row_groups: Vec<RowGroupInfo>,
 }
 
+/// What follows the footer: its length, the checksum, the closing magic.
+const TAIL: usize = 4 + CHECKSUM_BYTES + 4;
+
 impl ParqReader {
-    /// Parse the footer of `bytes`.
+    /// Verify the footer of `bytes` against its checksum, then parse it.
     pub fn open(bytes: Bytes) -> Result<ParqReader> {
-        if bytes.len() < 12 || &bytes[..4] != MAGIC || &bytes[bytes.len() - 4..] != MAGIC {
+        let n = bytes.len();
+        if n < 4 + TAIL || &bytes[..4] != MAGIC || &bytes[n - 4..] != MAGIC {
             return Err(ParqError::Corrupt("missing parq magic".into()));
         }
-        let footer_len = (&bytes[bytes.len() - 8..]).get_u32_le() as usize;
-        if footer_len + 12 > bytes.len() {
+        let footer_len = (&bytes[n - TAIL..]).get_u32_le() as usize;
+        if footer_len > n - 4 - TAIL {
             return Err(ParqError::Corrupt(format!(
-                "footer length {footer_len} exceeds file size {}",
-                bytes.len()
+                "footer length {footer_len} exceeds file size {n}"
             )));
         }
-        let footer_start = bytes.len() - 8 - footer_len;
-        let mut buf = &bytes[footer_start..bytes.len() - 8];
+        let footer_start = n - TAIL - footer_len;
+        let sealed = ipc::unseal(&bytes.slice(footer_start..n - 4))?;
+        let mut buf = &sealed[..footer_len];
 
         macro_rules! need {
             ($n:expr) => {
@@ -190,7 +195,7 @@ impl ParqReader {
                 let uncompressed_len = buf.get_u64_le();
                 let encoding = Encoding::from_tag(buf.get_u8())?;
                 let stats = ColumnStats::read(&mut buf)?;
-                // The footer carries no checksum: a sum that wraps must not
+                // Checked under the checksum too: a sum that wraps must not
                 // slip under the bound.
                 let in_data = offset
                     .checked_add(compressed_len)
@@ -690,18 +695,59 @@ mod tests {
         // Break the footer length.
         let mut bad = bytes.clone();
         let n = bad.len();
-        bad[n - 8..n - 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        bad[n - TAIL..n - TAIL + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(ParqReader::open(bad.into()).is_err());
+    }
+
+    /// Where the footer of `file` starts.
+    fn footer_start(file: &[u8]) -> usize {
+        let n = file.len();
+        let footer_len = u32::from_le_bytes(file[n - TAIL..n - TAIL + 4].try_into().unwrap());
+        n - TAIL - footer_len as usize
+    }
+
+    /// Recompute the footer checksum after tampering with the footer, so
+    /// the structural checks behind it are what the file has to get past.
+    fn reseal_footer(file: &mut [u8]) {
+        let (start, n) = (footer_start(file), file.len());
+        let crc = ipc::checksum(&file[start..n - 4 - CHECKSUM_BYTES]);
+        file[n - 4 - CHECKSUM_BYTES..n - 4].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// A damaged statistic would prune a row group that holds matches:
+    /// every byte of the footer and what follows it is checked at `open`.
+    #[test]
+    fn every_byte_of_the_footer_is_checksummed() {
+        let bytes = make_file(CodecKind::None, 100, 400);
+        let keeps_group_1 = RangePredicate {
+            column: 0,
+            op: CmpOp::Eq,
+            value: Scalar::Int64(150),
+        };
+        let r = ParqReader::open(bytes.clone().into()).unwrap();
+        assert_eq!(
+            r.prune_row_groups(std::slice::from_ref(&keeps_group_1)),
+            vec![1]
+        );
+        for pos in footer_start(&bytes)..bytes.len() {
+            for mask in [0x01, 0xff] {
+                let mut bad = bytes.clone();
+                bad[pos] ^= mask;
+                assert!(
+                    ParqReader::open(bad.into()).is_err(),
+                    "flip {mask:#x} at byte {pos} of {} went undetected",
+                    bytes.len()
+                );
+            }
+        }
     }
 
     #[test]
     fn wrapping_chunk_extent_in_footer_is_rejected() {
         let bytes = make_file(CodecKind::None, 100, 100);
-        let n = bytes.len();
-        let footer_len = u32::from_le_bytes(bytes[n - 8..n - 4].try_into().unwrap()) as usize;
         // Footer: ncols, three fields (name_len, name, tag, nullable), codec,
         // ngroups, then row group 0: rows, and chunk 0's offset.
-        let offset_at = (n - 8 - footer_len) + 4 + (4 + 2 + 2) + (4 + 1 + 2) + (4 + 3 + 2) + 5 + 8;
+        let offset_at = footer_start(&bytes) + 4 + (4 + 2 + 2) + (4 + 1 + 2) + (4 + 3 + 2) + 5 + 8;
         let field = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
         assert_eq!(field(offset_at), 4, "chunk 0 starts right after the magic");
         let compressed_len = field(offset_at + 8);
@@ -709,6 +755,7 @@ mod tests {
         let mut bad = bytes.clone();
         bad[offset_at..offset_at + 8]
             .copy_from_slice(&(4u64.wrapping_sub(compressed_len)).to_le_bytes());
+        reseal_footer(&mut bad);
         assert!(matches!(
             ParqReader::open(bad.into()),
             Err(ParqError::Corrupt(_))
@@ -719,12 +766,10 @@ mod tests {
     fn wrong_uncompressed_len_in_footer_is_rejected() {
         for codec in [CodecKind::None, CodecKind::Zst] {
             let bytes = make_file(codec, 100, 100);
-            let n = bytes.len();
-            let footer_len = u32::from_le_bytes(bytes[n - 8..n - 4].try_into().unwrap()) as usize;
             // Same walk as above, two fields further: chunk 0's offset,
             // compressed_len, then uncompressed_len.
             let len_at =
-                (n - 8 - footer_len) + 4 + (4 + 2 + 2) + (4 + 1 + 2) + (4 + 3 + 2) + 5 + 8 + 16;
+                footer_start(&bytes) + 4 + (4 + 2 + 2) + (4 + 1 + 2) + (4 + 3 + 2) + 5 + 8 + 16;
             let declared = u64::from_le_bytes(bytes[len_at..len_at + 8].try_into().unwrap());
             let r = ParqReader::open(bytes.clone().into()).unwrap();
             assert_eq!(r.chunk_uncompressed_bytes(0, 0).unwrap(), declared);
@@ -732,6 +777,8 @@ mod tests {
             for off_by_one in [declared - 1, declared + 1] {
                 let mut bad = bytes.clone();
                 bad[len_at..len_at + 8].copy_from_slice(&off_by_one.to_le_bytes());
+                assert!(ParqReader::open(bad.clone().into()).is_err());
+                reseal_footer(&mut bad);
                 let r = ParqReader::open(bad.into()).unwrap();
                 assert!(
                     matches!(r.read_chunk(0, 0), Err(ParqError::Corrupt(_))),

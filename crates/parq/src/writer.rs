@@ -1,6 +1,7 @@
 //! Writing parq files.
 
 use bytes::BufMut;
+use columnar::ipc;
 use columnar::prelude::*;
 use lzcodec::CodecKind;
 
@@ -148,7 +149,8 @@ impl ParqWriter {
         self.flush_row_group(usize::MAX)?;
         self.finished = true;
 
-        let mut footer = Vec::new();
+        let footer_start = self.data.len();
+        let footer = &mut self.data;
         // Schema.
         footer.put_u32_le(self.schema.len() as u32);
         for f in self.schema.fields() {
@@ -166,13 +168,13 @@ impl ParqWriter {
                 footer.put_u64_le(ch.compressed_len);
                 footer.put_u64_le(ch.uncompressed_len);
                 footer.put_u8(ch.encoding.tag());
-                ch.stats.write(&mut footer);
+                ch.stats.write(footer);
             }
         }
-        let footer_len = footer.len() as u32;
-        self.data.extend_from_slice(&footer);
-        self.data.put_u32_le(footer_len);
-        self.data.extend_from_slice(MAGIC);
+        let footer_len = (footer.len() - footer_start) as u32;
+        footer.put_u32_le(footer_len);
+        ipc::seal(footer, footer_start);
+        footer.extend_from_slice(MAGIC);
         Ok(self.data)
     }
 }

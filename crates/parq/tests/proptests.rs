@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use columnar::builder::ArrayBuilder;
+use columnar::ipc;
 use columnar::kernels::cmp::CmpOp;
 use columnar::prelude::*;
 use lzcodec::CodecKind;
@@ -139,9 +140,14 @@ proptest! {
 }
 
 /// The dictionary expansion `decode_chunk` used before it worked on whole
-/// buffers, kept as the oracle: walk the page, then push one `&str` per
-/// row through an `ArrayBuilder`. `None` is "the page is damaged".
-fn reference_dictionary_decode(page: &[u8]) -> Option<Array> {
+/// buffers, kept as the oracle: check the page's checksum, walk the page,
+/// then push one `&str` per row through an `ArrayBuilder`. `None` is "the
+/// page is damaged".
+fn reference_dictionary_decode(sealed: &[u8]) -> Option<Array> {
+    let page = sealed.get(..sealed.len().checked_sub(ipc::CHECKSUM_BYTES)?)?;
+    if ipc::checksum(page).to_le_bytes() != sealed[page.len()..] {
+        return None;
+    }
     let mut at = 0usize;
     let mut take = move |n: usize| {
         let field = page.get(at..at.checked_add(n)?)?;
@@ -164,8 +170,11 @@ fn reference_dictionary_decode(page: &[u8]) -> Option<Array> {
     }
     let indices = take(nrows * width)?;
     let dlen = le(take(4)?);
-    let dict = decode_chunk(&Bytes::from(take(dlen)?.to_vec()), Encoding::Plain).ok()?;
-    let dict = dict.as_utf8().ok()?;
+    let dict = ipc::decode_message(&Bytes::from(take(dlen)?.to_vec())).ok()?;
+    if take(1).is_some() {
+        return None;
+    }
+    let dict = dict.column(0).as_utf8().ok()?;
     let mut out = ArrayBuilder::new(DataType::Utf8);
     for (i, id) in indices.chunks_exact(width).map(le).enumerate() {
         if validity.as_ref().is_some_and(|v| !v.get(i)) {
@@ -243,11 +252,20 @@ fn width_at(page: &[u8]) -> usize {
     }
 }
 
-fn set_index(page: &mut [u8], row: usize, id: u32) {
+/// Overwrite the index of `row` and reseal the page, so the decoder's
+/// structural checks answer rather than its checksum.
+fn set_index(page: &mut Vec<u8>, row: usize, id: u32) {
     let at = width_at(page);
     let width = page[at] as usize;
     let start = at + 1 + row * width;
     page[start..start + width].copy_from_slice(&id.to_le_bytes()[..width]);
+    reseal(page);
+}
+
+/// Recompute the checksum that ends `page`.
+fn reseal(page: &mut Vec<u8>) {
+    page.truncate(page.len() - ipc::CHECKSUM_BYTES);
+    ipc::seal(page, 0);
 }
 
 proptest! {
@@ -309,18 +327,26 @@ proptest! {
             prop_assert_eq!(Some(got), reference_dictionary_decode(&odd));
         }
 
-        // A page cut short anywhere, inside the indices or the dictionary.
+        // A page cut short anywhere: unsealed, then resealed so that it is
+        // the cut inside the indices or the dictionary that answers.
         let short = cut % page.len();
         let got = decode_chunk(&Bytes::from(page[..short].to_vec()), Encoding::Dictionary);
-        prop_assert!(matches!(got, Err(ParqError::Corrupt(_))), "cut at {}: {:?}", short, got);
+        prop_assert!(got.as_ref().is_err_and(is_corrupt), "cut at {}: {:?}", short, got);
         prop_assert_eq!(reference_dictionary_decode(&page[..short]), None);
+        let body = page.len() - ipc::CHECKSUM_BYTES;
+        let mut resealed = page[..cut % body].to_vec();
+        ipc::seal(&mut resealed, 0);
+        let got = decode_chunk(&Bytes::from(resealed.clone()), Encoding::Dictionary);
+        prop_assert!(matches!(got, Err(ParqError::Corrupt(_))), "cut at {}: {:?}", cut % body, got);
+        prop_assert_eq!(reference_dictionary_decode(&resealed), None);
 
         // A dictionary cut short under a length prefix that agrees with it.
         let dict_len_at = width_at(&page) + 1 + arr.len() * width as usize;
-        let dict_len = page.len() - dict_len_at - 4;
+        let dict_len = body - dict_len_at - 4;
         let keep = cut % dict_len;
         let mut cut_dict = page[..dict_len_at + 4 + keep].to_vec();
         cut_dict[dict_len_at..dict_len_at + 4].copy_from_slice(&(keep as u32).to_le_bytes());
+        ipc::seal(&mut cut_dict, 0);
         let got = decode_chunk(&Bytes::from(cut_dict.clone()), Encoding::Dictionary);
         prop_assert!(got.as_ref().is_err_and(is_corrupt), "dictionary cut to {}: {:?}", keep, got);
         prop_assert_eq!(reference_dictionary_decode(&cut_dict), None);

@@ -38,6 +38,7 @@
 //! heuristics are documented inline where they matter.
 
 pub mod conc;
+pub mod results;
 
 use std::fmt;
 use std::fs;

@@ -30,29 +30,31 @@ fn policies() -> Vec<(&'static str, PushdownPolicy)> {
 /// the two executors were lowered onto one `columnar::ops` pipeline. One
 /// line per run: table, path, `simulated_seconds` bits, each ledger phase's
 /// bits in `Phase::ALL` order (hex), moved bytes, frames. A change meant to
-/// move none of these must leave every line as it is.
+/// move none of these must leave every line as it is. Restated when pages,
+/// frames and footers went to one 8-byte checksum each: the moved bytes
+/// grew by the checksum bytes, and every phase that prices them moved.
 const LEDGER_GOLDENS: &str = "\
-laghos raw 3fcd987afd6a59b1 3f4307c96fac71d0 0 3f5de0ad05496d23 0 3f2fde966c0a0e04 0 3f59cdf7e9dd53bd 3fa74c737ebd7131 3fc73b0164d200ee 5250960 4\n\
-laghos hive 3fc971ea9028d71a 3f4307c96fac71d0 0 3f4f00af03363d8a 0 3f7c7a771a7b0d47 0 3f3f9a8c8e7cbdda 3f8113fb3c8dcb40 3fc73b0164d200ee 553280 4\n\
-laghos none 3fccbac141685faa 3f4307c96fac71d0 3f864d200ede155f 3f493bafe85e3b58 0 3f62eab242c75eb2 3f55d4d54fcd2d29 3f4a6e963745e257 3f9ae73ac373a80c 3fc73b0164d200ee 2624888 16\n\
-laghos filter 3fcd65d923aca88a 3f4307c96fac71d0 3fa3837c0d0252b3 0 0 3f40fecf11768858 3f435035976f324f 3f3dc3b7768db07f 3f803c011c639ea4 3fc73b0164d200ee 556724 16\n\
-laghos filter+proj 3fcd659a4c0f5415 3f4307c96fac71d0 3fa3837c0d0252b3 0 0 0 3f44910f22446c6e 3f3fb446324f2bb1 3f81246e851a6066 3fc73b0164d200ee 555776 16\n\
-laghos filter+proj+agg 3fcff11a03c79fea 3f4307c96fac71d0 3fb042e7602c9a40 0 0 3f501657d034ab1e 3f36f10aabe56806 3f351093b1e84d06 3f62dbe9a8154e34 3fc73b0164d200ee 101100 12\n\
-laghos all 3fd01116c982c15d 3f4307c96fac71d0 3fb130c8b62085cf 0 0 3f4e5105d9a3a6f0 3f344682d0d94fe8 3f337db9de429ae9 3f3319cb04c1ad04 3fc73b0164d200ee 23068 12\n\
-deepwater raw 3fcac5e833d8c20d 3f4307c96fac71d0 0 3f4771791fc29c6d 0 3f1901924402c8fc 0 3f4aacf8a191c415 3f9a15030c69ff9a 3fc73b0164d200ee 2100512 4\n\
-deepwater hive 3fc8778508b3e3b9 3f4307c96fac71d0 0 3f4330a6d97f7d61 0 3f7170925150f133 0 3f3c22c8ee0c770a 3f6f2d4f25ca45a8 3fc73b0164d200ee 284256 4\n\
-deepwater none 3fca7fe44a4f1488 3f4307c96fac71d0 3f7dbc2abe7d71d4 3f3decf485991986 0 3f566f4338d89b73 3f4da6ac22d1b3e0 3f43552e33d990f2 3f8d728eb0e52916 3fc73b0164d200ee 1576104 16\n\
-deepwater filter 3fc9c9fdd14af12f 3f4307c96fac71d0 3f8dbc2abe7d71d4 0 0 3f320712e15b9ab2 3f40307cb82baa7c 3f3b3f25f6c60c99 3f6e57977f4c0cff 3fc73b0164d200ee 287264 16\n\
-deepwater filter+proj 3fcb4b693660df78 3f4307c96fac71d0 3f9be06812959ab7 0 0 3f5bd71d31a56520 3f32bf4e736ab8ac 3f306dee91f95f96 3f5c07167340f5bb 3fc73b0164d200ee 192896 16\n\
-deepwater filter+proj+agg 3fcbea30512ba28e 3f4307c96fac71d0 3fa1a7b9611a7b96 0 0 3f5409312fdf17ec 3f23d530c0d93857 3f234e34d8cc16e9 3ee763b74bb15cd8 3fc73b0164d200ee 3336 12\n\
-deepwater all 3fcbe9d122de0393 3f4307c96fac71d0 3fa1a7b9611a7b96 0 0 0 3f48bf12d015ab5d 3f481bc440a437a8 3effd8a89fad4e62 3fc73b0164d200ee 2084 12\n\
-lineitem raw 3fcb7658fdc90d62 3f47c9bbcb978e43 0 3f4dd9a387b5ddc1 0 3f1fd714d50641df 0 3f4f0335e85b8341 3f9f15b1090615e2 3fc73b0164d200ee 2680892 4\n\
-lineitem hive 3fcaa02c46b6cccf 3f47c9bbcb978e43 0 3f3b7417b933f86a 0 3f70eb0a27ebda39 0 3f45ba64d7880273 3f9514a3212d9c13 3fc73b0164d200ee 1487304 4\n\
-lineitem none 3fcc78772bbba846 3f47c9bbcb978e43 3f8dbc2abe7d71d4 3f3a13223caccd7a 0 3f67a772bc44f975 3f4fb34192550b17 3f44cf423a96c869 3f954dfbfacf1468 3fc73b0164d200ee 1511552 12\n\
-lineitem filter 3fcced6162235767 3f47c9bbcb978e43 3f964d200ede155f 0 0 3f30705d39d164d4 3f5023adab637458 3f453c2d424fea5a 3f9499b4439fe5cb 3fc73b0164d200ee 1491248 12\n\
-lineitem filter+proj 3fd11c345a1a0584 3f47c9bbcb978e43 3fadbc2abe7d71d4 0 0 3f7537a5b5cb6944 3f50906b8b5ec14b 3f458352f023515e 3f94b18c620ecfc5 3fc73b0164d200ee 1621284 12\n\
-lineitem filter+proj+agg 3fd2a077e7a990fa 3f47c9bbcb978e43 3fba04a566adc39a 0 0 3f7aea870ec88c0e 3f32cc4280f01454 3f3245eb6d02bd54 3f0f4abf169e2bce 3fc73b0164d200ee 7804 12\n\
-lineitem all 3fd24439512abe2c 3f47c9bbcb978e43 3fba04a566adc39a 0 0 0 3f4837bf5f678b1e 3f478fa5c456543b 3f1c6b49ea217e7d 3fc73b0164d200ee 6552 12\n";
+laghos raw 3fcd987f6ea331f4 3f4307c96fac71d0 0 3f5de13ccf4d38fc 0 3f2fdf2fcc0e1aa7 0 3f59ce5c1a64ad6e 3fa74c7d0a6c7501 3fc73b0164d200ee 5251312 4\n\
+laghos hive 3fc971ec3da800c6 3f4307c96fac71d0 0 3f4f013d69f426e6 0 3f7c7a880b57e25a 0 3f3f9a9f5b4b4002 3f8114041f3fa8cc 3fc73b0164d200ee 553280 4\n\
+laghos none 3fccbac43732aaa9 3f4307c96fac71d0 3f864d200ede155f 3f493c1777dda82a 0 3f62eab4435dd265 3f55d4e5480bf4dd 3f4a6ea6c0788673 3f9ae74d7169b48a 3fc73b0164d200ee 2624920 16\n\
+laghos filter 3fcd65db6e7ed49b 3f4307c96fac71d0 3fa3837c0d0252b3 0 0 3f40fecbff447b7d 3f435051a82650fc 3f3dc3d1d2ad5153 3f803c2366bd1199 3fc73b0164d200ee 556756 16\n\
+laghos filter+proj 3fcd659c96e18027 3f4307c96fac71d0 3fa3837c0d0252b3 0 0 0 3f449129ee1d1fb0 3f3fb45d7d0b247a 3f812490cb29b686 3fc73b0164d200ee 555808 16\n\
+laghos filter+proj+agg 3fcff11c64885302 3f4307c96fac71d0 3fb042e7602c9a40 0 0 3f50165bd134c796 3f36f14a834b9c79 3f3510b62c1043c8 3f62dc738d9040e5 3fc73b0164d200ee 101132 12\n\
+laghos all 3fd01117f9e31aea 3f4307c96fac71d0 3fb130c8b62085cf 0 0 3f4e51195f83b7b7 3f3446c89735be60 3f337de2f189b64a 3f331df6a0c43430 3fc73b0164d200ee 23100 12\n\
+deepwater raw 3fcac5e9d1f5f420 3f4307c96fac71d0 0 3f4771f37b4d07d3 0 3f190214c7c9a1f3 0 3f4aad4e5fa8a77a 3f9a1508fa02bee1 3fc73b0164d200ee 2100672 4\n\
+deepwater hive 3fc877860a669653 3f4307c96fac71d0 0 3f4330ff4087e26f 0 3f71709ced5c2321 0 3f3c22da0be5d3e5 3f6f2d621ce3437b 3fc73b0164d200ee 284256 4\n\
+deepwater none 3fca7fe6ea3323fe 3f4307c96fac71d0 3f7dbc2abe7d71d4 3f3ded6fa432350a 0 3f566f45d26b5a5c 3f4da6ca920bf991 3f43553e053b9dbb 3f8d72b19ef53a90 3fc73b0164d200ee 1576136 16\n\
+deepwater filter 3fc9ca001c1d1d41 3f4307c96fac71d0 3f8dbc2abe7d71d4 0 0 3f320708e69df6d5 3f4030953aae1804 3f3b3f388c0d3bf2 3f6e5822ffe54496 3fc73b0164d200ee 287296 16\n\
+deepwater filter+proj 3fcb4b6b81330b8a 3f4307c96fac71d0 3f9be06812959ab7 0 0 3f5bd73eacbd91d4 3f32bf8fbd7726c8 3f306e17d2fbd679 3f5c07ffbe7b1894 3fc73b0164d200ee 192928 16\n\
+deepwater filter+proj+agg 3fcbea32b1ec55a8 3f4307c96fac71d0 3fa1a7b9611a7b96 0 0 3f5409b16890fafa 3f23d5e8a45ca024 3f234ecd0afa3982 3ee7a6c9c46d827d 3fc73b0164d200ee 3368 12\n\
+deepwater all 3fcbe9d36db02fa4 3f4307c96fac71d0 3fa1a7b9611a7b96 0 0 0 3f48bdb4254532b0 3f481a4d13d049a8 3f003e5eecde2be6 3fc73b0164d200ee 2116 12\n\
+lineitem raw 3fcb765be730cdea 3f47c9bbcb978e43 0 3f4dda7ff2bc7140 0 3f1fd7fff1da1266 0 3f4f03cfa77c8345 3f9f15bbb7d609ba 3fc73b0164d200ee 2681180 4\n\
+lineitem hive 3fcaa02c91e040e7 3f47c9bbcb978e43 0 3f3b74b93c7c04fe 0 3f70eb0a0ac6642b 0 3f45ba64b2192fca 3f9514a2fce0f0b7 3fc73b0164d200ee 1487304 4\n\
+lineitem none 3fcc787a776c2ece 3f47c9bbcb978e43 3f8dbc2abe7d71d4 3f3a13c100c5d003 0 3f67a777713d0e77 3f4fb365951e8aa6 3f44cf554eafe643 3f954e118deccd0d 3fc73b0164d200ee 1511584 12\n\
+lineitem filter 3fcced63c2e40a80 3f47c9bbcb978e43 3f964d200ede155f 0 0 3f30705d0faacce2 3f5023bcc4d8d6ee 3f453c3c65600b86 3f9499c5df9e41c3 3fc73b0164d200ee 1491280 12\n\
+lineitem filter+proj 3fd11c357496a41c 3f47c9bbcb978e43 3fadbc2abe7d71d4 0 0 3f7537a4efe73056 3f509079bd0f99b7 3f45836109a73ec9 3f94b19ce76a9a90 3fc73b0164d200ee 1621316 12\n\
+lineitem filter+proj+agg 3fd2a078f72eec0f 3f47c9bbcb978e43 3fba04a566adc39a 0 0 3f7aea8723d6a57e 3f32cc784e8a9b98 3f32460682ac7b55 3f0f6a1e20d1d4b5 3fc73b0164d200ee 7836 12\n\
+lineitem all 3fd2443a7693d435 3f47c9bbcb978e43 3fba04a566adc39a 0 0 0 3f483681e4f705a2 3f478e504e74e84e 3f1c9237fe11967a 3fc73b0164d200ee 6584 12\n";
 
 /// `r`'s ledger line, in [`LEDGER_GOLDENS`]' format.
 fn ledger_line(table: &str, path: &str, r: &QueryResult) -> String {

@@ -82,11 +82,11 @@ fn pipeline_overlap_and_backpressure() {
 
     let overlap = p.additive_s / p.overlapped_s;
     assert!(p.overlapped_s > 0.0 && overlap >= 1.5, "overlap {overlap}");
-    assert_eq!(format!("{overlap:.6}"), "1.600830");
+    assert_eq!(format!("{overlap:.6}"), "1.600941");
 
     let buffer_reduction = r.moved_bytes as f64 / p.peak_buffered_bytes as f64;
     assert!(p.peak_buffered_bytes > 0 && p.peak_buffered_bytes * 4 <= r.moved_bytes);
-    assert_eq!(format!("{buffer_reduction:.6}"), "7.971126");
+    assert_eq!(format!("{buffer_reduction:.6}"), "7.971147");
 }
 
 /// Rewrite every object byte-identically: the version bump invalidates
@@ -132,7 +132,7 @@ fn cache_warm_speedup_and_honest_cold_ledger() {
     let warm = q1(&cached, "ocs");
     let speedup = pushdown_seconds(&cold) / pushdown_seconds(&warm);
     assert!(speedup >= 3.0, "warm speedup {speedup}");
-    assert_eq!(format!("{speedup:.6}"), "31.473377");
+    assert_eq!(format!("{speedup:.6}"), "31.480081");
     assert!(warm.simulated_seconds < cold.simulated_seconds);
 
     invalidate_caches(&store);
