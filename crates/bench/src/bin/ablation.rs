@@ -209,7 +209,6 @@ fn ocs_for(stack: &ocs_bench::BenchStack) -> Arc<ocs::Ocs> {
             storage_disk: stack.engine.cluster().storage_disk,
             frontend_node: stack.engine.cluster().frontend.clone(),
             cost: stack.engine.cost_params().clone(),
-            storage_nodes: 1,
             frame_window: ocs::DEFAULT_FRAME_WINDOW,
             // Ablation rows must reflect the cold pushdown path, not a
             // warm cache.

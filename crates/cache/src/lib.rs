@@ -13,8 +13,7 @@
 //!   behaviour is reproducible under the simulated clock.
 //! * [`SharedByteLru`] — the `Arc<DebugMutex<_>>` wrapper storage nodes
 //!   hold (its lock's rank is audited in debug builds).
-//! * [`fnv1a64`] — the stable FNV-1a fingerprint used for plan keys and
-//!   affinity routing (same constants as the frontend's shard router).
+//! * [`fnv1a64`] — the stable FNV-1a fingerprint used for plan keys.
 //!
 //! The crate is deliberately ignorant of *what* it caches: decoded arrays,
 //! serialized result frames and their cost annotations are all just `V`.
@@ -28,13 +27,13 @@ use std::sync::Arc;
 use sync::DebugMutex;
 
 /// FNV-1a 64-bit offset basis.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
-pub const FNV_PRIME: u64 = 0x100_0000_01b3;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
 
 /// Stable FNV-1a 64-bit hash of a byte string. Used for Substrait plan
-/// fingerprints and the frontend's cache-affinity routing; must never
-/// change across versions (fingerprints are compared across processes).
+/// fingerprints; must never change across versions (fingerprints are
+/// compared across processes).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {

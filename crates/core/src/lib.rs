@@ -180,7 +180,6 @@ pub fn register_ocs_stack_configured(
             storage_disk: cluster.storage_disk,
             frontend_node: cluster.frontend.clone(),
             cost: cost.clone(),
-            storage_nodes: 1,
             frame_window: ocs::DEFAULT_FRAME_WINDOW,
             row_group_cache_bytes,
             result_cache_bytes,

@@ -4,9 +4,7 @@
 //! boundary, and hands the engine a lazy batch stream so split workers
 //! consume results frame-at-a-time while storage is still producing.
 
-use std::sync::Arc;
-
-use columnar::{RecordBatch, Schema};
+use columnar::RecordBatch;
 use dsq::error::{EResult, EngineError};
 use dsq::spi::{PageSourceProvider, PageSourceResult, PageStream, Split};
 use netsim::{ClusterSpec, CostParams, SplitReport, Work};
@@ -75,34 +73,6 @@ impl PageSourceProvider for OcsPageSourceProvider {
             .handle
             .as_any()
             .downcast_ref::<OcsTableHandle>()
-            .cloned()
-            .or_else(|| {
-                // A scan the connector optimizer never rewrote (e.g. the
-                // policy declined everything): treat the default handle as
-                // a plain projected read through OCS, built against the
-                // split's base schema.
-                split
-                    .handle
-                    .as_any()
-                    .downcast_ref::<dsq::spi::DefaultTableHandle>()
-                    .map(|h| {
-                        let projection = h
-                            .projection
-                            .clone()
-                            .unwrap_or_else(|| (0..split.schema.fields().len()).collect());
-                        let fields = projection
-                            .iter()
-                            .filter_map(|&i| split.schema.fields().get(i).cloned())
-                            .collect();
-                        OcsTableHandle {
-                            table: split.table.clone(),
-                            base_schema: split.schema.clone(),
-                            projection,
-                            pushed: Default::default(),
-                            output_schema: Arc::new(Schema::new(fields)),
-                        }
-                    })
-            })
             .ok_or_else(|| {
                 EngineError::Connector(format!(
                     "ocs connector received an unknown handle: {}",
@@ -120,7 +90,7 @@ impl PageSourceProvider for OcsPageSourceProvider {
         //    "Substrait IR Generation", billed to the coordinator). The
         //    connector optimizer verified this handle's plan once for the
         //    query; OCS verifies what arrives.
-        let (plan, ir_nodes) = to_substrait(&handle);
+        let (plan, ir_nodes) = to_substrait(handle);
         let substrait_gen_s = self
             .cluster
             .compute
@@ -148,9 +118,11 @@ impl PageSourceProvider for OcsPageSourceProvider {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use columnar::Schema;
     use dsq::spi::DefaultTableHandle;
     use objstore::ObjectStore;
     use ocs::{Ocs, OcsConfig};
+    use std::sync::Arc;
 
     fn deployment() -> (OcsClient, columnar::SchemaRef) {
         use columnar::{Array, DataType, Field};
@@ -186,53 +158,20 @@ mod tests {
         }
     }
 
-    /// Regression: a never-rewritten `DefaultTableHandle` must serve a
-    /// plain read from the split's base schema instead of fabricating an
-    /// empty-schema handle that the provider then rejects.
+    /// The connector's optimizer rewrites every scan it owns to an
+    /// [`OcsTableHandle`], so any other handle is a typed error.
     #[test]
-    fn default_handle_serves_plain_read() {
+    fn default_handle_is_an_unknown_handle_error() {
         let (client, schema) = deployment();
         let provider =
             OcsPageSourceProvider::new(client, ClusterSpec::paper_testbed(), CostParams::default());
-        let page = provider
-            .create(&split(
-                schema.clone(),
-                Arc::new(DefaultTableHandle::all_columns()),
-            ))
-            .expect("default handle must fall back to a plain read");
-        let mut stream = page.stream;
-        let mut rows = 0usize;
-        let mut cols = 0usize;
-        while let Some(b) = stream.next_batch().unwrap() {
-            rows += b.num_rows();
-            cols = b.num_columns();
-        }
-        assert_eq!(rows, 100);
-        assert_eq!(cols, 2);
-        let report = stream.finish().unwrap();
-        assert_eq!(report.stats.rows_returned, 100);
-        assert!(report.frames.len() >= 3, "schema + batches + trailer");
-        assert!(report.compute_deser_s > 0.0);
-    }
-
-    #[test]
-    fn default_handle_respects_projection() {
-        let (client, schema) = deployment();
-        let provider =
-            OcsPageSourceProvider::new(client, ClusterSpec::paper_testbed(), CostParams::default());
-        let page = provider
-            .create(&split(
-                schema,
-                Arc::new(DefaultTableHandle::projected(vec![1])),
-            ))
-            .unwrap();
-        let mut stream = page.stream;
-        let mut rows = 0usize;
-        while let Some(b) = stream.next_batch().unwrap() {
-            rows += b.num_rows();
-            assert_eq!(b.num_columns(), 1);
-            assert_eq!(b.schema().fields()[0].name, "y");
-        }
-        assert_eq!(rows, 100);
+        let err = provider
+            .create(&split(schema, Arc::new(DefaultTableHandle::all_columns())))
+            .err()
+            .expect("a default handle is not an OCS handle");
+        assert!(
+            matches!(&err, EngineError::Connector(m) if m.contains("unknown handle")),
+            "{err}"
+        );
     }
 }

@@ -104,15 +104,6 @@ impl Metastore {
             .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
     }
 
-    /// Remove a table.
-    pub fn drop_table(&self, name: &str) -> EResult<()> {
-        self.tables
-            .write()
-            .remove(&name.to_ascii_lowercase())
-            .map(|_| ())
-            .ok_or_else(|| EngineError::UnknownTable(name.to_string()))
-    }
-
     /// Re-register the same table under a different connector (used by the
     /// benchmarks to compare Raw / Hive / OCS access paths to one dataset).
     pub fn rebind_connector(&self, table: &str, connector: &str) -> EResult<()> {
@@ -177,15 +168,6 @@ mod tests {
         m.rebind_connector("points", "ocs").unwrap();
         assert_eq!(m.table("points").unwrap().connector, "ocs");
         assert!(m.rebind_connector("ghost", "ocs").is_err());
-    }
-
-    #[test]
-    fn drop_table() {
-        let m = Metastore::new();
-        m.register(sample());
-        m.drop_table("points").unwrap();
-        assert!(m.table("points").is_err());
-        assert!(m.drop_table("points").is_err());
     }
 
     #[test]

@@ -173,13 +173,6 @@ impl ScalarExpr {
     pub fn weight(&self) -> u32 {
         expr::weight(self)
     }
-
-    /// True if the expression contains no column references (foldable).
-    pub fn is_constant(&self) -> bool {
-        let mut refs = Vec::new();
-        self.referenced_columns(&mut refs);
-        refs.is_empty()
-    }
 }
 
 impl ExprTree for ScalarExpr {
@@ -354,17 +347,5 @@ mod tests {
         let mut refs = Vec::new();
         r.referenced_columns(&mut refs);
         assert_eq!(refs, vec![30, 10]);
-    }
-
-    #[test]
-    fn constant_detection() {
-        assert!(ScalarExpr::lit(Scalar::Int64(5)).is_constant());
-        let e = ScalarExpr::Arith {
-            op: ArithOp::Mul,
-            left: Arc::new(ScalarExpr::lit(Scalar::Int64(500))),
-            right: Arc::new(ScalarExpr::lit(Scalar::Int64(500))),
-        };
-        assert!(e.is_constant());
-        assert!(!ScalarExpr::col(0, "a", DataType::Int64).is_constant());
     }
 }

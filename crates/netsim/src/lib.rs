@@ -35,7 +35,7 @@ pub mod stats;
 
 pub use cost::CostParams;
 pub use ledger::{Ledger, Phase};
-pub use sched::{makespan, pipeline, pipeline_grouped, PipelineReport};
+pub use sched::{makespan, pipeline_grouped, PipelineReport};
 pub use spec::{ClusterSpec, DiskSpec, LinkSpec, NodeSpec, Work};
 pub use split::{split_phase, SplitPhase, SplitReport, StageBusy};
 pub use stats::{ExecStats, FrameTiming};

@@ -5,12 +5,13 @@
 //! * [`makespan`] — the LPT bin-packing used for a *single* stage: given
 //!   independent per-split durations and a node's parallel lanes, how long
 //!   does that stage take in isolation;
-//! * [`pipeline`] — the overlap model for the *whole* split phase: given
-//!   per-frame per-stage durations, compose the stage timelines the way a
-//!   streaming boundary actually behaves — an FCFS multi-server queue per
-//!   stage, each frame flowing disk → decompress → storage CPU → frontend
-//!   → network → compute — so the phase costs roughly
-//!   `bottleneck stage + fill/drain` instead of the sum of all stages.
+//! * [`pipeline_grouped`] — the overlap model for the *whole* split
+//!   phase: given per-frame per-stage durations, compose the stage
+//!   timelines the way a streaming boundary actually behaves — an FCFS
+//!   multi-server queue per stage, each frame flowing disk → decompress →
+//!   storage CPU → frontend → network → compute — so the phase costs
+//!   roughly `bottleneck stage + fill/drain` instead of the sum of all
+//!   stages.
 
 /// Makespan of scheduling `durations` onto `lanes` identical lanes (LPT).
 ///
@@ -40,7 +41,7 @@ pub fn makespan(durations: &[f64], lanes: usize) -> f64 {
     loads.iter().cloned().fold(0.0, f64::max)
 }
 
-/// Outcome of composing a frame pipeline with [`pipeline`].
+/// Outcome of composing a frame pipeline with [`pipeline_grouped`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineReport {
     /// Completion time of the last frame at the last stage — the
@@ -95,24 +96,19 @@ impl PipelineReport {
 /// `i+1` occupies the storage CPU — which is exactly what the old additive
 /// per-stage barriers could not express.
 ///
+/// Group affinity: `groups[i]` names item `i`'s group (a split, a request
+/// stream, …) and stages with `serial[s] == true` process each group's
+/// items one at a time, in input order — different groups still run
+/// concurrently on the stage's lanes. This models resources that are
+/// parallel *across* streams but serial *within* one: a Presto driver
+/// drains its split's pages on one thread, and a frontend relays one
+/// request's frames sequentially, no matter how many cores the node has.
+/// Missing `groups` entries default to group 0; missing `serial` entries
+/// default to `false`, so empty slices give the plain FCFS pipeline.
+///
 /// Invariants (pinned by the tests below): the result is at least the
 /// busiest stage's LPT makespan, at least the longest single-item chain,
 /// and at most the sum of all stages' serial sums.
-pub fn pipeline(items: &[Vec<f64>], lanes: &[usize]) -> PipelineReport {
-    pipeline_grouped(items, lanes, &[], &[])
-}
-
-/// [`pipeline`] with per-item group affinity: `groups[i]` names item `i`'s
-/// group (a split, a request stream, …) and stages with `serial[s] ==
-/// true` process each group's items one at a time, in input order —
-/// different groups still run concurrently on the stage's lanes.
-///
-/// This models resources that are parallel *across* streams but serial
-/// *within* one: a Presto driver drains its split's pages on one thread,
-/// and a frontend relays one request's frames sequentially, no matter how
-/// many cores the node has. Missing `groups` entries default to group 0;
-/// missing `serial` entries default to `false` (so empty slices reproduce
-/// plain [`pipeline`] exactly).
 pub fn pipeline_grouped(
     items: &[Vec<f64>],
     lanes: &[usize],
@@ -298,10 +294,10 @@ mod tests {
 
     #[test]
     fn pipeline_empty() {
-        let r = pipeline(&[], &[1, 1]);
+        let r = pipeline_grouped(&[], &[1, 1], &[], &[]);
         assert_eq!(r.makespan, 0.0);
         assert_eq!(r.stage_busy, vec![0.0, 0.0]);
-        let r = pipeline(&[vec![1.0]], &[]);
+        let r = pipeline_grouped(&[vec![1.0]], &[], &[], &[]);
         assert_eq!(r.makespan, 0.0);
     }
 
@@ -309,11 +305,11 @@ mod tests {
     fn pipeline_single_stage_is_lpt_like() {
         // One stage, one lane: serial sum; first item done at 1.
         let items = vec![vec![1.0], vec![2.0], vec![3.0]];
-        let r = pipeline(&items, &[1]);
+        let r = pipeline_grouped(&items, &[1], &[], &[]);
         assert_eq!(r.makespan, 6.0);
         assert_eq!(r.item_done, vec![1.0, 3.0, 6.0]);
         // Enough lanes: max.
-        let r = pipeline(&items, &[8]);
+        let r = pipeline_grouped(&items, &[8], &[], &[]);
         assert_eq!(r.makespan, 3.0);
     }
 
@@ -324,7 +320,7 @@ mod tests {
         //   s1:   [1,2] [2,3] [3,4]
         // makespan = n + stages - 1 = 4; additive barriers would say 6.
         let items = vec![vec![1.0, 1.0]; 3];
-        let r = pipeline(&items, &[1, 1]);
+        let r = pipeline_grouped(&items, &[1, 1], &[], &[]);
         assert_eq!(r.makespan, 4.0);
         assert_eq!(r.item_done, vec![2.0, 3.0, 4.0]);
         assert_eq!(r.stage_busy, vec![3.0, 3.0]);
@@ -337,7 +333,7 @@ mod tests {
         //   s0: [0,2] [2,4]    s1: [2,3] [4,5]
         // makespan = bottleneck (4) + drain (1) = 5.
         let items = vec![vec![2.0, 1.0]; 2];
-        let r = pipeline(&items, &[1, 1]);
+        let r = pipeline_grouped(&items, &[1, 1], &[], &[]);
         assert_eq!(r.makespan, 5.0);
         assert_eq!(r.item_done, vec![3.0, 5.0]);
     }
@@ -348,7 +344,7 @@ mod tests {
         //   s0: items 0,1 → [0,1]; items 2,3 → [1,2]
         //   s1 arrivals (1,1,2,2) served FCFS: [1,2] [2,3] [3,4] [4,5]
         let items = vec![vec![1.0, 1.0]; 4];
-        let r = pipeline(&items, &[2, 1]);
+        let r = pipeline_grouped(&items, &[2, 1], &[], &[]);
         assert_eq!(r.makespan, 5.0);
         assert_eq!(r.stage_busy, vec![4.0, 4.0]);
     }
@@ -360,7 +356,7 @@ mod tests {
         //   s0 (2 lanes): item0 [0,3], item1 [0,1]
         //   s1 (1 lane):  item1 [1,2], item0 [3,4]
         let items = vec![vec![3.0, 1.0], vec![1.0, 1.0]];
-        let r = pipeline(&items, &[2, 1]);
+        let r = pipeline_grouped(&items, &[2, 1], &[], &[]);
         assert_eq!(r.item_done, vec![4.0, 2.0]);
         assert_eq!(r.makespan, 4.0);
     }
@@ -377,7 +373,7 @@ mod tests {
             })
             .collect();
         let lanes = [1usize, 3, 2, 1];
-        let r = pipeline(&items, &lanes);
+        let r = pipeline_grouped(&items, &lanes, &[], &[]);
         // Upper bound: additive barriers (sum of per-stage LPT makespans).
         let additive: f64 = (0..lanes.len())
             .map(|s| {
@@ -407,13 +403,9 @@ mod tests {
             .map(|i| (0..3).map(|s| ((i * 5 + s * 3) % 7) as f64 * 0.2).collect())
             .collect();
         let lanes = [1usize, 4, 2];
+        // Groups without a serial stage change nothing.
         assert_eq!(
-            pipeline(&items, &lanes),
-            pipeline_grouped(&items, &lanes, &[], &[])
-        );
-        // All-false serial flags are also a no-op.
-        assert_eq!(
-            pipeline(&items, &lanes),
+            pipeline_grouped(&items, &lanes, &[], &[]),
             pipeline_grouped(&items, &lanes, &[0, 1, 0], &[false, false, false])
         );
     }
@@ -428,7 +420,7 @@ mod tests {
         assert_eq!(r.item_done, vec![1.0, 2.0, 1.0, 2.0]);
         assert_eq!(r.makespan, 2.0);
         // Without affinity the same items finish together at 1.0.
-        assert_eq!(pipeline(&items, &[8]).makespan, 1.0);
+        assert_eq!(pipeline_grouped(&items, &[8], &[], &[]).makespan, 1.0);
     }
 
     #[test]
@@ -442,7 +434,7 @@ mod tests {
             .collect();
         let lanes = [1usize, 3, 8, 1];
         let groups: Vec<usize> = (0..23).map(|i| i % 5).collect();
-        let plain = pipeline(&items, &lanes);
+        let plain = pipeline_grouped(&items, &lanes, &[], &[]);
         let grouped = pipeline_grouped(&items, &lanes, &groups, &[false, false, true, false]);
         assert!(grouped.makespan >= plain.makespan - 1e-12);
         // Busy time is schedule-independent.
@@ -506,7 +498,7 @@ mod tests {
         // 3 items × [1, 1], one lane per stage (see
         // pipeline_two_stage_textbook_overlap for the timeline).
         let items = vec![vec![1.0, 1.0]; 3];
-        let r = pipeline(&items, &[1, 1]);
+        let r = pipeline_grouped(&items, &[1, 1], &[], &[]);
         assert_eq!(
             r.stage_intervals[0],
             vec![(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
@@ -520,7 +512,7 @@ mod tests {
     #[test]
     fn pipeline_missing_stage_entries_are_zero() {
         let items = vec![vec![1.0], vec![1.0, 2.0]];
-        let r = pipeline(&items, &[1, 1]);
+        let r = pipeline_grouped(&items, &[1, 1], &[], &[]);
         // item0: s0 [0,1], s1 [1,1]; item1: s0 [1,2], s1 [2,4].
         assert_eq!(r.item_done, vec![1.0, 4.0]);
         assert_eq!(r.makespan, 4.0);

@@ -46,15 +46,6 @@ pub enum StoreError {
     NoSuchKey(String),
     /// Bucket already exists.
     BucketExists(String),
-    /// Byte range outside the object.
-    InvalidRange {
-        /// Requested start offset.
-        start: u64,
-        /// Requested end offset (exclusive).
-        end: u64,
-        /// Object size.
-        size: u64,
-    },
     /// Select-API failure (format error, unsupported operation, …).
     Select(String),
 }
@@ -65,12 +56,6 @@ impl fmt::Display for StoreError {
             StoreError::NoSuchBucket(b) => write!(f, "no such bucket: {b}"),
             StoreError::NoSuchKey(k) => write!(f, "no such key: {k}"),
             StoreError::BucketExists(b) => write!(f, "bucket already exists: {b}"),
-            StoreError::InvalidRange { start, end, size } => {
-                write!(
-                    f,
-                    "invalid range [{start}, {end}) for object of {size} bytes"
-                )
-            }
             StoreError::Select(m) => write!(f, "select error: {m}"),
         }
     }
@@ -181,26 +166,6 @@ impl ObjectStore {
             .ok_or_else(|| StoreError::NoSuchKey(key.to_string()))
     }
 
-    /// Fetch bytes `[start, end)` of an object.
-    pub fn get_range(&self, bucket: &str, key: &str, start: u64, end: u64) -> Result<Bytes> {
-        let obj = self.get_object(bucket, key)?;
-        let size = obj.len() as u64;
-        if start > end || end > size {
-            return Err(StoreError::InvalidRange { start, end, size });
-        }
-        Ok(obj.slice(start as usize..end as usize))
-    }
-
-    /// Object metadata without the payload.
-    pub fn head(&self, bucket: &str, key: &str) -> Result<ObjectMeta> {
-        let (obj, version) = self.get_object_versioned(bucket, key)?;
-        Ok(ObjectMeta {
-            key: key.to_string(),
-            size: obj.len() as u64,
-            version,
-        })
-    }
-
     /// List objects under `prefix`, lexicographically.
     pub fn list(&self, bucket: &str, prefix: &str) -> Result<Vec<ObjectMeta>> {
         let b = self.buckets.read();
@@ -218,28 +183,6 @@ impl ObjectStore {
             })
             .collect())
     }
-
-    /// Delete one object.
-    pub fn delete_object(&self, bucket: &str, key: &str) -> Result<()> {
-        let mut b = self.buckets.write();
-        let bucket = b
-            .get_mut(bucket)
-            .ok_or_else(|| StoreError::NoSuchBucket(bucket.to_string()))?;
-        bucket
-            .objects
-            .remove(key)
-            .map(|_| ())
-            .ok_or_else(|| StoreError::NoSuchKey(key.to_string()))
-    }
-
-    /// Delete a bucket and everything in it.
-    pub fn delete_bucket(&self, name: &str) -> Result<()> {
-        self.buckets
-            .write()
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| StoreError::NoSuchBucket(name.to_string()))
-    }
 }
 
 #[cfg(test)]
@@ -255,11 +198,8 @@ mod tests {
             Err(StoreError::BucketExists("b".into()))
         );
         s.ensure_bucket("b"); // idempotent
-        s.delete_bucket("b").unwrap();
-        assert!(matches!(
-            s.delete_bucket("b"),
-            Err(StoreError::NoSuchBucket(_))
-        ));
+        assert!(s.list("b", "").unwrap().is_empty());
+        assert!(matches!(s.list("c", ""), Err(StoreError::NoSuchBucket(_))));
     }
 
     #[test]
@@ -280,12 +220,11 @@ mod tests {
             s.get_object("b", "x").unwrap(),
             Bytes::from_static(b"hello")
         );
-        assert_eq!(s.head("b", "x").unwrap().size, 5);
+        assert_eq!(s.list("b", "x").unwrap()[0].size, 5);
         // Overwrite.
         s.put_object("b", "x", Bytes::from_static(b"bye")).unwrap();
-        assert_eq!(s.head("b", "x").unwrap().size, 3);
-        s.delete_object("b", "x").unwrap();
-        assert!(s.get_object("b", "x").is_err());
+        assert_eq!(s.list("b", "x").unwrap()[0].size, 3);
+        assert_eq!(s.get_object("b", "x").unwrap(), Bytes::from_static(b"bye"));
     }
 
     #[test]
@@ -300,9 +239,8 @@ mod tests {
             s.get_object_versioned("b", "x").unwrap(),
             (Bytes::from_static(b"b"), v2)
         );
-        assert_eq!(s.head("b", "y").unwrap().version, v3);
-        // Delete + recreate never reuses a version.
-        s.delete_object("b", "x").unwrap();
+        assert_eq!(s.get_object_versioned("b", "y").unwrap().1, v3);
+        // Overwriting an older key still takes a fresh, larger version.
         let v4 = s.put_object("b", "x", Bytes::from_static(b"d")).unwrap();
         assert!(v4 > v3);
         let metas = s.list("b", "").unwrap();
@@ -310,24 +248,6 @@ mod tests {
             metas.iter().map(|m| m.version).collect::<Vec<_>>(),
             vec![v4, v3]
         );
-    }
-
-    #[test]
-    fn range_reads() {
-        let s = ObjectStore::new();
-        s.create_bucket("b").unwrap();
-        s.put_object("b", "x", Bytes::from_static(b"0123456789"))
-            .unwrap();
-        assert_eq!(
-            s.get_range("b", "x", 2, 5).unwrap(),
-            Bytes::from_static(b"234")
-        );
-        assert_eq!(s.get_range("b", "x", 0, 0).unwrap().len(), 0);
-        assert!(matches!(
-            s.get_range("b", "x", 5, 11),
-            Err(StoreError::InvalidRange { .. })
-        ));
-        assert!(s.get_range("b", "x", 7, 3).is_err());
     }
 
     #[test]

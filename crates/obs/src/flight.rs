@@ -3,11 +3,11 @@
 //!
 //! Spans answer "where did the time go" for one traced query; the flight
 //! recorder answers "what was the *system* doing around then" — cache
-//! admissions and hits, routing decisions, frame-window backpressure
-//! stalls, version purges — continuously, for every query, traced or
-//! not. It is sized in events, not bytes, and old events are overwritten
-//! oldest-first, so the cost is a fixed allocation at first use plus a
-//! handful of atomic stores per event.
+//! admissions and hits, frame-window backpressure stalls, version
+//! purges — continuously, for every query, traced or not. It is sized
+//! in events, not bytes, and old events are overwritten oldest-first, so
+//! the cost is a fixed allocation at first use plus a handful of atomic
+//! stores per event.
 //!
 //! Concurrency model: a per-slot seqlock over plain atomics (no locks, no
 //! `unsafe`). The writer claims a sequence number from a global cursor,
@@ -30,28 +30,21 @@ const CAPACITY: usize = 4096;
 /// The event taxonomy. Every event carries three `u64` payload words
 /// (`a`, `b`, `c`) whose meaning is per-kind (documented on each
 /// variant); unknown codes read back from the ring are skipped, never
-/// panicked on.
+/// panicked on. Codes 5, 6, 9 and 10 are retired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlightKind {
     /// Cache admitted an entry. `a` = tier (0 row-group, 1 result),
-    /// `b` = charged bytes, `c` = node id (0 when recorded below the
-    /// node layer).
+    /// `b` = charged bytes, `c` = 0.
     CacheAdmit,
     /// Cache evicted entries under budget pressure. `a` = tier,
-    /// `b` = evictions so far (monotonic), `c` = node id.
+    /// `b` = evictions so far (monotonic), `c` = 0.
     CacheEvict,
     /// Row-group cache hit(s) served a scan. `a` = hits in this request,
-    /// `b` = bytes avoided, `c` = node id.
+    /// `b` = bytes avoided, `c` = 0.
     CacheHit,
     /// Pushdown-result cache replayed a whole response. `a` = 1,
-    /// `b` = bytes avoided, `c` = node id.
+    /// `b` = bytes avoided, `c` = 0.
     ResultCacheHit,
-    /// Router sent a request to its natural (affinity) owner.
-    /// `a` = node id, `b` = node load after, `c` = key hash.
-    RouteNatural,
-    /// Router spilled a request off its overloaded natural owner.
-    /// `a` = natural node, `b` = chosen node, `c` = key hash.
-    RouteSpill,
     /// A stream's frame window was full when the consumer asked for the
     /// next batch. `a` = window size, `b` = frames buffered,
     /// `c` = frames already relayed.
@@ -70,8 +63,6 @@ impl FlightKind {
             FlightKind::CacheEvict => 2,
             FlightKind::CacheHit => 3,
             FlightKind::ResultCacheHit => 4,
-            FlightKind::RouteNatural => 5,
-            FlightKind::RouteSpill => 6,
             FlightKind::BackpressureStall => 7,
             FlightKind::VersionPurge => 8,
         }
@@ -84,8 +75,6 @@ impl FlightKind {
             2 => FlightKind::CacheEvict,
             3 => FlightKind::CacheHit,
             4 => FlightKind::ResultCacheHit,
-            5 => FlightKind::RouteNatural,
-            6 => FlightKind::RouteSpill,
             7 => FlightKind::BackpressureStall,
             8 => FlightKind::VersionPurge,
             _ => return None,
@@ -99,8 +88,6 @@ impl FlightKind {
             FlightKind::CacheEvict => "cache.evict",
             FlightKind::CacheHit => "cache.hit",
             FlightKind::ResultCacheHit => "cache.result_hit",
-            FlightKind::RouteNatural => "route.natural",
-            FlightKind::RouteSpill => "route.spill",
             FlightKind::BackpressureStall => "backpressure.stall",
             FlightKind::VersionPurge => "version.purge",
         }
@@ -126,30 +113,19 @@ impl FlightEvent {
     /// One-line human rendering (as `EXPLAIN ANALYZE` prints it).
     pub fn describe(&self) -> String {
         match self.kind {
-            FlightKind::CacheAdmit => format!(
-                "cache.admit tier={} bytes={} node={}",
-                tier_label(self.a),
-                self.b,
-                self.c
-            ),
+            FlightKind::CacheAdmit => {
+                format!("cache.admit tier={} bytes={}", tier_label(self.a), self.b)
+            }
             FlightKind::CacheEvict => format!(
-                "cache.evict tier={} evictions={} node={}",
+                "cache.evict tier={} evictions={}",
                 tier_label(self.a),
-                self.b,
-                self.c
+                self.b
             ),
-            FlightKind::CacheHit => format!(
-                "cache.hit hits={} bytes_avoided={} node={}",
-                self.a, self.b, self.c
-            ),
+            FlightKind::CacheHit => {
+                format!("cache.hit hits={} bytes_avoided={}", self.a, self.b)
+            }
             FlightKind::ResultCacheHit => {
-                format!("cache.result_hit bytes_avoided={} node={}", self.b, self.c)
-            }
-            FlightKind::RouteNatural => {
-                format!("route.natural node={} load={}", self.a, self.b)
-            }
-            FlightKind::RouteSpill => {
-                format!("route.spill natural={} chosen={}", self.a, self.b)
+                format!("cache.result_hit bytes_avoided={}", self.b)
             }
             FlightKind::BackpressureStall => format!(
                 "backpressure.stall window={} buffered={} relayed={}",
@@ -327,14 +303,14 @@ mod tests {
             FlightKind::CacheEvict,
             FlightKind::CacheHit,
             FlightKind::ResultCacheHit,
-            FlightKind::RouteNatural,
-            FlightKind::RouteSpill,
             FlightKind::BackpressureStall,
             FlightKind::VersionPurge,
         ] {
             assert_eq!(FlightKind::from_code(kind.code()), Some(kind));
         }
         assert_eq!(FlightKind::from_code(0), None);
+        assert_eq!(FlightKind::from_code(5), None, "retired code");
+        assert_eq!(FlightKind::from_code(6), None, "retired code");
         assert_eq!(FlightKind::from_code(9), None, "retired code");
         assert_eq!(FlightKind::from_code(10), None, "retired code");
         assert_eq!(FlightKind::from_code(999), None);
@@ -361,7 +337,7 @@ mod tests {
     fn wraparound_overwrites_oldest_first() {
         let r = FlightRecorder::with_capacity(8);
         for i in 0..20u64 {
-            r.record(FlightKind::RouteNatural, i, 0, 0);
+            r.record(FlightKind::CacheHit, i, 0, 0);
         }
         let events = r.since(0);
         // Exactly the last `capacity` events survive, oldest first.
@@ -471,7 +447,10 @@ mod tests {
             c: 3,
         };
         assert!(mk(FlightKind::CacheAdmit).describe().contains("result"));
-        assert!(mk(FlightKind::RouteSpill).describe().contains("chosen=2"));
+        assert!(mk(FlightKind::CacheHit)
+            .describe()
+            .contains("bytes_avoided=2"));
+        assert!(!mk(FlightKind::CacheEvict).describe().contains("node="));
         assert!(mk(FlightKind::BackpressureStall)
             .describe()
             .contains("window=1"));

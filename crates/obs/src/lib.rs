@@ -23,7 +23,7 @@
 //!   ([`Profile::bottleneck`]) and Chrome counter-track export
 //!   ([`chrome::export_with_profile`]).
 //! * [`flight()`] — an always-on, fixed-size, lock-free flight recorder
-//!   of cache/routing/backpressure decisions ([`FlightRecorder`]), whose
+//!   of cache and backpressure decisions ([`FlightRecorder`]), whose
 //!   per-query slice `EXPLAIN ANALYZE` prints.
 //!
 //! The crate is dependency-free.

@@ -96,8 +96,6 @@ fn fetch_chunk(
     if let Some((caches, key)) = cache {
         wire.rg_cache_misses += 1;
         if caches.row_group.insert(key, array.clone(), decoded.max(1)) {
-            // Node id is unknown at this layer; the admit is attributed in
-            // the per-request events the node records.
             obs::flight().record(obs::FlightKind::CacheAdmit, 0, decoded.max(1), 0);
         }
     }

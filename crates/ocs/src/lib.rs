@@ -13,8 +13,7 @@
 //!   [`exec`] embedded executor over Substrait plans, on deliberately weak
 //!   hardware (16 cores @ 2.0 GHz in the paper's testbed);
 //! * [`OcsFrontend`] — the unified endpoint: parses incoming Substrait IR,
-//!   dispatches to the storage node owning the object, and relays Arrow
-//!   results;
+//!   dispatches to its one storage node, and relays Arrow results;
 //! * [`OcsClient`] — the "gRPC" boundary: serializes plans to bytes on the
 //!   way in and a stream of Arrow-IPC batch frames on the way out,
 //!   counting every byte so the cost model can bill the link.
@@ -146,16 +145,14 @@ pub struct OcsConfig {
     pub frontend_node: NodeSpec,
     /// Work-unit cost coefficients (shared with the query engine).
     pub cost: CostParams,
-    /// Number of storage nodes (objects are sharded by key hash).
-    pub storage_nodes: usize,
     /// Bounded in-flight frame window of the streaming boundary: at most
     /// this many encoded frames are buffered client-side (backpressure).
     pub frame_window: usize,
-    /// Byte budget of each storage node's decoded row-group cache
+    /// Byte budget of the storage node's decoded row-group cache
     /// (decoded column chunks, keyed by object version). Zero disables
     /// the tier.
     pub row_group_cache_bytes: u64,
-    /// Byte budget of each storage node's pushdown-result cache (whole
+    /// Byte budget of the storage node's pushdown-result cache (whole
     /// verified-subplan responses, keyed by plan fingerprint + object
     /// version). Zero disables the tier.
     pub result_cache_bytes: u64,
@@ -177,7 +174,6 @@ impl OcsConfig {
             storage_disk: cluster.storage_disk,
             frontend_node: cluster.frontend,
             cost: CostParams::default(),
-            storage_nodes: 1,
             frame_window: rpc::DEFAULT_FRAME_WINDOW,
             row_group_cache_bytes: 64 * 1024 * 1024,
             result_cache_bytes: 32 * 1024 * 1024,
@@ -198,11 +194,6 @@ impl OcsConfig {
     /// Check the deployment knobs, rejecting values that would previously
     /// have been silently clamped or silently useless.
     pub fn validate(&self) -> OcsResult<()> {
-        if self.storage_nodes == 0 {
-            return Err(OcsError::Config(
-                "storage_nodes must be >= 1 (a deployment needs at least one node)".into(),
-            ));
-        }
         if self.frame_window == 0 {
             return Err(OcsError::Config(
                 "frame_window must be >= 1 (zero in-flight frames can never make progress)".into(),
@@ -223,7 +214,7 @@ impl OcsConfig {
     }
 }
 
-/// A whole OCS deployment: frontend + storage nodes over one object store.
+/// A whole OCS deployment: frontend + storage node over one object store.
 #[derive(Debug)]
 pub struct Ocs {
     frontend: Arc<OcsFrontend>,
@@ -244,29 +235,22 @@ impl Ocs {
     }
 
     /// Bring up OCS over `store` with `config`, validating the config
-    /// first. Each storage node gets its own pair of near-storage caches
-    /// sized by the config budgets.
+    /// first. The storage node gets both near-storage caches, sized by
+    /// the config budgets.
     pub fn try_new(store: Arc<ObjectStore>, config: OcsConfig) -> OcsResult<Ocs> {
         config.validate()?;
-        let nodes: Vec<Arc<StorageNode>> = (0..config.storage_nodes)
-            .map(|id| {
-                Arc::new(
-                    StorageNode::new(
-                        id,
-                        store.clone(),
-                        config.storage_node.clone(),
-                        config.storage_disk,
-                        config.cost.clone(),
-                    )
-                    .with_caches(cache::NodeCaches::new(
-                        config.row_group_cache_bytes,
-                        config.result_cache_bytes,
-                    )),
-                )
-            })
-            .collect();
+        let node = StorageNode::new(
+            store,
+            config.storage_node,
+            config.storage_disk,
+            config.cost.clone(),
+        )
+        .with_caches(cache::NodeCaches::new(
+            config.row_group_cache_bytes,
+            config.result_cache_bytes,
+        ));
         Ok(Ocs {
-            frontend: Arc::new(OcsFrontend::new(nodes, config.frontend_node, config.cost)),
+            frontend: Arc::new(OcsFrontend::new(node, config.frontend_node, config.cost)),
             frame_window: config.frame_window,
         })
     }
@@ -303,16 +287,6 @@ mod tests {
         assert!(matches!(err, OcsError::Config(_)), "got {err}");
         assert!(err.to_string().contains("frame_window"));
         assert!(Ocs::try_new(Arc::new(ObjectStore::new()), config).is_err());
-    }
-
-    #[test]
-    fn zero_storage_nodes_is_a_config_error() {
-        let config = OcsConfig {
-            storage_nodes: 0,
-            ..OcsConfig::paper_testbed()
-        };
-        let err = config.validate().unwrap_err();
-        assert!(err.to_string().contains("storage_nodes"));
     }
 
     #[test]

@@ -28,10 +28,14 @@ pub struct NodeResponse {
     pub groups_scanned: usize,
 }
 
+/// Name of a storage request's root span. The testbed has one storage
+/// node, and the index keeps the name that benchmark probes and the
+/// experiment write-ups match on.
+const SPAN_NAME: &str = "storage[0].execute";
+
 /// One OCS storage node.
 #[derive(Debug)]
 pub struct StorageNode {
-    id: usize,
     store: Arc<ObjectStore>,
     spec: NodeSpec,
     disk: DiskSpec,
@@ -42,15 +46,8 @@ pub struct StorageNode {
 impl StorageNode {
     /// Create a node over the shared object store. Caches start disabled;
     /// bind them with [`StorageNode::with_caches`].
-    pub fn new(
-        id: usize,
-        store: Arc<ObjectStore>,
-        spec: NodeSpec,
-        disk: DiskSpec,
-        cost: CostParams,
-    ) -> Self {
+    pub fn new(store: Arc<ObjectStore>, spec: NodeSpec, disk: DiskSpec, cost: CostParams) -> Self {
         StorageNode {
-            id,
             store,
             spec,
             disk,
@@ -63,11 +60,6 @@ impl StorageNode {
     pub fn with_caches(mut self, caches: NodeCaches) -> Self {
         self.caches = caches;
         self
-    }
-
-    /// Node id (used by the frontend's shard routing).
-    pub fn id(&self) -> usize {
-        self.id
     }
 
     /// Verify `plan` with planck, then execute it against the object at
@@ -137,12 +129,7 @@ impl StorageNode {
                 charge.max(1),
             );
             if admitted {
-                obs::flight().record(
-                    obs::FlightKind::CacheAdmit,
-                    1,
-                    charge.max(1),
-                    self.id as u64,
-                );
+                obs::flight().record(obs::FlightKind::CacheAdmit, 1, charge.max(1), 0);
             }
         }
 
@@ -154,25 +141,15 @@ impl StorageNode {
                 obs::FlightKind::CacheHit,
                 exec.wire.rg_cache_hits,
                 exec.wire.cache_bytes_avoided,
-                self.id as u64,
+                0,
             );
         }
         let (rg_after, result_after) = self.caches.stats();
         if rg_after.evictions > rg_before.evictions {
-            obs::flight().record(
-                obs::FlightKind::CacheEvict,
-                0,
-                rg_after.evictions,
-                self.id as u64,
-            );
+            obs::flight().record(obs::FlightKind::CacheEvict, 0, rg_after.evictions, 0);
         }
         if result_after.evictions > result_before.evictions {
-            obs::flight().record(
-                obs::FlightKind::CacheEvict,
-                1,
-                result_after.evictions,
-                self.id as u64,
-            );
+            obs::flight().record(obs::FlightKind::CacheEvict, 1, result_after.evictions, 0);
         }
 
         // Decompression cost: uncompressed bytes through the codec at its
@@ -232,21 +209,10 @@ impl StorageNode {
         m.counter("ocs.cache.result_hits").inc();
         m.counter("ocs.cache.bytes_avoided")
             .add(cached.bytes_avoided);
-        obs::flight().record(
-            obs::FlightKind::ResultCacheHit,
-            1,
-            cached.bytes_avoided,
-            self.id as u64,
-        );
+        obs::flight().record(obs::FlightKind::ResultCacheHit, 1, cached.bytes_avoided, 0);
 
         let tracer = obs::Tracer::new();
-        let root = tracer.record(
-            format!("storage[{}].execute", self.id),
-            "storage",
-            None,
-            0.0,
-            0.0,
-        );
+        let root = tracer.record(SPAN_NAME, "storage", None, 0.0, 0.0);
         tracer.set_wall(root, wall_start.elapsed().as_secs_f64());
         tracer.attr(root, "cache_hit", "result");
         tracer.attr(root, "cache_bytes_avoided", cached.bytes_avoided);
@@ -277,13 +243,7 @@ impl StorageNode {
     ) -> Vec<obs::SpanRec> {
         let tracer = obs::Tracer::new();
         let total = disk_s + decompress_s + scan_s + ops_s;
-        let root = tracer.record(
-            format!("storage[{}].execute", self.id),
-            "storage",
-            None,
-            0.0,
-            total,
-        );
+        let root = tracer.record(SPAN_NAME, "storage", None, 0.0, total);
         tracer.set_wall(root, wall_start.elapsed().as_secs_f64());
         tracer.attr(root, "rows", exec.wire.rows_scanned);
         tracer.attr(root, "bytes", exec.wire.disk_bytes);
@@ -361,7 +321,6 @@ mod tests {
     fn executes_and_bills_in_core_seconds() {
         let (store, schema) = setup(CodecKind::None);
         let node = StorageNode::new(
-            0,
             store,
             NodeSpec {
                 name: "storage",
@@ -402,8 +361,8 @@ mod tests {
             eff_expr: 0.03,
         };
         let disk = DiskSpec { read_gbps: 2.0 };
-        let raw = StorageNode::new(0, store_raw, spec.clone(), disk, CostParams::default());
-        let zst = StorageNode::new(0, store_zst, spec, disk, CostParams::default());
+        let raw = StorageNode::new(store_raw, spec.clone(), disk, CostParams::default());
+        let zst = StorageNode::new(store_zst, spec, disk, CostParams::default());
         let plan = Plan::new(Rel::read("t", schema, None));
         let a = raw.execute(&plan, "lake", "t/0").unwrap();
         let b = zst.execute(&plan, "lake", "t/0").unwrap();
@@ -422,7 +381,6 @@ mod tests {
     fn weaker_node_bills_more_seconds_for_same_work() {
         let (store, schema) = setup(CodecKind::None);
         let weak = StorageNode::new(
-            0,
             store.clone(),
             NodeSpec {
                 name: "weak",
@@ -436,7 +394,6 @@ mod tests {
             CostParams::default(),
         );
         let strong = StorageNode::new(
-            1,
             store,
             NodeSpec {
                 name: "strong",

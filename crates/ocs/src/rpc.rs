@@ -90,10 +90,12 @@ impl BatchStream {
                 None => break,
             }
         }
-        // Leaving the refill with a full window means the producer ran out
-        // of slots, not frames: the consumer is pacing the stream. Record
-        // the stall so `EXPLAIN ANALYZE` can show where drains lagged.
-        if self.inflight.len() >= self.window && !self.done {
+        // Leaving the refill with a full window while the producer still
+        // has frames means it ran out of slots: the consumer is pacing the
+        // stream. Record the stall so `EXPLAIN ANALYZE` can show where
+        // drains lagged. A full window holding the last frame stalls
+        // nothing.
+        if self.inflight.len() >= self.window && !self.producer.is_exhausted() {
             obs::flight().record(
                 obs::FlightKind::BackpressureStall,
                 self.window as u64,
@@ -222,7 +224,9 @@ mod tests {
     use objstore::ObjectStore;
     use substrait_ir::{Expr, Measure, Rel};
 
-    fn deployment() -> (Ocs, Schema) {
+    /// One 10 000-row object in 1 024-row groups, so scans produce many
+    /// batches (= many frames), behind an OCS deployment of `config`.
+    fn deployment_with(config: OcsConfig) -> (Arc<ObjectStore>, Ocs, Schema) {
         let store = Arc::new(ObjectStore::new());
         store.create_bucket("lake").unwrap();
         let schema = Arc::new(Schema::new(vec![
@@ -238,7 +242,6 @@ mod tests {
             ],
         )
         .unwrap();
-        // Small row groups so scans produce many batches (= many frames).
         let bytes = parq::writer::write_file(
             schema.clone(),
             &[batch],
@@ -249,45 +252,22 @@ mod tests {
         )
         .unwrap();
         store.put_object("lake", "t/0", bytes.into()).unwrap();
-        // Cache tiers off: several tests here re-execute the same plan
-        // against the same object and compare cost ledgers, which warm
-        // caches would legitimately change.
-        (
-            Ocs::new(store, OcsConfig::paper_testbed_uncached()),
-            (*schema).clone(),
-        )
+        let ocs = Ocs::new(store.clone(), config);
+        (store, ocs, (*schema).clone())
+    }
+
+    /// Cache tiers off: several tests here re-execute the same plan
+    /// against the same object and compare cost ledgers, which warm
+    /// caches would legitimately change.
+    fn deployment() -> (Ocs, Schema) {
+        let (_, ocs, schema) = deployment_with(OcsConfig::paper_testbed_uncached());
+        (ocs, schema)
     }
 
     /// Same data as [`deployment`], but with the near-storage cache tiers
     /// on (paper-testbed budgets).
     fn cached_deployment() -> (Arc<ObjectStore>, Ocs, Schema) {
-        let store = Arc::new(ObjectStore::new());
-        store.create_bucket("lake").unwrap();
-        let schema = Arc::new(Schema::new(vec![
-            Field::new("g", DataType::Int64, false),
-            Field::new("v", DataType::Float64, false),
-        ]));
-        let n = 10_000i64;
-        let batch = RecordBatch::try_new(
-            schema.clone(),
-            vec![
-                Arc::new(Array::from_i64((0..n).map(|i| i % 7).collect())),
-                Arc::new(Array::from_f64((0..n).map(|i| i as f64).collect())),
-            ],
-        )
-        .unwrap();
-        let bytes = parq::writer::write_file(
-            schema.clone(),
-            &[batch],
-            parq::WriteOptions {
-                row_group_rows: 1024,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        store.put_object("lake", "t/0", bytes.into()).unwrap();
-        let ocs = Ocs::new(store.clone(), OcsConfig::paper_testbed());
-        (store, ocs, (*schema).clone())
+        deployment_with(OcsConfig::paper_testbed())
     }
 
     #[test]
@@ -488,13 +468,12 @@ mod tests {
     fn streaming_matches_buffered_batch_for_batch() {
         // The oracle is the storage node called directly: same batches,
         // no frontend, no serialization.
-        let (ocs, schema) = deployment();
+        let config = OcsConfig::paper_testbed_uncached();
+        let (store, ocs, schema) = deployment_with(config.clone());
+        let node =
+            crate::StorageNode::new(store, config.storage_node, config.storage_disk, config.cost);
         let plan = Plan::new(Rel::read("t", schema, None));
-        let direct = ocs
-            .frontend()
-            .route("t/0")
-            .execute(&plan, "lake", "t/0")
-            .unwrap();
+        let direct = node.execute(&plan, "lake", "t/0").unwrap();
         let streamed = ocs.client().execute(&plan, "lake", "t/0").unwrap();
         assert_eq!(streamed.batches, direct.batches);
         assert!(streamed.batches.len() > 4, "one batch per row group");

@@ -129,6 +129,11 @@ impl WireStream {
         self.frontend_spec.core_seconds(work)
     }
 
+    /// Whether the trailer has been sent: no frame is left to produce.
+    pub(crate) fn is_exhausted(&self) -> bool {
+        !self.trailer_pending
+    }
+
     /// Produce the next frame, or `None` once the trailer has been sent.
     pub fn next_frame(&mut self) -> Option<WireFrame> {
         if let Some(schema) = self.pending_schema.take() {

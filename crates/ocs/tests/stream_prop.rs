@@ -79,7 +79,6 @@ fn deployment(seed: u64, rows: usize, window: usize) -> (Ocs, StorageNode) {
     let mut config = OcsConfig::paper_testbed_uncached();
     config.frame_window = window;
     let node = StorageNode::new(
-        0,
         store.clone(),
         config.storage_node.clone(),
         config.storage_disk,

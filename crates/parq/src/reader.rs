@@ -244,11 +244,6 @@ impl ParqReader {
         self.row_groups.iter().map(|g| g.rows).sum()
     }
 
-    /// Whole-file size in bytes.
-    pub fn file_bytes(&self) -> u64 {
-        self.bytes.len() as u64
-    }
-
     /// Statistics of column `col` in row group `rg`.
     pub fn chunk_stats(&self, rg: usize, col: usize) -> Result<&ColumnStats> {
         self.row_groups

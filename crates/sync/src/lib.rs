@@ -3,8 +3,8 @@
 //!
 //! [`DebugMutex`] and [`DebugRwLock`] are drop-in replacements for the
 //! plain `Mutex` / `RwLock` the workspace holds its shared state in
-//! (cache-affinity router, near-storage caches, connector registry,
-//! pushdown monitor, metrics registry, object store). Every lock is built
+//! (near-storage caches, connector registry, pushdown monitor, metrics
+//! registry, object store). Every lock is built
 //! with a **class** and a **rank** ([`DebugMutex::named`]), which must
 //! match its row in `LOCK_ORDER.md` at the repo root (`xtask lint` checks
 //! the call sites against the table). In release builds without the

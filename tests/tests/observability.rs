@@ -282,13 +282,13 @@ fn explain_analyze_names_bottleneck_and_flight_events() {
             ..Default::default()
         },
     );
-    ocs_connector::register_ocs_stack_configured(&engine, store, PushdownPolicy::all(), 0, 0);
+    ocs_connector::register_ocs_stack(&engine, store, PushdownPolicy::all());
     engine
         .metastore()
         .rebind_connector("lineitem", "ocs")
         .expect("rebind");
-    // Caches off, so the query's own events are its routing decisions
-    // alone, and none of them falls out of the last-8 window.
+    // Caches on and cold, so the query admits more row groups and
+    // results than the last-8 tail can show.
     let sql = format!("EXPLAIN ANALYZE {}", queries::TPCH_Q1);
     let _ring = FLIGHT_RING.write().unwrap_or_else(|e| e.into_inner());
     match engine.execute_statement(&sql).expect("explain analyze") {
@@ -336,15 +336,14 @@ fn explain_analyze_names_bottleneck_and_flight_events() {
                     (seq.parse().expect("numeric seq"), desc)
                 })
                 .collect();
-            assert!((1..=total.min(8)).contains(&shown), "{text}");
+            assert_eq!(shown, 8, "{text}");
+            assert!(total > shown, "{text}");
             assert_eq!(events.len(), shown, "{text}");
             // …in strictly increasing sequence order…
             assert!(events.windows(2).all(|w| w[0].0 < w[1].0), "{text}");
-            // …and every OCS split was routed by the frontend.
+            // …and the cold scans admitted what they decoded.
             assert!(
-                events
-                    .iter()
-                    .any(|(_, d)| d.starts_with("route.natural") || d.starts_with("route.spill")),
+                events.iter().any(|(_, d)| d.starts_with("cache.admit")),
                 "{text}"
             );
         }
@@ -353,9 +352,8 @@ fn explain_analyze_names_bottleneck_and_flight_events() {
 }
 
 /// On the default cached stack a cold Q1 records more cache admissions
-/// than the last-8 tail can show, so the routing decisions, recorded
-/// first, are visible only in the by-kind line, whose counts cover every
-/// event of the query.
+/// than the last-8 tail can show; the by-kind line counts every event of
+/// the query, each kind once.
 #[test]
 fn explain_analyze_counts_flight_events_by_kind() {
     let st = stack(PushdownPolicy::all(), CodecKind::None, &[]);
@@ -383,12 +381,8 @@ fn explain_analyze_counts_flight_events_by_kind() {
             (kind, n.parse().expect("numeric count"))
         })
         .collect();
-    assert!(
-        counts
-            .iter()
-            .any(|(k, _)| *k == "route.natural" || *k == "route.spill"),
-        "{text}"
-    );
+    assert!(counts.iter().any(|(k, _)| *k == "cache.admit"), "{text}");
+    assert!(total > 8, "{text}");
     assert_eq!(
         counts.iter().map(|(_, n)| n).sum::<usize>(),
         total,
@@ -398,6 +392,59 @@ fn explain_analyze_counts_flight_events_by_kind() {
     kinds.sort_unstable();
     kinds.dedup();
     assert_eq!(kinds.len(), counts.len(), "each kind once: {text}");
+}
+
+/// A refill that takes the producer's last frame leaves nothing to wait
+/// for: a response of N frames drained at window W records exactly
+/// N − W backpressure stalls (none when it fits the window).
+#[test]
+fn backpressure_stalls_only_while_frames_remain() {
+    use columnar::{Array, DataType, Field, RecordBatch, Schema};
+    use substrait_ir::{Plan, Rel};
+
+    let store = Arc::new(objstore::ObjectStore::new());
+    store.create_bucket("lake").expect("bucket");
+    let schema = Arc::new(Schema::new(vec![Field::new("x", DataType::Int64, false)]));
+    let batch = RecordBatch::try_new(
+        schema.clone(),
+        vec![Arc::new(Array::from_i64((0..4096).collect()))],
+    )
+    .expect("batch");
+    let options = parq::WriteOptions {
+        row_group_rows: 512,
+        ..Default::default()
+    };
+    let bytes = parq::writer::write_file(schema.clone(), &[batch], options).expect("write");
+    store.put_object("lake", "t/0", bytes.into()).expect("put");
+    let ocs = ocs::Ocs::new(store, ocs::OcsConfig::paper_testbed_uncached());
+    let plan = Plan::new(Rel::read("t", (*schema).clone(), None));
+    let _ring = FLIGHT_RING.write().unwrap_or_else(|e| e.into_inner());
+    let frames = ocs
+        .client()
+        .execute(&plan, "lake", "t/0")
+        .expect("execute")
+        .report
+        .frames
+        .len();
+    assert_eq!(frames, 10, "schema + 8 row groups + trailer");
+    for window in [1, 2, frames - 1, frames, frames + 1] {
+        let client = ocs::OcsClient::with_window(ocs.frontend().clone(), window);
+        let cursor = obs::flight().cursor();
+        let report = client
+            .execute(&plan, "lake", "t/0")
+            .expect("execute")
+            .report;
+        let stalls = obs::flight()
+            .since(cursor)
+            .iter()
+            .filter(|e| e.kind == obs::FlightKind::BackpressureStall)
+            .count();
+        assert_eq!(
+            stalls,
+            report.frames.len().saturating_sub(window),
+            "window {window}"
+        );
+    }
 }
 
 #[test]
