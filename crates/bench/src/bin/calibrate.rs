@@ -1,6 +1,7 @@
 //! Calibration helper: dump the per-phase ledger for every configuration
-//! of every workload, so the cost-model constants can be tuned against the
-//! paper's ratios. Not one of the paper's artifacts, but kept as a
+//! of every workload (raw, then each pushdown depth from `pd-filter`, the
+//! S3-Select level, to `pd-all`), so the cost-model constants can be tuned
+//! against the paper's ratios. Not one of the paper's artifacts, but kept as a
 //! first-class tool (EXPERIMENTS.md documents the calibration workflow).
 
 use lzcodec::CodecKind;
@@ -19,7 +20,6 @@ fn main() {
         println!("\n================ {table} ================");
         for connector in [
             "raw",
-            "hive",
             "pd-filter",
             "pd-filter-proj",
             "pd-filter-proj-agg",

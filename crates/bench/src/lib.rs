@@ -146,8 +146,8 @@ impl DatasetSelection {
 }
 
 /// Build a stack at `scale` with datasets stored under `codec`, and
-/// pushdown-depth connectors registered (`pd-filter` … `pd-all`), plus the
-/// standard `raw` / `hive` / `ocs` trio.
+/// pushdown-depth connectors registered (`pd-filter` … `pd-all`; `pd-filter`
+/// is the S3-Select level), plus the standard `raw` / `ocs` pair.
 pub fn build_stack(
     scale: Scale,
     codec: CodecKind,

@@ -30,19 +30,18 @@
 //! per-object groups — so results are exact even when groups span objects.
 //! Pushing top-N *above* a partial aggregation additionally requires
 //! groups not to span objects (true for the paper's workloads, where each
-//! file covers a disjoint key range); the
-//! [`policy::PushdownPolicy::assume_object_disjoint_groups`] flag gates
-//! this, and the connector declines that pushdown when unset.
+//! file covers a disjoint key range). The optimizer proves this from
+//! per-object min/max statistics of the group keys and declines that
+//! pushdown when the proof fails.
 //!
 //! # Baselines
 //!
-//! Two more connectors reproduce the paper's comparison points:
+//! The paper's two comparison points:
 //!
 //! * [`raw::RawConnector`] — *no pushdown*: whole objects cross the
 //!   network and every operator runs at the compute layer;
-//! * [`hive::HiveConnector`] — *filter-only pushdown* at the
-//!   S3-Select/MinIO-Select capability level, via the object store's
-//!   restricted `select()` API.
+//! * *filter-only pushdown*, the S3-Select/MinIO-Select capability level,
+//!   is this connector under [`PushdownPolicy::filter_only`].
 //!
 //! # Example
 //!
@@ -54,14 +53,13 @@
 //!
 //! let store = Arc::new(ObjectStore::new());
 //! let engine = EngineBuilder::new().build();
-//! // Registers the "ocs", "hive" and "raw" connectors over `store`.
+//! // Registers the "ocs" and "raw" connectors over `store`.
 //! register_ocs_stack(&engine, store, PushdownPolicy::all());
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod handle;
-pub mod hive;
 pub mod monitor;
 pub mod optimizer;
 pub mod pagesource;
@@ -71,7 +69,6 @@ pub mod selectivity;
 pub mod translate;
 
 pub use handle::{OcsTableHandle, PushedAggregate, PushedOps};
-pub use hive::HiveConnector;
 pub use monitor::{PushdownHistory, PushdownMonitor};
 pub use optimizer::OcsPlanOptimizer;
 pub use policy::PushdownPolicy;
@@ -83,7 +80,7 @@ pub use substrait_ir::planck;
 
 use std::sync::Arc;
 
-use dsq::spi::{Connector, ConnectorPlanOptimizer, PageSourceProvider, SplitManager};
+use dsq::spi::{Connector, ConnectorPlanOptimizer, PageSourceProvider};
 use dsq::Engine;
 use objstore::ObjectStore;
 
@@ -92,7 +89,6 @@ pub struct OcsConnector {
     name: String,
     policy: PushdownPolicy,
     optimizer: Arc<OcsPlanOptimizer>,
-    splits: Arc<dsq::spi::DefaultSplitManager>,
     pages: Arc<pagesource::OcsPageSourceProvider>,
 }
 
@@ -108,7 +104,6 @@ impl OcsConnector {
         let name = name.into();
         OcsConnector {
             optimizer: Arc::new(OcsPlanOptimizer::new(name.clone(), policy.clone())),
-            splits: Arc::new(dsq::spi::DefaultSplitManager),
             pages: Arc::new(pagesource::OcsPageSourceProvider::new(
                 ocs.client(),
                 cluster,
@@ -134,17 +129,13 @@ impl Connector for OcsConnector {
         Some(self.optimizer.clone())
     }
 
-    fn split_manager(&self) -> Arc<dyn SplitManager> {
-        self.splits.clone()
-    }
-
     fn page_source_provider(&self) -> Arc<dyn PageSourceProvider> {
         self.pages.clone()
     }
 }
 
 /// Convenience: stand up the full comparison stack on one engine —
-/// an OCS deployment plus the `"ocs"`, `"hive"` and `"raw"` connectors,
+/// an OCS deployment plus the `"ocs"` and `"raw"` connectors,
 /// all over the same object store, using the engine's cluster/cost model.
 pub fn register_ocs_stack(
     engine: &Engine,
@@ -191,12 +182,6 @@ pub fn register_ocs_stack_configured(
         cluster.clone(),
         cost.clone(),
         policy,
-    )));
-    engine.register_connector(Arc::new(HiveConnector::new(
-        "hive",
-        store.clone(),
-        cluster.clone(),
-        cost.clone(),
     )));
     engine.register_connector(Arc::new(RawConnector::new("raw", store, cluster, cost)));
     ocs

@@ -205,8 +205,7 @@ impl ConnectorPlanOptimizer for OcsPlanOptimizer {
                     if sel <= self.policy.selectivity_threshold {
                         est_rows = analyzer.aggregate_output_rows(group_by) as f64;
                         let full_mode_ok = self.policy.topn
-                            && (self.policy.assume_object_disjoint_groups
-                                || groups_object_disjoint(&table, &projection, group_by));
+                            && groups_object_disjoint(&table, &projection, group_by);
                         if next_is_topn && full_mode_ok {
                             // FULL aggregation in storage: the scan emits
                             // the original aggregate output schema and the

@@ -27,12 +27,6 @@ pub struct PushdownPolicy {
     /// disables the guard — which is how Figure 5's "+Proj" configurations
     /// reproduce the paper's projection-pushdown slowdown.
     pub max_project_weight: u32,
-    /// Explicit override asserting that aggregation group keys never span
-    /// storage objects. Normally unnecessary: the optimizer *proves*
-    /// disjointness from per-object min/max statistics (which holds for
-    /// all three paper workloads). Leave false unless the metastore lacks
-    /// partition-level statistics and you know the layout.
-    pub assume_object_disjoint_groups: bool,
 }
 
 impl PushdownPolicy {
@@ -47,7 +41,6 @@ impl PushdownPolicy {
             sort: true,
             selectivity_threshold: 1.0,
             max_project_weight: u32::MAX,
-            assume_object_disjoint_groups: false,
         }
     }
 
@@ -61,7 +54,6 @@ impl PushdownPolicy {
             sort: false,
             selectivity_threshold: 1.0,
             max_project_weight: u32::MAX,
-            assume_object_disjoint_groups: false,
         }
     }
 

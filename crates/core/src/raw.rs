@@ -7,8 +7,7 @@ use std::sync::Arc;
 
 use dsq::error::{EResult, EngineError};
 use dsq::spi::{
-    BufferedPageStream, Connector, DefaultSplitManager, DefaultTableHandle, PageSourceProvider,
-    PageSourceResult, Split, SplitManager,
+    BufferedPageStream, Connector, DefaultTableHandle, PageSourceProvider, PageSourceResult, Split,
 };
 use netsim::{ClusterSpec, CostParams, ExecStats, Work};
 use objstore::ObjectStore;
@@ -17,7 +16,6 @@ use parq::ParqReader;
 /// The raw GET-the-object connector.
 pub struct RawConnector {
     name: String,
-    splits: Arc<DefaultSplitManager>,
     pages: Arc<RawPageSourceProvider>,
 }
 
@@ -31,7 +29,6 @@ impl RawConnector {
     ) -> Self {
         RawConnector {
             name: name.into(),
-            splits: Arc::new(DefaultSplitManager),
             pages: Arc::new(RawPageSourceProvider {
                 store,
                 cluster,
@@ -44,10 +41,6 @@ impl RawConnector {
 impl Connector for RawConnector {
     fn name(&self) -> &str {
         &self.name
-    }
-
-    fn split_manager(&self) -> Arc<dyn SplitManager> {
-        self.splits.clone()
     }
 
     fn page_source_provider(&self) -> Arc<dyn PageSourceProvider> {

@@ -105,7 +105,7 @@ impl Metastore {
     }
 
     /// Re-register the same table under a different connector (used by the
-    /// benchmarks to compare Raw / Hive / OCS access paths to one dataset).
+    /// benchmarks to compare raw and OCS access paths to one dataset).
     pub fn rebind_connector(&self, table: &str, connector: &str) -> EResult<()> {
         let meta = self.table(table)?;
         let mut new_meta = (*meta).clone();

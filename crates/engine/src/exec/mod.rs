@@ -123,7 +123,7 @@ pub fn execute_plan(
             EngineError::Connector(format!("no connector registered as '{}'", scan.connector))
         })?
         .clone();
-    let splits = connector.split_manager().splits(&table, &scan)?;
+    let splits = crate::spi::splits(&table, &scan);
     let provider = connector.page_source_provider();
 
     // Coordinator overheads (Table 3's "Others").

@@ -14,7 +14,7 @@
 //!    [`spi::ConnectorPlanOptimizer`] hook, the exact seam the Presto-OCS
 //!    connector plugs into;
 //! 5. **physical planning and split generation** — one split per storage
-//!    object, scheduled over the (simulated) worker cores;
+//!    object ([`spi::splits`]), scheduled over the (simulated) worker cores;
 //! 6. **vectorized execution** ([`exec`]) — parallel per-split pipelines
 //!    (scan → filter → project → partial aggregation / local top-N)
 //!    feeding a final single-stream stage, exactly Presto's
@@ -26,8 +26,8 @@
 //!
 //! The engine knows nothing about OCS: all storage access goes through the
 //! [`spi::Connector`] trait, and the `ocs-connector` crate provides the
-//! paper's contribution as a plugin, plus `HiveConnector` (filter-only
-//! pushdown) and `RawConnector` (no pushdown) baselines.
+//! paper's contribution as a plugin (whose filter-only policy is the
+//! S3-Select baseline), plus the `RawConnector` (no pushdown) baseline.
 
 #![warn(missing_docs)]
 

@@ -1,6 +1,7 @@
 //! The Connector Service Provider Interface (SPI) — the seam the paper's
-//! connector plugs into, mirroring Presto's `ConnectorPlanOptimizer`,
-//! `ConnectorSplitManager` and `ConnectorPageSourceProvider`.
+//! connector plugs into, mirroring Presto's `ConnectorPlanOptimizer` and
+//! `ConnectorPageSourceProvider`. Split enumeration is one split per
+//! storage object for every connector ([`splits`]).
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -108,7 +109,7 @@ pub struct PageSourceResult {
     pub substrait_gen_s: f64,
 }
 
-/// Stream for whole-result connectors (raw GET, S3-Select style): every
+/// Stream for whole-result connectors (a raw GET of the object): every
 /// batch is materialized up front and the split reports as
 /// [`SplitReport::monolithic`] — one indivisible frame, which is exactly
 /// how a monolithic fetch behaves.
@@ -156,25 +157,22 @@ pub trait PageSourceProvider: Send + Sync {
     fn create(&self, split: &Split) -> EResult<PageSourceResult>;
 }
 
-/// Enumerates splits for a scan (Presto's `ConnectorSplitManager`).
-pub trait SplitManager: Send + Sync {
-    /// One split per storage object by default.
-    fn splits(&self, table: &TableMeta, scan: &TableScanNode) -> EResult<Vec<Split>> {
-        Ok(table
-            .objects
-            .iter()
-            .enumerate()
-            .map(|(seq, obj)| Split {
-                connector: scan.connector.clone(),
-                table: table.name.clone(),
-                bucket: obj.bucket.clone(),
-                key: obj.key.clone(),
-                schema: table.schema.clone(),
-                handle: scan.handle.clone(),
-                seq,
-            })
-            .collect())
-    }
+/// The splits of a scan: one per storage object, numbered in object order.
+pub fn splits(table: &TableMeta, scan: &TableScanNode) -> Vec<Split> {
+    table
+        .objects
+        .iter()
+        .enumerate()
+        .map(|(seq, obj)| Split {
+            connector: scan.connector.clone(),
+            table: table.name.clone(),
+            bucket: obj.bucket.clone(),
+            key: obj.key.clone(),
+            schema: table.schema.clone(),
+            handle: scan.handle.clone(),
+            seq,
+        })
+        .collect()
 }
 
 /// Context handed to connector plan optimizers.
@@ -201,17 +199,9 @@ pub trait Connector: Send + Sync {
     fn plan_optimizer(&self) -> Option<Arc<dyn ConnectorPlanOptimizer>> {
         None
     }
-    /// Split enumeration.
-    fn split_manager(&self) -> Arc<dyn SplitManager>;
     /// Page sources.
     fn page_source_provider(&self) -> Arc<dyn PageSourceProvider>;
 }
-
-/// Pass-through split manager usable by simple connectors.
-#[derive(Debug, Default)]
-pub struct DefaultSplitManager;
-
-impl SplitManager for DefaultSplitManager {}
 
 #[cfg(test)]
 mod tests {
@@ -220,7 +210,7 @@ mod tests {
     use columnar::{DataType, Field, Schema};
 
     #[test]
-    fn default_split_manager_one_split_per_object() {
+    fn one_split_per_object() {
         let schema = Arc::new(Schema::new(vec![Field::new("a", DataType::Int64, false)]));
         let meta = TableMeta {
             name: "t".into(),
@@ -243,7 +233,7 @@ mod tests {
             output_schema: schema,
             handle: Arc::new(DefaultTableHandle::all_columns()),
         };
-        let splits = DefaultSplitManager.splits(&meta, &scan).unwrap();
+        let splits = splits(&meta, &scan);
         assert_eq!(splits.len(), 3);
         assert_eq!(splits[2].key, "t/2");
         assert_eq!(splits[2].seq, 2);

@@ -1,9 +1,8 @@
 //! One record per finished split, and the one function that prices a
 //! query's split phase from those records.
 //!
-//! Every connector — the streaming OCS boundary, the monolithic raw GET,
-//! the S3-Select-style Hive path — describes a drained split with the same
-//! [`SplitReport`]. [`split_phase`] replays all reports' frames through
+//! Every connector — the streaming OCS boundary and the monolithic raw
+//! GET — describes a drained split with the same [`SplitReport`]. [`split_phase`] replays all reports' frames through
 //! the six-stage pipeline of `STAGES` (the paper's Table 3 rows that
 //! overlap) and returns everything the engine bills or draws from it: the
 //! overlapped makespan, its apportioning into ledger phases, the retired

@@ -1,18 +1,17 @@
-//! `objstore` — a flat bucket/object store with an S3-Select-like
-//! restricted scan API.
+//! `objstore` — a flat, versioned bucket/object store: GET, PUT and LIST.
 //!
 //! Models the role AWS S3 / MinIO play in the paper: objects are opaque
-//! byte blobs under `bucket/key`, metadata lives apart from data, readers
-//! can fetch whole objects or byte ranges, and [`select()`](fn@select) offers
-//! the *limited* in-storage compute conventional object stores have —
-//! **column projection and `WHERE` filtering only**. Anything more
-//! (aggregation, sort, top-N) is structurally impossible through this API,
-//! which is precisely the gap OCS (the `ocs` crate) fills.
+//! byte blobs under `bucket/key`, metadata lives apart from data, and
+//! every put stamps a fresh write version that caches key on. The store
+//! computes nothing: the S3-Select capability level (projection + `WHERE`
+//! filtering) is expressed as a pushdown policy on the OCS path
+//! (`PushdownPolicy::filter_only`, the `pd-filter` connector), and OCS
+//! (the `ocs` crate) runs everything beyond it.
 //!
-//! The store is deliberately ignorant of the cost model: callers receive
-//! byte/row accounting in [`SelectStats`] / object sizes and bill the
-//! `netsim` ledgers themselves, because *where* the bytes travel (local
-//! disk vs network link) depends on who is calling.
+//! The store is deliberately ignorant of the cost model: callers read
+//! object sizes and bill the `netsim` ledgers themselves, because *where*
+//! the bytes travel (local disk vs network link) depends on who is
+//! calling.
 //!
 //! # Example
 //!
@@ -28,10 +27,6 @@
 
 #![warn(missing_docs)]
 
-pub mod select;
-
-pub use select::{select, SelectRequest, SelectResponse, SelectStats};
-
 use bytes::Bytes;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -46,8 +41,6 @@ pub enum StoreError {
     NoSuchKey(String),
     /// Bucket already exists.
     BucketExists(String),
-    /// Select-API failure (format error, unsupported operation, …).
-    Select(String),
 }
 
 impl fmt::Display for StoreError {
@@ -56,7 +49,6 @@ impl fmt::Display for StoreError {
             StoreError::NoSuchBucket(b) => write!(f, "no such bucket: {b}"),
             StoreError::NoSuchKey(k) => write!(f, "no such key: {k}"),
             StoreError::BucketExists(b) => write!(f, "bucket already exists: {b}"),
-            StoreError::Select(m) => write!(f, "select error: {m}"),
         }
     }
 }
@@ -285,5 +277,154 @@ mod tests {
             }
         });
         assert_eq!(s.list("b", "").unwrap().len(), 400);
+    }
+}
+
+/// A filter-only read of a stored parq object, done the way the
+/// S3-Select capability level does it: GET the object, prune row groups
+/// from footer statistics, decode the survivors and evaluate the
+/// conjunction. The store offers no such call; the test checks that the
+/// pieces it is built from agree when composed over a stored object.
+#[cfg(test)]
+mod select {
+    mod tests {
+        use crate::ObjectStore;
+        use bytes::Bytes;
+        use columnar::kernels::cmp::CmpOp;
+        use columnar::kernels::{boolean, cmp, selection};
+        use columnar::prelude::*;
+        use columnar::BooleanArray;
+        use parq::{CodecKind, ParqReader, RangePredicate, WriteOptions};
+        use std::sync::Arc;
+
+        fn store_with_table(codec: CodecKind) -> ObjectStore {
+            let schema = Arc::new(Schema::new(vec![
+                Field::new("id", DataType::Int64, false),
+                Field::new("v", DataType::Float64, false),
+                Field::new("tag", DataType::Utf8, false),
+            ]));
+            let ids: Vec<i64> = (0..1000).collect();
+            let vs: Vec<f64> = ids.iter().map(|&i| i as f64 / 100.0).collect();
+            let tags: Vec<String> = ids.iter().map(|i| format!("g{}", i % 5)).collect();
+            let batch = RecordBatch::try_new(
+                schema.clone(),
+                vec![
+                    Arc::new(Array::from_i64(ids)),
+                    Arc::new(Array::from_f64(vs)),
+                    Arc::new(Array::from_strs(tags.iter().map(|s| s.as_str()))),
+                ],
+            )
+            .unwrap();
+            let bytes = parq::writer::write_file(
+                schema,
+                &[batch],
+                WriteOptions {
+                    codec,
+                    row_group_rows: 100,
+                    enable_dictionary: true,
+                },
+            )
+            .unwrap();
+            let s = ObjectStore::new();
+            s.create_bucket("lake").unwrap();
+            s.put_object("lake", "t/part-0", Bytes::from(bytes))
+                .unwrap();
+            s
+        }
+
+        /// The `id`s of the rows of `reader` that satisfy every predicate,
+        /// read from the row groups that pruning keeps, and the number of
+        /// rows those groups hold.
+        fn pruned_ids(reader: &ParqReader, predicates: &[RangePredicate]) -> (Vec<i64>, usize) {
+            let mut ids = Vec::new();
+            let mut scanned = 0;
+            for rg in reader.prune_row_groups(predicates) {
+                let batch = reader.read_row_group(rg, None).unwrap();
+                scanned += batch.num_rows();
+                let mut mask: Option<BooleanArray> = None;
+                for p in predicates {
+                    let m = cmp::compare_scalar(batch.column(p.column), &p.value, p.op).unwrap();
+                    mask = Some(match mask {
+                        Some(acc) => boolean::and(&acc, &m).unwrap(),
+                        None => m,
+                    });
+                }
+                let kept = match mask {
+                    Some(m) => selection::filter_batch(&batch, &m).unwrap(),
+                    None => batch,
+                };
+                ids.extend_from_slice(&kept.column(0).as_i64().unwrap().values);
+            }
+            (ids, scanned)
+        }
+
+        /// Row-group pruning and the conjunction evaluated per group must
+        /// agree with the conjunction evaluated row by row on the whole,
+        /// unpruned object — for every codec, since pruning reads only the
+        /// footer and must not depend on what the pages look like.
+        #[test]
+        fn pruned_select_matches_unpruned_evaluation() {
+            const OPS: [CmpOp; 6] = [
+                CmpOp::Eq,
+                CmpOp::NotEq,
+                CmpOp::Lt,
+                CmpOp::LtEq,
+                CmpOp::Gt,
+                CmpOp::GtEq,
+            ];
+            // SplitMix64: seeded, dependency-free.
+            let mut state = 0x0c5_5eed_u64;
+            let mut next = move |n: u64| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) % n
+            };
+            let mut pruned = 0;
+            for codec in [CodecKind::None, CodecKind::Snap, CodecKind::Zst] {
+                let s = store_with_table(codec);
+                let reader = ParqReader::open(s.get_object("lake", "t/part-0").unwrap()).unwrap();
+                let whole = RecordBatch::concat(&reader.read_all(None).unwrap()).unwrap();
+                for case in 0..60 {
+                    let predicates: Vec<RangePredicate> = (0..1 + next(3))
+                        .map(|_| {
+                            // Literals a little past both ends of each column.
+                            let at = next(1100) as i64 - 50;
+                            let (column, value) = match next(3) {
+                                0 => (0, Scalar::Int64(at)),
+                                1 => (1, Scalar::Float64(at as f64 / 100.0)),
+                                _ => (2, Scalar::Utf8(format!("g{}", at.rem_euclid(7)))),
+                            };
+                            RangePredicate {
+                                column,
+                                op: OPS[next(6) as usize],
+                                value,
+                            }
+                        })
+                        .collect();
+                    let holds = |row: usize, p: &RangePredicate| {
+                        let ord = whole.column(p.column).scalar_at(row).total_cmp(&p.value);
+                        match p.op {
+                            CmpOp::Eq => ord.is_eq(),
+                            CmpOp::NotEq => ord.is_ne(),
+                            CmpOp::Lt => ord.is_lt(),
+                            CmpOp::LtEq => ord.is_le(),
+                            CmpOp::Gt => ord.is_gt(),
+                            CmpOp::GtEq => ord.is_ge(),
+                        }
+                    };
+                    let expect: Vec<i64> = (0..whole.num_rows())
+                        .filter(|&row| predicates.iter().all(|p| holds(row, p)))
+                        .map(|row| row as i64)
+                        .collect();
+                    let (got, scanned) = pruned_ids(&reader, &predicates);
+                    assert_eq!(got, expect, "{codec:?} case {case}: {predicates:?}");
+                    assert!(scanned >= expect.len());
+                    pruned += (scanned < 1000) as usize;
+                }
+            }
+            assert!(pruned > 30, "only {pruned} of 180 cases pruned a row group");
+        }
     }
 }

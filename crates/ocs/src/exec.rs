@@ -9,7 +9,7 @@
 //! inferred when it verified the plan. The
 //! operators and the pipeline that drives them are [`columnar::ops`], the
 //! code the compute-layer engine runs too, and a filter's prunable
-//! conjuncts are [`RangePredicate::lower`]'s, as on the Hive path.
+//! conjuncts are [`RangePredicate::lower`]'s.
 
 use std::mem::take;
 use std::sync::Arc;
@@ -156,7 +156,7 @@ impl<'a> Executor<'a> {
         // The predicate speaks *read output* positions; pruning wants file
         // columns. Whatever lowers, prunes — the whole predicate still
         // masks.
-        let prune = scan_filter.map_or_else(Vec::new, |p| RangePredicate::lower(p, projection).0);
+        let prune = scan_filter.map_or_else(Vec::new, |p| RangePredicate::lower(p, projection));
         let filter = scan_filter.map(|p| (p, &filter_pos[..]));
         let mut batches = self.scan(projection, &prune, filter)?;
 
@@ -452,7 +452,7 @@ mod tests {
             panic!("filter-over-read plans only");
         };
         let reader = test_reader();
-        let (prune, _) = RangePredicate::lower(predicate, projection.as_deref());
+        let prune = RangePredicate::lower(predicate, projection.as_deref());
         let cols = projection.clone().unwrap_or_else(|| vec![0, 1, 2]);
         let (mut rows, mut bounds) = (Vec::new(), [0u64; 3]);
         for rg in reader.prune_row_groups(&prune) {

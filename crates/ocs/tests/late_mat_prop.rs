@@ -136,7 +136,7 @@ fn naive_scan(
 /// of every row group `prune_row_groups` keeps is read and decoded before
 /// the filter runs. `[rows_scanned, uncompressed_bytes, disk_bytes]`.
 fn eager_bounds(reader: &ParqReader, projection: Option<&[usize]>, predicate: &Expr) -> [u64; 3] {
-    let (prune, _) = RangePredicate::lower(predicate, projection);
+    let prune = RangePredicate::lower(predicate, projection);
     let cols: Vec<usize> = projection.map_or_else(|| (0..3).collect(), <[usize]>::to_vec);
     let mut bounds = [0u64; 3];
     for rg in reader.prune_row_groups(&prune) {

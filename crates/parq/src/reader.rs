@@ -13,9 +13,8 @@ use crate::encoding::{decode_chunk, Encoding};
 use crate::stats::ColumnStats;
 use crate::{ParqError, Result, MAGIC};
 
-/// `column op literal`: the one simple-conjunct form. Footer statistics
-/// prune row groups with it, the object store's `select()` evaluates it,
-/// and it is all the S3-Select capability level can express.
+/// `column op literal`: the one simple-conjunct form, which footer
+/// statistics prune row groups with.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RangePredicate {
     /// Column index in the file schema.
@@ -34,15 +33,16 @@ impl RangePredicate {
     /// columns `e` references (scan-output positions) to file ordinals;
     /// `None` means they already are file ordinals.
     ///
-    /// Returns what lowered and whether *every* conjunct did. Pruning may
-    /// use an incomplete lowering; replacing the filter may not.
-    pub fn lower<E: ExprTree>(e: &E, file_columns: Option<&[usize]>) -> (Vec<Self>, bool) {
+    /// Conjuncts of any other shape, and columns outside `file_columns`,
+    /// are left out: the result may prune row groups, never replace the
+    /// filter.
+    pub fn lower<E: ExprTree>(e: &E, file_columns: Option<&[usize]>) -> Vec<Self> {
         let mut out = Vec::new();
-        let complete = Self::lower_into(e, file_columns, &mut out);
-        (out, complete)
+        Self::lower_into(e, file_columns, &mut out);
+        out
     }
 
-    fn lower_into<E: ExprTree>(e: &E, map: Option<&[usize]>, out: &mut Vec<Self>) -> bool {
+    fn lower_into<E: ExprTree>(e: &E, map: Option<&[usize]>, out: &mut Vec<Self>) {
         let mut push = |column: usize, op: CmpOp, value: &Scalar| {
             let column = match map {
                 Some(m) => m.get(column).copied(),
@@ -53,27 +53,26 @@ impl RangePredicate {
                 op,
                 value: value.clone(),
             }));
-            column.is_some()
         };
         match e.node() {
             Node::And(a, b) => {
-                // No short circuit: an incomplete lowering keeps the rest.
-                let left = Self::lower_into(a, map, out);
-                Self::lower_into(b, map, out) && left
+                Self::lower_into(a, map, out);
+                Self::lower_into(b, map, out);
             }
             Node::Cmp(op, left, right) => match (left.node(), right.node()) {
                 (Node::Column(c), Node::Literal(v)) => push(c, op, v),
                 (Node::Literal(v), Node::Column(c)) => push(c, op.flip(), v),
-                _ => false,
+                _ => {}
             },
-            Node::Between(x, lo, hi) => match (x.node(), lo.node(), hi.node()) {
-                (Node::Column(c), Node::Literal(lo), Node::Literal(hi)) => {
-                    push(c, CmpOp::GtEq, lo) && push(c, CmpOp::LtEq, hi)
+            Node::Between(x, lo, hi) => {
+                if let (Node::Column(c), Node::Literal(lo), Node::Literal(hi)) =
+                    (x.node(), lo.node(), hi.node())
+                {
+                    push(c, CmpOp::GtEq, lo);
+                    push(c, CmpOp::LtEq, hi);
                 }
-                _ => false,
-            },
-            Node::Literal(Scalar::Boolean(true)) => true,
-            _ => false,
+            }
+            _ => {}
         }
     }
 
@@ -581,9 +580,9 @@ mod tests {
             (CmpOp::GtEq, CmpOp::LtEq),
         ] {
             let direct = RangePredicate::lower(&T::Cmp(op, col(2), int(7)), None);
-            assert_eq!(direct, (vec![range(2, op, 7)], true));
+            assert_eq!(direct, vec![range(2, op, 7)]);
             let literal_first = RangePredicate::lower(&T::Cmp(op, int(7), col(2)), None);
-            assert_eq!(literal_first, (vec![range(2, flipped, 7)], true));
+            assert_eq!(literal_first, vec![range(2, flipped, 7)]);
         }
     }
 
@@ -602,15 +601,15 @@ mod tests {
             range(0, CmpOp::LtEq, 9),
             range(1, CmpOp::Lt, 5),
         ];
-        assert_eq!(RangePredicate::lower(&all, None), (expect, true));
+        assert_eq!(RangePredicate::lower(&all, None), expect);
 
-        // One conjunct that does not lower, on either side: incomplete, but
-        // the others are still there for pruning.
+        // One conjunct that does not lower, on either side: the others are
+        // still there for pruning.
         let hidden = || Box::new(T::Cmp(CmpOp::Lt, Box::new(T::Add(col(0), int(1))), int(5)));
         let simple = || Box::new(T::Cmp(CmpOp::Gt, col(1), int(3)));
         for e in [T::And(hidden(), simple()), T::And(simple(), hidden())] {
             let kept = vec![range(1, CmpOp::Gt, 3)];
-            assert_eq!(RangePredicate::lower(&e, None), (kept, false));
+            assert_eq!(RangePredicate::lower(&e, None), kept);
         }
 
         // Nothing under an OR, a column-to-column comparison, a non-literal
@@ -622,7 +621,7 @@ mod tests {
             T::Between(Box::new(T::Add(col(0), int(1))), int(1), int(2)),
             T::Lit(Scalar::Boolean(false)),
         ] {
-            assert_eq!(RangePredicate::lower(&e, None), (vec![], false));
+            assert_eq!(RangePredicate::lower(&e, None), vec![]);
         }
     }
 
@@ -638,17 +637,14 @@ mod tests {
             range(5, CmpOp::GtEq, 1),
             range(5, CmpOp::LtEq, 9),
         ];
-        assert_eq!(RangePredicate::lower(&e, Some(&[5, 2])), (expect, true));
-        // A column outside the projection is dropped, and reported.
+        assert_eq!(RangePredicate::lower(&e, Some(&[5, 2])), expect);
+        // A column outside the projection is dropped.
         let outside = T::And(
             Box::new(T::Cmp(CmpOp::Gt, col(1), int(3))),
             Box::new(T::Between(col(2), int(1), int(9))),
         );
         let kept = vec![range(2, CmpOp::Gt, 3)];
-        assert_eq!(
-            RangePredicate::lower(&outside, Some(&[5, 2])),
-            (kept, false)
-        );
+        assert_eq!(RangePredicate::lower(&outside, Some(&[5, 2])), kept);
     }
 
     #[test]

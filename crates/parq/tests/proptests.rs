@@ -1,5 +1,6 @@
 //! Property tests: parq write→read round-trips across arbitrary batches,
-//! row-group sizes and codecs; pruning soundness on random data; and
+//! row-group sizes and codecs; pruning soundness on random data, for
+//! conjunctions of every comparison over every column type and codec; and
 //! dictionary pages at every index width, intact and damaged, against a
 //! row-at-a-time reference expansion.
 
@@ -62,6 +63,52 @@ fn to_batch(rows: &[Row]) -> RecordBatch {
     .unwrap()
 }
 
+const OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::NotEq,
+    CmpOp::Lt,
+    CmpOp::LtEq,
+    CmpOp::Gt,
+    CmpOp::GtEq,
+];
+
+/// A conjunct's literal for `column`: the value of row `from_row` (so
+/// literals sit exactly on row-group bounds), or else one drawn from `at`,
+/// reaching a little past both ends of the generated data.
+fn literal(rows: &[Row], column: usize, from_row: Option<usize>, at: i64) -> Scalar {
+    let row = from_row.and_then(|i| rows.get(i % rows.len().max(1)));
+    match column {
+        0 => Scalar::Int64(row.and_then(|r| r.id).unwrap_or(at)),
+        1 => Scalar::Float64(row.map_or(at as f64 * 100.0, |r| r.v)),
+        _ => Scalar::Utf8(row.map_or_else(
+            || ["", "a", "bb", "cab", "eee", "f"][at.rem_euclid(6) as usize].to_string(),
+            |r| r.tag.clone(),
+        )),
+    }
+}
+
+/// Does `row` satisfy `p`, row by row, with SQL's rule that a null
+/// satisfies no comparison?
+fn holds(row: &Row, p: &RangePredicate) -> bool {
+    let value = match p.column {
+        0 => match row.id {
+            Some(id) => Scalar::Int64(id),
+            None => return false,
+        },
+        1 => Scalar::Float64(row.v),
+        _ => Scalar::Utf8(row.tag.clone()),
+    };
+    let ord = value.total_cmp(&p.value);
+    match p.op {
+        CmpOp::Eq => ord.is_eq(),
+        CmpOp::NotEq => ord.is_ne(),
+        CmpOp::Lt => ord.is_lt(),
+        CmpOp::LtEq => ord.is_le(),
+        CmpOp::Gt => ord.is_gt(),
+        CmpOp::GtEq => ord.is_ge(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -90,36 +137,6 @@ proptest! {
     }
 
     #[test]
-    fn pruning_never_drops_matches(
-        rows in rows_strategy(300),
-        threshold in -10_000i64..10_000,
-        rg_rows in 1usize..80,
-    ) {
-        let batch = to_batch(&rows);
-        let bytes = parq::writer::write_file(
-            batch.schema().clone(),
-            &[batch],
-            WriteOptions { codec: CodecKind::None, row_group_rows: rg_rows, enable_dictionary: false },
-        ).unwrap();
-        let r = ParqReader::open(bytes.into()).unwrap();
-        let pred = RangePredicate { column: 0, op: CmpOp::GtEq, value: Scalar::Int64(threshold) };
-        let kept: std::collections::HashSet<usize> =
-            r.prune_row_groups(std::slice::from_ref(&pred)).into_iter().collect();
-        for rg in 0..r.num_row_groups() {
-            let b = r.read_row_group(rg, Some(&[0])).unwrap();
-            let has = (0..b.num_rows()).any(|i| {
-                match b.column(0).scalar_at(i) {
-                    Scalar::Int64(x) => x >= threshold,
-                    _ => false,
-                }
-            });
-            if has {
-                prop_assert!(kept.contains(&rg), "row group {} wrongly pruned", rg);
-            }
-        }
-    }
-
-    #[test]
     fn stats_bound_all_values(rows in rows_strategy(200)) {
         prop_assume!(!rows.is_empty());
         let batch = to_batch(&rows);
@@ -136,6 +153,49 @@ proptest! {
             }
         }
         prop_assert_eq!(stats.row_count as usize, rows.len());
+    }
+}
+
+proptest! {
+    // Many cheap cases: a boundary bug shows only when a literal equals a
+    // row group's min or max exactly.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn pruning_never_drops_matches(
+        rows in rows_strategy(300),
+        conjuncts in proptest::collection::vec(
+            (0usize..3, 0usize..6, proptest::option::weighted(0.75, 0usize..300), -11_000i64..11_000),
+            1..4,
+        ),
+        rg_rows in 1usize..80,
+        codec_at in 0usize..3,
+    ) {
+        let codec = [CodecKind::None, CodecKind::Snap, CodecKind::Zst][codec_at];
+        let batch = to_batch(&rows);
+        let bytes = parq::writer::write_file(
+            batch.schema().clone(),
+            &[batch],
+            WriteOptions { codec, row_group_rows: rg_rows, enable_dictionary: true },
+        ).unwrap();
+        let r = ParqReader::open(bytes.into()).unwrap();
+        let preds: Vec<RangePredicate> = conjuncts
+            .iter()
+            .map(|&(column, op, from_row, at)| RangePredicate {
+                column,
+                op: OPS[op],
+                value: literal(&rows, column, from_row, at),
+            })
+            .collect();
+        let kept: std::collections::HashSet<usize> =
+            r.prune_row_groups(&preds).into_iter().collect();
+        let groups: Vec<&[Row]> = rows.chunks(rg_rows).collect();
+        prop_assert_eq!(r.num_row_groups(), groups.len());
+        for (rg, group) in groups.iter().enumerate() {
+            if group.iter().any(|row| preds.iter().all(|p| holds(row, p))) {
+                prop_assert!(kept.contains(&rg), "row group {} wrongly pruned by {:?}", rg, preds);
+            }
+        }
     }
 }
 

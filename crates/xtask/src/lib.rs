@@ -13,12 +13,13 @@
 //!    `crates/obs` (which decodes span payloads off the wire),
 //!    `crates/lzcodec` and `parq::{encoding, reader}` (which decode column
 //!    chunks, pages and footers off the store) and the
-//!    shared operator / expression / select modules the storage side runs
+//!    shared operator / expression modules the storage side runs
 //!    (`columnar::{batch, expr, ops, sort, groupby, dict,
-//!    kernels::{hash, selection}}`, `objstore::select`) must
+//!    kernels::{hash, selection}}`) must
 //!    not call `.unwrap()` or `.expect(`; a storage node must return an
 //!    error frame, never abort. Survivors are listed in
-//!    `crates/xtask/lint-allow.txt` with a justification.
+//!    `crates/xtask/lint-allow.txt` with a justification. Every scope
+//!    names a path that exists, so a deleted module leaves no dead scope.
 //! 3. **No dead error variants** (`L3`) — every variant of a `pub enum
 //!    *Error` must be constructed somewhere in the workspace; an
 //!    unconstructable variant is an error path that cannot happen and
@@ -51,8 +52,7 @@ use std::path::{Path, PathBuf};
 /// objects (`lzcodec`, `parq::{encoding, reader}`), and — because the rule
 /// is keyed by path — the shared modules that storage-side code moved into
 /// (`columnar::{expr, ops}`, the batch, sort, group-by, dictionary, hash
-/// and selection code under them run inside the storage node;
-/// `objstore::select` is the Hive path's storage side).
+/// and selection code under them run inside the storage node).
 const BANNED_PANIC_CRATES: &[&str] = &[
     "crates/cache/",
     "crates/ocs/",
@@ -74,7 +74,6 @@ const BANNED_PANIC_CRATES: &[&str] = &[
     "crates/netsim/src/sched.rs",
     "crates/netsim/src/split.rs",
     "crates/netsim/src/stats.rs",
-    "crates/objstore/src/select.rs",
 ];
 
 /// How many lines above an `unsafe` token a `SAFETY:` comment may sit.
@@ -821,6 +820,17 @@ mod tests {
         assert_eq!(violations[0].file, "crates/xtask/lint-allow.txt");
         assert_eq!(violations[0].line, 2);
         assert!(violations[0].message.contains("src/ghost.rs"));
+    }
+
+    #[test]
+    fn every_rule_2_scope_exists() {
+        let root = workspace_root();
+        for scope in BANNED_PANIC_CRATES {
+            assert!(
+                root.join(scope).exists(),
+                "rule-2 scope {scope} names no path"
+            );
+        }
     }
 
     #[test]

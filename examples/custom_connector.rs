@@ -3,9 +3,9 @@
 //! flexible connector-based interface").
 //!
 //! This example implements a miniature connector from scratch: an
-//! in-memory table served by a `SplitManager` + `PageSourceProvider` pair,
-//! with a `ConnectorPlanOptimizer` that performs its own (filter-only)
-//! pushdown and reports what it did.
+//! in-memory table served by a `PageSourceProvider` (the engine hands it
+//! one split per object), with a `ConnectorPlanOptimizer` that performs
+//! its own (filter-only) pushdown and reports what it did.
 //!
 //! ```sh
 //! cargo run -p examples --example custom_connector
@@ -21,8 +21,8 @@ use dsq::error::{EResult, EngineError};
 use dsq::expr::ScalarExpr;
 use dsq::plan::{LogicalPlan, TableScanNode};
 use dsq::spi::{
-    BufferedPageStream, Connector, ConnectorPlanOptimizer, DefaultSplitManager, OptimizerContext,
-    PageSourceProvider, PageSourceResult, Split, SplitManager, TableHandle,
+    BufferedPageStream, Connector, ConnectorPlanOptimizer, OptimizerContext, PageSourceProvider,
+    PageSourceResult, Split, TableHandle,
 };
 use dsq::EngineBuilder;
 
@@ -130,9 +130,6 @@ impl Connector for MemConnector {
         Some(Arc::new(MemOptimizer {
             log: self.log.clone(),
         }))
-    }
-    fn split_manager(&self) -> Arc<dyn SplitManager> {
-        Arc::new(DefaultSplitManager)
     }
     fn page_source_provider(&self) -> Arc<dyn PageSourceProvider> {
         Arc::new(MemPages {

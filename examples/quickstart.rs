@@ -77,8 +77,8 @@ fn main() {
         },
     });
 
-    // 4. Register the OCS / Hive / Raw connectors (the paper's comparison
-    //    stack) with full pushdown enabled.
+    // 4. Register the OCS and raw connectors (the paper's comparison
+    //    stack) with full pushdown enabled on OCS.
     register_ocs_stack(&engine, store, PushdownPolicy::all());
 
     // 5. Run a query. The connector pushes the filter and the aggregation

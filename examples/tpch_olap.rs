@@ -1,5 +1,6 @@
 //! Business OLAP scenario: TPC-H Q1 over the generated `lineitem` table,
-//! comparing the three access paths (raw / Hive / OCS) and showing the
+//! comparing three access paths (raw, OCS with filter-only pushdown — the
+//! S3-Select level — and OCS with every operator pushed) and showing the
 //! connector's pushdown-monitoring facility.
 //!
 //! ```sh
@@ -11,7 +12,7 @@ use std::sync::Arc;
 use dsq::EngineBuilder;
 use netsim::meter::human_bytes;
 use objstore::ObjectStore;
-use ocs_connector::{register_ocs_stack, PushdownMonitor, PushdownPolicy};
+use ocs_connector::{register_ocs_stack, OcsConnector, PushdownMonitor, PushdownPolicy};
 use workloads::{queries, TableLoader, TpchConfig};
 
 fn main() {
@@ -37,7 +38,14 @@ fn main() {
         human_bytes(ds.total_bytes)
     );
 
-    register_ocs_stack(&engine, store, PushdownPolicy::all());
+    let ocs = register_ocs_stack(&engine, store, PushdownPolicy::all());
+    engine.register_connector(Arc::new(OcsConnector::new(
+        "ocs-filter",
+        ocs,
+        engine.cluster().clone(),
+        engine.cost_params().clone(),
+        PushdownPolicy::filter_only(),
+    )));
 
     // The paper's pushdown monitor: an EventListener with a sliding window.
     let monitor = Arc::new(PushdownMonitor::new(16));
@@ -49,7 +57,7 @@ fn main() {
         "access path", "sim time", "data moved", "rows"
     );
     let mut reference: Option<Vec<Vec<columnar::Scalar>>> = None;
-    for connector in ["raw", "hive", "ocs"] {
+    for connector in ["raw", "ocs-filter", "ocs"] {
         engine
             .metastore()
             .rebind_connector("lineitem", connector)
@@ -57,7 +65,7 @@ fn main() {
         let r = engine.execute(queries::TPCH_Q1).expect(connector);
         let label = match connector {
             "raw" => "raw (no pushdown)",
-            "hive" => "hive (filter only)",
+            "ocs-filter" => "ocs (filter only)",
             _ => "ocs (full pushdown)",
         };
         println!(

@@ -16,7 +16,7 @@ pub struct Stack {
 }
 
 /// Build a stack with every dataset loaded and connectors registered:
-/// `"raw"`, `"hive"`, `"ocs"` (with `policy`), plus one extra OCS
+/// `"raw"`, `"ocs"` (with `policy`), plus one extra OCS
 /// connector per named policy in `extra` (so one stack can compare
 /// pushdown depths by rebinding tables).
 pub fn stack(policy: PushdownPolicy, codec: CodecKind, extra: &[(&str, PushdownPolicy)]) -> Stack {

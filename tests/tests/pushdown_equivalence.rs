@@ -198,7 +198,7 @@ proptest! {
         let sql = render(&spec);
         engine.metastore().rebind_connector("t", "raw").unwrap();
         let expected = canonical(&engine, &sql);
-        for connector in ["hive", "p-none", "p-filter", "p-fp", "p-fpa", "ocs"] {
+        for connector in ["p-none", "p-filter", "p-fp", "p-fpa", "ocs"] {
             engine.metastore().rebind_connector("t", connector).unwrap();
             let got = canonical(&engine, &sql);
             prop_assert_eq!(&got, &expected, "{} diverged on {}", connector, sql);

@@ -17,7 +17,7 @@ fn setup() -> Engine {
     setup_on("ocs")
 }
 
-/// The same table read through `connector` (`ocs`, `hive` or `raw`).
+/// The same table read through `connector` (`ocs` or `raw`).
 fn setup_on(connector: &str) -> Engine {
     setup_with(connector, PushdownPolicy::all())
 }
@@ -237,7 +237,7 @@ fn errors_are_surfaced_cleanly() {
 
 #[test]
 fn comparing_mismatched_types_is_an_analysis_error_on_every_connector() {
-    for connector in ["raw", "hive", "ocs"] {
+    for connector in ["raw", "ocs"] {
         let engine = setup_on(connector);
         for sql in [
             "SELECT COUNT(*) FROM weather WHERE city = 5",
@@ -268,7 +268,6 @@ fn comparing_mismatched_types_is_an_analysis_error_on_every_connector() {
 fn every_connector_types_sql_by_the_same_rules() {
     let engines = [
         ("raw", setup_with("raw", PushdownPolicy::all())),
-        ("hive", setup_with("hive", PushdownPolicy::all())),
         ("ocs/all", setup_with("ocs", PushdownPolicy::all())),
         (
             "ocs/filter",
