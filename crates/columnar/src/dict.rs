@@ -17,6 +17,7 @@ use std::sync::Arc;
 use crate::array::{checked_utf8_len, Utf8Array};
 use crate::bitmap::Bitmap;
 use crate::error::{ColumnarError, Result};
+use crate::kernels::selection::{gather_bits, gather_words};
 
 /// Entries up to this long are copied as one fixed-size block when the
 /// expansion is written out ([`DictArray::extend_data`]).
@@ -212,6 +213,30 @@ impl DictArray {
                 .map(|v| indices.iter().map(|&i| v.get(i)).collect()),
             data_len,
         })
+    }
+
+    /// The `count` rows at the set bits of `bits`, in order: codes and
+    /// validity move a word of the selection at a time, the entries are
+    /// shared, and `data_len` is summed from the gathered codes of the
+    /// valid rows. A subset of the rows expands to no more bytes than all
+    /// of them, so it fits `u32` offsets.
+    pub(crate) fn gather(&self, bits: &Bitmap, count: usize) -> DictArray {
+        let codes = gather_words(&self.codes, bits, count);
+        let validity = self.validity.as_ref().map(|v| gather_bits(v, bits, count));
+        let lens = entry_lens(&self.entries);
+        let data_len: u64 = match &validity {
+            None => codes.iter().map(|&c| lens[c as usize]).sum(),
+            Some(v) => (codes.iter().zip(v.iter()))
+                .filter(|&(_, valid)| valid)
+                .map(|(&c, _)| lens[c as usize])
+                .sum(),
+        };
+        DictArray {
+            codes,
+            entries: self.entries.clone(),
+            validity,
+            data_len: data_len as u32,
+        }
     }
 }
 

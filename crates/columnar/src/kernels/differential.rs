@@ -1,7 +1,8 @@
-//! Differential tests: every word-packed comparison, Boolean and arithmetic
-//! kernel against a row-at-a-time reference that states the semantics one
-//! row at a time: `Scalar::total_cmp` per row, the Kleene truth table, and
-//! SQL arithmetic with NULL on integer division by zero.
+//! Differential tests: every word-packed comparison, Boolean, arithmetic
+//! and selection kernel against a row-at-a-time reference that states the
+//! semantics one row at a time: `Scalar::total_cmp` per row, the Kleene
+//! truth table, SQL arithmetic with NULL on integer division by zero, and
+//! the kept rows in order.
 //!
 //! Outputs are compared whole, validity and the value bits under NULL slots
 //! included (Float64 values by their bits, every NaN as one).
@@ -9,9 +10,14 @@
 use super::arith::{self, ArithOp};
 use super::boolean;
 use super::cmp::{self, CmpOp};
+use super::selection::Selection;
 use crate::array::{Array, BooleanArray, Date32Array, Float64Array, Int64Array, Utf8Array};
+use crate::batch::RecordBatch;
 use crate::bitmap::Bitmap;
 use crate::datatype::{DataType, Scalar};
+use crate::dict::DictArray;
+use crate::schema::{Field, Schema};
+use std::sync::Arc;
 
 const OPS: [CmpOp; 6] = [
     CmpOp::Eq,
@@ -121,6 +127,39 @@ impl Gen {
                 })
             }
         }
+    }
+
+    /// Dictionary-coded strings over a few entries, one longer than a
+    /// copy block. The code under a NULL slot names an entry or none.
+    fn dict(&mut self, len: usize) -> Array {
+        let entries = ["", "a", "bb", "é", "an entry longer than sixteen bytes"];
+        let validity = self.validity(len);
+        let codes = (0..len)
+            .map(|i| match validity.as_ref().is_none_or(|v| v.get(i)) {
+                true => self.below(entries.len()) as u32,
+                false => self.pick(&[0, 4, u32::MAX]),
+            })
+            .collect();
+        let entries = Arc::new(Utf8Array::from_strs(entries));
+        Array::Dict(DictArray::try_new(codes, entries, validity).unwrap())
+    }
+
+    /// A selection over `len` rows whose words are, at random, empty,
+    /// full, sparse (at most 16 set bits) or dense.
+    fn mask(&mut self, len: usize) -> Bitmap {
+        let words = (0..len.div_ceil(64))
+            .map(|_| {
+                let sparse = (0..self.below(17)).fold(0u64, |w, _| w | 1 << self.below(64));
+                match self.below(5) {
+                    0 => 0,
+                    1 => u64::MAX,
+                    2 => sparse,
+                    3 => !sparse,
+                    _ => self.next() | self.next(),
+                }
+            })
+            .collect();
+        Bitmap::from_words(words, len)
     }
 
     fn scalar(&mut self, dt: DataType) -> Scalar {
@@ -522,6 +561,120 @@ fn arith_matches_row_at_a_time() {
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The rows of `a` at `kept`, built one row at a time; the value under a
+/// NULL slot moves too, and a dictionary comes out expanded.
+fn ref_gather(a: &Array, kept: &[usize]) -> Array {
+    let validity = a
+        .validity()
+        .map(|v| kept.iter().map(|&i| v.get(i)).collect());
+    match a {
+        Array::Int64(x) => Array::Int64(Int64Array {
+            values: kept.iter().map(|&i| x.values[i]).collect(),
+            validity,
+        }),
+        Array::Float64(x) => Array::Float64(Float64Array {
+            values: kept.iter().map(|&i| x.values[i]).collect(),
+            validity,
+        }),
+        Array::Date32(x) => Array::Date32(Date32Array {
+            values: kept.iter().map(|&i| x.values[i]).collect(),
+            validity,
+        }),
+        Array::Boolean(x) => Array::Boolean(BooleanArray {
+            values: kept.iter().map(|&i| x.values.get(i)).collect(),
+            validity,
+        }),
+        Array::Utf8(x) => Array::Utf8(Utf8Array {
+            validity,
+            ..Utf8Array::from_strs(kept.iter().map(|&i| x.value(i)))
+        }),
+        Array::Dict(x) => Array::Utf8(Utf8Array {
+            validity,
+            ..Utf8Array::from_strs(kept.iter().map(|&i| match x.is_valid(i) {
+                true => x.entries().value(x.codes()[i] as usize),
+                false => "",
+            }))
+        }),
+    }
+}
+
+/// `got` holds the rows of `a` at `kept`, in order: row by row as
+/// `scalar_at` reads them (Float64 by its bits), whole against the
+/// row-at-a-time reference, with its validity and `byte_size`. A
+/// dictionary stays one, over the same entries.
+fn assert_selected(got: &Array, a: &Array, kept: &[usize], what: &str) {
+    assert_eq!(got.len(), kept.len(), "{what}: rows");
+    for (k, &i) in kept.iter().enumerate() {
+        match (got.scalar_at(k), a.scalar_at(i)) {
+            (Scalar::Float64(g), Scalar::Float64(w)) => {
+                assert_eq!(g.to_bits(), w.to_bits(), "{what}: row {k}")
+            }
+            (g, w) => assert_eq!(g, w, "{what}: row {k}"),
+        }
+    }
+    let want = ref_gather(a, kept);
+    match (got, &want) {
+        (Array::Float64(g), Array::Float64(w)) => {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&g.values), bits(&w.values), "{what}: values");
+        }
+        _ => assert_eq!(got, &want, "{what}"),
+    }
+    assert_eq!(got.validity(), want.validity(), "{what}: validity");
+    assert_eq!(got.byte_size(), want.byte_size(), "{what}: byte_size");
+    if let Array::Dict(d) = a {
+        let g = got
+            .as_dict()
+            .unwrap_or_else(|| panic!("{what}: not a dictionary"));
+        assert!(std::ptr::eq(g.entries(), d.entries()), "{what}: entries");
+    }
+}
+
+#[test]
+fn selection_keeps_the_set_rows_in_order() {
+    let mut g = Gen(6);
+    let mut lengths = vec![0, 1, 63, 64, 65];
+    lengths.extend((0..3).map(|_| 2000 + g.below(3000)));
+    for len in lengths {
+        // Every type, the dictionary as `None`, each drawn until one column
+        // without a bitmap and one with a NULL are in.
+        let mut columns = Vec::new();
+        for kind in TYPES.map(Some).into_iter().chain([None]) {
+            let (mut plain, mut nulls) = (false, len == 0);
+            while !(plain && nulls) {
+                let c = match kind {
+                    Some(dt) => g.array(dt, len),
+                    None => g.dict(len),
+                };
+                plain |= c.validity().is_none();
+                nulls |= c.null_count() > 0;
+                columns.push(c);
+            }
+        }
+        let fields = (columns.iter().enumerate())
+            .map(|(i, c)| Field::new(format!("c{i}"), c.data_type(), true))
+            .collect();
+        let arcs = columns.iter().cloned().map(Arc::new).collect();
+        let batch = RecordBatch::try_new(Arc::new(Schema::new(fields)), arcs).unwrap();
+        let mut masks: Vec<Bitmap> = (0..6).map(|_| g.mask(len)).collect();
+        masks.push(Bitmap::with_value(len, false));
+        masks.push(Bitmap::with_value(len, true));
+        for (m, mask) in masks.into_iter().enumerate() {
+            let kept: Vec<usize> = (0..len).filter(|&i| mask.get(i)).collect();
+            let sel = Selection::from_bitmap(mask);
+            let what =
+                |c: usize| format!("{} column {c}, len {len}, mask {m}", columns[c].data_type());
+            for (c, a) in columns.iter().enumerate() {
+                assert_selected(&sel.apply(a).unwrap(), a, &kept, &what(c));
+            }
+            let out = sel.apply_batch(&batch).unwrap();
+            for (c, a) in columns.iter().enumerate() {
+                assert_selected(&out.columns()[c], a, &kept, &format!("{}, batch", what(c)));
             }
         }
     }

@@ -11,6 +11,7 @@ use crate::bitmap::Bitmap;
 use crate::error::{ColumnarError, Result};
 use crate::kernels::boolean::true_bits;
 
+/// The validity bits at `keep`, for gathers that reorder or repeat rows.
 fn filtered_validity(validity: Option<&Bitmap>, keep: &[usize]) -> Option<Bitmap> {
     validity.map(|v| keep.iter().map(|&i| v.get(i)).collect())
 }
@@ -30,9 +31,8 @@ fn rows_gathered() -> &'static obs::Counter {
 /// `Arc` columns) and `None` filters skip row materialization entirely —
 /// which is what makes late-materialized scans cheap on low-selectivity
 /// predicates. A partial selection keeps its bitmap, not a list of row
-/// indices: fixed-width columns without nulls gather 64 rows a word from
-/// it, and only the columns that gather row by row build the index list,
-/// once per batch.
+/// indices, and every column type gathers from it a 64-row word at a time:
+/// values and dictionary codes, validity and Boolean bits, string bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Selection {
     /// All rows of a domain of the given length survive.
@@ -79,15 +79,6 @@ impl Selection {
         matches!(self, Selection::None(_))
     }
 
-    /// The surviving row indices, ascending.
-    pub fn indices(&self) -> Vec<usize> {
-        match self {
-            Selection::All(n) => (0..*n).collect(),
-            Selection::None(_) => Vec::new(),
-            Selection::Some { bits, .. } => bits.set_indices(),
-        }
-    }
-
     /// Apply to a single array. `All` clones the array; `None` produces an
     /// empty array of the same type without touching row data.
     pub fn apply(&self, a: &Array) -> Result<Array> {
@@ -117,59 +108,160 @@ impl Selection {
         }
     }
 
-    /// The surviving rows of each of `columns`.
+    /// The surviving rows of each of `columns`, each gathered by one walk
+    /// over the selection's words.
     fn gather(&self, columns: &[&Array]) -> Result<Vec<Array>> {
         for c in columns {
             check_selection_len(c.len(), self.domain())?;
         }
+        let none;
         let (bits, count) = match self {
             Selection::All(_) => return Ok(columns.iter().map(|&c| c.clone()).collect()),
-            Selection::None(_) => return columns.iter().map(|c| take_indices(c, &[])).collect(),
+            Selection::None(n) => {
+                none = Bitmap::with_value(*n, false);
+                (&none, 0)
+            }
             Selection::Some { bits, count } => (bits, *count),
         };
         rows_gathered().add(count as u64);
-        let mut indices = None;
-        columns
+        Ok(columns
             .iter()
-            .map(|c| {
-                Ok(match c {
-                    Array::Int64(x) if x.validity.is_none() => Array::Int64(Int64Array {
-                        values: gather_words(&x.values, bits, count),
-                        validity: None,
-                    }),
-                    Array::Float64(x) if x.validity.is_none() => Array::Float64(Float64Array {
-                        values: gather_words(&x.values, bits, count),
-                        validity: None,
-                    }),
-                    Array::Date32(x) if x.validity.is_none() => Array::Date32(Date32Array {
-                        values: gather_words(&x.values, bits, count),
-                        validity: None,
-                    }),
-                    _ => take_indices(c, indices.get_or_insert_with(|| bits.set_indices()))?,
-                })
-            })
-            .collect()
+            .map(|c| gather_array(c, bits, count))
+            .collect())
     }
 }
 
-/// The values at the set bits of `bits`, a word of 64 rows at a time: a
-/// full word copies its 64 values as one slice, an empty word is skipped,
-/// and a mixed word walks its set bits.
-fn gather_words<T: Copy>(values: &[T], bits: &Bitmap, count: usize) -> Vec<T> {
+/// The rows of `a` at the `count` set bits of `bits`, in order. Values,
+/// codes, validity and Boolean bits all move a word of the selection at a
+/// time; a dictionary keeps its entries.
+fn gather_array(a: &Array, bits: &Bitmap, count: usize) -> Array {
+    let validity = |v: &Option<Bitmap>| v.as_ref().map(|v| gather_bits(v, bits, count));
+    match a {
+        Array::Int64(x) => Array::Int64(Int64Array {
+            values: gather_words(&x.values, bits, count),
+            validity: validity(&x.validity),
+        }),
+        Array::Float64(x) => Array::Float64(Float64Array {
+            values: gather_words(&x.values, bits, count),
+            validity: validity(&x.validity),
+        }),
+        Array::Date32(x) => Array::Date32(Date32Array {
+            values: gather_words(&x.values, bits, count),
+            validity: validity(&x.validity),
+        }),
+        Array::Boolean(x) => Array::Boolean(BooleanArray {
+            values: gather_bits(&x.values, bits, count),
+            validity: validity(&x.validity),
+        }),
+        Array::Utf8(x) => Array::Utf8(gather_utf8(x, bits, count)),
+        Array::Dict(x) => Array::Dict(x.gather(bits, count)),
+    }
+}
+
+/// A word of the selection whose runs of set bits average at least this
+/// many rows copies each run as one slice; a word of shorter runs moves its
+/// rows one at a time, since a slice copy costs more than a few rows do.
+const RUN_ROWS: u32 = 4;
+
+/// The runs of consecutive set bits of `word`, as bit ranges, low to high.
+fn word_runs(mut word: u64) -> impl Iterator<Item = std::ops::Range<usize>> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let start = word.trailing_zeros();
+            let len = (word >> start).trailing_ones();
+            // Adding the lowest set bit carries through its run and clears it.
+            word &= word.wrapping_add(word & word.wrapping_neg());
+            start as usize..(start + len) as usize
+        })
+    })
+}
+
+/// The `count` values at the set bits of `bits`, a word of 64 rows at a
+/// time, into an output sized once. Each word picks its own way from its
+/// bits: a word of long runs (a full word is one run of 64) copies each run
+/// as a slice, a word of short runs walks its set bits, and an empty word
+/// does nothing.
+pub(crate) fn gather_words<T: Copy>(values: &[T], bits: &Bitmap, count: usize) -> Vec<T> {
     let mut out = Vec::with_capacity(count);
     for (&word, chunk) in bits.words().iter().zip(values.chunks(64)) {
-        match word {
-            0 => {}
-            u64::MAX => out.extend_from_slice(chunk),
-            mut word => {
-                while word != 0 {
-                    out.push(chunk[word.trailing_zeros() as usize]);
-                    word &= word - 1;
-                }
+        let runs = (word & !(word << 1)).count_ones();
+        if runs * RUN_ROWS <= word.count_ones() {
+            for rows in word_runs(word) {
+                out.extend_from_slice(&chunk[rows]);
+            }
+        } else {
+            let mut word = word;
+            while word != 0 {
+                out.push(chunk[word.trailing_zeros() as usize]);
+                word &= word - 1;
             }
         }
     }
     out
+}
+
+/// The `count` bits of `src` at the set bits of `bits`, packed in order.
+/// Each word of the selection compacts `src`'s word one run of set bits at
+/// a time (a full word is one run), and the compacted bits are appended at
+/// the running bit position.
+pub(crate) fn gather_bits(src: &Bitmap, bits: &Bitmap, count: usize) -> Bitmap {
+    let mut words = Vec::with_capacity(count.div_ceil(64));
+    let (mut acc, mut fill) = (0u64, 0u32);
+    for (&sel, &word) in bits.words().iter().zip(src.words()) {
+        let (mut packed, mut n) = (0u64, 0u32);
+        for rows in word_runs(sel) {
+            let len = rows.len() as u32;
+            packed |= ((word >> rows.start) & (u64::MAX >> (64 - len))) << n;
+            n += len;
+        }
+        acc |= packed << fill;
+        fill += n;
+        if fill >= 64 {
+            words.push(acc);
+            fill -= 64;
+            // The bits of `packed` that did not fit; none when it went in whole.
+            acc = packed.checked_shr(n - fill).unwrap_or(0);
+        }
+    }
+    if fill > 0 {
+        words.push(acc);
+    }
+    Bitmap::from_words(words, count)
+}
+
+/// Each run of consecutive set bits of `bits` within one word, as a row
+/// range, in order.
+fn runs(bits: &Bitmap) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    (bits.words().iter().enumerate())
+        .flat_map(|(w, &word)| word_runs(word).map(move |r| w * 64 + r.start..w * 64 + r.end))
+}
+
+/// The `count` strings at the set bits of `bits`, in two walks over the
+/// runs of set bits: one sums their bytes so both buffers are sized once,
+/// the other copies each run's bytes as one slice and rebases its offsets.
+/// A subset of the rows fits the `u32` offsets that all of them fit.
+fn gather_utf8(x: &Utf8Array, bits: &Bitmap, count: usize) -> Utf8Array {
+    let offsets = &x.offsets;
+    let total: usize = runs(bits)
+        .map(|r| (offsets[r.end] - offsets[r.start]) as usize)
+        .sum();
+    let mut data = Vec::with_capacity(total);
+    let mut out = Vec::with_capacity(count + 1);
+    out.push(0u32);
+    for r in runs(bits) {
+        let (from, base) = (offsets[r.start], data.len() as u32);
+        data.extend_from_slice(&x.data[from as usize..offsets[r.end] as usize]);
+        out.extend(
+            offsets[r.start + 1..=r.end]
+                .iter()
+                .map(|&o| o - from + base),
+        );
+    }
+    Utf8Array {
+        offsets: out,
+        data: data.into(),
+        validity: x.validity.as_ref().map(|v| gather_bits(v, bits, count)),
+    }
 }
 
 fn check_selection_len(rows: usize, domain: usize) -> Result<()> {
@@ -392,7 +484,10 @@ mod tests {
         );
         let some = Selection::from_mask(&mask(&[false, true, true, false]));
         assert!(matches!(some, Selection::Some { count: 2, .. }), "{some:?}");
-        assert_eq!(some.indices(), vec![1, 2]);
+        let Selection::Some { bits, .. } = some else {
+            unreachable!()
+        };
+        assert_eq!(bits, Bitmap::from_bools(&[false, true, true, false]));
         // A mask that is all-true in values but nulled out is all-false.
         let nulled = BooleanArray {
             values: Bitmap::from_bools(&[true, true]),
