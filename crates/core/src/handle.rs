@@ -10,6 +10,7 @@ use columnar::sort::SortKey;
 use columnar::SchemaRef;
 use dsq::expr::ScalarExpr;
 use dsq::spi::TableHandle;
+use substrait_ir::Plan;
 
 /// One pushed-down partial aggregate.
 ///
@@ -101,6 +102,10 @@ pub struct OcsTableHandle {
     pub pushed: PushedOps,
     /// Schema the modified scan emits back to the engine.
     pub output_schema: SchemaRef,
+    /// The Substrait plan the connector optimizer verified; every split ships it.
+    pub plan: Plan,
+    /// IR nodes generated translating `plan` (billed per split).
+    pub ir_nodes: u64,
 }
 
 impl TableHandle for OcsTableHandle {
@@ -140,7 +145,13 @@ mod tests {
             base_schema: schema.clone(),
             projection: vec![0],
             pushed: PushedOps::default(),
-            output_schema: schema,
+            output_schema: schema.clone(),
+            plan: Plan::new(substrait_ir::Rel::read(
+                "t",
+                (*schema).clone(),
+                Some(vec![0]),
+            )),
+            ir_nodes: 2,
         };
         assert!(h.pushed.is_empty());
         assert!(!h.pushes_operators());

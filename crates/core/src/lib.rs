@@ -16,11 +16,11 @@
 //!    of the chain — filter predicates, projection expressions,
 //!    aggregation keys/functions, sort/limit criteria — into an
 //!    [`handle::OcsTableHandle`], merging the nodes into a *modified
-//!    TableScan*;
-//! 3. at execution, the [`pagesource::OcsPageSourceProvider`] reconstructs
-//!    the captured operators, translates them into Substrait IR
-//!    ([`translate`]), ships them to OCS over the byte-counted RPC
-//!    boundary, and deserializes the Arrow results back into engine pages;
+//!    TableScan*, and translates them once into a verified Substrait plan
+//!    ([`translate`]) that the handle carries;
+//! 3. at execution, the [`pagesource::OcsPageSourceProvider`] ships that
+//!    plan to OCS for each split over the byte-counted RPC boundary, and
+//!    deserializes the Arrow results back into engine pages;
 //! 4. the engine runs only *residual* operators (final aggregation of
 //!    partial states, top-N merge, output) over the pre-reduced data.
 //!
@@ -74,9 +74,6 @@ pub use optimizer::OcsPlanOptimizer;
 pub use policy::PushdownPolicy;
 pub use raw::RawConnector;
 pub use selectivity::SelectivityAnalyzer;
-// The static plan verifier lives in `substrait-ir`; re-exported so the
-// engine side names one crate for the whole trust boundary.
-pub use substrait_ir::planck;
 
 use std::sync::Arc;
 

@@ -270,6 +270,14 @@ impl ConnectorPlanOptimizer for OcsPlanOptimizer {
             }
         }
 
+        // The engine-side check, once per query in every build: translate
+        // and verify the exact Substrait plan the handle ships to every
+        // split. The analyzer has typed the query with the same `columnar`
+        // rules, so a rejection here is a rewrite bug in this optimizer.
+        let (plan, ir_nodes) =
+            crate::translate::to_substrait(&scan.table, &table.schema, &projection, &pushed)
+                .map_err(EngineError::connector)?;
+
         // Rebuild: modified scan + residual chain.
         let handle = OcsTableHandle {
             table: scan.table.clone(),
@@ -277,17 +285,9 @@ impl ConnectorPlanOptimizer for OcsPlanOptimizer {
             projection,
             pushed,
             output_schema: scan_output.clone(),
+            plan,
+            ir_nodes,
         };
-
-        // The engine-side check, once per query in every build: verify the
-        // exact Substrait plan this handle ships to every split. The
-        // analyzer has typed the query with the same `columnar` rules, so
-        // a rejection here is a rewrite bug in this optimizer.
-        crate::translate::to_substrait_verified(&handle).map_err(|d| {
-            EngineError::Analysis(format!(
-                "pushdown rewrite produced an illegal storage plan: {d}"
-            ))
-        })?;
 
         let mut rebuilt = LogicalPlan::TableScan(TableScanNode {
             table: scan.table.clone(),
@@ -496,9 +496,10 @@ mod tests {
     use super::*;
     use dsq::catalog::{Metastore, ObjectLocation, TableMeta};
     use netsim::CostParams;
+    use substrait_ir::{DiagCode, Diagnostic};
 
     #[test]
-    fn an_ill_typed_pushed_filter_is_an_analysis_error() {
+    fn an_ill_typed_pushed_filter_is_a_rejected_storage_plan() {
         // A rewrite bug stand-in: a filter whose predicate is Int64. The
         // analyzer never builds one; if a rewrite did, the plan shipped to
         // storage fails planck, in every build, as a typed error.
@@ -532,8 +533,11 @@ mod tests {
         };
         let optimizer = OcsPlanOptimizer::new("ocs".into(), PushdownPolicy::all());
         match optimizer.optimize(plan, &ctx) {
-            Err(EngineError::Analysis(m)) => assert!(m.contains("P300"), "{m}"),
-            other => panic!("expected an analysis error, got {other:?}"),
+            Err(EngineError::Connector(e)) => {
+                let d = e.downcast_ref::<Diagnostic>().expect("a planck diagnostic");
+                assert_eq!(d.code, DiagCode::FilterNotBoolean, "{d}");
+            }
+            other => panic!("expected a rejected storage plan, got {other:?}"),
         }
     }
 

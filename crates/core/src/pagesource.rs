@@ -1,17 +1,16 @@
-//! The OCS PageSourceProvider (paper §3.4 steps 3–5): reconstructs the
-//! pushed-down operators from the table handle, translates them to
-//! Substrait IR, dispatches to OCS over the framed streaming RPC
-//! boundary, and hands the engine a lazy batch stream so split workers
-//! consume results frame-at-a-time while storage is still producing.
+//! The OCS PageSourceProvider (paper §3.4 steps 3–5): ships the Substrait
+//! plan the table handle carries (translated and verified once per query)
+//! to OCS over the framed streaming RPC boundary, and hands the engine a
+//! lazy batch stream so split workers consume results frame-at-a-time
+//! while storage is still producing.
 
 use columnar::RecordBatch;
 use dsq::error::{EResult, EngineError};
 use dsq::spi::{PageSourceProvider, PageSourceResult, PageStream, Split};
 use netsim::{ClusterSpec, CostParams, SplitReport, Work};
-use ocs::{BatchStream, OcsClient, OcsError};
+use ocs::{BatchStream, OcsClient};
 
 use crate::handle::OcsTableHandle;
-use crate::translate::to_substrait;
 
 /// Page sources backed by an OCS deployment.
 pub struct OcsPageSourceProvider {
@@ -31,18 +30,6 @@ impl OcsPageSourceProvider {
     }
 }
 
-fn map_ocs_err(e: OcsError) -> EngineError {
-    // A plan rejection comes back as a structured diagnostic — log the
-    // offending node's path and code, not just a flattened message.
-    match e.diagnostic() {
-        Some(d) => EngineError::Connector(format!(
-            "ocs rejected the shipped plan at {} [{}]: {}",
-            d.path, d.code, d.message
-        )),
-        None => EngineError::Connector(format!("ocs rpc: {e}")),
-    }
-}
-
 /// A [`PageStream`] over the OCS streaming boundary: each `next_batch`
 /// pulls one framed batch through the client's bounded in-flight window;
 /// `finish` adds the engine-side deserialization bill to the stream's report.
@@ -54,11 +41,11 @@ struct OcsPageStream {
 
 impl PageStream for OcsPageStream {
     fn next_batch(&mut self) -> EResult<Option<RecordBatch>> {
-        self.stream.next_batch().map_err(map_ocs_err)
+        self.stream.next_batch().map_err(EngineError::connector)
     }
 
     fn finish(self: Box<Self>) -> EResult<SplitReport> {
-        let mut report = self.stream.finish().map_err(map_ocs_err)?;
+        let mut report = self.stream.finish().map_err(EngineError::connector)?;
         // Engine-side deserialization of the framed Arrow payload.
         report.compute_deser_s = self.cluster.compute.core_seconds_for(Work::decode(
             report.response_bytes() as f64 * self.cost.byte_deser,
@@ -74,35 +61,33 @@ impl PageSourceProvider for OcsPageSourceProvider {
             .as_any()
             .downcast_ref::<OcsTableHandle>()
             .ok_or_else(|| {
-                EngineError::Connector(format!(
+                EngineError::connector(format!(
                     "ocs connector received an unknown handle: {}",
                     split.handle.describe()
                 ))
             })?;
 
         if handle.base_schema.is_empty() {
-            return Err(EngineError::Connector(
-                "ocs scan over a table with an empty schema".into(),
+            return Err(EngineError::connector(
+                "ocs scan over a table with an empty schema",
             ));
         }
 
-        // 1. Reconstruct + translate the pushdown plan (Table 3's
-        //    "Substrait IR Generation", billed to the coordinator). The
-        //    connector optimizer verified this handle's plan once for the
-        //    query; OCS verifies what arrives.
-        let (plan, ir_nodes) = to_substrait(handle);
-        let substrait_gen_s = self
-            .cluster
-            .compute
-            .core_seconds_for(Work::vector(ir_nodes as f64 * self.cost.substrait_node_gen));
+        // 1. The pushdown plan (Table 3's "Substrait IR Generation",
+        //    billed to the coordinator per split). The connector optimizer
+        //    translated and verified it once for the query; OCS verifies
+        //    what arrives.
+        let substrait_gen_s = self.cluster.compute.core_seconds_for(Work::vector(
+            handle.ir_nodes as f64 * self.cost.substrait_node_gen,
+        ));
 
         // 2. Open the streaming request. Storage executes eagerly but the
         //    response crosses the boundary lazily: at most the client's
         //    frame window is encoded and buffered at any time.
         let stream = self
             .client
-            .execute_stream(&plan, &split.bucket, &split.key)
-            .map_err(map_ocs_err)?;
+            .execute_stream(&handle.plan, &split.bucket, &split.key)
+            .map_err(EngineError::connector)?;
 
         Ok(PageSourceResult {
             stream: Box::new(OcsPageStream {
@@ -169,8 +154,9 @@ mod tests {
             .create(&split(schema, Arc::new(DefaultTableHandle::all_columns())))
             .err()
             .expect("a default handle is not an OCS handle");
+        // An engine invariant, not a storage failure: no OCS error inside.
         assert!(
-            matches!(&err, EngineError::Connector(m) if m.contains("unknown handle")),
+            matches!(&err, EngineError::Connector(e) if !e.is::<ocs::OcsError>()),
             "{err}"
         );
     }

@@ -61,10 +61,10 @@ impl PageSourceProvider for RawPageSourceProvider {
         let bytes = self
             .store
             .get_object(&split.bucket, &split.key)
-            .map_err(|e| EngineError::Connector(e.to_string()))?;
+            .map_err(EngineError::connector)?;
         let object_bytes = bytes.len() as u64;
 
-        let reader = ParqReader::open(bytes).map_err(|e| EngineError::Connector(e.to_string()))?;
+        let reader = ParqReader::open(bytes).map_err(EngineError::connector)?;
         let projection: Option<Vec<usize>> = split
             .handle
             .as_any()
@@ -72,7 +72,7 @@ impl PageSourceProvider for RawPageSourceProvider {
             .and_then(|h| h.projection.clone());
         let batches = reader
             .read_all(projection.as_deref())
-            .map_err(|e| EngineError::Connector(e.to_string()))?;
+            .map_err(EngineError::connector)?;
 
         // Storage side: the GET streams the file off the disk; serving it
         // costs a little CPU per byte.

@@ -4,12 +4,12 @@
 //! Presto's function signatures map to Substrait's standardized
 //! namespace".
 
-use columnar::sort::SortKey;
+use columnar::{sort::SortKey, Schema};
 use dsq::expr::ScalarExpr;
 use substrait_ir::planck;
 use substrait_ir::{Expr, Measure, Plan, Rel, SortField};
 
-use crate::handle::OcsTableHandle;
+use crate::handle::{OcsTableHandle, PushedOps};
 
 /// Translate one engine expression. Returns the IR expression and the
 /// number of IR nodes generated (for Table-3-style overhead billing).
@@ -106,18 +106,26 @@ fn translate_sort_keys(keys: &[SortKey]) -> (Vec<SortField>, u64) {
     (fields, nodes)
 }
 
-/// Build the complete Substrait plan for a pushed-down scan. Returns the
-/// plan and the total IR node count generated.
-pub fn to_substrait(handle: &OcsTableHandle) -> (Plan, u64) {
+/// Build the Substrait plan of a pushed-down scan (`table`'s `projection`
+/// of `base_schema`, then the `pushed` chain) and verify it with planck's
+/// pushdown rules: the one engine-side check on what the connector ships,
+/// made once per query by the connector optimizer. Returns the plan and
+/// its IR node count, or the primary diagnostic.
+pub fn to_substrait(
+    table: &str,
+    base_schema: &Schema,
+    projection: &[usize],
+    pushed: &PushedOps,
+) -> Result<(Plan, u64), planck::Diagnostic> {
     let mut nodes: u64 = 1; // ReadRel
     let mut rel = Rel::Read {
-        table: handle.table.clone(),
-        base_schema: (*handle.base_schema).clone(),
-        projection: Some(handle.projection.clone()),
+        table: table.to_string(),
+        base_schema: base_schema.clone(),
+        projection: Some(projection.to_vec()),
     };
-    nodes += handle.projection.len() as u64;
+    nodes += projection.len() as u64;
 
-    if let Some(filter) = &handle.pushed.filter {
+    if let Some(filter) = &pushed.filter {
         let (pred, n) = translate_expr(filter);
         nodes += 1 + n;
         rel = Rel::Filter {
@@ -125,7 +133,7 @@ pub fn to_substrait(handle: &OcsTableHandle) -> (Plan, u64) {
             predicate: pred,
         };
     }
-    if let Some(project) = &handle.pushed.project {
+    if let Some(project) = &pushed.project {
         let mut exprs = Vec::with_capacity(project.len());
         for (e, name) in project {
             let (ie, n) = translate_expr(e);
@@ -138,7 +146,7 @@ pub fn to_substrait(handle: &OcsTableHandle) -> (Plan, u64) {
             exprs,
         };
     }
-    if let Some((group_by, partials)) = &handle.pushed.aggregate {
+    if let Some((group_by, partials)) = &pushed.aggregate {
         let mut keys = Vec::with_capacity(group_by.len());
         for (e, name) in group_by {
             let (ie, n) = translate_expr(e);
@@ -169,7 +177,7 @@ pub fn to_substrait(handle: &OcsTableHandle) -> (Plan, u64) {
             measures,
         };
     }
-    if let Some(keys) = &handle.pushed.sort {
+    if let Some(keys) = &pushed.sort {
         let (fields, n) = translate_sort_keys(keys);
         nodes += 1 + n;
         rel = Rel::Sort {
@@ -177,7 +185,7 @@ pub fn to_substrait(handle: &OcsTableHandle) -> (Plan, u64) {
             keys: fields,
         };
     }
-    if let Some((keys, limit)) = &handle.pushed.topn {
+    if let Some((keys, limit)) = &pushed.topn {
         // Empty keys = a bare LIMIT (Fetch without an ordering).
         let input = if keys.is_empty() {
             rel
@@ -196,90 +204,79 @@ pub fn to_substrait(handle: &OcsTableHandle) -> (Plan, u64) {
             limit: *limit,
         };
     }
-    (Plan::new(rel), nodes)
-}
-
-/// [`to_substrait`] followed by the planck pushdown verifier — the one
-/// engine-side check on what the connector ships, made once per query by
-/// the connector optimizer: structure, typing, operator shape and
-/// pushdown legality (Fetch at root, offset 0, one Aggregate). Returns the
-/// primary diagnostic on failure so callers can log the offending plan
-/// node.
-pub fn to_substrait_verified(handle: &OcsTableHandle) -> Result<(Plan, u64), planck::Diagnostic> {
-    let (plan, nodes) = to_substrait(handle);
+    let plan = Plan::new(rel);
     planck::verify_pushdown(&plan).map_err(planck::primary)?;
     Ok((plan, nodes))
+}
+
+/// [`to_substrait`] of the scan `h` describes: the plan it carries,
+/// translated anew (the per-layer probe times translation).
+pub fn to_substrait_verified(h: &OcsTableHandle) -> Result<(Plan, u64), planck::Diagnostic> {
+    to_substrait(&h.table, &h.base_schema, &h.projection, &h.pushed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handle::{PushedAggregate, PushedOps};
+    use crate::handle::PushedAggregate;
     use columnar::agg::AggFunc;
     use columnar::kernels::cmp::CmpOp;
-    use columnar::{DataType, Field, Scalar, Schema};
+    use columnar::{DataType, Field, Scalar};
     use std::sync::Arc;
 
-    fn handle() -> OcsTableHandle {
-        let base = Arc::new(Schema::new(vec![
+    fn base() -> Schema {
+        Schema::new(vec![
             Field::new("id", DataType::Int64, false),
             Field::new("x", DataType::Float64, false),
             Field::new("e", DataType::Float64, false),
-        ]));
-        OcsTableHandle {
-            table: "laghos".into(),
-            base_schema: base.clone(),
-            projection: vec![0, 1, 2],
-            pushed: PushedOps {
-                aggregate_is_full: false,
-                filter: Some(ScalarExpr::Between {
-                    expr: Arc::new(ScalarExpr::col(1, "x", DataType::Float64)),
-                    lo: Arc::new(ScalarExpr::lit(Scalar::Float64(0.8))),
-                    hi: Arc::new(ScalarExpr::lit(Scalar::Float64(3.2))),
-                }),
-                project: None,
-                aggregate: Some((
-                    vec![(ScalarExpr::col(0, "id", DataType::Int64), "id".into())],
-                    vec![
-                        PushedAggregate {
-                            func: AggFunc::Min,
-                            arg: Some(ScalarExpr::col(1, "x", DataType::Float64)),
-                            output_name: "__p0_min".into(),
-                        },
-                        PushedAggregate {
-                            func: AggFunc::Sum,
-                            arg: Some(ScalarExpr::col(2, "e", DataType::Float64)),
-                            output_name: "__p1_sum".into(),
-                        },
-                        PushedAggregate {
-                            func: AggFunc::Count,
-                            arg: Some(ScalarExpr::col(2, "e", DataType::Float64)),
-                            output_name: "__p1_count".into(),
-                        },
-                    ],
-                )),
-                sort: None,
-                topn: Some((
-                    vec![SortKey {
-                        column: 2,
-                        ascending: true,
-                        nulls_first: true,
-                    }],
-                    100,
-                )),
-            },
-            output_schema: Arc::new(Schema::new(vec![
-                Field::new("id", DataType::Int64, true),
-                Field::new("__p0_min", DataType::Float64, true),
-                Field::new("__p1_sum", DataType::Float64, true),
-                Field::new("__p1_count", DataType::Int64, true),
-            ])),
+        ])
+    }
+
+    fn pushed() -> PushedOps {
+        PushedOps {
+            aggregate_is_full: false,
+            filter: Some(ScalarExpr::Between {
+                expr: Arc::new(ScalarExpr::col(1, "x", DataType::Float64)),
+                lo: Arc::new(ScalarExpr::lit(Scalar::Float64(0.8))),
+                hi: Arc::new(ScalarExpr::lit(Scalar::Float64(3.2))),
+            }),
+            project: None,
+            aggregate: Some((
+                vec![(ScalarExpr::col(0, "id", DataType::Int64), "id".into())],
+                vec![
+                    PushedAggregate {
+                        func: AggFunc::Min,
+                        arg: Some(ScalarExpr::col(1, "x", DataType::Float64)),
+                        output_name: "__p0_min".into(),
+                    },
+                    PushedAggregate {
+                        func: AggFunc::Sum,
+                        arg: Some(ScalarExpr::col(2, "e", DataType::Float64)),
+                        output_name: "__p1_sum".into(),
+                    },
+                    PushedAggregate {
+                        func: AggFunc::Count,
+                        arg: Some(ScalarExpr::col(2, "e", DataType::Float64)),
+                        output_name: "__p1_count".into(),
+                    },
+                ],
+            )),
+            sort: None,
+            topn: Some((
+                vec![SortKey {
+                    column: 2,
+                    ascending: true,
+                    nulls_first: true,
+                }],
+                100,
+            )),
         }
     }
 
     #[test]
     fn builds_verifying_plan() {
-        let (plan, nodes) = to_substrait_verified(&handle()).expect("generated plan must verify");
+        let (plan, nodes) = to_substrait("laghos", &base(), &[0, 1, 2], &pushed())
+            .expect("generated plan must verify");
         let verified = planck::verify_pushdown(&plan).expect("pushdown-legal");
         let schema = verified.schema();
         // Read → Filter → Aggregate → Sort → Fetch.
@@ -308,10 +305,8 @@ mod tests {
 
     #[test]
     fn plain_projection_scan() {
-        let mut h = handle();
-        h.pushed = PushedOps::default();
-        h.output_schema = Arc::new(h.base_schema.project(&[0, 1, 2]).unwrap());
-        let (plan, nodes) = to_substrait_verified(&h).unwrap();
+        let (plan, nodes) =
+            to_substrait("laghos", &base(), &[0, 1, 2], &PushedOps::default()).unwrap();
         assert_eq!(plan.root.operator_count(), 1);
         assert_eq!(nodes, 4); // ReadRel + 3 projection entries
     }

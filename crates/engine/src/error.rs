@@ -14,8 +14,9 @@ pub enum EngineError {
     Analysis(String),
     /// The catalog has no such table.
     UnknownTable(String),
-    /// A connector failed.
-    Connector(String),
+    /// A connector failed. Holds the connector's own error (`dsq` cannot
+    /// name the connector crates), which callers downcast.
+    Connector(Box<dyn std::error::Error + Send + Sync>),
     /// Columnar-layer error.
     Columnar(columnar::ColumnarError),
 }
@@ -26,13 +27,20 @@ impl fmt::Display for EngineError {
             EngineError::Parse(e) => write!(f, "{e}"),
             EngineError::Analysis(m) => write!(f, "analysis error: {m}"),
             EngineError::UnknownTable(t) => write!(f, "unknown table: {t}"),
-            EngineError::Connector(m) => write!(f, "connector error: {m}"),
+            EngineError::Connector(e) => write!(f, "connector error: {e}"),
             EngineError::Columnar(e) => write!(f, "columnar error: {e}"),
         }
     }
 }
 
 impl std::error::Error for EngineError {}
+
+impl EngineError {
+    /// A connector failure: the connector's own error, or a message.
+    pub fn connector(e: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> Self {
+        EngineError::Connector(e.into())
+    }
+}
 
 impl From<sqlparse::ParseError> for EngineError {
     fn from(e: sqlparse::ParseError) -> Self {

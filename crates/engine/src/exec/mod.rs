@@ -120,7 +120,7 @@ pub fn execute_plan(
     let connector = connectors
         .get(&scan.connector)
         .ok_or_else(|| {
-            EngineError::Connector(format!("no connector registered as '{}'", scan.connector))
+            EngineError::connector(format!("no connector registered as '{}'", scan.connector))
         })?
         .clone();
     let splits = crate::spi::splits(&table, &scan);

@@ -4,12 +4,11 @@
 //! This is OCS's own engine, independent of the `dsq` query engine (as in
 //! the paper, where OCS embeds its own SQL engine and Presto merely ships
 //! plans to it). What is its own is reading the verified plan, the scan
-//! (row-group pruning, late materialization, the chunk cache), error
-//! mapping, the wire rules, and `price`; output types are the ones planck
-//! inferred when it verified the plan. The
-//! operators and the pipeline that drives them are [`columnar::ops`], the
-//! code the compute-layer engine runs too, and a filter's prunable
-//! conjuncts are [`RangePredicate::lower`]'s.
+//! (row-group pruning, late materialization, the chunk cache), the wire
+//! rules, and `price`; output types are the ones planck inferred when it
+//! verified the plan. The operators and the pipeline that drives them are
+//! [`columnar::ops`], the code the compute-layer engine runs too, and a
+//! filter's prunable conjuncts are [`RangePredicate::lower`]'s.
 
 use std::mem::take;
 use std::sync::Arc;
@@ -72,7 +71,7 @@ fn fetch_chunk(
     col: usize,
     wire: &mut ExecStats,
 ) -> OcsResult<(Arc<Array>, u64)> {
-    let compressed = reader.chunk_compressed_bytes(rg, col).map_err(exec_err)?;
+    let compressed = reader.chunk_compressed_bytes(rg, col)?;
     let cache = cache.map(|(caches, object)| {
         let key: ChunkKey = (
             object.bucket.clone(),
@@ -91,7 +90,7 @@ fn fetch_chunk(
         }
     }
     wire.disk_bytes += compressed;
-    let array = Arc::new(reader.read_chunk(rg, col).map_err(exec_err)?);
+    let array = Arc::new(reader.read_chunk(rg, col)?);
     let decoded = array.byte_size() as u64;
     if let Some((caches, key)) = cache {
         wire.rg_cache_misses += 1;
@@ -141,7 +140,7 @@ impl<'a> Executor<'a> {
     /// next one's source.
     pub fn run(mut self, plan: &VerifiedPlan<'_>) -> OcsResult<(Vec<RecordBatch>, ExecutorStats)> {
         let Some(((Rel::Read { projection, .. }, _), mut rels)) = plan.ops().split_first() else {
-            return Err(exec_err("plan has no read at its leaf"));
+            return Err(OcsError::Unverified("plan has no read at its leaf"));
         };
         let projection = projection.as_deref();
         // A filter that reads a column and sits on the read runs inside the
@@ -188,7 +187,7 @@ impl<'a> Executor<'a> {
                         .iter()
                         .zip(&types.measure_args)
                         .map(|(m, t)| (m.func, m.arg.as_ref().zip(*t)));
-                    Sink::Aggregate(Box::new(Aggregation::new(keys, calls).map_err(exec_err)?))
+                    Sink::Aggregate(Box::new(Aggregation::new(keys, calls)?))
                 }
                 // Fetch directly over Sort is the top-N operator. Untrusted
                 // u64s: `offset + limit` must not wrap.
@@ -199,16 +198,18 @@ impl<'a> Executor<'a> {
                     _ => Sink::Sort(sort_keys(keys)?),
                 },
                 Some((Rel::Fetch { offset, limit, .. }, _)) => Sink::Fetch(*offset, *limit),
-                Some((Rel::Read { .. }, _)) => return Err(exec_err("read above the plan's leaf")),
+                Some((Rel::Read { .. }, _)) => {
+                    return Err(OcsError::Unverified("read above the plan's leaf"))
+                }
                 None => Sink::Collect,
             };
             let (cost, work) = (self.cost, &mut self.stats.work);
             let mut bill = |c: ops::Cost| work.add(price(cost, &c));
             let mut pipe = Pipeline::new(take(&mut stages), sink);
             for batch in batches {
-                pipe.push(batch, &mut bill).map_err(exec_err)?;
+                pipe.push(batch, &mut bill)?;
             }
-            batches = match (pipe.finish(&mut bill).map_err(exec_err)?, op) {
+            batches = match (pipe.finish(&mut bill)?, op) {
                 // The wire rules. A keyed aggregate over an empty object has
                 // nothing to contribute; a global one still emits its row of
                 // initial states (COUNT = 0, SUM = NULL) so the engine's
@@ -219,12 +220,12 @@ impl<'a> Executor<'a> {
                     vec![]
                 }
                 (Output::Aggregation(agg), Some((_, types))) => {
-                    vec![agg.finish(types.schema.clone()).map_err(exec_err)?]
+                    vec![agg.finish(types.schema.clone())?]
                 }
                 // A fetch answers with exactly one batch whenever there was
                 // input.
                 (Output::Batches(b), Some((Rel::Fetch { .. }, _))) if b.len() > 1 => {
-                    vec![RecordBatch::concat(&b).map_err(exec_err)?]
+                    vec![RecordBatch::concat(&b)?]
                 }
                 (Output::Batches(b), _) => b,
                 (Output::Aggregation(_), None) => vec![],
@@ -259,8 +260,8 @@ impl<'a> Executor<'a> {
         };
         let filter_pos = filter.map_or(&[][..], |(_, pos)| pos);
         // Both checks bound every position below by `out_cols.len()`.
-        let schema = Arc::new(reader.schema().project(&out_cols).map_err(exec_err)?);
-        let filter_schema = Arc::new(schema.project(filter_pos).map_err(exec_err)?);
+        let schema = Arc::new(reader.schema().project(&out_cols)?);
+        let filter_schema = Arc::new(schema.project(filter_pos)?);
         let payload_pos: Vec<usize> = (0..out_cols.len())
             .filter(|pos| !filter_pos.contains(pos))
             .collect();
@@ -278,7 +279,7 @@ impl<'a> Executor<'a> {
             .into_par_iter()
             .map(|rg| -> OcsResult<GroupScan> {
                 let mut wire = ExecStats {
-                    rows_scanned: reader.row_group_rows(rg).map_err(exec_err)?,
+                    rows_scanned: reader.row_group_rows(rg)?,
                     ..ExecStats::default()
                 };
                 let mut arrays = Vec::with_capacity(out_cols.len());
@@ -296,17 +297,15 @@ impl<'a> Executor<'a> {
                 let mut sel = None;
                 if let Some((pred, weight)) = &mask_pred {
                     work.add(Work::vector(cost.eval_work(wire.rows_scanned, *weight)));
-                    let filter_batch = RecordBatch::try_new(filter_schema.clone(), arrays.clone())
-                        .map_err(exec_err)?;
-                    let mask = pred.eval(&filter_batch).map_err(exec_err)?;
-                    let s = Selection::from_mask(mask.as_bool().map_err(exec_err)?);
+                    let filter_batch = RecordBatch::try_new(filter_schema.clone(), arrays.clone())?;
+                    let mask = pred.eval(&filter_batch)?;
+                    let s = Selection::from_mask(mask.as_bool()?);
                     if s.is_none() {
                         // Nothing survives: never touch the payload chunks.
                         wire.row_groups_skipped = 1;
                         for &pos in &payload_pos {
-                            wire.decoded_bytes_avoided += reader
-                                .chunk_uncompressed_bytes(rg, out_cols[pos])
-                                .map_err(exec_err)?;
+                            wire.decoded_bytes_avoided +=
+                                reader.chunk_uncompressed_bytes(rg, out_cols[pos])?;
                         }
                         return Ok(GroupScan {
                             batch: None,
@@ -328,9 +327,9 @@ impl<'a> Executor<'a> {
                 }
                 work.add(Work::decode(payload_bytes as f64 * cost.byte_decode));
                 let columns = rank.iter().map(|&i| arrays[i].clone()).collect();
-                let full = RecordBatch::try_new(schema.clone(), columns).map_err(exec_err)?;
+                let full = RecordBatch::try_new(schema.clone(), columns)?;
                 let batch = match sel {
-                    Some(sel) => sel.apply_batch(&full).map_err(exec_err)?,
+                    Some(sel) => sel.apply_batch(&full)?,
                     None => full,
                 };
                 Ok(GroupScan {
@@ -365,10 +364,6 @@ fn price(cost: &CostParams, c: &ops::Cost) -> Work {
     }
 }
 
-fn exec_err(e: impl std::fmt::Display) -> OcsError {
-    OcsError::Exec(e.to_string())
-}
-
 /// Substrait sort fields as column sort keys; planck has verified that
 /// each is a plain field reference.
 fn sort_keys(keys: &[substrait_ir::SortField]) -> OcsResult<Vec<SortKey>> {
@@ -379,9 +374,7 @@ fn sort_keys(keys: &[substrait_ir::SortField]) -> OcsResult<Vec<SortKey>> {
                 ascending: k.ascending,
                 nulls_first: k.nulls_first,
             }),
-            other => Err(exec_err(format!(
-                "sort key {other} is not a field reference"
-            ))),
+            _ => Err(OcsError::Unverified("sort key is not a field reference")),
         })
         .collect()
 }

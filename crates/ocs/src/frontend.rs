@@ -11,10 +11,11 @@
 use std::sync::Arc;
 
 use netsim::{CostParams, NodeSpec};
+use substrait_ir::planck;
 
 use crate::node::StorageNode;
 use crate::stream::WireStream;
-use crate::{planck, OcsError, OcsResult};
+use crate::{OcsError, OcsResult};
 
 /// The frontend node.
 #[derive(Debug)]
@@ -221,9 +222,10 @@ mod tests {
     #[test]
     fn rejects_garbage_plans() {
         let (fe, _) = frontend();
-        let err = fe.handle_stream(b"not a plan", "lake", "t/0").unwrap_err();
-        let diag = err.diagnostic().expect("garbage is a plan error");
-        assert_eq!(diag.code, substrait_ir::DiagCode::Corrupt);
+        match fe.handle_stream(b"not a plan", "lake", "t/0") {
+            Err(OcsError::Plan(d)) => assert_eq!(d.code, substrait_ir::DiagCode::Corrupt),
+            other => panic!("garbage is a plan error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -240,13 +242,13 @@ mod tests {
             ),
         });
         let bytes = substrait_ir::encode(&plan);
-        let err = fe.handle_stream(&bytes, "lake", "t/0").unwrap_err();
-        let diag = err.diagnostic().expect("invalid plan is a plan error");
-        assert_eq!(diag.code, substrait_ir::DiagCode::FieldOutOfRange);
-        assert_eq!(diag.path, "root.predicate.left");
-        // The rendered error names the offending node for engine logs.
-        assert!(err.to_string().contains("P200"), "{err}");
-        assert!(err.to_string().contains("root.predicate.left"), "{err}");
+        match fe.handle_stream(&bytes, "lake", "t/0") {
+            Err(OcsError::Plan(d)) => {
+                assert_eq!(d.code, substrait_ir::DiagCode::FieldOutOfRange);
+                assert_eq!(d.path, "root.predicate.left");
+            }
+            other => panic!("an invalid plan is a plan error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -70,40 +70,33 @@ pub use frontend::OcsFrontend;
 pub use node::StorageNode;
 pub use rpc::{BatchStream, OcsClient, OcsResponse, DEFAULT_FRAME_WINDOW};
 pub use stream::{WireFrame, WireStream};
-// Storage-side plan verification is the planck module of `substrait-ir`;
-// re-exported so callers name one crate for the whole trust boundary.
-pub use substrait_ir::planck;
 
 use netsim::{CostParams, DiskSpec, NodeSpec};
 use objstore::ObjectStore;
 use std::fmt;
 use std::sync::Arc;
 
-/// Errors from OCS request handling.
+/// Errors from OCS request handling, each typed by the layer that failed.
 #[derive(Debug)]
 pub enum OcsError {
     /// Malformed or unsupported Substrait plan. Carries the structured
     /// verifier diagnostic — stable code plus the plan path of the
     /// offending node — so the engine side can log exactly *which* node
     /// of the shipped plan was rejected, not just a flattened string.
-    Plan(planck::Diagnostic),
+    Plan(substrait_ir::Diagnostic),
     /// Storage access failed.
     Storage(objstore::StoreError),
-    /// Execution failed.
-    Exec(String),
+    /// The object is not a readable parq file (corrupt footer or page).
+    Parq(parq::ParqError),
+    /// A columnar kernel failed, or a response frame did not decode.
+    Columnar(columnar::ColumnarError),
+    /// The response stream broke the frame protocol.
+    Protocol(&'static str),
+    /// A verified plan broke a guarantee planck gives the executor.
+    Unverified(&'static str),
     /// Invalid deployment configuration (rejected by
     /// [`OcsConfig::validate`] before anything is brought up).
     Config(String),
-}
-
-impl OcsError {
-    /// The rejected-plan diagnostic, when this is a plan error.
-    pub fn diagnostic(&self) -> Option<&planck::Diagnostic> {
-        match self {
-            OcsError::Plan(d) => Some(d),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for OcsError {
@@ -111,7 +104,10 @@ impl fmt::Display for OcsError {
         match self {
             OcsError::Plan(d) => write!(f, "plan rejected: {d}"),
             OcsError::Storage(e) => write!(f, "storage error: {e}"),
-            OcsError::Exec(m) => write!(f, "execution error: {m}"),
+            OcsError::Parq(e) => write!(f, "parq error: {e}"),
+            OcsError::Columnar(e) => write!(f, "columnar error: {e}"),
+            OcsError::Protocol(m) => write!(f, "frame protocol: {m}"),
+            OcsError::Unverified(m) => write!(f, "plan guarantee broken: {m}"),
             OcsError::Config(m) => write!(f, "invalid config: {m}"),
         }
     }
@@ -125,8 +121,20 @@ impl From<objstore::StoreError> for OcsError {
     }
 }
 
-impl From<planck::Diagnostic> for OcsError {
-    fn from(d: planck::Diagnostic) -> Self {
+impl From<parq::ParqError> for OcsError {
+    fn from(e: parq::ParqError) -> Self {
+        OcsError::Parq(e)
+    }
+}
+
+impl From<columnar::ColumnarError> for OcsError {
+    fn from(e: columnar::ColumnarError) -> Self {
+        OcsError::Columnar(e)
+    }
+}
+
+impl From<substrait_ir::Diagnostic> for OcsError {
+    fn from(d: substrait_ir::Diagnostic) -> Self {
         OcsError::Plan(d)
     }
 }

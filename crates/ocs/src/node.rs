@@ -6,11 +6,11 @@ use columnar::{ops, RecordBatch};
 use netsim::{makespan, CostParams, DiskSpec, ExecStats, NodeSpec};
 use objstore::ObjectStore;
 use parq::ParqReader;
-use substrait_ir::{Plan, VerifiedPlan};
+use substrait_ir::{planck, Plan, VerifiedPlan};
 
 use crate::cache::{CachedResult, NodeCaches, ObjectId, ResultKey};
 use crate::exec::{Executor, ExecutorStats};
-use crate::{planck, OcsResult};
+use crate::OcsResult;
 
 /// Result of one in-storage plan execution.
 #[derive(Debug, Clone)]
@@ -108,7 +108,7 @@ impl StorageNode {
             version,
         };
         let (rg_before, result_before) = self.caches.stats();
-        let reader = ParqReader::open(bytes).map_err(|e| crate::OcsError::Exec(e.to_string()))?;
+        let reader = ParqReader::open(bytes)?;
         let codec = reader.codec();
         let (batches, exec) = Executor::new(&reader, &self.cost)
             .with_caches(&self.caches, &object)

@@ -107,8 +107,9 @@ impl BatchStream {
 
     /// Pull the next decoded batch; `Ok(None)` after the trailer arrives.
     ///
-    /// Truncated or corrupted frame sequences surface as structured
-    /// [`OcsError::Exec`] — never a panic.
+    /// Corrupt frame bytes surface as [`OcsError::Columnar`], a stream
+    /// that breaks the frame protocol as [`OcsError::Protocol`] — never a
+    /// panic.
     pub fn next_batch(&mut self) -> OcsResult<Option<RecordBatch>> {
         loop {
             if self.done {
@@ -118,27 +119,22 @@ impl BatchStream {
             let Some(frame) = self.inflight.pop_front() else {
                 // Producer exhausted without a trailer frame.
                 self.done = true;
-                return Err(OcsError::Exec(
-                    "response stream ended without a trailer frame".into(),
+                return Err(OcsError::Protocol(
+                    "response stream ended without a trailer frame",
                 ));
             };
             self.inflight_bytes -= frame.bytes.len() as u64;
             self.decoder.feed(frame.bytes);
-            let decoded = self
-                .decoder
-                .next_frame()
-                .map_err(|e| OcsError::Exec(format!("frame decode: {e}")))?;
+            let decoded = self.decoder.next_frame()?;
             self.timings.push(frame.timing);
             match decoded {
                 Some(Frame::Schema(_)) => continue,
                 Some(Frame::Batch(b)) => return Ok(Some(b)),
                 Some(Frame::Trailer(t)) => {
-                    self.decoder
-                        .finish()
-                        .map_err(|e| OcsError::Exec(format!("frame decode: {e}")))?;
+                    self.decoder.finish()?;
                     self.stats = Some(
                         ExecStats::decode(&t)
-                            .map_err(|e| OcsError::Exec(format!("trailer decode: {e}")))?,
+                            .map_err(|_| OcsError::Protocol("trailer statistics do not decode"))?,
                     );
                     self.done = true;
                     return Ok(None);
@@ -146,7 +142,7 @@ impl BatchStream {
                 None => {
                     // Each wire frame is complete by construction; a
                     // partial decode here means corruption upstream.
-                    return Err(OcsError::Exec("incomplete frame in response stream".into()));
+                    return Err(OcsError::Protocol("incomplete frame in response stream"));
                 }
             }
         }
@@ -159,8 +155,8 @@ impl BatchStream {
     /// consumed to the trailer.
     pub fn finish(self) -> OcsResult<SplitReport> {
         let Some(stats) = self.stats else {
-            return Err(OcsError::Exec(
-                "stream finished before the trailer frame was consumed".into(),
+            return Err(OcsError::Protocol(
+                "stream finished before the trailer frame was consumed",
             ));
         };
         let response_bytes: u64 = self.timings.iter().map(|t| t.bytes).sum();
@@ -442,10 +438,13 @@ mod tests {
                 name: "s".into(),
             }],
         });
-        let err = ocs.client().execute(&plan, "lake", "t/0").unwrap_err();
-        let diag = err.diagnostic().expect("plan rejection is structured");
-        assert_eq!(diag.code, substrait_ir::DiagCode::FieldOutOfRange);
-        assert_eq!(diag.path, "root.measures[0].arg");
+        match ocs.client().execute(&plan, "lake", "t/0") {
+            Err(OcsError::Plan(d)) => {
+                assert_eq!(d.code, substrait_ir::DiagCode::FieldOutOfRange);
+                assert_eq!(d.path, "root.measures[0].arg");
+            }
+            other => panic!("a plan rejection is structured, got {other:?}"),
+        }
     }
 
     #[test]
